@@ -4,13 +4,23 @@ The m-dimensional content of a target is the minimum of sum(r_i^m) over
 coverings by balls from the family.  `exact_content` solves the weighted
 set-cover instance by branch and bound with an LP-dual-feasible ratio bound
 (exact rational arithmetic for integer m); `greedy_content` gives the usual
-ratio-greedy upper bound.  Net-model answers are brackets: the optimum over
-net-centered balls, deflated by eps_net on the lower side.
+ratio-greedy upper bound, with lower value 0.  Net-model answers of
+`exact_content` are brackets: the optimum over net-centered balls, deflated
+by eps_net on the lower side.
+
+Grid-ball candidates on voxel sets come from per-axis slab bitmasks: the
+cells of a block are the AND of one prefix-difference mask per axis, and its
+cell count is the popcount.  A block of side k > 1 whose cost k^m times the
+unit cost reaches its cell count is dominated by the unit balls it contains;
+a size is skipped outright when a full block, min(k^n, |target|) cells,
+would be, so at m >= n only unit balls are enumerated.  The greedy is lazy
+(Minoux's accelerated greedy): stale ratios only grow as coverage grows, so
+a popped ball whose ratio is still current is the one a full rescan picks.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +40,6 @@ from .space import (
     VoxelSpace,
     ball_members,
     family_label,
-    grid_ball,
     linf,
 )
 
@@ -103,43 +112,62 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
     index = {c: i for i, c in enumerate(cells)}
     lo = [min(c[i] for c in cells) for i in range(space.n)]
     hi = [max(c[i] for c in cells) for i in range(space.n)]
+    # below[i][v]: the cells whose coordinate i is less than lo[i] + v, so a
+    # block's mask is the AND over axes of its slabs below[i][b] ^ below[i][a]
+    below = []
+    for i in range(space.n):
+        rows = [0] * (hi[i] - lo[i] + 1)
+        for idx, c in enumerate(cells):
+            rows[c[i] - lo[i]] |= 1 << idx
+        prefix = [0]
+        for row in rows:
+            prefix.append(prefix[-1] | row)
+        below.append(prefix)
     k_max = max(h - l + 1 for l, h in zip(lo, hi))
     k_max += (-k_max) % stride
-    exact = is_integral(m)
     out = []
     for k in range(stride, k_max + 1, stride):
         radius = space.delta * Fraction(k, 2)
         if cap is not None and radius > cap:
             break
+        limit = _dominance_limit(k, m) if stride == 1 and k > 1 else 0
+        # skip the whole size when even a full block, which holds at most
+        # min(k^n, |target|) cells, is dominated
+        if min(k ** space.n, len(cells)) <= limit:
+            continue
         cost = power(radius, m)
-        anchor_ranges = []
+        # (center, mask) of the non-empty blocks, one axis at a time; the
+        # centers are those of grid_ball(space, anchor, k)
+        blocks = [((), (1 << len(cells)) - 1)]
         for i in range(space.n):
             a_lo = lo[i] - k + 1
             if stride > 1:
                 a_lo += (-a_lo) % stride
-            anchor_ranges.append(range(a_lo, hi[i] + 1, stride))
-        for anchor in itertools.product(*anchor_ranges):
-            mask = 0
-            count = 0
-            for cell in itertools.product(
-                *(range(max(a, l), min(a + k - 1, h) + 1)
-                  for a, l, h in zip(anchor, lo, hi))
-            ):
-                idx = index.get(cell)
-                if idx is not None:
-                    mask |= 1 << idx
-                    count += 1
-            if count == 0:
-                continue
-            # a block whose cost reaches that of `count` unit balls is
-            # dominated by the singles it contains: cost ratio is k^m
-            if stride == 1 and k > 1:
-                dominated = k ** int(m) >= count if exact \
-                    else float(k) ** float(m) >= count - 1e-12
-                if dominated:
-                    continue
-            out.append(_Candidate(grid_ball(space, anchor, k), mask, cost))
+            slabs = []
+            prefix = below[i]
+            for a in range(a_lo, hi[i] + 1, stride):
+                slab = prefix[min(a + k - 1, hi[i]) - lo[i] + 1] ^ prefix[max(a, lo[i]) - lo[i]]
+                if slab:
+                    slabs.append((space.delta * a + radius, slab))
+            blocks = [(center + (x,), both) for center, mask in blocks
+                      for x, slab in slabs if (both := mask & slab)]
+        for center, mask in blocks:
+            if mask.bit_count() > limit:
+                out.append(_Candidate(Ball(center, radius), mask, cost))
     return out, index
+
+
+def _dominance_limit(k: int, m) -> int:
+    """Largest cell count at which a block of side k is dominated by the unit
+    balls it contains: its cost is k^m times theirs, so that count is k^m
+    (plus a 1e-12 tolerance when m is not an integer)."""
+    if is_integral(m):
+        return k ** int(m)
+    k_m = float(k) ** float(m)
+    limit = int(k_m)
+    while k_m >= limit + 1 - 1e-12:
+        limit += 1
+    return limit
 
 
 def _point_candidates(space: Space, target, m, centers, cap):
@@ -305,22 +333,29 @@ def volume_lower_bound(space: VoxelSpace, target=None, m: Scalar = 1) -> Scalar:
 # solvers
 
 def _greedy_cover(cands, full):
+    """Repeatedly take the ball of least cost per newly covered element, ties
+    to the least ball key.  Lazy (Minoux): a heap holds each ball's last known
+    ratio, which can only grow as coverage grows, so a popped ball whose
+    ratio is still current is the eager greedy's pick."""
+    heap = [(cand.cost / cand.mask.bit_count(), cand.ball.key(), i)
+            for i, cand in enumerate(cands)]
+    heapq.heapify(heap)
     covered = 0
     chosen = []
     while covered != full:
-        best = None
-        best_key = None
-        for cand in cands:
-            new = (cand.mask | covered) ^ covered
-            if not new:
-                continue
-            key = (cand.cost / new.bit_count(), cand.ball.key())
-            if best is None or key < best_key:
-                best, best_key = cand, key
-        if best is None:
+        if not heap:
             raise UncoverableError("family cannot cover the target")
-        chosen.append(best)
-        covered |= best.mask
+        ratio, key, i = heapq.heappop(heap)
+        cand = cands[i]
+        new = cand.mask & ~covered
+        if not new:
+            continue
+        current = cand.cost / new.bit_count()
+        if current == ratio:
+            chosen.append(cand)
+            covered |= cand.mask
+        else:
+            heapq.heappush(heap, (current, key, i))
     return chosen
 
 
@@ -330,14 +365,15 @@ def greedy_content(
     m: Scalar = 1,
     family: BallFamily = AllGridBalls(),
 ) -> ContentResult:
-    """Iterative best-ratio covering; an upper bound by construction."""
+    """Iterative best-ratio covering; an upper bound by construction.  The
+    greedy cost says nothing about the optimum from below, so the reported
+    lower value is 0 on every model."""
     target = _resolve_target(space, target)
     cands, index = generate_candidates(space, target, m, family)
     chosen = _greedy_cover(cands, (1 << len(index)) - 1)
     witness = Covering(tuple(c.ball for c in chosen), frozenset(target), m)
-    lower = _net_deflated_cost(space, witness) if isinstance(space, NetSpace) else _zero(witness.cost)
     return ContentResult(
-        m, family_label(family), lower, witness.cost, False, witness,
+        m, family_label(family), _zero(witness.cost), witness.cost, False, witness,
         {"kind": "greedy"}, _exact_mode(space, m),
     )
 

@@ -47,13 +47,6 @@ def root(x: Scalar, m: Scalar) -> float:
     return xf ** (1.0 / float(m))
 
 
-def leq(a: Scalar, b: Scalar, tol: float = TOL) -> bool:
-    """a <= b, exact for two rationals, tolerant otherwise."""
-    if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
-        return a <= b
-    return float(a) <= float(b) + tol
-
-
 def parse_scalar(text: Scalar) -> Fraction:
     """Parse "p/q" strings, ints, floats and decimal strings to an exact
     Fraction.  Used by every JSON loader."""

@@ -1,0 +1,198 @@
+"""Property tests: grid candidate generation and the greedy cover against
+direct oracles, and the greedy lower bound on nets against an exhaustive
+optimum."""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hcfill.content import (
+    _greedy_cover,
+    _voxel_grid_candidates,
+    generate_candidates,
+    greedy_content,
+)
+from hcfill.errors import UncoverableError
+from hcfill.exact import is_integral, power
+from hcfill.shapes import make_strip_with_bulbs
+from hcfill.space import (
+    AllGridBalls,
+    NetSpace,
+    RadiusCapped,
+    VoxelSpace,
+    ball_members,
+    grid_ball,
+    intersect_families,
+)
+
+MS = [1, 2, 3, Fraction(2), Fraction(3, 2), Fraction(1, 2), 0.5, 1.5, 2.0]
+BOX = {1: 9, 2: 6, 3: 4}
+
+
+@st.composite
+def voxel_instances(draw):
+    """A shifted voxel set, a non-empty target in it, m, stride and radius cap."""
+    n = draw(st.integers(1, 3))
+    box = draw(st.integers(1, BOX[n]))
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    coords = [tuple(x + s for x, s in zip(c, shift))
+              for c in itertools.product(range(box), repeat=n)]
+    cells = draw(st.sets(st.sampled_from(coords), min_size=1))
+    target = draw(st.sets(st.sampled_from(sorted(cells)), min_size=1))
+    delta = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1)]))
+    m = draw(st.sampled_from(MS))
+    stride = draw(st.sampled_from([1, 2]))
+    cap = draw(st.one_of(
+        st.none(), st.integers(1, 2 * box).map(lambda j: delta * Fraction(j, 2))))
+    return VoxelSpace(n, delta, frozenset(cells)), frozenset(target), m, stride, cap
+
+
+def oracle_grid_candidates(space, target, m, stride, cap):
+    """Every anchor of every block size, members from ball_members, and the
+    per-block dominance test (cost k^m >= cell count, stride 1, k > 1)."""
+    cells = sorted(target)
+    index = {c: i for i, c in enumerate(cells)}
+    lo = [min(c[i] for c in cells) for i in range(space.n)]
+    hi = [max(c[i] for c in cells) for i in range(space.n)]
+    k_max = max(h - l + 1 for l, h in zip(lo, hi))
+    k_max += (-k_max) % stride
+    out = []
+    for k in range(stride, k_max + 1, stride):
+        radius = space.delta * Fraction(k, 2)
+        if cap is not None and radius > cap:
+            break
+        ranges = []
+        for i in range(space.n):
+            a_lo = lo[i] - k + 1
+            a_lo += (-a_lo) % stride
+            ranges.append(range(a_lo, hi[i] + 1, stride))
+        for anchor in itertools.product(*ranges):
+            ball = grid_ball(space, anchor, k)
+            members = ball_members(ball, space) & target
+            if not members:
+                continue
+            if stride == 1 and k > 1:
+                if is_integral(m):
+                    dominated = k ** int(m) >= len(members)
+                else:
+                    dominated = float(k) ** float(m) >= len(members) - 1e-12
+                if dominated:
+                    continue
+            mask = sum(1 << index[c] for c in members)
+            out.append((ball.key(), mask, power(radius, m)))
+    return out, index
+
+
+def eager_greedy(cands, full):
+    """Rescan every candidate each round; least (cost/new, ball key) wins."""
+    covered, picks = 0, []
+    while covered != full:
+        ratios = [((c.cost / (c.mask & ~covered).bit_count(), c.ball.key()), i)
+                  for i, c in enumerate(cands) if c.mask & ~covered]
+        if not ratios:
+            raise UncoverableError("family cannot cover the target")
+        _, i = min(ratios)
+        picks.append(cands[i])
+        covered |= cands[i].mask
+    return picks
+
+
+def greedy_keys(cover, cands, n_elems):
+    try:
+        return [c.ball.key() for c in cover(cands, (1 << n_elems) - 1)]
+    except UncoverableError:
+        return None
+
+
+def assert_greedy_matches(cands, n_elems):
+    assert greedy_keys(_greedy_cover, cands, n_elems) == \
+        greedy_keys(eager_greedy, cands, n_elems)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(voxel_instances())
+def test_grid_candidates_and_greedy_match_oracles(instance):
+    space, target, m, stride, cap = instance
+    got, index = _voxel_grid_candidates(space, target, m, stride, cap)
+    want, want_index = oracle_grid_candidates(space, target, m, stride, cap)
+    assert index == want_index
+    assert [(c.ball.key(), c.mask, c.cost) for c in got] == want
+
+    family = AllGridBalls(stride)
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    cands, index = generate_candidates(space, target, m, family)
+    assert_greedy_matches(cands, len(index))
+    assert_greedy_matches(got, len(index))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(voxel_instances(), st.sampled_from([3, Fraction(7, 2), 4.0]))
+def test_only_unit_balls_at_m_at_least_n(instance, m):
+    space, target, _, _, _ = instance
+    cands, index = generate_candidates(space, target, m, AllGridBalls())
+    assert len(cands) == len(target)
+    assert all(c.ball.radius == space.delta / 2 for c in cands)
+
+
+def test_strip_with_bulbs_keeps_only_unit_balls():
+    space = make_strip_with_bulbs()
+    cands, _ = generate_candidates(space, frozenset(space.cells), 2, AllGridBalls())
+    assert len(cands) == len(space.cells) == 128
+    assert all(c.ball.radius == space.delta / 2 for c in cands)
+
+
+@st.composite
+def small_nets(draw):
+    metric = draw(st.sampled_from(["linf", "l2", "l1"]))
+    points = draw(st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)).map(
+            lambda p: (float(p[0]), float(p[1]))),
+        min_size=1, max_size=7, unique=True))
+    m = draw(st.sampled_from([1, 2, 0.5, 1.5]))
+    return NetSpace(metric, tuple(points)), m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_nets())
+def test_greedy_matches_eager_on_float_costs(net_m):
+    net, m = net_m
+    cands, index = generate_candidates(net, range(len(net.points)), m, AllGridBalls())
+    assert_greedy_matches(cands, len(index))
+
+
+def net_optimum(net, m):
+    """Cheapest cover by balls centred at net points with radii from the
+    positive distances to the points, by dynamic programming over covered
+    sets."""
+    k = len(net.points)
+    balls = {}
+    for c in range(k):
+        d = [net.dist(c, e) for e in range(k)]
+        for r in sorted({x for x in d if x > 0}) or [0.0]:
+            mask = sum(1 << e for e in range(k) if d[e] <= r + 1e-9)
+            balls[mask] = min(balls.get(mask, math.inf), r ** float(m))
+    best = [math.inf] * (1 << k)
+    best[0] = 0.0
+    for covered in range(1 << k):
+        for mask, cost in balls.items():
+            grown = covered | mask
+            best[grown] = min(best[grown], best[covered] + cost)
+    return best[-1]
+
+
+def test_greedy_lower_bound_on_nets_is_sound():
+    for seed in range(60):
+        rng = random.Random(seed)
+        points = tuple(sorted({(float(rng.randint(0, 6)), float(rng.randint(0, 6)))
+                               for _ in range(7)}))
+        net = NetSpace(("linf", "l2", "l1")[seed % 3], points, eps_net=(0.0, 0.25)[seed % 2])
+        for m in (1, 2):
+            optimum = net_optimum(net, m)
+            res = greedy_content(net, None, m)
+            assert res.value_lower <= optimum
+            assert res.value_upper >= optimum - 1e-9
