@@ -250,7 +250,8 @@ def _cmd_width(args, cfg: RunConfig) -> int:
 def _cmd_local_width(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
     report = local_width_check(space, int(args.m), parse_scalar(args.radius),
-                               args.budget or cfg.width_budget, cfg.seed)
+                               args.budget or cfg.width_budget, cfg.seed,
+                               cfg.node_budget)
     _emit({"command": "local-width", "report": report}, args.out)
     return 0
 

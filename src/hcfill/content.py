@@ -30,6 +30,7 @@ from .space import (
     AllGridBalls,
     Ball,
     BallFamily,
+    CellBits,
     CentersIn,
     Covering,
     FamilyIntersection,
@@ -108,21 +109,8 @@ def _flatten_family(family: BallFamily):
 
 
 def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
-    cells = sorted(target)
-    index = {c: i for i, c in enumerate(cells)}
-    lo = [min(c[i] for c in cells) for i in range(space.n)]
-    hi = [max(c[i] for c in cells) for i in range(space.n)]
-    # below[i][v]: the cells whose coordinate i is less than lo[i] + v, so a
-    # block's mask is the AND over axes of its slabs below[i][b] ^ below[i][a]
-    below = []
-    for i in range(space.n):
-        rows = [0] * (hi[i] - lo[i] + 1)
-        for idx, c in enumerate(cells):
-            rows[c[i] - lo[i]] |= 1 << idx
-        prefix = [0]
-        for row in rows:
-            prefix.append(prefix[-1] | row)
-        below.append(prefix)
+    bits = CellBits(sorted(target), space.n)
+    lo, hi = bits.lo, bits.hi
     k_max = max(h - l + 1 for l, h in zip(lo, hi))
     k_max += (-k_max) % stride
     out = []
@@ -133,28 +121,26 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
         limit = _dominance_limit(k, m) if stride == 1 and k > 1 else 0
         # skip the whole size when even a full block, which holds at most
         # min(k^n, |target|) cells, is dominated
-        if min(k ** space.n, len(cells)) <= limit:
+        if min(k ** space.n, len(bits.cells)) <= limit:
             continue
         cost = power(radius, m)
         # (center, mask) of the non-empty blocks, one axis at a time; the
         # centers are those of grid_ball(space, anchor, k)
-        blocks = [((), (1 << len(cells)) - 1)]
+        blocks = [((), bits.full)]
         for i in range(space.n):
             a_lo = lo[i] - k + 1
             if stride > 1:
                 a_lo += (-a_lo) % stride
             slabs = []
-            prefix = below[i]
             for a in range(a_lo, hi[i] + 1, stride):
-                slab = prefix[min(a + k - 1, hi[i]) - lo[i] + 1] ^ prefix[max(a, lo[i]) - lo[i]]
-                if slab:
+                if slab := bits.slab(i, a, a + k - 1):
                     slabs.append((space.delta * a + radius, slab))
             blocks = [(center + (x,), both) for center, mask in blocks
                       for x, slab in slabs if (both := mask & slab)]
         for center, mask in blocks:
             if mask.bit_count() > limit:
                 out.append(_Candidate(Ball(center, radius), mask, cost))
-    return out, index
+    return out, bits.index
 
 
 def _dominance_limit(k: int, m) -> int:

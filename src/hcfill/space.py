@@ -168,6 +168,15 @@ class Ball:
         if self.radius < 0:
             raise InputError("ball radius must be non-negative")
 
+    def __hash__(self):
+        # the dataclass hash, computed once: Fraction hashing is slow and
+        # balls key the width search's memo
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.center, self.radius))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def key(self):
         return (self.center, self.radius)
 
@@ -209,19 +218,66 @@ def min_enclosing_ball_linf(points) -> Ball:
     return Ball(center, radius)
 
 
+def ball_cell_ranges(ball: Ball, space: VoxelSpace) -> list[tuple[int, int]]:
+    """Per axis, the integer coordinates of the cells whose centers lie in
+    the closed ball: |delta*(c+1/2) - center_i| <= r, i.e.
+    ceil((center_i - r)/delta - 1/2) <= c <= floor((center_i + r)/delta - 1/2)."""
+    if len(ball.center) != space.n:
+        raise InputError("ball dimension does not match the space")
+    r = ball.radius if isinstance(ball.radius, Fraction) else as_fraction(ball.radius)
+    center = ball.center
+    ranges = []
+    for i in range(space.n):
+        lo = (center[i] - r) / space.delta - Fraction(1, 2)
+        hi = (center[i] + r) / space.delta - Fraction(1, 2)
+        ranges.append((ceil(lo), _floor_frac(hi)))
+    return ranges
+
+
+class CellBits:
+    """Bit positions for an ordered cell list, with per-axis prefix masks:
+    below[i][v] holds the cells whose coordinate i is less than lo[i] + v, so
+    the cells of an axis box are the AND over axes of one slab
+    below[i][b + 1] ^ below[i][a] each, and their count is the popcount."""
+
+    def __init__(self, cells, n: int):
+        self.cells = tuple(cells)
+        self.index = {c: i for i, c in enumerate(self.cells)}
+        self.full = (1 << len(self.cells)) - 1
+        self.lo = [min((c[i] for c in self.cells), default=0) for i in range(n)]
+        self.hi = [max((c[i] for c in self.cells), default=-1) for i in range(n)]
+        self.below = []
+        for i in range(n):
+            rows = [0] * (self.hi[i] - self.lo[i] + 1)
+            for idx, c in enumerate(self.cells):
+                rows[c[i] - self.lo[i]] |= 1 << idx
+            prefix = [0]
+            for row in rows:
+                prefix.append(prefix[-1] | row)
+            self.below.append(prefix)
+
+    def slab(self, i: int, a: int, b: int) -> int:
+        """The cells with a <= coordinate i <= b."""
+        a, b = max(a, self.lo[i]), min(b, self.hi[i])
+        if a > b:
+            return 0
+        prefix = self.below[i]
+        return prefix[b - self.lo[i] + 1] ^ prefix[a - self.lo[i]]
+
+    def box(self, ranges) -> int:
+        """The cells inside an axis box given as one (a, b) range per axis."""
+        mask = self.full
+        for i, (a, b) in enumerate(ranges):
+            mask &= self.slab(i, a, b)
+            if not mask:
+                break
+        return mask
+
+
 def ball_members(ball: Ball, space: Space) -> frozenset:
     """Cells (voxel) or point indices (net) within the closed ball."""
     if isinstance(space, VoxelSpace):
-        if len(ball.center) != space.n:
-            raise InputError("ball dimension does not match the space")
-        r = ball.radius if isinstance(ball.radius, Fraction) else as_fraction(ball.radius)
-        center = ball.center
-        # Integer-interval test per coordinate: |delta*(c+1/2) - center_i| <= r.
-        ranges = []
-        for i in range(space.n):
-            lo = (center[i] - r) / space.delta - Fraction(1, 2)
-            hi = (center[i] + r) / space.delta - Fraction(1, 2)
-            ranges.append((ceil(lo), _floor_frac(hi)))
+        ranges = ball_cell_ranges(ball, space)
         out = []
         for c in space.cells:
             if all(ranges[i][0] <= c[i] <= ranges[i][1] for i in range(space.n)):

@@ -6,6 +6,15 @@ The width bound is therefore the best achievable value of
 max over simplices of diam(union of the simplex's balls), searched over
 multiplicity-constrained coverings (seeded annealing over grow/shrink/merge
 moves starting from aligned tilings).
+
+Candidates are evaluated on element bitmasks.  On voxel spaces a ball's
+member mask is the AND of one per-axis slab from the shared prefix masks of
+`space.CellBits`, over the same integer cell ranges `ball_members` tests; on
+nets it comes from `ball_members`.  `nerve` reads each element's owners off
+the set bits and keeps the simplices that are no face of another (integer
+subset test).  One `BallMasks` per search memoises each ball's mask, axis
+extents and sort key, so a move, which changes one to four balls of the
+incumbent, recomputes only those.
 """
 
 from __future__ import annotations
@@ -14,17 +23,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .content import content_ball_scan, exact_content
+from .content import DEFAULT_NODE_BUDGET, content_ball_scan, exact_content
 from .errors import InputError, UncoverableError
 from .exact import Scalar, as_fraction, fmt_scalar, root
 from .space import (
     Ball,
+    CellBits,
     Covering,
     Space,
     VoxelSpace,
+    ball_cell_ranges,
     ball_members,
     grid_ball,
     space_diameter,
+    space_radius,
 )
 
 
@@ -47,47 +59,127 @@ class NerveComplex:
         }
 
 
-def nerve(cover: Covering, space: Space) -> NerveComplex:
+class BallMasks:
+    """Element bits of one space, with each ball's member mask, axis extents
+    and sort key memoised for the life of the object (one width search).
+
+    Voxel masks are the AND of one per-axis slab over the cell ranges that
+    `ball_members` tests; net masks come from `ball_members` itself.
+    """
+
+    def __init__(self, space: Space):
+        self.space = space
+        if isinstance(space, VoxelSpace):
+            self._bits = CellBits(sorted(space.cells), space.n)
+            self.index = self._bits.index
+        else:
+            self._bits = None
+            self.index = {i: i for i in range(len(space.points))}
+        self._masks: dict[Ball, int] = {}
+        self._extents: dict[Ball, tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = {}
+        self._sort_keys: dict[Ball, tuple] = {}
+
+    def mask(self, ball: Ball) -> int:
+        out = self._masks.get(ball)
+        if out is None:
+            if self._bits is not None:
+                out = self._bits.box(ball_cell_ranges(ball, self.space))
+            else:
+                out = 0
+                for e in ball_members(ball, self.space):
+                    out |= 1 << e
+            self._masks[ball] = out
+        return out
+
+    def extents(self, ball: Ball) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        out = self._extents.get(ball)
+        if out is None:
+            out = self._extents[ball] = _ball_extents(ball)
+        return out
+
+    def sort_key(self, ball: Ball) -> tuple:
+        """A key that orders balls as `Ball` itself does, with every exactly
+        representable coordinate as a float: float-to-float comparisons are
+        native, and mixed float/Fraction ones stay exact."""
+        out = self._sort_keys.get(ball)
+        if out is None:
+            out = self._sort_keys[ball] = (tuple(map(_float_if_exact, ball.center)),
+                                           _float_if_exact(ball.radius))
+        return out
+
+
+def _float_if_exact(x: Scalar) -> Scalar:
+    f = float(x)
+    return f if f == x else x
+
+
+def _ball_extents(ball: Ball) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Per-axis (center - radius, center + radius) of a cube ball."""
+    r = as_fraction(ball.radius)
+    return (tuple(as_fraction(c) - r for c in ball.center),
+            tuple(as_fraction(c) + r for c in ball.center))
+
+
+def _union_diameter(boxes) -> Fraction:
+    """l_inf diameter of the union of cube balls, given as their per-axis
+    (lo, hi) extents: the largest per-axis span."""
+    return max(
+        max(hi[i] for _, hi in boxes) - min(lo[i] for lo, _ in boxes)
+        for i in range(len(boxes[0][0]))
+    )
+
+
+def nerve(cover: Covering, space: Space, masks: BallMasks | None = None) -> NerveComplex:
     """Exact nerve over the discrete model: a simplex for every subfamily
-    sharing an element, so the dimension is the covering multiplicity - 1."""
-    members = [ball_members(b, space) for b in cover.balls]
-    covered = set()
-    for ms in members:
-        covered |= ms
-    missing = set(cover.target) - covered
+    sharing an element, so the dimension is the covering multiplicity - 1.
+
+    Each element's owners are read off the set bits of the balls' member
+    masks; `masks` may carry the memo of an ongoing search."""
+    if masks is None:
+        masks = BallMasks(space)
+    wanted = 0
+    outside = 0
+    for element in cover.target:
+        bit = masks.index.get(element)
+        if bit is None:
+            outside += 1
+        else:
+            wanted |= 1 << bit
+    covered = 0
+    owners: dict[int, list[int]] = {}  # element bit -> indices of its balls
+    for i, ball in enumerate(cover.balls):
+        mask = masks.mask(ball)
+        covered |= mask
+        mask &= wanted
+        while mask:
+            low = mask & -mask
+            owners.setdefault(low, []).append(i)
+            mask ^= low
+    missing = outside + (wanted & ~covered).bit_count()
     if missing:
-        raise UncoverableError(f"covering misses {len(missing)} elements")
-    simplices = set()
-    multiplicity = 0
-    for element in sorted(cover.target):
-        owners = tuple(i for i, ms in enumerate(members) if element in ms)
-        multiplicity = max(multiplicity, len(owners))
-        simplices.add(owners)
-    maximal = [
-        s for s in simplices
-        if not any(s != t and set(s) <= set(t) for t in simplices)
-    ]
-    return NerveComplex(tuple(cover.balls), tuple(sorted(maximal)), multiplicity)
+        raise UncoverableError(f"covering misses {missing} elements")
+    # simplices as bitmasks over ball indices, largest first: s is maximal
+    # unless it is a face (s & ~t == 0) of a maximal one found before it
+    simplices = {sum(1 << i for i in owned): tuple(owned) for owned in owners.values()}
+    maximal: list[int] = []
+    for s in sorted(simplices, key=int.bit_count, reverse=True):
+        if all(s & ~t for t in maximal):
+            maximal.append(s)
+    multiplicity = max(map(len, owners.values()), default=0)
+    return NerveComplex(tuple(cover.balls), tuple(sorted(simplices[s] for s in maximal)),
+                        multiplicity)
 
 
-def _union_diameter(balls: list[Ball]) -> Fraction:
-    """l_inf diameter of the union of cube balls: per-coordinate extent."""
-    n = len(balls[0].center)
-    worst = Fraction(0)
-    for i in range(n):
-        lo = min(as_fraction(b.center[i]) - as_fraction(b.radius) for b in balls)
-        hi = max(as_fraction(b.center[i]) + as_fraction(b.radius) for b in balls)
-        worst = max(worst, hi - lo)
-    return worst
-
-
-def fiber_bound(nerve_complex: NerveComplex) -> Fraction:
+def fiber_bound(nerve_complex: NerveComplex, extents=_ball_extents) -> Fraction:
     """Upper bound on any nerve map's fiber diameters: every fiber lies in
-    the union of one simplex's balls."""
+    the union of one simplex's balls.  `extents` maps a ball to its per-axis
+    (lo, hi)."""
+    boxes = [extents(b) for b in nerve_complex.vertex_balls]
     worst = Fraction(0)
     for simplex in nerve_complex.simplices:
-        balls = [nerve_complex.vertex_balls[i] for i in simplex]
-        worst = max(worst, _union_diameter(balls))
+        d = _union_diameter([boxes[i] for i in simplex])
+        if d > worst:
+            worst = d
     return worst
 
 
@@ -127,12 +219,12 @@ def _tilings(space: VoxelSpace):
         yield tuple(sorted(set(balls)))
 
 
-def _verify_candidate(space, balls, target, m_limit):
-    cover = Covering(tuple(sorted(set(balls))), target, 1)
-    nv = nerve(cover, space)
+def _verify_candidate(space, balls, target, m_limit, masks):
+    cover = Covering(tuple(sorted(set(balls), key=masks.sort_key)), target, 1)
+    nv = nerve(cover, space, masks)
     if nv.multiplicity > m_limit:
         return None
-    return cover, nv, fiber_bound(nv)
+    return cover, nv, fiber_bound(nv, masks.extents)
 
 
 def width_bound(
@@ -140,7 +232,7 @@ def width_bound(
     m: int,
     budget: int = 2000,
     seed: int = 0,
-    node_budget: int = 10**6,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> WidthResult:
     """Search for a covering of nerve dimension <= m-1 minimizing the fiber
     bound; returns the best covering found within the evaluation budget.
@@ -154,6 +246,7 @@ def width_bound(
     space.require_nonempty()
     target = frozenset(space.cells)
     rng = random.Random(seed)
+    masks = BallMasks(space)
     evaluations = 0
     best = None
 
@@ -162,7 +255,7 @@ def width_bound(
         if evaluations >= budget:
             return False
         evaluations += 1
-        out = _verify_candidate(space, balls, target, m)
+        out = _verify_candidate(space, balls, target, m, masks)
         if out is None:
             return False
         cover, nv, value = out
@@ -186,17 +279,9 @@ def width_bound(
         move = rng.random()
         if move < 0.45 and len(balls) >= 2:
             i, j = rng.sample(range(len(balls)), 2)
-            a, b = balls[i], balls[j]
-            lo = tuple(
-                min(as_fraction(a.center[d]) - as_fraction(a.radius),
-                    as_fraction(b.center[d]) - as_fraction(b.radius))
-                for d in range(space.n)
-            )
-            hi = tuple(
-                max(as_fraction(a.center[d]) + as_fraction(a.radius),
-                    as_fraction(b.center[d]) + as_fraction(b.radius))
-                for d in range(space.n)
-            )
+            (a_lo, a_hi), (b_lo, b_hi) = masks.extents(balls[i]), masks.extents(balls[j])
+            lo = tuple(map(min, a_lo, b_lo))
+            hi = tuple(map(max, a_hi, b_hi))
             center = tuple((x + y) / 2 for x, y in zip(lo, hi))
             radius = max((y - x) / 2 for x, y in zip(lo, hi))
             merged = Ball(center, radius)
@@ -214,7 +299,7 @@ def width_bound(
             for off in _corner_offsets(space.n, k):
                 sub_anchor = tuple(a + o for a, o in zip(anchor, off))
                 sub = grid_ball(space, sub_anchor, max(1, k))
-                if ball_members(sub, space):
+                if masks.mask(sub):
                     candidate.append(sub)
         else:
             i = rng.randrange(len(balls))
@@ -233,12 +318,11 @@ def width_bound(
 
     trivial = best is None
     if trivial:
-        diam = space_diameter(space)
-        single = exact_content(space, None, m).witness
-        big = Ball(single.balls[0].center, diam)
-        cover = Covering((big,), target, 1)
-        nv = nerve(cover, space)
-        best = (cover, nv, _union_diameter([big]))
+        # one ball around the bounding box: its fiber bound is the diameter
+        center = tuple(space.delta * Fraction(lo + hi + 1, 2) for lo, hi in space.bbox())
+        cover = Covering((Ball(center, space_radius(space)),), target, 1)
+        nv = nerve(cover, space, masks)
+        best = (cover, nv, fiber_bound(nv, masks.extents))
     cover, nv, value = best
 
     c_measured = float(value) / root(content.value_upper, m) \
@@ -253,12 +337,13 @@ def _corner_offsets(n: int, k: int):
 
 
 def local_width_check(space: VoxelSpace, m: int, R: Scalar,
-                      budget: int = 1000, seed: int = 0) -> dict:
+                      budget: int = 1000, seed: int = 0,
+                      node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """Pair the per-ball content scan with the global width bound: reports
     max HC_m(ball)/R^m and the achieved width bound (no threshold asserted;
     the scale constant relating them is existential)."""
     scan, max_ratio = content_ball_scan(space, m, R)
-    width = width_bound(space, m, budget=budget, seed=seed)
+    width = width_bound(space, m, budget=budget, seed=seed, node_budget=node_budget)
     return {
         "R": fmt_scalar(as_fraction(R)),
         "max_ball_content_ratio": max_ratio,

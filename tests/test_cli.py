@@ -257,3 +257,24 @@ def test_corpus_decompose_and_width_aggregates(capsys, tmp_path):
                            "--suite", "width")
     assert code == 0
     assert "c_measured_summary" in json.loads(out)
+
+
+def test_local_width_uses_config_node_budget(capsys, tmp_path, monkeypatch):
+    import hcfill.width
+
+    seen = []
+    real = hcfill.width.exact_content
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["node_budget"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hcfill.width, "exact_content", recording)
+    space = tmp_path / "cube.json"
+    save_space(make_cube(2, 2, Fraction(1, 8)), str(space))
+    cfg = tmp_path / "cfg.json"
+    RunConfig(node_budget=4321).save(str(cfg))
+    code, _, _ = run_cli(capsys, "--config", str(cfg), "local-width", "--space",
+                         str(space), "--m", "2", "--R", "1/2", "--budget", "5")
+    assert code == 0
+    assert seen == [4321]

@@ -1,16 +1,40 @@
+import hashlib
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hcfill.errors import InputError
+import hcfill.width
+from hcfill.errors import InputError, UncoverableError
+from hcfill.exact import as_fraction, fmt_scalar
 from hcfill.shapes import (
     make_cube,
     make_dumbbell,
+    make_ring,
     make_strip,
     make_strip_with_bulbs,
+    random_blob,
 )
-from hcfill.space import Covering, ball_members, grid_ball, space_diameter
-from hcfill.width import fiber_bound, local_width_check, nerve, width_bound
+from hcfill.space import (
+    Ball,
+    Covering,
+    NetSpace,
+    VoxelSpace,
+    ball_members,
+    grid_ball,
+    space_diameter,
+)
+from hcfill.width import (
+    BallMasks,
+    NerveComplex,
+    fiber_bound,
+    local_width_check,
+    nerve,
+    width_bound,
+)
 
 
 def test_nerve_disjoint_balls():
@@ -123,3 +147,203 @@ def test_local_width_small_space_ratio():
     assert rep["max_ball_content_ratio"] == pytest.approx(
         float(Fraction(1, 16) ** 2) / 0.25
     )
+
+
+def test_zero_budget_falls_back_to_the_diameter():
+    for s in (make_cube(2, 4, Fraction(1, 4)), make_dumbbell()):
+        w = width_bound(s, 2, budget=0)
+        assert w.trivial
+        assert w.bound == space_diameter(s)
+        nv = nerve(w.covering, s)
+        assert nv.dimension == 0
+        assert fiber_bound(nv) == w.bound
+
+
+def test_local_width_check_passes_node_budget(monkeypatch):
+    seen = []
+    real = hcfill.width.exact_content
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["node_budget"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hcfill.width, "exact_content", recording)
+    local_width_check(make_cube(2, 2, Fraction(1, 8)), 2, Fraction(1, 2),
+                      budget=5, node_budget=321)
+    assert seen == [321]
+
+
+# Reports of width_bound, pinned as the first 16 hex digits of the sha256 of
+# their sorted-key JSON; any change to the search's picks or the report
+# layout shows here.
+PINNED_REPORTS = [
+    (make_dumbbell, (), 2, 200, 0, "c15e85ace9aed29a"),
+    (make_ring, (8, Fraction(1, 8)), 2, 150, 3, "a33a4859df9e637e"),
+    (make_strip, (32, 2, Fraction(1, 16)), 1, 120, 0, "4603a3454b1675c6"),
+    (random_blob, (5, 2, 24, 6), 2, 160, 7, "f6d2bbb761274e8e"),
+]
+
+
+@pytest.mark.parametrize("make, args, m, budget, seed, digest", PINNED_REPORTS)
+def test_width_reports_pinned(make, args, m, budget, seed, digest):
+    r = width_bound(make(*args), m, budget=budget, seed=seed)
+    text = json.dumps(r.to_dict(), sort_keys=True, default=fmt_scalar)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# ---------------------------------------------------------------------------
+# mask nerve and extent fiber bound against the set-based originals
+
+def oracle_nerve(cover, space):
+    """Owners per element from ball_members sets; maximality by set
+    inclusion."""
+    members = [ball_members(b, space) for b in cover.balls]
+    covered = set()
+    for ms in members:
+        covered |= ms
+    missing = set(cover.target) - covered
+    if missing:
+        raise UncoverableError(f"covering misses {len(missing)} elements")
+    simplices = set()
+    multiplicity = 0
+    for element in sorted(cover.target):
+        owners = tuple(i for i, ms in enumerate(members) if element in ms)
+        multiplicity = max(multiplicity, len(owners))
+        simplices.add(owners)
+    maximal = [
+        s for s in simplices
+        if not any(s != t and set(s) <= set(t) for t in simplices)
+    ]
+    return NerveComplex(tuple(cover.balls), tuple(sorted(maximal)), multiplicity)
+
+
+def oracle_union_diameter(balls):
+    n = len(balls[0].center)
+    worst = Fraction(0)
+    for i in range(n):
+        lo = min(as_fraction(b.center[i]) - as_fraction(b.radius) for b in balls)
+        hi = max(as_fraction(b.center[i]) + as_fraction(b.radius) for b in balls)
+        worst = max(worst, hi - lo)
+    return worst
+
+
+def oracle_fiber_bound(nv):
+    worst = Fraction(0)
+    for simplex in nv.simplices:
+        worst = max(worst, oracle_union_diameter([nv.vertex_balls[i] for i in simplex]))
+    return worst
+
+
+def assert_nerves_agree(covers, space):
+    """Each cover gives the oracle's nerve and fiber bound, or its error,
+    both with a fresh index and with one memo shared by all the covers; the
+    memo's sort key orders the balls as `Ball` does."""
+    shared = BallMasks(space)
+    for cover in covers:
+        balls = set(cover.balls)
+        assert sorted(balls, key=shared.sort_key) == sorted(balls)
+        try:
+            want = oracle_nerve(cover, space)
+        except UncoverableError as exc:
+            for masks in (None, shared):
+                with pytest.raises(UncoverableError, match=str(exc)):
+                    nerve(cover, space, masks)
+            continue
+        for masks in (None, shared):
+            got = nerve(cover, space, masks)
+            assert got == want
+            bound = oracle_fiber_bound(want)
+            assert fiber_bound(got) == bound
+            assert fiber_bound(got, shared.extents) == bound
+
+
+def test_sort_key_is_exact_where_floats_tie():
+    third = Fraction(1, 3)
+    below = Fraction(float(third))  # the float nearest 1/3, just below it
+    balls = [Ball((third,), third), Ball((below,), third), Ball((third,), below)]
+    masks = BallMasks(VoxelSpace(1, Fraction(1, 3), frozenset({(0,)})))
+    assert sorted(balls, key=masks.sort_key) == sorted(balls) == [balls[1], balls[2], balls[0]]
+
+
+@st.composite
+def voxel_covers(draw):
+    """A voxel set (negative coordinates allowed) and covers of it: grid
+    balls, balls with quarter-delta centres and radii like merged ones,
+    shifted balls, balls that miss the space, and targets that hold cells
+    outside the space."""
+    n = draw(st.integers(1, 3))
+    box = draw(st.integers(1, {1: 8, 2: 5, 3: 3}[n]))
+    shift = draw(st.tuples(*[st.integers(-4, 2)] * n))
+    coords = sorted(tuple(x + o for x, o in zip(c, shift))
+                    for c in itertools.product(range(box), repeat=n))
+    cells = draw(st.sets(st.sampled_from(coords), min_size=1))
+    delta = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 3), Fraction(1)]))
+    space = VoxelSpace(n, delta, frozenset(cells))
+    quarter = st.integers(-4 * box - 8, 4 * box + 8).map(
+        lambda q: delta * Fraction(q, 4) + delta * shift[0])
+    anchor = st.tuples(*[st.integers(-box - 6, box + 2)] * n)
+    ball = st.one_of(
+        st.builds(lambda a, k: grid_ball(space, a, k), anchor, st.integers(1, box + 1)),
+        st.builds(lambda c, q: Ball(tuple(c), delta * Fraction(q, 4)),
+                  st.lists(quarter, min_size=n, max_size=n), st.integers(0, 4 * box)),
+        st.builds(lambda a, k, s: Ball(tuple(c + o * delta for c, o in
+                                             zip(grid_ball(space, a, k).center, s)),
+                                       delta * Fraction(k, 2)),
+                  anchor, st.integers(1, box), st.tuples(*[st.sampled_from((-1, 0, 1))] * n)),
+    )
+    covers = []
+    for _ in range(draw(st.integers(1, 4))):
+        balls = tuple(draw(st.lists(ball, min_size=1, max_size=6)))
+        covered = sorted(set().union(*(ball_members(b, space) for b in balls)))
+        if covered and draw(st.booleans()):
+            target = set(draw(st.sets(st.sampled_from(covered), min_size=1)))
+        else:
+            target = set(draw(st.sets(st.sampled_from(coords), min_size=1)))
+        if draw(st.integers(0, 4)) == 0:
+            target.add(tuple(x - box - 20 for x in coords[0]))  # outside the space
+        covers.append(Covering(balls, frozenset(target), 1))
+    return space, covers
+
+
+@settings(max_examples=300, deadline=None)
+@given(voxel_covers())
+def test_mask_nerve_matches_set_nerve_on_voxels(case):
+    space, covers = case
+    assert_nerves_agree(covers, space)
+
+
+@st.composite
+def net_covers(draw):
+    """Nets under each metric (the matrix one from l_inf distances), balls
+    centred at net points with radii from the distance set, and targets
+    that may name points the net does not have."""
+    count = draw(st.integers(1, 7))
+    points = tuple(draw(st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda p: (p[0] / 2, p[1] / 4)),
+        min_size=count, max_size=count)))
+    metric = draw(st.sampled_from(["linf", "l2", "l1", "matrix"]))
+    if metric == "matrix":
+        matrix = tuple(tuple(max(abs(a - b) for a, b in zip(p, q)) for q in points)
+                       for p in points)
+        space = NetSpace("matrix", tuple((float(i),) for i in range(count)), 0.0, matrix)
+    else:
+        space = NetSpace(metric, points)
+    centers = st.integers(0, count - 1).map(lambda i: space.points[i])
+    radius = st.sampled_from(sorted({space.dist(i, j) for i in range(count)
+                                     for j in range(count)}))
+    ball = st.builds(Ball, centers, radius)
+    covers = []
+    for _ in range(draw(st.integers(1, 4))):
+        balls = tuple(draw(st.lists(ball, min_size=1, max_size=5)))
+        target = set(draw(st.sets(st.integers(0, count - 1), min_size=1)))
+        if draw(st.integers(0, 4)) == 0:
+            target.add(count + draw(st.integers(0, 2)))  # not a point of the net
+        covers.append(Covering(balls, frozenset(target), 1))
+    return space, covers
+
+
+@settings(max_examples=200, deadline=None)
+@given(net_covers())
+def test_mask_nerve_matches_set_nerve_on_nets(case):
+    space, covers = case
+    assert_nerves_agree(covers, space)
