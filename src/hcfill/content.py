@@ -2,9 +2,15 @@
 
 The m-dimensional content of a target is the minimum of sum(r_i^m) over
 coverings by balls from the family.  `exact_content` solves the weighted
-set-cover instance by branch and bound with an LP-dual-feasible ratio bound
-(exact rational arithmetic for integer m); `greedy_content` gives the usual
-ratio-greedy upper bound, with lower value 0.  Net-model answers of
+set-cover instance by branch and bound with an LP-dual-feasible ratio bound;
+`greedy_content` gives the usual ratio-greedy upper bound, with lower value
+0.  At integer m every ball cost is a Fraction (fixed families with float
+radii aside) and the search runs on integers: costs scaled by the lcm D of
+their denominators and by L = lcm(1..s) for the largest ball size s, so
+every ratio cost/|ball & U| is an integer.  Float costs, at non-integer m,
+stay floats.  The bound at a node comes from one sort of the
+balls by ratio against the uncovered set U: each element takes the ratio of
+the first ball that reaches it, which is its minimum.  Net-model answers of
 `exact_content` are brackets: the optimum over net-centered balls, deflated
 by eps_net on the lower side.
 
@@ -21,8 +27,10 @@ a popped ball whose ratio is still current is the one a full rescan picks.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InputError, UncoverableError
 from .exact import Scalar, as_fraction, fmt_scalar, is_integral, power
@@ -258,41 +266,99 @@ def _net_centers(space: NetSpace):
 # ---------------------------------------------------------------------------
 # lower bounds
 
-def _ratio_duals(cands, n_elems):
-    """LP-dual-feasible element prices y_e = min over balls containing e of
-    cost/|members|: for every ball, sum over its members of y is <= its cost,
-    so sum(y) lower-bounds every cover from the family."""
-    duals = [None] * n_elems
-    for cand in cands:
-        ratio = cand.cost / cand.mask.bit_count()
-        mask = cand.mask
-        while mask:
-            low = mask & -mask
-            e = low.bit_length() - 1
-            if duals[e] is None or ratio < duals[e]:
-                duals[e] = ratio
-            mask ^= low
-    return duals
+class _RatioBound:
+    """The ratio dual bound, sum over e in U of min over balls c of
+    cost_c / |c & U|: element prices that no ball's members overpay, so their
+    sum lower-bounds every cover of U from the family.
+
+    When every cost is a Fraction the search runs on integers in units of
+    1/(D*L): D is the lcm of the cost denominators and L = lcm(1..s) for the
+    largest ball size s, so a ball costs w_c*L with w_c = cost_c*D and its
+    ratio against U is the integer w_c*(L // |c & U|).  Float costs stay
+    floats.  Either way one sort gives every element's minimum: walking the
+    (ratio, c & U) pairs by increasing ratio, ties in candidate order, each
+    element takes the ratio of the first pair that reaches it.
+    """
+
+    def __init__(self, cands):
+        costs = [c.cost for c in cands]
+        masks = [c.mask for c in cands]
+        if all(isinstance(c, Fraction) for c in costs):
+            denom = math.lcm(*(c.denominator for c in costs))
+            size = max(mask.bit_count() for mask in masks)
+            lcm_k = math.lcm(*range(1, size + 1))
+            weights = [c.numerator * (denom // c.denominator) for c in costs]
+            self.scale = denom * lcm_k
+            self.costs = [w * lcm_k for w in weights]
+            self._per_size = [0] + [lcm_k // k for k in range(1, size + 1)]
+            self._balls = list(zip(weights, masks))
+            self.zero = 0
+        else:
+            self.scale = None
+            self.costs = costs
+            self.zero = _zero(costs[0])
+            self._balls = list(zip(costs, masks))
+            # the order in which the per-element float minima are summed:
+            # by the first ball containing the element, then by element
+            self._order, seen = [], 0
+            for mask in masks:
+                self._order += _bits(mask & ~seen)
+                seen |= mask
+
+    def units(self, x: Scalar):
+        return x if self.scale is None else int(x * self.scale)
+
+    def scalar(self, x) -> Scalar:
+        return x if self.scale is None else Fraction(x, self.scale)
+
+    def _assign(self, uncovered):
+        """(ratio, elements) groups covering each element of U once, with
+        its least ratio over the balls that contain it."""
+        if self.scale is None:
+            pairs = [(cost / inter.bit_count(), inter)
+                     for cost, mask in self._balls if (inter := mask & uncovered)]
+        else:
+            per_size = self._per_size
+            pairs = [(w * per_size[inter.bit_count()], inter)
+                     for w, mask in self._balls if (inter := mask & uncovered)]
+        pairs.sort(key=_first)
+        for ratio, inter in pairs:
+            if new := inter & uncovered:
+                yield ratio, new
+                uncovered ^= new
+                if not uncovered:
+                    return
+
+    def bound(self, uncovered):
+        """The bound on U, in search units."""
+        if self.scale is not None:
+            return sum(ratio * new.bit_count() for ratio, new in self._assign(uncovered))
+        least = {}
+        for ratio, new in self._assign(uncovered):
+            for e in _bits(new):
+                least[e] = ratio
+        return sum(least[e] for e in self._order if e in least)
+
+    def duals(self, full):
+        """Every element's price against the whole target, in element order,
+        and their sum."""
+        least = [None] * full.bit_length()
+        for ratio, new in self._assign(full):
+            for e in _bits(new):
+                least[e] = ratio
+        if self.scale is None:
+            return least, sum(least)
+        return [Fraction(r, self.scale) for r in least], Fraction(sum(least), self.scale)
 
 
-def _dual_bound(cands, uncovered):
-    """Ratio bound recomputed against the current uncovered set."""
-    if not uncovered:
-        return 0
-    best = {}
-    for cand in cands:
-        inter = cand.mask & uncovered
-        if not inter:
-            continue
-        ratio = cand.cost / inter.bit_count()
-        mask = inter
-        while mask:
-            low = mask & -mask
-            cur = best.get(low)
-            if cur is None or ratio < cur:
-                best[low] = ratio
-            mask ^= low
-    return sum(best.values())
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+_first = itemgetter(0)
 
 
 def volume_lower_bound(space: VoxelSpace, target=None, m: Scalar = 1) -> Scalar:
@@ -382,36 +448,29 @@ def exact_content(
     n_elems = len(index)
     full = (1 << n_elems) - 1
 
-    covers_elem = [[] for _ in range(n_elems)]
-    for ci, cand in enumerate(cands):
-        mask = cand.mask
-        while mask:
-            low = mask & -mask
-            covers_elem[low.bit_length() - 1].append(ci)
-            mask ^= low
-    for e in range(n_elems):
-        if not covers_elem[e]:
-            raise UncoverableError("family cannot cover the target")
-
-    chosen = _greedy_cover(cands, full)
-    best_cost = sum(c.cost for c in chosen)
+    chosen = _greedy_cover(cands, full)  # raises when the family cannot cover
+    # costs, memo, incumbent and frontier are in the bound's units
+    ratio = _RatioBound(cands)
+    step = ratio.costs
+    best_cost = ratio.units(sum(c.cost for c in chosen))
     best_sel = [c.ball for c in chosen]
 
-    duals = _ratio_duals(cands, n_elems)
-    root_dual = sum(duals)
+    duals, root_dual = ratio.duals(full)
 
     nodes = 0
-    budget_hit = False
-    frontier_lower = None
-    memo: dict[int, Scalar] = {}
-    stack = [(0, _zero(cands[0].cost if cands else 0), ())]
+    frontier = covers_elem = None
+    memo = {}
+    stack = [(0, ratio.zero, ())]
     while stack:
         covered, cost, sel = stack.pop()
         nodes += 1
-        bound = cost + _dual_bound(cands, full ^ covered)
         if nodes > node_budget:
-            budget_hit = True
-            frontier_lower = bound if frontier_lower is None else min(frontier_lower, bound)
+            # the incumbent is final now; an entry costing at least the
+            # frontier cannot lower it
+            if frontier is None:
+                frontier = best_cost
+            if cost < frontier:
+                frontier = min(frontier, cost + ratio.bound(full ^ covered))
             continue
         if covered == full:
             if cost < best_cost:
@@ -422,28 +481,26 @@ def exact_content(
         if seen is not None and seen <= cost:
             continue
         memo[covered] = cost
-        if bound >= best_cost:
+        if cost + ratio.bound(full ^ covered) >= best_cost:
             continue
-        pick, pick_count = -1, None
-        mask = full ^ covered
-        while mask:
-            low = mask & -mask
-            e = low.bit_length() - 1
-            if pick_count is None or len(covers_elem[e]) < pick_count:
-                pick, pick_count = e, len(covers_elem[e])
-            mask ^= low
+        if covers_elem is None:  # most solves close at the root
+            covers_elem = [[] for _ in range(n_elems)]
+            for ci, cand in enumerate(cands):
+                for e in _bits(cand.mask):
+                    covers_elem[e].append(ci)
+            fan = [len(c) for c in covers_elem]
+        pick = min(_bits(full ^ covered), key=fan.__getitem__)
         for ci in reversed(covers_elem[pick]):
-            cand = cands[ci]
-            stack.append((covered | cand.mask, cost + cand.cost, sel + (ci,)))
+            stack.append((covered | cands[ci].mask, cost + step[ci], sel + (ci,)))
+    best_cost = ratio.scalar(best_cost)
 
     witness = Covering(tuple(best_sel), frozenset(target), m)
     lowers = [root_dual]
     core, _ = _flatten_family(family)
     if isinstance(space, VoxelSpace) and isinstance(core, AllGridBalls) and core.stride == 1:
         lowers.append(volume_lower_bound(space, target, m))
-    if budget_hit:
-        if frontier_lower is not None:
-            lowers.append(min(frontier_lower, best_cost))
+    if frontier is not None:
+        lowers.append(ratio.scalar(frontier))
         lower = max(lowers)
         optimal = False
     else:

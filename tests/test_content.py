@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -12,7 +14,15 @@ from hcfill.content import (
     volume_lower_bound,
 )
 from hcfill.errors import InputError, UncoverableError
-from hcfill.shapes import make_box, make_cube, random_blob, random_subset, scale_replicate
+from hcfill.exact import fmt_scalar
+from hcfill.shapes import (
+    make_box,
+    make_cube,
+    make_dumbbell,
+    random_blob,
+    random_subset,
+    scale_replicate,
+)
 from hcfill.space import (
     AllGridBalls,
     Ball,
@@ -298,3 +308,33 @@ def test_content_ball_scan_dumbbell():
 def test_centers_in_rejects_empty():
     with pytest.raises(InputError):
         CentersIn(())
+
+
+# Reports of exact_content, pinned as the first 16 hex digits of the sha256
+# of their sorted-key JSON: voxel searches on Fraction costs that close, run
+# out of budget or close at the root, and float costs on a voxel set at
+# m = 3/2 and on an l2 net.
+def _net25():
+    rng = random.Random(5)
+    points = {}
+    while len(points) < 25:
+        points[(float(rng.randrange(17)), float(rng.randrange(17)))] = None
+    return NetSpace("l2", tuple(points))
+
+
+PINNED_REPORTS = [
+    (lambda: make_dumbbell(6, 8), 1, 1000, "abb827f515f4f189"),
+    (lambda: random_blob(3, 3, 80, 6, Fraction(1, 8)), 2, None, "0e9f1ab4a49c4d03"),
+    (lambda: random_blob(77, 2, 40, 10, Fraction(1, 8)), 1, None, "b563262155f12ea5"),
+    (lambda: make_dumbbell(6, 8), Fraction(3, 2), 100, "f47a75a4ddcba7e9"),
+    (_net25, Fraction(3, 2), 1500, "7ddf122395042e5a"),
+    (lambda: make_cube(3, 8), 3, None, "4e9e11b08733cf10"),
+]
+
+
+@pytest.mark.parametrize("make, m, budget, digest", PINNED_REPORTS)
+def test_exact_content_reports_pinned(make, m, budget, digest):
+    kwargs = {} if budget is None else {"node_budget": budget}
+    r = exact_content(make(), None, m, **kwargs)
+    text = json.dumps(r.to_dict(), sort_keys=True, default=fmt_scalar)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

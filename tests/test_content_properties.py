@@ -1,6 +1,6 @@
-"""Property tests: grid candidate generation and the greedy cover against
-direct oracles, and the greedy lower bound on nets against an exhaustive
-optimum."""
+"""Property tests: grid candidate generation, the greedy cover and the
+branch and bound's ratio bound against direct oracles, and the greedy lower
+bound on nets against an exhaustive optimum."""
 
 import itertools
 import math
@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcfill.content import (
+    _Candidate,
     _greedy_cover,
+    _RatioBound,
     _voxel_grid_candidates,
     generate_candidates,
     greedy_content,
@@ -21,6 +23,7 @@ from hcfill.exact import is_integral, power
 from hcfill.shapes import make_strip_with_bulbs
 from hcfill.space import (
     AllGridBalls,
+    Ball,
     NetSpace,
     RadiusCapped,
     VoxelSpace,
@@ -196,3 +199,107 @@ def test_greedy_lower_bound_on_nets_is_sound():
             res = greedy_content(net, None, m)
             assert res.value_lower <= optimum
             assert res.value_upper >= optimum - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the sort-and-assign ratio bound against the per-member scans it replaced
+
+def _ratio_duals(cands, n_elems):
+    """LP-dual-feasible element prices y_e = min over balls containing e of
+    cost/|members|: for every ball, sum over its members of y is <= its cost,
+    so sum(y) lower-bounds every cover from the family."""
+    duals = [None] * n_elems
+    for cand in cands:
+        ratio = cand.cost / cand.mask.bit_count()
+        mask = cand.mask
+        while mask:
+            low = mask & -mask
+            e = low.bit_length() - 1
+            if duals[e] is None or ratio < duals[e]:
+                duals[e] = ratio
+            mask ^= low
+    return duals
+
+
+def _dual_bound(cands, uncovered):
+    """Ratio bound recomputed against the current uncovered set."""
+    if not uncovered:
+        return 0
+    best = {}
+    for cand in cands:
+        inter = cand.mask & uncovered
+        if not inter:
+            continue
+        ratio = cand.cost / inter.bit_count()
+        mask = inter
+        while mask:
+            low = mask & -mask
+            cur = best.get(low)
+            if cur is None or ratio < cur:
+                best[low] = ratio
+            mask ^= low
+    return sum(best.values())
+
+
+# few distinct values, so that ratios tie across balls and sizes
+FRACTION_COSTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(1),
+                     Fraction(3, 2), Fraction(2), Fraction(4)]),
+    st.fractions(Fraction(0), Fraction(9), max_denominator=12),
+)
+FLOAT_COSTS = st.one_of(
+    st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 1.0, 2.0]),
+    st.floats(0.01, 100.0),
+)
+
+
+@st.composite
+def candidate_sets(draw):
+    """Balls over n elements that together cover them all: random masks,
+    single elements or a partition into disjoint blocks; costs all Fractions,
+    all floats or mixed (fixed families may mix radius types)."""
+    n = draw(st.integers(1, 14))
+    costs = draw(st.sampled_from(
+        [FRACTION_COSTS, FLOAT_COSTS, st.one_of(FRACTION_COSTS, FLOAT_COSTS)]))
+    shape = draw(st.sampled_from(["random", "singles", "disjoint"]))
+    if shape == "singles":
+        masks = [1 << e for e in draw(st.permutations(range(n)))]
+    elif shape == "disjoint":
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+        bounds = [0, *cuts, n]
+        masks = [((1 << b) - 1) ^ ((1 << a) - 1) for a, b in zip(bounds, bounds[1:])]
+    else:
+        masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=24))
+        seen = 0
+        for mask in masks:
+            seen |= mask
+        masks += [1 << e for e in range(n) if not seen >> e & 1]
+    cands = [_Candidate(Ball((Fraction(i),), Fraction(1)), mask, draw(costs))
+             for i, mask in enumerate(masks)]
+    return cands, n
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(candidate_sets(), st.data())
+def test_ratio_bound_matches_the_per_member_scans(instance, data):
+    cands, n = instance
+    full = (1 << n) - 1
+    ratio = _RatioBound(cands)
+    exact = all(isinstance(c.cost, Fraction) for c in cands)
+    assert (ratio.scale is not None) == exact
+    assert [ratio.scalar(c) for c in ratio.costs] == [c.cost for c in cands]
+
+    for uncovered in (0, full, *(1 << e for e in range(n)),
+                      data.draw(st.integers(0, full))):
+        got, want = ratio.bound(uncovered), _dual_bound(cands, uncovered)
+        if exact:
+            assert isinstance(got, int)
+            assert ratio.scalar(got) == want
+        else:
+            assert got == want and type(got) is type(want)
+
+    duals, root = ratio.duals(full)
+    want = _ratio_duals(cands, n)
+    assert duals == want
+    assert [type(d) for d in duals] == [type(d) for d in want]
+    assert root == sum(want) and type(root) is type(sum(want))
