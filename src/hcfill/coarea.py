@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .exact import Scalar, as_fraction, fmt_scalar, power
+from .exact import TOL, Scalar, as_fraction, fmt_scalar, power
 from .space import Covering, VoxelSpace, linf
 
 _HALF = Fraction(1, 2)
@@ -59,7 +59,7 @@ class ExplicitValues:
             raise InputError(f"function undefined on element {cell}")
         return (v, v)
 
-    def validate(self, space: VoxelSpace, domain, tol: float = 1e-9):
+    def validate(self, space: VoxelSpace, domain, tol: float = TOL):
         """The declared Lipschitz constant must hold on every pair."""
         missing = set(domain) - set(self.values)
         if missing:
@@ -132,7 +132,7 @@ def slice_profile(
             continue
         a = min(cell_ints[c][0] for c in members)
         b = max(cell_ints[c][1] for c in members)
-        width_ok = float(b - a) <= 2.0 * float(descriptor.lip) * float(ball.radius) + 1e-9
+        width_ok = float(b - a) <= 2.0 * float(descriptor.lip) * float(ball.radius) + TOL
         if not width_ok:
             raise InputError(
                 "covering ball pins the function to an interval wider than "

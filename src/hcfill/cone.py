@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import ceil
 
 from .errors import InputError, VerificationError
-from .exact import Scalar, as_fraction, fmt_scalar, power
+from .exact import TOL, Scalar, as_fraction, fmt_scalar, power
 from .space import Ball, Covering, VoxelSpace, linf
 
 
@@ -128,7 +128,7 @@ def cone_covering(
     if isinstance(cost, Fraction) and isinstance(bound, Fraction):
         violated = cost > bound
     else:
-        violated = float(cost) > float(bound) + 1e-9 * max(1.0, abs(float(bound)))
+        violated = float(cost) > float(bound) + TOL * max(1.0, abs(float(bound)))
     if violated:
         raise VerificationError(
             "cone covering exceeded its certified bound",
@@ -169,7 +169,6 @@ def cone_coverage_check(
     out_radii = [float(b.radius) for b in cert.balls]
 
     misses = 0
-    tol = 1e-9
     for s in range(samples):
         i = s % len(inputs)
         src = inputs[i]
@@ -187,12 +186,12 @@ def cone_coverage_check(
             for j in (j_guess, j_guess - 1, j_guess + 1):
                 if 0 <= j < len(ids):
                     k = ids[j]
-                    if max(abs(a - b) for a, b in zip(z, out_centers[k])) <= out_radii[k] + tol:
+                    if max(abs(a - b) for a, b in zip(z, out_centers[k])) <= out_radii[k] + TOL:
                         hit = True
                         break
         if not hit:
             for k in range(len(cert.balls)):
-                if max(abs(a - b) for a, b in zip(z, out_centers[k])) <= out_radii[k] + tol:
+                if max(abs(a - b) for a, b in zip(z, out_centers[k])) <= out_radii[k] + TOL:
                     hit = True
                     break
         if not hit:

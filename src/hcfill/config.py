@@ -9,21 +9,18 @@ import os
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError
+from .exact import TOL
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    tolerance: float = 1e-9
+    tolerance: float = TOL
     node_budget: int = 10**6
-    # pushout knobs: c0(k) = c0_base^k, c2(n) = c2_factor * n,
-    # projection-ratio ceiling = ratio_ceiling_base * 2^k
+    # pushout knobs: c0(k) = c0_base^k, projection-ratio ceiling =
+    # ratio_ceiling_base * 2^k
     c0_base: float = 0.25
-    c2_factor: float = 4.0
     ratio_ceiling_base: float = 10.0
     pushout_candidates: int = 64
-    # pipeline slack schedule: eps = eps_rel * HC, stop at eps0_rel * HC
-    eps_rel: float = 1e-3
-    eps0_rel: float = 1e-4
     step_cap: int = 50
     # search budgets
     width_budget: int = 2000

@@ -4,15 +4,19 @@ The m-dimensional content of a target is the minimum of sum(r_i^m) over
 coverings by balls from the family.  `exact_content` solves the weighted
 set-cover instance by branch and bound with an LP-dual-feasible ratio bound;
 `greedy_content` gives the usual ratio-greedy upper bound, with lower value
-0.  At integer m every ball cost is a Fraction (fixed families with float
-radii aside) and the search runs on integers: costs scaled by the lcm D of
-their denominators and by L = lcm(1..s) for the largest ball size s, so
-every ratio cost/|ball & U| is an integer.  Float costs, at non-integer m,
-stay floats.  The bound at a node comes from one sort of the
-balls by ratio against the uncovered set U: each element takes the ratio of
-the first ball that reaches it, which is its minimum.  Net-model answers of
-`exact_content` are brackets: the optimum over net-centered balls, deflated
-by eps_net on the lower side.
+0.  The search itself is `_branch_and_bound`, over candidate masks and
+costs with a `_RatioBound`.  It has two callers: `exact_content` starts it
+from the greedy cover under a node budget, and
+`decomposition.TildeContent.solve` runs it over the balls of a fixed
+covering with neither an incumbent nor a budget.  At integer m every ball
+cost is a Fraction (fixed families with float radii aside) and the search
+runs on integers: costs scaled by the lcm D of their denominators and by
+L = lcm(1..s) for the largest ball size s, so every ratio cost/|ball & U|
+is an integer.  Float costs, at non-integer m, stay floats.  The bound at a
+node comes from one sort of the balls by ratio against the uncovered set U:
+each element takes the ratio of the first ball that reaches it, which is its
+minimum.  Net-model answers of `exact_content` are brackets: the optimum
+over net-centered balls, deflated by eps_net on the lower side.
 
 Grid-ball candidates on voxel sets come from per-axis slab bitmasks: the
 cells of a block are the AND of one prefix-difference mask per axis, and its
@@ -385,10 +389,11 @@ def volume_lower_bound(space: VoxelSpace, target=None, m: Scalar = 1) -> Scalar:
 # solvers
 
 def _greedy_cover(cands, full):
-    """Repeatedly take the ball of least cost per newly covered element, ties
-    to the least ball key.  Lazy (Minoux): a heap holds each ball's last known
-    ratio, which can only grow as coverage grows, so a popped ball whose
-    ratio is still current is the eager greedy's pick."""
+    """Indices of the balls picked by repeatedly taking the ball of least cost
+    per newly covered element, ties to the least ball key.  Lazy (Minoux): a
+    heap holds each ball's last known ratio, which can only grow as coverage
+    grows, so a popped ball whose ratio is still current is the eager
+    greedy's pick."""
     heap = [(cand.cost / cand.mask.bit_count(), cand.ball.key(), i)
             for i, cand in enumerate(cands)]
     heapq.heapify(heap)
@@ -404,11 +409,61 @@ def _greedy_cover(cands, full):
             continue
         current = cand.cost / new.bit_count()
         if current == ratio:
-            chosen.append(cand)
+            chosen.append(i)
             covered |= cand.mask
         else:
             heapq.heappush(heap, (current, key, i))
     return chosen
+
+
+def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
+                      best_cost, best_sel):
+    """Depth-first search for the cheapest cover of `goal` by the candidates.
+
+    Branches on the uncovered element with the fewest candidates (lowest bit
+    on ties), children in candidate order, prunes with the ratio bound and
+    memoized covered-set dominance, and replaces the incumbent (`best_cost` in
+    the bound's units, `best_sel` candidate indices) only on a strictly lower
+    cost.  After `budget` nodes the incumbent is final and the remaining
+    entries only lower the frontier.  Returns (cost, indices, nodes,
+    frontier), the frontier None when the search closed within the budget.
+    """
+    step = ratio.costs
+    nodes = 0
+    frontier = covers_elem = None
+    memo = {}
+    stack = [(0, ratio.zero, ())]
+    while stack:
+        covered, cost, sel = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            # the incumbent is final now; an entry costing at least the
+            # frontier cannot lower it
+            if frontier is None:
+                frontier = best_cost
+            if cost < frontier:
+                frontier = min(frontier, cost + ratio.bound(goal ^ covered))
+            continue
+        if covered == goal:
+            if cost < best_cost:
+                best_cost, best_sel = cost, sel
+            continue
+        seen = memo.get(covered)
+        if seen is not None and seen <= cost:
+            continue
+        memo[covered] = cost
+        if cost + ratio.bound(goal ^ covered) >= best_cost:
+            continue
+        if covers_elem is None:  # most solves close at the root
+            covers_elem = [[] for _ in range(goal.bit_length())]
+            for ci, cand in enumerate(cands):
+                for e in _bits(cand.mask):
+                    covers_elem[e].append(ci)
+            fan = [len(c) for c in covers_elem]
+        pick = min(_bits(goal ^ covered), key=fan.__getitem__)
+        for ci in reversed(covers_elem[pick]):
+            stack.append((covered | cands[ci].mask, cost + step[ci], sel + (ci,)))
+    return best_cost, best_sel, nodes, frontier
 
 
 def greedy_content(
@@ -423,7 +478,7 @@ def greedy_content(
     target = _resolve_target(space, target)
     cands, index = generate_candidates(space, target, m, family)
     chosen = _greedy_cover(cands, (1 << len(index)) - 1)
-    witness = Covering(tuple(c.ball for c in chosen), frozenset(target), m)
+    witness = Covering(tuple(cands[i].ball for i in chosen), frozenset(target), m)
     return ContentResult(
         m, family_label(family), _zero(witness.cost), witness.cost, False, witness,
         {"kind": "greedy"}, _exact_mode(space, m),
@@ -439,62 +494,23 @@ def exact_content(
 ) -> ContentResult:
     """Branch-and-bound optimum of the covering cost.
 
-    Branches on the uncovered element with the fewest candidate balls, prunes
-    with the ratio-dual bound and memoized covered-set dominance, and returns
-    a certified bracket instead of failing when the node budget runs out.
+    Starts `_branch_and_bound` from the greedy cover and returns a certified
+    bracket instead of failing when the node budget runs out.
     """
     target = _resolve_target(space, target)
     cands, index = generate_candidates(space, target, m, family)
-    n_elems = len(index)
-    full = (1 << n_elems) - 1
+    full = (1 << len(index)) - 1
 
     chosen = _greedy_cover(cands, full)  # raises when the family cannot cover
-    # costs, memo, incumbent and frontier are in the bound's units
     ratio = _RatioBound(cands)
-    step = ratio.costs
-    best_cost = ratio.units(sum(c.cost for c in chosen))
-    best_sel = [c.ball for c in chosen]
-
     duals, root_dual = ratio.duals(full)
-
-    nodes = 0
-    frontier = covers_elem = None
-    memo = {}
-    stack = [(0, ratio.zero, ())]
-    while stack:
-        covered, cost, sel = stack.pop()
-        nodes += 1
-        if nodes > node_budget:
-            # the incumbent is final now; an entry costing at least the
-            # frontier cannot lower it
-            if frontier is None:
-                frontier = best_cost
-            if cost < frontier:
-                frontier = min(frontier, cost + ratio.bound(full ^ covered))
-            continue
-        if covered == full:
-            if cost < best_cost:
-                best_cost = cost
-                best_sel = [cands[i].ball for i in sel]
-            continue
-        seen = memo.get(covered)
-        if seen is not None and seen <= cost:
-            continue
-        memo[covered] = cost
-        if cost + ratio.bound(full ^ covered) >= best_cost:
-            continue
-        if covers_elem is None:  # most solves close at the root
-            covers_elem = [[] for _ in range(n_elems)]
-            for ci, cand in enumerate(cands):
-                for e in _bits(cand.mask):
-                    covers_elem[e].append(ci)
-            fan = [len(c) for c in covers_elem]
-        pick = min(_bits(full ^ covered), key=fan.__getitem__)
-        for ci in reversed(covers_elem[pick]):
-            stack.append((covered | cands[ci].mask, cost + step[ci], sel + (ci,)))
+    best_cost, best_sel, nodes, frontier = _branch_and_bound(
+        cands, ratio, full, node_budget,
+        ratio.units(sum(cands[i].cost for i in chosen)), tuple(chosen),
+    )
     best_cost = ratio.scalar(best_cost)
 
-    witness = Covering(tuple(best_sel), frozenset(target), m)
+    witness = Covering(tuple(cands[i].ball for i in best_sel), frozenset(target), m)
     lowers = [root_dual]
     core, _ = _flatten_family(family)
     if isinstance(space, VoxelSpace) and isinstance(core, AllGridBalls) and core.stride == 1:

@@ -26,15 +26,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .content import exact_content
+from .content import _branch_and_bound, _Candidate, _RatioBound, exact_content
 from .cone import ConeCertificate, cone_covering
 from .errors import DecompositionViolation, InputError, VerificationError
-from .exact import Scalar, as_fraction, fmt_scalar, is_integral, power, root
+from .exact import TOL, Scalar, as_fraction, fmt_scalar, is_integral, power, root
 from .pushout import CubicalGrid, grid_R_for_content, skeleton_descend
 from .space import (
     Ball,
+    CellBits,
     Covering,
     VoxelSpace,
+    ball_cell_ranges,
     ball_members,
     linf,
 )
@@ -92,21 +94,19 @@ class Constants:
 
 class TildeContent:
     """Exact set-cover content where only subfamilies of the fixed covering
-    Q are admissible; the member masks are computed once per context."""
+    Q are admissible.  The Q balls' member masks are built once per context
+    from the per-axis cell bits of `CellBits`.  A solve runs the content
+    solver's `_branch_and_bound` over the Q balls that meet the subset,
+    without an incumbent, so its witness is the first cheapest cover in
+    depth-first order."""
 
     def __init__(self, space: VoxelSpace, cells, q_balls):
         self.space = space
         self.cells = tuple(sorted(cells))
-        self.index = {c: i for i, c in enumerate(self.cells)}
         self.q_balls = tuple(q_balls)
-        self.masks = []
-        for ball in self.q_balls:
-            mask = 0
-            for c in ball_members(ball, space):
-                i = self.index.get(c)
-                if i is not None:
-                    mask |= 1 << i
-            self.masks.append(mask)
+        bits = CellBits(self.cells, space.n)
+        self.index = bits.index
+        self.masks = _member_masks(space, bits, self.q_balls)
         self._cost_cache: dict[Fraction, list] = {}
         self._value_cache: dict[tuple, Scalar] = {}
 
@@ -140,74 +140,50 @@ class TildeContent:
             self._value_cache[key] = result
             return result
         costs = self._costs(exponent)
-        usable = [
-            (costs[i], i, self.masks[i] & goal)
-            for i in range(len(self.q_balls))
-            if self.masks[i] & goal
-        ]
-        usable.sort(key=lambda t: (t[0], t[1]))
+        usable = sorted((costs[i], i) for i, mask in enumerate(self.masks)
+                        if mask & goal)
+        cands = [_Candidate(self.q_balls[i], self.masks[i] & goal, cost)
+                 for cost, i in usable]
         covered_all = 0
-        for _, _, mask in usable:
-            covered_all |= mask
+        for cand in cands:
+            covered_all |= cand.mask
         if covered_all != goal:
             raise InputError("fixed covering cannot cover the requested subset")
-
-        covers = {}
-        mask_left = goal
-        while mask_left:
-            low = mask_left & -mask_left
-            covers[low] = [t for t in usable if t[2] & low]
-            mask_left ^= low
-
-        best_cost = None
-        best_sel = None
-        memo: dict[int, Scalar] = {}
-        stack = [(0, Fraction(0) if is_integral(exponent) else 0.0, ())]
-        while stack:
-            covered, cost, sel = stack.pop()
-            if best_cost is not None and cost >= best_cost:
-                continue
-            if covered & goal == goal:
-                best_cost, best_sel = cost, sel
-                continue
-            seen = memo.get(covered)
-            if seen is not None and seen <= cost:
-                continue
-            memo[covered] = cost
-            un = goal & ~covered
-            pick = None
-            pick_n = None
-            mask = un
-            while mask:
-                low = mask & -mask
-                n = len(covers[low]) if low in covers else 0
-                if pick_n is None or n < pick_n:
-                    pick, pick_n = low, n
-                mask ^= low
-            for c, i, bmask in reversed(covers[pick]):
-                stack.append((covered | bmask, cost + c, sel + (i,)))
-        self._value_cache[key] = (best_cost, best_sel)
-        return best_cost, best_sel
+        ratio = _RatioBound(cands)
+        cost, sel, _, _ = _branch_and_bound(cands, ratio, goal, math.inf, math.inf, ())
+        result = (ratio.scalar(cost), tuple(usable[i][1] for i in sel))
+        self._value_cache[key] = result
+        return result
 
     def witness(self, subset, exponent: Scalar) -> list[Ball]:
         _, sel = self.solve(subset, exponent)
         return [self.q_balls[i] for i in sel]
 
 
+def _member_masks(space: VoxelSpace, bits: CellBits, balls) -> list[int]:
+    """Each ball's occupied cells among `bits.cells`, as a mask of their bits."""
+    occupied = 0
+    for i, c in enumerate(bits.cells):
+        if c in space.cells:
+            occupied |= 1 << i
+    return [bits.box(ball_cell_ranges(ball, space)) & occupied for ball in balls]
+
+
 def prune_redundant(space: VoxelSpace, balls, target) -> tuple[Ball, ...]:
     """Drop every ball whose covered target cells lie in the union of the
     others', largest radius first, until each survivor has a private cell."""
     active = sorted(balls, key=lambda b: (-as_fraction(b.radius), b.center))
-    members = {b: ball_members(b, space) & target for b in active}
+    bits = CellBits(sorted(target), space.n)
+    masks = dict(zip(active, _member_masks(space, bits, active)))
     changed = True
     while changed:
         changed = False
-        for b in list(active):
-            rest = set()
+        for b in active:
+            rest = 0
             for other in active:
                 if other is not b:
-                    rest |= members[other]
-            if members[b] <= rest:
+                    rest |= masks[other]
+            if masks[b] & ~rest == 0:
                 active.remove(b)
                 changed = True
                 break
@@ -567,7 +543,7 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
         )
     alpha = (sum(float(b.core_content) for b in fresh)
              / float(tilde_total)) ** (1 / float(mq))
-    report["alpha_matches"] = abs(alpha - decomp.alpha) <= 1e-9
+    report["alpha_matches"] = abs(alpha - decomp.alpha) <= TOL
     checks = _decomposition_checks(
         space, y, mq, decomp.eps, decomp.constants, decomp.base_content,
         tilde_total, tilde, fresh, alpha, node_budget,
@@ -624,14 +600,14 @@ def _decomposition_checks(space, y, mq, eps, constants, hc, tilde_total,
 
     checks.append(InequalityCheck(
         "density_constant_range", alpha, 1.0,
-        1.0 / 12.0 < alpha <= 1.0 + 1e-9,
+        1.0 / 12.0 < alpha <= 1.0 + TOL,
         note="must lie in (1/12, 1]",
     ))
 
     core_sum = sum(float(b.core_content) for b in balls)
     checks.append(InequalityCheck(
         "disjoint_core_additivity", core_sum, float(tilde_total),
-        core_sum <= float(tilde_total) + 1e-9,
+        core_sum <= float(tilde_total) + TOL,
     ))
 
     # coarea selection bound per ball, against the slightly enlarged ball
@@ -989,14 +965,14 @@ def fill(
                   * alpha ** (mf + 1) * content_k ** ((mf + 1) / mf) + step.eps)
         step_checks.append(InequalityCheck(
             f"step_cone_cost_{k}", step_cost, proven,
-            step_cost <= proven + 1e-9,
+            step_cost <= proven + TOL,
             note="proven per-step coning bound",
         ))
         printed = 0.25 * constants.filling_constant * alpha ** (mf + 1) \
             * content_k ** ((mf + 1) / mf) + step.eps
         step_checks.append(InequalityCheck(
             f"step_cone_cost_printed_{k}", step_cost, printed,
-            step_cost <= printed + 1e-9,
+            step_cost <= printed + TOL,
             note="reported only: the printed improvement-pair constant",
             advisory=True,
         ))
@@ -1008,7 +984,7 @@ def fill(
             em_bound = math.e * mf * float(cert.ambient_radius) * float(cert.input_cost)
             step_checks.append(InequalityCheck(
                 f"step_{k}_ball_{j}_coning", float(cert.cost), em_bound,
-                float(cert.cost) <= em_bound + 1e-9,
+                float(cert.cost) <= em_bound + TOL,
                 note="e*m*r bound at the certificate's enclosing radius",
                 advisory=True,
             ))
@@ -1037,13 +1013,13 @@ def fill(
             "total_trace_cost", trace_total,
             next_constants.filling_constant * hcf ** ((mf + 1) / mf) + eps_used,
             trace_total <= next_constants.filling_constant
-            * hcf ** ((mf + 1) / mf) + eps_used + 1e-9,
+            * hcf ** ((mf + 1) / mf) + eps_used + TOL,
         ),
         InequalityCheck(
             "filling_radius", filling_radius,
             constants.radius_constant * hcf ** (1 / mf) + eps_used,
             filling_radius <= constants.radius_constant
-            * hcf ** (1 / mf) + eps_used + 1e-9,
+            * hcf ** (1 / mf) + eps_used + TOL,
         ),
     ]
     rows = [

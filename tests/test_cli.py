@@ -208,6 +208,9 @@ def test_config_roundtrip_and_env(tmp_path, monkeypatch, capsys, cube_path):
 
     with pytest.raises(InputError):
         RunConfig.from_dict({"unknown_knob": 1})
+    # knobs that nothing read were removed, so a config naming one is rejected
+    with pytest.raises(InputError):
+        RunConfig.from_dict({**cfg.to_dict(), "eps_rel": 1e-3})
     with pytest.raises(InputError):
         RunConfig(node_budget=0)
 

@@ -91,7 +91,8 @@ def oracle_grid_candidates(space, target, m, stride, cap):
 
 
 def eager_greedy(cands, full):
-    """Rescan every candidate each round; least (cost/new, ball key) wins."""
+    """Rescan every candidate each round; least (cost/new, ball key) wins.
+    Returns the picked candidate indices."""
     covered, picks = 0, []
     while covered != full:
         ratios = [((c.cost / (c.mask & ~covered).bit_count(), c.ball.key()), i)
@@ -99,14 +100,14 @@ def eager_greedy(cands, full):
         if not ratios:
             raise UncoverableError("family cannot cover the target")
         _, i = min(ratios)
-        picks.append(cands[i])
+        picks.append(i)
         covered |= cands[i].mask
     return picks
 
 
 def greedy_keys(cover, cands, n_elems):
     try:
-        return [c.ball.key() for c in cover(cands, (1 << n_elems) - 1)]
+        return [cands[i].ball.key() for i in cover(cands, (1 << n_elems) - 1)]
     except UncoverableError:
         return None
 

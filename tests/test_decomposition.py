@@ -1,6 +1,12 @@
+import hashlib
+import itertools
+import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcfill.content import exact_content
 from hcfill.decomposition import (
@@ -16,6 +22,7 @@ from hcfill.decomposition import (
     vitali_select,
 )
 from hcfill.errors import InputError
+from hcfill.exact import as_fraction, fmt_scalar, is_integral, power
 from hcfill.shapes import (
     make_cube,
     make_line,
@@ -24,7 +31,7 @@ from hcfill.shapes import (
     translate,
     union,
 )
-from hcfill.space import ball_members, grid_ball, linf
+from hcfill.space import VoxelSpace, ball_members, grid_ball, linf
 
 
 def small_scale(m, A=3.0):
@@ -244,6 +251,135 @@ def test_decompose_mixed_exponents(small_blobs):
             assert 1 / 12 < d.alpha <= 1 + 1e-9
 
 
+# ---------------------------------------------------------------------------
+# content relative to a fixed covering, against the standalone search it
+# replaced: member masks from ball_members, no lower bound, Fraction or float
+# costs
+
+def oracle_tilde_solve(space, cells, q_balls, subset, exponent):
+    index = {c: i for i, c in enumerate(sorted(cells))}
+    masks = []
+    for ball in q_balls:
+        mask = 0
+        for c in ball_members(ball, space):
+            i = index.get(c)
+            if i is not None:
+                mask |= 1 << i
+        masks.append(mask)
+    exponent = as_fraction(exponent)
+    goal = 0
+    for c in subset:
+        goal |= 1 << index[c]
+    if goal == 0:
+        return (Fraction(0) if is_integral(exponent) else 0.0, ())
+    costs = [power(b.radius, exponent) for b in q_balls]
+    usable = [
+        (costs[i], i, masks[i] & goal)
+        for i in range(len(q_balls))
+        if masks[i] & goal
+    ]
+    usable.sort(key=lambda t: (t[0], t[1]))
+    covered_all = 0
+    for _, _, mask in usable:
+        covered_all |= mask
+    if covered_all != goal:
+        raise InputError("fixed covering cannot cover the requested subset")
+
+    covers = {}
+    mask_left = goal
+    while mask_left:
+        low = mask_left & -mask_left
+        covers[low] = [t for t in usable if t[2] & low]
+        mask_left ^= low
+
+    best_cost = None
+    best_sel = None
+    memo = {}
+    stack = [(0, Fraction(0) if is_integral(exponent) else 0.0, ())]
+    while stack:
+        covered, cost, sel = stack.pop()
+        if best_cost is not None and cost >= best_cost:
+            continue
+        if covered & goal == goal:
+            best_cost, best_sel = cost, sel
+            continue
+        seen = memo.get(covered)
+        if seen is not None and seen <= cost:
+            continue
+        memo[covered] = cost
+        un = goal & ~covered
+        pick = None
+        pick_n = None
+        mask = un
+        while mask:
+            low = mask & -mask
+            n = len(covers[low]) if low in covers else 0
+            if pick_n is None or n < pick_n:
+                pick, pick_n = low, n
+            mask ^= low
+        for c, i, bmask in reversed(covers[pick]):
+            stack.append((covered | bmask, cost + c, sel + (i,)))
+    return best_cost, best_sel
+
+
+EXACT_EXPONENTS = [Fraction(1), Fraction(2), Fraction(3), Fraction(5, 2)]
+FLOAT_EXPONENTS = [Fraction(3, 2), Fraction(1, 2)]
+TILDE_BOX = {1: 10, 2: 4, 3: 3}
+
+
+@st.composite
+def tilde_instances(draw):
+    """A voxel blob of at most 10 cells, a target that may hold unoccupied
+    cells, overlapping grid balls (all unit balls added, pruned, or
+    neither), a subset of the target and an exponent."""
+    n = draw(st.integers(1, 3))
+    box = TILDE_BOX[n]
+    coords = list(itertools.product(range(box), repeat=n))
+    cells = draw(st.sets(st.sampled_from(coords), min_size=1, max_size=10))
+    space = VoxelSpace(n, Fraction(1, 8), frozenset(cells))
+    target = cells | draw(st.sets(st.sampled_from(coords), max_size=1))
+    anchor = st.tuples(*[st.integers(-2, box - 1)] * n)
+    specs = draw(st.lists(st.tuples(anchor, st.integers(1, 3)), min_size=1, max_size=8))
+    balls = [grid_ball(space, a, k) for a, k in specs]
+    kind = draw(st.sampled_from(["overlapping", "with_units", "pruned"]))
+    if kind != "overlapping":
+        balls += [grid_ball(space, c, 1) for c in sorted(cells)]
+    if kind == "pruned":
+        balls = list(prune_redundant(space, balls, frozenset(target)))
+    subset = draw(st.sets(st.sampled_from(sorted(target))))
+    exponent = draw(st.sampled_from(EXACT_EXPONENTS + FLOAT_EXPONENTS))
+    return space, target, balls, subset, exponent
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tilde_instances())
+def test_tilde_solve_matches_standalone_search(instance):
+    space, target, balls, subset, exponent = instance
+    try:
+        want = oracle_tilde_solve(space, target, balls, subset, exponent)
+    except InputError:
+        with pytest.raises(InputError):
+            TildeContent(space, target, balls).solve(subset, exponent)
+        return
+    got = TildeContent(space, target, balls).solve(subset, exponent)
+    if exponent in EXACT_EXPONENTS:
+        assert got == want
+        assert type(got[0]) is type(want[0])
+    else:
+        assert math.isclose(got[0], want[0], rel_tol=1e-12)
+
+
+def test_tilde_solve_empty_and_uncoverable_subsets():
+    s = make_line(6, Fraction(1, 8))
+    cells = sorted(s.cells)
+    tilde = TildeContent(s, s.cells, [grid_ball(s, cells[0], 2)])
+    assert tilde.solve(frozenset(), 2) == (Fraction(0), ())
+    assert tilde.solve(frozenset(), Fraction(3, 2)) == (0.0, ())
+    assert tilde.solve(frozenset(cells[:2]), 2) == (Fraction(1, 64), (0,))
+    with pytest.raises(InputError):
+        tilde.solve(frozenset(cells[:3]), 2)
+
+
 def test_prune_redundant_drops_contained_ball():
     s = make_cube(2, 4, Fraction(1, 4))
     big = grid_ball(s, (0, 0), 4)
@@ -413,3 +549,27 @@ def test_fill_totals_recompute():
     if cert.pushout_trace is not None:
         total += float(cert.pushout_trace.trace_content)
     assert cert.trace_total == pytest.approx(total, abs=1e-15)
+
+
+# Reports of decompose and fill, pinned as the first 16 hex digits of the
+# sha256 of their sorted-key JSON: several steps, balls and occupied slices,
+# float exponents at m = 3/2, and a decomposition over 30 Q balls.
+PINNED_REPORTS = [
+    (lambda: fill(make_line(60), None, 2, constants=small_scale(2, 3.0)),
+     "e80d3f141408825f"),
+    (lambda: fill(make_line(60), None, Fraction(3, 2),
+                  constants=small_scale(Fraction(3, 2), 1.6)),
+     "d791d533ce2b317f"),
+    (lambda: fill(make_ring(16), None, Fraction(5, 2),
+                  constants=small_scale(Fraction(5, 2), 3.0)),
+     "ade068e36132829c"),
+    (lambda: decompose(random_blob(4, 2, 30, 9, Fraction(1, 8)), None, Fraction(5, 2),
+                       constants=small_scale(Fraction(5, 2), 4.0)),
+     "478613555ffa668f"),
+]
+
+
+@pytest.mark.parametrize("run, digest", PINNED_REPORTS)
+def test_decomposition_reports_pinned(run, digest):
+    text = json.dumps(run().to_dict(), sort_keys=True, default=fmt_scalar)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
