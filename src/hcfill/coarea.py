@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .exact import TOL, Scalar, as_fraction, fmt_scalar, power
-from .space import Covering, VoxelSpace, linf
+from .space import Covering, ElementBits, VoxelSpace, bit_indices, linf
 
 _HALF = Fraction(1, 2)
 
@@ -122,16 +122,17 @@ def slice_profile(
     if isinstance(descriptor, ExplicitValues):
         descriptor.validate(space, domain)
     cell_ints = {c: descriptor.cell_interval(space, c) for c in domain}
-    from .space import ball_members
+    bits = ElementBits(space, sorted(domain))
 
     intervals = []
     for ball in cover.balls:
-        members = ball_members(ball, space) & domain
-        if not members:
+        mask = bits.ball(ball)
+        if not mask:
             intervals.append(None)
             continue
-        a = min(cell_ints[c][0] for c in members)
-        b = max(cell_ints[c][1] for c in members)
+        spans = [cell_ints[bits.elements[i]] for i in bit_indices(mask)]
+        a = min(lo for lo, _ in spans)
+        b = max(hi for _, hi in spans)
         width_ok = float(b - a) <= 2.0 * float(descriptor.lip) * float(ball.radius) + TOL
         if not width_ok:
             raise InputError(

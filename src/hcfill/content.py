@@ -18,10 +18,14 @@ each element takes the ratio of the first ball that reaches it, which is its
 minimum.  Net-model answers of `exact_content` are brackets: the optimum
 over net-centered balls, deflated by eps_net on the lower side.
 
-Grid-ball candidates on voxel sets come from per-axis slab bitmasks: the
+Candidate masks are bits of `space.ElementBits` over the sorted target.
+Point-centered and fixed-family balls take theirs from `ElementBits.ball`.
+Grid-ball candidates on voxel sets come from its per-axis slab bitmasks: the
 cells of a block are the AND of one prefix-difference mask per axis, and its
-cell count is the popcount.  A block of side k > 1 whose cost k^m times the
-unit cost reaches its cell count is dominated by the unit balls it contains;
+cell count is the popcount (no AND with the occupied cells: a grid ball
+covers the unoccupied cells of a target too).  A block of side k > 1 whose
+cost k^m times the unit cost reaches its cell count is dominated by the
+unit balls it contains;
 a size is skipped outright when a full block, min(k^n, |target|) cells,
 would be, so at m >= n only unit balls are enumerated.  The greedy is lazy
 (Minoux's accelerated greedy): stale ratios only grow as coverage grows, so
@@ -42,9 +46,9 @@ from .space import (
     AllGridBalls,
     Ball,
     BallFamily,
-    CellBits,
     CentersIn,
     Covering,
+    ElementBits,
     FamilyIntersection,
     FixedFamily,
     NetSpace,
@@ -52,8 +56,11 @@ from .space import (
     Space,
     VoxelSpace,
     ball_members,
+    bit_indices,
     family_label,
     linf,
+    net_center,
+    net_dist,
 )
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -121,7 +128,7 @@ def _flatten_family(family: BallFamily):
 
 
 def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
-    bits = CellBits(sorted(target), space.n)
+    bits = ElementBits(space, sorted(target))
     lo, hi = bits.lo, bits.hi
     k_max = max(h - l + 1 for l, h in zip(lo, hi))
     k_max += (-k_max) % stride
@@ -133,7 +140,7 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
         limit = _dominance_limit(k, m) if stride == 1 and k > 1 else 0
         # skip the whole size when even a full block, which holds at most
         # min(k^n, |target|) cells, is dominated
-        if min(k ** space.n, len(bits.cells)) <= limit:
+        if min(k ** space.n, len(bits.elements)) <= limit:
             continue
         cost = power(radius, m)
         # (center, mask) of the non-empty blocks, one axis at a time; the
@@ -171,59 +178,37 @@ def _dominance_limit(k: int, m) -> int:
 def _point_candidates(space: Space, target, m, centers, cap):
     """Balls centered at the given points with radii from the distance set to
     target elements (the covering optimum over real radii is attained there)."""
-    elems = sorted(target)
-    index = {c: i for i, c in enumerate(elems)}
+    bits = ElementBits(space, sorted(target))
     voxel = isinstance(space, VoxelSpace)
     out = []
     for center in centers:
         if voxel:
-            dists = sorted({linf(space.cell_center(c), center) for c in elems})
+            dists = sorted({linf(space.cell_center(c), center) for c in bits.elements})
         else:
-            dists = sorted({_net_center_dist(space, center, e) for e in elems})
+            at = net_center(center, space)
+            dists = sorted({net_dist(at, e, space) for e in bits.elements})
             dists = [d for d in dists if d > 0.0] or dists[:1]
         seen = set()
         for r in dists:
             if cap is not None and as_fraction(r) > cap:
                 break
             ball = Ball(center, r if isinstance(r, Fraction) else float(r))
-            members = ball_members(ball, space)
-            mask = 0
-            for e in members:
-                if e in index:
-                    mask |= 1 << index[e]
+            mask = bits.ball(ball)
             if mask and mask not in seen:
                 seen.add(mask)
                 out.append(_Candidate(ball, mask, power(as_fraction(r), m)))
-    return out, index
-
-
-def _net_center_dist(space: NetSpace, center, e: int) -> float:
-    if space.metric == "matrix":
-        return space.dist(int(center[0]), e)
-    cf = tuple(float(x) for x in center)
-    pt = space.points[e]
-    if space.metric == "linf":
-        return max(abs(a - b) for a, b in zip(cf, pt))
-    if space.metric == "l1":
-        return sum(abs(a - b) for a, b in zip(cf, pt))
-    return sum((a - b) ** 2 for a, b in zip(cf, pt)) ** 0.5
+    return out, bits.index
 
 
 def _fixed_candidates(space: Space, target, m, balls, cap):
-    elems = sorted(target)
-    index = {c: i for i, c in enumerate(elems)}
+    bits = ElementBits(space, sorted(target))
     out = []
     for ball in balls:
         if cap is not None and as_fraction(ball.radius) > cap:
             continue
-        members = ball_members(ball, space)
-        mask = 0
-        for e in members:
-            if e in index:
-                mask |= 1 << index[e]
-        if mask:
+        if mask := bits.ball(ball):
             out.append(_Candidate(ball, mask, power(ball.radius, m)))
-    return out, index
+    return out, bits.index
 
 
 def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
@@ -306,7 +291,7 @@ class _RatioBound:
             # by the first ball containing the element, then by element
             self._order, seen = [], 0
             for mask in masks:
-                self._order += _bits(mask & ~seen)
+                self._order += bit_indices(mask & ~seen)
                 seen |= mask
 
     def units(self, x: Scalar):
@@ -339,7 +324,7 @@ class _RatioBound:
             return sum(ratio * new.bit_count() for ratio, new in self._assign(uncovered))
         least = {}
         for ratio, new in self._assign(uncovered):
-            for e in _bits(new):
+            for e in bit_indices(new):
                 least[e] = ratio
         return sum(least[e] for e in self._order if e in least)
 
@@ -348,18 +333,11 @@ class _RatioBound:
         and their sum."""
         least = [None] * full.bit_length()
         for ratio, new in self._assign(full):
-            for e in _bits(new):
+            for e in bit_indices(new):
                 least[e] = ratio
         if self.scale is None:
             return least, sum(least)
         return [Fraction(r, self.scale) for r in least], Fraction(sum(least), self.scale)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 _first = itemgetter(0)
@@ -457,10 +435,10 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
         if covers_elem is None:  # most solves close at the root
             covers_elem = [[] for _ in range(goal.bit_length())]
             for ci, cand in enumerate(cands):
-                for e in _bits(cand.mask):
+                for e in bit_indices(cand.mask):
                     covers_elem[e].append(ci)
             fan = [len(c) for c in covers_elem]
-        pick = min(_bits(goal ^ covered), key=fan.__getitem__)
+        pick = min(bit_indices(goal ^ covered), key=fan.__getitem__)
         for ci in reversed(covers_elem[pick]):
             stack.append((covered | cands[ci].mask, cost + step[ci], sel + (ci,)))
     return best_cost, best_sel, nodes, frontier

@@ -22,6 +22,7 @@ The machinery, at exponent m > 1, over a voxel set Y:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +34,8 @@ from .exact import TOL, Scalar, as_fraction, fmt_scalar, is_integral, power, roo
 from .pushout import CubicalGrid, grid_R_for_content, skeleton_descend
 from .space import (
     Ball,
-    CellBits,
     Covering,
+    ElementBits,
     VoxelSpace,
     ball_cell_ranges,
     ball_members,
@@ -42,6 +43,13 @@ from .space import (
 )
 
 _TWELVE = 12
+
+
+def _voxel_target(space, target, caller: str) -> frozenset:
+    """The target cells, all of the space's when None, of a voxel-only step."""
+    if not isinstance(space, VoxelSpace):
+        raise InputError(f"{caller} needs the voxel model")
+    return frozenset(target) if target is not None else frozenset(space.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +103,18 @@ class Constants:
 class TildeContent:
     """Exact set-cover content where only subfamilies of the fixed covering
     Q are admissible.  The Q balls' member masks are built once per context
-    from the per-axis cell bits of `CellBits`.  A solve runs the content
-    solver's `_branch_and_bound` over the Q balls that meet the subset,
-    without an incumbent, so its witness is the first cheapest cover in
-    depth-first order."""
+    by `ElementBits.ball`.  A solve runs the content solver's
+    `_branch_and_bound` over the Q balls that meet the subset, without an
+    incumbent, so its witness is the first cheapest cover in depth-first
+    order."""
 
     def __init__(self, space: VoxelSpace, cells, q_balls):
         self.space = space
         self.cells = tuple(sorted(cells))
         self.q_balls = tuple(q_balls)
-        bits = CellBits(self.cells, space.n)
+        bits = ElementBits(space, self.cells)
         self.index = bits.index
-        self.masks = _member_masks(space, bits, self.q_balls)
+        self.masks = [bits.ball(b) for b in self.q_balls]
         self._cost_cache: dict[Fraction, list] = {}
         self._value_cache: dict[tuple, Scalar] = {}
 
@@ -160,21 +168,12 @@ class TildeContent:
         return [self.q_balls[i] for i in sel]
 
 
-def _member_masks(space: VoxelSpace, bits: CellBits, balls) -> list[int]:
-    """Each ball's occupied cells among `bits.cells`, as a mask of their bits."""
-    occupied = 0
-    for i, c in enumerate(bits.cells):
-        if c in space.cells:
-            occupied |= 1 << i
-    return [bits.box(ball_cell_ranges(ball, space)) & occupied for ball in balls]
-
-
 def prune_redundant(space: VoxelSpace, balls, target) -> tuple[Ball, ...]:
     """Drop every ball whose covered target cells lie in the union of the
     others', largest radius first, until each survivor has a private cell."""
     active = sorted(balls, key=lambda b: (-as_fraction(b.radius), b.center))
-    bits = CellBits(sorted(target), space.n)
-    masks = dict(zip(active, _member_masks(space, bits, active)))
+    bits = ElementBits(space, sorted(target))
+    masks = {b: bits.ball(b) for b in active}
     changed = True
     while changed:
         changed = False
@@ -426,11 +425,11 @@ def decompose(
     Raises DecompositionViolation (with the full report) if any certified
     inequality fails; that is a falsification event, not a recoverable state.
     """
-    if not isinstance(space, VoxelSpace):
-        raise InputError("decompositions need the voxel model")
-    y = frozenset(target) if target is not None else frozenset(space.cells)
+    y = _voxel_target(space, target, "decompose")
     if not y:
         raise InputError("target must be non-empty")
+    if not y <= space.cells:
+        raise InputError(f"target has {len(y - space.cells)} cells outside the space")
     mq = as_fraction(m)
     if mq <= 1:
         raise InputError("decomposition needs m > 1")
@@ -501,6 +500,8 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
     per-ball quantity and both sides of every inequality from raw data, and
     re-verifies disjointness and the tripled cover exactly."""
     y = frozenset(target)
+    if not y <= space.cells:
+        raise InputError(f"target has {len(y - space.cells)} cells outside the space")
     mq = decomp.m
     tilde = TildeContent(space, y, decomp.q_balls)
     tilde_total = tilde.value(y, mq)
@@ -666,7 +667,7 @@ def improvement_step(
     """One content-reduction step: decompose, replace each selected ball's
     interior by the grid-cover footprint of its boundary slice, and certify
     the content decay and the displacement bound."""
-    y = frozenset(target) if target is not None else frozenset(space.cells)
+    y = _voxel_target(space, target, "improvement_step")
     mq = as_fraction(m)
     decomp = decompose(space, y, mq, eps, constants, node_budget)
     eps = decomp.eps
@@ -757,16 +758,8 @@ def improvement_step(
 
 def _lattice_cells(ball: Ball, space: VoxelSpace) -> set:
     """All ambient lattice cells within the ball (not just occupied ones)."""
-    import itertools
-    from math import ceil as _ceil
-
-    r = as_fraction(ball.radius)
-    ranges = []
-    for i in range(space.n):
-        lo = (as_fraction(ball.center[i]) - r) / space.delta - Fraction(1, 2)
-        hi = (as_fraction(ball.center[i]) + r) / space.delta - Fraction(1, 2)
-        ranges.append(range(_ceil(lo), hi.numerator // hi.denominator + 1))
-    return set(itertools.product(*ranges))
+    return set(itertools.product(*(range(a, b + 1)
+                                   for a, b in ball_cell_ranges(ball, space))))
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +794,7 @@ def improvement_sequence(
     """Iterate improvement steps with the shrinking slack schedule
     eps_k = eps / (3 m 10^m A 2^k), tracking every original cell through the
     step maps, and certify geometric decay plus cumulative displacement."""
-    y = frozenset(target) if target is not None else frozenset(space.cells)
+    y = _voxel_target(space, target, "improvement_sequence")
     mq = as_fraction(m)
     mf = float(mq)
     constants = constants or Constants.for_exponent(mq)
@@ -940,7 +933,7 @@ def fill(
     finish the residue with a skeleton descent, and verify the two final
     bounds: total (m+1)-cost against the filling constant at m+1, and the
     landing distance against the radius constant at m."""
-    y = frozenset(target) if target is not None else frozenset(space.cells)
+    y = _voxel_target(space, target, "fill")
     mq = as_fraction(m)
     if mq <= 1:
         raise InputError("filling needs m > 1")

@@ -9,6 +9,10 @@ Two space models:
 * NetSpace -- a finite point list with an explicit metric (l_inf, l2, l1 or a
   validated distance matrix) and a declared net scale `eps_net`.  Net answers
   elsewhere are always brackets; comparisons use the float tolerance.
+
+Which elements a ball contains: `ElementBits.ball` answers with a bitmask
+over an ordered element list for every solver; `ball_members`, a scan of the
+whole space, with a set.  Both use `ball_cell_ranges` and `net_dist`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
 
 from .errors import InputError
 from .exact import TOL, Scalar, as_fraction, fmt_scalar, parse_scalar
@@ -230,31 +234,57 @@ def ball_cell_ranges(ball: Ball, space: VoxelSpace) -> list[tuple[int, int]]:
     for i in range(space.n):
         lo = (center[i] - r) / space.delta - Fraction(1, 2)
         hi = (center[i] + r) / space.delta - Fraction(1, 2)
-        ranges.append((ceil(lo), _floor_frac(hi)))
+        ranges.append((ceil(lo), floor(hi)))
     return ranges
 
 
-class CellBits:
-    """Bit positions for an ordered cell list, with per-axis prefix masks:
-    below[i][v] holds the cells whose coordinate i is less than lo[i] + v, so
-    the cells of an axis box are the AND over axes of one slab
-    below[i][b + 1] ^ below[i][a] each, and their count is the popcount."""
+class ElementBits:
+    """Bit positions for an ordered list of a space's elements (voxel cells,
+    occupied or not, or net point indices); `ball` gives the bits of
+    `ball_members(ball, space)` among them.  On voxels, per-axis prefix
+    masks: below[i][v] holds the cells whose coordinate i is less than
+    lo[i] + v, so the cells of an axis box are the AND over axes of one slab
+    below[i][b + 1] ^ below[i][a] each; `occupied` holds the listed cells of
+    `space.cells`.  On nets `ball` scans the listed indices of net points."""
 
-    def __init__(self, cells, n: int):
-        self.cells = tuple(cells)
-        self.index = {c: i for i, c in enumerate(self.cells)}
-        self.full = (1 << len(self.cells)) - 1
-        self.lo = [min((c[i] for c in self.cells), default=0) for i in range(n)]
-        self.hi = [max((c[i] for c in self.cells), default=-1) for i in range(n)]
+    def __init__(self, space: Space, elements):
+        self.space = space
+        self.elements = tuple(elements)
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.full = (1 << len(self.elements)) - 1
+        if isinstance(space, NetSpace):
+            points = range(len(space.points))
+            self._net = [(e, 1 << i) for i, e in enumerate(self.elements) if e in points]
+            return
+        n = space.n
+        if any(len(c) != n for c in self.elements):
+            raise InputError(f"element list holds a cell without {n} coordinates")
+        self.occupied = sum(1 << idx for idx, c in enumerate(self.elements)
+                            if c in space.cells)
+        self.lo = [min((c[i] for c in self.elements), default=0) for i in range(n)]
+        self.hi = [max((c[i] for c in self.elements), default=-1) for i in range(n)]
         self.below = []
         for i in range(n):
             rows = [0] * (self.hi[i] - self.lo[i] + 1)
-            for idx, c in enumerate(self.cells):
+            for idx, c in enumerate(self.elements):
                 rows[c[i] - self.lo[i]] |= 1 << idx
             prefix = [0]
             for row in rows:
                 prefix.append(prefix[-1] | row)
             self.below.append(prefix)
+
+    def ball(self, ball: Ball) -> int:
+        """The listed elements inside the closed ball."""
+        space = self.space
+        if isinstance(space, VoxelSpace):
+            return self.box(ball_cell_ranges(ball, space)) & self.occupied
+        center = net_center(ball.center, space)
+        limit = float(ball.radius) + TOL
+        mask = 0
+        for e, bit in self._net:
+            if net_dist(center, e, space) <= limit:
+                mask |= bit
+        return mask
 
     def slab(self, i: int, a: int, b: int) -> int:
         """The cells with a <= coordinate i <= b."""
@@ -274,6 +304,14 @@ class CellBits:
         return mask
 
 
+def bit_indices(mask: int):
+    """The positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def ball_members(ball: Ball, space: Space) -> frozenset:
     """Cells (voxel) or point indices (net) within the closed ball."""
     if isinstance(space, VoxelSpace):
@@ -283,32 +321,30 @@ def ball_members(ball: Ball, space: Space) -> frozenset:
             if all(ranges[i][0] <= c[i] <= ranges[i][1] for i in range(space.n)):
                 out.append(c)
         return frozenset(out)
-    members = []
-    for i in range(len(space.points)):
-        if _net_point_in_ball(ball, i, space):
-            members.append(i)
-    return frozenset(members)
+    center = net_center(ball.center, space)
+    limit = float(ball.radius) + TOL
+    return frozenset(i for i in range(len(space.points))
+                     if net_dist(center, i, space) <= limit)
 
 
-def _net_point_in_ball(ball: Ball, idx: int, space: NetSpace) -> bool:
+def net_center(center, space: NetSpace):
+    """A net ball center as `net_dist` takes it: float coordinates, or the
+    point index wrapped in a matrix-net center's 1-tuple."""
     if space.metric == "matrix":
-        # centers of matrix-net balls are point indices wrapped in a 1-tuple
-        ci = int(ball.center[0])
-        return space.dist(ci, idx) <= float(ball.radius) + TOL
-    d = linf(tuple(float(c) for c in ball.center), space.points[idx]) \
-        if space.metric == "linf" else _net_coord_dist(ball.center, space.points[idx], space.metric)
-    return d <= float(ball.radius) + TOL
+        return int(center[0])
+    return tuple(float(c) for c in center)
 
 
-def _net_coord_dist(a, b, metric: str) -> float:
-    af = tuple(float(x) for x in a)
-    if metric == "l1":
-        return sum(abs(x - y) for x, y in zip(af, b))
-    return sum((x - y) ** 2 for x, y in zip(af, b)) ** 0.5
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
+def net_dist(center, idx: int, space: NetSpace) -> float:
+    """Distance from a `net_center` result to net point idx."""
+    if space.metric == "matrix":
+        return space.dist(center, idx)
+    point = space.points[idx]
+    if space.metric == "linf":
+        return linf(center, point)
+    if space.metric == "l1":
+        return sum(abs(x - y) for x, y in zip(center, point))
+    return sum((x - y) ** 2 for x, y in zip(center, point)) ** 0.5
 
 
 def neighborhood(space: Space, rho: Scalar) -> VoxelSpace:
@@ -436,12 +472,13 @@ class Covering:
 
     def validate(self, space: Space) -> None:
         """Exact coverage check: every target element inside some ball."""
-        covered = set()
+        bits = ElementBits(space, self.target)
+        covered = 0
         for b in self.balls:
-            covered |= ball_members(b, space)
-        missing = set(self.target) - covered
+            covered |= bits.ball(b)
+        missing = (bits.full & ~covered).bit_count()
         if missing:
-            raise InputError(f"covering misses {len(missing)} target elements")
+            raise InputError(f"covering misses {missing} target elements")
 
     def to_dict(self) -> dict:
         return {

@@ -7,14 +7,14 @@ max over simplices of diam(union of the simplex's balls), searched over
 multiplicity-constrained coverings (seeded annealing over grow/shrink/merge
 moves starting from aligned tilings).
 
-Candidates are evaluated on element bitmasks.  On voxel spaces a ball's
-member mask is the AND of one per-axis slab from the shared prefix masks of
-`space.CellBits`, over the same integer cell ranges `ball_members` tests; on
-nets it comes from `ball_members`.  `nerve` reads each element's owners off
-the set bits and keeps the simplices that are no face of another (integer
-subset test).  One `BallMasks` per search memoises each ball's mask, axis
-extents and sort key, so a move, which changes one to four balls of the
-incumbent, recomputes only those.
+Candidates are evaluated on element bitmasks: a ball's member mask is
+`space.ElementBits.ball` over every element of the space (on voxels the AND
+of one per-axis slab, over the same integer cell ranges `ball_members`
+tests).  `nerve` reads each element's owners off the set bits and keeps the
+simplices that are no face of another (integer subset test).  One
+`BallMasks` per search memoises each ball's mask, axis extents and sort key,
+so a move, which changes one to four balls of the incumbent, recomputes only
+those.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from .errors import InputError, UncoverableError
 from .exact import Scalar, as_fraction, fmt_scalar, root
 from .space import (
     Ball,
-    CellBits,
     Covering,
+    ElementBits,
     Space,
     VoxelSpace,
-    ball_cell_ranges,
-    ball_members,
+    ball_members,  # noqa: F401 -- unused; perfbench/test_perfbench.py asserts the binding
     grid_ball,
     space_diameter,
     space_radius,
@@ -60,21 +59,15 @@ class NerveComplex:
 
 
 class BallMasks:
-    """Element bits of one space, with each ball's member mask, axis extents
-    and sort key memoised for the life of the object (one width search).
-
-    Voxel masks are the AND of one per-axis slab over the cell ranges that
-    `ball_members` tests; net masks come from `ball_members` itself.
-    """
+    """`ElementBits` over every element of one space, with each ball's member
+    mask, axis extents and sort key memoised for the life of the object (one
+    width search)."""
 
     def __init__(self, space: Space):
-        self.space = space
-        if isinstance(space, VoxelSpace):
-            self._bits = CellBits(sorted(space.cells), space.n)
-            self.index = self._bits.index
-        else:
-            self._bits = None
-            self.index = {i: i for i in range(len(space.points))}
+        elements = space.sorted_cells() if isinstance(space, VoxelSpace) \
+            else range(len(space.points))
+        self._bits = ElementBits(space, elements)
+        self.index = self._bits.index
         self._masks: dict[Ball, int] = {}
         self._extents: dict[Ball, tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = {}
         self._sort_keys: dict[Ball, tuple] = {}
@@ -82,13 +75,7 @@ class BallMasks:
     def mask(self, ball: Ball) -> int:
         out = self._masks.get(ball)
         if out is None:
-            if self._bits is not None:
-                out = self._bits.box(ball_cell_ranges(ball, self.space))
-            else:
-                out = 0
-                for e in ball_members(ball, self.space):
-                    out |= 1 << e
-            self._masks[ball] = out
+            out = self._masks[ball] = self._bits.ball(ball)
         return out
 
     def extents(self, ball: Ball) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -241,6 +228,8 @@ def width_bound(
     is found.  Deterministic under a fixed seed; enlarging the budget never
     worsens the result.
     """
+    if not isinstance(space, VoxelSpace):
+        raise InputError("width_bound needs the voxel model")
     if int(m) != m or m < 1:
         raise InputError("width index needs integer m >= 1")
     space.require_nonempty()

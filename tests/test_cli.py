@@ -281,3 +281,16 @@ def test_local_width_uses_config_node_budget(capsys, tmp_path, monkeypatch):
                          str(space), "--m", "2", "--R", "1/2", "--budget", "5")
     assert code == 0
     assert seen == [4321]
+
+
+@pytest.mark.parametrize("argv", [
+    ("width", "--m", "1"),
+    ("fill", "--m", "2"),
+    ("local-width", "--m", "1", "--R", "1"),
+])
+def test_voxel_only_subcommands_refuse_nets(capsys, tmp_path, argv):
+    path = tmp_path / "net.csv"
+    path.write_text("0,0\n1,0\n0,1\n")
+    code, _, err = run_cli(capsys, argv[0], "--space", str(path), *argv[1:])
+    assert code == 1
+    assert err.startswith("error: ") and "needs the voxel model" in err

@@ -540,6 +540,18 @@ def test_independent_reverification():
     assert rep["ok"]
 
 
+def test_targets_outside_the_space_are_refused():
+    from hcfill.decomposition import verify_decomposition
+
+    s = make_line(10)
+    outside = s.cells | {(100, 100), (-3, 0)}
+    with pytest.raises(InputError, match="2 cells outside the space"):
+        decompose(s, outside, 2)
+    d = decompose(s, None, 2)
+    with pytest.raises(InputError, match="2 cells outside the space"):
+        verify_decomposition(s, outside, d)
+
+
 def test_fill_totals_recompute():
     s = make_line(40, Fraction(1, 8))
     cert = fill(s, None, 2, eps=1e-2, max_steps=1, constants=small_scale(2))

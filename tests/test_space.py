@@ -3,14 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcfill.errors import InputError
 from hcfill.shapes import make_box, make_cube
 from hcfill.space import (
     Ball,
+    Covering,
+    ElementBits,
     NetSpace,
     VoxelSpace,
     ball_members,
+    bit_indices,
     distance,
     grid_ball,
     linf,
@@ -164,3 +169,71 @@ def test_grid_ball_is_cell_block():
     members = ball_members(b, s)
     expected = frozenset(itertools.product((1, 2), (0, 1), (2, 3)))
     assert members == expected
+
+
+def test_covering_validate_rejects_cells_of_another_dimension():
+    s = make_cube(2, 2, Fraction(1, 2))
+    cover = Covering((grid_ball(s, (0, 0), 2),), frozenset(s.cells | {(0,)}), 1)
+    with pytest.raises(InputError, match="without 2 coordinates"):
+        cover.validate(s)
+
+
+@st.composite
+def element_lists(draw):
+    """A space, an ordered element list and balls.  Voxel lists may name
+    unoccupied cells and take off-grid Fraction centers; nets come under
+    every metric (the matrix one from l_inf distances), with off-point
+    centers on coordinate metrics and an index the net does not have.
+    Radii may be 0."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        box = {1: 8, 2: 5, 3: 3}[n]
+        coords = list(itertools.product(range(-1, box), repeat=n))
+        cells = draw(st.sets(st.sampled_from(coords), min_size=1))
+        delta = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 3), Fraction(1)]))
+        space = VoxelSpace(n, delta, frozenset(cells))
+        elements = draw(st.lists(st.sampled_from(coords), unique=True))
+        coord = st.fractions(-2, box + 2, max_denominator=8).map(lambda x: x * delta)
+        center = st.tuples(*[coord] * n)
+        radius = st.fractions(0, box, max_denominator=8).map(lambda x: x * delta)
+    else:
+        count = draw(st.integers(1, 6))
+        points = tuple(draw(st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda p: (p[0] / 2, p[1] / 4)),
+            min_size=count, max_size=count)))
+        metric = draw(st.sampled_from(["linf", "l2", "l1", "matrix"]))
+        if metric == "matrix":
+            matrix = tuple(tuple(max(abs(a - b) for a, b in zip(p, q)) for q in points)
+                           for p in points)
+            space = NetSpace("matrix", tuple((float(i),) for i in range(count)), 0.0, matrix)
+            center = st.integers(0, count - 1).map(lambda i: (Fraction(i),))
+        else:
+            space = NetSpace(metric, points)
+            center = st.one_of(
+                st.integers(0, count - 1).map(lambda i: points[i]),
+                st.tuples(*[st.fractions(-1, 4, max_denominator=8)] * 2),
+            )
+        elements = draw(st.lists(st.integers(0, count + 1), unique=True))
+        dists = sorted({space.dist(i, j) for i in range(count) for j in range(count)})
+        radius = st.one_of(st.sampled_from(dists), st.floats(0, 4))
+    balls = draw(st.lists(st.builds(Ball, center, radius), min_size=1, max_size=4))
+    return space, elements, balls
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_lists())
+def test_element_bits_ball_matches_ball_members(case):
+    space, elements, balls = case
+    bits = ElementBits(space, elements)
+    covered = set()
+    for ball in balls:
+        inside = ball_members(ball, space) & set(elements)
+        assert {elements[i] for i in bit_indices(bits.ball(ball))} == inside
+        covered |= inside
+    cover = Covering(tuple(balls), frozenset(elements), 1)
+    missing = len(set(elements) - covered)
+    if missing:
+        with pytest.raises(InputError, match=f"misses {missing} target"):
+            cover.validate(space)
+    else:
+        cover.validate(space)
