@@ -7,34 +7,75 @@ spaced r_i/m apart.  The standard variant uses the uniform radius
 most m*(1+1/m)^m * R * C, where C is the input covering's (m-1)-cost.  The
 improved variant shrinks each radius proportionally to the cone section it
 guards (the section of the cone at parameter t has radius t*r_i), which cuts
-the constant to 2*(1+1/m)^m.  Certificates carry both sides of the bound and
-per-ball provenance; coverage is checked by sampling.
+the constant to 2*(1+1/m)^m.  Along one segment the radii form the
+progression a, a, a-b, a-2b, ... with a = (1+1/m) r_i and b = r_i^2/(m d_i)
+(d_i = d(q_i, p)), so the certificate's cost comes from that progression:
+at integer m an integer sum of m-th powers over one common denominator, the
+same Fraction as summing the balls' costs.  The balls themselves, with
+per-ball provenance, are built on first access; coverage is checked by
+sampling.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import ceil
 
 from .errors import InputError, VerificationError
-from .exact import TOL, Scalar, as_fraction, fmt_scalar, power
+from .exact import TOL, Scalar, as_fraction, fmt_scalar, is_integral, power
 from .space import Ball, Covering, VoxelSpace, linf
 
 
 @dataclass(frozen=True)
 class ConeCertificate:
+    """A certified cone covering.  `cost`, `bound` and `per_input_counts`
+    come from each input's radius progression; `balls` is built from the
+    input balls on first access, and `provenance` gives (input index,
+    step j) per output ball."""
+
     apex: tuple
     ambient_radius: Scalar
     m: Scalar
     variant: str
     input_cost: Scalar  # sum r_i^(m-1) of the input covering
-    balls: tuple[Ball, ...]
-    provenance: tuple  # (input index, step j) per output ball
     cost: Scalar
     bound: Scalar
     per_input_counts: tuple[int, ...]
+    input_balls: tuple[Ball, ...] = field(repr=False)
+
+    @cached_property
+    def balls(self) -> tuple[Ball, ...]:
+        mf = as_fraction(self.m)
+        balls: list[Ball] = []
+        for src, n_balls in zip(self.input_balls, self.per_input_counts):
+            r = as_fraction(src.radius)
+            q = tuple(as_fraction(x) for x in src.center)
+            d = as_fraction(linf(q, self.apex))
+            step = r / mf
+            direction = None if d == 0 else tuple((a - b) / d for a, b in zip(self.apex, q))
+            for j in range(n_balls):
+                u = step * j
+                center = q if direction is None else tuple(
+                    qc + dc * u for qc, dc in zip(q, direction)
+                )
+                if self.variant == "standard":
+                    radius = (1 + 1 / mf) * r
+                else:
+                    # section of the cone in this ball's slab has parameter at
+                    # most t_j = 1 - max(0, j-1)*step/d; radius t_j*r + step
+                    # covers it
+                    t_j = 1 if j <= 1 else 1 - (j - 1) * step / d
+                    radius = t_j * r + step
+                balls.append(Ball(center, radius))
+        return tuple(balls)
+
+    @property
+    def provenance(self) -> tuple:
+        return tuple((i, j) for i, n in enumerate(self.per_input_counts) for j in range(n))
 
     def to_dict(self) -> dict:
         return {
@@ -84,42 +125,25 @@ def cone_covering(
     mf = as_fraction(m)
     Rf = as_fraction(R)
 
-    balls: list[Ball] = []
-    provenance: list[tuple[int, int]] = []
-    counts: list[int] = []
+    # per input: the radius progression (a, b, ball count)
+    runs: list[tuple[Fraction, Fraction, int]] = []
     for i, src in enumerate(input_cover.balls):
         r = as_fraction(src.radius)
         if r <= 0:
             raise InputError("cone covering needs positive input radii")
-        q = tuple(as_fraction(x) for x in src.center)
-        d = as_fraction(linf(q, apex))
+        d = as_fraction(linf(tuple(as_fraction(x) for x in src.center), apex))
         if d + r > Rf:
             raise InputError(
                 f"input ball {i} is not inside the ambient ball of radius {R}"
             )
-        step = r / mf
         n_balls = max(1, ceil(mf * d / r)) if d > 0 else 1
-        counts.append(n_balls)
-        direction = None if d == 0 else tuple((a - b) / d for a, b in zip(apex, q))
-        for j in range(n_balls):
-            u = step * j
-            center = q if direction is None else tuple(
-                qc + dc * u for qc, dc in zip(q, direction)
-            )
-            if variant == "standard":
-                radius = (1 + 1 / mf) * r
-            else:
-                # section of the cone in this ball's slab has parameter at
-                # most t_j = 1 - max(0, j-1)*step/d; radius t_j*r + step
-                # covers it
-                t_j = 1 if j <= 1 else 1 - (j - 1) * step / d
-                radius = t_j * r + step
-            balls.append(Ball(center, radius))
-            provenance.append((i, j))
+        shrink = r * r / (mf * d) if variant == "improved" and n_balls > 2 else Fraction(0)
+        runs.append(((1 + 1 / mf) * r, shrink, n_balls))
+    counts = tuple(n for _, _, n in runs)
 
     exponent = mf - 1
     input_cost = sum(power(as_fraction(b.radius), exponent) for b in input_cover.balls)
-    cost = sum(power(as_fraction(b.radius), mf) for b in balls)
+    cost = _progression_cost(runs, mf)
     factor = power(1 + 1 / mf, mf)
     lead = mf if variant == "standard" else 2
     bound = lead * factor * Rf * input_cost if not isinstance(factor, float) else \
@@ -141,9 +165,33 @@ def cone_covering(
                 {"input": i, "count": counts[i]},
             )
     return ConeCertificate(
-        apex, Rf, m, variant, input_cost, tuple(balls), tuple(provenance),
-        cost, bound, tuple(counts),
+        apex, Rf, m, variant, input_cost, cost, bound, counts,
+        tuple(input_cover.balls),
     )
+
+
+def _progression_cost(runs, mf: Fraction) -> Scalar:
+    """sum of radius^m over every output ball, where input i's radii are
+    a, a, a-b, a-2b, ... (n balls): the value of summing `power(radius, m)`
+    ball by ball.  At integer m the radii are integers over one common
+    denominator and the sum is one Fraction; otherwise one flat float sum
+    over the same radii in the same order, so that rounding cannot move."""
+    if not runs:
+        return 0
+    denom = math.lcm(*(x.denominator for a, b, _ in runs for x in (a, b)))
+    units = [(a.numerator * (denom // a.denominator), b.numerator * (denom // b.denominator), n)
+             for a, b, n in runs]
+    if is_integral(mf):
+        k = int(mf)
+        total = sum(top ** k + sum((top - j * drop) ** k for j in range(n - 1))
+                    for top, drop, n in units)
+        return Fraction(total, denom ** k)
+    e = float(mf)
+    total = 0
+    for top, drop, n in units:
+        for j in range(n):
+            total += ((top - max(0, j - 1) * drop) / denom) ** e
+    return total
 
 
 def cone_coverage_check(

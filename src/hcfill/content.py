@@ -430,7 +430,8 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
         if seen is not None and seen <= cost:
             continue
         memo[covered] = cost
-        if cost + ratio.bound(goal ^ covered) >= best_cost:
+        # without an incumbent (best_cost inf) the bound cannot prune
+        if best_cost != math.inf and cost + ratio.bound(goal ^ covered) >= best_cost:
             continue
         if covers_elem is None:  # most solves close at the root
             covers_elem = [[] for _ in range(goal.bit_length())]

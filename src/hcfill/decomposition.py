@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,9 +105,10 @@ class TildeContent:
     """Exact set-cover content where only subfamilies of the fixed covering
     Q are admissible.  The Q balls' member masks are built once per context
     by `ElementBits.ball`.  A solve runs the content solver's
-    `_branch_and_bound` over the Q balls that meet the subset, without an
-    incumbent, so its witness is the first cheapest cover in depth-first
-    order."""
+    `_branch_and_bound` over the Q balls that meet the goal mask (bits of
+    `cells` in `index` order), without an incumbent, so its witness is the
+    first cheapest cover in depth-first order.  `solve_mask` is the one
+    entry, cached per (goal mask, exponent); `solve` takes a cell set."""
 
     def __init__(self, space: VoxelSpace, cells, q_balls):
         self.space = space
@@ -137,8 +139,11 @@ class TildeContent:
 
     def solve(self, subset, exponent: Scalar):
         """(cost, ball indices) of the cheapest subfamily covering `subset`."""
+        return self.solve_mask(self.subset_mask(subset), exponent)
+
+    def solve_mask(self, goal: int, exponent: Scalar):
+        """`solve` for the cells whose bits are set in `goal`."""
         exponent = as_fraction(exponent)
-        goal = self.subset_mask(subset)
         key = (goal, exponent)
         hit = self._value_cache.get(key)
         if hit is not None:
@@ -227,15 +232,44 @@ def density_profile(space: VoxelSpace, p, target, tilde,
         tilde = TildeContent(space, target, balls)
     mq = as_fraction(m)
     p = tuple(as_fraction(x) for x in p)
-    dists = sorted({as_fraction(linf(space.cell_center(c), p)) for c in target})
-    values = []
-    for d in dists:
-        members = frozenset(
-            c for c in target
-            if as_fraction(linf(space.cell_center(c), p)) <= d
-        )
-        values.append(tilde.value(members, mq))
-    return DensityProfile(p, mq, tuple(dists), tuple(values))
+    unit, keys = _linf_units(space, p, target)
+    dists, prefix = _prefix_masks(tilde, keys)
+    ends = _distinct_ends(dists)
+    return DensityProfile(
+        p, mq, tuple(dists[end - 1] * unit for end in ends),
+        tuple(tilde.solve_mask(prefix[end], mq)[0] for end in ends),
+    )
+
+
+def _linf_units(space: VoxelSpace, p, cells):
+    """(unit, [(k, cell)] sorted): the l_inf distance from p to each cell
+    center is k * unit, k an integer.  Cell centers lie on the half-cell
+    lattice, so the unit is delta/2 divided by the lcm L of the denominators
+    of p's coordinates in half-cell units; delta/2 is L units."""
+    half = space.delta / 2
+    scaled = [as_fraction(x) / half for x in p]
+    lcm = math.lcm(*(x.denominator for x in scaled))
+    at = [x.numerator * (lcm // x.denominator) for x in scaled]
+    keys = sorted(
+        (max(abs((2 * ci + 1) * lcm - a) for ci, a in zip(c, at)), c) for c in cells
+    )
+    return half / lcm, keys
+
+
+def _prefix_masks(tilde: TildeContent, keys):
+    """The distance keys in order, and the masks of their first i cells."""
+    index = tilde.index
+    prefix = [0]
+    for _, c in keys:
+        prefix.append(prefix[-1] | 1 << index[c])
+    return [k for k, _ in keys], prefix
+
+
+def _distinct_ends(dists):
+    """Each i after which the sorted distances change (or end): the cells
+    within dists[i - 1] are the first i."""
+    return [i for i in range(1, len(dists) + 1)
+            if i == len(dists) or dists[i] != dists[i - 1]]
 
 
 def critical_radius(space: VoxelSpace, p, target, tilde: TildeContent,
@@ -249,23 +283,18 @@ def critical_radius(space: VoxelSpace, p, target, tilde: TildeContent,
     """
     mq = as_fraction(m)
     p = tuple(as_fraction(x) for x in p)
-    by_dist = sorted(
-        (as_fraction(linf(space.cell_center(c), p)), c) for c in target
-    )
-    dists = []
-    for d, _ in by_dist:
-        if not dists or dists[-1] != d:
-            dists.append(d)
-    for i in range(len(dists) - 1, -1, -1):
-        members = frozenset(c for d, c in by_dist if d <= dists[i])
-        h = tilde.value(members, mq)
+    unit, keys = _linf_units(space, p, target)
+    dists, prefix = _prefix_masks(tilde, keys)
+    for end in reversed(_distinct_ends(dists)):
+        h, _ = tilde.solve_mask(prefix[end], mq)
         if float(h) <= 0:
             continue
         cand = as_fraction(ball_scale * root(h, mq))
-        if cand >= dists[i]:
-            members_at = frozenset(c for d, c in by_dist if d <= cand)
-            eta = tilde.value(members_at, mq)
-            return cand, eta, members_at
+        reach = cand // unit  # d <= cand for a distance d = k * unit iff k <= reach
+        if reach >= dists[end - 1]:
+            at = bisect_right(dists, reach)
+            eta, _ = tilde.solve_mask(prefix[at], mq)
+            return cand, eta, frozenset(c for _, c in keys[:at])
     raise InputError("density never reaches the threshold at this point")
 
 
@@ -280,12 +309,13 @@ def annulus_radius(space: VoxelSpace, p, r_crit, target, tilde: TildeContent,
     p = tuple(as_fraction(x) for x in p)
     r1 = (1 + 1 / mq) * as_fraction(r_crit)
     r2 = (1 + 1 / mq) ** 2 * as_fraction(r_crit)
-    half = space.delta / 2
-    annulus = frozenset(
-        c for c in target
-        if as_fraction(linf(space.cell_center(c), p)) + half >= r1
-        and as_fraction(linf(space.cell_center(c), p)) - half <= r2
-    )
+    unit, keys = _linf_units(space, p, target)
+    dists, prefix = _prefix_masks(tilde, keys)
+    # the cells whose centers lie within half a cell (L units) of [r1, r2]
+    half = space.delta / 2 / unit
+    lo = bisect_right(dists, math.ceil(r1 / unit - half) - 1)
+    hi = bisect_right(dists, math.floor(r2 / unit + half))
+    annulus = frozenset(c for _, c in keys[lo:hi])
     if not annulus:
         return {
             "r_bar": r1,
@@ -294,8 +324,8 @@ def annulus_radius(space: VoxelSpace, p, r_crit, target, tilde: TildeContent,
             "annulus_cells": frozenset(),
             "annulus_value": Fraction(0),
         }
-    witness = tilde.witness(annulus, mq)
-    cover = Covering(tuple(witness), annulus, mq)
+    value, sel = tilde.solve_mask(prefix[hi] ^ prefix[lo], mq)
+    cover = Covering(tuple(tilde.q_balls[i] for i in sel), annulus, mq)
     profile = slice_profile(space, annulus, DistanceToPoint(p), cover, (r1, r2))
     r_bar, slice_cost = best_slice(profile, mq)
     return {
@@ -303,7 +333,7 @@ def annulus_radius(space: VoxelSpace, p, r_crit, target, tilde: TildeContent,
         "slice_cost": slice_cost,
         "slice_cells": profile.level_set(r_bar),
         "annulus_cells": annulus,
-        "annulus_value": tilde.value(annulus, mq),
+        "annulus_value": value,
     }
 
 
@@ -498,7 +528,9 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
     """Independent re-check of an emitted decomposition: rebuilds the
     relative-content context from the stored covering, recomputes every
     per-ball quantity and both sides of every inequality from raw data, and
-    re-verifies disjointness and the tripled cover exactly."""
+    re-verifies disjointness and the tripled cover exactly.  Its distances
+    are `linf` on Fraction points, not the integer keys of `_linf_units`
+    that `decompose` uses, so that it stays an independent check of them."""
     y = frozenset(target)
     if not y <= space.cells:
         raise InputError(f"target has {len(y - space.cells)} cells outside the space")
@@ -617,12 +649,10 @@ def _decomposition_checks(space, y, mq, eps, constants, hc, tilde_total,
     for idx, b in enumerate(balls):
         if not b.slice_cells:
             continue
-        grown = frozenset(
-            c for c in y
-            if as_fraction(linf(space.cell_center(c), b.center))
-            <= (1 + 1 / mq) ** 2 * b.critical_radius + half
-        )
-        big = float(tilde.value(grown, mq))
+        unit, keys = _linf_units(space, b.center, y)
+        dists, prefix = _prefix_masks(tilde, keys)
+        reach = ((1 + 1 / mq) ** 2 * b.critical_radius + half) // unit
+        big = float(tilde.solve_mask(prefix[bisect_right(dists, reach)], mq)[0])
         bound = (2 * mf**2 / ((mf + 1) * float(b.critical_radius))) * big
         lhs = float(b.slice_content)
         checks.append(InequalityCheck(
@@ -699,17 +729,23 @@ def improvement_step(
     theta: dict = {}
     cone_certs = []
     for b, inside, fill_balls, fill_cells in per_ball:
-        target_points = [space.cell_center(c) for c in sorted(fill_cells)]
-        target_points.append(b.center)
-        for c in sorted(inside):
+        # nearest landing point, ties to the least point: the fill cells'
+        # centers and the ball's center, at distances in the units of
+        # `_linf_units` from the ball's center (a cell side is 2L of them)
+        unit, to_center = _linf_units(space, b.center, inside)
+        side = int(space.delta / unit)
+        fills = [(c, space.cell_center(c)) for c in sorted(fill_cells)]
+        for k, c in sorted(to_center, key=lambda kc: kc[1]):
             if c in fill_cells:
                 theta[c] = space.cell_center(c)
                 continue
-            center = space.cell_center(c)
-            theta[c] = min(
-                target_points,
-                key=lambda t: (as_fraction(linf(center, t)), t),
+            best = min(
+                [(k, b.center)] + [
+                    (side * max(abs(x - y) for x, y in zip(c, f)), point)
+                    for f, point in fills
+                ]
             )
+            theta[c] = best[1]
 
         # cone certificate: the swept (m+1)-cost inside this ball
         interior_res = exact_content(space, inside, mq, node_budget=node_budget)

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcfill.cone import blend_point, cone_coverage_check, cone_covering, cone_map_image
-from hcfill.errors import InputError
+from hcfill.errors import InputError, VerificationError
+from hcfill.exact import power
 from hcfill.shapes import make_cube, make_line
 from hcfill.space import Ball, Covering, linf
 
@@ -160,3 +163,58 @@ def test_centers_in_restriction():
         cone_covering(cover, apex, 1, 2, "standard", centers_in=[q])
     with pytest.raises(InputError):
         cone_covering(cover, apex, 1, 2, "standard", centers_in=[apex])
+
+
+_M_VALUES = (1, Fraction(3, 2), 2, Fraction(5, 2), 3)
+
+
+@st.composite
+def _cones(draw):
+    n = draw(st.integers(1, 3))
+    coord = st.fractions(-2, 2, max_denominator=48)
+    apex = tuple(draw(coord) for _ in range(n))
+    balls = []
+    for _ in range(draw(st.integers(0, 4))):
+        r = draw(st.fractions(Fraction(1, 16), 1, max_denominator=48).filter(lambda x: x > 0))
+        center = apex if draw(st.booleans()) else tuple(draw(coord) for _ in range(n))
+        balls.append(Ball(center, r))
+    slack = draw(st.fractions(0, 1, max_denominator=7))
+    R = max((linf(b.center, apex) + b.radius for b in balls), default=Fraction(1)) + slack
+    m = draw(st.sampled_from(_M_VALUES))
+    variant = draw(st.sampled_from(("standard", "improved")))
+    return Covering(tuple(balls), frozenset(), 1), apex, R, m, variant
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cones())
+def test_cost_from_radius_progression_equals_ball_sum(case):
+    cover, apex, R, m, variant = case
+    cert = cone_covering(cover, apex, R, m, variant)
+    assert len(cert.balls) == sum(cert.per_input_counts)
+    assert len(cert.provenance) == len(cert.balls)
+    ball_sum = sum(power(b.radius, m) for b in cert.balls)
+    assert type(cert.cost) is type(ball_sum)
+    assert cert.cost == ball_sum
+    assert repr(cert.cost) == repr(ball_sum)
+
+
+def test_checks_run_before_any_ball_is_built(monkeypatch):
+    import hcfill.cone as cone
+
+    def no_balls(*args):
+        raise AssertionError("a cone ball was built")
+
+    monkeypatch.setattr(cone, "Ball", no_balls)
+    q = (Fraction(1, 2), Fraction(1, 3))
+    cover = Covering((Ball(q, Fraction(1, 8)),), frozenset(), 1)
+    apex = (Fraction(0), Fraction(0))
+    cert = cone_covering(cover, apex, 1, 2, "improved")  # no ball built yet
+    assert cert.cost <= cert.bound
+    with pytest.raises(AssertionError, match="cone ball was built"):
+        cert.balls
+    # an input outside the ambient ball, then a cost over the bound
+    with pytest.raises(InputError):
+        cone_covering(cover, apex, Fraction(1, 2), 2, "improved")
+    monkeypatch.setattr(cone, "_progression_cost", lambda runs, mf: cert.bound + 1)
+    with pytest.raises(VerificationError, match="exceeded its certified bound"):
+        cone_covering(cover, apex, 1, 2, "improved")

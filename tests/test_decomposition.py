@@ -12,6 +12,7 @@ from hcfill.content import exact_content
 from hcfill.decomposition import (
     Constants,
     TildeContent,
+    annulus_radius,
     critical_radius,
     decompose,
     density_profile,
@@ -22,7 +23,7 @@ from hcfill.decomposition import (
     vitali_select,
 )
 from hcfill.errors import InputError
-from hcfill.exact import as_fraction, fmt_scalar, is_integral, power
+from hcfill.exact import as_fraction, fmt_scalar, is_integral, power, root
 from hcfill.shapes import (
     make_cube,
     make_line,
@@ -31,7 +32,7 @@ from hcfill.shapes import (
     translate,
     union,
 )
-from hcfill.space import VoxelSpace, ball_members, grid_ball, linf
+from hcfill.space import Covering, VoxelSpace, ball_members, grid_ball, linf
 
 
 def small_scale(m, A=3.0):
@@ -111,6 +112,108 @@ def test_density_decreases_between_breakpoints():
     profile = density_profile(s, q[0].center, s.cells, tilde, 2)
     lo = float(profile.breakpoints[-1])
     assert profile.density(lo * 1.5) > profile.density(lo * 2.0)
+
+
+# The Fraction-geometry radius searches as they stood before the integer
+# distance keys, kept verbatim as an oracle for the integer versions.
+
+def _oracle_critical_radius(space, p, target, tilde, m, ball_scale):
+    mq = as_fraction(m)
+    p = tuple(as_fraction(x) for x in p)
+    by_dist = sorted(
+        (as_fraction(linf(space.cell_center(c), p)), c) for c in target
+    )
+    dists = []
+    for d, _ in by_dist:
+        if not dists or dists[-1] != d:
+            dists.append(d)
+    for i in range(len(dists) - 1, -1, -1):
+        members = frozenset(c for d, c in by_dist if d <= dists[i])
+        h = tilde.value(members, mq)
+        if float(h) <= 0:
+            continue
+        cand = as_fraction(ball_scale * root(h, mq))
+        if cand >= dists[i]:
+            members_at = frozenset(c for d, c in by_dist if d <= cand)
+            eta = tilde.value(members_at, mq)
+            return cand, eta, members_at
+    raise InputError("density never reaches the threshold at this point")
+
+
+def _oracle_annulus_radius(space, p, r_crit, target, tilde, m):
+    from hcfill.coarea import DistanceToPoint, best_slice, slice_profile
+
+    mq = as_fraction(m)
+    p = tuple(as_fraction(x) for x in p)
+    r1 = (1 + 1 / mq) * as_fraction(r_crit)
+    r2 = (1 + 1 / mq) ** 2 * as_fraction(r_crit)
+    half = space.delta / 2
+    annulus = frozenset(
+        c for c in target
+        if as_fraction(linf(space.cell_center(c), p)) + half >= r1
+        and as_fraction(linf(space.cell_center(c), p)) - half <= r2
+    )
+    if not annulus:
+        return {
+            "r_bar": r1,
+            "slice_cost": Fraction(0),
+            "slice_cells": frozenset(),
+            "annulus_cells": frozenset(),
+            "annulus_value": Fraction(0),
+        }
+    witness = tilde.witness(annulus, mq)
+    cover = Covering(tuple(witness), annulus, mq)
+    profile = slice_profile(space, annulus, DistanceToPoint(p), cover, (r1, r2))
+    r_bar, slice_cost = best_slice(profile, mq)
+    return {
+        "r_bar": r_bar,
+        "slice_cost": slice_cost,
+        "slice_cells": profile.level_set(r_bar),
+        "annulus_cells": annulus,
+        "annulus_value": tilde.value(annulus, mq),
+    }
+
+
+def _same(a, b):
+    """Equal in value and type, and in repr unless a cell set (whose
+    iteration order follows insertion)."""
+    return type(a) is type(b) and a == b and (
+        isinstance(a, frozenset) or repr(a) == repr(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.sampled_from((2, 3)),
+    m=st.sampled_from((Fraction(3, 2), 2, Fraction(5, 2), 3)),
+    scale=st.sampled_from((1.2, 3.0, 40.0)),
+    shift=st.tuples(st.integers(-40, 40), st.integers(1, 24)),
+    r_crit=st.fractions(Fraction(1, 64), 2),
+)
+def test_radius_searches_match_fraction_oracle(seed, n, m, scale, shift, r_crit):
+    s = random_blob(seed, n, 12, 6, Fraction(1, 8))
+    _, q, tilde = _context(s, m)
+    y = frozenset(s.cells)
+    off = Fraction(*shift)  # off the half-cell lattice unless 1/16 divides it
+    points = [b.center for b in q] + [
+        tuple(x + off for x in s.cell_center(min(y))),
+        tuple(x - off / 3 for x in q[0].center),
+    ]
+    for p in points:
+        try:
+            want = _oracle_critical_radius(s, p, y, tilde, m, scale)
+        except InputError:
+            with pytest.raises(InputError):
+                critical_radius(s, p, y, tilde, m, scale)
+            want = None
+        if want is not None:
+            got = critical_radius(s, p, y, tilde, m, scale)
+            assert all(_same(a, b) for a, b in zip(got, want))
+        for r in (r_crit,) + ((want[0],) if want else ()):
+            got = annulus_radius(s, p, r, y, tilde, m)
+            want_ann = _oracle_annulus_radius(s, p, r, y, tilde, m)
+            assert got.keys() == want_ann.keys()
+            assert all(_same(got[k], want_ann[k]) for k in got)
 
 
 def test_critical_radius_single_ball_formula():
