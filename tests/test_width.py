@@ -17,6 +17,7 @@ from hcfill.shapes import (
     make_strip,
     make_strip_with_bulbs,
     random_blob,
+    translate,
 )
 from hcfill.space import (
     Ball,
@@ -173,6 +174,12 @@ def test_local_width_check_passes_node_budget(monkeypatch):
     assert seen == [321]
 
 
+def negative_thirds_blob():
+    """A delta = 1/3 blob at negative coordinates: its grid balls' bounds
+    have denominators 1 and 3, and merge moves make half-cell boxes."""
+    return translate(random_blob(12, 2, 20, 6, Fraction(1, 3)), (-9, -4))
+
+
 # Reports of width_bound, pinned as the first 16 hex digits of the sha256 of
 # their sorted-key JSON; any change to the search's picks or the report
 # layout shows here.
@@ -181,6 +188,8 @@ PINNED_REPORTS = [
     (make_ring, (8, Fraction(1, 8)), 2, 150, 3, "a33a4859df9e637e"),
     (make_strip, (32, 2, Fraction(1, 16)), 1, 120, 0, "4603a3454b1675c6"),
     (random_blob, (5, 2, 24, 6), 2, 160, 7, "f6d2bbb761274e8e"),
+    (random_blob, (9, 3, 40, 5), 2, 120, 1, "b6b395b4ffbdba48"),
+    (negative_thirds_blob, (), 2, 150, 4, "4bf14fb82b449121"),
 ]
 
 
