@@ -11,7 +11,6 @@ from .content import (
     content_ball_scan,
     exact_content,
     greedy_content,
-    merge_to_disjoint,
     volume_lower_bound,
 )
 from .cone import ConeCertificate, cone_covering, cone_coverage_check, cone_map_image

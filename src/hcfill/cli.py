@@ -241,17 +241,17 @@ def _cmd_cube_eq(args, cfg: RunConfig) -> int:
 
 def _cmd_width(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
-    result = width_bound(space, int(args.m), args.budget or cfg.width_budget,
-                         cfg.seed, cfg.node_budget)
+    budget = cfg.width_budget if args.budget is None else args.budget
+    result = width_bound(space, int(args.m), budget, cfg.seed, cfg.node_budget)
     _emit({"command": "width", "result": result.to_dict()}, args.out)
     return 0
 
 
 def _cmd_local_width(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
+    budget = cfg.width_budget if args.budget is None else args.budget
     report = local_width_check(space, int(args.m), parse_scalar(args.radius),
-                               args.budget or cfg.width_budget, cfg.seed,
-                               cfg.node_budget)
+                               budget, cfg.seed, cfg.node_budget)
     _emit({"command": "local-width", "report": report}, args.out)
     return 0
 

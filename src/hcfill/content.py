@@ -540,45 +540,6 @@ def content_ball_scan(space: Space, m: Scalar, R: Scalar, family=AllGridBalls())
     return results, max_ratio
 
 
-def merge_to_disjoint(balls, exponent: Scalar):
-    """Fold intersecting balls into single containing balls until disjoint.
-
-    The merged ball has radius r_a + r_b and its center sits on the segment
-    between the old centers, so for exponent e <= 1 the cost sum(r^e) never
-    increases: (r_a+r_b)^e <= r_a^e + r_b^e.
-    """
-    if float(exponent) > 1.0 + 1e-12:
-        raise InputError("disjoint merging needs exponent <= 1")
-    current = sorted(balls)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                a, b = current[i], current[j]
-                d = linf(a.center, b.center)
-                if d > a.radius + b.radius:
-                    continue
-                merged = Ball(_merge_center(a, b, d), a.radius + b.radius)
-                current = [x for k, x in enumerate(current) if k not in (i, j)]
-                current.append(merged)
-                current.sort()
-                changed = True
-                break
-            if changed:
-                break
-    return current
-
-
-def _merge_center(a: Ball, b: Ball, d):
-    # Point on [center_a, center_b] within r_a of b's center and within r_b
-    # of a's center; the (r_a+r_b)-ball there contains both inputs.
-    if d == 0:
-        return a.center
-    t = min(as_fraction(a.radius), as_fraction(d)) / as_fraction(d)
-    return tuple(bc + (ac - bc) * t for ac, bc in zip(a.center, b.center))
-
-
 # ---------------------------------------------------------------------------
 # helpers
 

@@ -11,17 +11,23 @@ Candidates are evaluated on element bitmasks: a ball's member mask is
 `space.ElementBits.ball` over every element of the space (on voxels the AND
 of one per-axis slab, over the same integer cell ranges `ball_members`
 tests).  `nerve` reads each element's owners off the set bits and keeps the
-simplices that are no face of another (integer subset test).  One
-`BallMasks` per search memoises each ball's mask, axis extents and sort key,
-so a move, which changes one to four balls of the incumbent, recomputes only
-those.
+simplices that are no face of another (integer subset test).  A ball's axis
+box (center -+ radius per axis) is held as integers over one denominator,
+so `fiber_bound` takes each simplex's union diameter as an integer max - min
+and builds one `Fraction` at the end.  One `BallMasks` per search memoises
+each ball's mask, integer box and sort key, so a move, which changes one to
+four balls of the incumbent, recomputes only those.  The search passes
+`nerve` bare ball tuples checked against the whole space; the reported
+result is the only `Covering` it builds.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .content import DEFAULT_NODE_BUDGET, content_ball_scan, exact_content
 from .errors import InputError, UncoverableError
@@ -58,9 +64,12 @@ class NerveComplex:
         }
 
 
+Box = tuple[int, tuple[int, ...], tuple[int, ...]]  # (den, lo, hi): bounds lo/den, hi/den
+
+
 class BallMasks:
     """`ElementBits` over every element of one space, with each ball's member
-    mask, axis extents and sort key memoised for the life of the object (one
+    mask, integer box and sort key memoised for the life of the object (one
     width search)."""
 
     def __init__(self, space: Space):
@@ -68,8 +77,9 @@ class BallMasks:
             else range(len(space.points))
         self._bits = ElementBits(space, elements)
         self.index = self._bits.index
+        self.full = self._bits.full
         self._masks: dict[Ball, int] = {}
-        self._extents: dict[Ball, tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = {}
+        self._boxes: dict[Ball, Box] = {}
         self._sort_keys: dict[Ball, tuple] = {}
 
     def mask(self, ball: Ball) -> int:
@@ -78,10 +88,10 @@ class BallMasks:
             out = self._masks[ball] = self._bits.ball(ball)
         return out
 
-    def extents(self, ball: Ball) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        out = self._extents.get(ball)
+    def box(self, ball: Ball) -> Box:
+        out = self._boxes.get(ball)
         if out is None:
-            out = self._extents[ball] = _ball_extents(ball)
+            out = self._boxes[ball] = _ball_box(ball)
         return out
 
     def sort_key(self, ball: Ball) -> tuple:
@@ -100,41 +110,57 @@ def _float_if_exact(x: Scalar) -> Scalar:
     return f if f == x else x
 
 
-def _ball_extents(ball: Ball) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Per-axis (center - radius, center + radius) of a cube ball."""
+def _ball_box(ball: Ball) -> Box:
+    """Per-axis (center - radius, center + radius) of a cube ball, as
+    integers over the lcm of the center's and radius' denominators."""
     r = as_fraction(ball.radius)
-    return (tuple(as_fraction(c) - r for c in ball.center),
-            tuple(as_fraction(c) + r for c in ball.center))
+    center = [as_fraction(c) for c in ball.center]
+    den = lcm(r.denominator, *(c.denominator for c in center))
+    rn = r.numerator * (den // r.denominator)
+    cn = [c.numerator * (den // c.denominator) for c in center]
+    return den, tuple(c - rn for c in cn), tuple(c + rn for c in cn)
 
 
-def _union_diameter(boxes) -> Fraction:
-    """l_inf diameter of the union of cube balls, given as their per-axis
-    (lo, hi) extents: the largest per-axis span."""
-    return max(
-        max(hi[i] for _, hi in boxes) - min(lo[i] for lo, _ in boxes)
-        for i in range(len(boxes[0][0]))
-    )
+def _common_den(boxes: list[Box]) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The boxes' (lo, hi) bounds as integers over the lcm of their
+    denominators."""
+    den = lcm(*(d for d, _, _ in boxes))
+    out = []
+    for d, lo, hi in boxes:
+        if d != den:
+            f = den // d
+            lo, hi = tuple(x * f for x in lo), tuple(x * f for x in hi)
+        out.append((lo, hi))
+    return den, out
 
 
-def nerve(cover: Covering, space: Space, masks: BallMasks | None = None) -> NerveComplex:
+def nerve(cover: Covering | tuple[Ball, ...], space: Space,
+          masks: BallMasks | None = None) -> NerveComplex:
     """Exact nerve over the discrete model: a simplex for every subfamily
     sharing an element, so the dimension is the covering multiplicity - 1.
 
     Each element's owners are read off the set bits of the balls' member
-    masks; `masks` may carry the memo of an ongoing search."""
+    masks; `masks` may carry the memo of an ongoing search.  `cover` is a
+    `Covering`, or a tuple of balls that must cover every element of the
+    space (the width search's target, whose mask `masks.full` is built
+    once)."""
     if masks is None:
         masks = BallMasks(space)
-    wanted = 0
-    outside = 0
-    for element in cover.target:
-        bit = masks.index.get(element)
-        if bit is None:
-            outside += 1
-        else:
-            wanted |= 1 << bit
+    if isinstance(cover, Covering):
+        balls = cover.balls
+        wanted = 0
+        outside = 0
+        for element in cover.target:
+            bit = masks.index.get(element)
+            if bit is None:
+                outside += 1
+            else:
+                wanted |= 1 << bit
+    else:
+        balls, wanted, outside = cover, masks.full, 0
     covered = 0
     owners: dict[int, list[int]] = {}  # element bit -> indices of its balls
-    for i, ball in enumerate(cover.balls):
+    for i, ball in enumerate(balls):
         mask = masks.mask(ball)
         covered |= mask
         mask &= wanted
@@ -146,28 +172,34 @@ def nerve(cover: Covering, space: Space, masks: BallMasks | None = None) -> Nerv
     if missing:
         raise UncoverableError(f"covering misses {missing} elements")
     # simplices as bitmasks over ball indices, largest first: s is maximal
-    # unless it is a face (s & ~t == 0) of a maximal one found before it
+    # unless it is a face (s & ~t == 0) of a maximal one found before it,
+    # which needs every ball of s in their union
     simplices = {sum(1 << i for i in owned): tuple(owned) for owned in owners.values()}
     maximal: list[int] = []
+    union = 0
     for s in sorted(simplices, key=int.bit_count, reverse=True):
-        if all(s & ~t for t in maximal):
+        if s & ~union or all(s & ~t for t in maximal):
             maximal.append(s)
+            union |= s
     multiplicity = max(map(len, owners.values()), default=0)
-    return NerveComplex(tuple(cover.balls), tuple(sorted(simplices[s] for s in maximal)),
+    return NerveComplex(tuple(balls), tuple(sorted(simplices[s] for s in maximal)),
                         multiplicity)
 
 
-def fiber_bound(nerve_complex: NerveComplex, extents=_ball_extents) -> Fraction:
+def fiber_bound(nerve_complex: NerveComplex, box=_ball_box) -> Fraction:
     """Upper bound on any nerve map's fiber diameters: every fiber lies in
-    the union of one simplex's balls.  `extents` maps a ball to its per-axis
-    (lo, hi)."""
-    boxes = [extents(b) for b in nerve_complex.vertex_balls]
-    worst = Fraction(0)
+    the union of one simplex's balls, whose l_inf diameter is the largest
+    per-axis span max(hi) - min(lo).  `box` maps a ball to its integer box
+    (den, lo, hi); the spans are taken over the lcm of those denominators."""
+    den, bounds = _common_den([box(b) for b in nerve_complex.vertex_balls])
+    axes = list(zip(zip(*(lo for lo, _ in bounds)), zip(*(hi for _, hi in bounds))))
+    worst = 0
     for simplex in nerve_complex.simplices:
-        d = _union_diameter([boxes[i] for i in simplex])
-        if d > worst:
-            worst = d
-    return worst
+        for lo, hi in axes:
+            d = max(map(hi.__getitem__, simplex)) - min(map(lo.__getitem__, simplex))
+            if d > worst:
+                worst = d
+    return Fraction(worst, den)
 
 
 @dataclass(frozen=True)
@@ -197,21 +229,16 @@ def _tilings(space: VoxelSpace):
     bbox = space.bbox()
     max_side = max(hi - lo + 1 for lo, hi in bbox)
     for k in range(1, max_side + 1):
-        balls = []
-        for cell in space.cells:
-            anchor = tuple(
-                lo + ((c - lo) // k) * k for c, (lo, hi) in zip(cell, bbox)
-            )
-            balls.append(grid_ball(space, anchor, k))
-        yield tuple(sorted(set(balls)))
+        yield {grid_ball(space, tuple(lo + ((c - lo) // k) * k
+                                      for c, (lo, hi) in zip(cell, bbox)), k)
+               for cell in space.cells}
 
 
-def _verify_candidate(space, balls, target, m_limit, masks):
-    cover = Covering(tuple(sorted(set(balls), key=masks.sort_key)), target, 1)
-    nv = nerve(cover, space, masks)
+def _verify_candidate(space, balls, m_limit, masks):
+    nv = nerve(tuple(sorted(set(balls), key=masks.sort_key)), space, masks)
     if nv.multiplicity > m_limit:
         return None
-    return cover, nv, fiber_bound(nv, masks.extents)
+    return nv, fiber_bound(nv, masks.box)
 
 
 def width_bound(
@@ -232,8 +259,9 @@ def width_bound(
         raise InputError("width_bound needs the voxel model")
     if int(m) != m or m < 1:
         raise InputError("width index needs integer m >= 1")
+    if budget < 0:
+        raise InputError("width budget must be >= 0")
     space.require_nonempty()
-    target = frozenset(space.cells)
     rng = random.Random(seed)
     masks = BallMasks(space)
     evaluations = 0
@@ -244,12 +272,11 @@ def width_bound(
         if evaluations >= budget:
             return False
         evaluations += 1
-        out = _verify_candidate(space, balls, target, m, masks)
+        out = _verify_candidate(space, balls, m, masks)
         if out is None:
             return False
-        cover, nv, value = out
-        if best is None or value < best[2]:
-            best = (cover, nv, value)
+        if best is None or out[1] < best[1]:
+            best = out
         return True
 
     for tiling in _tilings(space):
@@ -263,16 +290,16 @@ def width_bound(
 
     # annealing over local moves of the incumbent
     while evaluations < budget and best is not None:
-        cover, nv, value = best
-        balls = list(cover.balls)
+        balls = list(best[0].vertex_balls)
         move = rng.random()
         if move < 0.45 and len(balls) >= 2:
             i, j = rng.sample(range(len(balls)), 2)
-            (a_lo, a_hi), (b_lo, b_hi) = masks.extents(balls[i]), masks.extents(balls[j])
+            den, ((a_lo, a_hi), (b_lo, b_hi)) = _common_den(
+                [masks.box(balls[i]), masks.box(balls[j])])
             lo = tuple(map(min, a_lo, b_lo))
             hi = tuple(map(max, a_hi, b_hi))
-            center = tuple((x + y) / 2 for x, y in zip(lo, hi))
-            radius = max((y - x) / 2 for x, y in zip(lo, hi))
+            center = tuple(Fraction(x + y, 2 * den) for x, y in zip(lo, hi))
+            radius = Fraction(max(y - x for x, y in zip(lo, hi)), 2 * den)
             merged = Ball(center, radius)
             candidate = [x for k, x in enumerate(balls) if k not in (i, j)]
             candidate.append(merged)
@@ -287,7 +314,7 @@ def width_bound(
             candidate = [x for j, x in enumerate(balls) if j != i]
             for off in _corner_offsets(space.n, k):
                 sub_anchor = tuple(a + o for a, o in zip(anchor, off))
-                sub = grid_ball(space, sub_anchor, max(1, k))
+                sub = grid_ball(space, sub_anchor, k)
                 if masks.mask(sub):
                     candidate.append(sub)
         else:
@@ -309,10 +336,10 @@ def width_bound(
     if trivial:
         # one ball around the bounding box: its fiber bound is the diameter
         center = tuple(space.delta * Fraction(lo + hi + 1, 2) for lo, hi in space.bbox())
-        cover = Covering((Ball(center, space_radius(space)),), target, 1)
-        nv = nerve(cover, space, masks)
-        best = (cover, nv, fiber_bound(nv, masks.extents))
-    cover, nv, value = best
+        nv = nerve((Ball(center, space_radius(space)),), space, masks)
+        best = (nv, fiber_bound(nv, masks.box))
+    nv, value = best
+    cover = Covering(nv.vertex_balls, frozenset(space.cells), 1)
 
     c_measured = float(value) / root(content.value_upper, m) \
         if float(content.value_upper) > 0 else 0.0
@@ -320,9 +347,7 @@ def width_bound(
 
 
 def _corner_offsets(n: int, k: int):
-    import itertools
-
-    return itertools.product((0, max(1, k)), repeat=n)
+    return itertools.product((0, k), repeat=n)
 
 
 def local_width_check(space: VoxelSpace, m: int, R: Scalar,

@@ -131,6 +131,31 @@ def test_width_subcommands(capsys, tmp_path):
     assert json.loads(out)["report"]["max_ball_content_ratio"] > 0
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("width", ()),
+    ("local-width", ("--R", "1/2")),
+])
+def test_width_budget_zero_and_negative(capsys, tmp_path, command, extra):
+    path = tmp_path / "dumb.json"
+    save_space(make_dumbbell(), str(path))
+    code, out, _ = run_cli(capsys, command, "--space", str(path), "--m", "2",
+                           *extra, "--budget", "0")
+    assert code == 0
+    doc = json.loads(out)
+    if command == "width":
+        assert doc["result"]["trivial"] is True
+        assert doc["result"]["bound"] == "7/4"  # the diameter
+    else:
+        assert doc["report"]["width_trivial"] is True
+        assert doc["report"]["width_bound"] == doc["report"]["diameter"] == "7/4"
+
+    code, out, err = run_cli(capsys, command, "--space", str(path), "--m", "2",
+                             *extra, "--budget", "-3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
 def test_coarea_subcommand(capsys, tmp_path):
     path = tmp_path / "cube.json"
     save_space(make_cube(2, 4, Fraction(1, 4)), str(path))

@@ -10,7 +10,6 @@ from hcfill.content import (
     exact_content,
     generate_candidates,
     greedy_content,
-    merge_to_disjoint,
     volume_lower_bound,
 )
 from hcfill.errors import InputError, UncoverableError
@@ -25,14 +24,12 @@ from hcfill.shapes import (
 )
 from hcfill.space import (
     AllGridBalls,
-    Ball,
     CentersIn,
     FixedFamily,
     NetSpace,
     RadiusCapped,
     grid_ball,
     intersect_families,
-    linf,
 )
 
 
@@ -219,48 +216,6 @@ def test_radius_cap_limits_candidates():
     res = exact_content(s, None, 1, capped)
     assert all(b.radius <= Fraction(1, 8) for b in res.witness.balls)
     assert res.value == 16 * Fraction(1, 8)
-
-
-def test_merge_to_disjoint_examples():
-    a = Ball((Fraction(0),), Fraction(1))
-    b = Ball((Fraction(1),), Fraction(1))
-    merged = merge_to_disjoint([a, b], 1)
-    assert len(merged) == 1
-    assert merged[0].radius == 2
-    # cost did not go up: (r+s)^1 = r + s
-    assert merged[0].radius == a.radius + b.radius
-    for ball in (a, b):
-        assert linf(ball.center, merged[0].center) + ball.radius <= merged[0].radius
-
-    far = [Ball((Fraction(0),), Fraction(1)), Ball((Fraction(10),), Fraction(1))]
-    assert merge_to_disjoint(far, 1) == sorted(far)
-
-
-def test_merge_three_overlapping():
-    balls = [
-        Ball((Fraction(0), Fraction(0)), Fraction(1)),
-        Ball((Fraction(1), Fraction(0)), Fraction(1)),
-        Ball((Fraction(0), Fraction(1)), Fraction(1)),
-    ]
-    merged = merge_to_disjoint(balls, Fraction(1, 2))
-    cost = sum(float(b.radius) ** 0.5 for b in merged)
-    assert cost <= 3.0 + 1e-12
-    for i, a in enumerate(merged):
-        for b in merged[i + 1:]:
-            assert linf(a.center, b.center) > a.radius + b.radius
-        for src in balls:
-            pass
-    covered = set()
-    for src in balls:
-        hit = any(
-            linf(src.center, m.center) + src.radius <= m.radius for m in merged
-        )
-        assert hit
-
-
-def test_merge_rejects_large_exponent():
-    with pytest.raises(InputError):
-        merge_to_disjoint([Ball((Fraction(0),), Fraction(1))], Fraction(3, 2))
 
 
 def test_net_bracket():

@@ -175,8 +175,8 @@ def test_local_width_check_passes_node_budget(monkeypatch):
 
 
 def negative_thirds_blob():
-    """A delta = 1/3 blob at negative coordinates: its grid balls' bounds
-    have denominators 1 and 3, and merge moves make half-cell boxes."""
+    """A delta = 1/3 blob at negative coordinates, where merge moves make
+    half-cell boxes."""
     return translate(random_blob(12, 2, 20, 6, Fraction(1, 3)), (-9, -4))
 
 
@@ -198,6 +198,36 @@ def test_width_reports_pinned(make, args, m, budget, seed, digest):
     r = width_bound(make(*args), m, budget=budget, seed=seed)
     text = json.dumps(r.to_dict(), sort_keys=True, default=fmt_scalar)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_negative_budget_is_input_error():
+    with pytest.raises(InputError, match="budget"):
+        width_bound(make_cube(2, 2, Fraction(1, 4)), 1, budget=-3)
+
+
+def test_search_fiber_bounds_match_the_oracle(monkeypatch):
+    """Every bound the search computes on its memoised integer boxes equals
+    the one recomputed from the balls and the Fraction oracle's, half-cell
+    merge boxes and boxes over different denominators included."""
+    space = negative_thirds_blob()
+    half_cells = 0
+    dens = set()
+    real = hcfill.width.fiber_bound
+
+    def checked(nv, box):
+        nonlocal half_cells
+        got = real(nv, box)
+        assert got == real(nv) == oracle_fiber_bound(nv)
+        for b in nv.vertex_balls:
+            dens.add(box(b)[0])
+            half_cells += any(((as_fraction(c) - as_fraction(b.radius)) / space.delta)
+                              .denominator != 1 for c in b.center)
+        return got
+
+    monkeypatch.setattr(hcfill.width, "fiber_bound", checked)
+    width_bound(space, 2, budget=150, seed=4)
+    assert half_cells > 0
+    assert len(dens) > 1  # candidates mix denominators: the lcm path runs
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +293,7 @@ def assert_nerves_agree(covers, space):
             assert got == want
             bound = oracle_fiber_bound(want)
             assert fiber_bound(got) == bound
-            assert fiber_bound(got, shared.extents) == bound
+            assert fiber_bound(got, shared.box) == bound
 
 
 def test_sort_key_is_exact_where_floats_tie():
