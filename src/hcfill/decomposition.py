@@ -1026,7 +1026,7 @@ def fill(
                                     node_budget=node_budget).value_upper
         R = grid_R_for_content(float(res_content), mf + 1, space.n,
                                delta=space.delta)
-        grid = CubicalGrid(space.n, as_fraction(R))
+        grid = CubicalGrid(space.n, R)
         points = [space.cell_center(c) for c in sorted(residual)]
         pushout_trace = skeleton_descend(
             points, grid, mq + 1, candidates=pushout_candidates,

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .content import exact_content
 from .errors import InputError, PushoutPreconditionError, VerificationError
-from .exact import Scalar, as_fraction, fmt_scalar, power, root
+from .exact import Scalar, as_fraction, fmt_scalar, is_integral, power, root
 from .space import Covering, VoxelSpace, Ball, linf
 
 DEFAULT_CANDIDATES = 64
@@ -29,6 +30,7 @@ class CubicalGrid:
     R: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "R", as_fraction(self.R))
         if self.R <= 0:
             raise InputError("grid cell size must be positive")
 
@@ -94,16 +96,55 @@ def radial_project(face: Face, p, x):
         raise InputError("point to project must lie in the face")
     if x == p:
         raise InputError("radial projection undefined at the projection point")
-    t_hit = None
-    for (kind, _), (lo, hi), pc, xc in zip(face.coords, face.bounds(), p, x):
-        if kind == "fixed" or xc == pc:
-            continue
-        t = (hi - pc) / (xc - pc) if xc > pc else (lo - pc) / (xc - pc)
-        if t_hit is None or t < t_hit:
-            t_hit = t
-    if t_hit is None:
+    den = _common_den((p, x), face.grid.R.denominator)
+    y, scale = _project(_free_bounds(face, den), _scaled(p, den), _scaled(x, den))
+    if not scale:
         raise InputError("radial projection undefined at the projection point")
-    return tuple(pc + t_hit * (xc - pc) for pc, xc in zip(p, x))
+    return tuple(Fraction(c, den * scale) for c in y)
+
+
+# Integer geometry: rational points are kept as integer numerators over one
+# common denominator, so projections and distances need no Fraction.
+
+def _common_den(points, *dens) -> int:
+    return lcm(*dens, *(c.denominator for pt in points for c in pt))
+
+
+def _scaled(point, den: int) -> tuple:
+    """Integer numerators of a rational point over `den` (a multiple of
+    every coordinate's denominator)."""
+    return tuple(c.numerator * (den // c.denominator) for c in point)
+
+
+def _free_bounds(face: Face, den: int) -> list:
+    """(axis, lo, hi) per free axis of the face, as numerators over `den`."""
+    R = face.grid.R
+    unit = R.numerator * (den // R.denominator)
+    return [(axis, unit * a, unit * (a + 1))
+            for axis, (kind, a) in enumerate(face.coords) if kind == "free"]
+
+
+def _project(free, p: tuple, x: tuple):
+    """Radial projection on integer points over one denominator d: returns
+    (y, s) with the boundary point's coordinates y_i / (d * s), or (p, 0)
+    when the ray p -> x leaves no free axis.  p must be strictly interior
+    and x in the face."""
+    tn = td = 0  # the exit parameter t = tn / td, set once an axis is hit
+    for axis, lo, hi in free:
+        pc, xc = p[axis], x[axis]
+        if xc > pc:
+            num, run = hi - pc, xc - pc
+        elif xc < pc:
+            num, run = pc - lo, pc - xc
+        else:
+            continue
+        if not td or num * td < tn * run:
+            tn, td = num, run
+    if not td:
+        return p, 0
+    g = gcd(tn, td)
+    tn, td = tn // g, td // g
+    return tuple(pc * td + tn * (xc - pc) for pc, xc in zip(p, x)), td
 
 
 # ---------------------------------------------------------------------------
@@ -117,28 +158,75 @@ def point_cover(points, exponent: Scalar, floor: Scalar = 0):
     a bare finite point set has vanishing content.
     """
     pts = sorted(tuple(as_fraction(c) for c in p) for p in points)
-    if not pts:
-        return Fraction(0), []
     floor = as_fraction(floor)
-    remaining = set(range(len(pts)))
-    chosen = []
+    den = _common_den(pts, floor.denominator)
+    total, chosen = _greedy_cover([_scaled(p, den) for p in pts],
+                                  floor.numerator * (den // floor.denominator),
+                                  exponent, den)
+    return total, [Ball(pts[i], Fraction(r, den)) for i, r in chosen]
+
+
+def _greedy_cover(pts: list, floor: int, exponent: Scalar, den: int):
+    """The greedy of `point_cover` on sorted integer points over `den`, with
+    the radius floor as a numerator over `den`: (cost, [(centre, radius)])
+    with centre indices and radius numerators.
+
+    Each round takes the (centre, radius) of least cost per covered point,
+    ties going to the smaller centre, then the smaller radius: options are
+    scanned in that order and only a strictly cheaper one replaces the best.
+    Each centre's points are sorted by distance once, so a radius's member
+    count is a prefix count.
+    """
+    n = len(pts)
+    dist = [[max(floor, max(abs(a - b) for a, b in zip(p, q))) for q in pts]
+            for p in pts]
+    by_dist = [sorted(range(n), key=row.__getitem__) for row in dist]
+    price = _pricer(exponent, den)
+    alive = [True] * n
+    left = n
     total = Fraction(0)
-    while remaining:
-        best = None
-        for i in sorted(remaining):
-            dists = sorted({max(floor, as_fraction(linf(pts[i], pts[j])))
-                            for j in remaining})
-            for r in dists:
-                members = [j for j in remaining if linf(pts[i], pts[j]) <= r]
-                cost = power(r, exponent)
-                key = (as_fraction(cost) / len(members), pts[i], r)
-                if best is None or key < best[0]:
-                    best = (key, i, r, members, cost)
-        _, i, r, members, cost = best
-        chosen.append(Ball(pts[i], r))
-        total += as_fraction(cost)
-        remaining -= set(members)
+    chosen = []
+    while left:
+        best = None  # (cost numerator, cost denominator * count, centre, radius)
+        for i in range(n):
+            if not alive[i]:
+                continue
+            row = dist[i]
+            radii = [row[j] for j in by_dist[i] if alive[j]]
+            for count, r in enumerate(radii, 1):
+                if count < len(radii) and radii[count] == r:
+                    continue  # a larger count at this radius follows
+                num, d = price(r)
+                d *= count
+                if best is None or num * best[1] < best[0] * d:
+                    best = (num, d, i, r)
+        _, _, i, r = best
+        chosen.append((i, r))
+        total += Fraction(*price(r))
+        row = dist[i]
+        for j in range(n):
+            if alive[j] and row[j] <= r:
+                alive[j] = False
+                left -= 1
     return total, chosen
+
+
+def _pricer(exponent: Scalar, den: int):
+    """r -> (numerator, denominator) of the exact cost power(r / den,
+    exponent): pure integers at non-negative integer exponents, otherwise
+    the float power made exact (memoised per radius)."""
+    if is_integral(exponent) and exponent >= 0:
+        e = int(exponent)
+        scale = den ** e
+        return lambda r: (r ** e, scale)
+    memo = {}
+
+    def price(r):
+        cost = memo.get(r)
+        if cost is None:
+            cost = memo[r] = as_fraction(power(Fraction(r, den), exponent)).as_integer_ratio()
+        return cost
+    return price
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +239,27 @@ def average_point(
     candidates: int = DEFAULT_CANDIDATES,
     c0: Scalar | None = None,
     floor: Scalar = 0,
+    cover: tuple | None = None,
 ):
     """Interior projection point minimizing the greedy (m-1)-cost of the
     projected set over a deterministic candidate sample.
 
     The precondition: the point set's (m-1)-cost must not exceed
     c0(k) * R^(m-1) (k = face dimension); raises PushoutPreconditionError
-    otherwise.  Returns (p, ratio, before_cost, after_cost).
+    otherwise.  `cover`, if given, is the caller's
+    point_cover(points, m - 1, floor).  Returns (p, ratio, before_cost,
+    after_cost).
     """
     pts = [tuple(as_fraction(c) for c in p) for p in points]
     k = face.dim
     if k == 0:
         raise InputError("cannot project inside a vertex")
+    if as_fraction(m) < 1:
+        raise InputError("average point needs m >= 1")
+    if candidates < 0:
+        raise InputError("candidate count must be non-negative")
     exponent = as_fraction(m) - 1
-    before, _ = point_cover(pts, exponent, floor)
+    before, _ = cover if cover is not None else point_cover(pts, exponent, floor)
     R = face.grid.R
     c0 = as_fraction(c0) if c0 is not None else Fraction(1, 4) ** k
     cap = c0 * power(R, exponent) if not isinstance(power(R, exponent), float) \
@@ -175,32 +270,43 @@ def average_point(
             {"face_dim": k, "content": fmt_scalar(before), "cap": fmt_scalar(cap)},
         )
 
-    taken = set(pts)
-    options = [face.center()]
-    free_axes = [i for i, (kind, _) in enumerate(face.coords) if kind == "free"]
-    bounds = face.bounds()
-    # deterministic low-discrepancy interior sample (Weyl sequence per axis)
+    # Options and points as numerators over one denominator; every option
+    # is strictly interior (the samples sit in [1/10, 9/10) of each free
+    # axis), so only options equal to an input point are inadmissible.
+    floor = as_fraction(floor)
+    weyl_den = R.denominator * 10 * _WEYL_DEN
+    den = _common_den(pts, floor.denominator, weyl_den)
+    free = _free_bounds(face, den)
+    step = R.numerator * (den // weyl_den)  # R / (10 * _WEYL_DEN)
+    centre = _scaled(face.center(), den)
+    options = [centre]
+    # deterministic low-discrepancy interior sample (Weyl sequence per axis):
+    # lo + R * (1/10 + 8/10 * frac / _WEYL_DEN)
     for j in range(1, candidates + 1):
-        coord = list(face.center())
-        for ai, axis in enumerate(free_axes):
-            lo, hi = bounds[axis]
+        coord = list(centre)
+        for ai, (axis, lo, _) in enumerate(free):
             frac_part = (j * _WEYL[ai % len(_WEYL)]) % _WEYL_DEN
-            u = Fraction(1, 10) + Fraction(8, 10) * Fraction(frac_part, _WEYL_DEN)
-            coord[axis] = lo + (hi - lo) * u
+            coord[axis] = lo + step * (_WEYL_DEN + 8 * frac_part)
         options.append(tuple(coord))
+    xs = [_scaled(x, den) for x in pts]
+    taken = set(xs)
+    options = [p for p in options if p not in taken]
+    if not options:
+        raise InputError("no admissible projection point found")
+    if not all(face.contains(x) for x in pts):
+        raise InputError("point to project must lie in the face")
 
+    floor_num = floor.numerator * (den // floor.denominator)
     best = None
     for p in options:
-        if p in taken or not face.strictly_interior(p):
-            continue
-        projected = [radial_project(face, p, x) for x in pts]
-        after, _ = point_cover(projected, exponent, floor)
-        key = (after, p)
-        if best is None or key < best[0]:
-            best = (key, p, after)
-    if best is None:
-        raise InputError("no admissible projection point found")
-    _, p, after = best
+        hits = [_project(free, p, x) for x in xs]
+        scale = lcm(*(s for _, s in hits))
+        projected = sorted(tuple(c * (scale // s) for c in y) for y, s in hits)
+        after, _ = _greedy_cover(projected, floor_num * scale, exponent, den * scale)
+        if best is None or (after, p) < best:
+            best = (after, p)
+    after, p = best
+    p = tuple(Fraction(c, den) for c in p)
     ratio = float(after) / float(before) if float(before) > 0 else (
         0.0 if float(after) == 0 else float("inf")
     )
@@ -284,6 +390,8 @@ def skeleton_descend(
     if target_dim < 0:
         raise InputError("descent target skeleton has negative dimension")
     current = [tuple(as_fraction(c) for c in p) for p in points]
+    if any(len(p) != grid.n for p in current):
+        raise InputError("points need n coordinates")
     displacement = [Fraction(0)] * len(current)
     initial = tuple(current)
     levels = []
@@ -301,9 +409,10 @@ def skeleton_descend(
         for face in sorted(by_face, key=lambda f: f.coords):
             idxs = by_face[face]
             pts = [current[i] for i in idxs]
+            cover = point_cover(pts, exponent, floor)
             p, ratio, before, after = average_point(
                 face, pts, m, candidates,
-                c0=c0_base ** k, floor=floor,
+                c0=c0_base ** k, floor=floor, cover=cover,
             )
             limit = ratio_ceiling_base * 2.0**k
             if ratio > limit:
@@ -311,7 +420,7 @@ def skeleton_descend(
                     "projection cost ratio above the configured ceiling",
                     {"face_dim": k, "ratio": ratio, "ceiling": limit},
                 )
-            cone_cost = _swept_cone_cost(face, p, pts, m, exponent, floor)
+            cone_cost = _swept_cone_cost(p, cover[1], m, exponent)
             trace_content += as_fraction(cone_cost)
             for i in idxs:
                 new = radial_project(face, p, current[i])
@@ -350,16 +459,16 @@ def skeleton_descend(
     )
 
 
-def _swept_cone_cost(face, p, pts, m, exponent, floor):
+def _swept_cone_cost(p, balls, m, exponent):
     """m-cost certificate for the cone swept between the points and their
-    projections, via the explicit cone covering from the chosen point.
+    projections, via the explicit cone covering from the chosen point of
+    the points' greedy cover `balls`.
 
     Zero-radius cover balls correspond to bare points whose sweep is a
     segment, of zero m-cost for m > 1; only positive radii get coned.
     """
     from .cone import cone_covering
 
-    cost, balls = point_cover(pts, exponent, floor)
     balls = [b for b in balls if b.radius > 0]
     if not balls:
         return Fraction(0)

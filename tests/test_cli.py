@@ -104,6 +104,17 @@ def test_pushout_subcommand(capsys, tmp_path):
     assert plot.exists()
 
 
+@pytest.mark.parametrize("points", [[["1/3", "2/7", "1/2"]], [["1/3"], ["3/5"]]])
+def test_pushout_rejects_wrong_point_dimension(capsys, tmp_path, points):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(points))
+    code, out, err = run_cli(capsys, "pushout", "--points", str(pts), "--grid-R",
+                             "1", "--m", "2", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert "points need n coordinates" in err
+
+
 def test_lw_and_cube_eq(capsys, tmp_path):
     path = tmp_path / "dumb.json"
     save_space(make_dumbbell(), str(path))

@@ -162,6 +162,47 @@ def test_descend_per_level_moves_stay_in_face():
                 assert lo <= coord <= hi
 
 
+@pytest.mark.parametrize("pts", [
+    [(Fraction(1, 3), Fraction(2, 7), Fraction(1, 2))],
+    [(Fraction(1, 3),), (Fraction(3, 5),)],
+])
+def test_descend_rejects_wrong_point_dimension(pts):
+    with pytest.raises(InputError, match="points need n coordinates"):
+        skeleton_descend(pts, CubicalGrid(2, Fraction(1)), 2, candidates=4)
+
+
+def test_grid_size_stored_as_fraction():
+    g = CubicalGrid(2, 0.5)
+    assert g.R == Fraction(1, 2) and isinstance(g.R, Fraction)
+    pts = [(Fraction(1, 3), Fraction(1, 5)), (Fraction(3, 8), Fraction(1, 7))]
+    tr = skeleton_descend(pts, g, 2, candidates=4)
+    assert tr.to_dict() == skeleton_descend(
+        pts, CubicalGrid(2, Fraction(1, 2)), 2, candidates=4).to_dict()
+    with pytest.raises(InputError):
+        CubicalGrid(2, 0.0)
+
+
+def test_average_point_input_checks():
+    f = _face_of((Fraction(3, 4), Fraction(1, 2)))
+    pts = [(Fraction(1, 3), Fraction(1, 3))]
+    with pytest.raises(InputError, match="m >= 1"):
+        average_point(f, pts, Fraction(1, 2), candidates=4)
+    with pytest.raises(InputError, match="non-negative"):
+        average_point(f, pts, 2, candidates=-1)
+    # m = 1 (exponent 0) is admissible
+    average_point(f, pts, 1, candidates=4, c0=Fraction(1))
+
+
+def test_average_point_error_precedence():
+    # an outside point is reported only once some option is admissible
+    f = _face_of((Fraction(3, 4), Fraction(1, 2)))
+    pts = [f.center(), (Fraction(2), Fraction(1, 2))]
+    with pytest.raises(InputError, match="no admissible projection point"):
+        average_point(f, pts, 2, candidates=0, c0=Fraction(10**6))
+    with pytest.raises(InputError, match="must lie in the face"):
+        average_point(f, pts, 2, candidates=1, c0=Fraction(10**6))
+
+
 def test_grid_R_examples():
     assert grid_R_for_content(0, 2, 3, delta=Fraction(1, 8)) == Fraction(1, 8)
     assert grid_R_for_content(1, 2, 3, c2=4) == pytest.approx(4.0)
