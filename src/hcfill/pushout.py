@@ -214,19 +214,12 @@ def _greedy_cover(pts: list, floor: int, exponent: Scalar, den: int):
 def _pricer(exponent: Scalar, den: int):
     """r -> (numerator, denominator) of the exact cost power(r / den,
     exponent): pure integers at non-negative integer exponents, otherwise
-    the float power made exact (memoised per radius)."""
+    the float power made exact."""
     if is_integral(exponent) and exponent >= 0:
         e = int(exponent)
         scale = den ** e
         return lambda r: (r ** e, scale)
-    memo = {}
-
-    def price(r):
-        cost = memo.get(r)
-        if cost is None:
-            cost = memo[r] = as_fraction(power(Fraction(r, den), exponent)).as_integer_ratio()
-        return cost
-    return price
+    return lambda r: as_fraction(power(Fraction(r, den), exponent)).as_integer_ratio()
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +232,13 @@ def average_point(
     candidates: int = DEFAULT_CANDIDATES,
     c0: Scalar | None = None,
     floor: Scalar = 0,
-    cover: tuple | None = None,
 ):
     """Interior projection point minimizing the greedy (m-1)-cost of the
     projected set over a deterministic candidate sample.
 
     The precondition: the point set's (m-1)-cost must not exceed
     c0(k) * R^(m-1) (k = face dimension); raises PushoutPreconditionError
-    otherwise.  `cover`, if given, is the caller's
-    point_cover(points, m - 1, floor).  Returns (p, ratio, before_cost,
-    after_cost).
+    otherwise.  Returns (p, ratio, before_cost, after_cost).
     """
     pts = [tuple(as_fraction(c) for c in p) for p in points]
     k = face.dim
@@ -259,7 +249,7 @@ def average_point(
     if candidates < 0:
         raise InputError("candidate count must be non-negative")
     exponent = as_fraction(m) - 1
-    before, _ = cover if cover is not None else point_cover(pts, exponent, floor)
+    before, _ = point_cover(pts, exponent, floor)
     R = face.grid.R
     c0 = as_fraction(c0) if c0 is not None else Fraction(1, 4) ** k
     cap = c0 * power(R, exponent) if not isinstance(power(R, exponent), float) \
@@ -409,10 +399,8 @@ def skeleton_descend(
         for face in sorted(by_face, key=lambda f: f.coords):
             idxs = by_face[face]
             pts = [current[i] for i in idxs]
-            cover = point_cover(pts, exponent, floor)
             p, ratio, before, after = average_point(
-                face, pts, m, candidates,
-                c0=c0_base ** k, floor=floor, cover=cover,
+                face, pts, m, candidates, c0=c0_base ** k, floor=floor,
             )
             limit = ratio_ceiling_base * 2.0**k
             if ratio > limit:
@@ -420,7 +408,7 @@ def skeleton_descend(
                     "projection cost ratio above the configured ceiling",
                     {"face_dim": k, "ratio": ratio, "ceiling": limit},
                 )
-            cone_cost = _swept_cone_cost(p, cover[1], m, exponent)
+            cone_cost = _swept_cone_cost(p, pts, m, exponent, floor)
             trace_content += as_fraction(cone_cost)
             for i in idxs:
                 new = radial_project(face, p, current[i])
@@ -459,16 +447,16 @@ def skeleton_descend(
     )
 
 
-def _swept_cone_cost(p, balls, m, exponent):
+def _swept_cone_cost(p, pts, m, exponent, floor):
     """m-cost certificate for the cone swept between the points and their
-    projections, via the explicit cone covering from the chosen point of
-    the points' greedy cover `balls`.
+    projections, via the explicit cone covering from the chosen point.
 
     Zero-radius cover balls correspond to bare points whose sweep is a
     segment, of zero m-cost for m > 1; only positive radii get coned.
     """
     from .cone import cone_covering
 
+    _, balls = point_cover(pts, exponent, floor)
     balls = [b for b in balls if b.radius > 0]
     if not balls:
         return Fraction(0)
