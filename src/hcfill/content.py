@@ -19,17 +19,27 @@ minimum.  Net-model answers of `exact_content` are brackets: the optimum
 over net-centered balls, deflated by eps_net on the lower side.
 
 Candidate masks are bits of `space.ElementBits` over the sorted target.
-Point-centered and fixed-family balls take theirs from `ElementBits.ball`.
-Grid-ball candidates on voxel sets come from its per-axis slab bitmasks: the
-cells of a block are the AND of one prefix-difference mask per axis, and its
-cell count is the popcount (no AND with the occupied cells: a grid ball
-covers the unoccupied cells of a target too).  A block of side k > 1 whose
-cost k^m times the unit cost reaches its cell count is dominated by the
-unit balls it contains;
-a size is skipped outright when a full block, min(k^n, |target|) cells,
-would be, so at m >= n only unit balls are enumerated.  The greedy is lazy
-(Minoux's accelerated greedy): stale ratios only grow as coverage grows, so
-a popped ball whose ratio is still current is the one a full rescan picks.
+Fixed-family and voxel point-centered balls take theirs from
+`ElementBits.ball`; a net centre sorts its distance row once, and a
+radius's members are a prefix of it.  Grid-ball candidates on voxel sets
+come from its per-axis slab bitmasks: the cells of a block are the AND of
+one prefix-difference mask per axis, and its cell count is the popcount (no
+AND with the occupied cells: a grid ball covers the unoccupied cells of a
+target too).  A block of side k > 1 whose cost k^m times the unit cost
+reaches its cell count is dominated by the unit balls it contains; a size is
+skipped outright when a full block, min(k^n, |target|) cells, would be, so
+at m >= n only unit balls are enumerated.
+
+Candidates are kept in (cost, ball key) order, one per distinct mask.  Grid
+balls come out of the generator in that order (by size, then by centre) and
+are not sorted again; the other families are sorted.  The dominance pass
+keeps one bitset over the kept candidates per element: costs ascend, so a
+candidate is dominated exactly when the AND of its elements' bitsets is
+non-zero.  The greedy prices balls with the same `_RatioBound` the search
+uses, so at integer m it compares integers, ties broken by an integer that
+orders like the ball key.  It is lazy (Minoux's accelerated greedy): stale
+prices only grow as coverage grows, so a popped ball whose price is still
+current is the one a full rescan picks.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import InputError, UncoverableError
-from .exact import Scalar, as_fraction, fmt_scalar, is_integral, power
+from .exact import TOL, Scalar, as_fraction, fmt_scalar, is_integral, power
 from .space import (
     AllGridBalls,
     Ball,
@@ -60,7 +70,6 @@ from .space import (
     family_label,
     linf,
     net_center,
-    net_dist,
 )
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -128,11 +137,16 @@ def _flatten_family(family: BallFamily):
 
 
 def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
+    """Grid-ball candidates in (cost, ball key) order: by size, then by
+    centre in lexicographic order, which is that order whenever a larger
+    size costs more.  Only when two sizes cost the same (m = 0, or a float m
+    too small to separate their powers) are they sorted."""
     bits = ElementBits(space, sorted(target))
     lo, hi = bits.lo, bits.hi
     k_max = max(h - l + 1 for l, h in zip(lo, hi))
     k_max += (-k_max) % stride
     out = []
+    presorted, last_cost = True, None
     for k in range(stride, k_max + 1, stride):
         radius = space.delta * Fraction(k, 2)
         if cap is not None and radius > cap:
@@ -143,6 +157,8 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
         if min(k ** space.n, len(bits.elements)) <= limit:
             continue
         cost = power(radius, m)
+        presorted = presorted and (last_cost is None or last_cost < cost)
+        last_cost = cost
         # (center, mask) of the non-empty blocks, one axis at a time; the
         # centers are those of grid_ball(space, anchor, k)
         blocks = [((), bits.full)]
@@ -159,7 +175,7 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
         for center, mask in blocks:
             if mask.bit_count() > limit:
                 out.append(_Candidate(Ball(center, radius), mask, cost))
-    return out, bits.index
+    return (out if presorted else sorted(out, key=_cost_key)), bits.index
 
 
 def _dominance_limit(k: int, m) -> int:
@@ -177,7 +193,9 @@ def _dominance_limit(k: int, m) -> int:
 
 def _point_candidates(space: Space, target, m, centers, cap):
     """Balls centered at the given points with radii from the distance set to
-    target elements (the covering optimum over real radii is attained there)."""
+    target elements (the covering optimum over real radii is attained there).
+    On nets each centre's distance row is sorted once: a radius's members
+    are the prefix of the row within radius + TOL."""
     bits = ElementBits(space, sorted(target))
     voxel = isinstance(space, VoxelSpace)
     out = []
@@ -185,15 +203,23 @@ def _point_candidates(space: Space, target, m, centers, cap):
         if voxel:
             dists = sorted({linf(space.cell_center(c), center) for c in bits.elements})
         else:
-            at = net_center(center, space)
-            dists = sorted({net_dist(at, e, space) for e in bits.elements})
+            row = bits.net_row(net_center(center, space))
+            dists = sorted({d for d, _ in row})
             dists = [d for d in dists if d > 0.0] or dists[:1]
+            mask, j = 0, 0
         seen = set()
         for r in dists:
             if cap is not None and as_fraction(r) > cap:
                 break
-            ball = Ball(center, r if isinstance(r, Fraction) else float(r))
-            mask = bits.ball(ball)
+            if voxel:
+                ball = Ball(center, r)
+                mask = bits.ball(ball)
+            else:
+                ball = Ball(center, float(r))
+                limit = ball.radius + TOL
+                while j < len(row) and row[j][0] <= limit:
+                    mask |= row[j][1]
+                    j += 1
             if mask and mask not in seen:
                 seen.add(mask)
                 out.append(_Candidate(ball, mask, power(as_fraction(r), m)))
@@ -212,38 +238,87 @@ def _fixed_candidates(space: Space, target, m, balls, cap):
 
 
 def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
+    """The family's balls that meet the target, one per distinct mask (the
+    least in (cost, ball key) order), in that order, and the target's bit
+    index.  Up to 2,000 of them, balls whose mask an earlier ball's holds
+    are dropped: costs ascend, so that ball is at most as dear."""
     core, cap = _flatten_family(family)
-    if isinstance(core, AllGridBalls):
-        if isinstance(space, NetSpace):
+    if isinstance(core, AllGridBalls) and isinstance(space, VoxelSpace):
+        cands, index = _voxel_grid_candidates(space, target, m, core.stride, cap)
+    else:
+        if isinstance(core, AllGridBalls):
             centers = _net_centers(space)
             cands, index = _point_candidates(space, target, m, centers, cap)
+        elif isinstance(core, CentersIn):
+            cands, index = _point_candidates(space, target, m, core.points, cap)
+        elif isinstance(core, FixedFamily):
+            cands, index = _fixed_candidates(space, target, m, core.balls, cap)
         else:
-            cands, index = _voxel_grid_candidates(space, target, m, core.stride, cap)
-    elif isinstance(core, CentersIn):
-        cands, index = _point_candidates(space, target, m, core.points, cap)
-    elif isinstance(core, FixedFamily):
-        cands, index = _fixed_candidates(space, target, m, core.balls, cap)
-    else:
-        raise InputError(f"unsupported ball family {core!r}")
+            raise InputError(f"unsupported ball family {core!r}")
+        cands.sort(key=_cost_key)
 
-    best: dict[int, _Candidate] = {}
+    first = {}
     for cand in cands:
-        cur = best.get(cand.mask)
-        if cur is None or (cand.cost, cand.ball.key()) < (cur.cost, cur.ball.key()):
-            best[cand.mask] = cand
-    cands = sorted(best.values(), key=lambda c: (c.cost, c.ball.key()))
-
-    # full dominance pass only when small enough to pay for itself
+        first.setdefault(cand.mask, cand)
+    cands = list(first.values())
+    # the dominance pass only when small enough to pay for itself
     if len(cands) <= 2000:
-        kept: list[_Candidate] = []
-        for cand in cands:
-            if not any(
-                other.mask | cand.mask == other.mask and other.cost <= cand.cost
-                for other in kept
-            ):
-                kept.append(cand)
-        cands = kept
+        cands = _undominated(cands, len(index))
     return cands, index
+
+
+def _undominated(cands, n_elems):
+    """The candidates, in order, whose mask no earlier kept candidate's mask
+    holds.  owners[e] has bit j set when kept candidate j contains element
+    e, so a candidate is dominated exactly when the AND of its elements'
+    owners is non-zero."""
+    owners = [0] * n_elems
+    kept = []
+    for cand in cands:
+        common = -1
+        for e in bit_indices(cand.mask):
+            common &= owners[e]
+            if not common:
+                break
+        if common:
+            continue
+        bit = 1 << len(kept)
+        for e in bit_indices(cand.mask):
+            owners[e] |= bit
+        kept.append(cand)
+    return kept
+
+
+def _cost_key(cand):
+    """The (cost, ball key) order of candidate lists."""
+    return cand.cost, cand.ball.key()
+
+
+def _key_ints(balls):
+    """One non-negative integer per ball that orders like `ball.key()`, or
+    None when some centre coordinate or radius is a float (or the centres
+    differ in length).  Each key part, scaled by the lcm of their
+    denominators and shifted to start at 0, is one digit of a mixed-radix
+    number, the first centre coordinate the most significant.  A part object
+    is scaled once however many balls hold it (grid balls share theirs)."""
+    if not balls:
+        return []
+    width = len(balls[0].center)
+    if any(len(b.center) != width for b in balls):
+        return None
+    cols = [*zip(*(b.center for b in balls)), [b.radius for b in balls]]
+    parts = {id(x): x for col in cols for x in col}
+    if not all(isinstance(x, (Fraction, int)) for x in parts.values()):
+        return None
+    den = math.lcm(*(x.denominator for x in parts.values()))
+    scaled = {i: x.numerator * (den // x.denominator) for i, x in parts.items()}
+    keys = [0] * len(balls)
+    for col in cols:
+        col = [scaled[id(x)] for x in col]
+        low = min(col)
+        span = max(col) - low + 1
+        keys = [key * span + x - low for key, x in zip(keys, col)]
+    return keys
 
 
 def _net_centers(space: NetSpace):
@@ -299,6 +374,14 @@ class _RatioBound:
 
     def scalar(self, x) -> Scalar:
         return x if self.scale is None else Fraction(x, self.scale)
+
+    def price(self, i: int, count: int):
+        """Ball i's cost per element over `count` elements, in the bound's
+        ratio units: w_i * (L // count), or the float cost / count."""
+        weight = self._balls[i][0]
+        if self.scale is None:
+            return weight / count
+        return weight * self._per_size[count]
 
     def _assign(self, uncovered):
         """(ratio, elements) groups covering each element of U once, with
@@ -366,31 +449,35 @@ def volume_lower_bound(space: VoxelSpace, target=None, m: Scalar = 1) -> Scalar:
 # ---------------------------------------------------------------------------
 # solvers
 
-def _greedy_cover(cands, full):
+def _greedy_cover(cands, full, ratio: _RatioBound):
     """Indices of the balls picked by repeatedly taking the ball of least cost
-    per newly covered element, ties to the least ball key.  Lazy (Minoux): a
-    heap holds each ball's last known ratio, which can only grow as coverage
-    grows, so a popped ball whose ratio is still current is the eager
-    greedy's pick."""
-    heap = [(cand.cost / cand.mask.bit_count(), cand.ball.key(), i)
-            for i, cand in enumerate(cands)]
+    per newly covered element, ties to the least ball key.  Prices are
+    `ratio.price`, integers when the costs are Fractions; ties compare
+    `_key_ints` when every key part is rational, else the keys.
+    Lazy (Minoux): a heap holds each ball's last known price, which can only
+    grow as coverage grows, so a popped ball whose price is still current is
+    the eager greedy's pick."""
+    price = ratio.price
+    keys = _key_ints([c.ball for c in cands]) or [c.ball.key() for c in cands]
+    heap = [(price(i, cand.mask.bit_count()), key, i)
+            for i, (cand, key) in enumerate(zip(cands, keys))]
     heapq.heapify(heap)
     covered = 0
     chosen = []
     while covered != full:
         if not heap:
             raise UncoverableError("family cannot cover the target")
-        ratio, key, i = heapq.heappop(heap)
-        cand = cands[i]
-        new = cand.mask & ~covered
+        current, key, i = heapq.heappop(heap)
+        mask = cands[i].mask
+        new = mask & ~covered
         if not new:
             continue
-        current = cand.cost / new.bit_count()
-        if current == ratio:
+        now = price(i, new.bit_count())
+        if now == current:
             chosen.append(i)
-            covered |= cand.mask
+            covered |= mask
         else:
-            heapq.heappush(heap, (current, key, i))
+            heapq.heappush(heap, (now, key, i))
     return chosen
 
 
@@ -455,8 +542,8 @@ def greedy_content(
     greedy cost says nothing about the optimum from below, so the reported
     lower value is 0 on every model."""
     target = _resolve_target(space, target)
-    cands, index = generate_candidates(space, target, m, family)
-    chosen = _greedy_cover(cands, (1 << len(index)) - 1)
+    cands, index, ratio = _priced_candidates(space, target, m, family)
+    chosen = _greedy_cover(cands, (1 << len(index)) - 1, ratio)
     witness = Covering(tuple(cands[i].ball for i in chosen), frozenset(target), m)
     return ContentResult(
         m, family_label(family), _zero(witness.cost), witness.cost, False, witness,
@@ -477,15 +564,14 @@ def exact_content(
     bracket instead of failing when the node budget runs out.
     """
     target = _resolve_target(space, target)
-    cands, index = generate_candidates(space, target, m, family)
+    cands, index, ratio = _priced_candidates(space, target, m, family)
     full = (1 << len(index)) - 1
 
-    chosen = _greedy_cover(cands, full)  # raises when the family cannot cover
-    ratio = _RatioBound(cands)
+    chosen = _greedy_cover(cands, full, ratio)  # raises when the family cannot cover
     duals, root_dual = ratio.duals(full)
     best_cost, best_sel, nodes, frontier = _branch_and_bound(
         cands, ratio, full, node_budget,
-        ratio.units(sum(cands[i].cost for i in chosen)), tuple(chosen),
+        sum(ratio.costs[i] for i in chosen), tuple(chosen),
     )
     best_cost = ratio.scalar(best_cost)
 
@@ -542,6 +628,14 @@ def content_ball_scan(space: Space, m: Scalar, R: Scalar, family=AllGridBalls())
 
 # ---------------------------------------------------------------------------
 # helpers
+
+def _priced_candidates(space: Space, target, m: Scalar, family: BallFamily):
+    """`generate_candidates` and the `_RatioBound` that prices them."""
+    cands, index = generate_candidates(space, target, m, family)
+    if not cands:
+        raise UncoverableError("family cannot cover the target")
+    return cands, index, _RatioBound(cands)
+
 
 def _resolve_target(space: Space, target):
     if target is None:

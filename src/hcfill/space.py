@@ -13,6 +13,8 @@ Two space models:
 Which elements a ball contains: `ElementBits.ball` answers with a bitmask
 over an ordered element list for every solver; `ball_members`, a scan of the
 whole space, with a set.  Both use `ball_cell_ranges` and `net_dist`.
+`ElementBits.net_row` sorts one net centre's distances, so that the
+members of every ball around it are a prefix.
 """
 
 from __future__ import annotations
@@ -285,6 +287,12 @@ class ElementBits:
             if net_dist(center, e, space) <= limit:
                 mask |= bit
         return mask
+
+    def net_row(self, center) -> list[tuple[float, int]]:
+        """(distance, bit) of every listed net point from a `net_center`
+        result, nearest first: the members of the ball of radius r there
+        are the prefix of the row within r + TOL."""
+        return sorted((net_dist(center, e, self.space), bit) for e, bit in self._net)
 
     def slab(self, i: int, a: int, b: int) -> int:
         """The cells with a <= coordinate i <= b."""

@@ -24,6 +24,7 @@ from hcfill.shapes import (
 )
 from hcfill.space import (
     AllGridBalls,
+    Ball,
     CentersIn,
     FixedFamily,
     NetSpace,
@@ -210,6 +211,18 @@ def test_fixed_family_uncoverable():
         exact_content(s, None, 1, lonely)
 
 
+@pytest.mark.parametrize("solver", [exact_content, greedy_content])
+def test_no_candidate_raises_uncoverable(solver):
+    # no ball of the family meets the target, so there is nothing to price
+    s = make_cube(2, 3, Fraction(1, 4))
+    below_unit = intersect_families(AllGridBalls(), RadiusCapped(Fraction(1, 16)))
+    far = FixedFamily((grid_ball(s, (10, 10), 1), grid_ball(s, (-5, 0), 2)))
+    for family in (below_unit, far):
+        assert generate_candidates(s, frozenset(s.cells), 1, family)[0] == []
+        with pytest.raises(UncoverableError):
+            solver(s, None, 1, family)
+
+
 def test_radius_cap_limits_candidates():
     s = make_cube(2, 4, Fraction(1, 4))
     capped = intersect_families(AllGridBalls(), RadiusCapped(Fraction(1, 8)))
@@ -265,16 +278,42 @@ def test_centers_in_rejects_empty():
         CentersIn(())
 
 
-# Reports of exact_content, pinned as the first 16 hex digits of the sha256
-# of their sorted-key JSON: voxel searches on Fraction costs that close, run
-# out of budget or close at the root, and float costs on a voxel set at
-# m = 3/2 and on an l2 net.
+# Reports, pinned as the first 16 hex digits of the sha256 of their
+# sorted-key JSON.  exact_content: voxel searches on Fraction costs that
+# close, run out of budget or close at the root, float costs on a voxel set
+# at m = 3/2 and on an l2 net, a CentersIn family on a blob, and a fixed
+# family mixing Fraction and float radii.  greedy_content: the 8^3 cube at
+# m = 1 (7,008 candidates, past the dominance pass) and an l1 net.
 def _net25():
     rng = random.Random(5)
     points = {}
     while len(points) < 25:
         points[(float(rng.randrange(17)), float(rng.randrange(17)))] = None
     return NetSpace("l2", tuple(points))
+
+
+def _net_l1():
+    rng = random.Random(13)
+    points = {}
+    while len(points) < 22:
+        points[(float(rng.randrange(12)), float(rng.randrange(12)))] = None
+    return NetSpace("l1", tuple(points))
+
+
+def _blob_centers():
+    s = random_blob(11, 2, 24, 6)
+    points = [s.cell_center(c) for c in sorted(s.cells)[::3]]
+    points += [(Fraction(1, 3), Fraction(2, 5)), (Fraction(5, 8), Fraction(1, 8))]
+    return s, CentersIn(tuple(points))
+
+
+def _mixed_fixed():
+    s = random_blob(4, 2, 18, 5)
+    balls = []
+    for i, c in enumerate(sorted(s.cells)):
+        ball = grid_ball(s, c, 1 + i % 3)
+        balls.append(Ball(ball.center, float(ball.radius)) if i % 2 else ball)
+    return s, FixedFamily(tuple(balls))
 
 
 PINNED_REPORTS = [
@@ -287,9 +326,31 @@ PINNED_REPORTS = [
 ]
 
 
+def _digest(report):
+    text = json.dumps(report.to_dict(), sort_keys=True, default=fmt_scalar)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("make, m, budget, digest", PINNED_REPORTS)
 def test_exact_content_reports_pinned(make, m, budget, digest):
     kwargs = {} if budget is None else {"node_budget": budget}
-    r = exact_content(make(), None, m, **kwargs)
-    text = json.dumps(r.to_dict(), sort_keys=True, default=fmt_scalar)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert _digest(exact_content(make(), None, m, **kwargs)) == digest
+
+
+@pytest.mark.parametrize("make, m, digest", [
+    (_blob_centers, 1, "12618f185d4c0d3b"),
+    (_mixed_fixed, 1, "fc94b371aef83e2d"),
+    (_mixed_fixed, 2, "33d8419b736cff6d"),
+])
+def test_exact_content_family_reports_pinned(make, m, digest):
+    space, family = make()
+    assert _digest(exact_content(space, None, m, family)) == digest
+
+
+@pytest.mark.parametrize("make, m, digest", [
+    (lambda: make_cube(3, 8), 1, "3f557f03bbdb6fd6"),
+    (_net_l1, 1, "07be3d2f8983fbaa"),
+    (_net_l1, Fraction(3, 2), "91aa9629efb91a55"),
+])
+def test_greedy_content_reports_pinned(make, m, digest):
+    assert _digest(greedy_content(make(), None, m)) == digest

@@ -1,6 +1,7 @@
-"""Property tests: grid candidate generation, the greedy cover and the
-branch and bound's ratio bound against direct oracles, and the greedy lower
-bound on nets against an exhaustive optimum."""
+"""Property tests: grid and net candidate generation, the dominance pass,
+the greedy cover and the branch and bound's ratio bound against direct
+oracles, and the greedy lower bound on nets against an exhaustive
+optimum."""
 
 import itertools
 import math
@@ -12,8 +13,12 @@ from hypothesis import strategies as st
 
 from hcfill.content import (
     _Candidate,
+    _fixed_candidates,
     _greedy_cover,
+    _net_centers,
+    _point_candidates,
     _RatioBound,
+    _undominated,
     _voxel_grid_candidates,
     generate_candidates,
     greedy_content,
@@ -24,12 +29,17 @@ from hcfill.shapes import make_strip_with_bulbs
 from hcfill.space import (
     AllGridBalls,
     Ball,
+    CentersIn,
+    ElementBits,
+    FixedFamily,
     NetSpace,
     RadiusCapped,
     VoxelSpace,
     ball_members,
     grid_ball,
     intersect_families,
+    net_center,
+    net_dist,
 )
 
 MS = [1, 2, 3, Fraction(2), Fraction(3, 2), Fraction(1, 2), 0.5, 1.5, 2.0]
@@ -112,9 +122,14 @@ def greedy_keys(cover, cands, n_elems):
         return None
 
 
+def lazy_greedy(cands, full):
+    return _greedy_cover(cands, full, _RatioBound(cands))
+
+
 def assert_greedy_matches(cands, n_elems):
-    assert greedy_keys(_greedy_cover, cands, n_elems) == \
-        greedy_keys(eager_greedy, cands, n_elems)
+    if cands:
+        assert greedy_keys(lazy_greedy, cands, n_elems) == \
+            greedy_keys(eager_greedy, cands, n_elems)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -289,6 +304,9 @@ def test_ratio_bound_matches_the_per_member_scans(instance, data):
     exact = all(isinstance(c.cost, Fraction) for c in cands)
     assert (ratio.scale is not None) == exact
     assert [ratio.scalar(c) for c in ratio.costs] == [c.cost for c in cands]
+    for i, cand in enumerate(cands):
+        count = cand.mask.bit_count()
+        assert ratio.scalar(ratio.price(i, count)) == cand.cost / count
 
     for uncovered in (0, full, *(1 << e for e in range(n)),
                       data.draw(st.integers(0, full))):
@@ -304,3 +322,153 @@ def test_ratio_bound_matches_the_per_member_scans(instance, data):
     assert duals == want
     assert [type(d) for d in duals] == [type(d) for d in want]
     assert root == sum(want) and type(root) is type(sum(want))
+
+
+# ---------------------------------------------------------------------------
+# candidate post-processing, net distance rows and the greedy on every
+# family against the sort, dedupe, quadratic dominance pass and per-ball
+# scans they replaced
+
+def quadratic_undominated(cands):
+    """Keep a candidate unless a kept one holds its mask at no higher cost."""
+    kept = []
+    for cand in cands:
+        if not any(other.mask | cand.mask == other.mask and other.cost <= cand.cost
+                   for other in kept):
+            kept.append(cand)
+    return kept
+
+
+def oracle_post_process(raw):
+    """The least (cost, key) candidate per mask, sorted by (cost, key), then
+    the quadratic dominance pass when at most 2,000 remain."""
+    best = {}
+    for cand in raw:
+        cur = best.get(cand.mask)
+        if cur is None or (cand.cost, cand.ball.key()) < (cur.cost, cur.ball.key()):
+            best[cand.mask] = cand
+    cands = sorted(best.values(), key=lambda c: (c.cost, c.ball.key()))
+    return quadratic_undominated(cands) if len(cands) <= 2000 else cands
+
+
+def oracle_point_candidates(space, target, m, centers, cap):
+    """Balls at each centre with radii from its distance set, each mask
+    from its own `ElementBits.ball` scan."""
+    bits = ElementBits(space, sorted(target))
+    out = []
+    for center in centers:
+        if isinstance(space, VoxelSpace):
+            dists = sorted({max(abs(x - y) for x, y in zip(space.cell_center(c), center))
+                            for c in bits.elements})
+        else:
+            at = net_center(center, space)
+            dists = sorted({net_dist(at, e, space) for e in bits.elements})
+            dists = [d for d in dists if d > 0.0] or dists[:1]
+        seen = set()
+        for r in dists:
+            if cap is not None and Fraction(r) > cap:
+                break
+            ball = Ball(center, r if isinstance(r, Fraction) else float(r))
+            mask = bits.ball(ball)
+            if mask and mask not in seen:
+                seen.add(mask)
+                out.append((ball.key(), mask, power(Fraction(r), m)))
+    return out
+
+
+def triples(cands):
+    return [(c.ball.key(), c.mask, c.cost) for c in cands]
+
+
+def assert_post_processing_matches(space, target, m, family, raw):
+    got, index = generate_candidates(space, target, m, family)
+    want = oracle_post_process(raw)
+    assert triples(got) == triples(want)
+    assert [type(c.cost) for c in got] == [type(c.cost) for c in want]
+    ordered = sorted(raw, key=lambda c: (c.cost, c.ball.key()))
+    assert triples(_undominated(ordered, len(index))) == \
+        triples(quadratic_undominated(ordered))
+    assert_greedy_matches(got, len(index))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(voxel_instances(), st.booleans())
+def test_dominance_pass_matches_quadratic_on_grid_balls(instance, at_zero):
+    """Also at m = 0, where every size costs 1 and the generator sorts."""
+    space, target, m, stride, cap = instance
+    m = 0 if at_zero else m
+    family = AllGridBalls(stride)
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    raw, _ = _voxel_grid_candidates(space, target, m, stride, cap)
+    assert_post_processing_matches(space, target, m, family, raw)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(voxel_instances(), st.data())
+def test_dominance_pass_matches_quadratic_on_centers_in(instance, data):
+    space, target, m, _, cap = instance
+    quarter = space.delta / 4
+    coord = st.integers(-8, 40).map(lambda j: quarter * j)
+    centers = tuple(data.draw(st.lists(st.tuples(*[coord] * space.n),
+                                       min_size=1, max_size=8)))
+    family = CentersIn(centers)
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    raw, _ = _point_candidates(space, target, m, centers, cap)
+    assert triples(raw) == oracle_point_candidates(space, target, m, centers, cap)
+    assert_post_processing_matches(space, target, m, family, raw)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(voxel_instances(), st.data())
+def test_dominance_pass_matches_quadratic_on_fixed_families(instance, data):
+    """Fraction and float radii mixed, at integer and non-integer m."""
+    space, target, m, _, _ = instance
+    half = space.delta / 2
+    coord = st.integers(-4, 20).map(lambda j: half * j)
+    radius = st.integers(1, 8).map(lambda j: half * j)
+    radius = st.one_of(radius, radius.map(float))
+    balls = tuple(data.draw(st.lists(
+        st.builds(Ball, st.tuples(*[coord] * space.n), radius), min_size=1, max_size=16)))
+    raw, _ = _fixed_candidates(space, target, m, balls, None)
+    assert_post_processing_matches(space, target, m, FixedFamily(balls), raw)
+
+
+def matrix_net(points):
+    """A matrix-metric net with the l1 distances of the given points."""
+    k = len(points)
+    matrix = tuple(tuple(sum(abs(x - y) for x, y in zip(points[i], points[j]))
+                         for j in range(k)) for i in range(k))
+    return NetSpace("matrix", tuple((float(i),) for i in range(k)), 0.0, matrix)
+
+
+@st.composite
+def net_instances(draw):
+    """An l_inf, l1, l2 or matrix net, a non-empty target, m and a cap."""
+    net, m = draw(small_nets())
+    if draw(st.booleans()):
+        # tenths: sums and differences of the coordinates round apart by
+        # less than the tolerance (0.1 + 0.2 > 0.3)
+        net = NetSpace(net.metric, tuple((x * 0.1, y * 0.1) for x, y in net.points))
+    if draw(st.booleans()):
+        net = matrix_net(net.points)
+    target = draw(st.sets(st.sampled_from(range(len(net.points))), min_size=1))
+    cap = draw(st.one_of(st.none(), st.integers(1, 8).map(Fraction)))
+    return net, frozenset(target), m, cap
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(net_instances())
+def test_net_distance_rows_match_ball_scans(instance):
+    net, target, m, cap = instance
+    centers = _net_centers(net)
+    raw, index = _point_candidates(net, target, m, centers, cap)
+    assert triples(raw) == oracle_point_candidates(net, target, m, centers, cap)
+    bits = ElementBits(net, sorted(target))
+    assert all(bits.ball(c.ball) == c.mask for c in raw)
+    family = AllGridBalls()
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    if raw:
+        assert_post_processing_matches(net, target, m, family, raw)
