@@ -61,12 +61,28 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _parse_number(text: str, option: str) -> Fraction:
+    """A numeric option ("p/q", integer or decimal) as an exact Fraction;
+    malformed text is an input error."""
+    try:
+        return parse_scalar(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{option}: not a number: {text!r}") from None
+
+
 def _parse_m(text: str) -> Fraction:
-    return parse_scalar(text)
+    return _parse_number(text, "--m")
 
 
-def _parse_point(text: str):
-    return tuple(parse_scalar(x) for x in text.split(","))
+def _parse_width_m(text: str) -> Fraction | int:
+    """`--m` of the width subcommands: an integral value as `int`, so that
+    `2.0` reports as `2`; the library refuses the rest."""
+    m = _parse_m(text)
+    return int(m) if m.denominator == 1 else m
+
+
+def _parse_point(text: str, option: str):
+    return tuple(_parse_number(x, option) for x in text.split(","))
 
 
 def _load_cover(path: str) -> Covering:
@@ -92,7 +108,7 @@ def _family(args, space) -> object:
             pts = json.load(fh)
         fam = CentersIn(tuple(tuple(parse_scalar(x) for x in p) for p in pts))
     if args.radius_cap is not None:
-        fam = intersect_families(fam, RadiusCapped(parse_scalar(args.radius_cap)))
+        fam = intersect_families(fam, RadiusCapped(_parse_number(args.radius_cap, "--radius-cap")))
     return fam
 
 
@@ -120,7 +136,7 @@ def _cmd_coarea(args, cfg: RunConfig) -> int:
     cover = _load_cover(args.cover)
     kind, _, rest = args.function.partition(":")
     if kind == "dist":
-        descriptor = DistanceToPoint(_parse_point(rest))
+        descriptor = DistanceToPoint(_parse_point(rest, "--f"))
     elif kind == "dist-set":
         with open(rest) as fh:
             cells = frozenset(tuple(int(x) for x in c) for c in json.load(fh))
@@ -135,7 +151,7 @@ def _cmd_coarea(args, cfg: RunConfig) -> int:
     rng = None
     if args.range:
         lo, _, hi = args.range.partition(":")
-        rng = (parse_scalar(lo), parse_scalar(hi))
+        rng = (_parse_number(lo, "--range"), _parse_number(hi, "--range"))
     m = _parse_m(args.m)
     domain = cover.target or frozenset(space.cells)
     profile = slice_profile(space, domain, descriptor, cover, rng)
@@ -161,9 +177,9 @@ def _cmd_coarea(args, cfg: RunConfig) -> int:
 
 def _cmd_cone(args, cfg: RunConfig) -> int:
     cover = _load_cover(args.cover)
-    apex = _parse_point(args.apex)
+    apex = _parse_point(args.apex, "--apex")
     m = _parse_m(args.m)
-    cert = cone_covering(cover, apex, parse_scalar(args.radius), m, args.variant)
+    cert = cone_covering(cover, apex, _parse_number(args.radius, "--R"), m, args.variant)
     coverage = cone_coverage_check(cert, cover, args.samples, cfg.seed)
     report = {
         "command": "cone",
@@ -177,7 +193,7 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
 def _cmd_decompose(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
     m = _parse_m(args.m)
-    eps = float(args.eps) if args.eps is not None else None
+    eps = float(_parse_number(args.eps, "--eps")) if args.eps is not None else None
     result = decompose(space, None, m, eps, node_budget=cfg.node_budget)
     _emit({"command": "decompose", "decomposition": result.to_dict()}, args.out)
     return 0
@@ -186,7 +202,7 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
 def _cmd_fill(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
     m = _parse_m(args.m)
-    eps = float(args.eps) if args.eps is not None else None
+    eps = float(_parse_number(args.eps, "--eps")) if args.eps is not None else None
     cert = fill(
         space, None, m, eps, cfg.step_cap,
         node_budget=cfg.node_budget, pushout_candidates=cfg.pushout_candidates,
@@ -207,7 +223,7 @@ def _cmd_fill(args, cfg: RunConfig) -> int:
 def _cmd_pushout(args, cfg: RunConfig) -> int:
     with open(args.points) as fh:
         pts = [tuple(parse_scalar(x) for x in p) for p in json.load(fh)]
-    grid = CubicalGrid(args.n, parse_scalar(args.grid_R))
+    grid = CubicalGrid(args.n, _parse_number(args.grid_R, "--grid-R"))
     trace = skeleton_descend(
         pts, grid, _parse_m(args.m),
         candidates=cfg.pushout_candidates,
@@ -234,7 +250,7 @@ def _cmd_lw_check(args, cfg: RunConfig) -> int:
 
 
 def _cmd_cube_eq(args, cfg: RunConfig) -> int:
-    report = cube_equality_check(args.n, parse_scalar(args.delta))
+    report = cube_equality_check(args.n, _parse_number(args.delta, "--delta"))
     _emit({"command": "cube-eq", "report": report}, args.out)
     return 0
 
@@ -242,7 +258,7 @@ def _cmd_cube_eq(args, cfg: RunConfig) -> int:
 def _cmd_width(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
     budget = cfg.width_budget if args.budget is None else args.budget
-    result = width_bound(space, int(args.m), budget, cfg.seed, cfg.node_budget)
+    result = width_bound(space, _parse_width_m(args.m), budget, node_budget=cfg.node_budget)
     _emit({"command": "width", "result": result.to_dict()}, args.out)
     return 0
 
@@ -250,8 +266,8 @@ def _cmd_width(args, cfg: RunConfig) -> int:
 def _cmd_local_width(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
     budget = cfg.width_budget if args.budget is None else args.budget
-    report = local_width_check(space, int(args.m), parse_scalar(args.radius),
-                               budget, cfg.seed, cfg.node_budget)
+    report = local_width_check(space, _parse_width_m(args.m),
+                               _parse_number(args.radius, "--R"), budget, cfg.node_budget)
     _emit({"command": "local-width", "report": report}, args.out)
     return 0
 
@@ -280,7 +296,7 @@ def _cmd_corpus(args, cfg: RunConfig) -> int:
                 d = decompose(space, None, 2, node_budget=cfg.node_budget)
                 row.update({"alpha": d.alpha, "balls": len(d.balls), "ok": d.ok()})
             elif args.suite == "width":
-                w = width_bound(space, 2, min(cfg.width_budget, 200), cfg.seed)
+                w = width_bound(space, 2, cfg.width_budget)
                 row.update({
                     "bound": fmt_scalar(w.bound),
                     "c_measured": w.c_measured,

@@ -22,7 +22,8 @@ class RunConfig:
     ratio_ceiling_base: float = 10.0
     pushout_candidates: int = 64
     step_cap: int = 50
-    # search budgets
+    # width_budget only separates 0 from positive (the config refuses 0);
+    # seed is read by cone coverage sampling
     width_budget: int = 2000
     seed: int = 0
 

@@ -176,7 +176,7 @@ class Ball:
 
     def __hash__(self):
         # the dataclass hash, computed once: Fraction hashing is slow and
-        # balls key the width search's memo
+        # balls key `prune_redundant`'s mask table, looked up per pair
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.center, self.radius))

@@ -1,30 +1,28 @@
 """Urysohn-width upper bounds via nerves of coverings.
 
 A covering with multiplicity at most m has a nerve of dimension at most m-1,
-and any map to that nerve has fibers inside unions of one simplex's balls.
-The width bound is therefore the best achievable value of
-max over simplices of diam(union of the simplex's balls), searched over
-multiplicity-constrained coverings (seeded annealing over grow/shrink/merge
-moves starting from aligned tilings).
+and any map to that nerve has fibers inside unions of one simplex's balls,
+so max over simplices of diam(union of the simplex's balls) bounds the
+(m-1)-width.
 
-Candidates are evaluated on element bitmasks: a ball's member mask is
-`space.ElementBits.ball` over every element of the space (on voxels the AND
-of one per-axis slab, over the same integer cell ranges `ball_members`
-tests).  `nerve` reads each element's owners off the set bits and keeps the
-simplices that are no face of another (integer subset test).  A ball's axis
-box (center -+ radius per axis) is held as integers over one denominator,
-so `fiber_bound` takes each simplex's union diameter as an integer max - min
-and builds one `Fraction` at the end.  One `BallMasks` per search memoises
-each ball's mask, integer box and sort key, so a move, which changes one to
-four balls of the incumbent, recomputes only those.  The search passes
-`nerve` bare ball tuples checked against the whole space; the reported
-result is the only `Covering` it builds.
+On the voxel model a ball's members are the cells whose centres it holds,
+so the one-cell tiling (one grid ball of side delta per cell) has
+multiplicity 1 at every m and fiber bound delta.  No covering by balls of
+radius at least delta/2, grid balls among them, does better: every simplex
+holds a ball, and that ball alone has diameter at least delta.
+`width_bound` reports that tiling.  A model in which adjacent cells meet
+(closed cubes) would make the bound a search again.
+
+`nerve` reads each element's owners off the set bits of the balls' member
+masks (`space.ElementBits.ball`) and keeps the simplices that are no face
+of another (integer subset test).  A ball's axis box (center -+ radius per
+axis) is held as integers over one denominator, so `fiber_bound` takes each
+simplex's union diameter as an integer max - min and builds one `Fraction`
+at the end.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -67,49 +65,6 @@ class NerveComplex:
 Box = tuple[int, tuple[int, ...], tuple[int, ...]]  # (den, lo, hi): bounds lo/den, hi/den
 
 
-class BallMasks:
-    """`ElementBits` over every element of one space, with each ball's member
-    mask, integer box and sort key memoised for the life of the object (one
-    width search)."""
-
-    def __init__(self, space: Space):
-        elements = space.sorted_cells() if isinstance(space, VoxelSpace) \
-            else range(len(space.points))
-        self._bits = ElementBits(space, elements)
-        self.index = self._bits.index
-        self.full = self._bits.full
-        self._masks: dict[Ball, int] = {}
-        self._boxes: dict[Ball, Box] = {}
-        self._sort_keys: dict[Ball, tuple] = {}
-
-    def mask(self, ball: Ball) -> int:
-        out = self._masks.get(ball)
-        if out is None:
-            out = self._masks[ball] = self._bits.ball(ball)
-        return out
-
-    def box(self, ball: Ball) -> Box:
-        out = self._boxes.get(ball)
-        if out is None:
-            out = self._boxes[ball] = _ball_box(ball)
-        return out
-
-    def sort_key(self, ball: Ball) -> tuple:
-        """A key that orders balls as `Ball` itself does, with every exactly
-        representable coordinate as a float: float-to-float comparisons are
-        native, and mixed float/Fraction ones stay exact."""
-        out = self._sort_keys.get(ball)
-        if out is None:
-            out = self._sort_keys[ball] = (tuple(map(_float_if_exact, ball.center)),
-                                           _float_if_exact(ball.radius))
-        return out
-
-
-def _float_if_exact(x: Scalar) -> Scalar:
-    f = float(x)
-    return f if f == x else x
-
-
 def _ball_box(ball: Ball) -> Box:
     """Per-axis (center - radius, center + radius) of a cube ball, as
     integers over the lcm of the center's and radius' denominators."""
@@ -134,34 +89,27 @@ def _common_den(boxes: list[Box]) -> tuple[int, list[tuple[tuple[int, ...], tupl
     return den, out
 
 
-def nerve(cover: Covering | tuple[Ball, ...], space: Space,
-          masks: BallMasks | None = None) -> NerveComplex:
+def nerve(cover: Covering, space: Space) -> NerveComplex:
     """Exact nerve over the discrete model: a simplex for every subfamily
     sharing an element, so the dimension is the covering multiplicity - 1.
 
     Each element's owners are read off the set bits of the balls' member
-    masks; `masks` may carry the memo of an ongoing search.  `cover` is a
-    `Covering`, or a tuple of balls that must cover every element of the
-    space (the width search's target, whose mask `masks.full` is built
-    once)."""
-    if masks is None:
-        masks = BallMasks(space)
-    if isinstance(cover, Covering):
-        balls = cover.balls
-        wanted = 0
-        outside = 0
-        for element in cover.target:
-            bit = masks.index.get(element)
-            if bit is None:
-                outside += 1
-            else:
-                wanted |= 1 << bit
-    else:
-        balls, wanted, outside = cover, masks.full, 0
+    masks over every element of the space; target elements the space does
+    not have, and those no ball holds, count as missed."""
+    bits = ElementBits(space, space.sorted_cells() if isinstance(space, VoxelSpace)
+                       else range(len(space.points)))
+    wanted = 0
+    outside = 0
+    for element in cover.target:
+        bit = bits.index.get(element)
+        if bit is None:
+            outside += 1
+        else:
+            wanted |= 1 << bit
     covered = 0
     owners: dict[int, list[int]] = {}  # element bit -> indices of its balls
-    for i, ball in enumerate(balls):
-        mask = masks.mask(ball)
+    for i, ball in enumerate(cover.balls):
+        mask = bits.ball(ball)
         covered |= mask
         mask &= wanted
         while mask:
@@ -182,16 +130,16 @@ def nerve(cover: Covering | tuple[Ball, ...], space: Space,
             maximal.append(s)
             union |= s
     multiplicity = max(map(len, owners.values()), default=0)
-    return NerveComplex(tuple(balls), tuple(sorted(simplices[s] for s in maximal)),
+    return NerveComplex(tuple(cover.balls), tuple(sorted(simplices[s] for s in maximal)),
                         multiplicity)
 
 
-def fiber_bound(nerve_complex: NerveComplex, box=_ball_box) -> Fraction:
+def fiber_bound(nerve_complex: NerveComplex) -> Fraction:
     """Upper bound on any nerve map's fiber diameters: every fiber lies in
     the union of one simplex's balls, whose l_inf diameter is the largest
-    per-axis span max(hi) - min(lo).  `box` maps a ball to its integer box
-    (den, lo, hi); the spans are taken over the lcm of those denominators."""
-    den, bounds = _common_den([box(b) for b in nerve_complex.vertex_balls])
+    per-axis span max(hi) - min(lo), taken on the balls' integer boxes over
+    the lcm of their denominators."""
+    den, bounds = _common_den([_ball_box(b) for b in nerve_complex.vertex_balls])
     axes = list(zip(zip(*(lo for lo, _ in bounds)), zip(*(hi for _, hi in bounds))))
     worst = 0
     for simplex in nerve_complex.simplices:
@@ -210,7 +158,7 @@ class WidthResult:
     nerve: NerveComplex
     c_measured: float
     content: Scalar
-    trivial: bool  # True when no admissible covering beat the diameter
+    trivial: bool  # True for the zero-budget report, one ball of the diameter
 
     def to_dict(self) -> dict:
         return {
@@ -224,23 +172,6 @@ class WidthResult:
         }
 
 
-def _tilings(space: VoxelSpace):
-    """Aligned disjoint block tilings: multiplicity-1 coverings."""
-    bbox = space.bbox()
-    max_side = max(hi - lo + 1 for lo, hi in bbox)
-    for k in range(1, max_side + 1):
-        yield {grid_ball(space, tuple(lo + ((c - lo) // k) * k
-                                      for c, (lo, hi) in zip(cell, bbox)), k)
-               for cell in space.cells}
-
-
-def _verify_candidate(space, balls, m_limit, masks):
-    nv = nerve(tuple(sorted(set(balls), key=masks.sort_key)), space, masks)
-    if nv.multiplicity > m_limit:
-        return None
-    return nv, fiber_bound(nv, masks.box)
-
-
 def width_bound(
     space: VoxelSpace,
     m: int,
@@ -248,12 +179,15 @@ def width_bound(
     seed: int = 0,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> WidthResult:
-    """Search for a covering of nerve dimension <= m-1 minimizing the fiber
-    bound; returns the best covering found within the evaluation budget.
+    """The width bound of the one-cell tiling: multiplicity 1, so its nerve
+    has dimension 0 <= m-1, and fiber bound delta, which no covering by
+    balls of radius at least delta/2 beats (see the module docstring).
 
-    Falls back to the trivial diameter bound (flagged) if nothing admissible
-    is found.  Deterministic under a fixed seed; enlarging the budget never
-    worsens the result.
+    `budget` only separates 0 from positive: at 0 the report is the trivial
+    bound (flagged), one ball around the bounding box, whose fiber bound is
+    the diameter.  `seed` selects nothing; both stay for callers that pass
+    them.  `c_measured` is the bound over the m-th root of the content upper
+    bound.
     """
     if not isinstance(space, VoxelSpace):
         raise InputError("width_bound needs the voxel model")
@@ -262,102 +196,29 @@ def width_bound(
     if budget < 0:
         raise InputError("width budget must be >= 0")
     space.require_nonempty()
-    rng = random.Random(seed)
-    masks = BallMasks(space)
-    evaluations = 0
-    best = None
-
-    def consider(balls):
-        nonlocal evaluations, best
-        if evaluations >= budget:
-            return False
-        evaluations += 1
-        out = _verify_candidate(space, balls, m, masks)
-        if out is None:
-            return False
-        if best is None or out[1] < best[1]:
-            best = out
-        return True
-
-    for tiling in _tilings(space):
-        if evaluations >= budget:
-            break
-        consider(tiling)
-
     content = exact_content(space, None, m, node_budget=node_budget)
-    witness_balls = tuple(content.witness.balls)
-    consider(witness_balls)
-
-    # annealing over local moves of the incumbent
-    while evaluations < budget and best is not None:
-        balls = list(best[0].vertex_balls)
-        move = rng.random()
-        if move < 0.45 and len(balls) >= 2:
-            i, j = rng.sample(range(len(balls)), 2)
-            den, ((a_lo, a_hi), (b_lo, b_hi)) = _common_den(
-                [masks.box(balls[i]), masks.box(balls[j])])
-            lo = tuple(map(min, a_lo, b_lo))
-            hi = tuple(map(max, a_hi, b_hi))
-            center = tuple(Fraction(x + y, 2 * den) for x, y in zip(lo, hi))
-            radius = Fraction(max(y - x for x, y in zip(lo, hi)), 2 * den)
-            merged = Ball(center, radius)
-            candidate = [x for k, x in enumerate(balls) if k not in (i, j)]
-            candidate.append(merged)
-        elif move < 0.8:
-            i = rng.randrange(len(balls))
-            b = balls[i]
-            k = max(1, int(2 * float(b.radius) / float(space.delta)) // 2)
-            anchor = tuple(
-                int((as_fraction(c) - as_fraction(b.radius)) / space.delta)
-                for c in b.center
-            )
-            candidate = [x for j, x in enumerate(balls) if j != i]
-            for off in _corner_offsets(space.n, k):
-                sub_anchor = tuple(a + o for a, o in zip(anchor, off))
-                sub = grid_ball(space, sub_anchor, k)
-                if masks.mask(sub):
-                    candidate.append(sub)
-        else:
-            i = rng.randrange(len(balls))
-            b = balls[i]
-            shift = tuple(rng.choice((-1, 0, 1)) for _ in range(space.n))
-            moved = Ball(
-                tuple(as_fraction(c) + s * space.delta for c, s in zip(b.center, shift)),
-                b.radius,
-            )
-            candidate = [x for j, x in enumerate(balls) if j != i]
-            candidate.append(moved)
-        try:
-            consider(candidate)
-        except UncoverableError:
-            continue
-
-    trivial = best is None
+    trivial = budget == 0
     if trivial:
-        # one ball around the bounding box: its fiber bound is the diameter
         center = tuple(space.delta * Fraction(lo + hi + 1, 2) for lo, hi in space.bbox())
-        nv = nerve((Ball(center, space_radius(space)),), space, masks)
-        best = (nv, fiber_bound(nv, masks.box))
-    nv, value = best
-    cover = Covering(nv.vertex_balls, frozenset(space.cells), 1)
-
+        balls = (Ball(center, space_radius(space)),)
+    else:
+        balls = tuple(sorted(grid_ball(space, cell, 1) for cell in space.cells))
+    cover = Covering(balls, frozenset(space.cells), 1)
+    nv = nerve(cover, space)
+    value = fiber_bound(nv)
     c_measured = float(value) / root(content.value_upper, m) \
         if float(content.value_upper) > 0 else 0.0
     return WidthResult(m, value, cover, nv, c_measured, content.value_upper, trivial)
 
 
-def _corner_offsets(n: int, k: int):
-    return itertools.product((0, k), repeat=n)
-
-
 def local_width_check(space: VoxelSpace, m: int, R: Scalar,
-                      budget: int = 1000, seed: int = 0,
+                      budget: int = 1000,
                       node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """Pair the per-ball content scan with the global width bound: reports
     max HC_m(ball)/R^m and the achieved width bound (no threshold asserted;
     the scale constant relating them is existential)."""
     scan, max_ratio = content_ball_scan(space, m, R)
-    width = width_bound(space, m, budget=budget, seed=seed, node_budget=node_budget)
+    width = width_bound(space, m, budget=budget, node_budget=node_budget)
     return {
         "R": fmt_scalar(as_fraction(R)),
         "max_ball_content_ratio": max_ratio,

@@ -167,6 +167,40 @@ def test_width_budget_zero_and_negative(capsys, tmp_path, command, extra):
     assert err.startswith("error: ") and "budget" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("width", "--space", "SPACE", "--m", "1.5"), "width index needs integer m >= 1"),
+    (("width", "--space", "SPACE", "--m", "abc"), "--m: not a number"),
+    (("local-width", "--space", "SPACE", "--m", "3/2", "--R", "1/2"),
+     "width index needs integer m >= 1"),
+    (("local-width", "--space", "SPACE", "--m", "2", "--R", "abc"), "--R: not a number"),
+    (("local-width", "--space", "SPACE", "--m", "2", "--R", "1/0"), "--R: not a number"),
+    (("content", "--space", "SPACE", "--m", "abc"), "--m: not a number"),
+    (("content", "--space", "SPACE", "--m", "1/0"), "--m: not a number"),
+    (("content", "--space", "SPACE", "--m", "1", "--radius-cap", "x"),
+     "--radius-cap: not a number"),
+    (("decompose", "--space", "SPACE", "--m", "2", "--eps", "tiny"), "--eps: not a number"),
+    (("cube-eq", "--n", "2", "--delta", "1/0"), "--delta: not a number"),
+])
+def test_malformed_numeric_options_are_input_errors(capsys, tmp_path, argv, message):
+    path = tmp_path / "cube.json"
+    save_space(make_cube(2, 2, Fraction(1, 4)), str(path))
+    argv = [str(path) if a == "SPACE" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--R", "1/2")])
+def test_integral_width_index_reports_as_an_integer(capsys, tmp_path, extra):
+    path = tmp_path / "cube.json"
+    save_space(make_cube(2, 2, Fraction(1, 4)), str(path))
+    command = "local-width" if extra else "width"
+    outs = [run_cli(capsys, command, "--space", str(path), "--m", m, *extra)
+            for m in ("2", "2.0", "4/2")]
+    assert outs[0][0] == 0
+    assert outs[1] == outs[2] == outs[0]
+
+
 def test_coarea_subcommand(capsys, tmp_path):
     path = tmp_path / "cube.json"
     save_space(make_cube(2, 4, Fraction(1, 4)), str(path))

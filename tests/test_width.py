@@ -29,7 +29,6 @@ from hcfill.space import (
     space_diameter,
 )
 from hcfill.width import (
-    BallMasks,
     NerveComplex,
     fiber_bound,
     local_width_check,
@@ -175,13 +174,12 @@ def test_local_width_check_passes_node_budget(monkeypatch):
 
 
 def negative_thirds_blob():
-    """A delta = 1/3 blob at negative coordinates, where merge moves make
-    half-cell boxes."""
+    """A delta = 1/3 blob at negative coordinates."""
     return translate(random_blob(12, 2, 20, 6, Fraction(1, 3)), (-9, -4))
 
 
 # Reports of width_bound, pinned as the first 16 hex digits of the sha256 of
-# their sorted-key JSON; any change to the search's picks or the report
+# their sorted-key JSON; any change to the reported covering or the report
 # layout shows here.
 PINNED_REPORTS = [
     (make_dumbbell, (), 2, 200, 0, "c15e85ace9aed29a"),
@@ -203,31 +201,6 @@ def test_width_reports_pinned(make, args, m, budget, seed, digest):
 def test_negative_budget_is_input_error():
     with pytest.raises(InputError, match="budget"):
         width_bound(make_cube(2, 2, Fraction(1, 4)), 1, budget=-3)
-
-
-def test_search_fiber_bounds_match_the_oracle(monkeypatch):
-    """Every bound the search computes on its memoised integer boxes equals
-    the one recomputed from the balls and the Fraction oracle's, half-cell
-    merge boxes and boxes over different denominators included."""
-    space = negative_thirds_blob()
-    half_cells = 0
-    dens = set()
-    real = hcfill.width.fiber_bound
-
-    def checked(nv, box):
-        nonlocal half_cells
-        got = real(nv, box)
-        assert got == real(nv) == oracle_fiber_bound(nv)
-        for b in nv.vertex_balls:
-            dens.add(box(b)[0])
-            half_cells += any(((as_fraction(c) - as_fraction(b.radius)) / space.delta)
-                              .denominator != 1 for c in b.center)
-        return got
-
-    monkeypatch.setattr(hcfill.width, "fiber_bound", checked)
-    width_bound(space, 2, budget=150, seed=4)
-    assert half_cells > 0
-    assert len(dens) > 1  # candidates mix denominators: the lcm path runs
 
 
 # ---------------------------------------------------------------------------
@@ -274,42 +247,38 @@ def oracle_fiber_bound(nv):
 
 
 def assert_nerves_agree(covers, space):
-    """Each cover gives the oracle's nerve and fiber bound, or its error,
-    both with a fresh index and with one memo shared by all the covers; the
-    memo's sort key orders the balls as `Ball` does."""
-    shared = BallMasks(space)
+    """Each cover gives the oracle's nerve and fiber bound, or its error."""
     for cover in covers:
-        balls = set(cover.balls)
-        assert sorted(balls, key=shared.sort_key) == sorted(balls)
         try:
             want = oracle_nerve(cover, space)
         except UncoverableError as exc:
-            for masks in (None, shared):
-                with pytest.raises(UncoverableError, match=str(exc)):
-                    nerve(cover, space, masks)
+            with pytest.raises(UncoverableError, match=str(exc)):
+                nerve(cover, space)
             continue
-        for masks in (None, shared):
-            got = nerve(cover, space, masks)
-            assert got == want
-            bound = oracle_fiber_bound(want)
-            assert fiber_bound(got) == bound
-            assert fiber_bound(got, shared.box) == bound
+        got = nerve(cover, space)
+        assert got == want
+        assert fiber_bound(got) == oracle_fiber_bound(want)
 
 
-def test_sort_key_is_exact_where_floats_tie():
-    third = Fraction(1, 3)
-    below = Fraction(float(third))  # the float nearest 1/3, just below it
-    balls = [Ball((third,), third), Ball((below,), third), Ball((third,), below)]
-    masks = BallMasks(VoxelSpace(1, Fraction(1, 3), frozenset({(0,)})))
-    assert sorted(balls, key=masks.sort_key) == sorted(balls) == [balls[1], balls[2], balls[0]]
+def merged_ball(a, b):
+    """The cube ball around two balls' boxes: centre the box's midpoint,
+    radius half its largest side."""
+    lo = [min(x - a.radius, y - b.radius) for x, y in zip(a.center, b.center)]
+    hi = [max(x + a.radius, y + b.radius) for x, y in zip(a.center, b.center)]
+    return Ball(tuple((x + y) / 2 for x, y in zip(lo, hi)),
+                max(y - x for x, y in zip(lo, hi)) / 2)
 
 
 @st.composite
-def voxel_covers(draw):
+def voxel_covers(draw, grid_sized=False):
     """A voxel set (negative coordinates allowed) and covers of it: grid
-    balls, balls with quarter-delta centres and radii like merged ones,
-    shifted balls, balls that miss the space, and targets that hold cells
-    outside the space."""
+    balls, merged boxes of two grid balls, balls of either kind shifted by
+    delta per axis, balls with quarter-delta centres and radii, balls that
+    miss the space, and targets that hold cells outside the space.
+
+    With `grid_sized` the balls are only the first three kinds, every one
+    of radius at least delta/2, and each target is a set of cells the balls
+    cover whenever they cover any."""
     n = draw(st.integers(1, 3))
     box = draw(st.integers(1, {1: 8, 2: 5, 3: 3}[n]))
     shift = draw(st.tuples(*[st.integers(-4, 2)] * n))
@@ -321,24 +290,25 @@ def voxel_covers(draw):
     quarter = st.integers(-4 * box - 8, 4 * box + 8).map(
         lambda q: delta * Fraction(q, 4) + delta * shift[0])
     anchor = st.tuples(*[st.integers(-box - 6, box + 2)] * n)
-    ball = st.one_of(
-        st.builds(lambda a, k: grid_ball(space, a, k), anchor, st.integers(1, box + 1)),
-        st.builds(lambda c, q: Ball(tuple(c), delta * Fraction(q, 4)),
-                  st.lists(quarter, min_size=n, max_size=n), st.integers(0, 4 * box)),
-        st.builds(lambda a, k, s: Ball(tuple(c + o * delta for c, o in
-                                             zip(grid_ball(space, a, k).center, s)),
-                                       delta * Fraction(k, 2)),
-                  anchor, st.integers(1, box), st.tuples(*[st.sampled_from((-1, 0, 1))] * n)),
-    )
+    grid = st.builds(lambda a, k: grid_ball(space, a, k), anchor, st.integers(1, box + 1))
+    merged = st.builds(merged_ball, grid, grid)
+    shifted = st.builds(lambda b, s: Ball(tuple(c + o * delta for c, o in zip(b.center, s)),
+                                          b.radius),
+                        st.one_of(grid, merged), st.tuples(*[st.sampled_from((-1, 0, 1))] * n))
+    ball = st.one_of(grid, merged, shifted)
+    if not grid_sized:
+        ball = st.one_of(ball, st.builds(lambda c, q: Ball(tuple(c), delta * Fraction(q, 4)),
+                                         st.lists(quarter, min_size=n, max_size=n),
+                                         st.integers(0, 4 * box)))
     covers = []
     for _ in range(draw(st.integers(1, 4))):
         balls = tuple(draw(st.lists(ball, min_size=1, max_size=6)))
         covered = sorted(set().union(*(ball_members(b, space) for b in balls)))
-        if covered and draw(st.booleans()):
+        if covered and (grid_sized or draw(st.booleans())):
             target = set(draw(st.sets(st.sampled_from(covered), min_size=1)))
         else:
             target = set(draw(st.sets(st.sampled_from(coords), min_size=1)))
-        if draw(st.integers(0, 4)) == 0:
+        if not grid_sized and draw(st.integers(0, 4)) == 0:
             target.add(tuple(x - box - 20 for x in coords[0]))  # outside the space
         covers.append(Covering(balls, frozenset(target), 1))
     return space, covers
@@ -349,6 +319,26 @@ def voxel_covers(draw):
 def test_mask_nerve_matches_set_nerve_on_voxels(case):
     space, covers = case
     assert_nerves_agree(covers, space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(voxel_covers(grid_sized=True), st.integers(1, 3), st.integers(1, 10**4),
+       st.integers(0, 2**31 - 1))
+def test_no_cover_by_grid_sized_balls_beats_the_one_cell_tiling(case, m, budget, seed):
+    """Every ball here has radius at least delta/2, so every covering they
+    make, at any multiplicity, has fiber bound at least delta; `width_bound`
+    at any positive budget and seed reports delta, with the one-cell
+    tiling."""
+    space, covers = case
+    for cover in covers:
+        try:
+            nv = nerve(cover, space)
+        except UncoverableError:
+            continue
+        assert fiber_bound(nv) >= space.delta
+    w = width_bound(space, m, budget, seed, node_budget=20)
+    assert (w.bound, w.nerve.multiplicity, w.trivial) == (space.delta, 1, False)
+    assert w.nerve.vertex_balls == tuple(sorted(grid_ball(space, c, 1) for c in space.cells))
 
 
 @st.composite
