@@ -13,10 +13,16 @@ cost is a Fraction (fixed families with float radii aside) and the search
 runs on integers: costs scaled by the lcm D of their denominators and by
 L = lcm(1..s) for the largest ball size s, so every ratio cost/|ball & U|
 is an integer.  Float costs, at non-integer m, stay floats.  The bound at a
-node comes from one sort of the balls by ratio against the uncovered set U:
-each element takes the ratio of the first ball that reaches it, which is its
-minimum.  Net-model answers of `exact_content` are brackets: the optimum
-over net-centered balls, deflated by eps_net on the lower side.
+node sums per-element prices (the dual prices of Beasley 1990, "A Lagrangian
+heuristic for set-covering problems"), from one sort of the balls by ratio
+against the uncovered set U: each element takes the ratio of the first ball
+that reaches it, which is its minimum.  A child uncovers a subset of its
+parent's U, each ball meets fewer of its elements, and so every price only
+grows: the parent's prices summed over the child's U are a floor under the
+child's bound.  The search prunes on that floor first and sorts only where
+the floor does not decide, which prunes exactly the nodes the bound alone
+would.  Net-model answers of `exact_content` are brackets: the optimum over
+net-centered balls, deflated by eps_net on the lower side.
 
 Candidate masks are bits of `space.ElementBits` over the sorted target.
 Fixed-family and voxel point-centered balls take theirs from
@@ -342,6 +348,12 @@ class _RatioBound:
     floats.  Either way one sort gives every element's minimum: walking the
     (ratio, c & U) pairs by increasing ratio, ties in candidate order, each
     element takes the ratio of the first pair that reaches it.
+
+    `priced(U)` keeps those (ratio, elements) groups with their sum, and
+    `floor(U', groups, total)` sums the same prices over a subset U' of U.
+    The search hands a node's groups to its children: their exact bounds
+    can only be higher, so the floor prunes no node that the bound would
+    keep.
     """
 
     def __init__(self, cands):
@@ -361,6 +373,7 @@ class _RatioBound:
             self.scale = None
             self.costs = costs
             self.zero = _zero(costs[0])
+            self._mixed = not all(isinstance(c, float) for c in costs)
             self._balls = list(zip(costs, masks))
             # the order in which the per-element float minima are summed:
             # by the first ball containing the element, then by element
@@ -385,7 +398,7 @@ class _RatioBound:
 
     def _assign(self, uncovered):
         """(ratio, elements) groups covering each element of U once, with
-        its least ratio over the balls that contain it."""
+        its price, its least ratio over the balls that contain it."""
         if self.scale is None:
             pairs = [(cost / inter.bit_count(), inter)
                      for cost, mask in self._balls if (inter := mask & uncovered)]
@@ -401,12 +414,36 @@ class _RatioBound:
                 if not uncovered:
                     return
 
-    def bound(self, uncovered):
-        """The bound on U, in search units."""
+    def priced(self, uncovered):
+        """U's price groups and the bound on U, their sum in search units."""
+        groups = list(self._assign(uncovered))
+        return groups, self._sum(groups)
+
+    def floor(self, uncovered, groups, total):
+        """A lower bound on the bound on U', a subset of the U that
+        `priced` gave (`groups`, `total`) for: U's prices summed over U'.
+        Each price against U' is at least the one against U, since every
+        |c & U'| <= |c & U|.  Floats are summed in the bound's own order,
+        which keeps the floor at or below the float bound: rounded addition
+        is monotone.  `total` less the removed prices could round above it.
+        A sum that mixes Fraction and float prices rounds at some steps and
+        not at others, so it orders like neither sum: with mixed costs the
+        floor is -inf, and the exact bound runs at every node."""
         if self.scale is not None:
-            return sum(ratio * new.bit_count() for ratio, new in self._assign(uncovered))
+            gone = ~uncovered
+            return total - sum(ratio * out.bit_count()
+                               for ratio, new in groups if (out := new & gone))
+        if self._mixed:
+            return -math.inf
+        return self._sum((ratio, new & uncovered) for ratio, new in groups)
+
+    def _sum(self, groups):
+        """The sum of the prices of (ratio, elements) groups, on floats in
+        `_order`."""
+        if self.scale is not None:
+            return sum(ratio * new.bit_count() for ratio, new in groups)
         least = {}
-        for ratio, new in self._assign(uncovered):
+        for ratio, new in groups:
             for e in bit_indices(new):
                 least[e] = ratio
         return sum(least[e] for e in self._order if e in least)
@@ -492,22 +529,32 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
     cost.  After `budget` nodes the incumbent is final and the remaining
     entries only lower the frontier.  Returns (cost, indices, nodes,
     frontier), the frontier None when the search closed within the budget.
+
+    Each entry carries its parent's `ratio.priced` prices (None at the root
+    and below a node that priced nothing, as before the first incumbent).
+    Their `ratio.floor` over the entry's uncovered set is at most its exact
+    bound, so a node the floor prunes, or an entry whose floor cannot lower
+    the frontier, is one the exact bound would have dropped too: the bound
+    runs only where the floor does not decide, and every decision, node
+    count and frontier is the one the exact bound alone gives.
     """
     step = ratio.costs
     nodes = 0
     frontier = covers_elem = None
     memo = {}
-    stack = [(0, ratio.zero, ())]
+    stack = [(0, ratio.zero, (), None)]
     while stack:
-        covered, cost, sel = stack.pop()
+        covered, cost, sel, inherited = stack.pop()
         nodes += 1
+        uncovered = goal ^ covered
         if nodes > budget:
             # the incumbent is final now; an entry costing at least the
             # frontier cannot lower it
             if frontier is None:
                 frontier = best_cost
-            if cost < frontier:
-                frontier = min(frontier, cost + ratio.bound(goal ^ covered))
+            if cost < frontier and (inherited is None or
+                                    cost + ratio.floor(uncovered, *inherited) < frontier):
+                frontier = min(frontier, cost + ratio.priced(uncovered)[1])
             continue
         if covered == goal:
             if cost < best_cost:
@@ -517,18 +564,24 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
         if seen is not None and seen <= cost:
             continue
         memo[covered] = cost
-        # without an incumbent (best_cost inf) the bound cannot prune
-        if best_cost != math.inf and cost + ratio.bound(goal ^ covered) >= best_cost:
-            continue
+        prices = None
+        # without an incumbent (best_cost inf) no bound can prune
+        if best_cost != math.inf:
+            if inherited is not None and \
+                    cost + ratio.floor(uncovered, *inherited) >= best_cost:
+                continue
+            prices = ratio.priced(uncovered)
+            if cost + prices[1] >= best_cost:
+                continue
         if covers_elem is None:  # most solves close at the root
             covers_elem = [[] for _ in range(goal.bit_length())]
             for ci, cand in enumerate(cands):
                 for e in bit_indices(cand.mask):
                     covers_elem[e].append(ci)
             fan = [len(c) for c in covers_elem]
-        pick = min(bit_indices(goal ^ covered), key=fan.__getitem__)
+        pick = min(bit_indices(uncovered), key=fan.__getitem__)
         for ci in reversed(covers_elem[pick]):
-            stack.append((covered | cands[ci].mask, cost + step[ci], sel + (ci,)))
+            stack.append((covered | cands[ci].mask, cost + step[ci], sel + (ci,), prices))
     return best_cost, best_sel, nodes, frontier
 
 
@@ -561,8 +614,10 @@ def exact_content(
     """Branch-and-bound optimum of the covering cost.
 
     Starts `_branch_and_bound` from the greedy cover and returns a certified
-    bracket instead of failing when the node budget runs out.
+    bracket instead of failing when the node budget, an int >= 1, runs out.
     """
+    if isinstance(node_budget, bool) or not isinstance(node_budget, int) or node_budget < 1:
+        raise InputError(f"node_budget must be an int >= 1, got {node_budget!r}")
     target = _resolve_target(space, target)
     cands, index, ratio = _priced_candidates(space, target, m, family)
     full = (1 << len(index)) - 1

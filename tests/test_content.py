@@ -18,6 +18,7 @@ from hcfill.shapes import (
     make_box,
     make_cube,
     make_dumbbell,
+    make_strip_with_bulbs,
     random_blob,
     random_subset,
     scale_replicate,
@@ -156,6 +157,12 @@ def test_budget_exhaustion_returns_bracket():
     assert not res.optimal
     assert res.value_lower <= optimum <= res.value_upper
     assert res.certificate["kind"] == "bracket"
+
+
+@pytest.mark.parametrize("budget", [None, -5, 2.5, 0, True])
+def test_exact_content_refuses_a_bad_node_budget(budget):
+    with pytest.raises(InputError, match="node_budget"):
+        exact_content(make_cube(1, 2), None, 1, node_budget=budget)
 
 
 def test_subadditivity_and_monotonicity(small_blobs):
@@ -335,6 +342,16 @@ def _digest(report):
 def test_exact_content_reports_pinned(make, m, budget, digest):
     kwargs = {} if budget is None else {"node_budget": budget}
     assert _digest(exact_content(make(), None, m, **kwargs)) == digest
+
+
+def test_strip_with_bulbs_search_report_pinned():
+    """A deep search: 4,117 nodes at budget 10, most children pruned by
+    their parent's prices before any exact bound."""
+    res = exact_content(make_strip_with_bulbs(), None, 1, node_budget=10)
+    assert (res.value_lower, res.value_upper) == \
+        (Fraction(350086296986159, 303560409952800), 2)
+    assert res.certificate["nodes"] == 4117
+    assert _digest(res) == "a43962c315634779"
 
 
 @pytest.mark.parametrize("make, m, digest", [

@@ -1,7 +1,8 @@
 """Property tests: grid and net candidate generation, the dominance pass,
 the greedy cover and the branch and bound's ratio bound against direct
-oracles, and the greedy lower bound on nets against an exhaustive
-optimum."""
+oracles, the inherited price floor against the exact bound, the branch and
+bound against its loop without that floor, and the greedy lower bound on
+nets against an exhaustive optimum."""
 
 import itertools
 import math
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcfill.content import (
+    DEFAULT_NODE_BUDGET,
+    _branch_and_bound,
     _Candidate,
     _fixed_candidates,
     _greedy_cover,
@@ -36,6 +39,7 @@ from hcfill.space import (
     RadiusCapped,
     VoxelSpace,
     ball_members,
+    bit_indices,
     grid_ball,
     intersect_families,
     net_center,
@@ -310,7 +314,7 @@ def test_ratio_bound_matches_the_per_member_scans(instance, data):
 
     for uncovered in (0, full, *(1 << e for e in range(n)),
                       data.draw(st.integers(0, full))):
-        got, want = ratio.bound(uncovered), _dual_bound(cands, uncovered)
+        got, want = ratio.priced(uncovered)[1], _dual_bound(cands, uncovered)
         if exact:
             assert isinstance(got, int)
             assert ratio.scalar(got) == want
@@ -472,3 +476,176 @@ def test_net_distance_rows_match_ball_scans(instance):
         family = intersect_families(family, RadiusCapped(cap))
     if raw:
         assert_post_processing_matches(net, target, m, family, raw)
+
+
+# ---------------------------------------------------------------------------
+# the floor a child inherits from its parent's prices, and the branch and
+# bound against its loop without that floor
+
+def _floor_cases(full, data):
+    """(U', U) pairs: U' == U and a random U' inside U, for the whole
+    target and for random U."""
+    for outer in (full, *(data.draw(st.integers(0, full)) for _ in range(3))):
+        yield outer, outer
+        yield outer & data.draw(st.integers(0, full)), outer
+
+
+def assert_floor_sound(cands, n_elems, data):
+    ratio = _RatioBound(cands)
+    mixed = ratio.scale is None and not all(isinstance(c.cost, float) for c in cands)
+    for inner, outer in _floor_cases((1 << n_elems) - 1, data):
+        floor = ratio.floor(inner, *ratio.priced(outer))
+        _, bound = ratio.priced(inner)
+        if mixed:
+            assert floor == -math.inf
+            continue
+        assert type(floor) is type(bound)
+        assert floor <= bound
+        if inner == outer:
+            assert floor == bound
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(candidate_sets(), st.data())
+def test_inherited_floor_is_at_most_the_bound(instance, data):
+    """Fraction, float and mixed costs on random masks."""
+    cands, n = instance
+    assert_floor_sound(cands, n, data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(voxel_instances(), st.data())
+def test_inherited_floor_on_grid_and_centers_in_candidates(instance, data):
+    space, target, m, stride, cap = instance
+    family = AllGridBalls(stride)
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    cands, index = generate_candidates(space, target, m, family)
+    if cands:
+        assert_floor_sound(cands, len(index), data)
+    quarter = space.delta / 4
+    coord = st.integers(-8, 40).map(lambda j: quarter * j)
+    centers = tuple(data.draw(st.lists(st.tuples(*[coord] * space.n),
+                                       min_size=1, max_size=8)))
+    cands, index = generate_candidates(space, target, m, CentersIn(centers))
+    if cands:
+        assert_floor_sound(cands, len(index), data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(voxel_instances(), st.data())
+def test_inherited_floor_on_fixed_families(instance, data):
+    """Fraction and float radii mixed, at integer and non-integer m."""
+    space, target, m, _, _ = instance
+    half = space.delta / 2
+    coord = st.integers(-4, 20).map(lambda j: half * j)
+    radius = st.integers(1, 8).map(lambda j: half * j)
+    radius = st.one_of(radius, radius.map(float))
+    balls = tuple(data.draw(st.lists(
+        st.builds(Ball, st.tuples(*[coord] * space.n), radius), min_size=1, max_size=16)))
+    cands, index = generate_candidates(space, target, m, FixedFamily(balls))
+    if cands:
+        assert_floor_sound(cands, len(index), data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(net_instances(), st.data())
+def test_inherited_floor_on_net_candidates(instance, data):
+    net, target, m, cap = instance
+    family = AllGridBalls()
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    cands, index = generate_candidates(net, target, m, family)
+    if cands:
+        assert_floor_sound(cands, len(index), data)
+
+
+def _bound_without_floor(ratio, uncovered):
+    """`_RatioBound.bound` before prices were inherited: the sum of U's
+    prices, floats in `_order`."""
+    if ratio.scale is not None:
+        return sum(r * new.bit_count() for r, new in ratio._assign(uncovered))
+    least = {}
+    for r, new in ratio._assign(uncovered):
+        for e in bit_indices(new):
+            least[e] = r
+    return sum(least[e] for e in ratio._order if e in least)
+
+
+def _search_without_floor(cands, ratio, goal, budget, best_cost, best_sel):
+    """`_branch_and_bound` before prices were inherited, verbatim but for
+    the exact bound, which is `_bound_without_floor`."""
+    step = ratio.costs
+    nodes = 0
+    frontier = covers_elem = None
+    memo = {}
+    stack = [(0, ratio.zero, ())]
+    while stack:
+        covered, cost, sel = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            # the incumbent is final now; an entry costing at least the
+            # frontier cannot lower it
+            if frontier is None:
+                frontier = best_cost
+            if cost < frontier:
+                frontier = min(frontier, cost + _bound_without_floor(ratio, goal ^ covered))
+            continue
+        if covered == goal:
+            if cost < best_cost:
+                best_cost, best_sel = cost, sel
+            continue
+        seen = memo.get(covered)
+        if seen is not None and seen <= cost:
+            continue
+        memo[covered] = cost
+        # without an incumbent (best_cost inf) the bound cannot prune
+        if best_cost != math.inf and \
+                cost + _bound_without_floor(ratio, goal ^ covered) >= best_cost:
+            continue
+        if covers_elem is None:  # most solves close at the root
+            covers_elem = [[] for _ in range(goal.bit_length())]
+            for ci, cand in enumerate(cands):
+                for e in bit_indices(cand.mask):
+                    covers_elem[e].append(ci)
+            fan = [len(c) for c in covers_elem]
+        pick = min(bit_indices(goal ^ covered), key=fan.__getitem__)
+        for ci in reversed(covers_elem[pick]):
+            stack.append((covered | cands[ci].mask, cost + step[ci], sel + (ci,)))
+    return best_cost, best_sel, nodes, frontier
+
+
+def _typed(result):
+    cost, sel, nodes, frontier = result
+    return (cost, type(cost)), sel, nodes, (frontier, type(frontier))
+
+
+def assert_search_matches(cands, n_elems):
+    ratio = _RatioBound(cands)
+    full = (1 << n_elems) - 1
+    chosen = _greedy_cover(cands, full, ratio)
+    incumbent = sum(ratio.costs[i] for i in chosen), tuple(chosen)
+    for budget in (1, 3, 40, DEFAULT_NODE_BUDGET):
+        args = cands, ratio, full, budget, *incumbent
+        assert _typed(_branch_and_bound(*args)) == _typed(_search_without_floor(*args))
+    args = cands, ratio, full, math.inf, math.inf, ()
+    assert _typed(_branch_and_bound(*args)) == _typed(_search_without_floor(*args))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(candidate_sets())
+def test_search_matches_the_loop_without_the_floor(instance):
+    cands, n = instance
+    assert_search_matches(cands, n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(voxel_instances())
+def test_search_matches_the_loop_without_the_floor_on_grid_balls(instance):
+    space, target, m, stride, cap = instance
+    family = AllGridBalls(stride)
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    cands, index = generate_candidates(space, target, m, family)
+    if cands:
+        assert_search_matches(cands, len(index))
