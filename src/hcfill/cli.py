@@ -257,17 +257,17 @@ def _cmd_cube_eq(args, cfg: RunConfig) -> int:
 
 def _cmd_width(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
-    budget = cfg.width_budget if args.budget is None else args.budget
-    result = width_bound(space, _parse_width_m(args.m), budget, node_budget=cfg.node_budget)
+    budget = {} if args.budget is None else {"budget": args.budget}
+    result = width_bound(space, _parse_width_m(args.m), node_budget=cfg.node_budget, **budget)
     _emit({"command": "width", "result": result.to_dict()}, args.out)
     return 0
 
 
 def _cmd_local_width(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
-    budget = cfg.width_budget if args.budget is None else args.budget
-    report = local_width_check(space, _parse_width_m(args.m),
-                               _parse_number(args.radius, "--R"), budget, cfg.node_budget)
+    budget = {} if args.budget is None else {"budget": args.budget}
+    report = local_width_check(space, _parse_width_m(args.m), _parse_number(args.radius, "--R"),
+                               node_budget=cfg.node_budget, **budget)
     _emit({"command": "local-width", "report": report}, args.out)
     return 0
 
@@ -296,7 +296,7 @@ def _cmd_corpus(args, cfg: RunConfig) -> int:
                 d = decompose(space, None, 2, node_budget=cfg.node_budget)
                 row.update({"alpha": d.alpha, "balls": len(d.balls), "ok": d.ok()})
             elif args.suite == "width":
-                w = width_bound(space, 2, cfg.width_budget)
+                w = width_bound(space, 2)
                 row.update({
                     "bound": fmt_scalar(w.bound),
                     "c_measured": w.c_measured,

@@ -272,14 +272,14 @@ def cone_map_image(
     for cell in space.sorted_cells():
         x = space.cell_center(cell)
         d = min(as_fraction(linf(x, t)) for t in target)
-        phi = max(Fraction(0), 1 - d / rf)
-        image = tuple(phi * xc + (1 - phi) * ac for xc, ac in zip(x, apex))
+        image = blend_point(x, apex, d, rf)
         cells.add(tuple(_containing_index(coord, space.delta) for coord in image))
     return VoxelSpace(space.n, space.delta, frozenset(cells))
 
 
 def blend_point(x, apex, dist_to_target: Scalar, r: Scalar):
-    """Pointwise cone map used by the pipeline's displacement accounting."""
+    """The blend map x -> phi*x + (1-phi)*apex of `cone_map_image` at one
+    point, phi = max(0, 1 - dist_to_target / r)."""
     xf = tuple(as_fraction(c) for c in x)
     af = tuple(as_fraction(c) for c in apex)
     phi = max(Fraction(0), 1 - as_fraction(dist_to_target) / as_fraction(r))

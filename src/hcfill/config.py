@@ -5,6 +5,7 @@ environment variable."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -22,15 +23,19 @@ class RunConfig:
     ratio_ceiling_base: float = 10.0
     pushout_candidates: int = 64
     step_cap: int = 50
-    # width_budget only separates 0 from positive (the config refuses 0);
-    # seed is read by cone coverage sampling
-    width_budget: int = 2000
-    seed: int = 0
+    seed: int = 0  # read by cone coverage sampling
 
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.name != "seed" and isinstance(v, (int, float)) and v <= 0:
+            if isinstance(v, bool):
+                raise InputError(f"config knob {f.name} must be a number, not a bool")
+            if isinstance(f.default, int):
+                if not isinstance(v, int):
+                    raise InputError(f"config knob {f.name} must be an integer")
+            elif not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise InputError(f"config knob {f.name} must be a finite number")
+            if f.name != "seed" and v <= 0:
                 raise InputError(f"config knob {f.name} must be positive")
         if self.seed < 0:
             raise InputError("seed must be >= 0")

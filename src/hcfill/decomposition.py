@@ -18,6 +18,11 @@ The machinery, at exponent m > 1, over a voxel set Y:
    content decay and bounded displacement; cone certificates account the
    (m+1)-cost of the swept regions, and a final skeleton descent handles the
    low-content residue.
+
+One `TildeContent` per decomposition is its cell context: radial orders,
+ball-member masks and relative solves all run on its cells.  Every
+upper-bound inequality is an `InequalityCheck.le`, and each carrier of
+`improvement_sequence` is one point moved by the step maps.
 """
 
 from __future__ import annotations
@@ -103,20 +108,21 @@ class Constants:
 
 class TildeContent:
     """Exact set-cover content where only subfamilies of the fixed covering
-    Q are admissible.  The Q balls' member masks are built once per context
-    by `ElementBits.ball`.  A solve runs the content solver's
-    `_branch_and_bound` over the Q balls that meet the goal mask (bits of
-    `cells` in `index` order), without an incumbent, so its witness is the
-    first cheapest cover in depth-first order.  `solve_mask` is the one
-    entry, cached per (goal mask, exponent); `solve` takes a cell set."""
+    Q are admissible, and the one cell context of the pipeline: its sorted
+    `cells`, their `ElementBits` as `bits`, and the Q balls' member masks,
+    built once.  A solve runs the content solver's `_branch_and_bound` over
+    the Q balls that meet the goal mask (bits of `cells`), without an
+    incumbent, so its witness is the first cheapest cover in depth-first
+    order.  `solve_mask` is the one entry, cached per (goal mask, exponent);
+    `solve` takes a cell set.  `radial` orders the cells by distance from a
+    point for the radius searches."""
 
     def __init__(self, space: VoxelSpace, cells, q_balls):
         self.space = space
         self.cells = tuple(sorted(cells))
         self.q_balls = tuple(q_balls)
-        bits = ElementBits(space, self.cells)
-        self.index = bits.index
-        self.masks = [bits.ball(b) for b in self.q_balls]
+        self.bits = ElementBits(space, self.cells)
+        self.masks = [self.bits.ball(b) for b in self.q_balls]
         self._cost_cache: dict[Fraction, list] = {}
         self._value_cache: dict[tuple, Scalar] = {}
 
@@ -130,8 +136,19 @@ class TildeContent:
     def subset_mask(self, subset) -> int:
         mask = 0
         for c in subset:
-            mask |= 1 << self.index[c]
+            mask |= 1 << self.bits.index[c]
         return mask
+
+    def radial(self, p):
+        """(unit, keys, dists, prefix) at point p: `_linf_units` over the
+        cells, their distance keys in order, and the masks of their first i
+        cells."""
+        unit, keys = _linf_units(self.space, p, self.cells)
+        index = self.bits.index
+        prefix = [0]
+        for _, c in keys:
+            prefix.append(prefix[-1] | 1 << index[c])
+        return unit, keys, [k for k, _ in keys], prefix
 
     def value(self, subset, exponent: Scalar) -> Scalar:
         cost, _ = self.solve(subset, exponent)
@@ -223,17 +240,11 @@ class DensityProfile:
         return float(value) / float(rf) ** float(self.m)
 
 
-def density_profile(space: VoxelSpace, p, target, tilde,
-                    m: Scalar) -> DensityProfile:
-    """Full piecewise density table at a point; `tilde` may be a prepared
-    TildeContent context, a FixedFamily, or a plain iterable of balls."""
-    if not isinstance(tilde, TildeContent):
-        balls = tilde.balls if hasattr(tilde, "balls") else tuple(tilde)
-        tilde = TildeContent(space, target, balls)
+def density_profile(tilde: TildeContent, p, m: Scalar) -> DensityProfile:
+    """Full piecewise density table at a point, over the context's cells."""
     mq = as_fraction(m)
     p = tuple(as_fraction(x) for x in p)
-    unit, keys = _linf_units(space, p, target)
-    dists, prefix = _prefix_masks(tilde, keys)
+    unit, _, dists, prefix = tilde.radial(p)
     ends = _distinct_ends(dists)
     return DensityProfile(
         p, mq, tuple(dists[end - 1] * unit for end in ends),
@@ -256,15 +267,6 @@ def _linf_units(space: VoxelSpace, p, cells):
     return half / lcm, keys
 
 
-def _prefix_masks(tilde: TildeContent, keys):
-    """The distance keys in order, and the masks of their first i cells."""
-    index = tilde.index
-    prefix = [0]
-    for _, c in keys:
-        prefix.append(prefix[-1] | 1 << index[c])
-    return [k for k, _ in keys], prefix
-
-
 def _distinct_ends(dists):
     """Each i after which the sorted distances change (or end): the cells
     within dists[i - 1] are the first i."""
@@ -272,8 +274,7 @@ def _distinct_ends(dists):
             if i == len(dists) or dists[i] != dists[i - 1]]
 
 
-def critical_radius(space: VoxelSpace, p, target, tilde: TildeContent,
-                    m: Scalar, ball_scale: float):
+def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
     """Largest radius where the density still reaches 1/A^m.
 
     Scanning segments from the top: on a segment with relative content H the
@@ -282,9 +283,7 @@ def critical_radius(space: VoxelSpace, p, target, tilde: TildeContent,
     supremum.  Returns (r(p), content at r(p), covered cells at r(p)).
     """
     mq = as_fraction(m)
-    p = tuple(as_fraction(x) for x in p)
-    unit, keys = _linf_units(space, p, target)
-    dists, prefix = _prefix_masks(tilde, keys)
+    unit, keys, dists, prefix = tilde.radial(p)
     for end in reversed(_distinct_ends(dists)):
         h, _ = tilde.solve_mask(prefix[end], mq)
         if float(h) <= 0:
@@ -298,8 +297,7 @@ def critical_radius(space: VoxelSpace, p, target, tilde: TildeContent,
     raise InputError("density never reaches the threshold at this point")
 
 
-def annulus_radius(space: VoxelSpace, p, r_crit, target, tilde: TildeContent,
-                   m: Scalar):
+def annulus_radius(tilde: TildeContent, p, r_crit, m: Scalar):
     """Slice level r_bar in [(1+1/m) r(p), (1+1/m)^2 r(p)] minimizing the
     coarea majorant of the sphere through the annulus, with the chosen
     slice's cells and certified costs."""
@@ -309,10 +307,9 @@ def annulus_radius(space: VoxelSpace, p, r_crit, target, tilde: TildeContent,
     p = tuple(as_fraction(x) for x in p)
     r1 = (1 + 1 / mq) * as_fraction(r_crit)
     r2 = (1 + 1 / mq) ** 2 * as_fraction(r_crit)
-    unit, keys = _linf_units(space, p, target)
-    dists, prefix = _prefix_masks(tilde, keys)
+    unit, keys, dists, prefix = tilde.radial(p)
     # the cells whose centers lie within half a cell (L units) of [r1, r2]
-    half = space.delta / 2 / unit
+    half = tilde.space.delta / 2 / unit
     lo = bisect_right(dists, math.ceil(r1 / unit - half) - 1)
     hi = bisect_right(dists, math.floor(r2 / unit + half))
     annulus = frozenset(c for _, c in keys[lo:hi])
@@ -326,7 +323,7 @@ def annulus_radius(space: VoxelSpace, p, r_crit, target, tilde: TildeContent,
         }
     value, sel = tilde.solve_mask(prefix[hi] ^ prefix[lo], mq)
     cover = Covering(tuple(tilde.q_balls[i] for i in sel), annulus, mq)
-    profile = slice_profile(space, annulus, DistanceToPoint(p), cover, (r1, r2))
+    profile = slice_profile(tilde.space, annulus, DistanceToPoint(p), cover, (r1, r2))
     r_bar, slice_cost = best_slice(profile, mq)
     return {
         "r_bar": r_bar,
@@ -379,6 +376,12 @@ class InequalityCheck:
     ok: bool
     note: str = ""
     advisory: bool = False  # recorded for the report, never a failure
+
+    @classmethod
+    def le(cls, name: str, lhs: float, rhs: float, slack: float = 0.0,
+           note: str = "", advisory: bool = False) -> "InequalityCheck":
+        """The upper-bound check lhs <= rhs, passed within `slack`."""
+        return cls(name, lhs, rhs, lhs <= rhs + slack, note, advisory)
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
@@ -479,8 +482,8 @@ def decompose(
     entries = []
     for ball in q_balls:
         p = ball.center
-        r_crit, eta, _core = critical_radius(space, p, y, tilde, mq, A)
-        ann = annulus_radius(space, p, r_crit, y, tilde, mq)
+        r_crit, eta, _core = critical_radius(tilde, p, mq, A)
+        ann = annulus_radius(tilde, p, r_crit, mq)
         entries.append((p, r_crit, eta, ann))
 
     selected_idx = vitali_select(
@@ -503,15 +506,13 @@ def decompose(
                 slice_cells=slice_cells,
                 slice_cost_majorant=ann["slice_cost"],
                 slice_content=tilde.value(slice_cells, mq - 1),
-                ball_content=tilde.value(
-                    ball_members(Ball(p, r_bar), space) & y, mq
-                ),
+                ball_content=tilde.solve_mask(tilde.bits.ball(Ball(p, r_bar)), mq)[0],
             )
         )
 
     alpha = (sum(float(b.core_content) for b in balls) / float(tilde_total)) ** (1 / mf)
-    checks = _decomposition_checks(space, y, mq, eps, constants, hc, tilde_total,
-                                   tilde, balls, alpha, node_budget)
+    checks = _decomposition_checks(tilde, mq, eps, constants, hc, tilde_total,
+                                   balls, alpha, node_budget)
     decomp = Decomposition(
         mq, eps, constants, hc, tilde_total, q_balls, tuple(balls), alpha,
         tuple(checks),
@@ -539,12 +540,10 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
     tilde_total = tilde.value(y, mq)
     report = {"tilde_total_matches": tilde_total == decomp.tilde_total}
 
-    for i, a in enumerate(decomp.balls):
-        for b in decomp.balls[i + 1:]:
-            if linf(a.center, b.center) <= a.radius + b.radius:
-                report["disjoint"] = False
-                break
-    report.setdefault("disjoint", True)
+    report["disjoint"] = all(
+        linf(a.center, b.center) > a.radius + b.radius
+        for a, b in itertools.combinations(decomp.balls, 2)
+    )
     report["tripled_cover"] = all(
         any(
             as_fraction(linf(space.cell_center(c), b.center)) <= 3 * b.radius
@@ -578,8 +577,8 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
              / float(tilde_total)) ** (1 / float(mq))
     report["alpha_matches"] = abs(alpha - decomp.alpha) <= TOL
     checks = _decomposition_checks(
-        space, y, mq, decomp.eps, decomp.constants, decomp.base_content,
-        tilde_total, tilde, fresh, alpha, node_budget,
+        tilde, mq, decomp.eps, decomp.constants, decomp.base_content,
+        tilde_total, fresh, alpha, node_budget,
     )
     report["checks_ok"] = all(c.ok for c in checks if not c.advisory)
     report["ok"] = all(
@@ -588,48 +587,45 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
     return report
 
 
-def _decomposition_checks(space, y, mq, eps, constants, hc, tilde_total,
-                          tilde, balls, alpha, node_budget):
+def _decomposition_checks(tilde, mq, eps, constants, hc, tilde_total,
+                          balls, alpha, node_budget):
+    space = tilde.space
     mf = float(mq)
     A = constants.ball_scale
     hcf = float(hc)
     checks = []
 
     max_r = max((float(b.radius) for b in balls), default=0.0)
-    checks.append(InequalityCheck(
-        "max_ball_radius", max_r,
-        (1 + 1 / mf) ** 2 * A * hcf ** (1 / mf) + eps,
-        max_r <= (1 + 1 / mf) ** 2 * A * hcf ** (1 / mf) + eps,
+    checks.append(InequalityCheck.le(
+        "max_ball_radius", max_r, (1 + 1 / mf) ** 2 * A * hcf ** (1 / mf) + eps,
     ))
 
-    removed = set()
+    removed = 0
     for b in balls:
-        removed |= ball_members(Ball(b.center, b.radius), space) & y
-    survivors = y - removed
+        removed |= tilde.bits.ball(Ball(b.center, b.radius))
+    survivors = tilde.bits.full & ~removed
     if survivors:
-        left = float(exact_content(space, survivors, mq,
+        left = float(exact_content(space, tilde.bits.members(survivors), mq,
                                    node_budget=node_budget).value_upper)
     else:
         left = 0.0
-    rhs = (1 - alpha**mf) * hcf + eps
-    checks.append(InequalityCheck("content_drop", left, rhs, left <= rhs + 1e-12))
+    checks.append(InequalityCheck.le("content_drop", left,
+                                     (1 - alpha**mf) * hcf + eps, 1e-12))
 
     exp_ratio = mf / (mf - 1)
     lhs33 = sum(float(b.radius) * float(b.slice_content) ** exp_ratio for b in balls)
     rhs33 = (200 * 4 ** (1 / (mf - 1)) * mf * alpha ** (mf + 1)
              / A ** (1 / (mf - 1))) * hcf ** ((mf + 1) / mf) + eps
-    checks.append(InequalityCheck("weighted_slice_sum", lhs33, rhs33,
-                                  lhs33 <= rhs33 + 1e-12))
+    checks.append(InequalityCheck.le("weighted_slice_sum", lhs33, rhs33, 1e-12))
 
     lhs34 = sum(float(b.slice_content) ** exp_ratio for b in balls)
     rhs34 = (50 * mf * 4 ** (1 / (mf - 1)) * alpha**mf
              / A ** (mf / (mf - 1))) * hcf + eps
-    checks.append(InequalityCheck("slice_sum", lhs34, rhs34, lhs34 <= rhs34 + 1e-12))
+    checks.append(InequalityCheck.le("slice_sum", lhs34, rhs34, 1e-12))
 
     lhs35 = sum(float(b.radius) * float(b.ball_content) for b in balls)
     rhs35 = 20 * alpha ** (mf + 1) * A * hcf ** ((mf + 1) / mf) + eps
-    checks.append(InequalityCheck("weighted_ball_content_sum", lhs35, rhs35,
-                                  lhs35 <= rhs35 + 1e-12))
+    checks.append(InequalityCheck.le("weighted_ball_content_sum", lhs35, rhs35, 1e-12))
 
     checks.append(InequalityCheck(
         "density_constant_range", alpha, 1.0,
@@ -638,10 +634,8 @@ def _decomposition_checks(space, y, mq, eps, constants, hc, tilde_total,
     ))
 
     core_sum = sum(float(b.core_content) for b in balls)
-    checks.append(InequalityCheck(
-        "disjoint_core_additivity", core_sum, float(tilde_total),
-        core_sum <= float(tilde_total) + TOL,
-    ))
+    checks.append(InequalityCheck.le("disjoint_core_additivity", core_sum,
+                                     float(tilde_total), TOL))
 
     # coarea selection bound per ball, against the slightly enlarged ball
     # that provably contains every slice cell in the discrete model
@@ -649,19 +643,17 @@ def _decomposition_checks(space, y, mq, eps, constants, hc, tilde_total,
     for idx, b in enumerate(balls):
         if not b.slice_cells:
             continue
-        unit, keys = _linf_units(space, b.center, y)
-        dists, prefix = _prefix_masks(tilde, keys)
+        unit, _, dists, prefix = tilde.radial(b.center)
         reach = ((1 + 1 / mq) ** 2 * b.critical_radius + half) // unit
         big = float(tilde.solve_mask(prefix[bisect_right(dists, reach)], mq)[0])
         bound = (2 * mf**2 / ((mf + 1) * float(b.critical_radius))) * big
         lhs = float(b.slice_content)
-        checks.append(InequalityCheck(
-            f"coarea_slice_{idx}", lhs, bound, lhs <= bound + 1e-12,
+        checks.append(InequalityCheck.le(
+            f"coarea_slice_{idx}", lhs, bound, 1e-12,
             note="annulus enlarged by half a cell for the discrete slice",
         ))
-        majorant = float(b.slice_cost_majorant)
-        checks.append(InequalityCheck(
-            f"slice_majorant_{idx}", lhs, majorant, lhs <= majorant + 1e-12,
+        checks.append(InequalityCheck.le(
+            f"slice_majorant_{idx}", lhs, float(b.slice_cost_majorant), 1e-12,
             note="step-function majorant dominates the slice content",
         ))
     return checks
@@ -707,11 +699,13 @@ def improvement_step(
 
     # removals first, fills after: a fill footprint may poke into a
     # neighbouring ball and must still survive into the new set
+    bits = ElementBits(space, sorted(y))
     per_ball = []
-    removed: set = set()
+    removed = 0
     for b in decomp.balls:
-        inside = ball_members(Ball(b.center, b.radius), space) & y
-        removed |= inside
+        mask = bits.ball(Ball(b.center, b.radius))
+        removed |= mask
+        inside = bits.members(mask)
         fill_balls: list[Ball] = []
         fill_cells: set = set()
         if b.slice_cells:
@@ -722,7 +716,7 @@ def improvement_step(
                 fill_cells |= _lattice_cells(fb, space)
         per_ball.append((b, inside, fill_balls, fill_cells))
 
-    new_cells = set(y) - removed
+    new_cells = set(bits.members(bits.full & ~removed))
     for _, _, _, fill_cells in per_ball:
         new_cells |= fill_cells
 
@@ -770,15 +764,10 @@ def improvement_step(
 
     hcf = float(hc)
     checks = [
-        InequalityCheck(
-            "step_content_decay", float(after), constants.decay * hcf + eps,
-            float(after) <= constants.decay * hcf + eps + 1e-12,
-        ),
-        InequalityCheck(
-            "step_displacement", max_disp,
-            3 * constants.ball_scale * hcf ** (1 / mf) + eps,
-            max_disp <= 3 * constants.ball_scale * hcf ** (1 / mf) + eps + 1e-12,
-        ),
+        InequalityCheck.le("step_content_decay", float(after),
+                           constants.decay * hcf + eps, 1e-12),
+        InequalityCheck.le("step_displacement", max_disp,
+                           3 * constants.ball_scale * hcf ** (1 / mf) + eps, 1e-12),
     ]
     step = ImprovementStep(
         decomp, new_cells, theta, hc, after, max_disp, tuple(cone_certs),
@@ -840,7 +829,8 @@ def improvement_sequence(
     if stop_content is None:
         stop_content = 1e-4 * float(hc0)
 
-    carriers = {c: ("cell", c) for c in y}
+    start = {c: space.cell_center(c) for c in y}
+    carriers = dict(start)
     steps = []
     contents = [hc0]
     current = y
@@ -851,46 +841,29 @@ def improvement_sequence(
         step = improvement_step(space, current, mq, eps_k, constants, node_budget)
         steps.append(step)
         contents.append(step.content_after)
-        for orig, state in list(carriers.items()):
-            kind, value = state
-            if kind != "cell":
-                continue
-            cell = value
-            if cell in step.theta:
-                landing = step.theta[cell]
-                landed_cell = _point_cell(landing, space)
-                if landed_cell in step.new_cells and \
-                        space.cell_center(landed_cell) == landing:
-                    carriers[orig] = ("cell", landed_cell)
-                else:
-                    carriers[orig] = ("point", landing)
-            # survivors keep their cell
+        # a carrier at the centre of a cell the step removed lands where
+        # the step sends that cell; every other carrier stays put
+        for orig, pos in carriers.items():
+            cell = _point_cell(pos, space)
+            if cell in step.theta and space.cell_center(cell) == pos:
+                carriers[orig] = step.theta[cell]
         current = step.new_cells
 
-    final_pos = {}
-    max_disp = 0.0
-    for orig, (kind, v) in carriers.items():
-        pos = space.cell_center(v) if kind == "cell" else v
-        final_pos[orig] = pos
-        max_disp = max(max_disp, float(linf(space.cell_center(orig), pos)))
-
+    max_disp = max((float(linf(start[c], pos)) for c, pos in carriers.items()), default=0.0)
     hcf = float(hc0)
-    checks = []
-    for k, step in enumerate(steps, start=1):
-        bound = constants.decay ** k * hcf + eps
-        checks.append(InequalityCheck(
-            f"geometric_decay_{k}", float(contents[k]), bound,
-            float(contents[k]) <= bound + 1e-12,
-        ))
-    radius_bound = constants.radius_constant * hcf ** (1 / mf) + eps
-    checks.append(InequalityCheck(
-        "cumulative_displacement", max_disp, radius_bound,
-        max_disp <= radius_bound + 1e-12,
+    checks = [
+        InequalityCheck.le(f"geometric_decay_{k}", float(contents[k]),
+                           constants.decay ** k * hcf + eps, 1e-12)
+        for k in range(1, len(steps) + 1)
+    ]
+    checks.append(InequalityCheck.le(
+        "cumulative_displacement", max_disp,
+        constants.radius_constant * hcf ** (1 / mf) + eps, 1e-12,
         note="exponent-1/m reading; the alternative reading is reported by fill",
     ))
     report = SequenceReport(
         mq, eps, hc0, tuple(steps), tuple(contents), frozenset(current),
-        final_pos, max_disp, tuple(checks),
+        carriers, max_disp, tuple(checks),
     )
     if not report.ok():
         raise VerificationError(
@@ -992,16 +965,14 @@ def fill(
         proven = ((mf / (mf + 1)) ** (mf + 1)
                   * Constants.for_exponent(mq + 1).filling_constant
                   * alpha ** (mf + 1) * content_k ** ((mf + 1) / mf) + step.eps)
-        step_checks.append(InequalityCheck(
-            f"step_cone_cost_{k}", step_cost, proven,
-            step_cost <= proven + TOL,
+        step_checks.append(InequalityCheck.le(
+            f"step_cone_cost_{k}", step_cost, proven, TOL,
             note="proven per-step coning bound",
         ))
         printed = 0.25 * constants.filling_constant * alpha ** (mf + 1) \
             * content_k ** ((mf + 1) / mf) + step.eps
-        step_checks.append(InequalityCheck(
-            f"step_cone_cost_printed_{k}", step_cost, printed,
-            step_cost <= printed + TOL,
+        step_checks.append(InequalityCheck.le(
+            f"step_cone_cost_printed_{k}", step_cost, printed, TOL,
             note="reported only: the printed improvement-pair constant",
             advisory=True,
         ))
@@ -1011,9 +982,8 @@ def fill(
             zip(step.decomposition.balls, step.cone_certificates)
         ):
             em_bound = math.e * mf * float(cert.ambient_radius) * float(cert.input_cost)
-            step_checks.append(InequalityCheck(
-                f"step_{k}_ball_{j}_coning", float(cert.cost), em_bound,
-                float(cert.cost) <= em_bound + TOL,
+            step_checks.append(InequalityCheck.le(
+                f"step_{k}_ball_{j}_coning", float(cert.cost), em_bound, TOL,
                 note="e*m*r bound at the certificate's enclosing radius",
                 advisory=True,
             ))
@@ -1038,17 +1008,13 @@ def fill(
     filling_radius = seq.max_total_displacement + pushout_disp
     next_constants = Constants.for_exponent(mq + 1)
     final_checks = [
-        InequalityCheck(
+        InequalityCheck.le(
             "total_trace_cost", trace_total,
-            next_constants.filling_constant * hcf ** ((mf + 1) / mf) + eps_used,
-            trace_total <= next_constants.filling_constant
-            * hcf ** ((mf + 1) / mf) + eps_used + TOL,
+            next_constants.filling_constant * hcf ** ((mf + 1) / mf) + eps_used, TOL,
         ),
-        InequalityCheck(
+        InequalityCheck.le(
             "filling_radius", filling_radius,
-            constants.radius_constant * hcf ** (1 / mf) + eps_used,
-            filling_radius <= constants.radius_constant
-            * hcf ** (1 / mf) + eps_used + TOL,
+            constants.radius_constant * hcf ** (1 / mf) + eps_used, TOL,
         ),
     ]
     rows = [

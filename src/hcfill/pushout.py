@@ -9,9 +9,10 @@ per-coordinate list of either a fixed grid value or a free unit interval.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, gcd, lcm, prod
 
 from .content import exact_content
 from .errors import InputError, PushoutPreconditionError, VerificationError
@@ -373,9 +374,7 @@ def skeleton_descend(
     point travels at most (n - ceil(m) + 2) * R in total.  The swept cone of
     each face projection is covered explicitly and its m-cost accumulated.
     """
-    from math import ceil as _ceil
-
-    m_ceil = _ceil(float(m))
+    m_ceil = ceil(float(m))
     target_dim = m_ceil - 2
     if target_dim < 0:
         raise InputError("descent target skeleton has negative dimension")
@@ -514,13 +513,11 @@ def loomis_whitney_check(space: VoxelSpace) -> dict:
 
     bbox = space.bbox()
     hull = 0
-    import itertools as _it
-
-    for c in _it.product(*(range(lo, hi + 1) for lo, hi in bbox)):
+    for c in itertools.product(*(range(lo, hi + 1) for lo, hi in bbox)):
         if all(c[:j] + c[j + 1:] in projections[j] for j in range(n)):
             hull += 1
 
-    lw_ok = hull ** (n - 1) <= _prod(counts)
+    lw_ok = hull ** (n - 1) <= prod(counts)
     if not lw_ok:
         raise VerificationError(
             "projection-count inequality failed",
@@ -535,7 +532,7 @@ def loomis_whitney_check(space: VoxelSpace) -> dict:
     nr_n = hull * power(r, n)
     chain = {
         "content_le_hull": hc_n.value <= nr_n,
-        "hull_le_projections": hull ** (n - 1) <= _prod(counts),
+        "hull_le_projections": hull ** (n - 1) <= prod(counts),
         # per-projection floor: N_j r^(n-1) <= boundary content
         "projections_le_boundary": all(
             cnt * power(r, n - 1) <= hc_b.value for cnt in counts
@@ -592,9 +589,3 @@ def cube_equality_check(n: int, delta: Fraction = Fraction(1, 8),
         raise VerificationError("coordinate-cube equality failed", report)
     return report
 
-
-def _prod(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out

@@ -288,6 +288,10 @@ class ElementBits:
                 mask |= bit
         return mask
 
+    def members(self, mask: int) -> frozenset:
+        """The listed elements whose bits are set in the mask."""
+        return frozenset(self.elements[i] for i in bit_indices(mask))
+
     def net_row(self, center) -> list[tuple[float, int]]:
         """(distance, bit) of every listed net point from a `net_center`
         result, nearest first: the members of the ball of radius r there

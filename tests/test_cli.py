@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -283,6 +284,40 @@ def test_config_roundtrip_and_env(tmp_path, monkeypatch, capsys, cube_path):
         RunConfig.from_dict({**cfg.to_dict(), "eps_rel": 1e-3})
     with pytest.raises(InputError):
         RunConfig(node_budget=0)
+    # width_budget selected nothing: every positive value gave the same report
+    with pytest.raises(InputError, match="width_budget"):
+        RunConfig.from_dict({**cfg.to_dict(), "width_budget": 2000})
+
+
+@pytest.mark.parametrize("knob, value, message", [
+    ("node_budget", 2.5, "must be an integer"),
+    ("node_budget", True, "not a bool"),
+    ("node_budget", "100", "must be an integer"),
+    ("step_cap", 2.5, "must be an integer"),
+    ("pushout_candidates", 2.5, "must be an integer"),
+    ("seed", 1.5, "must be an integer"),
+    ("seed", True, "not a bool"),
+    ("tolerance", "1e-9", "must be a finite number"),
+    ("tolerance", math.inf, "must be a finite number"),
+    ("c0_base", math.nan, "must be a finite number"),
+    ("ratio_ceiling_base", False, "not a bool"),
+    ("step_cap", 0, "must be positive"),
+    ("seed", -1, "seed must be >= 0"),
+])
+def test_config_knobs_need_their_type(knob, value, message):
+    with pytest.raises(InputError, match=message):
+        RunConfig(**{knob: value})
+
+
+def test_config_file_with_a_fractional_budget_is_an_input_error(capsys, tmp_path,
+                                                                 cube_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"node_budget": 2.5}))
+    code, out, err = run_cli(capsys, "--config", str(path), "content", "--space",
+                             cube_path, "--m", "1", "--exact")
+    assert code == 1
+    assert out == ""
+    assert err == "error: config knob node_budget must be an integer\n"
 
 
 def test_family_file_required(capsys, cube_path):

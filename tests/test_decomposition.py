@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from hcfill.content import exact_content
 from hcfill.decomposition import (
     Constants,
+    InequalityCheck,
     TildeContent,
+    _point_cell,
     annulus_radius,
     critical_radius,
     decompose,
@@ -28,7 +31,9 @@ from hcfill.shapes import (
     make_cube,
     make_line,
     make_ring,
+    make_strip_with_bulbs,
     random_blob,
+    random_subset,
     translate,
     union,
 )
@@ -87,7 +92,7 @@ def test_density_profile_single_ball_cover():
     # one ball of radius 1/2 covers everything
     assert len(q) == 1
     p = q[0].center
-    profile = density_profile(s, p, s.cells, tilde, 1)
+    profile = density_profile(tilde, p, 1)
     rho = float(q[0].radius)
     tail = profile.breakpoints[-1]
     # on the tail the density is rho / r
@@ -109,7 +114,7 @@ def test_density_at_own_radius_is_one():
 def test_density_decreases_between_breakpoints():
     s = random_blob(8, 2, 8, 5)
     base, q, tilde = _context(s, 1)
-    profile = density_profile(s, q[0].center, s.cells, tilde, 2)
+    profile = density_profile(tilde, q[0].center, 2)
     lo = float(profile.breakpoints[-1])
     assert profile.density(lo * 1.5) > profile.density(lo * 2.0)
 
@@ -204,13 +209,13 @@ def test_radius_searches_match_fraction_oracle(seed, n, m, scale, shift, r_crit)
             want = _oracle_critical_radius(s, p, y, tilde, m, scale)
         except InputError:
             with pytest.raises(InputError):
-                critical_radius(s, p, y, tilde, m, scale)
+                critical_radius(tilde, p, m, scale)
             want = None
         if want is not None:
-            got = critical_radius(s, p, y, tilde, m, scale)
+            got = critical_radius(tilde, p, m, scale)
             assert all(_same(a, b) for a, b in zip(got, want))
         for r in (r_crit,) + ((want[0],) if want else ()):
-            got = annulus_radius(s, p, r, y, tilde, m)
+            got = annulus_radius(tilde, p, r, m)
             want_ann = _oracle_annulus_radius(s, p, r, y, tilde, m)
             assert got.keys() == want_ann.keys()
             assert all(_same(got[k], want_ann[k]) for k in got)
@@ -221,7 +226,7 @@ def test_critical_radius_single_ball_formula():
     base, q, tilde = _context(s, 2)
     p = q[0].center if len(q) == 1 else s.cell_center((1, 1))
     A = 7.0
-    r_crit, eta, members = critical_radius(s, p, s.cells, tilde, 2, A)
+    r_crit, eta, members = critical_radius(tilde, p, 2, A)
     # tail segment: r(p) = A * tilde(Y)^(1/2)
     expected = A * float(tilde.value(frozenset(s.cells), 2)) ** 0.5
     assert float(r_crit) == pytest.approx(expected)
@@ -233,7 +238,7 @@ def test_critical_radius_above_own_radius():
     base, q, tilde = _context(s, 2)
     A = Constants.for_exponent(2).ball_scale
     for ball in q:
-        r_crit, _, _ = critical_radius(s, ball.center, s.cells, tilde, 2, A)
+        r_crit, _, _ = critical_radius(tilde, ball.center, 2, A)
         assert r_crit > ball.radius
 
 
@@ -242,7 +247,7 @@ def test_critical_radius_unreachable_far_point():
     base, q, tilde = _context(s, 2)
     far = (Fraction(10**6), Fraction(10**6))
     with pytest.raises(InputError):
-        critical_radius(s, far, s.cells, tilde, 2, 1.5)
+        critical_radius(tilde, far, 2, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +572,60 @@ def test_sequence_on_multiball_path():
     assert all(b <= a + 1e-12 for a, b in zip(floats, floats[1:]))
 
 
+# The two-state carrier tracking as it stood before each carrier became one
+# position, kept verbatim as an oracle: a carrier is ("cell", c) while it sits
+# at the centre of a current cell c and ("point", p) once it lands elsewhere.
+
+def _oracle_carriers(space, y, steps):
+    carriers = {c: ("cell", c) for c in y}
+    for step in steps:
+        for orig, state in list(carriers.items()):
+            kind, value = state
+            if kind != "cell":
+                continue
+            cell = value
+            if cell in step.theta:
+                landing = step.theta[cell]
+                landed_cell = _point_cell(landing, space)
+                if landed_cell in step.new_cells and \
+                        space.cell_center(landed_cell) == landing:
+                    carriers[orig] = ("cell", landed_cell)
+                else:
+                    carriers[orig] = ("point", landing)
+            # survivors keep their cell
+
+    final_pos = {}
+    max_disp = 0.0
+    for orig, (kind, v) in carriers.items():
+        pos = space.cell_center(v) if kind == "cell" else v
+        final_pos[orig] = pos
+        max_disp = max(max_disp, float(linf(space.cell_center(orig), pos)))
+    return final_pos, max_disp
+
+
+def _line_subset(seed):
+    line = make_line(80)
+    return VoxelSpace(2, line.delta, random_subset(line, seed, 0.8))
+
+
+@pytest.mark.parametrize("space, m, A, steps", [
+    pytest.param(make_line(60), 2, 2.6, 2, id="line60-A2.6"),
+    pytest.param(make_line(60), 2, 3.0, 2, id="line60-A3"),
+    pytest.param(make_ring(16), Fraction(5, 2), 3.0, 3, id="ring16"),
+    pytest.param(make_strip_with_bulbs(), Fraction(5, 2), 3.0, 2, id="bulbs"),
+    pytest.param(_line_subset(1), 2, 2.6, 2, id="line-subset-1"),
+    pytest.param(_line_subset(4), 2, 3.0, 2, id="line-subset-4"),
+    pytest.param(random_blob(1, 2, 40, 10), Fraction(3, 2), 2.0, 1, id="blob-1"),
+    pytest.param(random_blob(4, 2, 40, 10), 2, 2.6, 1, id="blob-4"),
+])
+def test_sequence_carriers_match_two_state_oracle(space, m, A, steps):
+    seq = improvement_sequence(space, None, m, constants=small_scale(m, A))
+    assert len(seq.steps) == steps
+    final_pos, max_disp = _oracle_carriers(space, frozenset(space.cells), seq.steps)
+    assert seq.carriers == final_pos
+    assert seq.max_total_displacement == max_disp
+
+
 # ---------------------------------------------------------------------------
 # the filling pipeline
 
@@ -621,7 +680,7 @@ def test_density_explodes_at_small_radius():
     base, q, tilde = _context(s, 2)
     cell = s.sorted_cells()[0]
     p = s.cell_center(cell)
-    profile = density_profile(s, p, s.cells, tilde, 2)
+    profile = density_profile(tilde, p, 2)
     assert profile.breakpoints[0] == 0  # p is an occupied center
     small, smaller = 1e-3, 1e-4
     assert profile.density(smaller) > profile.density(small) > 0
@@ -637,10 +696,25 @@ def test_independent_reverification():
     assert rep["disjoint"] and rep["tripled_cover"]
     assert rep["tilde_total_matches"] and rep["alpha_matches"]
 
+    # a repeated ball meets its copy, first in the list or last
+    for balls in (d.balls[:1] + d.balls, d.balls + d.balls[-1:]):
+        rep = verify_decomposition(s, s.cells, dataclasses.replace(d, balls=balls))
+        assert rep["disjoint"] is False and not rep["ok"]
+
     trivial = decompose(make_cube(2, 4, Fraction(1, 8)), None, 2)
     rep = verify_decomposition(make_cube(2, 4, Fraction(1, 8)),
                                make_cube(2, 4, Fraction(1, 8)).cells, trivial)
     assert rep["ok"]
+
+
+def test_inequality_check_le():
+    assert InequalityCheck.le("a", 1.0, 1.0).ok
+    assert not InequalityCheck.le("a", 1.0 + 1e-13, 1.0).ok
+    assert InequalityCheck.le("a", 1.0 + 1e-13, 1.0, 1e-12).ok
+    check = InequalityCheck.le("b", 2.0, 1.0, 5.0, note="n", advisory=True)
+    # the slack decides the verdict and is not part of the report
+    assert check.to_dict() == {"name": "b", "lhs": 2.0, "rhs": 1.0, "ok": True,
+                               "note": "n", "advisory": True}
 
 
 def test_targets_outside_the_space_are_refused():

@@ -229,6 +229,7 @@ def test_element_bits_ball_matches_ball_members(case):
     for ball in balls:
         inside = ball_members(ball, space) & set(elements)
         assert {elements[i] for i in bit_indices(bits.ball(ball))} == inside
+        assert bits.members(bits.ball(ball)) == inside
         covered |= inside
     cover = Covering(tuple(balls), frozenset(elements), 1)
     missing = len(set(elements) - covered)
