@@ -3,6 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+# On a failing example, hypothesis's pytest plugin imports this module from
+# inside a pytest hook, and the import warns (a DeprecationWarning from
+# libcst's use of mypy_extensions).  Under the error filter below that
+# warning aborts the whole session with INTERNALERROR at the first failure,
+# so import it here, before the filter is installed.
+try:
+    import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
+
 
 def pytest_configure(config):
     # Any warning fails a Tier-1 test, so a new DeprecationWarning cannot
