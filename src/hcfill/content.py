@@ -26,26 +26,23 @@ net-centered balls, deflated by eps_net on the lower side.
 
 Candidate masks are bits of `space.ElementBits` over the sorted target.
 Fixed-family and voxel point-centered balls take theirs from
-`ElementBits.ball`; a net centre sorts its distance row once, and a
-radius's members are a prefix of it.  Grid-ball candidates on voxel sets
-come from its per-axis slab bitmasks: the cells of a block are the AND of
-one prefix-difference mask per axis, and its cell count is the popcount (no
-AND with the occupied cells: a grid ball covers the unoccupied cells of a
-target too).  A block of side k > 1 whose cost k^m times the unit cost
-reaches its cell count is dominated by the unit balls it contains; a size is
-skipped outright when a full block, min(k^n, |target|) cells, would be, so
-at m >= n only unit balls are enumerated.
-
-Candidates are kept in (cost, ball key) order, one per distinct mask.  Grid
-balls come out of the generator in that order (by size, then by centre) and
-are not sorted again; the other families are sorted.  The dominance pass
-keeps one bitset over the kept candidates per element: costs ascend, so a
-candidate is dominated exactly when the AND of its elements' bitsets is
-non-zero.  The greedy prices balls with the same `_RatioBound` the search
-uses, so at integer m it compares integers, ties broken by an integer that
-orders like the ball key.  It is lazy (Minoux's accelerated greedy): stale
-prices only grow as coverage grows, so a popped ball whose price is still
-current is the one a full rescan picks.
+`ElementBits.ball`; a net centre sorts its distance row once, a radius's
+members are a prefix of it, and a ball is built only for a new mask.  Grid
+blocks on voxel sets are integer rows, mask first: a block's cells are the
+AND of one per-axis slab mask (not of the occupied cells: a grid ball covers
+a target's unoccupied cells too), its centre is in half-cell units, and a
+block of side k > 1 whose cost k^m times the unit cost reaches its cell
+count is dominated by its unit balls and dropped (a whole size when a full
+block would be, so at m >= n only unit balls are enumerated).  Grid rows
+leave the generator in (cost, ball key) order, other families are sorted,
+and one candidate per distinct mask is kept.  Up to 2,000 masks, one that an
+earlier kept mask holds is dropped (costs ascend), found among the kept
+masks holding its lowest or highest element.  Only kept grid rows become
+balls, on one Fraction per distinct centre coordinate.  The greedy prices
+balls with the search's `_RatioBound`, so at integer m it compares integers,
+ties broken by an integer that orders like the ball key.  It is lazy
+(Minoux's accelerated greedy): stale prices only grow as coverage grows, so
+a popped ball whose price is still current is the one a full rescan picks.
 """
 
 from __future__ import annotations
@@ -143,15 +140,16 @@ def _flatten_family(family: BallFamily):
 
 
 def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
-    """Grid-ball candidates in (cost, ball key) order: by size, then by
-    centre in lexicographic order, which is that order whenever a larger
-    size costs more.  Only when two sizes cost the same (m = 0, or a float m
-    too small to separate their powers) are they sorted."""
+    """Grid blocks as (cost, centre, radius, mask) rows, the centre in
+    half-cell units (2a + k per axis for side k from anchor a; the point is
+    delta/2 times it), by size and then by centre: (cost, ball key) order
+    whenever a larger size costs more.  Only when two sizes cost the same
+    (m = 0, or a float m too small to part their powers) are they sorted."""
     bits = ElementBits(space, sorted(target))
     lo, hi = bits.lo, bits.hi
     k_max = max(h - l + 1 for l, h in zip(lo, hi))
     k_max += (-k_max) % stride
-    out = []
+    rows = []
     presorted, last_cost = True, None
     for k in range(stride, k_max + 1, stride):
         radius = space.delta * Fraction(k, 2)
@@ -165,23 +163,21 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
         cost = power(radius, m)
         presorted = presorted and (last_cost is None or last_cost < cost)
         last_cost = cost
-        # (center, mask) of the non-empty blocks, one axis at a time; the
-        # centers are those of grid_ball(space, anchor, k)
+        # (centre, mask) of the non-empty blocks, one axis at a time
         blocks = [((), bits.full)]
         for i in range(space.n):
             a_lo = lo[i] - k + 1
             if stride > 1:
                 a_lo += (-a_lo) % stride
-            slabs = []
-            for a in range(a_lo, hi[i] + 1, stride):
-                if slab := bits.slab(i, a, a + k - 1):
-                    slabs.append((space.delta * a + radius, slab))
+            slabs = [(2 * a + k, slab) for a in range(a_lo, hi[i] + 1, stride)
+                     if (slab := bits.slab(i, a, a + k - 1))]
             blocks = [(center + (x,), both) for center, mask in blocks
                       for x, slab in slabs if (both := mask & slab)]
-        for center, mask in blocks:
-            if mask.bit_count() > limit:
-                out.append(_Candidate(Ball(center, radius), mask, cost))
-    return (out if presorted else sorted(out, key=_cost_key)), bits.index
+        rows += [(cost, center, radius, mask) for center, mask in blocks
+                 if mask.bit_count() > limit]
+    if not presorted:
+        rows.sort()  # no two rows tie on (cost, centre, radius)
+    return rows, bits.index
 
 
 def _dominance_limit(k: int, m) -> int:
@@ -204,6 +200,7 @@ def _point_candidates(space: Space, target, m, centers, cap):
     are the prefix of the row within radius + TOL."""
     bits = ElementBits(space, sorted(target))
     voxel = isinstance(space, VoxelSpace)
+    exact = is_integral(m)  # else power(r, m) == power(as_fraction(r), m)
     out = []
     for center in centers:
         if voxel:
@@ -221,14 +218,14 @@ def _point_candidates(space: Space, target, m, centers, cap):
                 ball = Ball(center, r)
                 mask = bits.ball(ball)
             else:
-                ball = Ball(center, float(r))
-                limit = ball.radius + TOL
+                limit = float(r) + TOL
                 while j < len(row) and row[j][0] <= limit:
                     mask |= row[j][1]
                     j += 1
             if mask and mask not in seen:
                 seen.add(mask)
-                out.append(_Candidate(ball, mask, power(as_fraction(r), m)))
+                out.append(_Candidate(ball if voxel else Ball(center, float(r)), mask,
+                                      power(as_fraction(r) if exact else r, m)))
     return out, bits.index
 
 
@@ -246,15 +243,15 @@ def _fixed_candidates(space: Space, target, m, balls, cap):
 def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
     """The family's balls that meet the target, one per distinct mask (the
     least in (cost, ball key) order), in that order, and the target's bit
-    index.  Up to 2,000 of them, balls whose mask an earlier ball's holds
-    are dropped: costs ascend, so that ball is at most as dear."""
+    index.  Up to 2,000 distinct masks, balls whose mask an earlier ball's
+    holds are dropped: costs ascend, so that ball is at most as dear."""
     core, cap = _flatten_family(family)
     if isinstance(core, AllGridBalls) and isinstance(space, VoxelSpace):
-        cands, index = _voxel_grid_candidates(space, target, m, core.stride, cap)
+        rows, index = _voxel_grid_candidates(space, target, m, core.stride, cap)
+        masks = [row[3] for row in rows]
     else:
         if isinstance(core, AllGridBalls):
-            centers = _net_centers(space)
-            cands, index = _point_candidates(space, target, m, centers, cap)
+            cands, index = _point_candidates(space, target, m, _net_centers(space), cap)
         elif isinstance(core, CentersIn):
             cands, index = _point_candidates(space, target, m, core.points, cap)
         elif isinstance(core, FixedFamily):
@@ -262,36 +259,37 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
         else:
             raise InputError(f"unsupported ball family {core!r}")
         cands.sort(key=_cost_key)
+        rows, masks = None, [c.mask for c in cands]
 
-    first = {}
-    for cand in cands:
-        first.setdefault(cand.mask, cand)
-    cands = list(first.values())
-    # the dominance pass only when small enough to pay for itself
-    if len(cands) <= 2000:
-        cands = _undominated(cands, len(index))
-    return cands, index
+    if len(set(masks)) <= 2000:  # the dominance pass only where it pays for itself
+        keep = _undominated(masks, len(index))
+    else:  # the first of each mask
+        keep = sorted({mask: i for i, mask in reversed([*enumerate(masks)])}.values())
+    if rows is None:
+        return [cands[i] for i in keep], index
+    # one Fraction per distinct centre coordinate, shared by the kept balls
+    coord = {x: space.delta * Fraction(x, 2)
+             for x in {x for i in keep for x in rows[i][1]}}.__getitem__
+    return [_Candidate(Ball(tuple(map(coord, center)), radius), mask, cost)
+            for cost, center, radius, mask in map(rows.__getitem__, keep)], index
 
 
-def _undominated(cands, n_elems):
-    """The candidates, in order, whose mask no earlier kept candidate's mask
-    holds.  owners[e] has bit j set when kept candidate j contains element
-    e, so a candidate is dominated exactly when the AND of its elements'
-    owners is non-zero."""
-    owners = [0] * n_elems
+def _undominated(masks, n_elems):
+    """The indices of the masks, in order, that no earlier kept mask holds
+    (of a repeated mask, its first).  holders[e] lists the kept masks that
+    hold element e; a mask is tested against the shorter list of its lowest
+    and highest element's, and a dominated mask's elements are not walked."""
+    holders = [[] for _ in range(n_elems)]
     kept = []
-    for cand in cands:
-        common = -1
-        for e in bit_indices(cand.mask):
-            common &= owners[e]
-            if not common:
+    for i, mask in enumerate(masks):
+        low, high = holders[(mask & -mask).bit_length() - 1], holders[mask.bit_length() - 1]
+        for held in low if len(low) < len(high) else high:
+            if held | mask == held:
                 break
-        if common:
-            continue
-        bit = 1 << len(kept)
-        for e in bit_indices(cand.mask):
-            owners[e] |= bit
-        kept.append(cand)
+        else:
+            for e in bit_indices(mask):
+                holders[e].append(mask)
+            kept.append(i)
     return kept
 
 

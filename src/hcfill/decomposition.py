@@ -125,6 +125,7 @@ class TildeContent:
         self.masks = [self.bits.ball(b) for b in self.q_balls]
         self._cost_cache: dict[Fraction, list] = {}
         self._value_cache: dict[tuple, Scalar] = {}
+        self._radial = None, None
 
     def _costs(self, exponent: Fraction):
         costs = self._cost_cache.get(exponent)
@@ -142,13 +143,14 @@ class TildeContent:
     def radial(self, p):
         """(unit, keys, dists, prefix) at point p: `_linf_units` over the
         cells, their distance keys in order, and the masks of their first i
-        cells."""
-        unit, keys = _linf_units(self.space, p, self.cells)
-        index = self.bits.index
-        prefix = [0]
-        for _, c in keys:
-            prefix.append(prefix[-1] | 1 << index[c])
-        return unit, keys, [k for k, _ in keys], prefix
+        cells, kept for the last point (asked twice in a row per centre)."""
+        if self._radial[0] != p:
+            unit, keys = _linf_units(self.space, p, self.cells)
+            prefix = [0]
+            for _, c in keys:
+                prefix.append(prefix[-1] | 1 << self.bits.index[c])
+            self._radial = p, (unit, keys, [k for k, _ in keys], prefix)
+        return self._radial[1]
 
     def value(self, subset, exponent: Scalar) -> Scalar:
         cost, _ = self.solve(subset, exponent)

@@ -6,7 +6,7 @@ import pytest
 # On a failing example, hypothesis's pytest plugin imports this module from
 # inside a pytest hook, and the import warns (a DeprecationWarning from
 # libcst's use of mypy_extensions).  Under the error filter below that
-# warning aborts the whole session with INTERNALERROR at the first failure,
+# warning aborts the whole test run with INTERNALERROR at the first failure,
 # so import it here, before the filter is installed.
 try:
     import hypothesis.extra._patching  # noqa: F401

@@ -1,4 +1,4 @@
-"""The Tier-1 conftest's error filter must not abort a session when a
+"""The Tier-1 conftest's error filter must not abort a test run when a
 hypothesis test fails: every test still runs and is counted."""
 
 import os

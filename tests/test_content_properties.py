@@ -104,6 +104,14 @@ def oracle_grid_candidates(space, target, m, stride, cap):
     return out, index
 
 
+def grid_candidates(space, rows):
+    """`_voxel_grid_candidates` rows as candidates, each centre back from
+    half-cell units."""
+    half = space.delta / 2
+    return [_Candidate(Ball(tuple(half * x for x in center), radius), mask, cost)
+            for cost, center, radius, mask in rows]
+
+
 def eager_greedy(cands, full):
     """Rescan every candidate each round; least (cost/new, ball key) wins.
     Returns the picked candidate indices."""
@@ -140,7 +148,8 @@ def assert_greedy_matches(cands, n_elems):
 @given(voxel_instances())
 def test_grid_candidates_and_greedy_match_oracles(instance):
     space, target, m, stride, cap = instance
-    got, index = _voxel_grid_candidates(space, target, m, stride, cap)
+    rows, index = _voxel_grid_candidates(space, target, m, stride, cap)
+    got = grid_candidates(space, rows)
     want, want_index = oracle_grid_candidates(space, target, m, stride, cap)
     assert index == want_index
     assert [(c.ball.key(), c.mask, c.cost) for c in got] == want
@@ -390,8 +399,8 @@ def assert_post_processing_matches(space, target, m, family, raw):
     assert triples(got) == triples(want)
     assert [type(c.cost) for c in got] == [type(c.cost) for c in want]
     ordered = sorted(raw, key=lambda c: (c.cost, c.ball.key()))
-    assert triples(_undominated(ordered, len(index))) == \
-        triples(quadratic_undominated(ordered))
+    kept = _undominated([c.mask for c in ordered], len(index))
+    assert triples([ordered[i] for i in kept]) == triples(quadratic_undominated(ordered))
     assert_greedy_matches(got, len(index))
 
 
@@ -404,8 +413,22 @@ def test_dominance_pass_matches_quadratic_on_grid_balls(instance, at_zero):
     family = AllGridBalls(stride)
     if cap is not None:
         family = intersect_families(family, RadiusCapped(cap))
-    raw, _ = _voxel_grid_candidates(space, target, m, stride, cap)
-    assert_post_processing_matches(space, target, m, family, raw)
+    rows, _ = _voxel_grid_candidates(space, target, m, stride, cap)
+    assert_post_processing_matches(space, target, m, family, grid_candidates(space, rows))
+
+
+def test_candidates_above_the_dominance_limit_match_the_sort_and_dedupe():
+    """The shifted 6^3 cube at m = 1 keeps 2,151 distinct masks, more than
+    the dominance pass takes, so every one of them is built."""
+    cells = frozenset(itertools.product(range(-3, 3), range(1, 7), range(-5, 1)))
+    space = VoxelSpace(3, Fraction(1, 8), cells)
+    want, index = oracle_grid_candidates(space, cells, 1, 1, None)
+    want = oracle_post_process([_Candidate(Ball(*key), mask, cost) for key, mask, cost in want])
+    got, got_index = generate_candidates(space, cells, 1, AllGridBalls())
+    assert got_index == index and len(got) == len(want) > 2000
+    assert triples(got) == triples(want)
+    assert [(type(c.cost), *map(type, c.ball.center), type(c.ball.radius)) for c in got] == \
+        [(type(c.cost), *map(type, c.ball.center), type(c.ball.radius)) for c in want]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
