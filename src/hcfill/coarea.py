@@ -169,7 +169,10 @@ def best_slice(profile: SliceProfile, m: Scalar):
 
     The majorant is a step function with breakpoints at interval endpoints,
     so it is evaluated at every endpoint and at every midpoint between
-    consecutive endpoints; ties resolve to the smallest R.
+    consecutive endpoints; ties resolve to the smallest R.  One sweep over
+    the levels in increasing order keeps the exact majorant: a ball's weight
+    is added once its interval opens at or below the level and taken off
+    once the interval closes below it.
     """
     r1, r2 = profile.range
     if not r2 > r1:
@@ -189,17 +192,23 @@ def best_slice(profile: SliceProfile, m: Scalar):
     candidates.sort()
 
     exponent = as_fraction(m) - 1
-    weights = [
-        None if interval is None else as_fraction(power(ball.radius, exponent))
+    spans = [
+        (interval, as_fraction(power(ball.radius, exponent)))
         for ball, interval in zip(profile.cover.balls, profile.intervals)
+        if interval is not None
     ]
-    best_r = None
-    best_cost = None
+    opens = sorted((a, w) for (a, _), w in spans)
+    closes = sorted((b, w) for (_, b), w in spans)
+    i = j = 0
+    cost = Fraction(0)
+    best_r = best_cost = None
     for r in candidates:
-        cost = Fraction(0)
-        for weight, interval in zip(weights, profile.intervals):
-            if interval is not None and interval[0] <= r <= interval[1]:
-                cost += weight
-        if best_cost is None or cost < best_cost or (cost == best_cost and r < best_r):
+        while i < len(opens) and opens[i][0] <= r:
+            cost += opens[i][1]
+            i += 1
+        while j < len(closes) and closes[j][0] < r:
+            cost -= closes[j][1]
+            j += 1
+        if best_cost is None or cost < best_cost:
             best_r, best_cost = r, cost
     return best_r, best_cost

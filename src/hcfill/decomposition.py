@@ -27,9 +27,11 @@ upper-bound inequality is an `InequalityCheck.le`, and each carrier of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +51,9 @@ from .space import (
 )
 
 _TWELVE = 12
+# relative widening of `critical_radius`'s content ceiling, far above the
+# last-ulp error of a float root
+_CEILING_MARGIN = 1 + 1e-9
 
 
 def _voxel_target(space, target, caller: str) -> frozenset:
@@ -56,6 +61,35 @@ def _voxel_target(space, target, caller: str) -> frozenset:
     if not isinstance(space, VoxelSpace):
         raise InputError(f"{caller} needs the voxel model")
     return frozenset(target) if target is not None else frozenset(space.cells)
+
+
+# The `exact_content` memo of one top-level pipeline call.  `decompose`,
+# `improvement_step`, `improvement_sequence` and `fill` each open one unless
+# their caller has, and drop it when they return, so one `fill` solves each
+# target once: a step's `after` is the next step's base content.
+_SOLVES: ContextVar[dict | None] = ContextVar("decomposition_solves", default=None)
+
+
+def _solve_memo(fn):
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        if _SOLVES.get() is not None:
+            return fn(*args, **kwargs)
+        token = _SOLVES.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _SOLVES.reset(token)
+    return scoped
+
+
+def _content(space, cells: frozenset, m: Fraction, *, node_budget: int):
+    """`exact_content` through the memo of the pipeline call it runs in."""
+    memo = _SOLVES.get()
+    key = (space, cells, m, node_budget)
+    if key not in memo:
+        memo[key] = exact_content(space, cells, m, node_budget=node_budget)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +316,29 @@ def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
     Scanning segments from the top: on a segment with relative content H the
     density reaches the threshold up to radius A * H^(1/m), so the first
     (largest) segment whose candidate radius lands inside it yields the
-    supremum.  Returns (r(p), content at r(p), covered cells at r(p)).
+    supremum.  Relative content is monotone (a cover of a larger prefix
+    covers a smaller one), so once a segment with content H is rejected no
+    lower segment has a candidate above A * H^(1/m): the scan jumps to the
+    last segment starting at or below that ceiling, widened by
+    `_CEILING_MARGIN` so that a float root off by an ulp never skips a
+    segment the full scan would accept.  Returns (r(p), content at r(p)).
     """
     mq = as_fraction(m)
-    unit, keys, dists, prefix = tilde.radial(p)
-    for end in reversed(_distinct_ends(dists)):
+    unit, _, dists, prefix = tilde.radial(p)
+    end = len(dists)
+    while end:
         h, _ = tilde.solve_mask(prefix[end], mq)
-        if float(h) <= 0:
-            continue
-        cand = as_fraction(ball_scale * root(h, mq))
-        reach = cand // unit  # d <= cand for a distance d = k * unit iff k <= reach
-        if reach >= dists[end - 1]:
-            at = bisect_right(dists, reach)
-            eta, _ = tilde.solve_mask(prefix[at], mq)
-            return cand, eta, frozenset(c for _, c in keys[:at])
+        start = bisect_left(dists, dists[end - 1])  # the next segment's end
+        if float(h) > 0:
+            top = ball_scale * root(h, mq)
+            cand = as_fraction(top)
+            reach = cand // unit  # d <= cand for a distance d = k * unit iff k <= reach
+            if reach >= dists[end - 1]:
+                eta, _ = tilde.solve_mask(prefix[bisect_right(dists, reach)], mq)
+                return cand, eta
+            ceiling = as_fraction(top * _CEILING_MARGIN) // unit
+            start = min(start, bisect_right(dists, ceiling))
+        end = start
     raise InputError("density never reaches the threshold at this point")
 
 
@@ -447,6 +490,7 @@ class Decomposition:
         }
 
 
+@_solve_memo
 def decompose(
     space: VoxelSpace,
     target=None,
@@ -471,7 +515,7 @@ def decompose(
     constants = constants or Constants.for_exponent(mq)
     A = constants.ball_scale
 
-    base = exact_content(space, y, mq, node_budget=node_budget)
+    base = _content(space, y, mq, node_budget=node_budget)
     hc = base.value_upper
     if eps is None:
         eps = 1e-3 * float(hc)
@@ -484,7 +528,7 @@ def decompose(
     entries = []
     for ball in q_balls:
         p = ball.center
-        r_crit, eta, _core = critical_radius(tilde, p, mq, A)
+        r_crit, eta = critical_radius(tilde, p, mq, A)
         ann = annulus_radius(tilde, p, r_crit, mq)
         entries.append((p, r_crit, eta, ann))
 
@@ -514,7 +558,7 @@ def decompose(
 
     alpha = (sum(float(b.core_content) for b in balls) / float(tilde_total)) ** (1 / mf)
     checks = _decomposition_checks(tilde, mq, eps, constants, hc, tilde_total,
-                                   balls, alpha, node_budget)
+                                   balls, alpha, node_budget, _content)
     decomp = Decomposition(
         mq, eps, constants, hc, tilde_total, q_balls, tuple(balls), alpha,
         tuple(checks),
@@ -531,9 +575,10 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
     """Independent re-check of an emitted decomposition: rebuilds the
     relative-content context from the stored covering, recomputes every
     per-ball quantity and both sides of every inequality from raw data, and
-    re-verifies disjointness and the tripled cover exactly.  Its distances
-    are `linf` on Fraction points, not the integer keys of `_linf_units`
-    that `decompose` uses, so that it stays an independent check of them."""
+    re-verifies disjointness and the tripled cover exactly, with its own
+    solves (no pipeline memo).  Its distances are `linf` on Fraction points,
+    not the integer keys of `_linf_units` that `decompose` uses, so that it
+    stays an independent check of them."""
     y = frozenset(target)
     if not y <= space.cells:
         raise InputError(f"target has {len(y - space.cells)} cells outside the space")
@@ -580,7 +625,7 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
     report["alpha_matches"] = abs(alpha - decomp.alpha) <= TOL
     checks = _decomposition_checks(
         tilde, mq, decomp.eps, decomp.constants, decomp.base_content,
-        tilde_total, fresh, alpha, node_budget,
+        tilde_total, fresh, alpha, node_budget, exact_content,
     )
     report["checks_ok"] = all(c.ok for c in checks if not c.advisory)
     report["ok"] = all(
@@ -590,7 +635,10 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
 
 
 def _decomposition_checks(tilde, mq, eps, constants, hc, tilde_total,
-                          balls, alpha, node_budget):
+                          balls, alpha, node_budget, content):
+    """The certified inequalities of a decomposition; `content` solves the
+    survivors' content (`_content` for `decompose`, so shared with the
+    pipeline call, and `exact_content` for `verify_decomposition`)."""
     space = tilde.space
     mf = float(mq)
     A = constants.ball_scale
@@ -607,8 +655,8 @@ def _decomposition_checks(tilde, mq, eps, constants, hc, tilde_total,
         removed |= tilde.bits.ball(Ball(b.center, b.radius))
     survivors = tilde.bits.full & ~removed
     if survivors:
-        left = float(exact_content(space, tilde.bits.members(survivors), mq,
-                                   node_budget=node_budget).value_upper)
+        left = float(content(space, tilde.bits.members(survivors), mq,
+                             node_budget=node_budget).value_upper)
     else:
         left = 0.0
     checks.append(InequalityCheck.le("content_drop", left,
@@ -680,6 +728,7 @@ class ImprovementStep:
         return all(c.ok for c in self.checks)
 
 
+@_solve_memo
 def improvement_step(
     space: VoxelSpace,
     target=None,
@@ -711,8 +760,8 @@ def improvement_step(
         fill_balls: list[Ball] = []
         fill_cells: set = set()
         if b.slice_cells:
-            slice_res = exact_content(space, b.slice_cells, mq - 1,
-                                      node_budget=node_budget)
+            slice_res = _content(space, b.slice_cells, mq - 1,
+                                 node_budget=node_budget)
             fill_balls = list(slice_res.witness.balls)
             for fb in fill_balls:
                 fill_cells |= _lattice_cells(fb, space)
@@ -744,7 +793,7 @@ def improvement_step(
             theta[c] = best[1]
 
         # cone certificate: the swept (m+1)-cost inside this ball
-        interior_res = exact_content(space, inside, mq, node_budget=node_budget)
+        interior_res = _content(space, inside, mq, node_budget=node_budget)
         z_balls = tuple(fill_balls) + interior_res.witness.balls
         reach = max(
             as_fraction(linf(zb.center, b.center)) + as_fraction(zb.radius)
@@ -756,7 +805,7 @@ def improvement_step(
 
     new_cells = frozenset(new_cells)
     if new_cells:
-        after = exact_content(space, new_cells, mq, node_budget=node_budget).value_upper
+        after = _content(space, new_cells, mq, node_budget=node_budget).value_upper
     else:
         after = Fraction(0)
 
@@ -808,6 +857,7 @@ class SequenceReport:
         return all(c.ok for c in self.checks)
 
 
+@_solve_memo
 def improvement_sequence(
     space: VoxelSpace,
     target=None,
@@ -825,7 +875,7 @@ def improvement_sequence(
     mq = as_fraction(m)
     mf = float(mq)
     constants = constants or Constants.for_exponent(mq)
-    hc0 = exact_content(space, y, mq, node_budget=node_budget).value_upper
+    hc0 = _content(space, y, mq, node_budget=node_budget).value_upper
     if eps is None:
         eps = 1e-3 * float(hc0)
     if stop_content is None:
@@ -930,6 +980,7 @@ class FillingCertificate:
         }
 
 
+@_solve_memo
 def fill(
     space: VoxelSpace,
     target=None,
@@ -994,8 +1045,8 @@ def fill(
     pushout_disp = 0.0
     residual = seq.final_cells
     if residual:
-        res_content = exact_content(space, residual, mq,
-                                    node_budget=node_budget).value_upper
+        res_content = _content(space, residual, mq,
+                               node_budget=node_budget).value_upper
         R = grid_R_for_content(float(res_content), mf + 1, space.n,
                                delta=space.delta)
         grid = CubicalGrid(space.n, R)

@@ -2,19 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hcfill.coarea import (
     DistanceToPoint,
     DistanceToSet,
     ExplicitValues,
+    SliceProfile,
     best_slice,
     coarea_integral,
     slice_profile,
 )
 from hcfill.content import exact_content, greedy_content
 from hcfill.errors import InputError
+from hcfill.exact import as_fraction, power
 from hcfill.shapes import make_cube, make_line, random_blob
-from hcfill.space import Covering, grid_ball
+from hcfill.space import Ball, Covering, grid_ball
 
 
 def _cover_of(space, m=1):
@@ -128,6 +132,94 @@ def test_slice_cost_dominates_independent_content():
 
         independent = exact_content(s, cells, 1, FixedFamily(cover.balls)).value
         assert float(independent) <= float(cost) + 1e-12
+
+
+# `best_slice` as it stood before the sweep, kept verbatim as an oracle: it
+# sums every ball's weight afresh at every candidate level.
+
+def _oracle_best_slice(profile: SliceProfile, m):
+    r1, r2 = profile.range
+    if not r2 > r1:
+        raise InputError("degenerate slice range")
+    points = {as_fraction(r1), as_fraction(r2)}
+    for interval in profile.intervals:
+        if interval is None:
+            continue
+        for v in interval:
+            v = as_fraction(v)
+            if r1 <= v <= r2:
+                points.add(v)
+    sorted_pts = sorted(points)
+    candidates = list(sorted_pts)
+    for a, b in zip(sorted_pts, sorted_pts[1:]):
+        candidates.append((a + b) / 2)
+    candidates.sort()
+
+    exponent = as_fraction(m) - 1
+    weights = [
+        None if interval is None else as_fraction(power(ball.radius, exponent))
+        for ball, interval in zip(profile.cover.balls, profile.intervals)
+    ]
+    best_r = None
+    best_cost = None
+    for r in candidates:
+        cost = Fraction(0)
+        for weight, interval in zip(weights, profile.intervals):
+            if interval is not None and interval[0] <= r <= interval[1]:
+                cost += weight
+        if best_cost is None or cost < best_cost or (cost == best_cost and r < best_r):
+            best_r, best_cost = r, cost
+    return best_r, best_cost
+
+
+def _profile(spans, rng):
+    """A profile over balls of the given radii and value intervals (None for
+    a ball that covers nothing) on the range rng."""
+    balls = tuple(Ball((Fraction(i), Fraction(0)), r) for i, (r, _) in enumerate(spans))
+    cover = Covering(balls, frozenset(), 2)
+    return SliceProfile(DistanceToPoint((Fraction(0), Fraction(0))), cover,
+                        tuple(iv for _, iv in spans), rng, {})
+
+
+# Levels on a quarter grid, so that endpoints often meet each other and r1
+# or r2; a few radii, so that many levels cost the same.
+_LEVEL = st.integers(0, 14).map(lambda k: Fraction(k, 4))
+_INTERVAL = st.one_of(
+    st.none(), st.tuples(_LEVEL, _LEVEL).map(lambda ab: tuple(sorted(ab))))
+_SPAN = st.tuples(st.sampled_from((Fraction(1, 8), Fraction(1, 4), Fraction(3, 8))),
+                  _INTERVAL)
+
+
+@st.composite
+def _profiles(draw):
+    r1, r2 = sorted(draw(st.lists(_LEVEL, min_size=2, max_size=2, unique=True)))
+    spans = draw(st.lists(_SPAN, max_size=8))
+    if spans and draw(st.booleans()):
+        # chain the intervals end to start, so that neighbours touch
+        at = r1
+        chained = []
+        for radius, _ in spans:
+            step = draw(st.integers(0, 3))
+            chained.append((radius, (at, at + Fraction(step, 4))))
+            at += Fraction(step, 4)
+        spans = chained
+    return _profile(spans, (r1, r2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile=_profiles(), m=st.sampled_from((2, Fraction(3, 2), 3)))
+@example(profile=_profile([], (Fraction(0), Fraction(1))), m=2)
+@example(  # two equal minima: the smaller level wins
+    profile=_profile([(Fraction(1, 4), (Fraction(0), Fraction(1, 2))),
+                      (Fraction(1, 4), (Fraction(1, 2), Fraction(1)))],
+                     (Fraction(0), Fraction(1))),
+    m=2,
+)
+def test_best_slice_matches_the_double_loop(profile, m):
+    got = best_slice(profile, m)
+    want = _oracle_best_slice(profile, m)
+    assert got == want
+    assert all(type(a) is type(b) for a, b in zip(got, want))
 
 
 def test_uniform_intervals_sum_everything():

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import math
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcfill.content import exact_content
+from hcfill import decomposition
 from hcfill.decomposition import (
+    _CEILING_MARGIN,
     Constants,
     InequalityCheck,
     TildeContent,
+    _distinct_ends,
     _point_cell,
     annulus_radius,
     critical_radius,
@@ -213,7 +218,9 @@ def test_radius_searches_match_fraction_oracle(seed, n, m, scale, shift, r_crit)
             want = None
         if want is not None:
             got = critical_radius(tilde, p, m, scale)
+            assert len(got) == 2
             assert all(_same(a, b) for a, b in zip(got, want))
+            assert _members_at(tilde, p, got[0]) == want[2]
         for r in (r_crit,) + ((want[0],) if want else ()):
             got = annulus_radius(tilde, p, r, m)
             want_ann = _oracle_annulus_radius(s, p, r, y, tilde, m)
@@ -221,16 +228,64 @@ def test_radius_searches_match_fraction_oracle(seed, n, m, scale, shift, r_crit)
             assert all(_same(got[k], want_ann[k]) for k in got)
 
 
+def _members_at(tilde, p, r):
+    """The context's cells within distance r of p, from its radial order."""
+    unit, _, dists, prefix = tilde.radial(p)
+    return tilde.bits.members(prefix[bisect_right(dists, r // unit)])
+
+
 def test_critical_radius_single_ball_formula():
     s = make_cube(2, 4, Fraction(1, 4))
     base, q, tilde = _context(s, 2)
     p = q[0].center if len(q) == 1 else s.cell_center((1, 1))
     A = 7.0
-    r_crit, eta, members = critical_radius(tilde, p, 2, A)
+    r_crit, eta = critical_radius(tilde, p, 2, A)
     # tail segment: r(p) = A * tilde(Y)^(1/2)
     expected = A * float(tilde.value(frozenset(s.cells), 2)) ** 0.5
     assert float(r_crit) == pytest.approx(expected)
-    assert members == frozenset(s.cells)
+    assert _members_at(tilde, p, r_crit) == frozenset(s.cells)
+    assert eta == tilde.value(frozenset(s.cells), 2)
+
+
+def test_critical_radius_skips_ends_above_the_ceiling():
+    # at every Q centre of the A=3 line: the oracle's radius and content, and
+    # once a segment end is rejected no end above its ceiling is solved
+    s = make_line(60)
+    m, A = 2, 3.0
+    _, q, tilde = _context(s, m)
+    y = frozenset(s.cells)
+    solved = full = 0
+    for ball in q:
+        p = ball.center
+        unit, _, dists, prefix = tilde.radial(p)
+        end_of = {mask: end for end, mask in enumerate(prefix)}
+        ends = []
+        solve_mask = tilde.solve_mask
+
+        def counting(goal, exponent):
+            ends.append(end_of[goal])
+            return solve_mask(goal, exponent)
+
+        tilde.solve_mask = counting
+        try:
+            got = critical_radius(tilde, p, m, A)
+        finally:
+            del tilde.solve_mask
+        want = _oracle_critical_radius(s, p, y, tilde, m, A)
+        assert len(got) == 2 and all(_same(a, b) for a, b in zip(got, want))
+        assert _members_at(tilde, p, got[0]) == want[2]
+
+        ceiling = math.inf
+        for end in ends:
+            assert dists[end - 1] <= ceiling
+            h, _ = solve_mask(prefix[end], m)
+            ceiling = min(ceiling, as_fraction(A * root(h, m) * _CEILING_MARGIN) // unit)
+        # the full scan solves every end from the top down to the accepted
+        # one (the solve before the content's), then the content
+        accepted = ends[-2]
+        full += sum(1 for end in _distinct_ends(dists) if end >= accepted) + 1
+        solved += len(ends)
+    assert solved < full
 
 
 def test_critical_radius_above_own_radius():
@@ -238,7 +293,7 @@ def test_critical_radius_above_own_radius():
     base, q, tilde = _context(s, 2)
     A = Constants.for_exponent(2).ball_scale
     for ball in q:
-        r_crit, _, _ = critical_radius(tilde, ball.center, 2, A)
+        r_crit, _ = critical_radius(tilde, ball.center, 2, A)
         assert r_crit > ball.radius
 
 
@@ -740,6 +795,32 @@ def test_fill_totals_recompute():
     assert cert.trace_total == pytest.approx(total, abs=1e-15)
 
 
+def _counting_exact_content(monkeypatch):
+    """Patch the pipeline's `exact_content` binding with one that records
+    each call's (target, exponent)."""
+    calls = Counter()
+
+    def counting(space, target, m, *args, **kwargs):
+        calls[frozenset(target), as_fraction(m)] += 1
+        return exact_content(space, target, m, *args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "exact_content", counting)
+    return calls
+
+
+def test_verification_solves_without_the_pipeline_memo(monkeypatch):
+    from hcfill.decomposition import verify_decomposition
+
+    s = make_line(60, Fraction(1, 8))
+    calls = _counting_exact_content(monkeypatch)
+    d = decompose(s, None, 2, eps=1e-3, constants=small_scale(2))
+    solved = set(calls)
+    calls.clear()
+    assert verify_decomposition(s, s.cells, d)["ok"]
+    # the survivors' content is solved again, not read from decompose's memo
+    assert calls and set(calls) <= solved
+
+
 # Reports of decompose and fill, pinned as the first 16 hex digits of the
 # sha256 of their sorted-key JSON: several steps, balls and occupied slices,
 # float exponents at m = 3/2, and a decomposition over 30 Q balls.
@@ -762,3 +843,11 @@ PINNED_REPORTS = [
 def test_decomposition_reports_pinned(run, digest):
     text = json.dumps(run().to_dict(), sort_keys=True, default=fmt_scalar)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("run, digest", PINNED_REPORTS)
+def test_pipeline_solves_each_target_once(monkeypatch, run, digest):
+    calls = _counting_exact_content(monkeypatch)
+    text = json.dumps(run().to_dict(), sort_keys=True, default=fmt_scalar)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert calls and max(calls.values()) == 1
