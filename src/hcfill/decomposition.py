@@ -19,9 +19,10 @@ The machinery, at exponent m > 1, over a voxel set Y:
    (m+1)-cost of the swept regions, and a final skeleton descent handles the
    low-content residue.
 
-One `TildeContent` per decomposition is its cell context: radial orders,
-ball-member masks and relative solves all run on its cells.  Every
-upper-bound inequality is an `InequalityCheck.le`, and each carrier of
+One `TildeContent` per decomposition is its cell context: pruning Q, radial
+orders, annulus slices, ball-member masks and relative solves all run on its
+cells, and each selected ball carries its cells to the checks and the step.
+Every upper-bound inequality is an `InequalityCheck.le`, and each carrier of
 `improvement_sequence` is one point moved by the step maps.
 """
 
@@ -35,6 +36,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .coarea import DistanceToPoint, SliceProfile, best_slice
 from .content import _branch_and_bound, _Candidate, _RatioBound, exact_content
 from .cone import ConeCertificate, cone_covering
 from .errors import DecompositionViolation, InputError, VerificationError
@@ -149,7 +151,8 @@ class TildeContent:
     incumbent, so its witness is the first cheapest cover in depth-first
     order.  `solve_mask` is the one entry, cached per (goal mask, exponent);
     `solve` takes a cell set.  `radial` orders the cells by distance from a
-    point for the radius searches."""
+    point for the radius searches and the annulus slices, and
+    `prune_redundant` drops Q balls on `masks`."""
 
     def __init__(self, space: VoxelSpace, cells, q_balls):
         self.space = space
@@ -226,25 +229,28 @@ class TildeContent:
         return [self.q_balls[i] for i in sel]
 
 
-def prune_redundant(space: VoxelSpace, balls, target) -> tuple[Ball, ...]:
-    """Drop every ball whose covered target cells lie in the union of the
-    others', largest radius first, until each survivor has a private cell."""
-    active = sorted(balls, key=lambda b: (-as_fraction(b.radius), b.center))
-    bits = ElementBits(space, sorted(target))
-    masks = {b: bits.ball(b) for b in active}
+def prune_redundant(tilde: TildeContent) -> TildeContent:
+    """Drop every Q ball whose member mask lies in the union of the others',
+    largest radius first, until each survivor has a private cell: the same
+    context when none goes, else a context over the survivors."""
+    balls = tilde.q_balls
+    active = sorted(range(len(balls)),
+                    key=lambda i: (-as_fraction(balls[i].radius), balls[i].center))
     changed = True
     while changed:
         changed = False
-        for b in active:
+        for i in active:
             rest = 0
-            for other in active:
-                if other is not b:
-                    rest |= masks[other]
-            if masks[b] & ~rest == 0:
-                active.remove(b)
+            for j in active:
+                if j != i:
+                    rest |= tilde.masks[j]
+            if tilde.masks[i] & ~rest == 0:
+                active.remove(i)
                 changed = True
                 break
-    return tuple(sorted(active))
+    if len(active) == len(balls):
+        return tilde
+    return TildeContent(tilde.space, tilde.cells, [balls[i] for i in sorted(active)])
 
 
 # ---------------------------------------------------------------------------
@@ -343,40 +349,43 @@ def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
 
 
 def annulus_radius(tilde: TildeContent, p, r_crit, m: Scalar):
-    """Slice level r_bar in [(1+1/m) r(p), (1+1/m)^2 r(p)] minimizing the
-    coarea majorant of the sphere through the annulus, with the chosen
-    slice's cells and certified costs."""
-    from .coarea import DistanceToPoint, best_slice, slice_profile
-
+    """(r_bar, slice cost, slice cells) of the level r_bar in
+    [(1+1/m) r(p), (1+1/m)^2 r(p)] minimizing the coarea majorant of the
+    sphere through the annulus, the cells within half a cell (L units) of
+    [r1, r2].  A cell at distance key k takes the values [max(0, k - L),
+    k + L] units; a selected Q ball's interval runs from its least to its
+    largest key there, found by bisecting the radial prefix masks."""
     mq = as_fraction(m)
     p = tuple(as_fraction(x) for x in p)
     r1 = (1 + 1 / mq) * as_fraction(r_crit)
     r2 = (1 + 1 / mq) ** 2 * as_fraction(r_crit)
     unit, keys, dists, prefix = tilde.radial(p)
-    # the cells whose centers lie within half a cell (L units) of [r1, r2]
-    half = tilde.space.delta / 2 / unit
+    half = tilde.space.delta / 2 // unit  # L
+
+    def span(k_lo, k_hi):
+        return max(0, k_lo - half) * unit, (k_hi + half) * unit
+
     lo = bisect_right(dists, math.ceil(r1 / unit - half) - 1)
     hi = bisect_right(dists, math.floor(r2 / unit + half))
-    annulus = frozenset(c for _, c in keys[lo:hi])
-    if not annulus:
-        return {
-            "r_bar": r1,
-            "slice_cost": Fraction(0),
-            "slice_cells": frozenset(),
-            "annulus_cells": frozenset(),
-            "annulus_value": Fraction(0),
-        }
-    value, sel = tilde.solve_mask(prefix[hi] ^ prefix[lo], mq)
-    cover = Covering(tuple(tilde.q_balls[i] for i in sel), annulus, mq)
-    profile = slice_profile(tilde.space, annulus, DistanceToPoint(p), cover, (r1, r2))
+    goal = prefix[hi] ^ prefix[lo]
+    _, sel = tilde.solve_mask(goal, mq)
+    ends = range(lo + 1, hi + 1)  # prefix[j] holds the cells at radial positions < j
+    intervals = []
+    for i in sel:
+        mask = tilde.masks[i] & goal
+        first = bisect_left(ends, True, key=lambda j: prefix[j] & mask != 0)
+        last = bisect_left(ends, True, key=lambda j: prefix[j] & mask == mask)
+        a, b = span(dists[lo + first], dists[lo + last])
+        if not float(b - a) <= 2.0 * float(tilde.q_balls[i].radius) + TOL:
+            raise InputError("a Q ball pins the distance to an interval wider than 2r")
+        intervals.append((a, b))
+    annulus = keys[lo:hi]
+    cover = Covering(tuple(tilde.q_balls[i] for i in sel),
+                     frozenset(c for _, c in annulus), mq)
+    profile = SliceProfile(DistanceToPoint(p), cover, tuple(intervals), (r1, r2),
+                           {c: span(k, k) for k, c in annulus})
     r_bar, slice_cost = best_slice(profile, mq)
-    return {
-        "r_bar": r_bar,
-        "slice_cost": slice_cost,
-        "slice_cells": profile.level_set(r_bar),
-        "annulus_cells": annulus,
-        "annulus_value": value,
-    }
+    return r_bar, slice_cost, profile.level_set(r_bar)
 
 
 def vitali_select(candidates, space: VoxelSpace, target):
@@ -448,6 +457,7 @@ class DecompositionBall:
     slice_cost_majorant: Scalar
     slice_content: Scalar  # tilde (m-1)-content of the slice
     ball_content: Scalar  # tilde m-content of B(p, r_bar) cap Y
+    cells: frozenset  # Y cap B(p, r_bar), not reported
 
     def to_dict(self) -> dict:
         return {
@@ -520,8 +530,8 @@ def decompose(
     if eps is None:
         eps = 1e-3 * float(hc)
 
-    q_balls = prune_redundant(space, base.witness.balls, y)
-    tilde = TildeContent(space, y, q_balls)
+    tilde = prune_redundant(TildeContent(space, y, sorted(base.witness.balls)))
+    q_balls = tilde.q_balls
     tilde_total = tilde.value(y, mq)
 
     # per-center critical and slice radii
@@ -529,19 +539,16 @@ def decompose(
     for ball in q_balls:
         p = ball.center
         r_crit, eta = critical_radius(tilde, p, mq, A)
-        ann = annulus_radius(tilde, p, r_crit, mq)
-        entries.append((p, r_crit, eta, ann))
+        entries.append((p, r_crit, eta) + annulus_radius(tilde, p, r_crit, mq))
 
-    selected_idx = vitali_select(
-        [(p, ann["r_bar"]) for p, _, _, ann in entries], space, y
-    )
+    selected_idx = vitali_select([(e[0], e[3]) for e in entries], space, y)
 
     mf = float(mq)
     balls = []
     for i in selected_idx:
-        p, r_crit, eta, ann = entries[i]
-        r_bar = as_fraction(ann["r_bar"])
-        slice_cells = ann["slice_cells"]
+        p, r_crit, eta, r_bar, slice_cost, slice_cells = entries[i]
+        r_bar = as_fraction(r_bar)
+        mask = tilde.bits.ball(Ball(p, r_bar))
         balls.append(
             DecompositionBall(
                 center=p,
@@ -550,9 +557,10 @@ def decompose(
                 theta=float(r_bar) / float(r_crit),
                 core_content=eta,
                 slice_cells=slice_cells,
-                slice_cost_majorant=ann["slice_cost"],
+                slice_cost_majorant=slice_cost,
                 slice_content=tilde.value(slice_cells, mq - 1),
-                ball_content=tilde.solve_mask(tilde.bits.ball(Ball(p, r_bar)), mq)[0],
+                ball_content=tilde.solve_mask(mask, mq)[0],
+                cells=tilde.bits.members(mask),
             )
         )
 
@@ -605,6 +613,7 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
             c for c in y
             if as_fraction(linf(space.cell_center(c), b.center)) <= b.critical_radius
         )
+        members = ball_members(Ball(b.center, b.radius), space) & y
         fresh.append(
             DecompositionBall(
                 center=b.center,
@@ -615,9 +624,8 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
                 slice_cells=b.slice_cells,
                 slice_cost_majorant=b.slice_cost_majorant,
                 slice_content=tilde.value(b.slice_cells, mq - 1),
-                ball_content=tilde.value(
-                    ball_members(Ball(b.center, b.radius), space) & y, mq
-                ),
+                ball_content=tilde.value(members, mq),
+                cells=members,
             )
         )
     alpha = (sum(float(b.core_content) for b in fresh)
@@ -650,12 +658,9 @@ def _decomposition_checks(tilde, mq, eps, constants, hc, tilde_total,
         "max_ball_radius", max_r, (1 + 1 / mf) ** 2 * A * hcf ** (1 / mf) + eps,
     ))
 
-    removed = 0
-    for b in balls:
-        removed |= tilde.bits.ball(Ball(b.center, b.radius))
-    survivors = tilde.bits.full & ~removed
+    survivors = frozenset(tilde.cells).difference(*(b.cells for b in balls))
     if survivors:
-        left = float(content(space, tilde.bits.members(survivors), mq,
+        left = float(content(space, survivors, mq,
                              node_budget=node_budget).value_upper)
     else:
         left = 0.0
@@ -750,13 +755,10 @@ def improvement_step(
 
     # removals first, fills after: a fill footprint may poke into a
     # neighbouring ball and must still survive into the new set
-    bits = ElementBits(space, sorted(y))
-    per_ball = []
-    removed = 0
+    new_cells = set(y.difference(*(b.cells for b in decomp.balls)))
+    theta: dict = {}
+    cone_certs = []
     for b in decomp.balls:
-        mask = bits.ball(Ball(b.center, b.radius))
-        removed |= mask
-        inside = bits.members(mask)
         fill_balls: list[Ball] = []
         fill_cells: set = set()
         if b.slice_cells:
@@ -765,19 +767,12 @@ def improvement_step(
             fill_balls = list(slice_res.witness.balls)
             for fb in fill_balls:
                 fill_cells |= _lattice_cells(fb, space)
-        per_ball.append((b, inside, fill_balls, fill_cells))
-
-    new_cells = set(bits.members(bits.full & ~removed))
-    for _, _, _, fill_cells in per_ball:
         new_cells |= fill_cells
 
-    theta: dict = {}
-    cone_certs = []
-    for b, inside, fill_balls, fill_cells in per_ball:
         # nearest landing point, ties to the least point: the fill cells'
         # centers and the ball's center, at distances in the units of
         # `_linf_units` from the ball's center (a cell side is 2L of them)
-        unit, to_center = _linf_units(space, b.center, inside)
+        unit, to_center = _linf_units(space, b.center, b.cells)
         side = int(space.delta / unit)
         fills = [(c, space.cell_center(c)) for c in sorted(fill_cells)]
         for k, c in sorted(to_center, key=lambda kc: kc[1]):
@@ -793,14 +788,14 @@ def improvement_step(
             theta[c] = best[1]
 
         # cone certificate: the swept (m+1)-cost inside this ball
-        interior_res = _content(space, inside, mq, node_budget=node_budget)
+        interior_res = _content(space, b.cells, mq, node_budget=node_budget)
         z_balls = tuple(fill_balls) + interior_res.witness.balls
         reach = max(
             as_fraction(linf(zb.center, b.center)) + as_fraction(zb.radius)
             for zb in z_balls
         )
         reach = max(reach, as_fraction(b.radius))
-        cover = Covering(z_balls, inside | frozenset(b.slice_cells), mq)
+        cover = Covering(z_balls, b.cells | frozenset(b.slice_cells), mq)
         cone_certs.append(cone_covering(cover, b.center, reach, mq + 1, "improved"))
 
     new_cells = frozenset(new_cells)

@@ -174,15 +174,6 @@ class Ball:
         if self.radius < 0:
             raise InputError("ball radius must be non-negative")
 
-    def __hash__(self):
-        # the dataclass hash, computed once: Fraction hashing is slow and
-        # balls key `prune_redundant`'s mask table, looked up per pair
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.center, self.radius))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def key(self):
         return (self.center, self.radius)
 

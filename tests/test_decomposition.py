@@ -42,7 +42,15 @@ from hcfill.shapes import (
     translate,
     union,
 )
-from hcfill.space import Covering, VoxelSpace, ball_members, grid_ball, linf
+from hcfill.space import (
+    Ball,
+    Covering,
+    ElementBits,
+    VoxelSpace,
+    ball_members,
+    grid_ball,
+    linf,
+)
 
 
 def small_scale(m, A=3.0):
@@ -87,8 +95,8 @@ def test_constants_need_m_above_one():
 
 def _context(space, m):
     base = exact_content(space, None, m)
-    q = prune_redundant(space, base.witness.balls, frozenset(space.cells))
-    return base, q, TildeContent(space, space.cells, q)
+    tilde = prune_redundant(TildeContent(space, space.cells, sorted(base.witness.balls)))
+    return base, tilde.q_balls, tilde
 
 
 def test_density_profile_single_ball_cover():
@@ -224,8 +232,9 @@ def test_radius_searches_match_fraction_oracle(seed, n, m, scale, shift, r_crit)
         for r in (r_crit,) + ((want[0],) if want else ()):
             got = annulus_radius(tilde, p, r, m)
             want_ann = _oracle_annulus_radius(s, p, r, y, tilde, m)
-            assert got.keys() == want_ann.keys()
-            assert all(_same(got[k], want_ann[k]) for k in got)
+            want_ann = tuple(want_ann[k] for k in ("r_bar", "slice_cost", "slice_cells"))
+            assert len(got) == 3
+            assert all(_same(a, b) for a, b in zip(got, want_ann))
 
 
 def _members_at(tilde, p, r):
@@ -508,7 +517,7 @@ def tilde_instances(draw):
     if kind != "overlapping":
         balls += [grid_ball(space, c, 1) for c in sorted(cells)]
     if kind == "pruned":
-        balls = list(prune_redundant(space, balls, frozenset(target)))
+        balls = list(prune_redundant(TildeContent(space, target, sorted(balls))).q_balls)
     subset = draw(st.sets(st.sampled_from(sorted(target))))
     exponent = draw(st.sampled_from(EXACT_EXPONENTS + FLOAT_EXPONENTS))
     return space, target, balls, subset, exponent
@@ -547,8 +556,11 @@ def test_prune_redundant_drops_contained_ball():
     s = make_cube(2, 4, Fraction(1, 4))
     big = grid_ball(s, (0, 0), 4)
     small = grid_ball(s, (1, 1), 1)
-    kept = prune_redundant(s, (big, small), frozenset(s.cells))
-    assert kept == (big,)
+    tilde = TildeContent(s, s.cells, sorted((big, small)))
+    kept = prune_redundant(tilde)
+    assert kept.q_balls == (big,)
+    assert kept.cells == tilde.cells and kept.masks == [tilde.bits.full]
+    assert prune_redundant(kept) is kept
 
 
 # ---------------------------------------------------------------------------
