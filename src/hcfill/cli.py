@@ -289,6 +289,10 @@ def _cmd_corpus(args, cfg: RunConfig) -> int:
         except InputError as exc:
             raise InputError(f"{path}: {exc}")
         row = {"fixture": os.path.basename(path)}
+        if not isinstance(space, VoxelSpace):  # every suite is voxel-only
+            row["skipped"] = "net fixture"
+            rows.append(row)
+            continue
         try:
             if args.suite == "invariants":
                 row.update(_suite_invariants(space, cfg))
@@ -333,8 +337,6 @@ def _cmd_corpus(args, cfg: RunConfig) -> int:
 def _suite_invariants(space, cfg: RunConfig) -> dict:
     from .space import space_diameter, space_radius
 
-    if not isinstance(space, VoxelSpace):
-        return {"skipped": "net fixture"}
     checks = {}
     values = {}
     for m in (1, 2):

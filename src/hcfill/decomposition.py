@@ -36,7 +36,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coarea import DistanceToPoint, SliceProfile, best_slice
+from .coarea import DistanceToPoint, SliceProfile, best_slice, slice_profile
 from .content import _branch_and_bound, _Candidate, _RatioBound, exact_content
 from .cone import ConeCertificate, cone_covering
 from .errors import DecompositionViolation, InputError, VerificationError
@@ -541,7 +541,7 @@ def decompose(
         r_crit, eta = critical_radius(tilde, p, mq, A)
         entries.append((p, r_crit, eta) + annulus_radius(tilde, p, r_crit, mq))
 
-    selected_idx = vitali_select([(e[0], e[3]) for e in entries], space, y)
+    selected_idx = vitali_select([(p, r_bar) for p, _, _, r_bar, *_ in entries], space, y)
 
     mf = float(mq)
     balls = []
@@ -584,9 +584,11 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
     relative-content context from the stored covering, recomputes every
     per-ball quantity and both sides of every inequality from raw data, and
     re-verifies disjointness and the tripled cover exactly, with its own
-    solves (no pipeline memo).  Its distances are `linf` on Fraction points,
-    not the integer keys of `_linf_units` that `decompose` uses, so that it
-    stays an independent check of them."""
+    solves (no pipeline memo).  Each ball's slice (r_bar, majorant, cells)
+    is derived again through `coarea.slice_profile` and `best_slice` on the
+    annulus at its stored critical radius (`slices_match`).  Its distances
+    are `linf` on Fraction points, not the integer keys of `_linf_units`
+    that `decompose` uses, so that it stays an independent check of them."""
     y = frozenset(target)
     if not y <= space.cells:
         raise InputError(f"target has {len(y - space.cells)} cells outside the space")
@@ -607,12 +609,20 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
         for c in y
     )
 
+    half = space.delta / 2
     fresh = []
+    slices_match = True
     for b in decomp.balls:
-        core = frozenset(
-            c for c in y
-            if as_fraction(linf(space.cell_center(c), b.center)) <= b.critical_radius
-        )
+        dist = {c: as_fraction(linf(space.cell_center(c), b.center)) for c in y}
+        core = frozenset(c for c, d in dist.items() if d <= b.critical_radius)
+        r1 = (1 + 1 / mq) * b.critical_radius
+        r2 = (1 + 1 / mq) ** 2 * b.critical_radius
+        annulus = frozenset(c for c, d in dist.items() if d + half >= r1 and d - half <= r2)
+        cover = Covering(tuple(tilde.witness(annulus, mq)), annulus, mq)
+        profile = slice_profile(space, annulus, DistanceToPoint(b.center), cover, (r1, r2))
+        r_bar, slice_cost = best_slice(profile, mq)
+        slices_match &= (r_bar, slice_cost, profile.level_set(r_bar)) == (
+            b.radius, b.slice_cost_majorant, b.slice_cells)
         members = ball_members(Ball(b.center, b.radius), space) & y
         fresh.append(
             DecompositionBall(
@@ -628,6 +638,7 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
                 cells=members,
             )
         )
+    report["slices_match"] = slices_match
     alpha = (sum(float(b.core_content) for b in fresh)
              / float(tilde_total)) ** (1 / float(mq))
     report["alpha_matches"] = abs(alpha - decomp.alpha) <= TOL

@@ -483,6 +483,8 @@ def grid_R_for_content(hc: Scalar, m: Scalar, n: int, c2: Scalar | None = None,
 
 def boundary_cells(space: VoxelSpace) -> frozenset:
     """Cells with at least one unoccupied face-neighbor."""
+    if not isinstance(space, VoxelSpace):
+        raise InputError("boundary_cells needs the voxel model")
     out = []
     for c in space.cells:
         for axis in range(space.n):
@@ -501,6 +503,8 @@ def loomis_whitney_check(space: VoxelSpace) -> dict:
     """Projection-count inequality N^(n-1) <= prod N_j and the content chain
     HC_n <= N r^n <= (prod N_j)^(1/(n-1)) r^n <= HC_(n-1)(boundary)^(n/(n-1)),
     everything exact."""
+    if not isinstance(space, VoxelSpace):
+        raise InputError("loomis_whitney_check needs the voxel model")
     space.require_nonempty()
     n = space.n
     if n < 2:
@@ -565,6 +569,8 @@ def cube_equality_check(n: int, delta: Fraction = Fraction(1, 8),
     from .shapes import make_cube, make_shell
 
     delta = as_fraction(delta)
+    if delta <= 0:
+        raise InputError("delta must be positive")
     if side_cells is None:
         side_cells = int(1 / delta)
     cube = make_cube(n, side_cells, delta)

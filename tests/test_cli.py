@@ -181,6 +181,7 @@ def test_width_budget_zero_and_negative(capsys, tmp_path, command, extra):
      "--radius-cap: not a number"),
     (("decompose", "--space", "SPACE", "--m", "2", "--eps", "tiny"), "--eps: not a number"),
     (("cube-eq", "--n", "2", "--delta", "1/0"), "--delta: not a number"),
+    (("cube-eq", "--n", "2", "--delta", "0"), "delta must be positive"),
 ])
 def test_malformed_numeric_options_are_input_errors(capsys, tmp_path, argv, message):
     path = tmp_path / "cube.json"
@@ -392,6 +393,7 @@ def test_local_width_uses_config_node_budget(capsys, tmp_path, monkeypatch):
     ("width", "--m", "1"),
     ("fill", "--m", "2"),
     ("local-width", "--m", "1", "--R", "1"),
+    ("lw-check",),
 ])
 def test_voxel_only_subcommands_refuse_nets(capsys, tmp_path, argv):
     path = tmp_path / "net.csv"
@@ -399,3 +401,19 @@ def test_voxel_only_subcommands_refuse_nets(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, argv[0], "--space", str(path), *argv[1:])
     assert code == 1
     assert err.startswith("error: ") and "needs the voxel model" in err
+
+
+@pytest.mark.parametrize("suite", ["invariants", "decompose", "width", "lw"])
+def test_corpus_suites_skip_net_fixtures(capsys, tmp_path, suite):
+    from hcfill.space import NetSpace
+
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    save_space(NetSpace("linf", ((0.0, 0.0), (1.0, 0.0))), str(fixtures / "a.json"))
+    save_space(make_cube(2, 4, Fraction(1, 8)), str(fixtures / "b.json"))
+    code, out, _ = run_cli(capsys, "corpus", "--dir", str(fixtures), "--suite", suite)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["fixtures"], doc["failures"]) == (2, 0)
+    assert doc["rows"][0] == {"fixture": "a.json", "skipped": "net fixture"}
+    assert doc["rows"][1]["ok"] is True

@@ -563,6 +563,68 @@ def test_prune_redundant_drops_contained_ball():
     assert prune_redundant(kept) is kept
 
 
+# `prune_redundant` as it stood before it ran on the context's masks, kept
+# verbatim as an oracle: a Ball-keyed mask table over its own ElementBits.
+
+def _oracle_prune_redundant(space, balls, target):
+    active = sorted(balls, key=lambda b: (-as_fraction(b.radius), b.center))
+    bits = ElementBits(space, sorted(target))
+    masks = {b: bits.ball(b) for b in active}
+    changed = True
+    while changed:
+        changed = False
+        for b in active:
+            rest = 0
+            for other in active:
+                if other is not b:
+                    rest |= masks[other]
+            if masks[b] & ~rest == 0:
+                active.remove(b)
+                changed = True
+                break
+    return tuple(sorted(active))
+
+
+@st.composite
+def _prune_families(draw):
+    """A voxel blob of at most 10 cells, a target that may hold unoccupied
+    cells, and overlapping grid balls with nested balls, value-equal
+    duplicates (distinct objects) and unit balls on the cells mixed in."""
+    n = draw(st.integers(1, 3))
+    box = TILDE_BOX[n]
+    coords = list(itertools.product(range(box), repeat=n))
+    cells = draw(st.sets(st.sampled_from(coords), min_size=1, max_size=10))
+    space = VoxelSpace(n, Fraction(1, 8), frozenset(cells))
+    target = cells | draw(st.sets(st.sampled_from(coords), max_size=1))
+    anchor = st.tuples(*[st.integers(-2, box - 1)] * n)
+    specs = draw(st.lists(st.tuples(anchor, st.integers(1, 4)), min_size=1, max_size=8))
+    balls = [grid_ball(space, a, k) for a, k in specs]
+    for a, k in draw(st.lists(st.sampled_from(specs), max_size=3)):
+        if k > 1:  # a ball nested in one of the family's
+            balls.append(grid_ball(space, tuple(x + 1 for x in a), k - 1))
+    dups = draw(st.lists(st.sampled_from(balls), max_size=3))
+    balls += [Ball(b.center, b.radius) for b in dups]
+    if draw(st.booleans()):
+        balls += [grid_ball(space, c, 1) for c in sorted(cells)]
+    return space, target, balls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_prune_families())
+def test_prune_redundant_matches_the_ball_keyed_oracle(family):
+    space, target, balls = family
+    want = _oracle_prune_redundant(space, balls, frozenset(target))
+    tilde = TildeContent(space, target, sorted(balls))
+    got = prune_redundant(tilde)
+    assert got.q_balls == want
+    assert got.cells == tilde.cells
+    if len(want) == len(balls):
+        assert got is tilde
+    else:
+        assert got is not tilde
+        assert got.masks == [ElementBits(space, sorted(target)).ball(b) for b in want]
+
+
 # ---------------------------------------------------------------------------
 # improvement machinery
 
@@ -772,6 +834,52 @@ def test_independent_reverification():
     rep = verify_decomposition(make_cube(2, 4, Fraction(1, 8)),
                                make_cube(2, 4, Fraction(1, 8)).cells, trivial)
     assert rep["ok"]
+
+
+def test_verification_rederives_each_slice():
+    from hcfill.decomposition import verify_decomposition
+
+    s = make_line(60, Fraction(1, 8))
+    d = decompose(s, None, 2, eps=1e-3, constants=small_scale(2))
+    assert verify_decomposition(s, s.cells, d)["slices_match"]
+    j = next(i for i, b in enumerate(d.balls) if b.slice_cells)
+    b = d.balls[j]
+    dropped = dataclasses.replace(b, slice_cells=b.slice_cells - {min(b.slice_cells)})
+    raised = dataclasses.replace(b, slice_cost_majorant=b.slice_cost_majorant * 2)
+    for changed in (dropped, raised):
+        balls = d.balls[:j] + (changed,) + d.balls[j + 1:]
+        rep = verify_decomposition(s, s.cells, dataclasses.replace(d, balls=balls))
+        assert rep["slices_match"] is False and rep["ok"] is False
+    # a larger majorant passes every inequality; only the re-derivation sees it
+    assert rep["checks_ok"]
+
+
+def test_step_builds_one_context_and_no_slice_profile(monkeypatch):
+    from hcfill import coarea
+    from hcfill.decomposition import verify_decomposition
+
+    contexts, profiles = [], []
+    real_bits, real_profile = decomposition.ElementBits, coarea.slice_profile
+
+    def counting_bits(space, elements):
+        contexts.append(len(elements))
+        return real_bits(space, elements)
+
+    def counting_profile(*args, **kwargs):
+        profiles.append(args[1])
+        return real_profile(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "ElementBits", counting_bits)
+    monkeypatch.setattr(coarea, "slice_profile", counting_profile)
+    monkeypatch.setattr(decomposition, "slice_profile", counting_profile, raising=False)
+    s = make_line(60)
+    step = improvement_step(s, None, 2, constants=small_scale(2, 3.0))
+    assert contexts == [len(s.cells)]
+    assert profiles == []
+    d = step.decomposition
+    assert len(d.balls) > 1 and any(b.slice_cells for b in d.balls)
+    assert verify_decomposition(s, s.cells, d)["ok"]
+    assert len(profiles) == len(d.balls)
 
 
 def test_inequality_check_le():

@@ -249,6 +249,18 @@ def test_lw_boundary_cells():
     assert len(b) == 8
 
 
+def test_isoperimetry_checks_refuse_nets_and_bad_delta():
+    from hcfill.space import NetSpace
+
+    net = NetSpace("linf", ((0.0, 0.0), (1.0, 0.0)))
+    for check in (boundary_cells, loomis_whitney_check):
+        with pytest.raises(InputError, match="needs the voxel model"):
+            check(net)
+    for delta in (Fraction(0), Fraction(-1, 8)):
+        with pytest.raises(InputError, match="delta must be positive"):
+            cube_equality_check(2, delta)
+
+
 def test_cube_equality_exact():
     for n in (2, 3):
         rep = cube_equality_check(n)
