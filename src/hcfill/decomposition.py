@@ -360,7 +360,7 @@ def annulus_radius(tilde: TildeContent, p, r_crit, m: Scalar):
     r1 = (1 + 1 / mq) * as_fraction(r_crit)
     r2 = (1 + 1 / mq) ** 2 * as_fraction(r_crit)
     unit, keys, dists, prefix = tilde.radial(p)
-    half = tilde.space.delta / 2 // unit  # L
+    half = tilde.space.delta / 2 // unit  # L, half a cell in units
 
     def span(k_lo, k_hi):
         return max(0, k_lo - half) * unit, (k_hi + half) * unit

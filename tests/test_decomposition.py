@@ -871,7 +871,7 @@ def test_step_builds_one_context_and_no_slice_profile(monkeypatch):
 
     monkeypatch.setattr(decomposition, "ElementBits", counting_bits)
     monkeypatch.setattr(coarea, "slice_profile", counting_profile)
-    monkeypatch.setattr(decomposition, "slice_profile", counting_profile, raising=False)
+    monkeypatch.setattr(decomposition, "slice_profile", counting_profile)
     s = make_line(60)
     step = improvement_step(s, None, 2, constants=small_scale(2, 3.0))
     assert contexts == [len(s.cells)]
