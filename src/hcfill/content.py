@@ -33,16 +33,25 @@ AND of one per-axis slab mask (not of the occupied cells: a grid ball covers
 a target's unoccupied cells too), its centre is in half-cell units, and a
 block of side k > 1 whose cost k^m times the unit cost reaches its cell
 count is dominated by its unit balls and dropped (a whole size when a full
-block would be, so at m >= n only unit balls are enumerated).  Grid rows
-leave the generator in (cost, ball key) order, other families are sorted,
-and one candidate per distinct mask is kept.  Up to 2,000 masks, one that an
-earlier kept mask holds is dropped (costs ascend), found among the kept
-masks holding its lowest or highest element.  Only kept grid rows become
-balls, on one Fraction per distinct centre coordinate.  The greedy prices
-balls with the search's `_RatioBound`, so at integer m it compares integers,
-ties broken by an integer that orders like the ball key.  It is lazy
-(Minoux's accelerated greedy): stale prices only grow as coverage grows, so
-a popped ball whose price is still current is the one a full rescan picks.
+block would be, so at m >= n only unit balls are enumerated).  On an axis
+where the target spans [lo, hi], blocks of side k are anchored only from the
+largest multiple of the stride <= lo to the least >= max(lo, hi - k + 1):
+a block anchored further out holds a subset of the target cells that the
+same-size block at the nearer end of that range holds, at the same cost, so
+dropping it is column dominance in set cover (Beasley 1987, "An algorithm
+for set covering problem") and moves no optimum and no lower bound.  Sizes
+run up to the first whose block at the least anchor holds the whole target.
+Grid rows leave the generator in (cost, ball key) order, other families are
+sorted, and one candidate per distinct mask is kept, so a grid mask's ball
+is the least in key order among the blocks anchored in those ranges.  Up to
+2,000 masks, one that an earlier kept mask holds is dropped (costs ascend),
+found among the kept masks holding its lowest or highest element.  Only
+kept grid rows become balls, on one Fraction per distinct centre
+coordinate.  The greedy prices balls with the search's `_RatioBound`, so at
+integer m it compares integers, ties broken by an integer that orders like
+the ball key.  It is lazy (Minoux's accelerated greedy): stale prices only
+grow as coverage grows, so a popped ball whose price is still current is
+the one a full rescan picks.
 """
 
 from __future__ import annotations
@@ -144,10 +153,22 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
     half-cell units (2a + k per axis for side k from anchor a; the point is
     delta/2 times it), by size and then by centre: (cost, ball key) order
     whenever a larger size costs more.  Only when two sizes cost the same
-    (m = 0, or a float m too small to part their powers) are they sorted."""
+    (m = 0, or a float m too small to part their powers) are they sorted.
+
+    On each axis the anchors of side k run over the stride's multiples from
+    the largest <= lo to the least >= max(lo, hi - k + 1), [lo, hi] the
+    target's extent there.  A block anchored before that range meets the
+    target in a subset of what the block at its first anchor holds, one
+    anchored after it in a subset of what the block at its last anchor
+    holds, at the same cost, so no cover gets cheaper without them, and of
+    the blocks with one mask `generate_candidates` keeps the least key among
+    these anchors.  The sizes stop at the first whose block at the first
+    anchors holds the whole target: a larger block costs more and holds no
+    more."""
     bits = ElementBits(space, sorted(target))
     lo, hi = bits.lo, bits.hi
-    k_max = max(h - l + 1 for l, h in zip(lo, hi))
+    first = [l - l % stride for l in lo]
+    k_max = max(h - a + 1 for a, h in zip(first, hi))
     k_max += (-k_max) % stride
     rows = []
     presorted, last_cost = True, None
@@ -166,10 +187,10 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
         # (centre, mask) of the non-empty blocks, one axis at a time
         blocks = [((), bits.full)]
         for i in range(space.n):
-            a_lo = lo[i] - k + 1
-            if stride > 1:
-                a_lo += (-a_lo) % stride
-            slabs = [(2 * a + k, slab) for a in range(a_lo, hi[i] + 1, stride)
+            last = max(lo[i], hi[i] - k + 1)
+            last += (-last) % stride
+            slabs = [(2 * a + k, slab)
+                     for a in range(first[i], last + 1, stride)
                      if (slab := bits.slab(i, a, a + k - 1))]
             blocks = [(center + (x,), both) for center, mask in blocks
                       for x, slab in slabs if (both := mask & slab)]
@@ -243,8 +264,12 @@ def _fixed_candidates(space: Space, target, m, balls, cap):
 def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
     """The family's balls that meet the target, one per distinct mask (the
     least in (cost, ball key) order), in that order, and the target's bit
-    index.  Up to 2,000 distinct masks, balls whose mask an earlier ball's
-    holds are dropped: costs ascend, so that ball is at most as dear."""
+    index.  Grid blocks on voxel sets are those anchored inside the
+    target's bounding box (`_voxel_grid_candidates`): a block sticking out
+    of it holds a subset of what a same-size block inside holds, so a
+    mask's ball is the least key among the blocks anchored inside.  Up to
+    2,000 distinct masks, balls whose mask an earlier ball's holds are
+    dropped: costs ascend, so that ball is at most as dear."""
     core, cap = _flatten_family(family)
     if isinstance(core, AllGridBalls) and isinstance(space, VoxelSpace):
         rows, index = _voxel_grid_candidates(space, target, m, core.stride, cap)

@@ -290,7 +290,8 @@ def test_centers_in_rejects_empty():
 # close, run out of budget or close at the root, float costs on a voxel set
 # at m = 3/2 and on an l2 net, a CentersIn family on a blob, and a fixed
 # family mixing Fraction and float radii.  greedy_content: the 8^3 cube at
-# m = 1 (7,008 candidates, past the dominance pass) and an l1 net.
+# m = 1 (1,296 candidates), an l1 net, and a 300-cell 2-D blob at m = 1
+# (2,524 candidates, past the dominance pass).
 def _net25():
     rng = random.Random(5)
     points = {}
@@ -368,6 +369,7 @@ def test_exact_content_family_reports_pinned(make, m, digest):
     (lambda: make_cube(3, 8), 1, "3f557f03bbdb6fd6"),
     (_net_l1, 1, "07be3d2f8983fbaa"),
     (_net_l1, Fraction(3, 2), "91aa9629efb91a55"),
+    (lambda: random_blob(7, 2, 300, 24), 1, "c10e95cbe7fdfdbb"),
 ])
 def test_greedy_content_reports_pinned(make, m, digest):
     assert _digest(greedy_content(make(), None, m)) == digest

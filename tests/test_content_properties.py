@@ -2,13 +2,15 @@
 the greedy cover and the branch and bound's ratio bound against direct
 oracles, the inherited price floor against the exact bound, the branch and
 bound against its loop without that floor, and the greedy lower bound on
-nets against an exhaustive optimum."""
+nets and the exact_content bracket on small voxel targets against an
+exhaustive optimum."""
 
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,12 +25,13 @@ from hcfill.content import (
     _RatioBound,
     _undominated,
     _voxel_grid_candidates,
+    exact_content,
     generate_candidates,
     greedy_content,
 )
 from hcfill.errors import UncoverableError
 from hcfill.exact import is_integral, power
-from hcfill.shapes import make_strip_with_bulbs
+from hcfill.shapes import make_cube, make_strip_with_bulbs
 from hcfill.space import (
     AllGridBalls,
     Ball,
@@ -51,15 +54,16 @@ BOX = {1: 9, 2: 6, 3: 4}
 
 
 @st.composite
-def voxel_instances(draw):
-    """A shifted voxel set, a non-empty target in it, m, stride and radius cap."""
+def voxel_instances(draw, max_target=None):
+    """A shifted voxel set, a non-empty target in it (of at most max_target
+    cells), m, stride and radius cap."""
     n = draw(st.integers(1, 3))
     box = draw(st.integers(1, BOX[n]))
     shift = draw(st.tuples(*[st.integers(-3, 3)] * n))
     coords = [tuple(x + s for x, s in zip(c, shift))
               for c in itertools.product(range(box), repeat=n)]
     cells = draw(st.sets(st.sampled_from(coords), min_size=1))
-    target = draw(st.sets(st.sampled_from(sorted(cells)), min_size=1))
+    target = draw(st.sets(st.sampled_from(sorted(cells)), min_size=1, max_size=max_target))
     delta = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1)]))
     m = draw(st.sampled_from(MS))
     stride = draw(st.sampled_from([1, 2]))
@@ -69,18 +73,18 @@ def voxel_instances(draw):
 
 
 def oracle_grid_candidates(space, target, m, stride, cap):
-    """Every anchor of every block size, members from ball_members, and the
-    per-block dominance test (cost k^m >= cell count, stride 1, k > 1)."""
+    """Every anchor of every block size up to the first at which one block
+    holds the whole target, members from ball_members, and the per-block
+    dominance test (cost k^m >= cell count, stride 1, k > 1)."""
     cells = sorted(target)
     index = {c: i for i, c in enumerate(cells)}
     lo = [min(c[i] for c in cells) for i in range(space.n)]
     hi = [max(c[i] for c in cells) for i in range(space.n)]
-    k_max = max(h - l + 1 for l, h in zip(lo, hi))
-    k_max += (-k_max) % stride
     out = []
-    for k in range(stride, k_max + 1, stride):
+    whole = False
+    for k in itertools.count(stride, stride):
         radius = space.delta * Fraction(k, 2)
-        if cap is not None and radius > cap:
+        if whole or cap is not None and radius > cap:
             break
         ranges = []
         for i in range(space.n):
@@ -92,6 +96,7 @@ def oracle_grid_candidates(space, target, m, stride, cap):
             members = ball_members(ball, space) & target
             if not members:
                 continue
+            whole = whole or members == target
             if stride == 1 and k > 1:
                 if is_integral(m):
                     dominated = k ** int(m) >= len(members)
@@ -144,6 +149,18 @@ def assert_greedy_matches(cands, n_elems):
             greedy_keys(eager_greedy, cands, n_elems)
 
 
+def assert_rows_cover_the_oracle(got, want):
+    """Every generated row is an oracle row, in the oracle's order, and every
+    oracle row's mask is held by a generated row of the same radius."""
+    rest = iter(want)
+    assert all(row in rest for row in got)
+    held = {}
+    for (_, radius), mask, _ in got:
+        held.setdefault(radius, []).append(mask)
+    assert all(any(mask | other == other for other in held.get(radius, ()))
+               for (_, radius), mask, _ in want)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(voxel_instances())
 def test_grid_candidates_and_greedy_match_oracles(instance):
@@ -152,7 +169,7 @@ def test_grid_candidates_and_greedy_match_oracles(instance):
     got = grid_candidates(space, rows)
     want, want_index = oracle_grid_candidates(space, target, m, stride, cap)
     assert index == want_index
-    assert [(c.ball.key(), c.mask, c.cost) for c in got] == want
+    assert_rows_cover_the_oracle(triples(got), want)
 
     family = AllGridBalls(stride)
     if cap is not None:
@@ -160,6 +177,80 @@ def test_grid_candidates_and_greedy_match_oracles(instance):
     cands, index = generate_candidates(space, target, m, family)
     assert_greedy_matches(cands, len(index))
     assert_greedy_matches(got, len(index))
+
+
+def cheapest_cover(cost_of, n_elems):
+    """Least total cost of masks from cost_of (mask -> cost) whose union
+    holds all n_elems elements, by dynamic programming over covered sets;
+    math.inf when they cannot cover them."""
+    full = (1 << n_elems) - 1
+    best = [math.inf] * (full + 1)
+    best[0] = 0
+    for covered in range(full + 1):
+        if best[covered] < math.inf:
+            for mask, cost in cost_of.items():
+                grown = covered | mask
+                best[grown] = min(best[grown], best[covered] + cost)
+    return best[full]
+
+
+def brute_force_optimum(space, target, m, stride, cap):
+    """Cheapest cover of the target by grid blocks whose side and anchors
+    are multiples of the stride (`cheapest_cover`); math.inf when they
+    cannot cover it.  Every block that meets the target's bounding box is
+    tried, from the least side up to the first side at which one block holds
+    the whole target: a larger block costs more and holds no more."""
+    cells = sorted(target)
+    index = {c: i for i, c in enumerate(cells)}
+    full = (1 << len(cells)) - 1
+    lo = [min(c[i] for c in cells) for i in range(space.n)]
+    hi = [max(c[i] for c in cells) for i in range(space.n)]
+    cost_of = {}
+    for k in itertools.count(stride, stride):
+        radius = space.delta * Fraction(k, 2)
+        if cap is not None and radius > cap:
+            break
+        ranges = []
+        for l, h in zip(lo, hi):
+            a_lo = l - k + 1
+            ranges.append(range(a_lo + (-a_lo) % stride, h + 1, stride))
+        for anchor in itertools.product(*ranges):
+            members = ball_members(grid_ball(space, anchor, k), space) & target
+            mask = sum(1 << index[c] for c in members)
+            if mask:
+                cost_of[mask] = min(cost_of.get(mask, math.inf), power(radius, m))
+        if full in cost_of:
+            break
+    return cheapest_cover(cost_of, len(cells))
+
+
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("stride", [1, 2])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(voxel_instances(max_target=10))
+def test_exact_content_brackets_the_brute_force_optimum(stride, capped, instance):
+    """On targets of at most 10 cells, at node budgets that close some
+    searches and not others."""
+    space, target, m, _, cap = instance
+    cap = cap if capped else None
+    family = AllGridBalls(stride)
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    optimum = brute_force_optimum(space, target, m, stride, cap)
+    exact = is_integral(m)
+    for budget in (1, 2, 5):
+        if optimum == math.inf:
+            with pytest.raises(UncoverableError):
+                exact_content(space, target, m, family, budget)
+            continue
+        res = exact_content(space, target, m, family, budget)
+        if exact:
+            assert res.value_lower <= optimum <= res.value_upper
+            assert not res.optimal or res.value_upper == optimum
+        else:
+            assert res.value_lower <= optimum * (1 + 1e-9)
+            assert optimum <= res.value_upper * (1 + 1e-9)
+            assert not res.optimal or math.isclose(res.value_upper, optimum, rel_tol=1e-9)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -199,8 +290,7 @@ def test_greedy_matches_eager_on_float_costs(net_m):
 
 def net_optimum(net, m):
     """Cheapest cover by balls centred at net points with radii from the
-    positive distances to the points, by dynamic programming over covered
-    sets."""
+    positive distances to the points."""
     k = len(net.points)
     balls = {}
     for c in range(k):
@@ -208,13 +298,7 @@ def net_optimum(net, m):
         for r in sorted({x for x in d if x > 0}) or [0.0]:
             mask = sum(1 << e for e in range(k) if d[e] <= r + 1e-9)
             balls[mask] = min(balls.get(mask, math.inf), r ** float(m))
-    best = [math.inf] * (1 << k)
-    best[0] = 0.0
-    for covered in range(1 << k):
-        for mask, cost in balls.items():
-            grown = covered | mask
-            best[grown] = min(best[grown], best[covered] + cost)
-    return best[-1]
+    return cheapest_cover(balls, k)
 
 
 def test_greedy_lower_bound_on_nets_is_sound():
@@ -418,12 +502,17 @@ def test_dominance_pass_matches_quadratic_on_grid_balls(instance, at_zero):
 
 
 def test_candidates_above_the_dominance_limit_match_the_sort_and_dedupe():
-    """The shifted 6^3 cube at m = 1 keeps 2,151 distinct masks, more than
-    the dominance pass takes, so every one of them is built."""
-    cells = frozenset(itertools.product(range(-3, 3), range(1, 7), range(-5, 1)))
-    space = VoxelSpace(3, Fraction(1, 8), cells)
+    """The 18^2 square at m = 1 keeps 2,109 distinct masks, more than the
+    dominance pass takes, so every one of them is built: one per block
+    inside the square, which holds what any block sticking out of it
+    covers."""
+    space = make_cube(2, 18)
+    cells = frozenset(space.cells)
+    side = 18 * space.delta
     want, index = oracle_grid_candidates(space, cells, 1, 1, None)
-    want = oracle_post_process([_Candidate(Ball(*key), mask, cost) for key, mask, cost in want])
+    want = oracle_post_process([_Candidate(Ball(*key), mask, cost) for key, mask, cost in want
+                                if all(0 <= x - key[1] and x + key[1] <= side
+                                       for x in key[0])])
     got, got_index = generate_candidates(space, cells, 1, AllGridBalls())
     assert got_index == index and len(got) == len(want) > 2000
     assert triples(got) == triples(want)
