@@ -325,10 +325,10 @@ def _mixed_fixed():
 
 
 PINNED_REPORTS = [
-    (lambda: make_dumbbell(6, 8), 1, 1000, "abb827f515f4f189"),
-    (lambda: random_blob(3, 3, 80, 6, Fraction(1, 8)), 2, None, "0e9f1ab4a49c4d03"),
-    (lambda: random_blob(77, 2, 40, 10, Fraction(1, 8)), 1, None, "b563262155f12ea5"),
-    (lambda: make_dumbbell(6, 8), Fraction(3, 2), 100, "f47a75a4ddcba7e9"),
+    (lambda: make_dumbbell(6, 8), 1, 1000, "515afd68a8a06f93"),
+    (lambda: random_blob(3, 3, 80, 6, Fraction(1, 8)), 2, None, "4b27bdb9402a8938"),
+    (lambda: random_blob(77, 2, 40, 10, Fraction(1, 8)), 1, None, "1bd3284b1da66396"),
+    (lambda: make_dumbbell(6, 8), Fraction(3, 2), 100, "cb092e5d687c8b0b"),
     (_net25, Fraction(3, 2), 1500, "7ddf122395042e5a"),
     (lambda: make_cube(3, 8), 3, None, "4e9e11b08733cf10"),
 ]
@@ -346,13 +346,13 @@ def test_exact_content_reports_pinned(make, m, budget, digest):
 
 
 def test_strip_with_bulbs_search_report_pinned():
-    """A deep search: 4,117 nodes at budget 10, most children pruned by
+    """A deep search: 1,744 nodes at budget 10, most children pruned by
     their parent's prices before any exact bound."""
     res = exact_content(make_strip_with_bulbs(), None, 1, node_budget=10)
     assert (res.value_lower, res.value_upper) == \
-        (Fraction(350086296986159, 303560409952800), 2)
-    assert res.certificate["nodes"] == 4117
-    assert _digest(res) == "a43962c315634779"
+        (Fraction(1055828828617, 894139646400), 2)
+    assert res.certificate["nodes"] == 1744
+    assert _digest(res) == "874be2b5335ee163"
 
 
 @pytest.mark.parametrize("make, m, digest", [
