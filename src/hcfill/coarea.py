@@ -177,6 +177,8 @@ def best_slice(profile: SliceProfile, m: Scalar):
     r1, r2 = profile.range
     if not r2 > r1:
         raise InputError("degenerate slice range")
+    if all(interval is None for interval in profile.intervals):
+        return as_fraction(r1), Fraction(0)  # no ball meets the domain
     points = {as_fraction(r1), as_fraction(r2)}
     for interval in profile.intervals:
         if interval is None:

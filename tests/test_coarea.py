@@ -222,6 +222,21 @@ def test_best_slice_matches_the_double_loop(profile, m):
     assert all(type(a) is type(b) for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("spans, rng", [
+    ([], (Fraction(0), Fraction(1))),
+    ([(Fraction(1, 4), None)] * 3, (Fraction(3, 8), Fraction(9, 16))),
+    ([], (1, 2)),
+    ([(Fraction(1, 8), None)], (0.25, 0.75)),
+])
+def test_best_slice_without_intervals_takes_the_range_start(spans, rng):
+    """No ball meets the domain (an empty annulus): every level costs 0, so
+    the smallest, r1, is the slice."""
+    profile = _profile(spans, rng)
+    got = best_slice(profile, 2)
+    assert got == _oracle_best_slice(profile, 2) == (as_fraction(rng[0]), 0)
+    assert [type(x) for x in got] == [Fraction, Fraction]
+
+
 def test_uniform_intervals_sum_everything():
     s = make_cube(2, 2, Fraction(1, 2))
     full = grid_ball(s, (0, 0), 2)
