@@ -19,7 +19,7 @@ from .cone import cone_covering, cone_coverage_check
 from .coarea import DistanceToPoint, DistanceToSet, ExplicitValues, best_slice, coarea_integral, slice_profile
 from .decomposition import decompose, fill
 from .errors import InputError, VerificationError
-from .exact import fmt_scalar, parse_scalar
+from .exact import TOL, fmt_scalar, parse_scalar
 from .pushout import (
     CubicalGrid,
     cube_equality_check,
@@ -165,10 +165,10 @@ def _cmd_coarea(args, cfg: RunConfig) -> int:
         "profile": profile.to_dict(),
         "integral": fmt_scalar(integral),
         "integral_bound": budget,
-        "integral_ok": float(integral) <= budget + cfg.tolerance,
+        "integral_ok": float(integral) <= budget + TOL,
         "best_R": fmt_scalar(r_best),
         "slice_cost": fmt_scalar(slice_cost),
-        "slice_cost_ok": float(slice_cost) <= mean_bound + cfg.tolerance,
+        "slice_cost_ok": float(slice_cost) <= mean_bound + TOL,
         "slice_cells": len(profile.level_set(r_best)),
     }
     _emit(report, args.out)
@@ -224,12 +224,7 @@ def _cmd_pushout(args, cfg: RunConfig) -> int:
     with open(args.points) as fh:
         pts = [tuple(parse_scalar(x) for x in p) for p in json.load(fh)]
     grid = CubicalGrid(args.n, _parse_number(args.grid_R, "--grid-R"))
-    trace = skeleton_descend(
-        pts, grid, _parse_m(args.m),
-        candidates=cfg.pushout_candidates,
-        c0_base=Fraction(cfg.c0_base).limit_denominator(10**6),
-        ratio_ceiling_base=cfg.ratio_ceiling_base,
-    )
+    trace = skeleton_descend(pts, grid, _parse_m(args.m), candidates=cfg.pushout_candidates)
     report = {"command": "pushout", "trace": trace.to_dict()}
     if args.emit_plot:
         rows = [

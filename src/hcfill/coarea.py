@@ -27,7 +27,7 @@ _HALF = Fraction(1, 2)
 @dataclass(frozen=True)
 class DistanceToPoint:
     point: tuple
-    lip: Fraction = Fraction(1)
+    lip = Fraction(1)  # a distance function is 1-Lipschitz
 
     def cell_interval(self, space: VoxelSpace, cell):
         d = linf(space.cell_center(cell), self.point)
@@ -38,7 +38,7 @@ class DistanceToPoint:
 @dataclass(frozen=True)
 class DistanceToSet:
     cells: frozenset
-    lip: Fraction = Fraction(1)
+    lip = Fraction(1)  # a distance function is 1-Lipschitz
 
     def cell_interval(self, space: VoxelSpace, cell):
         c = space.cell_center(cell)
@@ -59,7 +59,7 @@ class ExplicitValues:
             raise InputError(f"function undefined on element {cell}")
         return (v, v)
 
-    def validate(self, space: VoxelSpace, domain, tol: float = TOL):
+    def validate(self, space: VoxelSpace, domain):
         """The declared Lipschitz constant must hold on every pair."""
         missing = set(domain) - set(self.values)
         if missing:
@@ -68,7 +68,7 @@ class ExplicitValues:
         for i, a in enumerate(elems):
             for b in elems[i + 1:]:
                 d = float(linf(space.cell_center(a), space.cell_center(b)))
-                if abs(float(self.values[a]) - float(self.values[b])) > float(self.lip) * d + tol:
+                if abs(float(self.values[a]) - float(self.values[b])) > float(self.lip) * d + TOL:
                     raise InputError(
                         f"declared Lipschitz constant {self.lip} violated on pair {a}, {b}"
                     )

@@ -99,29 +99,19 @@ def cone_covering(
     R: Scalar,
     m: Scalar,
     variant: str = "standard",
-    centers_in=None,
 ) -> ConeCertificate:
     """Cover the cone over the input covering's region from `apex`.
 
     The input covering carries dimension m-1 costs; the output covers the
     cone at dimension m.  Every input ball must satisfy d(q_i, apex) + r_i
-    <= R; every input radius must be positive.  When a center-restricted
-    family is in force, pass its point set as `centers_in`: the input centers
-    and the apex are checked against it (emitted centers lie on the segments
-    between them, which a center subspace contains by convexity).
+    <= R; every input radius must be positive.  Emitted centers lie on the
+    segments from the input centers to the apex.
     """
     if variant not in ("standard", "improved"):
         raise InputError(f"unknown cone variant {variant!r}")
     if float(m) < 1.0:
         raise InputError("cone covering needs m >= 1")
     apex = tuple(as_fraction(x) for x in apex)
-    if centers_in is not None:
-        allowed = {tuple(as_fraction(x) for x in p) for p in centers_in}
-        if apex not in allowed:
-            raise InputError("apex lies outside the declared center set")
-        for i, src in enumerate(input_cover.balls):
-            if tuple(as_fraction(x) for x in src.center) not in allowed:
-                raise InputError(f"input ball {i} center outside the declared center set")
     mf = as_fraction(m)
     Rf = as_fraction(R)
 

@@ -1,27 +1,25 @@
-"""Run configuration: every tolerance, budget and constant knob in one
-round-trippable record.  The CLI reads it from --config or the HCFILL_CONFIG
-environment variable."""
+"""Run configuration: the solver node budget, the pushout candidate count,
+the improvement step cap and the sampling seed, in one round-trippable
+record.  The CLI reads it from --config or the HCFILL_CONFIG environment
+variable."""
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, fields
 
+from .content import DEFAULT_NODE_BUDGET
 from .errors import InputError
-from .exact import TOL
+from .pushout import DEFAULT_CANDIDATES
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    tolerance: float = TOL
-    node_budget: int = 10**6
-    # pushout knobs: c0(k) = c0_base^k, projection-ratio ceiling =
-    # ratio_ceiling_base * 2^k
-    c0_base: float = 0.25
-    ratio_ceiling_base: float = 10.0
-    pushout_candidates: int = 64
+    """Every field is an integer; all but `seed` must be positive."""
+
+    node_budget: int = DEFAULT_NODE_BUDGET
+    pushout_candidates: int = DEFAULT_CANDIDATES
     step_cap: int = 50
     seed: int = 0  # read by cone coverage sampling
 
@@ -30,11 +28,8 @@ class RunConfig:
             v = getattr(self, f.name)
             if isinstance(v, bool):
                 raise InputError(f"config knob {f.name} must be a number, not a bool")
-            if isinstance(f.default, int):
-                if not isinstance(v, int):
-                    raise InputError(f"config knob {f.name} must be an integer")
-            elif not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise InputError(f"config knob {f.name} must be a finite number")
+            if not isinstance(v, int):
+                raise InputError(f"config knob {f.name} must be an integer")
             if f.name != "seed" and v <= 0:
                 raise InputError(f"config knob {f.name} must be positive")
         if self.seed < 0:

@@ -682,9 +682,10 @@ def exact_content(
     )
 
 
-def content_ball_scan(space: Space, m: Scalar, R: Scalar, family=AllGridBalls()):
-    """Exact content of B(center, R) within the space, for every occupied
-    element as center; also the maximum ratio HC_m(ball)/R^m."""
+def content_ball_scan(space: Space, m: Scalar, R: Scalar):
+    """Exact content of B(center, R) within the space under all grid balls,
+    for every occupied element as center; also the maximum ratio
+    HC_m(ball)/R^m."""
     if R <= 0:
         raise InputError("R must be positive")
     results = []
@@ -698,7 +699,7 @@ def content_ball_scan(space: Space, m: Scalar, R: Scalar, family=AllGridBalls())
         members = ball_members(Ball(point, as_fraction(R)), space)
         if not members:
             continue
-        res = exact_content(space, members, m, family)
+        res = exact_content(space, members, m)
         results.append((label, res))
         max_ratio = max(max_ratio, float(res.value_upper) / rm)
     return results, max_ratio

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coarea import DistanceToPoint, SliceProfile, best_slice, slice_profile
-from .content import _branch_and_bound, _Candidate, _RatioBound, exact_content
+from .content import DEFAULT_NODE_BUDGET, _branch_and_bound, _Candidate, _RatioBound, exact_content
 from .cone import ConeCertificate, cone_covering
 from .errors import DecompositionViolation, InputError, VerificationError
 from .exact import TOL, Scalar, as_fraction, fmt_scalar, is_integral, power, root
-from .pushout import CubicalGrid, grid_R_for_content, skeleton_descend
+from .pushout import DEFAULT_CANDIDATES, CubicalGrid, grid_R_for_content, skeleton_descend
 from .space import (
     Ball,
     Covering,
@@ -507,7 +507,7 @@ def decompose(
     m: Scalar = 2,
     eps: float | None = None,
     constants: Constants | None = None,
-    node_budget: int = 10**6,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Decomposition:
     """Build and certify a disjoint-ball decomposition of the target.
 
@@ -579,7 +579,7 @@ def decompose(
 
 
 def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
-                         node_budget: int = 10**6) -> dict:
+                         node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """Independent re-check of an emitted decomposition: rebuilds the
     relative-content context from the stored covering, recomputes every
     per-ball quantity and both sides of every inequality from raw data, and
@@ -751,7 +751,7 @@ def improvement_step(
     m: Scalar = 2,
     eps: float | None = None,
     constants: Constants | None = None,
-    node_budget: int = 10**6,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ImprovementStep:
     """One content-reduction step: decompose, replace each selected ball's
     interior by the grid-cover footprint of its boundary slice, and certify
@@ -870,13 +870,13 @@ def improvement_sequence(
     m: Scalar = 2,
     eps: float | None = None,
     max_steps: int = 5,
-    stop_content: float | None = None,
     constants: Constants | None = None,
-    node_budget: int = 10**6,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SequenceReport:
     """Iterate improvement steps with the shrinking slack schedule
     eps_k = eps / (3 m 10^m A 2^k), tracking every original cell through the
-    step maps, and certify geometric decay plus cumulative displacement."""
+    step maps, and certify geometric decay plus cumulative displacement.  The
+    sequence stops early once the content falls below 1e-4 of its start."""
     y = _voxel_target(space, target, "improvement_sequence")
     mq = as_fraction(m)
     mf = float(mq)
@@ -884,8 +884,7 @@ def improvement_sequence(
     hc0 = _content(space, y, mq, node_budget=node_budget).value_upper
     if eps is None:
         eps = 1e-3 * float(hc0)
-    if stop_content is None:
-        stop_content = 1e-4 * float(hc0)
+    stop_content = 1e-4 * float(hc0)
 
     start = {c: space.cell_center(c) for c in y}
     carriers = dict(start)
@@ -994,8 +993,8 @@ def fill(
     eps: float | None = None,
     max_steps: int = 50,
     constants: Constants | None = None,
-    node_budget: int = 10**6,
-    pushout_candidates: int = 16,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    pushout_candidates: int = DEFAULT_CANDIDATES,
 ) -> FillingCertificate:
     """Run the improvement sequence, account every swept cone's (m+1)-cost,
     finish the residue with a skeleton descent, and verify the two final
@@ -1006,9 +1005,7 @@ def fill(
     if mq <= 1:
         raise InputError("filling needs m > 1")
     constants = constants or Constants.for_exponent(mq)
-    seq = improvement_sequence(
-        space, y, mq, eps, max_steps, None, constants, node_budget
-    )
+    seq = improvement_sequence(space, y, mq, eps, max_steps, constants, node_budget)
     hc = seq.initial_content
     hcf = float(hc)
     mf = float(mq)

@@ -20,6 +20,9 @@ from .exact import Scalar, as_fraction, fmt_scalar, is_integral, power, root
 from .space import Covering, VoxelSpace, Ball, linf
 
 DEFAULT_CANDIDATES = 64
+# skeleton_descend's ceiling on a k-face's projection cost ratio is
+# RATIO_CEILING_BASE * 2^k
+RATIO_CEILING_BASE = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +366,6 @@ def skeleton_descend(
     grid: CubicalGrid,
     m: Scalar,
     candidates: int = DEFAULT_CANDIDATES,
-    c0_base: Fraction = Fraction(1, 4),
-    ratio_ceiling_base: float = 10.0,
     floor: Scalar = 0,
 ) -> DeformationTrace:
     """Push a finite point set into the (ceil(m)-2)-skeleton of the grid.
@@ -373,6 +374,9 @@ def skeleton_descend(
     from n down to ceil(m)-1; each level's moves stay within one face, so a
     point travels at most (n - ceil(m) + 2) * R in total.  The swept cone of
     each face projection is covered explicitly and its m-cost accumulated.
+    On a k-dimensional face the projection point comes from `average_point`
+    at its default c0(k) = 4^-k, and a projection cost ratio above
+    RATIO_CEILING_BASE * 2^k = 10 * 2^k raises VerificationError.
     """
     m_ceil = ceil(float(m))
     target_dim = m_ceil - 2
@@ -398,13 +402,11 @@ def skeleton_descend(
         for face in sorted(by_face, key=lambda f: f.coords):
             idxs = by_face[face]
             pts = [current[i] for i in idxs]
-            p, ratio, before, after = average_point(
-                face, pts, m, candidates, c0=c0_base ** k, floor=floor,
-            )
-            limit = ratio_ceiling_base * 2.0**k
+            p, ratio, before, after = average_point(face, pts, m, candidates, floor=floor)
+            limit = RATIO_CEILING_BASE * 2.0**k
             if ratio > limit:
                 raise VerificationError(
-                    "projection cost ratio above the configured ceiling",
+                    "projection cost ratio above its ceiling",
                     {"face_dim": k, "ratio": ratio, "ceiling": limit},
                 )
             cone_cost = _swept_cone_cost(p, pts, m, exponent, floor)
@@ -467,15 +469,13 @@ def _swept_cone_cost(p, pts, m, exponent, floor):
     return cert.cost
 
 
-def grid_R_for_content(hc: Scalar, m: Scalar, n: int, c2: Scalar | None = None,
-                       delta: Scalar = 0) -> Scalar:
-    """Grid size R = c2(n) * hc^(1/(m-1)) + delta (default c2(n) = 4n)."""
+def grid_R_for_content(hc: Scalar, m: Scalar, n: int, delta: Scalar = 0) -> Scalar:
+    """Grid size R = c2(n) * hc^(1/(m-1)) + delta, with c2(n) = 4n."""
     if float(hc) < 0:
         raise InputError("content must be non-negative")
-    c2 = as_fraction(c2) if c2 is not None else Fraction(4 * n)
     if float(hc) == 0:
         return as_fraction(delta)
-    return float(c2) * root(hc, as_fraction(m) - 1) + float(delta)
+    return float(4 * n) * root(hc, as_fraction(m) - 1) + float(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -562,17 +562,16 @@ def loomis_whitney_check(space: VoxelSpace) -> dict:
     return report
 
 
-def cube_equality_check(n: int, delta: Fraction = Fraction(1, 8),
-                        side_cells: int | None = None) -> dict:
-    """Exact contents of a coordinate cube and its boundary shell; verifies
-    boundary^(n/(n-1)) equals the cube content (cross-powers, exact)."""
+def cube_equality_check(n: int, delta: Fraction = Fraction(1, 8)) -> dict:
+    """Exact contents of a coordinate cube of int(1/delta) cells a side and
+    its boundary shell; verifies boundary^(n/(n-1)) equals the cube content
+    (cross-powers, exact)."""
     from .shapes import make_cube, make_shell
 
     delta = as_fraction(delta)
     if delta <= 0:
         raise InputError("delta must be positive")
-    if side_cells is None:
-        side_cells = int(1 / delta)
+    side_cells = int(1 / delta)
     cube = make_cube(n, side_cells, delta)
     hc_n = exact_content(cube, None, n)
     shell = make_shell(n, side_cells, delta)

@@ -86,6 +86,8 @@ class NetSpace:
             raise InputError("eps_net must be >= 0")
         if self.metric == "matrix":
             validate_metric_matrix(self.matrix, len(self.points))
+        elif len({len(p) for p in self.points}) > 1:
+            raise InputError("net points must all have the same number of coordinates")
 
     @property
     def variant(self) -> str:
@@ -96,16 +98,7 @@ class NetSpace:
             raise InputError("operation requires a non-empty net")
 
     def dist(self, i: int, j: int) -> float:
-        if self.metric == "matrix":
-            return self.matrix[i][j]
-        a, b = self.points[i], self.points[j]
-        if len(a) != len(b):
-            raise InputError("dimension mismatch between net points")
-        if self.metric == "linf":
-            return max(abs(x - y) for x, y in zip(a, b))
-        if self.metric == "l1":
-            return sum(abs(x - y) for x, y in zip(a, b))
-        return sum((x - y) ** 2 for x, y in zip(a, b)) ** 0.5
+        return net_dist(i if self.metric == "matrix" else self.points[i], j, self)
 
 
 Space = VoxelSpace | NetSpace
@@ -341,7 +334,7 @@ def net_center(center, space: NetSpace):
 def net_dist(center, idx: int, space: NetSpace) -> float:
     """Distance from a `net_center` result to net point idx."""
     if space.metric == "matrix":
-        return space.dist(center, idx)
+        return space.matrix[center][idx]
     point = space.points[idx]
     if space.metric == "linf":
         return linf(center, point)

@@ -318,7 +318,7 @@ def test_criterion_9_pushout():
         levels = n - (m - 1) + 1
         assert trace.max_displacement <= levels * grid.R
         measured = trace.checks["trace_vs_input"]["measured_const"]
-        assert measured <= 10 * 2**n  # configured ceiling at the top level
+        assert measured <= 10 * 2**n  # ratio ceiling at the top level
         for _, steps in trace.levels:
             ratios.extend(step.ratio for step in steps)
     if ratios:

@@ -1,5 +1,5 @@
+import hashlib
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +22,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _report_digest(doc: dict) -> str:
+    """First 16 hex digits of the sha256 of a report's sorted-key JSON,
+    without the package version."""
+    rest = {k: v for k, v in doc.items() if k != "version"}
+    return hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def test_content_reports_quarter(capsys, cube_path, tmp_path):
@@ -103,6 +110,7 @@ def test_pushout_subcommand(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["trace"]["checks"]["final_in_skeleton"] is True
     assert plot.exists()
+    assert _report_digest(doc) == "cd83858fd09ca575"
 
 
 @pytest.mark.parametrize("points", [[["1/3", "2/7", "1/2"]], [["1/3"], ["3/5"]]])
@@ -217,6 +225,7 @@ def test_coarea_subcommand(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["integral_ok"] and doc["slice_cost_ok"]
+    assert _report_digest(doc) == "073f2cf3a32844a3"
 
 
 def test_corpus_suite(capsys, tmp_path):
@@ -283,6 +292,10 @@ def test_config_roundtrip_and_env(tmp_path, monkeypatch, capsys, cube_path):
     # knobs that nothing read were removed, so a config naming one is rejected
     with pytest.raises(InputError):
         RunConfig.from_dict({**cfg.to_dict(), "eps_rel": 1e-3})
+    # the coarea slack and the pushout thresholds are constants now
+    for knob, value in (("tolerance", 1e-9), ("c0_base", 0.25), ("ratio_ceiling_base", 10.0)):
+        with pytest.raises(InputError, match=f"unknown config keys: \\['{knob}'\\]"):
+            RunConfig.from_dict({**cfg.to_dict(), knob: value})
     with pytest.raises(InputError):
         RunConfig(node_budget=0)
     # width_budget selected nothing: every positive value gave the same report
@@ -298,10 +311,6 @@ def test_config_roundtrip_and_env(tmp_path, monkeypatch, capsys, cube_path):
     ("pushout_candidates", 2.5, "must be an integer"),
     ("seed", 1.5, "must be an integer"),
     ("seed", True, "not a bool"),
-    ("tolerance", "1e-9", "must be a finite number"),
-    ("tolerance", math.inf, "must be a finite number"),
-    ("c0_base", math.nan, "must be a finite number"),
-    ("ratio_ceiling_base", False, "not a bool"),
     ("step_cap", 0, "must be positive"),
     ("seed", -1, "seed must be >= 0"),
 ])
@@ -321,6 +330,15 @@ def test_config_file_with_a_fractional_budget_is_an_input_error(capsys, tmp_path
     assert err == "error: config knob node_budget must be an integer\n"
 
 
+def test_config_file_naming_a_removed_knob_is_an_input_error(capsys, tmp_path, cube_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tolerance": 1e-9}))
+    code, out, err = run_cli(capsys, "--config", str(path), "content", "--space",
+                             cube_path, "--m", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: unknown config keys: ['tolerance']\n"
+
+
 def test_family_file_required(capsys, cube_path):
     code, _, err = run_cli(capsys, "content", "--space", cube_path, "--m", "1",
                            "--family", "fixed")
@@ -338,6 +356,14 @@ def test_verification_failure_exit_code(capsys, cube_path, monkeypatch):
     assert code == 2
     assert "synthetic violation" in err
     assert "counterexample" in err
+
+
+def test_ragged_csv_net_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("0,0\n1\n5,5\n")
+    code, out, err = run_cli(capsys, "content", "--space", str(path), "--m", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: net points must all have the same number of coordinates\n"
 
 
 def test_matrix_net_loader(tmp_path):

@@ -153,18 +153,6 @@ def test_output_centers_on_segments():
         assert 0 <= t <= 1
 
 
-def test_centers_in_restriction():
-    q = (Fraction(1, 2), Fraction(0))
-    cover = Covering((Ball(q, Fraction(1, 8)),), frozenset(), 1)
-    apex = (Fraction(0), Fraction(0))
-    cert = cone_covering(cover, apex, 1, 2, "standard", centers_in=[apex, q])
-    assert cert.balls
-    with pytest.raises(InputError):
-        cone_covering(cover, apex, 1, 2, "standard", centers_in=[q])
-    with pytest.raises(InputError):
-        cone_covering(cover, apex, 1, 2, "standard", centers_in=[apex])
-
-
 _M_VALUES = (1, Fraction(3, 2), 2, Fraction(5, 2), 3)
 
 

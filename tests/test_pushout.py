@@ -102,7 +102,7 @@ def test_average_point_ratio_distribution():
         p, ratio, before, after = average_point(f, pts, 2, candidates=16,
                                                 c0=Fraction(1), floor=Fraction(1, 64))
         ratios.append(ratio)
-    assert all(r <= 10 * 2**2 for r in ratios)  # configured ceiling at k=2
+    assert all(r <= 10 * 2**2 for r in ratios)  # ratio ceiling at k=2
 
 
 def test_average_point_precondition():
@@ -205,7 +205,7 @@ def test_average_point_error_precedence():
 
 def test_grid_R_examples():
     assert grid_R_for_content(0, 2, 3, delta=Fraction(1, 8)) == Fraction(1, 8)
-    assert grid_R_for_content(1, 2, 3, c2=4) == pytest.approx(4.0)
+    assert grid_R_for_content(1, 2, 1) == pytest.approx(4.0)
     assert grid_R_for_content(0.25, 3, 2) == pytest.approx(8 * 0.5)
 
 
@@ -265,9 +265,9 @@ def test_cube_equality_exact():
     for n in (2, 3):
         rep = cube_equality_check(n)
         assert rep["ok"]
-    rep2 = cube_equality_check(2, Fraction(1, 8), side_cells=16)  # side 2 cube
+    rep2 = cube_equality_check(2, Fraction(1, 4))  # unit cube of 4 x 4 cells
     assert rep2["ok"]
-    assert Fraction(rep2["content_cube"]) == 1  # (2/2)^2
+    assert Fraction(rep2["content_cube"]) == Fraction(1, 4)  # (1/2)^2
 
 
 def _prod(vals):

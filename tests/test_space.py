@@ -48,9 +48,17 @@ def test_distance_errors():
     net = NetSpace("linf", ((0.0, 0.0),))
     with pytest.raises(InputError):
         distance(0, 5, net)
-    net2 = NetSpace("l2", ((0.0, 0.0), (1.0, 2.0, 3.0)))
-    with pytest.raises(InputError):
-        distance(0, 1, net2)
+
+
+@pytest.mark.parametrize("metric", ["linf", "l1", "l2"])
+def test_net_points_need_one_coordinate_count(metric):
+    # zip would truncate an l1 or l2 distance between points of unequal length
+    points = ((0.0, 0.0), (1.0,), (5.0, 5.0))
+    message = "same number of coordinates"
+    with pytest.raises(InputError, match=message):
+        NetSpace(metric, points)
+    with pytest.raises(InputError, match=message):
+        space_from_dict({"variant": "net", "metric": metric, "points": points})
 
 
 def test_min_enclosing_ball():
