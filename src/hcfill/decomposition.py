@@ -150,8 +150,11 @@ class TildeContent:
     the Q balls that meet the goal mask (bits of `cells`), without an
     incumbent, so its witness is the first cheapest cover in depth-first
     order.  `solve_mask` is the one entry, cached per (goal mask, exponent);
-    `solve` takes a cell set.  `radial` orders the cells by distance from a
-    point for the radius searches and the annulus slices, and
+    `solve` takes a cell set.  `farthest` gives the distance key of the
+    cell farthest from a point, from the bounding box alone; `radial` orders
+    the cells by distance from the point, and the radius searches build it
+    only when a cell nearer than the farthest can matter (at the paper's
+    A(m), on none of the acceptance tests' fill fixtures).
     `prune_redundant` drops Q balls on `masks`."""
 
     def __init__(self, space: VoxelSpace, cells, q_balls):
@@ -162,7 +165,7 @@ class TildeContent:
         self.masks = [self.bits.ball(b) for b in self.q_balls]
         self._cost_cache: dict[Fraction, list] = {}
         self._value_cache: dict[tuple, Scalar] = {}
-        self._radial = None, None
+        self._radial = self._far = (None, None)
 
     def _costs(self, exponent: Fraction):
         costs = self._cost_cache.get(exponent)
@@ -188,6 +191,18 @@ class TildeContent:
                 prefix.append(prefix[-1] | 1 << self.bits.index[c])
             self._radial = p, (unit, keys, [k for k, _ in keys], prefix)
         return self._radial[1]
+
+    def farthest(self, p):
+        """(unit, k) at point p: `radial`'s unit and last key, the distance
+        key of the farthest cell, read off the bounding box without ordering
+        the cells (on each axis the farthest coordinate is lo or hi); kept
+        for the last point, like `radial`."""
+        if self._far[0] != p:
+            unit, lcm, at = _lattice_point(self.space, p)
+            k = max(max(abs((2 * lo + 1) * lcm - a), abs((2 * hi + 1) * lcm - a))
+                    for lo, hi, a in zip(self.bits.lo, self.bits.hi, at))
+            self._far = p, (unit, k)
+        return self._far[1]
 
     def value(self, subset, exponent: Scalar) -> Scalar:
         cost, _ = self.solve(subset, exponent)
@@ -294,19 +309,25 @@ def density_profile(tilde: TildeContent, p, m: Scalar) -> DensityProfile:
     )
 
 
+def _lattice_point(space: VoxelSpace, p):
+    """(unit, lcm, at): p in the units of `_linf_units`, whose cell centres
+    on axis i lie at (2 c_i + 1) * lcm units and p at at[i]."""
+    half = space.delta / 2
+    scaled = [as_fraction(x) / half for x in p]
+    lcm = math.lcm(*(x.denominator for x in scaled))
+    return half / lcm, lcm, [x.numerator * (lcm // x.denominator) for x in scaled]
+
+
 def _linf_units(space: VoxelSpace, p, cells):
     """(unit, [(k, cell)] sorted): the l_inf distance from p to each cell
     center is k * unit, k an integer.  Cell centers lie on the half-cell
     lattice, so the unit is delta/2 divided by the lcm L of the denominators
     of p's coordinates in half-cell units; delta/2 is L units."""
-    half = space.delta / 2
-    scaled = [as_fraction(x) / half for x in p]
-    lcm = math.lcm(*(x.denominator for x in scaled))
-    at = [x.numerator * (lcm // x.denominator) for x in scaled]
+    unit, lcm, at = _lattice_point(space, p)
     keys = sorted(
         (max(abs((2 * ci + 1) * lcm - a) for ci, a in zip(c, at)), c) for c in cells
     )
-    return half / lcm, keys
+    return unit, keys
 
 
 def _distinct_ends(dists):
@@ -327,24 +348,31 @@ def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
     lower segment has a candidate above A * H^(1/m): the scan jumps to the
     last segment starting at or below that ceiling, widened by
     `_CEILING_MARGIN` so that a float root off by an ulp never skips a
-    segment the full scan would accept.  Returns (r(p), content at r(p)).
+    segment the full scan would accept.  The top segment is all the cells
+    and ends at `farthest(p)`, so the radial order is built only once it is
+    rejected.  Returns (r(p), content at r(p)).
     """
     mq = as_fraction(m)
-    unit, _, dists, prefix = tilde.radial(p)
-    end = len(dists)
-    while end:
-        h, _ = tilde.solve_mask(prefix[end], mq)
-        start = bisect_left(dists, dists[end - 1])  # the next segment's end
+    unit, key = tilde.farthest(p)  # the last key of the scanned segment
+    goal = tilde.bits.full
+    dists = prefix = None
+    while goal:
+        h, _ = tilde.solve_mask(goal, mq)
+        below = key - 1  # the next segment ends at or below this key
         if float(h) > 0:
             top = ball_scale * root(h, mq)
             cand = as_fraction(top)
             reach = cand // unit  # d <= cand for a distance d = k * unit iff k <= reach
-            if reach >= dists[end - 1]:
-                eta, _ = tilde.solve_mask(prefix[bisect_right(dists, reach)], mq)
+            if reach >= key:
+                if dists is not None:
+                    goal = prefix[bisect_right(dists, reach)]
+                eta, _ = tilde.solve_mask(goal, mq)
                 return cand, eta
-            ceiling = as_fraction(top * _CEILING_MARGIN) // unit
-            start = min(start, bisect_right(dists, ceiling))
-        end = start
+            below = min(below, as_fraction(top * _CEILING_MARGIN) // unit)
+        if dists is None:
+            _, _, dists, prefix = tilde.radial(p)
+        end = bisect_right(dists, below)
+        goal, key = prefix[end], dists[end - 1]
     raise InputError("density never reaches the threshold at this point")
 
 
@@ -354,18 +382,25 @@ def annulus_radius(tilde: TildeContent, p, r_crit, m: Scalar):
     sphere through the annulus, the cells within half a cell (L units) of
     [r1, r2].  A cell at distance key k takes the values [max(0, k - L),
     k + L] units; a selected Q ball's interval runs from its least to its
-    largest key there, found by bisecting the radial prefix masks."""
+    largest key there, found by bisecting the radial prefix masks.  When
+    r1 lies more than half a cell beyond `farthest(p)` the annulus is empty
+    and the answer is `best_slice`'s on an empty profile, (r1, 0, no
+    cells), with no radial order built."""
     mq = as_fraction(m)
     p = tuple(as_fraction(x) for x in p)
     r1 = (1 + 1 / mq) * as_fraction(r_crit)
     r2 = (1 + 1 / mq) ** 2 * as_fraction(r_crit)
-    unit, keys, dists, prefix = tilde.radial(p)
+    unit, far = tilde.farthest(p)
     half = tilde.space.delta / 2 // unit  # L, half a cell in units
+    first_key = math.ceil(r1 / unit - half)
+    if first_key > far:
+        return r1, Fraction(0), frozenset()
+    _, keys, dists, prefix = tilde.radial(p)
 
     def span(k_lo, k_hi):
         return max(0, k_lo - half) * unit, (k_hi + half) * unit
 
-    lo = bisect_right(dists, math.ceil(r1 / unit - half) - 1)
+    lo = bisect_right(dists, first_key - 1)
     hi = bisect_right(dists, math.floor(r2 / unit + half))
     goal = prefix[hi] ^ prefix[lo]
     _, sel = tilde.solve_mask(goal, mq)
@@ -388,10 +423,11 @@ def annulus_radius(tilde: TildeContent, p, r_crit, m: Scalar):
     return r_bar, slice_cost, profile.level_set(r_bar)
 
 
-def vitali_select(candidates, space: VoxelSpace, target):
+def vitali_select(candidates, bits: ElementBits):
     """Greedy disjoint selection by decreasing radius; verifies exactly that
     the selected balls are pairwise disjoint and their tripled concentric
-    balls cover the target."""
+    balls cover every cell listed in the voxel `bits`: the union of their
+    box masks is `bits.full`."""
     order = sorted(
         range(len(candidates)),
         key=lambda i: (-as_fraction(candidates[i][1]), candidates[i][0]),
@@ -407,15 +443,12 @@ def vitali_select(candidates, space: VoxelSpace, target):
                 break
         if ok:
             selected.append(i)
-    for c in target:
-        center = space.cell_center(c)
-        if not any(
-            as_fraction(linf(center, candidates[j][0])) <= 3 * as_fraction(candidates[j][1])
-            for j in selected
-        ):
-            raise InputError(
-                "candidate balls do not cover the target even tripled"
-            )
+    covered = 0
+    for j in selected:
+        p, r = candidates[j]
+        covered |= bits.box(ball_cell_ranges(Ball(p, 3 * as_fraction(r)), bits.space))
+    if covered != bits.full:
+        raise InputError("candidate balls do not cover the target even tripled")
     return selected
 
 
@@ -541,7 +574,7 @@ def decompose(
         r_crit, eta = critical_radius(tilde, p, mq, A)
         entries.append((p, r_crit, eta) + annulus_radius(tilde, p, r_crit, mq))
 
-    selected_idx = vitali_select([(p, r_bar) for p, _, _, r_bar, *_ in entries], space, y)
+    selected_idx = vitali_select([(p, r_bar) for p, _, _, r_bar, *_ in entries], tilde.bits)
 
     mf = float(mq)
     balls = []
@@ -768,6 +801,7 @@ def improvement_step(
     # neighbouring ball and must still survive into the new set
     new_cells = set(y.difference(*(b.cells for b in decomp.balls)))
     theta: dict = {}
+    max_disp = 0.0
     cone_certs = []
     for b in decomp.balls:
         fill_balls: list[Ball] = []
@@ -782,10 +816,12 @@ def improvement_step(
 
         # nearest landing point, ties to the least point: the fill cells'
         # centers and the ball's center, at distances in the units of
-        # `_linf_units` from the ball's center (a cell side is 2L of them)
+        # `_linf_units` from the ball's center (a cell side is 2L of them);
+        # the ball's displacement is the largest key moved, times the unit
         unit, to_center = _linf_units(space, b.center, b.cells)
         side = int(space.delta / unit)
         fills = [(c, space.cell_center(c)) for c in sorted(fill_cells)]
+        moved = 0
         for k, c in sorted(to_center, key=lambda kc: kc[1]):
             if c in fill_cells:
                 theta[c] = space.cell_center(c)
@@ -797,6 +833,8 @@ def improvement_step(
                 ]
             )
             theta[c] = best[1]
+            moved = max(moved, best[0])
+        max_disp = max(max_disp, float(moved * unit))  # float() is monotone
 
         # cone certificate: the swept (m+1)-cost inside this ball
         interior_res = _content(space, b.cells, mq, node_budget=node_budget)
@@ -814,10 +852,6 @@ def improvement_step(
         after = _content(space, new_cells, mq, node_budget=node_budget).value_upper
     else:
         after = Fraction(0)
-
-    max_disp = 0.0
-    for c, landing in theta.items():
-        max_disp = max(max_disp, float(linf(space.cell_center(c), landing)))
 
     hcf = float(hc)
     checks = [

@@ -507,6 +507,15 @@ def space_to_dict(space: Space) -> dict:
     return d
 
 
+def _numbers(row, convert, where: str) -> tuple:
+    """The row's entries through `convert` (int or float), an InputError
+    naming `where` when one is not a number."""
+    try:
+        return tuple(convert(x) for x in row)
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: not a row of numbers: {row!r}") from None
+
+
 def space_from_dict(d: dict) -> Space:
     try:
         variant = d["variant"]
@@ -516,14 +525,15 @@ def space_from_dict(d: dict) -> Space:
         return VoxelSpace(
             int(d["n"]),
             parse_scalar(d["delta"]),
-            frozenset(tuple(int(x) for x in c) for c in d["cells"]),
+            frozenset(_numbers(c, int, "voxel cell") for c in d["cells"]),
         )
     if variant == "net":
         return NetSpace(
             d.get("metric", "linf"),
-            tuple(tuple(float(x) for x in p) for p in d["points"]),
+            tuple(_numbers(p, float, "net point") for p in d["points"]),
             float(d.get("eps_net", 0.0)),
-            tuple(tuple(float(x) for x in r) for r in d["matrix"]) if "matrix" in d else None,
+            tuple(_numbers(r, float, "distance matrix row") for r in d["matrix"])
+            if "matrix" in d else None,
         )
     raise InputError(f"unknown space variant {variant!r}")
 
@@ -535,7 +545,7 @@ def load_space(path: str) -> Space:
     if str(path).endswith(".csv"):
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
-        points = tuple(tuple(float(x) for x in row) for row in rows)
+        points = tuple(_numbers(row, float, f"{path}: net point") for row in rows)
         return NetSpace("linf", points)
     try:
         with open(path) as fh:
@@ -551,7 +561,7 @@ def load_matrix_net(path: str, eps_net: float = 0.0) -> NetSpace:
 
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
-    matrix = tuple(tuple(float(x) for x in row) for row in rows)
+    matrix = tuple(_numbers(row, float, f"{path}: distance matrix row") for row in rows)
     points = tuple((float(i),) for i in range(len(matrix)))
     return NetSpace("matrix", points, eps_net, matrix)
 

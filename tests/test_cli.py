@@ -366,6 +366,22 @@ def test_ragged_csv_net_is_an_input_error(capsys, tmp_path):
     assert err == "error: net points must all have the same number of coordinates\n"
 
 
+@pytest.mark.parametrize("name, text, where", [
+    ("letters.csv", "0,0\na,b\n", "net point: not a row of numbers: ['a', 'b']"),
+    ("net.json", json.dumps({"variant": "net", "points": [[0, 0], ["x", 1]]}),
+     "net point: not a row of numbers: ['x', 1]"),
+    ("voxel.json", json.dumps({"variant": "voxel", "n": 2, "delta": "1",
+                               "cells": [[0, 0], ["a", 0]]}),
+     "voxel cell: not a row of numbers: ['a', 0]"),
+])
+def test_non_numeric_coordinates_are_an_input_error(capsys, tmp_path, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "content", "--space", str(path), "--m", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(where + "\n")
+
+
 def test_matrix_net_loader(tmp_path):
     from hcfill.space import load_matrix_net
 
@@ -374,6 +390,9 @@ def test_matrix_net_loader(tmp_path):
     net = load_matrix_net(str(path), eps_net=0.1)
     assert net.metric == "matrix"
     assert net.dist(0, 2) == 2
+    path.write_text("0,1\n1,x\n")
+    with pytest.raises(InputError, match=r"distance matrix row: not a row of numbers: \['1', 'x'\]"):
+        load_matrix_net(str(path))
 
 
 def test_corpus_decompose_and_width_aggregates(capsys, tmp_path):

@@ -34,6 +34,7 @@ from hcfill.errors import InputError
 from hcfill.exact import as_fraction, fmt_scalar, is_integral, power, root
 from hcfill.shapes import (
     make_cube,
+    make_dumbbell,
     make_line,
     make_ring,
     make_strip_with_bulbs,
@@ -204,11 +205,15 @@ def _same(a, b):
     seed=st.integers(0, 10**6),
     n=st.sampled_from((2, 3)),
     m=st.sampled_from((Fraction(3, 2), 2, Fraction(5, 2), 3)),
-    scale=st.sampled_from((1.2, 3.0, 40.0)),
+    scale=st.sampled_from((1.2, 3.0, 40.0, "paper")),
     shift=st.tuples(st.integers(-40, 40), st.integers(1, 24)),
     r_crit=st.fractions(Fraction(1, 64), 2),
 )
 def test_radius_searches_match_fraction_oracle(seed, n, m, scale, shift, r_crit):
+    # at the paper's A(m) the top segment is accepted from the bounding box
+    # and the annulus at r(p) is empty, so no radial order is built
+    if scale == "paper":
+        scale = Constants.for_exponent(m).ball_scale
     s = random_blob(seed, n, 12, 6, Fraction(1, 8))
     _, q, tilde = _context(s, m)
     y = frozenset(s.cells)
@@ -235,6 +240,58 @@ def test_radius_searches_match_fraction_oracle(seed, n, m, scale, shift, r_crit)
             want_ann = tuple(want_ann[k] for k in ("r_bar", "slice_cost", "slice_cells"))
             assert len(got) == 3
             assert all(_same(a, b) for a, b in zip(got, want_ann))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.sampled_from((1, 2, 3)),
+    cell=st.tuples(st.integers(-4, 12), st.integers(-4, 12), st.integers(-4, 12)),
+    off=st.tuples(st.fractions(-3, 3, max_denominator=12),
+                  st.fractions(-3, 3, max_denominator=12),
+                  st.fractions(-3, 3, max_denominator=12)),
+)
+def test_farthest_key_is_the_radial_orders_last(seed, n, cell, off):
+    s = random_blob(seed, n, 5 * n, 6, Fraction(1, 4))
+    tilde = TildeContent(s, s.cells, ())
+    lattice = s.cell_center(cell[:n])
+    for p in (lattice, tuple(x + d for x, d in zip(lattice, off))):
+        unit, far = tilde.farthest(p)
+        got_unit, _, dists, _ = tilde.radial(p)
+        assert (unit, far) == (got_unit, dists[-1])
+        assert far * unit == max(linf(s.cell_center(c), p) for c in s.cells)
+
+
+def _counting_linf_units(monkeypatch):
+    calls = []
+    real = decomposition._linf_units
+
+    def counting(space, p, cells):
+        calls.append(p)
+        return real(space, p, cells)
+
+    monkeypatch.setattr(decomposition, "_linf_units", counting)
+    return calls
+
+
+def test_paper_constant_decompositions_build_no_radial_order(monkeypatch):
+    # at A(2) every centre's top segment is accepted and its annulus is
+    # empty, so the bounding box decides both radius searches
+    fixtures = [
+        make_ring(16, Fraction(1, 16)),
+        make_cube(2, 8, Fraction(1, 8)),
+        make_dumbbell(),
+        random_blob(77, 2, 40, 10, Fraction(1, 8)),
+        make_cube(3, 3, Fraction(1, 4)),
+        make_cube(4, 2, Fraction(1, 2)),
+    ]
+    calls = _counting_linf_units(monkeypatch)
+    for s in fixtures:
+        d = decompose(s, None, 2)
+        assert d.balls and all(not b.slice_cells for b in d.balls)
+    assert calls == []
+    d = decompose(make_line(60), None, 2, constants=small_scale(2, 3.0))
+    assert calls and any(b.slice_cells for b in d.balls)
 
 
 def _members_at(tilde, p, r):
@@ -324,7 +381,7 @@ def test_vitali_disjoint_candidates_all_selected():
         (s.cell_center((10, 0)), Fraction(1, 2)),
         (s.cell_center((17, 0)), Fraction(1, 2)),
     ]
-    picked = vitali_select(cands, s, frozenset({(2, 0), (10, 0), (17, 0)}))
+    picked = vitali_select(cands, ElementBits(s, [(2, 0), (10, 0), (17, 0)]))
     assert len(picked) == 3
 
 
@@ -332,7 +389,7 @@ def test_vitali_nested_keeps_largest():
     s = make_cube(2, 4, Fraction(1, 4))
     center = s.cell_center((1, 1))
     cands = [(center, Fraction(2)), (center, Fraction(1)), (center, Fraction(1, 2))]
-    picked = vitali_select(cands, s, frozenset(s.cells))
+    picked = vitali_select(cands, ElementBits(s, s.sorted_cells()))
     assert picked == [0]
 
 
@@ -345,7 +402,7 @@ def test_vitali_random_cover_verified():
     for _ in range(20):
         cell = rng.choice(s.sorted_cells())
         cands.append((s.cell_center(cell), Fraction(rng.randrange(4, 20), 8)))
-    picked = vitali_select(cands, s, frozenset(s.cells))
+    picked = vitali_select(cands, ElementBits(s, s.sorted_cells()))
     for ai in range(len(picked)):
         for bi in range(ai + 1, len(picked)):
             pa, ra = cands[picked[ai]]
@@ -362,7 +419,7 @@ def test_vitali_uncoverable_rejected():
     s = make_line(30, Fraction(1, 4))
     cands = [(s.cell_center((0, 0)), Fraction(1, 8))]
     with pytest.raises(InputError):
-        vitali_select(cands, s, frozenset(s.cells))
+        vitali_select(cands, ElementBits(s, s.sorted_cells()))
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +701,18 @@ def test_step_decay_and_displacement_16x16():
     hc = float(st.content_before)
     assert st.max_displacement <= 3 * st.decomposition.constants.ball_scale \
         * hc**0.5 + st.eps
+
+
+@pytest.mark.parametrize("space", [make_line(60), make_ring(16)])
+def test_step_displacement_matches_the_float_distance_scan(space):
+    # the step's displacement, from its integer landing keys, is the largest
+    # float l_inf distance from a removed cell's centre to where it lands
+    st = improvement_step(space, None, 2, constants=small_scale(2, 3.0))
+    want = 0.0
+    for c, landing in st.theta.items():
+        want = max(want, float(linf(space.cell_center(c), landing)))
+    assert want > 0
+    assert _same(st.max_displacement, want)
 
 
 def test_step_with_real_slices():
