@@ -45,13 +45,15 @@ Grid rows leave the generator in (cost, ball key) order, other families are
 sorted, and one candidate per distinct mask is kept, so a grid mask's ball
 is the least in key order among the blocks anchored in those ranges.  Up to
 2,000 masks, one that an earlier kept mask holds is dropped (costs ascend),
-found among the kept masks holding its lowest or highest element.  Only
-kept grid rows become balls, on one Fraction per distinct centre
-coordinate.  The greedy prices balls with the search's `_RatioBound`, so at
-integer m it compares integers, ties broken by an integer that orders like
-the ball key.  It is lazy (Minoux's accelerated greedy): stale prices only
-grow as coverage grows, so a popped ball whose price is still current is
-the one a full rescan picks.
+found among the kept masks holding its lowest or highest element.  Kept
+grid rows stay integer rows through the greedy and the search; a ball is
+built only when read, which the solvers do for the witness alone, on one
+Fraction per distinct coordinate and radius.  The greedy prices balls with
+the search's `_RatioBound`, so at integer m it compares integers, ties
+broken by a grid row's integer key (centre half-units, then side k), which
+orders like the ball key.  It is lazy (Minoux's accelerated greedy): stale
+prices only grow as coverage grows, so a popped ball whose price is still
+current is the one a full rescan picks.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import InputError, UncoverableError
-from .exact import TOL, Scalar, as_fraction, fmt_scalar, is_integral, power
+from .exact import TOL, Scalar, as_fraction, fmt_scalar, is_integral, power, scalar_formatter
 from .space import (
     AllGridBalls,
     Ball,
@@ -128,6 +130,40 @@ class _Candidate:
     cost: Scalar
 
 
+class _GridCandidate:
+    """A kept grid block: its cost, its integer `_voxel_grid_candidates`
+    key and its mask.  Its ball is built when first read, on the Fractions
+    that `_grid_balls` shares among the blocks of one call."""
+
+    __slots__ = ("cost", "key", "mask", "_make", "_ball")
+
+    def __init__(self, cost, key, mask, make):
+        self.cost, self.key, self.mask, self._make, self._ball = cost, key, mask, make, None
+
+    @property
+    def ball(self) -> Ball:
+        if self._ball is None:
+            self._ball = self._make(self.key)
+        return self._ball
+
+
+def _grid_balls(delta):
+    """The ball of a grid key (centre half-units..., k): centre and radius
+    are delta/2 times its parts, one Fraction per distinct part."""
+    parts = {}
+
+    def part(x):
+        value = parts.get(x)
+        if value is None:
+            value = parts[x] = delta * Fraction(x, 2)
+        return value
+
+    def make(key):
+        return Ball(tuple(map(part, key[:-1])), part(key[-1]))
+
+    return make
+
+
 # ---------------------------------------------------------------------------
 # candidate generation
 
@@ -149,11 +185,13 @@ def _flatten_family(family: BallFamily):
 
 
 def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
-    """Grid blocks as (cost, centre, radius, mask) rows, the centre in
+    """Grid blocks as (cost, key, mask) rows, the key the centre in
     half-cell units (2a + k per axis for side k from anchor a; the point is
-    delta/2 times it), by size and then by centre: (cost, ball key) order
-    whenever a larger size costs more.  Only when two sizes cost the same
-    (m = 0, or a float m too small to part their powers) are they sorted.
+    delta/2 times it) and then k, so that it orders like the ball key: the
+    centre is delta/2 times its first parts and the radius delta/2 times k.
+    Rows come by size and then by centre: (cost, ball key) order whenever a
+    larger size costs more.  Only when two sizes cost the same (m = 0, or a
+    float m too small to part their powers) are they sorted.
 
     On each axis the anchors of side k run over the stride's multiples from
     the largest <= lo to the least >= max(lo, hi - k + 1), [lo, hi] the
@@ -184,20 +222,21 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
         cost = power(radius, m)
         presorted = presorted and (last_cost is None or last_cost < cost)
         last_cost = cost
-        # (centre, mask) of the non-empty blocks, one axis at a time
+        # (key, mask) of the non-empty blocks, one axis at a time; the last
+        # axis's part of the key ends in k
         blocks = [((), bits.full)]
         for i in range(space.n):
             last = max(lo[i], hi[i] - k + 1)
             last += (-last) % stride
-            slabs = [(2 * a + k, slab)
+            tail = (k,) if i == space.n - 1 else ()
+            slabs = [((2 * a + k, *tail), slab)
                      for a in range(first[i], last + 1, stride)
                      if (slab := bits.slab(i, a, a + k - 1))]
-            blocks = [(center + (x,), both) for center, mask in blocks
-                      for x, slab in slabs if (both := mask & slab)]
-        rows += [(cost, center, radius, mask) for center, mask in blocks
-                 if mask.bit_count() > limit]
+            blocks = [(key + part, both) for key, mask in blocks
+                      for part, slab in slabs if (both := mask & slab)]
+        rows += [(cost, key, mask) for key, mask in blocks if mask.bit_count() > limit]
     if not presorted:
-        rows.sort()  # no two rows tie on (cost, centre, radius)
+        rows.sort()  # no two rows tie on (cost, key)
     return rows, bits.index
 
 
@@ -267,13 +306,14 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
     index.  Grid blocks on voxel sets are those anchored inside the
     target's bounding box (`_voxel_grid_candidates`): a block sticking out
     of it holds a subset of what a same-size block inside holds, so a
-    mask's ball is the least key among the blocks anchored inside.  Up to
-    2,000 distinct masks, balls whose mask an earlier ball's holds are
-    dropped: costs ascend, so that ball is at most as dear."""
+    mask's ball is the least key among the blocks anchored inside, and is
+    built when first read (`_GridCandidate`).  Up to 2,000 distinct masks,
+    balls whose mask an earlier ball's holds are dropped: costs ascend, so
+    that ball is at most as dear."""
     core, cap = _flatten_family(family)
     if isinstance(core, AllGridBalls) and isinstance(space, VoxelSpace):
         rows, index = _voxel_grid_candidates(space, target, m, core.stride, cap)
-        masks = [row[3] for row in rows]
+        masks = [row[2] for row in rows]
     else:
         if isinstance(core, AllGridBalls):
             cands, index = _point_candidates(space, target, m, _net_centers(space), cap)
@@ -292,11 +332,9 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
         keep = sorted({mask: i for i, mask in reversed([*enumerate(masks)])}.values())
     if rows is None:
         return [cands[i] for i in keep], index
-    # one Fraction per distinct centre coordinate, shared by the kept balls
-    coord = {x: space.delta * Fraction(x, 2)
-             for x in {x for i in keep for x in rows[i][1]}}.__getitem__
-    return [_Candidate(Ball(tuple(map(coord, center)), radius), mask, cost)
-            for cost, center, radius, mask in map(rows.__getitem__, keep)], index
+    make = _grid_balls(space.delta)
+    return [_GridCandidate(cost, key, mask, make)
+            for cost, key, mask in map(rows.__getitem__, keep)], index
 
 
 def _undominated(masks, n_elems):
@@ -323,13 +361,24 @@ def _cost_key(cand):
     return cand.cost, cand.ball.key()
 
 
+def _tie_keys(cands):
+    """Keys that order the candidates like their ball keys: grid blocks'
+    integer keys, else `_key_ints` when every key part is rational, else the
+    ball keys themselves."""
+    if all(type(c) is _GridCandidate for c in cands):
+        return [c.key for c in cands]
+    balls = [c.ball for c in cands]
+    return _key_ints(balls) or [b.key() for b in balls]
+
+
 def _key_ints(balls):
     """One non-negative integer per ball that orders like `ball.key()`, or
     None when some centre coordinate or radius is a float (or the centres
     differ in length).  Each key part, scaled by the lcm of their
     denominators and shifted to start at 0, is one digit of a mixed-radix
     number, the first centre coordinate the most significant.  A part object
-    is scaled once however many balls hold it (grid balls share theirs)."""
+    is scaled once however many balls hold it (the balls at one centre
+    share its coordinates)."""
     if not balls:
         return []
     width = len(balls[0].center)
@@ -472,15 +521,16 @@ class _RatioBound:
         return sum(least[e] for e in self._order if e in least)
 
     def duals(self, full):
-        """Every element's price against the whole target, in element order,
-        and their sum."""
+        """Every element's price against the whole target, in element order
+        (one Fraction per distinct price), and their sum."""
         least = [None] * full.bit_length()
         for ratio, new in self._assign(full):
             for e in bit_indices(new):
                 least[e] = ratio
         if self.scale is None:
             return least, sum(least)
-        return [Fraction(r, self.scale) for r in least], Fraction(sum(least), self.scale)
+        price = {r: Fraction(r, self.scale) for r in set(least)}
+        return [price[r] for r in least], Fraction(sum(least), self.scale)
 
 
 _first = itemgetter(0)
@@ -513,12 +563,12 @@ def _greedy_cover(cands, full, ratio: _RatioBound):
     """Indices of the balls picked by repeatedly taking the ball of least cost
     per newly covered element, ties to the least ball key.  Prices are
     `ratio.price`, integers when the costs are Fractions; ties compare
-    `_key_ints` when every key part is rational, else the keys.
+    `_tie_keys`.
     Lazy (Minoux): a heap holds each ball's last known price, which can only
     grow as coverage grows, so a popped ball whose price is still current is
     the eager greedy's pick."""
     price = ratio.price
-    keys = _key_ints([c.ball for c in cands]) or [c.ball.key() for c in cands]
+    keys = _tie_keys(cands)
     heap = [(price(i, cand.mask.bit_count()), key, i)
             for i, (cand, key) in enumerate(zip(cands, keys))]
     heapq.heapify(heap)
@@ -674,7 +724,7 @@ def exact_content(
         "kind": "branch-and-bound" if optimal else "bracket",
         "nodes": nodes,
         "lp_dual_lower": fmt_scalar(root_dual),
-        "duals": [fmt_scalar(d) for d in duals],
+        "duals": list(map(scalar_formatter(), duals)),
     }
     return ContentResult(
         m, family_label(family), lower, best_cost, optimal, witness, cert,

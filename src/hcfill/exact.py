@@ -68,3 +68,18 @@ def fmt_scalar(x: Scalar) -> Union[str, float, int]:
     if isinstance(x, int):
         return x
     return float(x)
+
+
+def scalar_formatter():
+    """A `fmt_scalar` that formats each distinct object once, for lists
+    that share their scalars (grid-ball coordinates, dual prices).  It holds
+    every object it formatted, so no id it keys on is reused."""
+    seen = {}
+
+    def fmt(x):
+        hit = seen.get(id(x))
+        if hit is None:
+            hit = seen[id(x)] = (x, fmt_scalar(x))
+        return hit[1]
+
+    return fmt

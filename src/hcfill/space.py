@@ -25,7 +25,16 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .errors import InputError
-from .exact import TOL, Scalar, as_fraction, fmt_scalar, parse_scalar
+from .exact import (
+    TOL,
+    Scalar,
+    as_fraction,
+    fmt_scalar,
+    is_integral,
+    parse_scalar,
+    power,
+    scalar_formatter,
+)
 
 Cell = tuple[int, ...]
 Point = tuple[Fraction, ...]
@@ -170,10 +179,10 @@ class Ball:
     def key(self):
         return (self.center, self.radius)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, fmt=fmt_scalar) -> dict:
         return {
-            "center": [fmt_scalar(c) for c in self.center],
-            "radius": fmt_scalar(self.radius),
+            "center": [fmt(c) for c in self.center],
+            "radius": fmt(self.radius),
         }
 
     @staticmethod
@@ -462,8 +471,24 @@ class Covering:
     cost: Scalar = field(default=None)  # recomputed in __post_init__
 
     def __post_init__(self):
-        from .exact import power
-        total = sum(power(b.radius, self.m) for b in self.balls)
+        """The cost is sum(power(r, m)) over the balls.  When it is exact
+        (every radius rational, m integral) each distinct radius object is
+        raised once and times its count, which is the same Fraction; else
+        the balls are summed one by one, left to right, as floats round."""
+        groups = {}  # id of a radius object -> [radius, count]
+        for b in self.balls:
+            group = groups.get(id(b.radius))
+            if group is None:
+                groups[id(b.radius)] = [b.radius, 1]
+            else:
+                group[1] += 1
+        if is_integral(self.m) and all(isinstance(r, (Fraction, int)) for r, _ in groups.values()):
+            total = 0
+            for r, count in groups.values():
+                value = power(r, self.m)
+                total += value if count == 1 else value * count
+        else:
+            total = sum(power(b.radius, self.m) for b in self.balls)
         object.__setattr__(self, "cost", total)
 
     def validate(self, space: Space) -> None:
@@ -477,10 +502,13 @@ class Covering:
             raise InputError(f"covering misses {missing} target elements")
 
     def to_dict(self) -> dict:
+        """The balls in sorted order, each distinct scalar object formatted
+        once."""
+        fmt = scalar_formatter()
         return {
             "m": fmt_scalar(self.m),
             "cost": fmt_scalar(self.cost),
-            "balls": [b.to_dict() for b in sorted(self.balls)],
+            "balls": [b.to_dict(fmt) for b in sorted(self.balls)],
             "target": sorted(list(t) if isinstance(t, tuple) else t for t in self.target),
         }
 
@@ -516,6 +544,26 @@ def _numbers(row, convert, where: str) -> tuple:
         raise InputError(f"{where}: not a row of numbers: {row!r}") from None
 
 
+_REQUIRED = object()
+
+
+def _field(d: dict, name: str, convert, default=_REQUIRED):
+    """d[name], or the default when the document has none, through
+    `convert`; an InputError naming the field when a required one is
+    missing or the value does not convert."""
+    if name not in d:
+        if default is _REQUIRED:
+            raise InputError(f"space document lacks the {name!r} field")
+        return default
+    try:
+        return convert(d[name])
+    except InputError:
+        raise
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InputError(f"space document field {name!r}: not a valid value: "
+                         f"{d[name]!r}") from None
+
+
 def space_from_dict(d: dict) -> Space:
     try:
         variant = d["variant"]
@@ -523,17 +571,19 @@ def space_from_dict(d: dict) -> Space:
         raise InputError("space document must carry a 'variant' field")
     if variant == "voxel":
         return VoxelSpace(
-            int(d["n"]),
-            parse_scalar(d["delta"]),
-            frozenset(_numbers(c, int, "voxel cell") for c in d["cells"]),
+            _field(d, "n", int),
+            _field(d, "delta", parse_scalar),
+            _field(d, "cells", lambda cells: frozenset(
+                _numbers(c, int, "voxel cell") for c in cells)),
         )
     if variant == "net":
         return NetSpace(
             d.get("metric", "linf"),
-            tuple(_numbers(p, float, "net point") for p in d["points"]),
-            float(d.get("eps_net", 0.0)),
-            tuple(_numbers(r, float, "distance matrix row") for r in d["matrix"])
-            if "matrix" in d else None,
+            _field(d, "points", lambda points: tuple(
+                _numbers(p, float, "net point") for p in points)),
+            _field(d, "eps_net", float, 0.0),
+            _field(d, "matrix", lambda rows: tuple(
+                _numbers(r, float, "distance matrix row") for r in rows), None),
         )
     raise InputError(f"unknown space variant {variant!r}")
 

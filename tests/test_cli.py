@@ -382,6 +382,21 @@ def test_non_numeric_coordinates_are_an_input_error(capsys, tmp_path, name, text
     assert err.startswith("error: ") and err.endswith(where + "\n")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"variant": "voxel", "n": 2}, "space document lacks the 'delta' field"),
+    ({"variant": "voxel", "n": 2, "delta": "1/8"}, "space document lacks the 'cells' field"),
+    ({"variant": "voxel", "n": "two", "delta": "1/8", "cells": [[0, 0]]},
+     "space document field 'n': not a valid value: 'two'"),
+    ({"variant": "net", "points": [[0, 0], [1, 1]], "eps_net": "x"},
+     "space document field 'eps_net': not a valid value: 'x'"),
+])
+def test_missing_or_non_numeric_fields_are_an_input_error(capsys, tmp_path, doc, message):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "content", "--space", str(path), "--m", "1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_matrix_net_loader(tmp_path):
     from hcfill.space import load_matrix_net
 

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcfill.content import (
@@ -110,11 +110,11 @@ def oracle_grid_candidates(space, target, m, stride, cap):
 
 
 def grid_candidates(space, rows):
-    """`_voxel_grid_candidates` rows as candidates, each centre back from
-    half-cell units."""
+    """`_voxel_grid_candidates` rows as candidates, each centre and radius
+    back from half-cell units."""
     half = space.delta / 2
-    return [_Candidate(Ball(tuple(half * x for x in center), radius), mask, cost)
-            for cost, center, radius, mask in rows]
+    return [_Candidate(Ball(tuple(half * x for x in key[:-1]), half * key[-1]), mask, cost)
+            for cost, key, mask in rows]
 
 
 def eager_greedy(cands, full):
@@ -161,9 +161,20 @@ def assert_rows_cover_the_oracle(got, want):
                for (_, radius), mask, _ in want)
 
 
+THIRDS_L = frozenset((x, y) for x in range(-3, 4) for y in range(-2, 3) if x < 0 or y == 1)
+THIRDS_3D = frozenset(c for c in itertools.product(range(-1, 3), repeat=3) if sum(c) % 3)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(voxel_instances())
+@example((VoxelSpace(2, Fraction(1, 3), THIRDS_L), THIRDS_L, 2, 2, None))
+@example((VoxelSpace(2, Fraction(1, 3), THIRDS_L), THIRDS_L - {(-3, -2)}, 1, 2, Fraction(2)))
+@example((VoxelSpace(3, Fraction(1, 3), THIRDS_3D), THIRDS_3D, Fraction(3, 2), 1, None))
+@example((VoxelSpace(3, Fraction(1, 3), THIRDS_3D), THIRDS_3D, 1, 2, None))
 def test_grid_candidates_and_greedy_match_oracles(instance):
+    """Also on stride-2 families and on a delta that is not a power of
+    two: the integer keys the greedy breaks ties on order like the ball
+    keys, and each kept block's ball is its `grid_ball`."""
     space, target, m, stride, cap = instance
     rows, index = _voxel_grid_candidates(space, target, m, stride, cap)
     got = grid_candidates(space, rows)
@@ -175,6 +186,10 @@ def test_grid_candidates_and_greedy_match_oracles(instance):
     if cap is not None:
         family = intersect_families(family, RadiusCapped(cap))
     cands, index = generate_candidates(space, target, m, family)
+    for cand in cands:
+        *center, k = cand.key
+        assert cand.ball == grid_ball(space, tuple((x - k) // 2 for x in center), k)
+    assert sorted(cands, key=lambda c: c.key) == sorted(cands, key=lambda c: c.ball.key())
     assert_greedy_matches(cands, len(index))
     assert_greedy_matches(got, len(index))
 

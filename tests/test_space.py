@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcfill.errors import InputError
+from hcfill.exact import power
 from hcfill.shapes import make_box, make_cube
 from hcfill.space import (
     Ball,
@@ -184,6 +185,35 @@ def test_covering_validate_rejects_cells_of_another_dimension():
     cover = Covering((grid_ball(s, (0, 0), 2),), frozenset(s.cells | {(0,)}), 1)
     with pytest.raises(InputError, match="without 2 coordinates"):
         cover.validate(s)
+
+
+def _covering_cases():
+    """Ball lists whose radii share objects, or do not, or repeat."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    a, b, c = 0.1, 0.7, 0.3
+    shared = [Ball((Fraction(i), Fraction(0)), half) for i in range(3)]
+    return {
+        "shared": shared + [Ball((Fraction(9), Fraction(1)), third)] * 2,
+        "unshared": [Ball((Fraction(i), Fraction(i)), Fraction(i + 1, 3)) for i in range(4)]
+        + [Ball((Fraction(0), Fraction(5)), Fraction(1, 3))],
+        "int": [Ball((0, 0), 1), Ball((2, 0), 2), Ball((4, 0), 1), Ball((4, 4), Fraction(1))],
+        "duplicates": [shared[0], shared[0], shared[1], shared[0]],
+        # grouped, 0.1 and 0.3 would round differently at both exponents
+        "float": [Ball((0.0, 0.0), r) for r in (a, a, b, c, c)],
+        "empty": [],
+    }
+
+
+@pytest.mark.parametrize("m", [2, Fraction(3, 2)])
+@pytest.mark.parametrize("case", sorted(_covering_cases()))
+def test_covering_cost_and_report_match_the_per_ball_reference(case, m):
+    balls = _covering_cases()[case]
+    cover = Covering(tuple(balls), frozenset(), m)
+    want = sum(power(b.radius, m) for b in balls)
+    assert cover.cost == want and type(cover.cost) is type(want)
+    if isinstance(want, float):
+        assert cover.cost.hex() == want.hex()
+    assert cover.to_dict()["balls"] == [b.to_dict() for b in sorted(balls)]
 
 
 @st.composite
