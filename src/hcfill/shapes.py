@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -96,19 +97,29 @@ def random_blob(
     box: int = 6,
     delta=Fraction(1, 8),
 ) -> VoxelSpace:
-    """Connected-ish random cell set grown by a seeded random walk."""
+    """Connected random cell set grown by a seeded random walk in the box
+    [0, box)^n: each step picks a cell (uniformly, by its rank in sorted
+    order) and moves one unit along a random axis.  The blob has
+    max(1, max_cells) cells, so it needs box >= 1 and max_cells <= box**n
+    (a ValueError otherwise).  Its cells are a pure function of the
+    arguments: pinned digests of blob fixtures rely on that."""
+    if box < 1 or max_cells > box**n:
+        raise ValueError(f"random_blob needs box >= 1 and max_cells <= box**n, "
+                         f"got n={n}, max_cells={max_cells}, box={box}")
     rng = random.Random(seed)
     cur = tuple(rng.randrange(box) for _ in range(n))
     cells = {cur}
+    order = [cur]  # sorted(cells), kept by insertion
     while len(cells) < max_cells:
-        base = rng.choice(sorted(cells))
+        base = rng.choice(order)
         axis = rng.randrange(n)
-        step = rng.choice((-1, 1))
-        nxt = tuple(
-            min(box - 1, max(0, c + (step if i == axis else 0)))
-            for i, c in enumerate(base)
-        )
-        cells.add(nxt)
+        c = base[axis] + rng.choice((-1, 1))
+        # a step out of the box stays on base, which is already a cell
+        if 0 <= c < box:
+            nxt = (*base[:axis], c, *base[axis + 1:])
+            if nxt not in cells:
+                cells.add(nxt)
+                bisect.insort(order, nxt)
     return VoxelSpace(n, Fraction(delta), frozenset(cells))
 
 

@@ -535,8 +535,19 @@ def space_to_dict(space: Space) -> dict:
     return d
 
 
+def _integer(x) -> int:
+    """x as an exact int: a bool or a value with a fractional part raises
+    ValueError instead of being truncated by int()."""
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"not an integer: {x!r}")
+    value = int(x)
+    if not isinstance(x, str) and value != x:
+        raise ValueError(f"not an integer: {x!r}")
+    return value
+
+
 def _numbers(row, convert, where: str) -> tuple:
-    """The row's entries through `convert` (int or float), an InputError
+    """The row's entries through `convert` (_integer or float), an InputError
     naming `where` when one is not a number."""
     try:
         return tuple(convert(x) for x in row)
@@ -571,10 +582,10 @@ def space_from_dict(d: dict) -> Space:
         raise InputError("space document must carry a 'variant' field")
     if variant == "voxel":
         return VoxelSpace(
-            _field(d, "n", int),
+            _field(d, "n", _integer),
             _field(d, "delta", parse_scalar),
             _field(d, "cells", lambda cells: frozenset(
-                _numbers(c, int, "voxel cell") for c in cells)),
+                _numbers(c, _integer, "voxel cell") for c in cells)),
         )
     if variant == "net":
         return NetSpace(

@@ -373,6 +373,10 @@ def test_ragged_csv_net_is_an_input_error(capsys, tmp_path):
     ("voxel.json", json.dumps({"variant": "voxel", "n": 2, "delta": "1",
                                "cells": [[0, 0], ["a", 0]]}),
      "voxel cell: not a row of numbers: ['a', 0]"),
+    # a fractional coordinate is refused, not truncated
+    ("fractional.json", json.dumps({"variant": "voxel", "n": 2, "delta": "1",
+                                    "cells": [[0, 0], [0.5, 0]]}),
+     "voxel cell: not a row of numbers: [0.5, 0]"),
 ])
 def test_non_numeric_coordinates_are_an_input_error(capsys, tmp_path, name, text, where):
     path = tmp_path / name
@@ -389,6 +393,11 @@ def test_non_numeric_coordinates_are_an_input_error(capsys, tmp_path, name, text
      "space document field 'n': not a valid value: 'two'"),
     ({"variant": "net", "points": [[0, 0], [1, 1]], "eps_net": "x"},
      "space document field 'eps_net': not a valid value: 'x'"),
+    # a fractional or bool dimension is refused, not truncated to 2 or 1
+    ({"variant": "voxel", "n": 2.7, "delta": "1/8", "cells": [[0, 0], [1, 0]]},
+     "space document field 'n': not a valid value: 2.7"),
+    ({"variant": "voxel", "n": True, "delta": "1/8", "cells": [[0], [1]]},
+     "space document field 'n': not a valid value: True"),
 ])
 def test_missing_or_non_numeric_fields_are_an_input_error(capsys, tmp_path, doc, message):
     path = tmp_path / "space.json"
