@@ -12,14 +12,13 @@ progression a, a, a-b, a-2b, ... with a = (1+1/m) r_i and b = r_i^2/(m d_i)
 (d_i = d(q_i, p)), so the certificate's cost comes from that progression:
 at integer m an integer sum of m-th powers over one common denominator, the
 same Fraction as summing the balls' costs.  The balls themselves, with
-per-ball provenance, are built on first access; coverage is checked by
-sampling.
+per-ball provenance, are built on first access; `cone_coverage_check`
+proves exactly that they cover the cone.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -184,57 +183,52 @@ def _progression_cost(runs, mf: Fraction) -> Scalar:
     return total
 
 
-def cone_coverage_check(
-    cert: ConeCertificate,
-    input_cover: Covering,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> dict:
-    """Sample points x in the input balls and blend parameters t in [0,1];
-    every t*x + (1-t)*apex must land inside an output ball.
+def cone_coverage_check(cert: ConeCertificate, input_cover: Covering) -> dict:
+    """Section s in [0, 1] of input ball B(q, r) is the l_inf ball
+    B(apex + s(q - apex), s*r).  An output ball (c, rho) holds it exactly
+    when |apex_k + s(q_k - apex_k) - c_k| + s*r <= rho on every axis: 2n
+    linear inequalities in s, so each ball holds one closed interval of
+    sections, with rational ends.  Coverage is proved when the intervals of
+    each input's own balls (by provenance) cover [0, 1].  The test is
+    sufficient, not necessary: a section that two balls cover only together
+    is reported uncovered.  Returns {"inputs": k, "uncovered": [{"input",
+    "from", "to"}, ...]}, the s-ranges that no single own ball holds."""
+    inputs = input_cover.balls
+    held = [[] for _ in inputs]
+    for ball, (i, _) in zip(cert.balls, cert.provenance):
+        span = _held_sections(cert.apex, inputs[i], ball)
+        if span is not None:
+            held[i].append(span)
+    uncovered = []
+    for i, spans in enumerate(held):
+        end = Fraction(0)  # every section in [0, end] is held
+        for lo, hi in sorted(spans):
+            if lo > end:
+                uncovered.append({"input": i, "from": end, "to": lo})
+            end = max(end, hi)
+        if end < 1:
+            uncovered.append({"input": i, "from": end, "to": Fraction(1)})
+    return {"inputs": len(inputs), "uncovered": uncovered}
 
-    Uses the slab structure for an O(1) candidate lookup with a full scan as
-    fallback; returns the number of misses (0 for a sound certificate).
-    """
-    rng = random.Random(seed)
-    apex = tuple(float(x) for x in cert.apex)
-    n = len(apex)
-    inputs = list(input_cover.balls)
-    by_input: dict[int, list[int]] = {}
-    for k, (i, _) in enumerate(cert.provenance):
-        by_input.setdefault(i, []).append(k)
-    out_centers = [tuple(float(x) for x in b.center) for b in cert.balls]
-    out_radii = [float(b.radius) for b in cert.balls]
 
-    misses = 0
-    for s in range(samples):
-        i = s % len(inputs)
-        src = inputs[i]
-        q = tuple(float(x) for x in src.center)
-        r = float(src.radius)
-        x = tuple(qc + r * (2 * rng.random() - 1) for qc in q)
-        t = rng.random()
-        z = tuple(t * xc + (1 - t) * ac for xc, ac in zip(x, apex))
-        ids = by_input[i]
-        d = max(abs(a - b) for a, b in zip(q, apex))
-        hit = False
-        if d > 0 and len(ids) > 1:
-            step = r / float(cert.m)
-            j_guess = int(round((1 - t) * d / step))
-            for j in (j_guess, j_guess - 1, j_guess + 1):
-                if 0 <= j < len(ids):
-                    k = ids[j]
-                    if max(abs(a - b) for a, b in zip(z, out_centers[k])) <= out_radii[k] + TOL:
-                        hit = True
-                        break
-        if not hit:
-            for k in range(len(cert.balls)):
-                if max(abs(a - b) for a, b in zip(z, out_centers[k])) <= out_radii[k] + TOL:
-                    hit = True
-                    break
-        if not hit:
-            misses += 1
-    return {"samples": samples, "misses": misses}
+def _held_sections(apex, src: Ball, ball: Ball):
+    """The closed interval [lo, hi] of s in [0, 1] whose cone section of
+    `src` lies inside `ball`, or None when there is none."""
+    r = as_fraction(src.radius)
+    rho = as_fraction(ball.radius)
+    lo, hi = Fraction(0), Fraction(1)
+    for a, q, c in zip(apex, src.center, ball.center):
+        offset = a - as_fraction(c)
+        slope = as_fraction(q) - a
+        # +-(offset + s*slope) + s*r <= rho, each as alpha + beta*s <= rho
+        for alpha, beta in ((offset, slope + r), (-offset, r - slope)):
+            if beta > 0:
+                hi = min(hi, (rho - alpha) / beta)
+            elif beta < 0:
+                lo = max(lo, (rho - alpha) / beta)
+            elif alpha > rho:
+                return None
+    return (lo, hi) if lo <= hi else None
 
 
 def cone_map_image(

@@ -1,7 +1,6 @@
-"""Run configuration: the solver node budget, the pushout candidate count,
-the improvement step cap and the sampling seed, in one round-trippable
-record.  The CLI reads it from --config or the HCFILL_CONFIG environment
-variable."""
+"""Run configuration: the solver node budget, the pushout candidate count
+and the improvement step cap, in one round-trippable record.  The CLI reads
+it from --config or the HCFILL_CONFIG environment variable."""
 
 from __future__ import annotations
 
@@ -12,16 +11,16 @@ from dataclasses import asdict, dataclass, fields
 from .content import DEFAULT_NODE_BUDGET
 from .errors import InputError
 from .pushout import DEFAULT_CANDIDATES
+from .space import load_json
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every field is an integer; all but `seed` must be positive."""
+    """Every field is a positive integer."""
 
     node_budget: int = DEFAULT_NODE_BUDGET
     pushout_candidates: int = DEFAULT_CANDIDATES
     step_cap: int = 50
-    seed: int = 0  # read by cone coverage sampling
 
     def __post_init__(self):
         for f in fields(self):
@@ -30,16 +29,16 @@ class RunConfig:
                 raise InputError(f"config knob {f.name} must be a number, not a bool")
             if not isinstance(v, int):
                 raise InputError(f"config knob {f.name} must be an integer")
-            if f.name != "seed" and v <= 0:
+            if v <= 0:
                 raise InputError(f"config knob {f.name} must be positive")
-        if self.seed < 0:
-            raise InputError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise InputError("a config document must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -52,12 +51,9 @@ class RunConfig:
         if not path:
             return cls()
         try:
-            with open(path) as fh:
-                return cls.from_dict(json.load(fh))
+            return cls.from_dict(load_json(path))
         except FileNotFoundError:
             raise InputError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not valid JSON ({exc})")
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

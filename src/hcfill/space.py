@@ -187,10 +187,12 @@ class Ball:
 
     @staticmethod
     def from_dict(d: dict) -> "Ball":
-        return Ball(
-            tuple(parse_scalar(c) for c in d["center"]),
-            parse_scalar(d["radius"]),
-        )
+        try:
+            center = tuple(parse_scalar(c) for c in d["center"])
+            radius = parse_scalar(d["radius"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            raise InputError(f"a ball needs a numeric center and radius: {d!r}") from None
+        return Ball(center, radius)
 
 
 def grid_ball(space: VoxelSpace, anchor: Cell, k: int) -> Ball:
@@ -601,19 +603,24 @@ def space_from_dict(d: dict) -> Space:
 
 def load_space(path: str) -> Space:
     import csv
-    import json
 
     if str(path).endswith(".csv"):
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
         points = tuple(_numbers(row, float, f"{path}: net point") for row in rows)
         return NetSpace("linf", points)
+    return space_from_dict(load_json(path))
+
+
+def load_json(path: str):
+    """The JSON document in `path`; an InputError when it does not parse."""
+    import json
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid JSON ({exc})")
-    return space_from_dict(doc)
+        raise InputError(f"{path}: not valid JSON ({exc})") from None
 
 
 def load_matrix_net(path: str, eps_net: float = 0.0) -> NetSpace:

@@ -142,8 +142,7 @@ def test_criterion_3_coarea():
 
 def test_criterion_4_cone():
     rng = random.Random(44)
-    coverage_misses = 0
-    for trial in range(100):
+    for _ in range(100):
         n = rng.choice((2, 3))
         apex = tuple(Fraction(0) for _ in range(n))
         balls = []
@@ -164,13 +163,10 @@ def test_criterion_4_cone():
         assert float(imp.cost) <= 2 * float(factor) * float(R) \
             * float(imp.input_cost) + 1e-9
         assert imp.cost <= std.cost
-        variant = std if trial % 2 == 0 else imp
-        coverage_misses += cone_coverage_check(
-            variant, cover, 10_000, seed=trial
-        )["misses"]
-    assert coverage_misses == 0
+        for cert in (std, imp):
+            assert cone_coverage_check(cert, cover)["uncovered"] == []
     report("PASS criterion 4: 100 random cone certificates within both "
-           "variant bounds; 10^4-sample coverage per input, 0 misses")
+           "variant bounds; both variants prove coverage exactly")
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,54 @@ def test_cone_subcommand(capsys, tmp_path):
     }))
     code, out, _ = run_cli(capsys, "cone", "--cover", str(cover), "--apex",
                            "0,0", "--R", "1", "--m", "2", "--variant",
-                           "improved", "--samples", "300")
+                           "improved")
     assert code == 0
     doc = json.loads(out)
-    assert doc["coverage"]["misses"] == 0
+    assert doc["coverage"] == {"inputs": 1, "uncovered": []}
+    # coverage is proved, not sampled: there is no sample count to set
+    with pytest.raises(SystemExit):
+        main(["cone", "--cover", str(cover), "--apex", "0,0", "--R", "1",
+              "--m", "2", "--samples", "300"])
+
+
+def test_cone_subcommand_on_an_empty_cover(capsys, tmp_path):
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"balls": []}))
+    code, out, _ = run_cli(capsys, "cone", "--cover", str(cover), "--apex",
+                           "0,0", "--R", "1", "--m", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["certificate"]["cost"] == 0
+    assert doc["certificate"]["balls"] == []
+    assert doc["coverage"] == {"inputs": 0, "uncovered": []}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{oops", "not valid JSON"),
+    (json.dumps({"m": 1}), "a cover document needs a 'balls' list"),
+    (json.dumps([1, 2]), "a cover document needs a 'balls' list"),
+    (json.dumps({"balls": [{"radius": "1/4"}]}), "a ball needs a numeric center and radius"),
+    (json.dumps({"balls": [{"center": ["x", 0], "radius": "1/4"}]}),
+     "a ball needs a numeric center and radius"),
+    (json.dumps({"balls": [{"center": [0, 0], "radius": None}]}),
+     "a ball needs a numeric center and radius"),
+    (json.dumps({"balls": [{"center": 5, "radius": "1/4"}]}),
+     "a ball needs a numeric center and radius"),
+])
+@pytest.mark.parametrize("argv", [
+    ("cone", "--apex", "0,0", "--R", "1", "--m", "2", "--cover"),
+    ("coarea", "--f", "dist:0,0", "--m", "1", "--cover"),
+    ("content", "--m", "1", "--family", "fixed", "--family-file"),
+])
+def test_malformed_cover_files_are_input_errors(capsys, tmp_path, cube_path, text,
+                                                message, argv):
+    cover = tmp_path / "cover.json"
+    cover.write_text(text)
+    if argv[0] != "cone":
+        argv = (*argv[:1], "--space", cube_path, *argv[1:])
+    code, out, err = run_cli(capsys, *argv, str(cover))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_pushout_subcommand(capsys, tmp_path):
@@ -276,7 +320,7 @@ def test_determinism_byte_identical(capsys, cube_path, tmp_path):
 
 
 def test_config_roundtrip_and_env(tmp_path, monkeypatch, capsys, cube_path):
-    cfg = RunConfig(node_budget=12345, seed=7)
+    cfg = RunConfig(node_budget=12345, step_cap=7)
     path = tmp_path / "cfg.json"
     cfg.save(str(path))
     assert RunConfig.load(str(path)) == cfg
@@ -301,6 +345,10 @@ def test_config_roundtrip_and_env(tmp_path, monkeypatch, capsys, cube_path):
     # width_budget selected nothing: every positive value gave the same report
     with pytest.raises(InputError, match="width_budget"):
         RunConfig.from_dict({**cfg.to_dict(), "width_budget": 2000})
+    # seed only drove the cone coverage sampler, which an exact check replaced
+    assert len(cfg.to_dict()) == 3
+    with pytest.raises(InputError, match=r"unknown config keys: \['seed'\]"):
+        RunConfig.from_dict({**cfg.to_dict(), "seed": 0})
 
 
 @pytest.mark.parametrize("knob, value, message", [
@@ -309,10 +357,7 @@ def test_config_roundtrip_and_env(tmp_path, monkeypatch, capsys, cube_path):
     ("node_budget", "100", "must be an integer"),
     ("step_cap", 2.5, "must be an integer"),
     ("pushout_candidates", 2.5, "must be an integer"),
-    ("seed", 1.5, "must be an integer"),
-    ("seed", True, "not a bool"),
     ("step_cap", 0, "must be positive"),
-    ("seed", -1, "seed must be >= 0"),
 ])
 def test_config_knobs_need_their_type(knob, value, message):
     with pytest.raises(InputError, match=message):
@@ -328,6 +373,17 @@ def test_config_file_with_a_fractional_budget_is_an_input_error(capsys, tmp_path
     assert code == 1
     assert out == ""
     assert err == "error: config knob node_budget must be an integer\n"
+
+
+@pytest.mark.parametrize("text", ["5", "null", '"abc"', "[]"])
+def test_config_document_that_is_not_an_object_is_an_input_error(capsys, tmp_path,
+                                                                 cube_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "--config", str(path), "content", "--space",
+                             cube_path, "--m", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: a config document must be a JSON object\n"
 
 
 def test_config_file_naming_a_removed_knob_is_an_input_error(capsys, tmp_path, cube_path):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from hcfill.cone import blend_point, cone_coverage_check, cone_covering, cone_map_image
 from hcfill.errors import InputError, VerificationError
-from hcfill.exact import power
+from hcfill.exact import TOL, power
 from hcfill.shapes import make_cube, make_line
 from hcfill.space import Ball, Covering, linf
 
@@ -23,7 +24,7 @@ def test_half_radius_example():
     assert all(b.radius == Fraction(3, 4) for b in cert.balls)
     assert cert.bound == 2 * Fraction(3, 2) ** 2 * 1 * Fraction(1, 2)
     assert cert.cost <= cert.bound
-    assert cone_coverage_check(cert, cover, 2000, seed=1)["misses"] == 0
+    assert cone_coverage_check(cert, cover) == {"inputs": 1, "uncovered": []}
 
 
 def test_single_ball_filling_ambient():
@@ -53,7 +54,7 @@ def test_improved_cheaper_than_standard():
 
 def test_random_inputs_certified_and_covering():
     rng = random.Random(11)
-    for trial in range(15):
+    for _ in range(15):
         n = rng.choice((2, 3))
         balls = []
         for _ in range(rng.randrange(1, 4)):
@@ -67,8 +68,7 @@ def test_random_inputs_certified_and_covering():
         variant = rng.choice(("standard", "improved"))
         cert = cone_covering(cover, apex, R, m, variant)
         assert float(cert.cost) <= float(cert.bound) + 1e-9
-        report = cone_coverage_check(cert, cover, 800, seed=trial)
-        assert report["misses"] == 0
+        assert cone_coverage_check(cert, cover)["uncovered"] == []
 
 
 def test_rejects_ball_outside_ambient():
@@ -206,3 +206,106 @@ def test_checks_run_before_any_ball_is_built(monkeypatch):
     monkeypatch.setattr(cone, "_progression_cost", lambda runs, mf: cert.bound + 1)
     with pytest.raises(VerificationError, match="exceeded its certified bound"):
         cone_covering(cover, apex, 1, 2, "improved")
+
+
+def _sampled_misses(cert, input_cover, samples, seed):
+    """Independent oracle for `cone_coverage_check`: draw points x in the
+    input balls and blend parameters t in [0, 1], and count the points
+    t*x + (1-t)*apex that lie in no output ball (in floats, with slack TOL).
+    The ball on x's own segment at t is tried first, then every ball."""
+    inputs = input_cover.balls
+    if not inputs:
+        return 0
+    rng = random.Random(seed)
+    apex = tuple(float(x) for x in cert.apex)
+    index = {prov: k for k, prov in enumerate(cert.provenance)}
+    out = [(tuple(float(x) for x in b.center), float(b.radius)) for b in cert.balls]
+
+    def holds(k, z):
+        center, radius = out[k]
+        return max(abs(a - b) for a, b in zip(z, center)) <= radius + TOL
+
+    misses = 0
+    for s in range(samples):
+        i = s % len(inputs)
+        q = tuple(float(x) for x in inputs[i].center)
+        r = float(inputs[i].radius)
+        x = tuple(qc + r * (2 * rng.random() - 1) for qc in q)
+        t = rng.random()
+        z = tuple(t * xc + (1 - t) * ac for xc, ac in zip(x, apex))
+        d = max(abs(a - b) for a, b in zip(q, apex))
+        j = round((1 - t) * d * float(cert.m) / r)
+        near = [index[i, g] for g in (j, j - 1, j + 1) if (i, g) in index]
+        if not any(holds(k, z) for k in near) and \
+                not any(holds(k, z) for k in range(len(out))):
+            misses += 1
+    return misses
+
+
+def _edited(cert, keep, shrink=None):
+    """`cert` restricted to the output balls at the indices in `keep`, with
+    the radius of ball `shrink` (if given) scaled by 1/2."""
+    balls = [Ball(b.center, b.radius / 2) if k == shrink else b
+             for k, b in enumerate(cert.balls)]
+    return SimpleNamespace(apex=cert.apex, m=cert.m,
+                           balls=tuple(balls[k] for k in keep),
+                           provenance=tuple(cert.provenance[k] for k in keep))
+
+
+@st.composite
+def _coverage_cases(draw):
+    cover, apex, R, m, variant = draw(_cones())
+    cert = cone_covering(cover, apex, R, m, variant)
+    count = len(cert.balls)
+    edit = draw(st.sampled_from(("none", "drop", "shrink"))) if count else "none"
+    k = draw(st.integers(0, count - 1)) if count else None
+    keep = [j for j in range(count) if not (edit == "drop" and j == k)]
+    return cover, _edited(cert, keep, k if edit == "shrink" else None), edit != "none"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coverage_cases())
+def test_exact_coverage_agrees_with_the_sampler(case):
+    cover, cert, edited = case
+    verdict = cone_coverage_check(cert, cover)
+    assert verdict["inputs"] == len(cover.balls)
+    # every section of an unedited certificate lies in a single ball
+    assert edited or verdict["uncovered"] == []
+    if not verdict["uncovered"]:
+        assert _sampled_misses(cert, cover, 300, seed=0) == 0
+    for gap in verdict["uncovered"]:
+        assert 0 <= gap["from"] < gap["to"] <= 1
+        i, s = gap["input"], (gap["from"] + gap["to"]) / 2
+        src = cover.balls[i]
+        section = tuple(a + s * (q - a) for a, q in zip(cert.apex, src.center))
+        for ball, (owner, _) in zip(cert.balls, cert.provenance):
+            if owner == i:
+                assert linf(section, ball.center) + s * src.radius > ball.radius
+
+
+def _pinned_cover():
+    # input B((1, 0), 1/8), apex 0, R = 9/8, m = 2: 16 output balls
+    return Covering((Ball((Fraction(1), Fraction(0)), Fraction(1, 8)),), frozenset(), 1)
+
+
+def test_improved_cone_without_its_last_ball_misses_the_apex_end():
+    cover = _pinned_cover()
+    cert = cone_covering(cover, (0, 0), Fraction(9, 8), 2, "improved")
+    assert len(cert.balls) == 16
+    assert cone_coverage_check(cert, cover)["uncovered"] == []
+    cut = _edited(cert, range(15))
+    assert cone_coverage_check(cut, cover)["uncovered"] == [
+        {"input": 0, "from": 0, "to": Fraction(5, 112)}]
+    assert _sampled_misses(cut, cover, 10_000, seed=0) == 402
+
+
+def test_sections_held_only_by_two_balls_together_are_reported():
+    # without balls 6-8, balls 5 and 9 still cover s in (5/9, 4/7), but only
+    # together: the exact test is sufficient, not necessary
+    cover = _pinned_cover()
+    cert = cone_covering(cover, (0, 0), Fraction(9, 8), 2, "standard")
+    assert len(cert.balls) == 16
+    cut = _edited(cert, [k for k in range(16) if k not in (6, 7, 8)])
+    assert cone_coverage_check(cut, cover)["uncovered"] == [
+        {"input": 0, "from": Fraction(5, 9), "to": Fraction(4, 7)}]
+    assert _sampled_misses(cut, cover, 10_000, seed=0) == 0
