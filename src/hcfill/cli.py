@@ -34,6 +34,10 @@ from .space import (
     FixedFamily,
     RadiusCapped,
     VoxelSpace,
+    _cells,
+    _field,
+    _integer,
+    _numbers,
     intersect_families,
     load_json,
     load_space,
@@ -91,8 +95,10 @@ def _load_cover(path: str) -> Covering:
     if not isinstance(doc, dict) or not isinstance(doc.get("balls"), list):
         raise InputError(f"{path}: a cover document needs a 'balls' list")
     balls = tuple(Ball.from_dict(b) for b in doc["balls"])
-    target = frozenset(tuple(int(x) for x in c) for c in doc.get("target", []))
-    return Covering(balls, target, parse_scalar(doc.get("m", 1)))
+    what = f"{path}: cover document"
+    target = _field(doc, "target", lambda cells: _cells(cells, "cover target cell"),
+                    frozenset(), what)
+    return Covering(balls, target, _field(doc, "m", parse_scalar, Fraction(1), what))
 
 
 def _family(args, space) -> object:
@@ -139,12 +145,18 @@ def _cmd_coarea(args, cfg: RunConfig) -> int:
     if kind == "dist":
         descriptor = DistanceToPoint(_parse_point(rest, "--f"))
     elif kind == "dist-set":
-        cells = frozenset(tuple(int(x) for x in c) for c in load_json(rest))
-        descriptor = DistanceToSet(cells)
+        doc = load_json(rest)
+        if not isinstance(doc, list):
+            raise InputError(f"{rest}: a dist-set document is a list of cells")
+        descriptor = DistanceToSet(_cells(doc, "dist-set cell"))
     elif kind == "values":
         doc = load_json(rest)
-        values = {tuple(int(x) for x in c): parse_scalar(v) for c, v in doc["values"]}
-        descriptor = ExplicitValues(values, parse_scalar(doc["lip"]))
+        if not isinstance(doc, dict):
+            raise InputError(f"{rest}: a values document is an object with 'values' and 'lip'")
+        what = f"{rest}: values document"
+        values = _field(doc, "values", lambda pairs: {
+            _numbers(c, _integer, "values cell"): parse_scalar(v) for c, v in pairs}, what=what)
+        descriptor = ExplicitValues(values, _field(doc, "lip", parse_scalar, what=what))
     else:
         raise InputError(f"unknown function descriptor {args.function!r}")
     rng = None

@@ -27,8 +27,10 @@ def is_integral(m: Scalar) -> bool:
 
 
 def as_fraction(x: Scalar) -> Fraction:
-    """Exact conversion; floats convert via their binary expansion."""
-    return Fraction(x)
+    """Exact conversion: a Fraction is returned as it is, ints, "p/q"
+    strings and floats (via their binary expansion) become an equal
+    Fraction."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def power(base: Scalar, m: Scalar) -> Scalar:

@@ -3,9 +3,12 @@
 Two space models:
 
 * VoxelSpace -- a set of occupied cells of an axis grid in l_inf^n with cell
-  side `delta`.  A cell is identified with its center point; all geometry on
-  voxel spaces is exact rational arithmetic.  Grid balls (axis cubes with
-  grid-aligned corners, radius k*delta/2) are the canonical covering objects.
+  side `delta`.  A cell is identified with its center point.  All geometry
+  on voxel spaces is exact: cell centers, grid balls, the cells a ball holds
+  and l_inf distances work on the integer numerators and denominators of
+  the Fraction coordinates and build one normalised Fraction per returned
+  value.  Grid balls (axis cubes with grid-aligned corners, radius
+  k*delta/2) are the canonical covering objects.
 * NetSpace -- a finite point list with an explicit metric (l_inf, l2, l1 or a
   validated distance matrix) and a declared net scale `eps_net`.  Net answers
   elsewhere are always brackets; comparisons use the float tolerance.
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil
 
 from .errors import InputError
 from .exact import (
@@ -54,6 +57,8 @@ class VoxelSpace:
             raise InputError("ambient dimension must be >= 1")
         if self.delta <= 0:
             raise InputError("delta must be positive")
+        # the lattice geometry reads delta's numerator and denominator
+        object.__setattr__(self, "delta", as_fraction(self.delta))
         for c in self.cells:
             if len(c) != self.n:
                 raise InputError(f"cell {c} does not have {self.n} coordinates")
@@ -74,8 +79,8 @@ class VoxelSpace:
         )
 
     def cell_center(self, cell: Cell) -> Point:
-        half = Fraction(1, 2)
-        return tuple(self.delta * (coord + half) for coord in cell)
+        dn, dd = self.delta.numerator, 2 * self.delta.denominator
+        return tuple(Fraction(dn * (2 * coord + 1), dd) for coord in cell)
 
     def sorted_cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self.cells))
@@ -137,8 +142,21 @@ def validate_metric_matrix(matrix, count: int):
 # elementary geometry
 
 def linf(a, b) -> Scalar:
+    """max |x - y| over the coordinates.  On Fraction points the largest
+    gap is found by cross-multiplying numerators and is built as one
+    Fraction; other points (floats, ints, mixed) take the plain expression
+    and its type."""
     if len(a) != len(b):
         raise InputError("dimension mismatch")
+    # a[0] first, so that float net points leave after one test
+    if a and type(a[0]) is Fraction and all(type(x) is Fraction for x in (*a, *b)):
+        num, den = 0, 1
+        for x, y in zip(a, b):
+            xd, yd = x.denominator, y.denominator
+            gap, d = abs(x.numerator * yd - y.numerator * xd), xd * yd
+            if gap * den > num * d:
+                num, den = gap, d
+        return Fraction(num, den)
     return max(abs(x - y) for x, y in zip(a, b))
 
 
@@ -200,9 +218,9 @@ def grid_ball(space: VoxelSpace, anchor: Cell, k: int) -> Ball:
     an l_inf ball of radius k*delta/2 at a half-integer grid point."""
     if k < 1:
         raise InputError("grid ball size must be >= 1")
-    half = Fraction(k, 2)
-    center = tuple(space.delta * (a + half) for a in anchor)
-    return Ball(center, space.delta * half)
+    dn, dd = space.delta.numerator, 2 * space.delta.denominator
+    center = tuple(Fraction(dn * (2 * a + k), dd) for a in anchor)
+    return Ball(center, Fraction(dn * k, dd))
 
 
 def min_enclosing_ball_linf(points) -> Ball:
@@ -222,16 +240,23 @@ def min_enclosing_ball_linf(points) -> Ball:
 def ball_cell_ranges(ball: Ball, space: VoxelSpace) -> list[tuple[int, int]]:
     """Per axis, the integer coordinates of the cells whose centers lie in
     the closed ball: |delta*(c+1/2) - center_i| <= r, i.e.
-    ceil((center_i - r)/delta - 1/2) <= c <= floor((center_i + r)/delta - 1/2)."""
+    ceil((2(center_i - r) - delta) / (2 delta)) <= c
+    <= floor((2(center_i + r) - delta) / (2 delta)), both by integer floor
+    division of numerators over the common denominator 2 dn xd rd, where
+    delta = dn/dd, center_i = xn/xd and r = rn/rd (floats convert exactly)."""
     if len(ball.center) != space.n:
         raise InputError("ball dimension does not match the space")
-    r = ball.radius if isinstance(ball.radius, Fraction) else as_fraction(ball.radius)
-    center = ball.center
+    r = as_fraction(ball.radius)
+    rn, rd = r.numerator, r.denominator
+    dn, dd = space.delta.numerator, space.delta.denominator
     ranges = []
-    for i in range(space.n):
-        lo = (center[i] - r) / space.delta - Fraction(1, 2)
-        hi = (center[i] + r) / space.delta - Fraction(1, 2)
-        ranges.append((ceil(lo), floor(hi)))
+    for x in ball.center:
+        x = as_fraction(x)
+        xd = x.denominator
+        den = 2 * dn * xd * rd
+        mid = 2 * dd * x.numerator * rd - dn * xd * rd
+        reach = 2 * dd * rn * xd
+        ranges.append((-((reach - mid) // den), (mid + reach) // den))
     return ranges
 
 
@@ -557,23 +582,29 @@ def _numbers(row, convert, where: str) -> tuple:
         raise InputError(f"{where}: not a row of numbers: {row!r}") from None
 
 
+def _cells(rows, where: str) -> frozenset:
+    """Voxel cells, each row through `_numbers(row, _integer, where)`: a
+    fractional coordinate is refused, not truncated."""
+    return frozenset(_numbers(c, _integer, where) for c in rows)
+
+
 _REQUIRED = object()
 
 
-def _field(d: dict, name: str, convert, default=_REQUIRED):
+def _field(d: dict, name: str, convert, default=_REQUIRED, what="space document"):
     """d[name], or the default when the document has none, through
-    `convert`; an InputError naming the field when a required one is
-    missing or the value does not convert."""
+    `convert`; an InputError naming `what` and the field when a required
+    one is missing or the value does not convert."""
     if name not in d:
         if default is _REQUIRED:
-            raise InputError(f"space document lacks the {name!r} field")
+            raise InputError(f"{what} lacks the {name!r} field")
         return default
     try:
         return convert(d[name])
     except InputError:
         raise
     except (TypeError, ValueError, ZeroDivisionError):
-        raise InputError(f"space document field {name!r}: not a valid value: "
+        raise InputError(f"{what} field {name!r}: not a valid value: "
                          f"{d[name]!r}") from None
 
 
@@ -586,8 +617,7 @@ def space_from_dict(d: dict) -> Space:
         return VoxelSpace(
             _field(d, "n", _integer),
             _field(d, "delta", parse_scalar),
-            _field(d, "cells", lambda cells: frozenset(
-                _numbers(c, _integer, "voxel cell") for c in cells)),
+            _field(d, "cells", lambda cells: _cells(cells, "voxel cell")),
         )
     if variant == "net":
         return NetSpace(

@@ -202,7 +202,7 @@ def width_bound(
         center = tuple(space.delta * Fraction(lo + hi + 1, 2) for lo, hi in space.bbox())
         balls = (Ball(center, space_radius(space)),)
     else:
-        balls = tuple(sorted(grid_ball(space, cell, 1) for cell in space.cells))
+        balls = tuple(grid_ball(space, cell, 1) for cell in space.sorted_cells())
     cover = Covering(balls, frozenset(space.cells), 1)
     nv = nerve(cover, space)
     value = fiber_bound(nv)

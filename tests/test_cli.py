@@ -127,6 +127,14 @@ def test_cone_subcommand_on_an_empty_cover(capsys, tmp_path):
      "a ball needs a numeric center and radius"),
     (json.dumps({"balls": [{"center": 5, "radius": "1/4"}]}),
      "a ball needs a numeric center and radius"),
+    (json.dumps({"balls": [], "target": [["a"]]}),
+     "cover target cell: not a row of numbers: ['a']"),
+    # a fractional target cell is refused, not truncated to (0, 0)
+    (json.dumps({"balls": [], "target": [[0.5, 0]]}),
+     "cover target cell: not a row of numbers: [0.5, 0]"),
+    (json.dumps({"balls": [], "target": 5}),
+     "cover document field 'target': not a valid value: 5"),
+    (json.dumps({"balls": [], "m": "x"}), "cover document field 'm': not a valid value: 'x'"),
 ])
 @pytest.mark.parametrize("argv", [
     ("cone", "--apex", "0,0", "--R", "1", "--m", "2", "--cover"),
@@ -142,6 +150,30 @@ def test_malformed_cover_files_are_input_errors(capsys, tmp_path, cube_path, tex
     code, out, err = run_cli(capsys, *argv, str(cover))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("dist-set", [[0, 0], [0.5, 0]], "dist-set cell: not a row of numbers: [0.5, 0]"),
+    ("dist-set", [["a", 0]], "dist-set cell: not a row of numbers: ['a', 0]"),
+    ("dist-set", {"cells": [[0, 0]]}, "a dist-set document is a list of cells"),
+    ("values", {"values": [[[0.5, 0], 1]], "lip": 1},
+     "values cell: not a row of numbers: [0.5, 0]"),
+    ("values", {"values": [[[0, 0], "x"]], "lip": 1},
+     "values document field 'values': not a valid value: [[[0, 0], 'x']]"),
+    ("values", {"lip": 1}, "values document lacks the 'values' field"),
+    ("values", {"values": [[[0, 0], 1]]}, "values document lacks the 'lip' field"),
+    ("values", [[[0, 0], 1]], "a values document is an object with 'values' and 'lip'"),
+])
+def test_malformed_coarea_functions_are_input_errors(capsys, tmp_path, cube_path,
+                                                     kind, doc, message):
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"m": 1, "balls": [{"center": [0, 0], "radius": 1}]}))
+    function = tmp_path / "function.json"
+    function.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "coarea", "--space", cube_path, "--cover", str(cover),
+                             "--f", f"{kind}:{function}", "--m", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(message + "\n")
 
 
 def test_pushout_subcommand(capsys, tmp_path):

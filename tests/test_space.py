@@ -1,13 +1,15 @@
 import itertools
 import random
+import re
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcfill.errors import InputError
-from hcfill.exact import power
+from hcfill.exact import as_fraction, power
 from hcfill.shapes import make_box, make_cube
 from hcfill.space import (
     Ball,
@@ -15,6 +17,7 @@ from hcfill.space import (
     ElementBits,
     NetSpace,
     VoxelSpace,
+    ball_cell_ranges,
     ball_members,
     bit_indices,
     distance,
@@ -29,6 +32,7 @@ from hcfill.space import (
     space_radius,
     space_to_dict,
 )
+from hcfill.width import width_bound
 
 
 def test_distance_linf_and_l2():
@@ -276,3 +280,144 @@ def test_element_bits_ball_matches_ball_members(case):
             cover.validate(space)
     else:
         cover.validate(space)
+
+
+# ---------------------------------------------------------------------------
+# the lattice primitives against the Fraction expressions they replaced
+
+DELTAS = [Fraction(1, 8), Fraction(1, 3), Fraction(3, 7), Fraction(2)]
+
+
+def _ranges_oracle(ball, space):
+    r = Fraction(ball.radius)
+    ranges = []
+    for x in ball.center:
+        lo = (x - r) / space.delta - Fraction(1, 2)
+        hi = (x + r) / space.delta - Fraction(1, 2)
+        ranges.append((ceil(lo), floor(hi)))
+    return ranges
+
+
+def _center_oracle(space, cell):
+    return tuple(space.delta * (c + Fraction(1, 2)) for c in cell)
+
+
+def _grid_ball_oracle(space, anchor, k):
+    half = Fraction(k, 2)
+    return Ball(tuple(space.delta * (a + half) for a in anchor), space.delta * half)
+
+
+def _linf_oracle(a, b):
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
+_fractions = st.fractions(-6, 6, max_denominator=24)
+_floats = st.floats(-6, 6, allow_nan=False, allow_infinity=False)
+_scalars = st.one_of(_fractions, st.integers(-6, 6), _floats)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.sampled_from(DELTAS), st.tuples(*[_scalars] * n),
+    st.one_of(st.just(0), st.fractions(0, 4, max_denominator=24), st.floats(0, 4)))))
+def test_ball_cell_ranges_match_the_fraction_expression(case):
+    """Fraction, int and float centres, negative coordinates, r = 0 and radii
+    off the delta/2 lattice.  The oracle is the expression evaluated
+    exactly.  On a float centre it was evaluated in floats, which can only
+    differ where the exact bound is within rounding of an integer."""
+    delta, center, radius = case
+    space = VoxelSpace(len(center), delta, frozenset())
+    ball = Ball(center, radius)
+    exact = Ball(tuple(Fraction(x) for x in center), radius)
+    got = ball_cell_ranges(ball, space)
+    assert got == _ranges_oracle(exact, space)
+    r = Fraction(radius)
+    for x, bounds, was in zip(exact.center, got, _ranges_oracle(ball, space)):
+        for value, g, w in zip(((x - r) / delta - Fraction(1, 2),
+                                (x + r) / delta - Fraction(1, 2)), bounds, was):
+            assert g == w or abs(value - round(value)) < 1e-9
+
+
+def test_a_float_centre_is_measured_exactly():
+    """(0.5 - 1/3) / (1/3) - 1/2 is 0, so cell 0 (centre 1/6, at distance
+    1/3 = r) is in the closed ball; float arithmetic would put the lower
+    bound at 1.1e-16 and round it up to 1."""
+    space = VoxelSpace(1, Fraction(1, 3), frozenset({(0,), (1,)}))
+    ball = Ball((0.5,), Fraction(1, 3))
+    assert ball_cell_ranges(ball, space) == [(0, 2)]
+    assert ball_members(ball, space) == frozenset({(0,), (1,)})
+
+
+@pytest.mark.parametrize("delta", [0.25, 2, Fraction(3, 7)])
+def test_voxel_delta_is_held_as_an_exact_fraction(delta):
+    space = VoxelSpace(1, delta, frozenset({(0,), (3,)}))
+    assert type(space.delta) is Fraction and space.delta == Fraction(delta)
+    assert space.cell_center((3,)) == (Fraction(delta) * Fraction(7, 2),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DELTAS), st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+       st.integers(1, 5))
+def test_cell_center_and_grid_ball_match_the_fraction_expression(delta, cell, k):
+    space = VoxelSpace(len(cell), delta, frozenset())
+    cell = tuple(cell)
+    center = space.cell_center(cell)
+    assert center == _center_oracle(space, cell)
+    ball = grid_ball(space, cell, k)
+    assert ball == _grid_ball_oracle(space, cell, k)
+    assert all(type(x) is Fraction for x in (*center, *ball.center, ball.radius))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.tuples(*[_scalars] * n), st.tuples(*[_scalars] * n))))
+def test_linf_matches_the_plain_expression(points):
+    """Fraction points give an equal Fraction; float, int or mixed points
+    give a bit-identical value of the same type."""
+    a, b = points
+    got, want = linf(a, b), _linf_oracle(a, b)
+    assert got == want
+    if all(type(x) is Fraction for x in (*a, *b)):
+        assert type(got) is Fraction
+    else:
+        assert type(got) is type(want)
+        if isinstance(want, float):
+            assert got.hex() == want.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(*[st.tuples(*[_fractions] * n)] * 2)))
+def test_linf_on_fraction_points_is_a_fraction(points):
+    got = linf(*points)
+    assert got == _linf_oracle(*points) and type(got) is Fraction
+
+
+def test_linf_of_empty_points_raises_as_before():
+    with pytest.raises(ValueError) as want:
+        _linf_oracle((), ())
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        linf((), ())
+    with pytest.raises(InputError, match="dimension mismatch"):
+        linf((Fraction(1),), ())
+
+
+@pytest.mark.parametrize("x", [3, -2, 0.1, 2.5, "3/7", "-5/2", "0.25"])
+def test_as_fraction_converts_exactly(x):
+    got = as_fraction(x)
+    assert type(got) is Fraction and got == Fraction(x)
+
+
+def test_as_fraction_returns_a_fraction_itself():
+    x = Fraction(5, 12)
+    assert as_fraction(x) is x
+
+
+@pytest.mark.parametrize("space", [
+    make_box(2, (4, 3), Fraction(1, 3)),
+    VoxelSpace(3, Fraction(3, 7), frozenset({(-2, 0, 1), (0, -1, 1), (1, 1, -3), (0, 0, 0)})),
+])
+def test_width_bound_tiling_is_in_ball_order(space):
+    """The one-cell tiling is built in cell order, which is its Ball order."""
+    tiling = width_bound(space, 1).covering.balls
+    assert tiling == tuple(sorted(tiling))
+    assert tiling == tuple(grid_ball(space, c, 1) for c in sorted(space.cells))
