@@ -232,7 +232,10 @@ def _cmd_fill(args, cfg: RunConfig) -> int:
 
 
 def _cmd_pushout(args, cfg: RunConfig) -> int:
-    pts = [tuple(parse_scalar(x) for x in p) for p in load_json(args.points)]
+    doc = load_json(args.points)
+    if not isinstance(doc, list):
+        raise InputError(f"{args.points}: a points document is a list of points")
+    pts = [_numbers(p, parse_scalar, f"{args.points}: point") for p in doc]
     grid = CubicalGrid(args.n, _parse_number(args.grid_R, "--grid-R"))
     trace = skeleton_descend(pts, grid, _parse_m(args.m), candidates=cfg.pushout_candidates)
     report = {"command": "pushout", "trace": trace.to_dict()}

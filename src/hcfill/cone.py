@@ -10,8 +10,10 @@ guards (the section of the cone at parameter t has radius t*r_i), which cuts
 the constant to 2*(1+1/m)^m.  Along one segment the radii form the
 progression a, a, a-b, a-2b, ... with a = (1+1/m) r_i and b = r_i^2/(m d_i)
 (d_i = d(q_i, p)), so the certificate's cost comes from that progression:
-at integer m an integer sum of m-th powers over one common denominator, the
-same Fraction as summing the balls' costs.  The balls themselves, with
+at integer m a closed-form integer sum of m-th powers over one common
+denominator, the same Fraction as summing the balls' costs.  Radii,
+centres, apex and R share one denominator too, so containment, ball counts
+and per-input caps are integer tests.  The balls themselves, with
 per-ball provenance, are built on first access; `cone_coverage_check`
 proves exactly that they cover the cone.
 """
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import ceil
 
 from .errors import InputError, VerificationError
 from .exact import TOL, Scalar, as_fraction, fmt_scalar, is_integral, power
@@ -113,26 +114,40 @@ def cone_covering(
     apex = tuple(as_fraction(x) for x in apex)
     mf = as_fraction(m)
     Rf = as_fraction(R)
+    balls = input_cover.balls
+    radii = [as_fraction(b.radius) for b in balls]
+    centers = [tuple(as_fraction(x) for x in b.center) for b in balls]
 
-    # per input: the radius progression (a, b, ball count)
-    runs: list[tuple[Fraction, Fraction, int]] = []
-    for i, src in enumerate(input_cover.balls):
-        r = as_fraction(src.radius)
+    # Radii, centres, apex and R as integer numerators over one denominator,
+    # so containment, ball counts and caps are integer tests; m = p/q.
+    den = math.lcm(Rf.denominator, *(x.denominator for x in apex),
+                   *(r.denominator for r in radii),
+                   *(x.denominator for c in centers for x in c))
+    R_num = _numerator(Rf, den)
+    apex_num = [_numerator(x, den) for x in apex]
+    p, q = mf.numerator, mf.denominator
+    runs = []  # per input: (radius, distance to the apex, ball count)
+    for i, (center, r) in enumerate(zip(centers, radii)):
         if r <= 0:
             raise InputError("cone covering needs positive input radii")
-        d = as_fraction(linf(tuple(as_fraction(x) for x in src.center), apex))
-        if d + r > Rf:
+        if len(center) != len(apex):
+            raise InputError("dimension mismatch")
+        r = _numerator(r, den)
+        d = max(abs(_numerator(x, den) - a) for x, a in zip(center, apex_num))
+        if d + r > R_num:
             raise InputError(
                 f"input ball {i} is not inside the ambient ball of radius {R}"
             )
-        n_balls = max(1, ceil(mf * d / r)) if d > 0 else 1
-        shrink = r * r / (mf * d) if variant == "improved" and n_balls > 2 else Fraction(0)
-        runs.append(((1 + 1 / mf) * r, shrink, n_balls))
+        runs.append((r, d, max(1, _ceil_div(p * d, q * r))))  # ceil(m d / r)
     counts = tuple(n for _, _, n in runs)
 
     exponent = mf - 1
-    input_cost = sum(power(as_fraction(b.radius), exponent) for b in input_cover.balls)
-    cost = _progression_cost(runs, mf)
+    if is_integral(mf):
+        input_cost = Fraction(sum(r ** int(exponent) for r, _, _ in runs),
+                              den ** int(exponent)) if runs else 0
+    else:
+        input_cost = sum(float(r) ** float(exponent) for r in radii)
+    cost = _progression_cost(runs, p, q, den, variant == "improved")
     factor = power(1 + 1 / mf, mf)
     lead = mf if variant == "standard" else 2
     bound = lead * factor * Rf * input_cost if not isinstance(factor, float) else \
@@ -147,11 +162,11 @@ def cone_covering(
             "cone covering exceeded its certified bound",
             {"cost": fmt_scalar(cost), "bound": fmt_scalar(bound), "variant": variant},
         )
-    for i, src in enumerate(input_cover.balls):
-        if counts[i] > ceil(mf * Rf / as_fraction(src.radius)):
+    for i, (r, _, n_balls) in enumerate(runs):
+        if n_balls > _ceil_div(p * R_num, q * r):  # ceil(m R / r)
             raise VerificationError(
                 "cone covering emitted more balls than its per-input cap",
-                {"input": i, "count": counts[i]},
+                {"input": i, "count": n_balls},
             )
     return ConeCertificate(
         apex, Rf, m, variant, input_cost, cost, bound, counts,
@@ -159,28 +174,56 @@ def cone_covering(
     )
 
 
-def _progression_cost(runs, mf: Fraction) -> Scalar:
-    """sum of radius^m over every output ball, where input i's radii are
-    a, a, a-b, a-2b, ... (n balls): the value of summing `power(radius, m)`
-    ball by ball.  At integer m the radii are integers over one common
-    denominator and the sum is one Fraction; otherwise one flat float sum
-    over the same radii in the same order, so that rounding cannot move."""
+def _numerator(x: Fraction, den: int) -> int:
+    """x's numerator over `den`, a multiple of its denominator."""
+    return x.numerator * (den // x.denominator)
+
+
+def _ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) for integers, b > 0."""
+    return -(-a // b)
+
+
+def _progression_cost(runs, p: int, q: int, den: int, improved: bool) -> Scalar:
+    """sum of radius^m over every output ball, m = p/q, where the input
+    (r, d, n) over `den` gives the radii a, a, a-b, a-2b, ... (n balls) with
+    a = (1+1/m) r and, in the improved variant when n > 2, b = r^2/(m d),
+    else b = 0: the value of summing `power(radius, m)` ball by ball.  Over
+    the common denominator p * M * den, with M the lcm of the shrinking
+    inputs' d, a = (p+q) r M and b = q r^2 M / d are integers.  At integer m
+    the sum is one Fraction; otherwise one flat float sum over the same
+    radii in the same order, so that rounding cannot move."""
     if not runs:
         return 0
-    denom = math.lcm(*(x.denominator for a, b, _ in runs for x in (a, b)))
-    units = [(a.numerator * (denom // a.denominator), b.numerator * (denom // b.denominator), n)
-             for a, b, n in runs]
-    if is_integral(mf):
-        k = int(mf)
-        total = sum(top ** k + sum((top - j * drop) ** k for j in range(n - 1))
-                    for top, drop, n in units)
-        return Fraction(total, denom ** k)
-    e = float(mf)
+    shrinks = [improved and n > 2 for _, _, n in runs]
+    M = math.lcm(*(d for (_, d, _), s in zip(runs, shrinks) if s))
+    denom = p * M * den
+    units = [((p + q) * r * M, q * r * r * (M // d) if s else 0, n)
+             for (r, d, n), s in zip(runs, shrinks)]
+    if q == 1:
+        total = sum(top ** p + _power_sum(top, drop, n - 1, p) for top, drop, n in units)
+        return Fraction(total, denom ** p)
+    e = p / q
     total = 0
     for top, drop, n in units:
         for j in range(n):
             total += ((top - max(0, j - 1) * drop) / denom) ** e
     return total
+
+
+def _power_sum(top: int, drop: int, count: int, k: int) -> int:
+    """sum of (top - j drop)^k over j = 0 .. count-1, in O(k^2) integer
+    steps: the binomial expansion of each term over the power sums
+    S_i = sum of j^i, which follow from count^(i+1) = sum over t <= i of
+    C(i+1, t) S_t."""
+    if not drop:
+        return count * top ** k
+    sums = []
+    for i in range(k + 1):
+        rest = sum(math.comb(i + 1, t) * s for t, s in enumerate(sums))
+        sums.append((count ** (i + 1) - rest) // (i + 1))
+    return sum(math.comb(k, i) * top ** (k - i) * (-drop) ** i * s
+               for i, s in enumerate(sums))
 
 
 def cone_coverage_check(cert: ConeCertificate, input_cover: Covering) -> dict:

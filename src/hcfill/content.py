@@ -537,15 +537,21 @@ _first = itemgetter(0)
 
 
 def volume_lower_bound(space: VoxelSpace, target=None, m: Scalar = 1) -> Scalar:
-    """(V_target)^(m/n) / 2^m with V = cell count * delta^n.
+    """A lower bound on the m-content of the target under grid balls: at
+    m <= n, (V_target)^(m/n) / 2^m with V = cell count * delta^n; at
+    m >= n, cell count * (delta/2)^m (the two agree at m = n).
 
-    Sound for any covering by l_inf balls: the covering cubes' total volume
-    must reach V (so sum (2r_i)^n >= V) and the power-mean inequality turns
-    the n-sum into a bound on sum r_i^m.
+    At m <= n the covering cubes' total volume must reach V (so
+    sum (2r_i)^n >= V) and the power-mean inequality turns the n-sum into a
+    bound on sum r_i^m.  At m > n that step fails; there a grid ball of
+    radius k*delta/2 holds at most k^n cells at cost k^m (delta/2)^m, at
+    least (delta/2)^m per cell.
     """
     if not isinstance(space, VoxelSpace):
         raise InputError("volume bound needs the voxel model")
     cells = set(target) if target is not None else set(space.cells)
+    if as_fraction(m) >= space.n:
+        return len(cells) * power(space.delta / 2, m)
     volume = as_fraction(len(cells)) * power(space.delta, space.n)
     exponent = Fraction(as_fraction(m), space.n) if is_integral(m) else None
     two_m = power(Fraction(2), m)

@@ -164,18 +164,20 @@ def point_cover(points, exponent: Scalar, floor: Scalar = 0):
     pts = sorted(tuple(as_fraction(c) for c in p) for p in points)
     floor = as_fraction(floor)
     den = _common_den(pts, floor.denominator)
+    price, unit = _pricer(exponent)(den)
     total, chosen = _greedy_cover([_scaled(p, den) for p in pts],
-                                  floor.numerator * (den // floor.denominator),
-                                  exponent, den)
-    return total, [Ball(pts[i], Fraction(r, den)) for i, r in chosen]
+                                  floor.numerator * (den // floor.denominator), price)
+    return Fraction(total, unit), [Ball(pts[i], Fraction(r, den)) for i, r in chosen]
 
 
-def _greedy_cover(pts: list, floor: int, exponent: Scalar, den: int):
-    """The greedy of `point_cover` on sorted integer points over `den`, with
-    the radius floor as a numerator over `den`: (cost, [(centre, radius)])
-    with centre indices and radius numerators.
+def _greedy_cover(pts: list, floor: int, price, limit=None):
+    """The greedy of `point_cover` on sorted integer points, with the radius
+    floor as a numerator over the points' denominator: (total, [(centre,
+    radius)]) with centre indices and radius numerators, and the total of
+    `price` over the chosen radii.  With `limit` = (a, b) it returns None
+    as soon as the running total exceeds a / b.
 
-    Each round takes the (centre, radius) of least cost per covered point,
+    Each round takes the (centre, radius) of least price per covered point,
     ties going to the smaller centre, then the smaller radius: options are
     scanned in that order and only a strictly cheaper one replaces the best.
     Each centre's points are sorted by distance once, so a radius's member
@@ -185,13 +187,12 @@ def _greedy_cover(pts: list, floor: int, exponent: Scalar, den: int):
     dist = [[max(floor, max(abs(a - b) for a, b in zip(p, q))) for q in pts]
             for p in pts]
     by_dist = [sorted(range(n), key=row.__getitem__) for row in dist]
-    price = _pricer(exponent, den)
     alive = [True] * n
     left = n
-    total = Fraction(0)
+    total = 0
     chosen = []
     while left:
-        best = None  # (cost numerator, cost denominator * count, centre, radius)
+        best = None  # (price, count, centre, radius)
         for i in range(n):
             if not alive[i]:
                 continue
@@ -200,13 +201,14 @@ def _greedy_cover(pts: list, floor: int, exponent: Scalar, den: int):
             for count, r in enumerate(radii, 1):
                 if count < len(radii) and radii[count] == r:
                     continue  # a larger count at this radius follows
-                num, d = price(r)
-                d *= count
-                if best is None or num * best[1] < best[0] * d:
-                    best = (num, d, i, r)
-        _, _, i, r = best
+                cost = price(r)
+                if best is None or cost * best[1] < best[0] * count:
+                    best = (cost, count, i, r)
+        cost, _, i, r = best
+        total += cost
+        if limit is not None and total * limit[1] > limit[0]:
+            return None
         chosen.append((i, r))
-        total += Fraction(*price(r))
         row = dist[i]
         for j in range(n):
             if alive[j] and row[j] <= r:
@@ -215,15 +217,15 @@ def _greedy_cover(pts: list, floor: int, exponent: Scalar, den: int):
     return total, chosen
 
 
-def _pricer(exponent: Scalar, den: int):
-    """r -> (numerator, denominator) of the exact cost power(r / den,
-    exponent): pure integers at non-negative integer exponents, otherwise
-    the float power made exact."""
+def _pricer(exponent: Scalar):
+    """den -> (price, unit): the exact cost power(r / den, exponent) of a
+    radius numerator r is price(r) / unit.  At a non-negative integer
+    exponent e that is the integer r^e over den^e; otherwise price gives
+    the float power made exact, over 1."""
     if is_integral(exponent) and exponent >= 0:
         e = int(exponent)
-        scale = den ** e
-        return lambda r: (r ** e, scale)
-    return lambda r: as_fraction(power(Fraction(r, den), exponent)).as_integer_ratio()
+        return lambda den: (lambda r: r ** e, den ** e)
+    return lambda den: (lambda r: as_fraction(power(Fraction(r, den), exponent)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +246,15 @@ def average_point(
     c0(k) * R^(m-1) (k = face dimension); raises PushoutPreconditionError
     otherwise.  Returns (p, ratio, before_cost, after_cost).
     """
+    return _average_point(face, points, m, candidates, c0, floor)[:4]
+
+
+def _average_point(face: Face, points, m: Scalar, candidates: int,
+                   c0: Scalar | None, floor: Scalar):
+    """`average_point`'s (p, ratio, before, after), then what the descent
+    reuses: the balls of the points' own greedy cover, and per point in
+    input order its radial projection from p and the l_inf length of that
+    move."""
     pts = [tuple(as_fraction(c) for c in p) for p in points]
     k = face.dim
     if k == 0:
@@ -253,7 +264,7 @@ def average_point(
     if candidates < 0:
         raise InputError("candidate count must be non-negative")
     exponent = as_fraction(m) - 1
-    before, _ = point_cover(pts, exponent, floor)
+    before, balls = point_cover(pts, exponent, floor)
     R = face.grid.R
     c0 = as_fraction(c0) if c0 is not None else Fraction(1, 4) ** k
     cap = c0 * power(R, exponent) if not isinstance(power(R, exponent), float) \
@@ -287,24 +298,37 @@ def average_point(
     options = [p for p in options if p not in taken]
     if not options:
         raise InputError("no admissible projection point found")
-    if not all(face.contains(x) for x in pts):
+    box = [(c, c) for c in centre]  # the face, per axis
+    for axis, lo, hi in free:
+        box[axis] = (lo, hi)
+    if not all(lo <= c <= hi for x in xs for c, (lo, hi) in zip(x, box)):
         raise InputError("point to project must lie in the face")
 
+    # Each option's cost is total / unit.  A greedy stops once it is above
+    # the best so far, and equal costs go to the smaller option.
+    costs = _pricer(exponent)
     floor_num = floor.numerator * (den // floor.denominator)
-    best = None
+    best = None  # (total, unit, option, projections)
     for p in options:
         hits = [_project(free, p, x) for x in xs]
         scale = lcm(*(s for _, s in hits))
         projected = sorted(tuple(c * (scale // s) for c in y) for y, s in hits)
-        after, _ = _greedy_cover(projected, floor_num * scale, exponent, den * scale)
-        if best is None or (after, p) < best:
-            best = (after, p)
-    after, p = best
-    p = tuple(Fraction(c, den) for c in p)
+        price, unit = costs(den * scale)
+        limit = None if best is None else (best[0] * unit, best[1])
+        cover = _greedy_cover(projected, floor_num * scale, price, limit)
+        # a finished greedy costs at most the best so far
+        if cover is not None and (best is None or cover[0] * best[1] < best[0] * unit
+                                  or p < best[2]):
+            best = (cover[0], unit, p, hits)
+    total, unit, p, hits = best
+    after = Fraction(total, unit)
+    moves = [(tuple(Fraction(c, den * s) for c in y),
+              Fraction(max(abs(c - xc * s) for c, xc in zip(y, x)), den * s))
+             for (y, s), x in zip(hits, xs)]
     ratio = float(after) / float(before) if float(before) > 0 else (
         0.0 if float(after) == 0 else float("inf")
     )
-    return p, ratio, before, after
+    return tuple(Fraction(c, den) for c in p), ratio, before, after, balls, moves
 
 
 _WEYL = (26861, 15823, 7559, 20011, 11213, 30011, 17389)
@@ -374,8 +398,8 @@ def skeleton_descend(
     from n down to ceil(m)-1; each level's moves stay within one face, so a
     point travels at most (n - ceil(m) + 2) * R in total.  The swept cone of
     each face projection is covered explicitly and its m-cost accumulated.
-    On a k-dimensional face the projection point comes from `average_point`
-    at its default c0(k) = 4^-k, and a projection cost ratio above
+    On a k-dimensional face the projection point is `average_point`'s at its
+    default c0(k) = 4^-k, and a projection cost ratio above
     RATIO_CEILING_BASE * 2^k = 10 * 2^k raises VerificationError.
     """
     m_ceil = ceil(float(m))
@@ -401,19 +425,18 @@ def skeleton_descend(
         steps = []
         for face in sorted(by_face, key=lambda f: f.coords):
             idxs = by_face[face]
-            pts = [current[i] for i in idxs]
-            p, ratio, before, after = average_point(face, pts, m, candidates, floor=floor)
+            p, ratio, _, _, balls, moves = _average_point(
+                face, [current[i] for i in idxs], m, candidates, None, floor)
             limit = RATIO_CEILING_BASE * 2.0**k
             if ratio > limit:
                 raise VerificationError(
                     "projection cost ratio above its ceiling",
                     {"face_dim": k, "ratio": ratio, "ceiling": limit},
                 )
-            cone_cost = _swept_cone_cost(p, pts, m, exponent, floor)
+            cone_cost = _swept_cone_cost(p, balls, m, exponent)
             trace_content += as_fraction(cone_cost)
-            for i in idxs:
-                new = radial_project(face, p, current[i])
-                displacement[i] += as_fraction(linf(new, current[i]))
+            for i, (new, moved) in zip(idxs, moves):
+                displacement[i] += moved
                 current[i] = new
             steps.append(FaceStep(face, p, ratio, cone_cost, len(idxs)))
         levels.append((k, tuple(steps)))
@@ -448,16 +471,16 @@ def skeleton_descend(
     )
 
 
-def _swept_cone_cost(p, pts, m, exponent, floor):
+def _swept_cone_cost(p, balls, m, exponent):
     """m-cost certificate for the cone swept between the points and their
-    projections, via the explicit cone covering from the chosen point.
+    projections, via the explicit cone covering from the chosen point of
+    the points' own greedy cover `balls`.
 
     Zero-radius cover balls correspond to bare points whose sweep is a
     segment, of zero m-cost for m > 1; only positive radii get coned.
     """
     from .cone import cone_covering
 
-    _, balls = point_cover(pts, exponent, floor)
     balls = [b for b in balls if b.radius > 0]
     if not balls:
         return Fraction(0)

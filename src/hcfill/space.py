@@ -574,11 +574,14 @@ def _integer(x) -> int:
 
 
 def _numbers(row, convert, where: str) -> tuple:
-    """The row's entries through `convert` (_integer or float), an InputError
-    naming `where` when one is not a number."""
+    """The row's entries through `convert` (_integer, float or
+    parse_scalar), an InputError naming `where` when the row is a string or
+    one entry is not a number."""
     try:
+        if isinstance(row, str):
+            raise TypeError(row)
         return tuple(convert(x) for x in row)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise InputError(f"{where}: not a row of numbers: {row!r}") from None
 
 

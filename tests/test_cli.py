@@ -8,7 +8,7 @@ from hcfill.cli import main
 from hcfill.config import RunConfig
 from hcfill.errors import InputError
 from hcfill.shapes import make_cube, make_dumbbell, make_ring
-from hcfill.space import save_space
+from hcfill.space import VoxelSpace, save_space
 
 
 @pytest.fixture()
@@ -41,6 +41,17 @@ def test_content_reports_quarter(capsys, cube_path, tmp_path):
     assert doc["result"]["optimal"] is True
     assert doc["volume_lower_bound"] == "1/4"
     assert doc["schema"] == "hcfill/1"
+
+
+def test_content_volume_bound_stays_below_the_optimum_at_m_above_n(capsys, tmp_path):
+    path = tmp_path / "two_cells.json"
+    save_space(VoxelSpace(1, Fraction(1), frozenset({(0,), (1,)})), str(path))
+    code, out, _ = run_cli(capsys, "content", "--space", str(path), "--m", "2",
+                           "--exact")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["value_upper"] == "1/2"
+    assert doc["volume_lower_bound"] == "1/2"
 
 
 def test_greedy_content(capsys, cube_path):
@@ -198,6 +209,17 @@ def test_pushout_rejects_wrong_point_dimension(capsys, tmp_path, points):
     assert code == 1
     assert out == ""
     assert "points need n coordinates" in err
+
+
+@pytest.mark.parametrize("points", [[["a", 0]], {"x": 1}, [5], ["12"], [["1/0", 0]]])
+def test_pushout_rejects_malformed_points(capsys, tmp_path, points):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(points))
+    code, out, err = run_cli(capsys, "pushout", "--points", str(pts), "--grid-R",
+                             "1", "--m", "2", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert str(pts) in err
 
 
 def test_lw_and_cube_eq(capsys, tmp_path):

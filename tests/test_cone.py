@@ -203,7 +203,7 @@ def test_checks_run_before_any_ball_is_built(monkeypatch):
     # an input outside the ambient ball, then a cost over the bound
     with pytest.raises(InputError):
         cone_covering(cover, apex, Fraction(1, 2), 2, "improved")
-    monkeypatch.setattr(cone, "_progression_cost", lambda runs, mf: cert.bound + 1)
+    monkeypatch.setattr(cone, "_progression_cost", lambda *args: cert.bound + 1)
     with pytest.raises(VerificationError, match="exceeded its certified bound"):
         cone_covering(cover, apex, 1, 2, "improved")
 

@@ -30,6 +30,7 @@ from hcfill.space import (
     FixedFamily,
     NetSpace,
     RadiusCapped,
+    VoxelSpace,
     grid_ball,
     intersect_families,
 )
@@ -111,6 +112,11 @@ def test_volume_lower_bound_values():
             assert volume_lower_bound(s, None, m) == Fraction(1, 2**m)
     half = make_box(2, (8, 4), Fraction(1, 8))  # half of the unit square
     assert volume_lower_bound(half, None, 1) == pytest.approx(0.5**0.5 / 2)
+    # above the dimension: cells * (delta/2)^m, the optimum of unit balls
+    two = VoxelSpace(1, Fraction(1), frozenset({(0,), (1,)}))
+    assert volume_lower_bound(two, None, 2) == Fraction(1, 2) == exact_content(two, None, 2).value
+    square = make_cube(2, 4, 1)
+    assert volume_lower_bound(square, None, 3) == 2 == exact_content(square, None, 3).value
 
 
 def test_lower_certificate_is_dual_feasible():

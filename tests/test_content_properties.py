@@ -2,8 +2,8 @@
 the greedy cover and the branch and bound's ratio bound against direct
 oracles, the inherited price floor against the exact bound, the branch and
 bound against its loop without that floor, and the greedy lower bound on
-nets and the exact_content bracket on small voxel targets against an
-exhaustive optimum."""
+nets, the exact_content bracket and the volume lower bound on small voxel
+targets against an exhaustive optimum."""
 
 import itertools
 import math
@@ -28,6 +28,7 @@ from hcfill.content import (
     exact_content,
     generate_candidates,
     greedy_content,
+    volume_lower_bound,
 )
 from hcfill.errors import UncoverableError
 from hcfill.exact import is_integral, power
@@ -266,6 +267,24 @@ def test_exact_content_brackets_the_brute_force_optimum(stride, capped, instance
             assert res.value_lower <= optimum * (1 + 1e-9)
             assert optimum <= res.value_upper * (1 + 1e-9)
             assert not res.optimal or math.isclose(res.value_upper, optimum, rel_tol=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(voxel_instances(max_target=10),
+       st.sampled_from([1, 2, 3, 4, Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), 0.5]))
+def test_volume_lower_bound_is_below_the_brute_force_optimum(instance, m):
+    """At every m, above the dimension included, where the bound is the
+    unit-ball optimum itself.  A float bound (m/n not an integer) is
+    compared with relative slack 1e-9."""
+    space, target, _, _, _ = instance
+    bound = volume_lower_bound(space, target, m)
+    optimum = brute_force_optimum(space, target, m, 1, None)
+    if isinstance(bound, Fraction):
+        assert bound <= optimum
+        assert m < space.n or bound == optimum
+    else:
+        assert bound <= optimum * (1 + 1e-9)
+        assert m < space.n or math.isclose(bound, optimum, rel_tol=1e-9)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

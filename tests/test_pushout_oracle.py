@@ -1,6 +1,8 @@
 """The integer projection and greedy-cover kernels of `hcfill.pushout`
 against the Fraction implementations they replaced, kept below verbatim as
-the oracle, and pinned digests of skeleton descents."""
+the oracle; `skeleton_descend` against the descent built face by face from
+the public `average_point`, `radial_project` and `point_cover`; and pinned
+digests of skeleton descents."""
 
 import hashlib
 import json
@@ -8,23 +10,29 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hcfill.errors import InputError, PushoutPreconditionError
+from math import ceil
+
+from hcfill.cone import cone_covering
+from hcfill.errors import InputError, PushoutPreconditionError, VerificationError
 from hcfill.exact import Scalar, as_fraction, fmt_scalar, power
 from hcfill.pushout import (
     DEFAULT_CANDIDATES,
+    RATIO_CEILING_BASE,
     _WEYL,
     _WEYL_DEN,
     CubicalGrid,
+    DeformationTrace,
     Face,
+    FaceStep,
     average_point,
     point_cover,
     radial_project,
     skeleton_descend,
 )
-from hcfill.space import Ball, linf
+from hcfill.space import Ball, Covering, linf
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +155,93 @@ def oracle_average_point(
     return p, ratio, before, after
 
 
+def oracle_skeleton_descend(points, grid, m, candidates=DEFAULT_CANDIDATES, floor=0):
+    """The descent with its cover and projections recomputed per face by
+    the public functions: `average_point`, then `point_cover` again for
+    the swept cone and `radial_project` per point."""
+    m_ceil = ceil(float(m))
+    target_dim = m_ceil - 2
+    if target_dim < 0:
+        raise InputError("descent target skeleton has negative dimension")
+    current = [tuple(as_fraction(c) for c in p) for p in points]
+    if any(len(p) != grid.n for p in current):
+        raise InputError("points need n coordinates")
+    displacement = [Fraction(0)] * len(current)
+    initial = tuple(current)
+    levels = []
+    trace_content = Fraction(0)
+    exponent = as_fraction(m) - 1
+    before_total, _ = point_cover(current, exponent, floor)
+
+    for k in range(grid.n, m_ceil - 2, -1):
+        by_face: dict = {}
+        for idx, pt in enumerate(current):
+            face = grid.carrier_face(pt)
+            if face.dim == k:
+                by_face.setdefault(face, []).append(idx)
+        steps = []
+        for face in sorted(by_face, key=lambda f: f.coords):
+            idxs = by_face[face]
+            pts = [current[i] for i in idxs]
+            p, ratio, before, after = average_point(face, pts, m, candidates, floor=floor)
+            limit = RATIO_CEILING_BASE * 2.0**k
+            if ratio > limit:
+                raise VerificationError(
+                    "projection cost ratio above its ceiling",
+                    {"face_dim": k, "ratio": ratio, "ceiling": limit},
+                )
+            cone_cost = oracle_swept_cone_cost(p, pts, m, exponent, floor)
+            trace_content += as_fraction(cone_cost)
+            for i in idxs:
+                new = radial_project(face, p, current[i])
+                displacement[i] += as_fraction(linf(new, current[i]))
+                current[i] = new
+            steps.append(FaceStep(face, p, ratio, cone_cost, len(idxs)))
+        levels.append((k, tuple(steps)))
+
+    final = tuple(current)
+    max_disp = max(displacement) if displacement else Fraction(0)
+    level_count = grid.n - (m_ceil - 1) + 1
+    checks = {
+        "final_in_skeleton": all(
+            grid.carrier_face(pt).dim <= target_dim for pt in final
+        ),
+        "boundary_points_fixed": all(
+            initial[i] == final[i]
+            for i in range(len(initial))
+            if grid.carrier_face(initial[i]).dim <= target_dim
+        ),
+        "displacement_bound": fmt_scalar(level_count * grid.R),
+        "displacement_ok": max_disp <= level_count * grid.R,
+        "trace_vs_input": {
+            "trace_content": fmt_scalar(trace_content),
+            "input_content": fmt_scalar(before_total),
+            "measured_const": (
+                float(trace_content) / (float(grid.R) * float(before_total))
+                if float(before_total) > 0 else 0.0
+            ),
+        },
+    }
+    if not checks["final_in_skeleton"] or not checks["displacement_ok"]:
+        raise VerificationError("skeleton descent violated its trace conditions", checks)
+    return DeformationTrace(
+        grid, m, initial, final, tuple(levels), max_disp, trace_content, checks
+    )
+
+
+def oracle_swept_cone_cost(p, pts, m, exponent, floor):
+    _, balls = point_cover(pts, exponent, floor)
+    balls = [b for b in balls if b.radius > 0]
+    if not balls:
+        return Fraction(0)
+    reach = max(as_fraction(linf(b.center, p)) + as_fraction(b.radius) for b in balls)
+    if reach == 0:
+        return Fraction(0)
+    cover = Covering(tuple(balls), frozenset(range(len(balls))), exponent)
+    cert = cone_covering(cover, p, reach, m, "improved")
+    return cert.cost
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -240,6 +335,41 @@ def test_average_point_matches_fraction_oracle(face_pts, m, candidates, c0, floo
     got = outcome(average_point, face, pts, m, candidates, c0=c0, floor=floor)
     assert got == outcome(oracle_average_point, face, pts, m, candidates, c0=c0,
                           floor=floor)
+
+
+@st.composite
+def descents(draw):
+    """Points on a grid of mixed cell sizes (some on faces of every
+    dimension, some repeated), m, candidate count and floor."""
+    n = draw(st.integers(1, 3))
+    grid = CubicalGrid(n, draw(st.sampled_from(GRID_SIZES)))
+    den = draw(st.sampled_from((2, 4, 7, 12, 16)))
+    coord = st.integers(0, 2 * den).map(lambda j: grid.R * Fraction(j, den))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        pts.append(pts[-1])
+    m = draw(st.sampled_from((2, 3, Fraction(3, 2), Fraction(5, 2))))
+    return pts, grid, m, draw(st.integers(0, 20)), draw(st.sampled_from(FLOORS))
+
+
+def descent_outcome(fn, *args, **kwargs):
+    try:
+        return ("ok", fn(*args, **kwargs).to_dict())
+    except (InputError, VerificationError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "report", None))
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(descents())
+@example(([(Fraction(1, 8), Fraction(1, 8))], CubicalGrid(2, Fraction(1, 2)), 3, 4,
+          Fraction(1, 3)))  # a face over its content cap
+@example(([(Fraction(1, 8),)], CubicalGrid(2, Fraction(1)), 2, 4, Fraction(0)))
+def test_skeleton_descend_matches_the_per_face_descent(case):
+    pts, grid, m, candidates, floor = case
+    got = descent_outcome(skeleton_descend, pts, grid, m, candidates=candidates,
+                          floor=floor)
+    assert got == descent_outcome(oracle_skeleton_descend, pts, grid, m,
+                                  candidates=candidates, floor=floor)
 
 
 # ---------------------------------------------------------------------------
