@@ -123,8 +123,8 @@ def cone_covering(
     den = math.lcm(Rf.denominator, *(x.denominator for x in apex),
                    *(r.denominator for r in radii),
                    *(x.denominator for c in centers for x in c))
-    R_num = _numerator(Rf, den)
-    apex_num = [_numerator(x, den) for x in apex]
+    R_num = Rf.numerator * (den // Rf.denominator)
+    apex_num = [a.numerator * (den // a.denominator) for a in apex]
     p, q = mf.numerator, mf.denominator
     runs = []  # per input: (radius, distance to the apex, ball count)
     for i, (center, r) in enumerate(zip(centers, radii)):
@@ -132,8 +132,9 @@ def cone_covering(
             raise InputError("cone covering needs positive input radii")
         if len(center) != len(apex):
             raise InputError("dimension mismatch")
-        r = _numerator(r, den)
-        d = max(abs(_numerator(x, den) - a) for x, a in zip(center, apex_num))
+        r = r.numerator * (den // r.denominator)
+        d = max(abs(x.numerator * (den // x.denominator) - a)
+                for x, a in zip(center, apex_num))
         if d + r > R_num:
             raise InputError(
                 f"input ball {i} is not inside the ambient ball of radius {R}"
@@ -169,14 +170,8 @@ def cone_covering(
                 {"input": i, "count": n_balls},
             )
     return ConeCertificate(
-        apex, Rf, m, variant, input_cost, cost, bound, counts,
-        tuple(input_cover.balls),
+        apex, Rf, m, variant, input_cost, cost, bound, counts, tuple(balls),
     )
-
-
-def _numerator(x: Fraction, den: int) -> int:
-    """x's numerator over `den`, a multiple of its denominator."""
-    return x.numerator * (den // x.denominator)
 
 
 def _ceil_div(a: int, b: int) -> int:
