@@ -101,6 +101,13 @@ def _load_cover(path: str) -> Covering:
     return Covering(balls, target, _field(doc, "m", parse_scalar, Fraction(1), what))
 
 
+def _load_points(path: str) -> list:
+    doc = load_json(path)
+    if not isinstance(doc, list):
+        raise InputError(f"{path}: a points document is a list of points")
+    return [_numbers(p, parse_scalar, f"{path}: point") for p in doc]
+
+
 def _family(args, space) -> object:
     fam = {
         "all-grid": AllGridBalls(),
@@ -112,8 +119,7 @@ def _family(args, space) -> object:
     if args.family == "fixed":
         fam = FixedFamily(_load_cover(args.family_file).balls)
     elif args.family == "centers-in":
-        pts = load_json(args.family_file)
-        fam = CentersIn(tuple(tuple(parse_scalar(x) for x in p) for p in pts))
+        fam = CentersIn(tuple(_load_points(args.family_file)))
     if args.radius_cap is not None:
         fam = intersect_families(fam, RadiusCapped(_parse_number(args.radius_cap, "--radius-cap")))
     return fam
@@ -232,10 +238,7 @@ def _cmd_fill(args, cfg: RunConfig) -> int:
 
 
 def _cmd_pushout(args, cfg: RunConfig) -> int:
-    doc = load_json(args.points)
-    if not isinstance(doc, list):
-        raise InputError(f"{args.points}: a points document is a list of points")
-    pts = [_numbers(p, parse_scalar, f"{args.points}: point") for p in doc]
+    pts = _load_points(args.points)
     grid = CubicalGrid(args.n, _parse_number(args.grid_R, "--grid-R"))
     trace = skeleton_descend(pts, grid, _parse_m(args.m), candidates=cfg.pushout_candidates)
     report = {"command": "pushout", "trace": trace.to_dict()}

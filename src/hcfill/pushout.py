@@ -298,10 +298,7 @@ def _average_point(face: Face, points, m: Scalar, candidates: int,
     options = [p for p in options if p not in taken]
     if not options:
         raise InputError("no admissible projection point found")
-    box = [(c, c) for c in centre]  # the face, per axis
-    for axis, lo, hi in free:
-        box[axis] = (lo, hi)
-    if not all(lo <= c <= hi for x in xs for c, (lo, hi) in zip(x, box)):
+    if not all(face.contains(x) for x in pts):
         raise InputError("point to project must lie in the face")
 
     # Each option's cost is total / unit.  A greedy stops once it is above

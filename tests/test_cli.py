@@ -222,6 +222,26 @@ def test_pushout_rejects_malformed_points(capsys, tmp_path, points):
     assert str(pts) in err
 
 
+def test_centers_in_family_reads_its_points(capsys, cube_path, tmp_path):
+    pts = tmp_path / "centers.json"
+    pts.write_text(json.dumps([["1/16", "1/16"], [0.5, 0.5]]))
+    code, out, _ = run_cli(capsys, "content", "--space", cube_path, "--m", "2",
+                           "--family", "centers-in", "--family-file", str(pts))
+    assert code == 0
+    assert json.loads(out)["result"]["value_upper"]
+
+
+@pytest.mark.parametrize("points", [[["a", 0]], {"x": 1}, [5], ["12"], [["1/0", 0]]])
+def test_centers_in_family_rejects_malformed_points(capsys, cube_path, tmp_path, points):
+    pts = tmp_path / "centers.json"
+    pts.write_text(json.dumps(points))
+    code, out, err = run_cli(capsys, "content", "--space", cube_path, "--m", "2",
+                             "--family", "centers-in", "--family-file", str(pts))
+    assert code == 1
+    assert out == ""
+    assert str(pts) in err
+
+
 def test_lw_and_cube_eq(capsys, tmp_path):
     path = tmp_path / "dumb.json"
     save_space(make_dumbbell(), str(path))

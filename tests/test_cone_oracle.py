@@ -2,7 +2,8 @@
 denominator, against the Fraction implementation it replaced, kept below
 verbatim as the oracle: the same certificate fields, value and type, and
 the same error for a zero radius, a ball outside the ambient ball and an
-over-cap count."""
+over-cap count; and its closed-form progression sums against the
+term-by-term sums."""
 
 import math
 from fractions import Fraction
@@ -193,3 +194,13 @@ def test_an_over_cap_count_raises_the_same_error(monkeypatch):
     assert got[0] == "VerificationError"
     assert got[1] == "cone covering emitted more balls than its per-input cap"
     assert got == outcome(oracle_cone_covering, *case)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.integers(-10**6, 10**6), st.integers(-10**4, 10**4), st.integers(0, 500),
+       st.integers(0, 7))
+@example(5, 0, 0, 0)
+@example(0, 3, 1, 0)
+def test_power_sum_matches_the_term_by_term_sum(top, drop, count, k):
+    assert cone._power_sum(top, drop, count, k) == sum(
+        (top - j * drop) ** k for j in range(count))
