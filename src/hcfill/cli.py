@@ -240,7 +240,11 @@ def _cmd_fill(args, cfg: RunConfig) -> int:
 def _cmd_pushout(args, cfg: RunConfig) -> int:
     pts = _load_points(args.points)
     grid = CubicalGrid(args.n, _parse_number(args.grid_R, "--grid-R"))
-    trace = skeleton_descend(pts, grid, _parse_m(args.m), candidates=cfg.pushout_candidates)
+    floor = _parse_number(args.floor, "--floor")
+    if floor < 0:
+        raise InputError(f"--floor must be >= 0, got {args.floor!r}")
+    trace = skeleton_descend(pts, grid, _parse_m(args.m), candidates=cfg.pushout_candidates,
+                             floor=floor)
     report = {"command": "pushout", "trace": trace.to_dict()}
     if args.emit_plot:
         rows = [
@@ -428,6 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-R", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--floor", default="0",
+                   help="least radius of the point covers whose content is accounted")
     p.add_argument("--emit-plot")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pushout)

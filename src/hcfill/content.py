@@ -43,21 +43,30 @@ for set covering problem") and moves no optimum and no lower bound.  Sizes
 run up to the first whose block at the least anchor holds the whole target.
 Grid rows leave the generator in (cost, ball key) order, other families are
 sorted, and one candidate per distinct mask is kept, so a grid mask's ball
-is the least in key order among the blocks anchored in those ranges.  Up to
-2,000 masks, one that an earlier kept mask holds is dropped (costs ascend),
-found among the kept masks holding its lowest or highest element.  Kept
-grid rows stay integer rows through the greedy and the search; a ball is
-built only when read, which the solvers do for the witness alone, on one
-Fraction per distinct coordinate and radius.  The greedy prices balls with
-the search's `_RatioBound`, so at integer m it compares integers, ties
-broken by a grid row's integer key (centre half-units, then side k), which
-orders like the ball key.  It is lazy (Minoux's accelerated greedy): stale
-prices only grow as coverage grows, so a popped ball whose price is still
-current is the one a full rescan picks.
+is the least in key order among the blocks anchored in those ranges.  A
+mask that an earlier kept mask holds is dominated (costs ascend), and the
+dominance pass drops it, up to 2,000 masks, found among the kept masks
+holding its lowest or highest element.  At Fraction costs the pass runs
+only in a search that leaves its root, which then branches on the
+per-element lists of kept balls it builds; the greedy, the root duals and
+the root node take the whole list.  No answer moves: a dominated ball's
+integer price is never below its dominator's, which comes first in
+(cost, key) order, so it wins no greedy pick, and it never reaches an
+element first in the ratio bound's stable sort.  Float and mixed costs keep
+the pass before the greedy, where a rounded price tie could let a dominated
+ball win the key tie-break.  Kept grid rows stay integer rows through the
+greedy and the search; a ball is built only when read, which the solvers do
+for the witness alone, on one Fraction per distinct coordinate and radius.
+The greedy prices balls with the search's `_RatioBound`, so at integer m it
+compares integers, ties broken by a grid row's integer key (centre
+half-units, then side k), which orders like the ball key.  It is lazy
+(Minoux's accelerated greedy): stale prices only grow as coverage grows, so
+a popped ball whose price is still current is the one a full rescan picks.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass
@@ -307,13 +316,20 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
     target's bounding box (`_voxel_grid_candidates`): a block sticking out
     of it holds a subset of what a same-size block inside holds, so a
     mask's ball is the least key among the blocks anchored inside, and is
-    built when first read (`_GridCandidate`).  Up to 2,000 distinct masks,
-    balls whose mask an earlier ball's holds are dropped: costs ascend, so
-    that ball is at most as dear."""
+    built when first read (`_GridCandidate`).
+
+    When every cost is a Fraction that is the whole list: the dominance
+    pass runs only in a search that leaves its root (`_branch_and_bound`),
+    since no answer depends on it (`exact_content`).  Float and mixed costs
+    keep it here, up to 2,000 distinct masks: a ball whose mask an earlier
+    ball's holds is dropped (costs ascend, so that ball is at most as
+    dear), since a rounded price tie could let it win the greedy's key
+    tie-break."""
     core, cap = _flatten_family(family)
     if isinstance(core, AllGridBalls) and isinstance(space, VoxelSpace):
         rows, index = _voxel_grid_candidates(space, target, m, core.stride, cap)
         masks = [row[2] for row in rows]
+        costs = [row[0] for row in rows]
     else:
         if isinstance(core, AllGridBalls):
             cands, index = _point_candidates(space, target, m, _net_centers(space), cap)
@@ -325,11 +341,13 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
             raise InputError(f"unsupported ball family {core!r}")
         cands.sort(key=_cost_key)
         rows, masks = None, [c.mask for c in cands]
+        costs = [c.cost for c in cands]
 
-    if len(set(masks)) <= 2000:  # the dominance pass only where it pays for itself
-        keep = _undominated(masks, len(index))
+    if not all(isinstance(c, Fraction) for c in costs) and len(set(masks)) <= 2000:
+        keep, _ = _undominated(masks, len(index))
     else:  # the first of each mask
-        keep = sorted({mask: i for i, mask in reversed([*enumerate(masks)])}.values())
+        seen = set()
+        keep = [i for i, mask in enumerate(masks) if not (mask in seen or seen.add(mask))]
     if rows is None:
         return [cands[i] for i in keep], index
     make = _grid_balls(space.delta)
@@ -339,21 +357,23 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
 
 def _undominated(masks, n_elems):
     """The indices of the masks, in order, that no earlier kept mask holds
-    (of a repeated mask, its first).  holders[e] lists the kept masks that
-    hold element e; a mask is tested against the shorter list of its lowest
-    and highest element's, and a dominated mask's elements are not walked."""
+    (of a repeated mask, its first), and per element the kept indices whose
+    masks hold it, in order.  A mask is tested against the shorter list of
+    its lowest and highest element's, and a dominated mask's elements are
+    not walked."""
     holders = [[] for _ in range(n_elems)]
     kept = []
     for i, mask in enumerate(masks):
         low, high = holders[(mask & -mask).bit_length() - 1], holders[mask.bit_length() - 1]
-        for held in low if len(low) < len(high) else high:
+        for j in low if len(low) < len(high) else high:
+            held = masks[j]
             if held | mask == held:
                 break
         else:
             for e in bit_indices(mask):
-                holders[e].append(mask)
+                holders[e].append(i)
             kept.append(i)
-    return kept
+    return kept, holders
 
 
 def _cost_key(cand):
@@ -520,11 +540,19 @@ class _RatioBound:
                 least[e] = ratio
         return sum(least[e] for e in self._order if e in least)
 
-    def duals(self, full):
-        """Every element's price against the whole target, in element order
-        (one Fraction per distinct price), and their sum."""
-        least = [None] * full.bit_length()
-        for ratio, new in self._assign(full):
+    def restricted(self, keep):
+        """This bound over the balls at indices `keep` only, in the same
+        units, at Fraction costs: `costs` still takes every index."""
+        sub = copy.copy(self)
+        sub._balls = [self._balls[i] for i in keep]
+        return sub
+
+    def duals(self, groups):
+        """Every element's price against the whole target, from its
+        `priced` groups, in element order (one Fraction per distinct
+        price), and their sum."""
+        least = [None] * sum(new.bit_count() for _, new in groups)
+        for ratio, new in groups:
             for e in bit_indices(new):
                 least[e] = ratio
         if self.scale is None:
@@ -545,21 +573,39 @@ def volume_lower_bound(space: VoxelSpace, target=None, m: Scalar = 1) -> Scalar:
     sum (2r_i)^n >= V) and the power-mean inequality turns the n-sum into a
     bound on sum r_i^m.  At m > n that step fails; there a grid ball of
     radius k*delta/2 holds at most k^n cells at cost k^m (delta/2)^m, at
-    least (delta/2)^m per cell.
+    least (delta/2)^m per cell.  Where the bound is irrational it is a
+    float rounded down (`_float_floor`).
     """
     if not isinstance(space, VoxelSpace):
         raise InputError("volume bound needs the voxel model")
     cells = set(target) if target is not None else set(space.cells)
     if as_fraction(m) >= space.n:
-        return len(cells) * power(space.delta / 2, m)
+        unit = space.delta / 2
+        bound = len(cells) * power(unit, m)
+        if isinstance(bound, float):
+            bound = _float_floor(bound, len(cells), unit, as_fraction(m))
+        return bound
     volume = as_fraction(len(cells)) * power(space.delta, space.n)
-    exponent = Fraction(as_fraction(m), space.n) if is_integral(m) else None
-    two_m = power(Fraction(2), m)
-    if volume == 1:
-        return 1 / two_m if not isinstance(two_m, float) else 1.0 / two_m
-    if exponent is not None and exponent.denominator == 1:
-        return power(volume, int(exponent)) / two_m
-    return float(volume) ** (float(m) / space.n) / float(two_m)
+    if is_integral(m) and (volume == 1 or as_fraction(m) % space.n == 0):
+        return power(volume, int(m) // space.n) / power(Fraction(2), m)
+    # V^(m/n) / 2^m = (V / 2^n)^(m/n)
+    return _float_floor(float(volume) ** (float(m) / space.n) / 2.0 ** float(m),
+                        1, volume / 2 ** space.n, as_fraction(m) / space.n)
+
+
+def _float_floor(x: float, coef, base: Fraction, e: Fraction) -> float:
+    """x stepped down one ulp at a time until x <= coef * base^e holds
+    exactly: x^q <= coef^q * base^p for e = p/q.  An exponent whose
+    denominator exceeds 4,096 (from a float m such as 0.3) is first moved
+    to a multiple of 1/1024 on the side where the value is not larger (down
+    when base >= 1), and x recomputed there."""
+    if e.denominator > 4096:
+        e = Fraction(math.floor(e * 1024) if base >= 1 else math.ceil(e * 1024), 1024)
+        x = float(coef) * float(base) ** float(e)
+    limit = Fraction(coef) ** e.denominator * base ** e.numerator
+    while Fraction(x) ** e.denominator > limit:
+        x = math.nextafter(x, 0.0)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +644,7 @@ def _greedy_cover(cands, full, ratio: _RatioBound):
 
 
 def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
-                      best_cost, best_sel):
+                      best_cost, best_sel, root=None, prune=False):
     """Depth-first search for the cheapest cover of `goal` by the candidates.
 
     Branches on the uncovered element with the fewest candidates (lowest bit
@@ -608,6 +654,7 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
     cost.  After `budget` nodes the incumbent is final and the remaining
     entries only lower the frontier.  Returns (cost, indices, nodes,
     frontier), the frontier None when the search closed within the budget.
+    `root` is `ratio.priced(goal)` when the caller has it.
 
     Each entry carries its parent's `ratio.priced` prices (None at the root
     and below a node that priced nothing, as before the first incumbent).
@@ -616,6 +663,15 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
     the frontier, is one the exact bound would have dropped too: the bound
     runs only where the floor does not decide, and every decision, node
     count and frontier is the one the exact bound alone gives.
+
+    With `prune` (Fraction costs, distinct masks in (cost, key) order) the
+    first node to branch runs the dominance pass, up to 2,000 candidates:
+    the search branches only on kept balls and prices only them, in the
+    units of the whole list's `ratio`.  A dropped ball's mask is held by an
+    earlier, no dearer kept ball's, so against every uncovered set its
+    integer ratio is at least that ball's, and the stable sort of
+    `_RatioBound._assign` reaches its elements through that ball first:
+    every price, node and frontier is the one the pruned list gives.
     """
     step = ratio.costs
     nodes = 0
@@ -649,19 +705,39 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
             if inherited is not None and \
                     cost + ratio.floor(uncovered, *inherited) >= best_cost:
                 continue
-            prices = ratio.priced(uncovered)
+            prices = root if nodes == 1 and root is not None else ratio.priced(uncovered)
             if cost + prices[1] >= best_cost:
                 continue
         if covers_elem is None:  # most solves close at the root
-            covers_elem = [[] for _ in range(goal.bit_length())]
-            for ci, cand in enumerate(cands):
-                for e in bit_indices(cand.mask):
-                    covers_elem[e].append(ci)
-            fan = [len(c) for c in covers_elem]
-        pick = min(bit_indices(uncovered), key=fan.__getitem__)
-        for ci in reversed(covers_elem[pick]):
+            if prune and len(cands) <= 2000:
+                keep, covers_elem = _undominated([c.mask for c in cands], goal.bit_length())
+                ratio = ratio.restricted(keep)
+            else:
+                covers_elem = [[] for _ in range(goal.bit_length())]
+                for ci, cand in enumerate(cands):
+                    for e in bit_indices(cand.mask):
+                        covers_elem[e].append(ci)
+            fans = _fan_masks(covers_elem)
+        for ci in reversed(covers_elem[_branch_element(uncovered, fans)]):
             stack.append((covered | cands[ci].mask, cost + step[ci], sel + (ci,), prices))
     return best_cost, best_sel, nodes, frontier
+
+
+def _fan_masks(covers_elem):
+    """One mask per distinct length of the per-element candidate lists, of
+    the elements with that many candidates, fewest first."""
+    by_fan = {}
+    for e, holders in enumerate(covers_elem):
+        by_fan[len(holders)] = by_fan.get(len(holders), 0) | 1 << e
+    return [by_fan[fan] for fan in sorted(by_fan)]
+
+
+def _branch_element(uncovered, fans):
+    """The lowest uncovered element of the first `_fan_masks` mask that
+    holds one: the lowest among those with the fewest candidates."""
+    for mask in fans:
+        if here := uncovered & mask:
+            return (here & -here).bit_length() - 1
 
 
 def greedy_content(
@@ -702,19 +778,23 @@ def exact_content(
     full = (1 << len(index)) - 1
 
     chosen = _greedy_cover(cands, full, ratio)  # raises when the family cannot cover
-    duals, root_dual = ratio.duals(full)
+    root = ratio.priced(full)
+    duals, root_dual = ratio.duals(root[0])
+    # float and mixed-cost lists come pruned from `generate_candidates`
     best_cost, best_sel, nodes, frontier = _branch_and_bound(
         cands, ratio, full, node_budget,
         sum(ratio.costs[i] for i in chosen), tuple(chosen),
+        root=root, prune=ratio.scale is not None,
     )
     best_cost = ratio.scalar(best_cost)
 
     witness = Covering(tuple(cands[i].ball for i in best_sel), frozenset(target), m)
-    lowers = [root_dual]
-    core, _ = _flatten_family(family)
-    if isinstance(space, VoxelSpace) and isinstance(core, AllGridBalls) and core.stride == 1:
-        lowers.append(volume_lower_bound(space, target, m))
     if frontier is not None:
+        lowers = [root_dual]
+        core, _ = _flatten_family(family)
+        if isinstance(space, VoxelSpace) and isinstance(core, AllGridBalls) \
+                and core.stride == 1:
+            lowers.append(volume_lower_bound(space, target, m))
         lowers.append(ratio.scalar(frontier))
         lower = max(lowers)
         optimal = False

@@ -149,12 +149,13 @@ class TildeContent:
     built once.  A solve runs the content solver's `_branch_and_bound` over
     the Q balls that meet the goal mask (bits of `cells`), without an
     incumbent, so its witness is the first cheapest cover in depth-first
-    order.  `solve_mask` is the one entry, cached per (goal mask, exponent);
-    `solve` takes a cell set.  `farthest` gives the distance key of the
-    cell farthest from a point, from the bounding box alone; `radial` orders
-    the cells by distance from the point, and the radius searches build it
-    only when a cell nearer than the farthest can matter (at the paper's
-    A(m), on none of the acceptance tests' fill fixtures).
+    order; that order depends on every such ball, so no dominance pass
+    prunes them.  `solve_mask` is the one entry, cached per (goal mask,
+    exponent); `solve` takes a cell set.  `farthest` gives the distance key
+    of the cell farthest from a point, from the bounding box alone; `radial`
+    orders the cells by distance from the point, and the radius searches
+    build it only when a cell nearer than the farthest can matter (at the
+    paper's A(m), on none of the acceptance tests' fill fixtures).
     `prune_redundant` drops Q balls on `masks`."""
 
     def __init__(self, space: VoxelSpace, cells, q_balls):

@@ -200,6 +200,25 @@ def test_pushout_subcommand(capsys, tmp_path):
     assert _report_digest(doc) == "cd83858fd09ca575"
 
 
+def test_pushout_floor_accounts_content(capsys, tmp_path):
+    """Separated points cover at cost 0 without a floor; `--floor` passes
+    the least ball radius to the descent, which then accounts content, and
+    a negative floor is an input error."""
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([["1/3", "2/7", "1/5"], ["3/5", "1/2", "2/3"],
+                               ["5/4", "1/8", "7/8"]]))
+    argv = ("pushout", "--points", str(pts), "--grid-R", "1", "--m", "2", "--n", "3")
+    contents = []
+    for floor in ("0", "1/256"):
+        code, out, _ = run_cli(capsys, *argv, "--floor", floor)
+        assert code == 0
+        contents.append(json.loads(out)["trace"]["checks"]["trace_vs_input"]["input_content"])
+    assert contents[0] == 0 and Fraction(contents[1]) > 0
+    code, out, err = run_cli(capsys, *argv, "--floor=-1/2")
+    assert (code, out) == (1, "")
+    assert "--floor must be >= 0" in err
+
+
 @pytest.mark.parametrize("points", [[["1/3", "2/7", "1/2"]], [["1/3"], ["3/5"]]])
 def test_pushout_rejects_wrong_point_dimension(capsys, tmp_path, points):
     pts = tmp_path / "pts.json"

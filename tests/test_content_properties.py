@@ -1,7 +1,9 @@
 """Property tests: grid and net candidate generation, the dominance pass,
 the greedy cover and the branch and bound's ratio bound against direct
 oracles, the inherited price floor against the exact bound, the branch and
-bound against its loop without that floor, and the greedy lower bound on
+bound against its loop without that floor, its branch pick against the
+per-element minimum, the solvers' reports against the pipeline that prunes
+dominated balls before it, and the greedy lower bound on
 nets, the exact_content bracket and the volume lower bound on small voxel
 targets against an exhaustive optimum."""
 
@@ -9,15 +11,19 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hcfill import content
 from hcfill.content import (
     DEFAULT_NODE_BUDGET,
     _branch_and_bound,
+    _branch_element,
     _Candidate,
+    _fan_masks,
     _fixed_candidates,
     _greedy_cover,
     _net_centers,
@@ -32,7 +38,7 @@ from hcfill.content import (
 )
 from hcfill.errors import UncoverableError
 from hcfill.exact import is_integral, power
-from hcfill.shapes import make_cube, make_strip_with_bulbs
+from hcfill.shapes import make_cube, make_dumbbell, make_strip_with_bulbs
 from hcfill.space import (
     AllGridBalls,
     Ball,
@@ -275,16 +281,30 @@ def test_exact_content_brackets_the_brute_force_optimum(stride, capped, instance
 def test_volume_lower_bound_is_below_the_brute_force_optimum(instance, m):
     """At every m, above the dimension included, where the bound is the
     unit-ball optimum itself.  A float bound (m/n not an integer) is
-    compared with relative slack 1e-9."""
+    rounded down, so it too is compared without slack."""
     space, target, _, _, _ = instance
     bound = volume_lower_bound(space, target, m)
     optimum = brute_force_optimum(space, target, m, 1, None)
+    assert bound <= optimum
     if isinstance(bound, Fraction):
-        assert bound <= optimum
         assert m < space.n or bound == optimum
     else:
-        assert bound <= optimum * (1 + 1e-9)
         assert m < space.n or math.isclose(bound, optimum, rel_tol=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(voxel_instances(max_target=10), st.sampled_from([0.3, 1.7, 3.3]))
+def test_volume_lower_bound_at_a_float_m_of_huge_denominator(instance, m):
+    """A float m such as 0.3 is a fraction over 2^54, too large an
+    exponent for the exact check; the bound is taken at a multiple of
+    1/1024 next to m on the side where it is smaller, so it stays below
+    the optimum and within a percent of the bound at m."""
+    space, target, _, _, _ = instance
+    bound = volume_lower_bound(space, target, m)
+    optimum = brute_force_optimum(space, target, m, 1, None)
+    assert bound <= optimum
+    if m >= space.n:
+        assert math.isclose(bound, optimum, rel_tol=1e-2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -448,7 +468,7 @@ def test_ratio_bound_matches_the_per_member_scans(instance, data):
         else:
             assert got == want and type(got) is type(want)
 
-    duals, root = ratio.duals(full)
+    duals, root = ratio.duals(ratio.priced(full)[0])
     want = _ratio_duals(cands, n)
     assert duals == want
     assert [type(d) for d in duals] == [type(d) for d in want]
@@ -471,15 +491,18 @@ def quadratic_undominated(cands):
 
 
 def oracle_post_process(raw):
-    """The least (cost, key) candidate per mask, sorted by (cost, key), then
-    the quadratic dominance pass when at most 2,000 remain."""
+    """The least (cost, key) candidate per mask, sorted by (cost, key), then,
+    unless every cost is a Fraction, the quadratic dominance pass when at
+    most 2,000 remain."""
     best = {}
     for cand in raw:
         cur = best.get(cand.mask)
         if cur is None or (cand.cost, cand.ball.key()) < (cur.cost, cur.ball.key()):
             best[cand.mask] = cand
     cands = sorted(best.values(), key=lambda c: (c.cost, c.ball.key()))
-    return quadratic_undominated(cands) if len(cands) <= 2000 else cands
+    if len(cands) > 2000 or all(isinstance(c.cost, Fraction) for c in cands):
+        return cands
+    return quadratic_undominated(cands)
 
 
 def oracle_point_candidates(space, target, m, centers, cap):
@@ -517,8 +540,9 @@ def assert_post_processing_matches(space, target, m, family, raw):
     assert triples(got) == triples(want)
     assert [type(c.cost) for c in got] == [type(c.cost) for c in want]
     ordered = sorted(raw, key=lambda c: (c.cost, c.ball.key()))
-    kept = _undominated([c.mask for c in ordered], len(index))
+    kept, holders = _undominated([c.mask for c in ordered], len(index))
     assert triples([ordered[i] for i in kept]) == triples(quadratic_undominated(ordered))
+    assert holders == [[i for i in kept if ordered[i].mask >> e & 1] for e in range(len(index))]
     assert_greedy_matches(got, len(index))
 
 
@@ -795,3 +819,105 @@ def test_search_matches_the_loop_without_the_floor_on_grid_balls(instance):
     cands, index = generate_candidates(space, target, m, family)
     if cands:
         assert_search_matches(cands, len(index))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.integers(0, 40), max_size=6), min_size=1, max_size=16),
+       st.data())
+def test_branch_element_matches_the_fewest_candidates_minimum(lists, data):
+    """`_fan_masks` and `_branch_element` against `min` over the uncovered
+    elements keyed on their list lengths (lowest element on ties)."""
+    fan = [len(holders) for holders in lists]
+    uncovered = data.draw(st.integers(1, (1 << len(lists)) - 1))
+    assert _branch_element(uncovered, _fan_masks(lists)) == \
+        min(bit_indices(uncovered), key=fan.__getitem__)
+
+
+# ---------------------------------------------------------------------------
+# the dominance pass only where the search branches: every report against
+# the pipeline that prunes dominated balls before the greedy, the bound and
+# the search
+
+_UNPRUNED = content.generate_candidates
+
+
+def _pruned_first(space, target, m, family):
+    """`generate_candidates` followed by the dominance pass up to 2,000
+    candidates, the list that every solve used to start from."""
+    cands, index = _UNPRUNED(space, target, m, family)
+    if len(cands) <= 2000:
+        keep, _ = _undominated([c.mask for c in cands], len(index))
+        cands = [cands[i] for i in keep]
+    return cands, index
+
+
+def _reports(space, target, m, family):
+    """The greedy report and the exact reports at budgets that close some
+    searches and not others, or the error the family's gap raises."""
+    try:
+        return [greedy_content(space, target, m, family).to_dict(),
+                *(exact_content(space, target, m, family, budget).to_dict()
+                  for budget in (1, 2, 5, 50))]
+    except UncoverableError as err:
+        return str(err)
+
+
+def assert_reports_match_pruned_first(space, target, m, family):
+    got = _reports(space, target, m, family)
+    with mock.patch.object(content, "generate_candidates", _pruned_first):
+        want = _reports(space, target, m, family)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(voxel_instances(max_target=16), st.sampled_from([1, 2, 3]),
+       st.sampled_from(["grid", "centers-in", "fixed"]), st.data())
+def test_reports_match_pruning_first_on_voxels(instance, m, kind, data):
+    """All grid balls at stride 1 or 2 with or without a cap, centres in a
+    set and fixed Fraction-radius families, at integer m: node counts,
+    duals and witnesses included."""
+    space, target, _, stride, cap = instance
+    if kind == "grid":
+        family = AllGridBalls(stride)
+    elif kind == "centers-in":
+        quarter = space.delta / 4
+        coord = st.integers(-8, 40).map(lambda j: quarter * j)
+        family = CentersIn(tuple(data.draw(st.lists(st.tuples(*[coord] * space.n),
+                                                    min_size=1, max_size=8))))
+    else:
+        half = space.delta / 2
+        coord = st.integers(-4, 20).map(lambda j: half * j)
+        radius = st.integers(1, 8).map(lambda j: half * j)
+        family = FixedFamily(tuple(data.draw(st.lists(
+            st.builds(Ball, st.tuples(*[coord] * space.n), radius), min_size=1, max_size=16))))
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    assert_reports_match_pruned_first(space, target, m, family)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(net_instances(), st.sampled_from([1, 2]))
+def test_reports_match_pruning_first_on_nets(instance, m):
+    net, target, _, cap = instance
+    family = AllGridBalls()
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    assert_reports_match_pruned_first(net, target, m, family)
+
+
+def test_the_dominance_pass_runs_only_where_the_search_branches():
+    """Not in the greedy, not in a solve that closes at its root (the 8^3
+    cube at m = 1), and once in a search that branches."""
+    calls = []
+
+    def counted(masks, n_elems):
+        calls.append(len(masks))
+        return _undominated(masks, n_elems)
+
+    cube, dumbbell = make_cube(3, 8), make_dumbbell(6, 8)
+    with mock.patch.object(content, "_undominated", counted):
+        greedy_content(cube, None, 1)
+        assert exact_content(cube, None, 1).certificate["nodes"] == 1
+        assert calls == []
+        assert exact_content(dumbbell, None, 1, AllGridBalls(), 20).certificate["nodes"] > 1
+        assert len(calls) == 1
