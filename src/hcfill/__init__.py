@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .config import RunConfig
 from .content import (
     ContentResult,
-    content_ball_scan,
     exact_content,
     greedy_content,
     volume_lower_bound,
@@ -74,6 +73,6 @@ from .space import (
     space_diameter,
     space_radius,
 )
-from .width import NerveComplex, local_width_check, nerve, width_bound
+from .width import NerveComplex, nerve, width_bound
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,8 +1,9 @@
 """Command-line interface: every operation as a subcommand emitting a
 schema-versioned JSON report (deterministic: sorted keys).
 
-Exit codes: 0 success, 1 input error, 2 verification failure (an inequality
-the artifact certifies did not hold; the report carries the counterexample).
+Exit codes: 0 success, 1 input error (usage errors the parser finds
+included), 2 verification failure (an inequality the artifact certifies did
+not hold; the report carries the counterexample).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .space import (
     load_json,
     load_space,
 )
-from .width import local_width_check, width_bound
+from .width import width_bound
 
 SCHEMA = "hcfill/1"
 
@@ -80,7 +81,7 @@ def _parse_m(text: str) -> Fraction:
 
 
 def _parse_width_m(text: str) -> Fraction | int:
-    """`--m` of the width subcommands: an integral value as `int`, so that
+    """`--m` of the width subcommand: an integral value as `int`, so that
     `2.0` reports as `2`; the library refuses the rest."""
     m = _parse_m(text)
     return int(m) if m.denominator == 1 else m
@@ -278,15 +279,6 @@ def _cmd_width(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_local_width(args, cfg: RunConfig) -> int:
-    space = load_space(args.space)
-    budget = {} if args.budget is None else {"budget": args.budget}
-    report = local_width_check(space, _parse_width_m(args.m), _parse_number(args.radius, "--R"),
-                               node_budget=cfg.node_budget, **budget)
-    _emit({"command": "local-width", "report": report}, args.out)
-    return 0
-
-
 def _cmd_corpus(args, cfg: RunConfig) -> int:
     import os
 
@@ -350,29 +342,48 @@ def _cmd_corpus(args, cfg: RunConfig) -> int:
 
 
 def _suite_invariants(space, cfg: RunConfig) -> dict:
+    """Each check reads the side of the content brackets that decides it.
+    HC_1^2 >= HC_2 holds when upper(HC_2) <= lower(HC_1)^2 and fails when
+    lower(HC_2) > upper(HC_1)^2; between the two it is undecided (null),
+    named under "undecided", and the row is not ok without failing."""
     from .space import space_diameter, space_radius
 
     checks = {}
-    values = {}
+    res = {}
     for m in (1, 2):
-        res = exact_content(space, None, m, node_budget=cfg.node_budget)
-        values[m] = res.value_upper
+        res[m] = exact_content(space, None, m, node_budget=cfg.node_budget)
         rad = space_radius(space)
         diam = space_diameter(space)
-        checks[f"content_le_radius_pow_{m}"] = res.value_upper <= rad**m
+        checks[f"content_le_radius_pow_{m}"] = res[m].value_upper <= rad**m
         checks[f"radius_le_diameter_pow_{m}"] = rad**m <= diam**m
-    checks["dimension_comparison"] = values[1] ** 2 >= values[2] ** 1
-    ok = all(checks.values())
-    if not ok:
+    if res[2].value_upper <= res[1].value_lower ** 2:
+        checks["dimension_comparison"] = True
+    elif res[2].value_lower > res[1].value_upper ** 2:
+        checks["dimension_comparison"] = False
+    else:
+        checks["dimension_comparison"] = None
+    if False in checks.values():
         raise VerificationError("invariant suite failed", checks)
-    return {"checks": checks, "ok": ok}
+    undecided = [name for name, held in checks.items() if held is None]
+    row = {"checks": checks, "ok": not undecided}
+    if undecided:
+        row["undecided"] = undecided
+    return row
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code; subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hcfill",
         description="Hausdorff-content solvers, filling certificates and "
                     "width bounds on finite metric models",
@@ -455,14 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_width)
-
-    p = sub.add_parser("local-width", help="per-ball content scan + width bound")
-    p.add_argument("--space", required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--R", dest="radius", required=True)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_local_width)
 
     p = sub.add_parser("corpus", help="run a suite over a fixture directory")
     p.add_argument("--dir", required=True)

@@ -12,21 +12,23 @@ progression a, a, a-b, a-2b, ... with a = (1+1/m) r_i and b = r_i^2/(m d_i)
 (d_i = d(q_i, p)), so the certificate's cost comes from that progression:
 at integer m a closed-form integer sum of m-th powers over one common
 denominator, the same Fraction as summing the balls' costs.  Radii,
-centres, apex and R share one denominator too, so containment, ball counts
-and per-input caps are integer tests.  The balls themselves, with
-per-ball provenance, are built on first access; `cone_coverage_check`
-proves exactly that they cover the cone.
+centres, apex and R share one denominator too (`exact.common_den` and
+`exact.numerators`), so containment, ball counts and per-input caps are
+integer tests.  The balls themselves, with per-ball provenance, are built
+on first access; `cone_coverage_check` proves exactly that they cover the
+cone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, VerificationError
-from .exact import TOL, Scalar, as_fraction, fmt_scalar, is_integral, power
+from .exact import TOL, Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators, power
 from .space import Ball, Covering, VoxelSpace, linf
 
 
@@ -120,21 +122,17 @@ def cone_covering(
 
     # Radii, centres, apex and R as integer numerators over one denominator,
     # so containment, ball counts and caps are integer tests; m = p/q.
-    den = math.lcm(Rf.denominator, *(x.denominator for x in apex),
-                   *(r.denominator for r in radii),
-                   *(x.denominator for c in centers for x in c))
-    R_num = Rf.numerator * (den // Rf.denominator)
-    apex_num = [a.numerator * (den // a.denominator) for a in apex]
+    den = common_den(itertools.chain(apex, radii, *centers), Rf.denominator)
+    (R_num,) = numerators((Rf,), den)
+    apex_num = numerators(apex, den)
     p, q = mf.numerator, mf.denominator
     runs = []  # per input: (radius, distance to the apex, ball count)
-    for i, (center, r) in enumerate(zip(centers, radii)):
+    for i, (center, r) in enumerate(zip(centers, numerators(radii, den))):
         if r <= 0:
             raise InputError("cone covering needs positive input radii")
         if len(center) != len(apex):
             raise InputError("dimension mismatch")
-        r = r.numerator * (den // r.denominator)
-        d = max(abs(x.numerator * (den // x.denominator) - a)
-                for x, a in zip(center, apex_num))
+        d = max(abs(x - a) for x, a in zip(numerators(center, den), apex_num))
         if d + r > R_num:
             raise InputError(
                 f"input ball {i} is not inside the ambient ball of radius {R}"
@@ -295,7 +293,7 @@ def cone_map_image(
         x = space.cell_center(cell)
         d = min(as_fraction(linf(x, t)) for t in target)
         image = blend_point(x, apex, d, rf)
-        cells.add(tuple(_containing_index(coord, space.delta) for coord in image))
+        cells.add(space.containing_cell(image))
     return VoxelSpace(space.n, space.delta, frozenset(cells))
 
 
@@ -306,8 +304,3 @@ def blend_point(x, apex, dist_to_target: Scalar, r: Scalar):
     af = tuple(as_fraction(c) for c in apex)
     phi = max(Fraction(0), 1 - as_fraction(dist_to_target) / as_fraction(r))
     return tuple(phi * a + (1 - phi) * b for a, b in zip(xf, af))
-
-
-def _containing_index(coord: Fraction, delta: Fraction) -> int:
-    q = as_fraction(coord) / delta
-    return q.numerator // q.denominator

@@ -59,9 +59,10 @@ greedy and the search; a ball is built only when read, which the solvers do
 for the witness alone, on one Fraction per distinct coordinate and radius.
 The greedy prices balls with the search's `_RatioBound`, so at integer m it
 compares integers, ties broken by a grid row's integer key (centre
-half-units, then side k), which orders like the ball key.  It is lazy
-(Minoux's accelerated greedy): stale prices only grow as coverage grows, so
-a popped ball whose price is still current is the one a full rescan picks.
+half-units, then side k), which orders like the ball key, and by the ball
+key itself in the other families.  It is lazy (Minoux's accelerated
+greedy): stale prices only grow as coverage grows, so a popped ball whose
+price is still current is the one a full rescan picks.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import InputError, UncoverableError
-from .exact import TOL, Scalar, as_fraction, fmt_scalar, is_integral, power, scalar_formatter
+from .exact import (TOL, Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators,
+                    power, scalar_formatter)
 from .space import (
     AllGridBalls,
     Ball,
@@ -88,7 +90,7 @@ from .space import (
     RadiusCapped,
     Space,
     VoxelSpace,
-    ball_members,
+    ball_members,  # noqa: F401 -- unused; perfbench/test_perfbench.py asserts the binding
     bit_indices,
     family_label,
     linf,
@@ -382,41 +384,12 @@ def _cost_key(cand):
 
 
 def _tie_keys(cands):
-    """Keys that order the candidates like their ball keys: grid blocks'
-    integer keys, else `_key_ints` when every key part is rational, else the
-    ball keys themselves."""
+    """Keys that order the candidates like their ball keys: the grid
+    blocks' integer keys when every candidate is a grid block, else the ball
+    keys themselves, (centre, radius) tuples compared part by part."""
     if all(type(c) is _GridCandidate for c in cands):
         return [c.key for c in cands]
-    balls = [c.ball for c in cands]
-    return _key_ints(balls) or [b.key() for b in balls]
-
-
-def _key_ints(balls):
-    """One non-negative integer per ball that orders like `ball.key()`, or
-    None when some centre coordinate or radius is a float (or the centres
-    differ in length).  Each key part, scaled by the lcm of their
-    denominators and shifted to start at 0, is one digit of a mixed-radix
-    number, the first centre coordinate the most significant.  A part object
-    is scaled once however many balls hold it (the balls at one centre
-    share its coordinates)."""
-    if not balls:
-        return []
-    width = len(balls[0].center)
-    if any(len(b.center) != width for b in balls):
-        return None
-    cols = [*zip(*(b.center for b in balls)), [b.radius for b in balls]]
-    parts = {id(x): x for col in cols for x in col}
-    if not all(isinstance(x, (Fraction, int)) for x in parts.values()):
-        return None
-    den = math.lcm(*(x.denominator for x in parts.values()))
-    scaled = {i: x.numerator * (den // x.denominator) for i, x in parts.items()}
-    keys = [0] * len(balls)
-    for col in cols:
-        col = [scaled[id(x)] for x in col]
-        low = min(col)
-        span = max(col) - low + 1
-        keys = [key * span + x - low for key, x in zip(keys, col)]
-    return keys
+    return [c.ball.key() for c in cands]
 
 
 def _net_centers(space: NetSpace):
@@ -452,10 +425,10 @@ class _RatioBound:
         costs = [c.cost for c in cands]
         masks = [c.mask for c in cands]
         if all(isinstance(c, Fraction) for c in costs):
-            denom = math.lcm(*(c.denominator for c in costs))
+            denom = common_den(costs)
             size = max(mask.bit_count() for mask in masks)
             lcm_k = math.lcm(*range(1, size + 1))
-            weights = [c.numerator * (denom // c.denominator) for c in costs]
+            weights = numerators(costs, denom)
             self.scale = denom * lcm_k
             self.costs = [w * lcm_k for w in weights]
             self._per_size = [0] + [lcm_k // k for k in range(1, size + 1)]
@@ -816,29 +789,6 @@ def exact_content(
         m, family_label(family), lower, best_cost, optimal, witness, cert,
         _exact_mode(space, m),
     )
-
-
-def content_ball_scan(space: Space, m: Scalar, R: Scalar):
-    """Exact content of B(center, R) within the space under all grid balls,
-    for every occupied element as center; also the maximum ratio
-    HC_m(ball)/R^m."""
-    if R <= 0:
-        raise InputError("R must be positive")
-    results = []
-    max_ratio = 0.0
-    if isinstance(space, VoxelSpace):
-        centers = [(c, space.cell_center(c)) for c in space.sorted_cells()]
-    else:
-        centers = [(i, c) for i, c in enumerate(_net_centers(space))]
-    rm = float(power(as_fraction(R), m))
-    for label, point in centers:
-        members = ball_members(Ball(point, as_fraction(R)), space)
-        if not members:
-            continue
-        res = exact_content(space, members, m)
-        results.append((label, res))
-        max_ratio = max(max_ratio, float(res.value_upper) / rm)
-    return results, max_ratio
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ from .coarea import DistanceToPoint, SliceProfile, best_slice, slice_profile
 from .content import DEFAULT_NODE_BUDGET, _branch_and_bound, _Candidate, _RatioBound, exact_content
 from .cone import ConeCertificate, cone_covering
 from .errors import DecompositionViolation, InputError, VerificationError
-from .exact import TOL, Scalar, as_fraction, fmt_scalar, is_integral, power, root
+from .exact import (TOL, Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators,
+                    power, root)
 from .pushout import DEFAULT_CANDIDATES, CubicalGrid, grid_R_for_content, skeleton_descend
 from .space import (
     Ball,
@@ -315,8 +316,8 @@ def _lattice_point(space: VoxelSpace, p):
     on axis i lie at (2 c_i + 1) * lcm units and p at at[i]."""
     half = space.delta / 2
     scaled = [as_fraction(x) / half for x in p]
-    lcm = math.lcm(*(x.denominator for x in scaled))
-    return half / lcm, lcm, [x.numerator * (lcm // x.denominator) for x in scaled]
+    lcm = common_den(scaled)
+    return half / lcm, lcm, numerators(scaled, lcm)
 
 
 def _linf_units(space: VoxelSpace, p, cells):
@@ -936,7 +937,7 @@ def improvement_sequence(
         # a carrier at the centre of a cell the step removed lands where
         # the step sends that cell; every other carrier stays put
         for orig, pos in carriers.items():
-            cell = _point_cell(pos, space)
+            cell = space.containing_cell(pos)
             if cell in step.theta and space.cell_center(cell) == pos:
                 carriers[orig] = step.theta[cell]
         current = step.new_cells
@@ -963,14 +964,6 @@ def improvement_sequence(
             {"checks": [c.to_dict() for c in report.checks]},
         )
     return report
-
-
-def _point_cell(point, space: VoxelSpace):
-    out = []
-    for x in point:
-        q = as_fraction(x) / space.delta
-        out.append(q.numerator // q.denominator)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ Voxel-model quantities (cell size, grid-ball radii, integer-exponent costs)
 are `fractions.Fraction` and all comparisons on them are exact.  Anything
 that passes through a non-integer exponent degrades to float and is compared
 with the tolerance `TOL`.
+
+`common_den` and `numerators` are the one place where rationals become
+integers: numerators over the lcm of the values' denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 Scalar = Union[Fraction, float, int]
@@ -31,6 +35,18 @@ def as_fraction(x: Scalar) -> Fraction:
     strings and floats (via their binary expansion) become an equal
     Fraction."""
     return x if type(x) is Fraction else Fraction(x)
+
+
+def common_den(values, *dens: int) -> int:
+    """The lcm of `dens` and of the denominators of the rational (Fraction
+    or int) values."""
+    return lcm(*dens, *(x.denominator for x in values))
+
+
+def numerators(values, den: int) -> tuple[int, ...]:
+    """The integer n with Fraction(n, den) == x for each rational value x;
+    `den` must be a multiple of every value's denominator."""
+    return tuple(x.numerator * (den // x.denominator) for x in values)
 
 
 def power(base: Scalar, m: Scalar) -> Scalar:

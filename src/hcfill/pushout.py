@@ -5,6 +5,8 @@ coordinate-cube equality case).
 
 All face geometry is exact rational arithmetic: a face of the grid Q(R) is a
 per-coordinate list of either a fixed grid value or a free unit interval.
+Projections, point covers and the average-point search work on integer
+numerators over one denominator (`exact.common_den`, `exact.numerators`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from math import ceil, gcd, lcm, prod
 
 from .content import exact_content
 from .errors import InputError, PushoutPreconditionError, VerificationError
-from .exact import Scalar, as_fraction, fmt_scalar, is_integral, power, root
+from .exact import (Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators, power,
+                    root)
 from .space import Covering, VoxelSpace, Ball, linf
 
 DEFAULT_CANDIDATES = 64
@@ -100,30 +103,16 @@ def radial_project(face: Face, p, x):
         raise InputError("point to project must lie in the face")
     if x == p:
         raise InputError("radial projection undefined at the projection point")
-    den = _common_den((p, x), face.grid.R.denominator)
-    y, scale = _project(_free_bounds(face, den), _scaled(p, den), _scaled(x, den))
+    den = common_den((*p, *x), face.grid.R.denominator)
+    y, scale = _project(_free_bounds(face, den), numerators(p, den), numerators(x, den))
     if not scale:
         raise InputError("radial projection undefined at the projection point")
     return tuple(Fraction(c, den * scale) for c in y)
 
 
-# Integer geometry: rational points are kept as integer numerators over one
-# common denominator, so projections and distances need no Fraction.
-
-def _common_den(points, *dens) -> int:
-    return lcm(*dens, *(c.denominator for pt in points for c in pt))
-
-
-def _scaled(point, den: int) -> tuple:
-    """Integer numerators of a rational point over `den` (a multiple of
-    every coordinate's denominator)."""
-    return tuple(c.numerator * (den // c.denominator) for c in point)
-
-
 def _free_bounds(face: Face, den: int) -> list:
     """(axis, lo, hi) per free axis of the face, as numerators over `den`."""
-    R = face.grid.R
-    unit = R.numerator * (den // R.denominator)
+    (unit,) = numerators((face.grid.R,), den)
     return [(axis, unit * a, unit * (a + 1))
             for axis, (kind, a) in enumerate(face.coords) if kind == "free"]
 
@@ -163,10 +152,10 @@ def point_cover(points, exponent: Scalar, floor: Scalar = 0):
     """
     pts = sorted(tuple(as_fraction(c) for c in p) for p in points)
     floor = as_fraction(floor)
-    den = _common_den(pts, floor.denominator)
+    den = common_den(itertools.chain(*pts), floor.denominator)
     price, unit = _pricer(exponent)(den)
-    total, chosen = _greedy_cover([_scaled(p, den) for p in pts],
-                                  floor.numerator * (den // floor.denominator), price)
+    total, chosen = _greedy_cover([numerators(p, den) for p in pts],
+                                  numerators((floor,), den)[0], price)
     return Fraction(total, unit), [Ball(pts[i], Fraction(r, den)) for i, r in chosen]
 
 
@@ -280,10 +269,10 @@ def _average_point(face: Face, points, m: Scalar, candidates: int,
     # axis), so only options equal to an input point are inadmissible.
     floor = as_fraction(floor)
     weyl_den = R.denominator * 10 * _WEYL_DEN
-    den = _common_den(pts, floor.denominator, weyl_den)
+    den = common_den(itertools.chain(*pts), floor.denominator, weyl_den)
     free = _free_bounds(face, den)
-    step = R.numerator * (den // weyl_den)  # R / (10 * _WEYL_DEN)
-    centre = _scaled(face.center(), den)
+    floor_num, step = numerators((floor, R / (10 * _WEYL_DEN)), den)
+    centre = numerators(face.center(), den)
     options = [centre]
     # deterministic low-discrepancy interior sample (Weyl sequence per axis):
     # lo + R * (1/10 + 8/10 * frac / _WEYL_DEN)
@@ -293,7 +282,7 @@ def _average_point(face: Face, points, m: Scalar, candidates: int,
             frac_part = (j * _WEYL[ai % len(_WEYL)]) % _WEYL_DEN
             coord[axis] = lo + step * (_WEYL_DEN + 8 * frac_part)
         options.append(tuple(coord))
-    xs = [_scaled(x, den) for x in pts]
+    xs = [numerators(x, den) for x in pts]
     taken = set(xs)
     options = [p for p in options if p not in taken]
     if not options:
@@ -304,7 +293,6 @@ def _average_point(face: Face, points, m: Scalar, candidates: int,
     # Each option's cost is total / unit.  A greedy stops once it is above
     # the best so far, and equal costs go to the smaller option.
     costs = _pricer(exponent)
-    floor_num = floor.numerator * (den // floor.denominator)
     best = None  # (total, unit, option, projections)
     for p in options:
         hits = [_project(free, p, x) for x in xs]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
 
 from .errors import InputError
 from .exact import (
@@ -81,6 +81,11 @@ class VoxelSpace:
     def cell_center(self, cell: Cell) -> Point:
         dn, dd = self.delta.numerator, 2 * self.delta.denominator
         return tuple(Fraction(dn * (2 * coord + 1), dd) for coord in cell)
+
+    def containing_cell(self, point) -> Cell:
+        """The cell whose box [delta c, delta (c + 1)) holds the point on
+        every axis: floor(x / delta) per coordinate."""
+        return tuple(floor(as_fraction(x) / self.delta) for x in point)
 
     def sorted_cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self.cells))

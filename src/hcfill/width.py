@@ -15,21 +15,22 @@ holds a ball, and that ball alone has diameter at least delta.
 
 `nerve` reads each element's owners off the set bits of the balls' member
 masks (`space.ElementBits.ball`) and keeps the simplices that are no face
-of another (integer subset test).  A ball's axis box (center -+ radius per
-axis) is held as integers over one denominator, so `fiber_bound` takes each
-simplex's union diameter as an integer max - min and builds one `Fraction`
+of another (integer subset test).  `fiber_bound` puts every vertex
+ball's centre and radius over one denominator (`exact.common_den`), so each
+ball's axis box (centre -+ radius per axis) is integer numerators, a
+simplex's union diameter an integer max - min, and one `Fraction` is built
 at the end.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .content import DEFAULT_NODE_BUDGET, content_ball_scan, exact_content
+from .content import DEFAULT_NODE_BUDGET, exact_content
 from .errors import InputError, UncoverableError
-from .exact import Scalar, as_fraction, fmt_scalar, root
+from .exact import Scalar, as_fraction, common_den, fmt_scalar, numerators, root
 from .space import (
     Ball,
     Covering,
@@ -38,7 +39,6 @@ from .space import (
     VoxelSpace,
     ball_members,  # noqa: F401 -- unused; perfbench/test_perfbench.py asserts the binding
     grid_ball,
-    space_diameter,
     space_radius,
 )
 
@@ -60,33 +60,6 @@ class NerveComplex:
             "multiplicity": self.multiplicity,
             "maximal_simplices": [list(s) for s in self.simplices],
         }
-
-
-Box = tuple[int, tuple[int, ...], tuple[int, ...]]  # (den, lo, hi): bounds lo/den, hi/den
-
-
-def _ball_box(ball: Ball) -> Box:
-    """Per-axis (center - radius, center + radius) of a cube ball, as
-    integers over the lcm of the center's and radius' denominators."""
-    r = as_fraction(ball.radius)
-    center = [as_fraction(c) for c in ball.center]
-    den = lcm(r.denominator, *(c.denominator for c in center))
-    rn = r.numerator * (den // r.denominator)
-    cn = [c.numerator * (den // c.denominator) for c in center]
-    return den, tuple(c - rn for c in cn), tuple(c + rn for c in cn)
-
-
-def _common_den(boxes: list[Box]) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """The boxes' (lo, hi) bounds as integers over the lcm of their
-    denominators."""
-    den = lcm(*(d for d, _, _ in boxes))
-    out = []
-    for d, lo, hi in boxes:
-        if d != den:
-            f = den // d
-            lo, hi = tuple(x * f for x in lo), tuple(x * f for x in hi)
-        out.append((lo, hi))
-    return den, out
 
 
 def nerve(cover: Covering, space: Space) -> NerveComplex:
@@ -138,9 +111,16 @@ def fiber_bound(nerve_complex: NerveComplex) -> Fraction:
     """Upper bound on any nerve map's fiber diameters: every fiber lies in
     the union of one simplex's balls, whose l_inf diameter is the largest
     per-axis span max(hi) - min(lo), taken on the balls' integer boxes over
-    the lcm of their denominators."""
-    den, bounds = _common_den([_ball_box(b) for b in nerve_complex.vertex_balls])
-    axes = list(zip(zip(*(lo for lo, _ in bounds)), zip(*(hi for _, hi in bounds))))
+    the lcm of every centre coordinate's and radius' denominator."""
+    balls = nerve_complex.vertex_balls
+    radii = [as_fraction(b.radius) for b in balls]
+    columns = [[as_fraction(x) for x in col] for col in zip(*(b.center for b in balls))]
+    den = common_den(itertools.chain(radii, *columns))
+    rs = numerators(radii, den)
+    axes = []  # per axis: (lo, hi) of every ball, by ball index
+    for col in columns:
+        cs = numerators(col, den)
+        axes.append(([c - r for c, r in zip(cs, rs)], [c + r for c, r in zip(cs, rs)]))
     worst = 0
     for simplex in nerve_complex.simplices:
         for lo, hi in axes:
@@ -210,21 +190,3 @@ def width_bound(
         if float(content.value_upper) > 0 else 0.0
     return WidthResult(m, value, cover, nv, c_measured, content.value_upper, trivial)
 
-
-def local_width_check(space: VoxelSpace, m: int, R: Scalar,
-                      budget: int = 1000,
-                      node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
-    """Pair the per-ball content scan with the global width bound: reports
-    max HC_m(ball)/R^m and the achieved width bound (no threshold asserted;
-    the scale constant relating them is existential)."""
-    scan, max_ratio = content_ball_scan(space, m, R)
-    width = width_bound(space, m, budget=budget, node_budget=node_budget)
-    return {
-        "R": fmt_scalar(as_fraction(R)),
-        "max_ball_content_ratio": max_ratio,
-        "width_bound": fmt_scalar(width.bound),
-        "width_trivial": width.trivial,
-        "c_measured": width.c_measured,
-        "diameter": fmt_scalar(space_diameter(space)),
-        "balls_scanned": len(scan),
-    }

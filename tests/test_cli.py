@@ -282,16 +282,8 @@ def test_width_subcommands(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["result"]["trivial"] is False
 
-    code, out, _ = run_cli(capsys, "local-width", "--space", str(path), "--m",
-                           "2", "--R", "1/2", "--budget", "40")
-    assert code == 0
-    assert json.loads(out)["report"]["max_ball_content_ratio"] > 0
 
-
-@pytest.mark.parametrize("command, extra", [
-    ("width", ()),
-    ("local-width", ("--R", "1/2")),
-])
+@pytest.mark.parametrize("command, extra", [("width", ())])
 def test_width_budget_zero_and_negative(capsys, tmp_path, command, extra):
     path = tmp_path / "dumb.json"
     save_space(make_dumbbell(), str(path))
@@ -299,12 +291,8 @@ def test_width_budget_zero_and_negative(capsys, tmp_path, command, extra):
                            *extra, "--budget", "0")
     assert code == 0
     doc = json.loads(out)
-    if command == "width":
-        assert doc["result"]["trivial"] is True
-        assert doc["result"]["bound"] == "7/4"  # the diameter
-    else:
-        assert doc["report"]["width_trivial"] is True
-        assert doc["report"]["width_bound"] == doc["report"]["diameter"] == "7/4"
+    assert doc["result"]["trivial"] is True
+    assert doc["result"]["bound"] == "7/4"  # the diameter
 
     code, out, err = run_cli(capsys, command, "--space", str(path), "--m", "2",
                              *extra, "--budget", "-3")
@@ -316,10 +304,12 @@ def test_width_budget_zero_and_negative(capsys, tmp_path, command, extra):
 @pytest.mark.parametrize("argv, message", [
     (("width", "--space", "SPACE", "--m", "1.5"), "width index needs integer m >= 1"),
     (("width", "--space", "SPACE", "--m", "abc"), "--m: not a number"),
-    (("local-width", "--space", "SPACE", "--m", "3/2", "--R", "1/2"),
+    (("width", "--space", "SPACE", "--m", "3/2", "--budget", "0"),
      "width index needs integer m >= 1"),
-    (("local-width", "--space", "SPACE", "--m", "2", "--R", "abc"), "--R: not a number"),
-    (("local-width", "--space", "SPACE", "--m", "2", "--R", "1/0"), "--R: not a number"),
+    (("cone", "--cover", "COVER", "--apex", "0,0", "--m", "2", "--R", "abc"),
+     "--R: not a number"),
+    (("cone", "--cover", "COVER", "--apex", "0,0", "--m", "2", "--R", "1/0"),
+     "--R: not a number"),
     (("content", "--space", "SPACE", "--m", "abc"), "--m: not a number"),
     (("content", "--space", "SPACE", "--m", "1/0"), "--m: not a number"),
     (("content", "--space", "SPACE", "--m", "1", "--radius-cap", "x"),
@@ -331,18 +321,19 @@ def test_width_budget_zero_and_negative(capsys, tmp_path, command, extra):
 def test_malformed_numeric_options_are_input_errors(capsys, tmp_path, argv, message):
     path = tmp_path / "cube.json"
     save_space(make_cube(2, 2, Fraction(1, 4)), str(path))
-    argv = [str(path) if a == "SPACE" else a for a in argv]
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"balls": [{"center": ["1/2", "0"], "radius": "1/4"}]}))
+    argv = [{"SPACE": str(path), "COVER": str(cover)}.get(a, a) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("extra", [(), ("--R", "1/2")])
+@pytest.mark.parametrize("extra", [(), ("--budget", "0")])
 def test_integral_width_index_reports_as_an_integer(capsys, tmp_path, extra):
     path = tmp_path / "cube.json"
     save_space(make_cube(2, 2, Fraction(1, 4)), str(path))
-    command = "local-width" if extra else "width"
-    outs = [run_cli(capsys, command, "--space", str(path), "--m", m, *extra)
+    outs = [run_cli(capsys, "width", "--space", str(path), "--m", m, *extra)
             for m in ("2", "2.0", "4/2")]
     assert outs[0][0] == 0
     assert outs[1] == outs[2] == outs[0]
@@ -488,6 +479,74 @@ def test_config_file_naming_a_removed_knob_is_an_input_error(capsys, tmp_path, c
     assert err == "error: unknown config keys: ['tolerance']\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("content",),
+    ("width", "--space", "s.json", "--m", "2", "--budget", "abc"),
+    ("nosuch",),
+    ("local-width", "--space", "s.json", "--m", "2", "--R", "1"),
+])
+def test_usage_errors_exit_1(capsys, argv):
+    """The parser's own errors are input errors, as the exit-code contract
+    says; 2 is kept for a certified inequality that failed."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("width", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert "usage: hcfill" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("brackets, verdict, code", [
+    # (lower, upper) of HC_1 and of HC_2 on the unit square, delta 1/4
+    (((Fraction(1, 2),) * 2, (Fraction(1, 4),) * 2), True, 0),
+    (((Fraction(1, 2),) * 2, (Fraction(1, 8), Fraction(1, 4))), True, 0),
+    (((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 8), Fraction(1, 4))), None, 0),
+    (((Fraction(1, 4),) * 2, (Fraction(1, 8), Fraction(1, 4))), False, 2),
+])
+def test_invariant_suite_reads_the_sound_side_of_each_bracket(
+        capsys, tmp_path, monkeypatch, brackets, verdict, code):
+    """HC_1^2 >= HC_2 holds when upper(HC_2) <= lower(HC_1)^2, fails when
+    lower(HC_2) > upper(HC_1)^2, and is undecided in between: the third
+    case passed when both sides read the upper values."""
+    import dataclasses
+
+    import hcfill.cli
+    from hcfill.errors import VerificationError
+
+    real = hcfill.cli.exact_content
+
+    def bracketed(space, target, m, **kwargs):
+        lower, upper = brackets[m - 1]
+        return dataclasses.replace(real(space, target, m, **kwargs), value_lower=lower,
+                                   value_upper=upper, optimal=lower == upper)
+
+    monkeypatch.setattr(hcfill.cli, "exact_content", bracketed)
+    space = make_cube(2, 4, Fraction(1, 4))
+    if verdict is False:
+        with pytest.raises(VerificationError) as exc:
+            hcfill.cli._suite_invariants(space, RunConfig())
+        assert exc.value.report["dimension_comparison"] is False
+    else:
+        row = hcfill.cli._suite_invariants(space, RunConfig())
+        assert row["checks"].pop("dimension_comparison") is verdict
+        assert all(row["checks"].values())
+        assert row["ok"] is (verdict is True)
+        assert row.get("undecided") == (None if verdict else ["dimension_comparison"])
+
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    save_space(space, str(fixtures / "a.json"))
+    got, out, _ = run_cli(capsys, "corpus", "--dir", str(fixtures), "--suite", "invariants")
+    doc = json.loads(out)
+    assert (got, doc["failures"], doc["rows"][0]["ok"]) == (code, code // 2, verdict is True)
+
+
 def test_family_file_required(capsys, cube_path):
     code, _, err = run_cli(capsys, "content", "--space", cube_path, "--m", "1",
                            "--family", "fixed")
@@ -586,7 +645,7 @@ def test_corpus_decompose_and_width_aggregates(capsys, tmp_path):
     assert "c_measured_summary" in json.loads(out)
 
 
-def test_local_width_uses_config_node_budget(capsys, tmp_path, monkeypatch):
+def test_width_uses_config_node_budget(capsys, tmp_path, monkeypatch):
     import hcfill.width
 
     seen = []
@@ -601,8 +660,8 @@ def test_local_width_uses_config_node_budget(capsys, tmp_path, monkeypatch):
     save_space(make_cube(2, 2, Fraction(1, 8)), str(space))
     cfg = tmp_path / "cfg.json"
     RunConfig(node_budget=4321).save(str(cfg))
-    code, _, _ = run_cli(capsys, "--config", str(cfg), "local-width", "--space",
-                         str(space), "--m", "2", "--R", "1/2", "--budget", "5")
+    code, _, _ = run_cli(capsys, "--config", str(cfg), "width", "--space",
+                         str(space), "--m", "2", "--budget", "5")
     assert code == 0
     assert seen == [4321]
 
@@ -610,7 +669,7 @@ def test_local_width_uses_config_node_budget(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("width", "--m", "1"),
     ("fill", "--m", "2"),
-    ("local-width", "--m", "1", "--R", "1"),
+    ("coarea", "--f", "dist:0,0", "--cover", "unread.json", "--m", "2"),
     ("lw-check",),
 ])
 def test_voxel_only_subcommands_refuse_nets(capsys, tmp_path, argv):

@@ -256,36 +256,6 @@ def test_net_bracket():
     assert res.value_lower == pytest.approx(1.0)
 
 
-def test_content_ball_scan_small_space():
-    s = make_cube(2, 2, Fraction(1, 8))  # diameter 1/4 < R
-    results, max_ratio = __import__("hcfill.content", fromlist=["content_ball_scan"]) \
-        .content_ball_scan(s, 1, Fraction(1, 2))
-    whole = exact_content(s, None, 1).value
-    assert all(res.value == whole for _, res in results)
-    assert max_ratio == pytest.approx(float(whole) / 0.5)
-
-
-def test_content_ball_scan_single_cell():
-    from hcfill.content import content_ball_scan
-
-    s = make_cube(2, 1, Fraction(1, 8))
-    results, max_ratio = content_ball_scan(s, 2, Fraction(1, 8))
-    assert len(results) == 1
-    assert results[0][1].value == Fraction(1, 16) ** 2
-
-
-def test_content_ball_scan_dumbbell():
-    from hcfill.content import content_ball_scan
-    from hcfill.shapes import make_dumbbell
-
-    s = make_dumbbell()
-    results, max_ratio = content_ball_scan(s, 1, 2 * s.delta)
-    assert len(results) == len(s.cells)
-    # bridge centers see fewer cells than block centers
-    values = {label: float(res.value) for label, res in results}
-    assert min(values.values()) < max(values.values())
-
-
 def test_centers_in_rejects_empty():
     with pytest.raises(InputError):
         CentersIn(())

@@ -609,6 +609,52 @@ def test_dominance_pass_matches_quadratic_on_fixed_families(instance, data):
     assert_post_processing_matches(space, target, m, FixedFamily(balls), raw)
 
 
+@st.composite
+def tied_families(draw):
+    """A square or segment of cells, a target of at least two of them, m,
+    and a centres-in or fixed family whose prices tie often: centres at
+    cell centres and on the half-cell lattice, and fixed balls that all
+    share one radius (a Fraction or its float)."""
+    n = draw(st.integers(1, 2))
+    side = draw(st.integers(2, 4))
+    delta = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 3), Fraction(1)]))
+    space = make_cube(n, side, delta)
+    target = draw(st.sets(st.sampled_from(sorted(space.cells)), min_size=2))
+    half = delta / 2
+    coord = st.integers(-1, 2 * side + 1).map(lambda j: half * j)
+    centers = tuple(draw(st.lists(
+        st.one_of(st.sampled_from(sorted(space.cells)).map(space.cell_center),
+                  st.tuples(*[coord] * n)),
+        min_size=2, max_size=10)))
+    m = draw(st.sampled_from(MS))
+    if draw(st.booleans()):
+        return space, frozenset(target), m, CentersIn(centers)
+    radius = half * draw(st.integers(1, 3))
+    radius = draw(st.sampled_from([radius, float(radius)]))
+    return space, frozenset(target), m, FixedFamily(tuple(Ball(c, radius) for c in centers))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tied_families())
+def test_greedy_takes_the_least_ball_key_among_tied_prices(case):
+    """On the point-centred and fixed families the greedy breaks price ties
+    by comparing ball keys; the lazy greedy picks what the eager rescan
+    picks."""
+    space, target, m, family = case
+    cands, index = generate_candidates(space, target, m, family)
+    assert_greedy_matches(cands, len(index))
+
+
+def test_greedy_ties_on_a_fixed_family_go_to_the_least_ball_key():
+    """Four unit-cell balls at one price: the greedy takes them in key
+    order."""
+    space = make_cube(2, 2, Fraction(1))
+    balls = tuple(grid_ball(space, cell, 1) for cell in sorted(space.cells, reverse=True))
+    cands, index = generate_candidates(space, frozenset(space.cells), 2, FixedFamily(balls))
+    picks = lazy_greedy(cands, (1 << len(index)) - 1)
+    assert [cands[i].ball for i in picks] == sorted(balls, key=Ball.key)
+
+
 def matrix_net(points):
     """A matrix-metric net with the l1 distances of the given points."""
     k = len(points)

@@ -19,7 +19,6 @@ from hcfill.decomposition import (
     InequalityCheck,
     TildeContent,
     _distinct_ends,
-    _point_cell,
     annulus_radius,
     critical_radius,
     decompose,
@@ -784,7 +783,7 @@ def _oracle_carriers(space, y, steps):
             cell = value
             if cell in step.theta:
                 landing = step.theta[cell]
-                landed_cell = _point_cell(landing, space)
+                landed_cell = space.containing_cell(landing)
                 if landed_cell in step.new_cells and \
                         space.cell_center(landed_cell) == landing:
                     carriers[orig] = ("cell", landed_cell)

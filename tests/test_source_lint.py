@@ -1,0 +1,66 @@
+"""Static checks on the package sources, with the standard library's `ast`
+only: every import a module binds is used in that module (or its line says
+`# noqa: F401`), and every private module-level function or class is named
+somewhere else in the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hcfill"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _parse(path):
+    text = path.read_text()
+    return text.splitlines(), ast.parse(text, str(path))
+
+
+def _import_bindings(tree):
+    """(name, line) of every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), alias.lineno
+
+
+def _references(tree):
+    """Every name the module reads: bare names and attribute names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    if path.name == "__init__.py":
+        return  # its imports are the package's public names
+    lines, tree = _parse(path)
+    used = set(_references(tree))
+    unused = [f"{path.name}:{line}: {name}" for name, line in _import_bindings(tree)
+              if name not in used and "# noqa: F401" not in lines[line - 1]]
+    assert unused == []
+
+
+def test_every_private_definition_is_named_elsewhere():
+    """A private function or class at module level that no other line of
+    the package names is dead code."""
+    trees = {path.name: _parse(path)[1] for path in MODULES}
+    named = set()
+    for tree in trees.values():
+        named.update(_references(tree))
+        named.update(alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) for alias in node.names)
+    dead = [f"{module}: {node.name}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in named]
+    assert dead == []
+

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,6 @@ from hcfill.space import (
 from hcfill.width import (
     NerveComplex,
     fiber_bound,
-    local_width_check,
     nerve,
     width_bound,
 )
@@ -133,22 +133,6 @@ def test_figure_fixture_width_far_below_diameter():
     assert w.c_measured > 0
 
 
-def test_local_width_check_pairs_scan_and_bound():
-    s = make_dumbbell()
-    rep = local_width_check(s, 2, Fraction(1, 2), budget=60)
-    assert rep["balls_scanned"] == len(s.cells)
-    assert rep["max_ball_content_ratio"] > 0
-    assert Fraction(rep["width_bound"]) <= Fraction(rep["diameter"])
-
-
-def test_local_width_small_space_ratio():
-    s = make_cube(2, 1, Fraction(1, 8))
-    rep = local_width_check(s, 2, Fraction(1, 2), budget=20)
-    assert rep["max_ball_content_ratio"] == pytest.approx(
-        float(Fraction(1, 16) ** 2) / 0.25
-    )
-
-
 def test_zero_budget_falls_back_to_the_diameter():
     for s in (make_cube(2, 4, Fraction(1, 4)), make_dumbbell()):
         w = width_bound(s, 2, budget=0)
@@ -159,7 +143,7 @@ def test_zero_budget_falls_back_to_the_diameter():
         assert fiber_bound(nv) == w.bound
 
 
-def test_local_width_check_passes_node_budget(monkeypatch):
+def test_width_bound_passes_node_budget(monkeypatch):
     seen = []
     real = hcfill.width.exact_content
 
@@ -168,8 +152,7 @@ def test_local_width_check_passes_node_budget(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hcfill.width, "exact_content", recording)
-    local_width_check(make_cube(2, 2, Fraction(1, 8)), 2, Fraction(1, 2),
-                      budget=5, node_budget=321)
+    width_bound(make_cube(2, 2, Fraction(1, 8)), 2, budget=5, node_budget=321)
     assert seen == [321]
 
 
@@ -376,3 +359,66 @@ def net_covers(draw):
 def test_mask_nerve_matches_set_nerve_on_nets(case):
     space, covers = case
     assert_nerves_agree(covers, space)
+
+
+# `fiber_bound` as it was written before it put every vertex ball over one
+# denominator at once: a per-ball integer box over the ball's own lcm, then
+# every box rescaled to the lcm of those.  Kept verbatim as the oracle.
+
+def _oracle_ball_box(ball):
+    r = as_fraction(ball.radius)
+    center = [as_fraction(c) for c in ball.center]
+    den = math.lcm(r.denominator, *(c.denominator for c in center))
+    rn = r.numerator * (den // r.denominator)
+    cn = [c.numerator * (den // c.denominator) for c in center]
+    return den, tuple(c - rn for c in cn), tuple(c + rn for c in cn)
+
+
+def _oracle_common_den(boxes):
+    den = math.lcm(*(d for d, _, _ in boxes))
+    out = []
+    for d, lo, hi in boxes:
+        if d != den:
+            f = den // d
+            lo, hi = tuple(x * f for x in lo), tuple(x * f for x in hi)
+        out.append((lo, hi))
+    return den, out
+
+
+def oracle_fiber_bound(nerve_complex):
+    den, bounds = _oracle_common_den([_oracle_ball_box(b) for b in nerve_complex.vertex_balls])
+    axes = list(zip(zip(*(lo for lo, _ in bounds)), zip(*(hi for _, hi in bounds))))
+    worst = 0
+    for simplex in nerve_complex.simplices:
+        for lo, hi in axes:
+            d = max(map(hi.__getitem__, simplex)) - min(map(lo.__getitem__, simplex))
+            if d > worst:
+                worst = d
+    return Fraction(worst, den)
+
+
+@st.composite
+def vertex_complexes(draw):
+    """Balls with centre coordinates over mixed denominators and radii that
+    are Fractions, ints or floats, and random simplices over them."""
+    n = draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 5, 8, 12]))
+    radius = st.one_of(
+        st.builds(Fraction, st.integers(0, 30), st.sampled_from([1, 2, 4, 7, 9])),
+        st.integers(0, 5),
+        st.floats(0.0, 8.0),
+    )
+    balls = tuple(draw(st.lists(st.builds(Ball, st.tuples(*[coord] * n), radius),
+                                min_size=1, max_size=7)))
+    index = st.integers(0, len(balls) - 1)
+    simplices = tuple(tuple(sorted(s)) for s in draw(st.lists(
+        st.sets(index, min_size=1, max_size=4), min_size=1, max_size=6)))
+    return NerveComplex(balls, simplices, max(map(len, simplices)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(vertex_complexes())
+def test_fiber_bound_matches_the_per_ball_box_oracle(nerve_complex):
+    got = fiber_bound(nerve_complex)
+    assert type(got) is Fraction
+    assert got == oracle_fiber_bound(nerve_complex)
