@@ -260,7 +260,7 @@ def _cmd_pushout(args, cfg: RunConfig) -> int:
 
 def _cmd_lw_check(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
-    report = loomis_whitney_check(space)
+    report = loomis_whitney_check(space, node_budget=cfg.node_budget)
     _emit({"command": "lw-check", "report": report}, args.out)
     return 0
 
@@ -307,14 +307,14 @@ def _cmd_corpus(args, cfg: RunConfig) -> int:
                 d = decompose(space, None, 2, node_budget=cfg.node_budget)
                 row.update({"alpha": d.alpha, "balls": len(d.balls), "ok": d.ok()})
             elif args.suite == "width":
-                w = width_bound(space, 2)
+                w = width_bound(space, 2, node_budget=cfg.node_budget)
                 row.update({
                     "bound": fmt_scalar(w.bound),
                     "c_measured": w.c_measured,
                     "ok": True,
                 })
             elif args.suite == "lw":
-                rep = loomis_whitney_check(space)
+                rep = loomis_whitney_check(space, node_budget=cfg.node_budget)
                 row.update({"N": rep["N"], "ok": rep["ok"]})
             else:
                 raise InputError(f"unknown suite {args.suite!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .exact import TOL, Scalar, as_fraction, fmt_scalar, power
+from .exact import TOL, Scalar, as_fraction, common_den, fmt_scalar, numerators, power
 from .space import Covering, ElementBits, VoxelSpace, bit_indices, linf
 
 _HALF = Fraction(1, 2)
@@ -163,48 +163,30 @@ def coarea_integral(profile: SliceProfile, m: Scalar) -> Scalar:
     return total if total is not None else Fraction(0)
 
 
-def best_slice(profile: SliceProfile, m: Scalar):
-    """Level R in the profile range minimizing the slice majorant
-    sum over balls with interval containing R of r_i^(m-1).
+def slice_sweep(r1: int, r2: int, spans):
+    """The integer core of `best_slice`: (level, cost) of the level in
+    [r1, r2] minimizing the summed weight of the intervals that contain it,
+    ties to the smallest level.  `spans` holds (a, b, w) for an interval
+    [a, b] of weight w.  Levels and weights are integer numerators, the
+    levels over twice a common denominator of their values, so that every
+    level is even and every midpoint an integer.
 
-    The majorant is a step function with breakpoints at interval endpoints,
-    so it is evaluated at every endpoint and at every midpoint between
-    consecutive endpoints; ties resolve to the smallest R.  One sweep over
-    the levels in increasing order keeps the exact majorant: a ball's weight
-    is added once its interval opens at or below the level and taken off
-    once the interval closes below it.
+    The sum is a step function with breakpoints at interval ends, so it is
+    evaluated at r1, r2, every end inside [r1, r2] and every midpoint between
+    consecutive ones.  One sweep over these levels in increasing order keeps
+    the sum: a weight is added once its interval opens at or below the level
+    and taken off once the interval closes below it.
     """
-    r1, r2 = profile.range
-    if not r2 > r1:
-        raise InputError("degenerate slice range")
-    if all(interval is None for interval in profile.intervals):
-        return as_fraction(r1), Fraction(0)  # no ball meets the domain
-    points = {as_fraction(r1), as_fraction(r2)}
-    for interval in profile.intervals:
-        if interval is None:
-            continue
-        for v in interval:
-            v = as_fraction(v)
-            if r1 <= v <= r2:
-                points.add(v)
-    sorted_pts = sorted(points)
-    candidates = list(sorted_pts)
-    for a, b in zip(sorted_pts, sorted_pts[1:]):
-        candidates.append((a + b) / 2)
-    candidates.sort()
-
-    exponent = as_fraction(m) - 1
-    spans = [
-        (interval, as_fraction(power(ball.radius, exponent)))
-        for ball, interval in zip(profile.cover.balls, profile.intervals)
-        if interval is not None
-    ]
-    opens = sorted((a, w) for (a, _), w in spans)
-    closes = sorted((b, w) for (_, b), w in spans)
-    i = j = 0
-    cost = Fraction(0)
+    points = sorted({r1, r2}.union(
+        v for a, b, _ in spans for v in (a, b) if r1 <= v <= r2))
+    levels = [points[0]]
+    for a, b in zip(points, points[1:]):
+        levels += ((a + b) // 2, b)
+    opens = sorted((a, w) for a, _, w in spans)
+    closes = sorted((b, w) for _, b, w in spans)
+    i = j = cost = 0
     best_r = best_cost = None
-    for r in candidates:
+    for r in levels:
         while i < len(opens) and opens[i][0] <= r:
             cost += opens[i][1]
             i += 1
@@ -214,3 +196,25 @@ def best_slice(profile: SliceProfile, m: Scalar):
         if best_cost is None or cost < best_cost:
             best_r, best_cost = r, cost
     return best_r, best_cost
+
+
+def best_slice(profile: SliceProfile, m: Scalar):
+    """Level R in the profile range minimizing the slice majorant
+    sum over balls with interval containing R of r_i^(m-1), ties to the
+    smallest R, as Fractions: `slice_sweep` on the range and the interval
+    ends over twice their common denominator, and on the weights over
+    theirs (a float weight is taken at its exact binary value)."""
+    r1, r2 = profile.range
+    if not r2 > r1:
+        raise InputError("degenerate slice range")
+    exponent = as_fraction(m) - 1
+    kept = [(ball, interval) for ball, interval in zip(profile.cover.balls, profile.intervals)
+            if interval is not None]
+    levels = [as_fraction(v) for v in (r1, r2, *(v for _, iv in kept for v in iv))]
+    weights = [as_fraction(power(ball.radius, exponent)) for ball, _ in kept]
+    den = 2 * common_den(levels)
+    wden = common_den(weights)
+    n1, n2, *ends = numerators(levels, den)
+    spans = zip(ends[::2], ends[1::2], numerators(weights, wden))
+    level, cost = slice_sweep(n1, n2, list(spans))
+    return Fraction(level, den), Fraction(cost, wden)

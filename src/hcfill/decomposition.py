@@ -31,12 +31,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coarea import DistanceToPoint, SliceProfile, best_slice, slice_profile
+from .coarea import DistanceToPoint, best_slice, slice_profile, slice_sweep
 from .content import DEFAULT_NODE_BUDGET, _branch_and_bound, _Candidate, _RatioBound, exact_content
 from .cone import ConeCertificate, cone_covering
 from .errors import DecompositionViolation, InputError, VerificationError
@@ -151,13 +152,19 @@ class TildeContent:
     the Q balls that meet the goal mask (bits of `cells`), without an
     incumbent, so its witness is the first cheapest cover in depth-first
     order; that order depends on every such ball, so no dominance pass
-    prunes them.  `solve_mask` is the one entry, cached per (goal mask,
-    exponent); `solve` takes a cell set.  `farthest` gives the distance key
-    of the cell farthest from a point, from the bounding box alone; `radial`
-    orders the cells by distance from the point, and the radius searches
-    build it only when a cell nearer than the farthest can matter (at the
-    paper's A(m), on none of the acceptance tests' fill fixtures).
-    `prune_redundant` drops Q balls on `masks`."""
+    prunes them.  Each exponent is priced once (`_pricing`): the Q balls in
+    (cost, index) order and one `_RatioBound` over their whole masks, so a
+    solve only ANDs the masks with the goal.  A ball that misses the goal is
+    never branched on and prices nothing, the balls that meet it keep their
+    order, and the bound's larger size lcm only refines its units, so every
+    answer is the one a bound over the meeting balls alone gives.
+    `solve_mask` is the one entry, cached per (goal mask, exponent); `solve`
+    takes a cell set.  `frame(p)` is a point's integer distance frame;
+    `farthest` gives the distance key of the cell farthest from a point,
+    from the bounding box alone; `radial` orders the cells by distance from
+    the point, and the radius searches build it only when a cell nearer than
+    the farthest can matter (at the paper's A(m), on none of the acceptance
+    tests' fill fixtures).  `prune_redundant` drops Q balls on `masks`."""
 
     def __init__(self, space: VoxelSpace, cells, q_balls):
         self.space = space
@@ -165,22 +172,42 @@ class TildeContent:
         self.q_balls = tuple(q_balls)
         self.bits = ElementBits(space, self.cells)
         self.masks = [self.bits.ball(b) for b in self.q_balls]
-        self._cost_cache: dict[Fraction, list] = {}
+        self._union = functools.reduce(operator.or_, self.masks, 0)
+        self._pricings: dict[Fraction, tuple] = {}
         self._value_cache: dict[tuple, Scalar] = {}
-        self._radial = self._far = (None, None)
+        self._radial = self._frame = self._far = (None, None)
 
-    def _costs(self, exponent: Fraction):
-        costs = self._cost_cache.get(exponent)
-        if costs is None:
+    def _pricing(self, exponent: Fraction):
+        """(rows, ratio, den, weights) at an exponent, built once: `weights`
+        holds each Q ball's cost, at its exact value, as an integer
+        numerator over the common denominator `den`; `rows` holds (index,
+        ball, mask, cost) of the balls in (cost, index) order, and `ratio`
+        is a `_RatioBound` over their whole masks in that order."""
+        hit = self._pricings.get(exponent)
+        if hit is None:
             costs = [power(b.radius, exponent) for b in self.q_balls]
-            self._cost_cache[exponent] = costs
-        return costs
+            exact = [as_fraction(c) for c in costs]
+            den = common_den(exact)
+            weights = numerators(exact, den)
+            order = sorted(range(len(costs)), key=weights.__getitem__)  # ties by index
+            rows = [(i, self.q_balls[i], self.masks[i], costs[i]) for i in order]
+            ratio = _RatioBound([_Candidate(ball, mask, cost) for _, ball, mask, cost in rows])
+            hit = self._pricings[exponent] = rows, ratio, den, weights
+        return hit
 
     def subset_mask(self, subset) -> int:
         mask = 0
         for c in subset:
             mask |= 1 << self.bits.index[c]
         return mask
+
+    def frame(self, p):
+        """(unit, L, at): `_lattice_point` at p, kept for the last point.
+        Distances from p are integer keys times `unit`, and half a cell is L
+        keys."""
+        if self._frame[0] != p:
+            self._frame = p, _lattice_point(self.space, p)
+        return self._frame[1]
 
     def radial(self, p):
         """(unit, keys, dists, prefix) at point p: `_linf_units` over the
@@ -200,7 +227,7 @@ class TildeContent:
         the cells (on each axis the farthest coordinate is lo or hi); kept
         for the last point, like `radial`."""
         if self._far[0] != p:
-            unit, lcm, at = _lattice_point(self.space, p)
+            unit, lcm, at = self.frame(p)
             k = max(max(abs((2 * lo + 1) * lcm - a), abs((2 * hi + 1) * lcm - a))
                     for lo, hi, a in zip(self.bits.lo, self.bits.hi, at))
             self._far = p, (unit, k)
@@ -225,19 +252,20 @@ class TildeContent:
             result = (Fraction(0) if is_integral(exponent) else 0.0, ())
             self._value_cache[key] = result
             return result
-        costs = self._costs(exponent)
-        usable = sorted((costs[i], i) for i, mask in enumerate(self.masks)
-                        if mask & goal)
-        cands = [_Candidate(self.q_balls[i], self.masks[i] & goal, cost)
-                 for cost, i in usable]
-        covered_all = 0
-        for cand in cands:
-            covered_all |= cand.mask
-        if covered_all != goal:
+        if goal & ~self._union:
             raise InputError("fixed covering cannot cover the requested subset")
-        ratio = _RatioBound(cands)
-        cost, sel, _, _ = _branch_and_bound(cands, ratio, goal, math.inf, math.inf, ())
-        result = (ratio.scalar(cost), tuple(usable[i][1] for i in sel))
+        rows, ratio, _, _ = self._pricing(exponent)
+        usable, cands = [], []
+        for pos, (_, ball, mask, cost) in enumerate(rows):
+            if mask & goal:
+                usable.append(pos)
+                cands.append(_Candidate(ball, mask & goal, cost))
+        # the search steps by `costs[ci]` of its candidates, so the view's
+        # costs follow `usable` as its balls do
+        view = ratio.restricted(usable)
+        view.costs = [ratio.costs[pos] for pos in usable]
+        units, sel, _, _ = _branch_and_bound(cands, view, goal, math.inf, math.inf, ())
+        result = (ratio.scalar(units), tuple(rows[usable[k]][0] for k in sel))
         self._value_cache[key] = result
         return result
 
@@ -312,12 +340,17 @@ def density_profile(tilde: TildeContent, p, m: Scalar) -> DensityProfile:
 
 
 def _lattice_point(space: VoxelSpace, p):
-    """(unit, lcm, at): p in the units of `_linf_units`, whose cell centres
-    on axis i lie at (2 c_i + 1) * lcm units and p at at[i]."""
-    half = space.delta / 2
-    scaled = [as_fraction(x) / half for x in p]
-    lcm = common_den(scaled)
-    return half / lcm, lcm, numerators(scaled, lcm)
+    """(unit, L, at): p in the units of `_linf_units`, whose cell centres
+    on axis i lie at (2 c_i + 1) * L units and p at at[i].  In half-cell
+    units p_i is 2 dd P_i / N for delta = dn/dd, p = P/D over the common
+    denominator D and N = dn D; L, the lcm of those ratios' reduced
+    denominators, is N over the gcd g of N and every 2 dd P_i."""
+    dn, dd = space.delta.numerator, space.delta.denominator
+    den = common_den(p)
+    doubled = [2 * dd * x for x in numerators(p, den)]
+    g = math.gcd(dn * den, *doubled)
+    lcm = dn * den // g
+    return Fraction(dn, 2 * dd * lcm), lcm, [x // g for x in doubled]
 
 
 def _linf_units(space: VoxelSpace, p, cells):
@@ -339,6 +372,12 @@ def _distinct_ends(dists):
             if i == len(dists) or dists[i] != dists[i - 1]]
 
 
+def _key_floor(x, unit: Fraction) -> int:
+    """floor(x / unit) for a positive float x, on integers."""
+    a, b = x.as_integer_ratio()
+    return a * unit.denominator // (b * unit.numerator)
+
+
 def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
     """Largest radius where the density still reaches 1/A^m.
 
@@ -352,7 +391,8 @@ def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
     `_CEILING_MARGIN` so that a float root off by an ulp never skips a
     segment the full scan would accept.  The top segment is all the cells
     and ends at `farthest(p)`, so the radial order is built only once it is
-    rejected.  Returns (r(p), content at r(p)).
+    rejected.  Both radii are compared in p's distance keys by an integer
+    floor of the float.  Returns (r(p), content at r(p)).
     """
     mq = as_fraction(m)
     unit, key = tilde.farthest(p)  # the last key of the scanned segment
@@ -363,14 +403,13 @@ def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
         below = key - 1  # the next segment ends at or below this key
         if float(h) > 0:
             top = ball_scale * root(h, mq)
-            cand = as_fraction(top)
-            reach = cand // unit  # d <= cand for a distance d = k * unit iff k <= reach
+            reach = _key_floor(top, unit)  # d <= top for d = k * unit iff k <= reach
             if reach >= key:
                 if dists is not None:
                     goal = prefix[bisect_right(dists, reach)]
                 eta, _ = tilde.solve_mask(goal, mq)
-                return cand, eta
-            below = min(below, as_fraction(top * _CEILING_MARGIN) // unit)
+                return as_fraction(top), eta
+            below = min(below, _key_floor(top * _CEILING_MARGIN, unit))
         if dists is None:
             _, _, dists, prefix = tilde.radial(p)
         end = bisect_right(dists, below)
@@ -382,47 +421,49 @@ def annulus_radius(tilde: TildeContent, p, r_crit, m: Scalar):
     """(r_bar, slice cost, slice cells) of the level r_bar in
     [(1+1/m) r(p), (1+1/m)^2 r(p)] minimizing the coarea majorant of the
     sphere through the annulus, the cells within half a cell (L units) of
-    [r1, r2].  A cell at distance key k takes the values [max(0, k - L),
-    k + L] units; a selected Q ball's interval runs from its least to its
-    largest key there, found by bisecting the radial prefix masks.  When
+    [r1, r2], all decided on integers in p's distance keys (`frame`).  r1
+    and r2 are r1/e and r2/e units for integers r1, r2 and e.  A cell at key
+    k takes the values [max(0, k - L), k + L] units; a selected Q ball's
+    interval runs from its least to its largest key there, found by
+    bisecting the radial prefix masks, and must be at most 2r wide.
+    `coarea.slice_sweep` picks the level from these levels over 2e and the
+    balls' costs at m - 1 over their common denominator, and the slice
+    cells are the annulus cells whose key lies within L units of it.  When
     r1 lies more than half a cell beyond `farthest(p)` the annulus is empty
-    and the answer is `best_slice`'s on an empty profile, (r1, 0, no
-    cells), with no radial order built."""
+    and the answer is (r1, 0, no cells), with no radial order built."""
     mq = as_fraction(m)
-    p = tuple(as_fraction(x) for x in p)
-    r1 = (1 + 1 / mq) * as_fraction(r_crit)
-    r2 = (1 + 1 / mq) ** 2 * as_fraction(r_crit)
+    r = as_fraction(r_crit)
     unit, far = tilde.farthest(p)
-    half = tilde.space.delta / 2 // unit  # L, half a cell in units
-    first_key = math.ceil(r1 / unit - half)
+    _, half, _ = tilde.frame(p)  # L, half a cell in units
+    un, ud = unit.numerator, unit.denominator
+    grow, mn = mq.numerator + mq.denominator, mq.numerator  # 1 + 1/m = grow / mn
+    e = mn * mn * r.denominator * un
+    r1, r2 = grow * mn * r.numerator * ud, grow * grow * r.numerator * ud
+    first_key = -(-r1 // e) - half
     if first_key > far:
-        return r1, Fraction(0), frozenset()
+        return Fraction(grow * r.numerator, mn * r.denominator), Fraction(0), frozenset()
     _, keys, dists, prefix = tilde.radial(p)
-
-    def span(k_lo, k_hi):
-        return max(0, k_lo - half) * unit, (k_hi + half) * unit
-
-    lo = bisect_right(dists, first_key - 1)
-    hi = bisect_right(dists, math.floor(r2 / unit + half))
+    lo = bisect_left(dists, first_key)
+    hi = bisect_right(dists, r2 // e + half)
     goal = prefix[hi] ^ prefix[lo]
     _, sel = tilde.solve_mask(goal, mq)
+    _, _, wden, weights = tilde._pricing(mq - 1)
     ends = range(lo + 1, hi + 1)  # prefix[j] holds the cells at radial positions < j
-    intervals = []
+    spans = []
     for i in sel:
         mask = tilde.masks[i] & goal
         first = bisect_left(ends, True, key=lambda j: prefix[j] & mask != 0)
         last = bisect_left(ends, True, key=lambda j: prefix[j] & mask == mask)
-        a, b = span(dists[lo + first], dists[lo + last])
-        if not float(b - a) <= 2.0 * float(tilde.q_balls[i].radius) + TOL:
+        a, b = max(0, dists[lo + first] - half), dists[lo + last] + half
+        radius = tilde.q_balls[i].radius
+        if (b - a) * un * radius.denominator > 2 * radius.numerator * ud:
             raise InputError("a Q ball pins the distance to an interval wider than 2r")
-        intervals.append((a, b))
-    annulus = keys[lo:hi]
-    cover = Covering(tuple(tilde.q_balls[i] for i in sel),
-                     frozenset(c for _, c in annulus), mq)
-    profile = SliceProfile(DistanceToPoint(p), cover, tuple(intervals), (r1, r2),
-                           {c: span(k, k) for k, c in annulus})
-    r_bar, slice_cost = best_slice(profile, mq)
-    return r_bar, slice_cost, profile.level_set(r_bar)
+        spans.append((2 * e * a, 2 * e * b, weights[i]))
+    level, cost = slice_sweep(2 * r1, 2 * r2, spans)
+    k_lo = bisect_left(dists, -(-level // (2 * e)) - half, lo, hi)
+    k_hi = bisect_right(dists, level // (2 * e) + half, lo, hi)
+    return (Fraction(level * un, 2 * e * ud), Fraction(cost, wden),
+            frozenset(c for _, c in keys[k_lo:k_hi]))
 
 
 def vitali_select(candidates, bits: ElementBits):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm, prod
 
-from .content import exact_content
+from .content import DEFAULT_NODE_BUDGET, exact_content
 from .errors import InputError, PushoutPreconditionError, VerificationError
 from .exact import (Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators, power,
                     root)
@@ -507,10 +507,11 @@ def boundary_cells(space: VoxelSpace) -> frozenset:
     return frozenset(out)
 
 
-def loomis_whitney_check(space: VoxelSpace) -> dict:
+def loomis_whitney_check(space: VoxelSpace, *,
+                         node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """Projection-count inequality N^(n-1) <= prod N_j and the content chain
     HC_n <= N r^n <= (prod N_j)^(1/(n-1)) r^n <= HC_(n-1)(boundary)^(n/(n-1)),
-    everything exact."""
+    everything exact; both contents are solved within `node_budget` nodes."""
     if not isinstance(space, VoxelSpace):
         raise InputError("loomis_whitney_check needs the voxel model")
     space.require_nonempty()
@@ -537,9 +538,9 @@ def loomis_whitney_check(space: VoxelSpace) -> dict:
         )
 
     r = space.delta / 2
-    hc_n = exact_content(space, None, n)
+    hc_n = exact_content(space, None, n, node_budget=node_budget)
     boundary = boundary_cells(space)
-    hc_b = exact_content(space, boundary, n - 1)
+    hc_b = exact_content(space, boundary, n - 1, node_budget=node_budget)
 
     nr_n = hull * power(r, n)
     chain = {

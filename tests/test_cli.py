@@ -666,6 +666,36 @@ def test_width_uses_config_node_budget(capsys, tmp_path, monkeypatch):
     assert seen == [4321]
 
 
+@pytest.mark.parametrize("module, argv", [
+    ("width", ("corpus", "--suite", "width")),
+    ("pushout", ("corpus", "--suite", "lw")),
+    ("pushout", ("lw-check",)),
+])
+def test_width_and_lw_suites_use_config_node_budget(capsys, tmp_path, monkeypatch,
+                                                    module, argv):
+    import importlib
+
+    solver = importlib.import_module(f"hcfill.{module}")
+    seen = []
+    real = solver.exact_content
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("node_budget"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "exact_content", recording)
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    space = fixtures / "cube.json"
+    save_space(make_cube(2, 2, Fraction(1, 8)), str(space))
+    cfg = tmp_path / "cfg.json"
+    RunConfig(node_budget=4321).save(str(cfg))
+    where = ("--dir", str(fixtures)) if argv[0] == "corpus" else ("--space", str(space))
+    code, _, _ = run_cli(capsys, "--config", str(cfg), argv[0], *where, *argv[1:])
+    assert code == 0
+    assert seen and set(seen) == {4321}
+
+
 @pytest.mark.parametrize("argv", [
     ("width", "--m", "1"),
     ("fill", "--m", "2"),

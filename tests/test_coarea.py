@@ -13,10 +13,11 @@ from hcfill.coarea import (
     best_slice,
     coarea_integral,
     slice_profile,
+    slice_sweep,
 )
 from hcfill.content import exact_content, greedy_content
 from hcfill.errors import InputError
-from hcfill.exact import as_fraction, power
+from hcfill.exact import as_fraction, common_den, numerators, power
 from hcfill.shapes import make_cube, make_line, random_blob
 from hcfill.space import Ball, Covering, grid_ball
 
@@ -220,6 +221,53 @@ def test_best_slice_matches_the_double_loop(profile, m):
     want = _oracle_best_slice(profile, m)
     assert got == want
     assert all(type(a) is type(b) for a, b in zip(got, want))
+
+
+# The integer core on integer levels k, handed over as 2k so that every
+# midpoint is an integer, and on the oracle's own weights over their common
+# denominator.  Levels run past the range on both sides, intervals may touch
+# end to start, and few radii make many levels cost the same.
+_KEY = st.integers(-3, 12)
+_SWEEP_RADII = (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8))
+
+
+@st.composite
+def _sweeps(draw):
+    r1, r2 = sorted(draw(st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True)))
+    radii = draw(st.lists(st.sampled_from(_SWEEP_RADII), max_size=8))
+    if draw(st.booleans()):
+        ends = [tuple(sorted(draw(st.tuples(_KEY, _KEY)))) for _ in radii]
+    else:
+        at = draw(_KEY)
+        ends = []
+        for _ in radii:
+            step = draw(st.integers(0, 3))
+            ends.append((at, at + step))
+            at += step
+    return r1, r2, list(zip(radii, ends))
+
+
+def _sweep_profile(r1, r2, spans):
+    return _profile([(r, (Fraction(a), Fraction(b))) for r, (a, b) in spans],
+                    (Fraction(r1), Fraction(r2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep=_sweeps(), m=st.sampled_from((2, Fraction(3, 2), 3)))
+@example(sweep=(0, 4, []), m=2)
+@example(  # two equal minima: the smaller level wins
+    sweep=(0, 4, [(Fraction(1, 4), (0, 2)), (Fraction(1, 4), (2, 4))]), m=2)
+@example(  # intervals wholly below and above the range
+    sweep=(2, 5, [(Fraction(1, 8), (-3, 1)), (Fraction(3, 8), (6, 9))]), m=Fraction(3, 2))
+def test_slice_sweep_matches_the_double_loop(sweep, m):
+    r1, r2, spans = sweep
+    weights = [as_fraction(power(r, as_fraction(m) - 1)) for r, _ in spans]
+    wden = common_den(weights)
+    got = slice_sweep(2 * r1, 2 * r2, [
+        (2 * a, 2 * b, w) for (_, (a, b)), w in zip(spans, numerators(weights, wden))])
+    assert all(type(x) is int for x in got)
+    want = _oracle_best_slice(_sweep_profile(r1, r2, spans), m)
+    assert (Fraction(got[0], 2), Fraction(got[1], wden)) == want
 
 
 @pytest.mark.parametrize("spans, rng", [

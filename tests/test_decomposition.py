@@ -192,6 +192,24 @@ def _oracle_annulus_radius(space, p, r_crit, target, tilde, m):
     }
 
 
+def _oracle_level_set(tilde, p, r_crit, m, level):
+    """The slice cells as `annulus_radius` found them before the integer
+    sweep: per-cell value intervals [max(0, k - L), k + L] units over the
+    annulus, through `SliceProfile.level_set`."""
+    from hcfill.coarea import DistanceToPoint, SliceProfile
+
+    mq = as_fraction(m)
+    r1 = (1 + 1 / mq) * as_fraction(r_crit)
+    r2 = (1 + 1 / mq) ** 2 * as_fraction(r_crit)
+    unit, keys, _, _ = tilde.radial(p)
+    half = tilde.space.delta / 2 // unit
+    annulus = [(k, c) for k, c in keys
+               if math.ceil(r1 / unit - half) <= k <= math.floor(r2 / unit + half)]
+    spans = {c: (max(0, k - half) * unit, (k + half) * unit) for k, c in annulus}
+    cover = Covering((), frozenset(spans), mq)
+    return SliceProfile(DistanceToPoint(p), cover, (), (r1, r2), spans).level_set(level)
+
+
 def _same(a, b):
     """Equal in value and type, and in repr unless a cell set (whose
     iteration order follows insertion)."""
@@ -239,6 +257,8 @@ def test_radius_searches_match_fraction_oracle(seed, n, m, scale, shift, r_crit)
             want_ann = tuple(want_ann[k] for k in ("r_bar", "slice_cost", "slice_cells"))
             assert len(got) == 3
             assert all(_same(a, b) for a, b in zip(got, want_ann))
+            level_set = _oracle_level_set(tilde, p, r, m, got[0])
+            assert got[2] == level_set and list(got[2]) == list(level_set)
 
 
 @settings(max_examples=60, deadline=None)
@@ -597,6 +617,30 @@ def test_tilde_solve_matches_standalone_search(instance):
         assert math.isclose(got[0], want[0], rel_tol=1e-12)
 
 
+def _solve_or_refusal(tilde, subset, exponent):
+    try:
+        return tilde.solve(subset, exponent)
+    except InputError:
+        return "uncoverable"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instance=tilde_instances(), data=st.data(),
+       m=st.sampled_from((Fraction(2), Fraction(3), Fraction(5, 2), Fraction(3, 2))))
+def test_one_context_across_exponents_matches_fresh_contexts(instance, data, m):
+    # each exponent is priced once per context: solving at m, then m - 1,
+    # then m again on one context answers as a fresh context does each time
+    space, target, balls, _, _ = instance
+    shared = TildeContent(space, target, balls)
+    subsets = st.sets(st.sampled_from(sorted(target)))
+    for exponent in (m, m - 1, m, m - 1):
+        subset = data.draw(subsets)
+        got = _solve_or_refusal(shared, subset, exponent)
+        want = _solve_or_refusal(TildeContent(space, target, balls), subset, exponent)
+        assert got == want
+        assert type(got[0]) is type(want[0])
+
+
 def test_tilde_solve_empty_and_uncoverable_subsets():
     s = make_line(6, Fraction(1, 8))
     cells = sorted(s.cells)
@@ -926,8 +970,9 @@ def test_step_builds_one_context_and_no_slice_profile(monkeypatch):
     from hcfill import coarea
     from hcfill.decomposition import verify_decomposition
 
-    contexts, profiles = [], []
-    real_bits, real_profile = decomposition.ElementBits, coarea.slice_profile
+    contexts, profiles, pricings = [], [], Counter()
+    real_bits, real_profile = decomposition.ElementBits, coarea.SliceProfile
+    real_ratio = decomposition._RatioBound
 
     def counting_bits(space, elements):
         contexts.append(len(elements))
@@ -937,13 +982,20 @@ def test_step_builds_one_context_and_no_slice_profile(monkeypatch):
         profiles.append(args[1])
         return real_profile(*args, **kwargs)
 
+    def counting_ratio(cands):
+        pricings[tuple(c.cost for c in cands)] += 1
+        return real_ratio(cands)
+
     monkeypatch.setattr(decomposition, "ElementBits", counting_bits)
-    monkeypatch.setattr(coarea, "slice_profile", counting_profile)
-    monkeypatch.setattr(decomposition, "slice_profile", counting_profile)
+    monkeypatch.setattr(coarea, "SliceProfile", counting_profile)
+    monkeypatch.setattr(decomposition, "_RatioBound", counting_ratio)
     s = make_line(60)
     step = improvement_step(s, None, 2, constants=small_scale(2, 3.0))
     assert contexts == [len(s.cells)]
     assert profiles == []
+    # the one context's Q priced at m = 2 and at m - 1 = 1, once each (the
+    # costs tell the two exponents apart)
+    assert len(pricings) == 2 and set(pricings.values()) == {1}
     d = step.decomposition
     assert len(d.balls) > 1 and any(b.slice_cells for b in d.balls)
     assert verify_decomposition(s, s.cells, d)["ok"]
