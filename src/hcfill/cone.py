@@ -14,9 +14,10 @@ at integer m a closed-form integer sum of m-th powers over one common
 denominator, the same Fraction as summing the balls' costs.  Radii,
 centres, apex and R share one denominator too (`exact.common_den` and
 `exact.numerators`), so containment, ball counts and per-input caps are
-integer tests.  The balls themselves, with per-ball provenance, are built
-on first access; `cone_coverage_check` proves exactly that they cover the
-cone.
+integer tests; `cone_cost` does all of that on integer inputs, and
+`cone_covering` is its adapter from Fractions.  The balls themselves, with
+per-ball provenance, are built on first access; `cone_coverage_check`
+proves exactly that they cover the cone.
 """
 
 from __future__ import annotations
@@ -114,25 +115,44 @@ def cone_covering(
     if float(m) < 1.0:
         raise InputError("cone covering needs m >= 1")
     apex = tuple(as_fraction(x) for x in apex)
-    mf = as_fraction(m)
     Rf = as_fraction(R)
     balls = input_cover.balls
     radii = [as_fraction(b.radius) for b in balls]
     centers = [tuple(as_fraction(x) for x in b.center) for b in balls]
 
-    # Radii, centres, apex and R as integer numerators over one denominator,
-    # so containment, ball counts and caps are integer tests; m = p/q.
+    # Radii, centres, apex and R as integer numerators over one denominator.
     den = common_den(itertools.chain(apex, radii, *centers), Rf.denominator)
-    (R_num,) = numerators((Rf,), den)
     apex_num = numerators(apex, den)
+
+    def inputs():  # lazily: each ball's radius, then dimension, then (in cone_cost) reach
+        for center, r in zip(centers, numerators(radii, den)):
+            if r <= 0:
+                raise InputError("cone covering needs positive input radii")
+            if len(center) != len(apex):
+                raise InputError("dimension mismatch")
+            yield r, max(abs(x - a) for x, a in zip(numerators(center, den), apex_num))
+
+    input_cost, cost, bound, counts = cone_cost(inputs(), den, R, m, variant)
+    return ConeCertificate(
+        apex, Rf, m, variant, input_cost, cost, bound, counts, tuple(balls),
+    )
+
+
+def cone_cost(inputs, den: int, R: Scalar, m: Scalar, variant: str):
+    """`cone_covering`'s certificate numbers on integers: `inputs` gives
+    per input ball (r, d), its radius and its distance to the apex as
+    numerators over `den`, and `den` is a multiple of R's denominator.
+    Returns (input_cost, cost, bound, per-input ball counts), with every
+    check of `cone_covering` but the apex's dimension: positive radii,
+    d + r <= R, the cost within its bound and the per-input caps."""
+    mf = as_fraction(m)
+    Rf = as_fraction(R)
+    (R_num,) = numerators((Rf,), den)
     p, q = mf.numerator, mf.denominator
     runs = []  # per input: (radius, distance to the apex, ball count)
-    for i, (center, r) in enumerate(zip(centers, numerators(radii, den))):
+    for i, (r, d) in enumerate(inputs):
         if r <= 0:
             raise InputError("cone covering needs positive input radii")
-        if len(center) != len(apex):
-            raise InputError("dimension mismatch")
-        d = max(abs(x - a) for x, a in zip(numerators(center, den), apex_num))
         if d + r > R_num:
             raise InputError(
                 f"input ball {i} is not inside the ambient ball of radius {R}"
@@ -145,7 +165,7 @@ def cone_covering(
         input_cost = Fraction(sum(r ** int(exponent) for r, _, _ in runs),
                               den ** int(exponent)) if runs else 0
     else:
-        input_cost = sum(float(r) ** float(exponent) for r in radii)
+        input_cost = sum((r / den) ** float(exponent) for r, _, _ in runs)
     cost = _progression_cost(runs, p, q, den, variant == "improved")
     factor = power(1 + 1 / mf, mf)
     lead = mf if variant == "standard" else 2
@@ -167,9 +187,7 @@ def cone_covering(
                 "cone covering emitted more balls than its per-input cap",
                 {"input": i, "count": n_balls},
             )
-    return ConeCertificate(
-        apex, Rf, m, variant, input_cost, cost, bound, counts, tuple(balls),
-    )
+    return input_cost, cost, bound, counts
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -470,26 +470,37 @@ def vitali_select(candidates, bits: ElementBits):
     """Greedy disjoint selection by decreasing radius; verifies exactly that
     the selected balls are pairwise disjoint and their tripled concentric
     balls cover every cell listed in the voxel `bits`: the union of their
-    box masks is `bits.full`."""
-    order = sorted(
-        range(len(candidates)),
-        key=lambda i: (-as_fraction(candidates[i][1]), candidates[i][0]),
-    )
+    box masks is `bits.full`.  Centres and radii are numerators over one
+    denominator (floats convert exactly), so disjointness and the tripled
+    balls' cell ranges are integer tests."""
+    space = bits.space
+    n = len(candidates[0][0]) if candidates else 0
+    if any(len(p) != n for p, _ in candidates):
+        raise InputError("dimension mismatch")
+    if candidates and n != space.n:
+        raise InputError("ball dimension does not match the space")
+    radii = [as_fraction(r) for _, r in candidates]
+    coords = [as_fraction(x) for p, _ in candidates for x in p]
+    den = common_den(itertools.chain(radii, coords))
+    rs = numerators(radii, den)
+    flat = numerators(coords, den)
+    ps = [flat[k * n:(k + 1) * n] for k in range(len(candidates))]
+    order = sorted(range(len(candidates)), key=lambda i: (-rs[i], ps[i]))
     selected: list[int] = []
     for i in order:
-        p_i, r_i = candidates[i]
-        ok = True
-        for j in selected:
-            p_j, r_j = candidates[j]
-            if as_fraction(linf(p_i, p_j)) <= as_fraction(r_i) + as_fraction(r_j):
-                ok = False
-                break
-        if ok:
+        p_i, r_i = ps[i], rs[i]
+        if all(max(abs(a - b) for a, b in zip(p_i, ps[j])) > r_i + rs[j] for j in selected):
             selected.append(i)
+    # `ball_cell_ranges` of the tripled ball on these numerators: per axis
+    # the cells c with |delta (c + 1/2) - x| <= 3r, delta = dn / dd, are
+    # (2 dd x - dn den -+ 6 dd r) / (2 dn den) rounded inwards
+    dn, dd = space.delta.numerator, space.delta.denominator
+    unit = 2 * dn * den
     covered = 0
     for j in selected:
-        p, r = candidates[j]
-        covered |= bits.box(ball_cell_ranges(Ball(p, 3 * as_fraction(r)), bits.space))
+        reach = 6 * dd * rs[j]
+        mids = [2 * dd * x - dn * den for x in ps[j]]
+        covered |= bits.box([(-((reach - mid) // unit), (mid + reach) // unit) for mid in mids])
     if covered != bits.full:
         raise InputError("candidate balls do not cover the target even tripled")
     return selected

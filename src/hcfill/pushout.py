@@ -5,8 +5,9 @@ coordinate-cube equality case).
 
 All face geometry is exact rational arithmetic: a face of the grid Q(R) is a
 per-coordinate list of either a fixed grid value or a free unit interval.
-Projections, point covers and the average-point search work on integer
-numerators over one denominator (`exact.common_den`, `exact.numerators`).
+Projections, point covers, the average-point search and the swept cones'
+costs (`cone.cone_cost`) work on integer numerators over one denominator
+(`exact.common_den`, `exact.numerators`).
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm, prod
 
+from .cone import cone_cost
 from .content import DEFAULT_NODE_BUDGET, exact_content
 from .errors import InputError, PushoutPreconditionError, VerificationError
 from .exact import (Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators, power,
                     root)
-from .space import Covering, VoxelSpace, Ball, linf
+from .space import Ball, VoxelSpace
 
 DEFAULT_CANDIDATES = 64
 # skeleton_descend's ceiling on a k-face's projection cost ratio is
@@ -229,7 +231,8 @@ def average_point(
     floor: Scalar = 0,
 ):
     """Interior projection point minimizing the greedy (m-1)-cost of the
-    projected set over a deterministic candidate sample.
+    projected set over a deterministic candidate sample; among equal costs
+    the smaller point (as a coordinate tuple) wins.
 
     The precondition: the point set's (m-1)-cost must not exceed
     c0(k) * R^(m-1) (k = face dimension); raises PushoutPreconditionError
@@ -241,9 +244,10 @@ def average_point(
 def _average_point(face: Face, points, m: Scalar, candidates: int,
                    c0: Scalar | None, floor: Scalar):
     """`average_point`'s (p, ratio, before, after), then what the descent
-    reuses: the balls of the points' own greedy cover, and per point in
-    input order its radial projection from p and the l_inf length of that
-    move."""
+    reuses: the common denominator of the face's integer frame, p and the
+    balls of the points' own greedy cover as (centre, radius) numerators
+    over it, and per point in input order its radial projection from p and
+    the l_inf length of that move."""
     pts = [tuple(as_fraction(c) for c in p) for p in points]
     k = face.dim
     if k == 0:
@@ -253,8 +257,21 @@ def _average_point(face: Face, points, m: Scalar, candidates: int,
     if candidates < 0:
         raise InputError("candidate count must be non-negative")
     exponent = as_fraction(m) - 1
-    before, balls = point_cover(pts, exponent, floor)
     R = face.grid.R
+    # Options, points and floor as numerators over one denominator, the
+    # face's integer frame; every option is strictly interior (the samples
+    # sit in [1/10, 9/10) of each free axis), so only options equal to an
+    # input point are inadmissible.
+    floor = as_fraction(floor)
+    weyl_den = R.denominator * 10 * _WEYL_DEN
+    den = common_den(itertools.chain(*pts), floor.denominator, weyl_den)
+    floor_num, step = numerators((floor, R / (10 * _WEYL_DEN)), den)
+    xs = [numerators(x, den) for x in pts]
+    costs = _pricer(exponent)
+    price, unit = costs(den)
+    own = sorted(xs)
+    total, chosen = _greedy_cover(own, floor_num, price)
+    before = Fraction(total, unit)
     c0 = as_fraction(c0) if c0 is not None else Fraction(1, 4) ** k
     cap = c0 * power(R, exponent) if not isinstance(power(R, exponent), float) \
         else float(c0) * power(R, exponent)
@@ -264,14 +281,7 @@ def _average_point(face: Face, points, m: Scalar, candidates: int,
             {"face_dim": k, "content": fmt_scalar(before), "cap": fmt_scalar(cap)},
         )
 
-    # Options and points as numerators over one denominator; every option
-    # is strictly interior (the samples sit in [1/10, 9/10) of each free
-    # axis), so only options equal to an input point are inadmissible.
-    floor = as_fraction(floor)
-    weyl_den = R.denominator * 10 * _WEYL_DEN
-    den = common_den(itertools.chain(*pts), floor.denominator, weyl_den)
     free = _free_bounds(face, den)
-    floor_num, step = numerators((floor, R / (10 * _WEYL_DEN)), den)
     centre = numerators(face.center(), den)
     options = [centre]
     # deterministic low-discrepancy interior sample (Weyl sequence per axis):
@@ -282,17 +292,22 @@ def _average_point(face: Face, points, m: Scalar, candidates: int,
             frac_part = (j * _WEYL[ai % len(_WEYL)]) % _WEYL_DEN
             coord[axis] = lo + step * (_WEYL_DEN + 8 * frac_part)
         options.append(tuple(coord))
-    xs = [numerators(x, den) for x in pts]
     taken = set(xs)
-    options = [p for p in options if p not in taken]
+    options = sorted(p for p in options if p not in taken)
     if not options:
         raise InputError("no admissible projection point found")
     if not all(face.contains(x) for x in pts):
         raise InputError("point to project must lie in the face")
 
-    # Each option's cost is total / unit.  A greedy stops once it is above
-    # the best so far, and equal costs go to the smaller option.
-    costs = _pricer(exponent)
+    # The least (cost, option) wins, so the options go in increasing order
+    # and only a strictly cheaper one replaces the best; each option's cost
+    # is total / unit, and a greedy stops once it is above the best so far.
+    # Every ball of a cover has radius at least the floor, so at an integer
+    # exponent, where price(r) = r^e rises with r, no option of a non-empty
+    # set costs less than floor^e = least[0] / least[1]: once the best costs
+    # that, the scan is over.
+    least = (floor_num ** int(exponent), den ** int(exponent)) \
+        if is_integral(exponent) and xs else None
     best = None  # (total, unit, option, projections)
     for p in options:
         hits = [_project(free, p, x) for x in xs]
@@ -301,10 +316,10 @@ def _average_point(face: Face, points, m: Scalar, candidates: int,
         price, unit = costs(den * scale)
         limit = None if best is None else (best[0] * unit, best[1])
         cover = _greedy_cover(projected, floor_num * scale, price, limit)
-        # a finished greedy costs at most the best so far
-        if cover is not None and (best is None or cover[0] * best[1] < best[0] * unit
-                                  or p < best[2]):
+        if cover is not None and (best is None or cover[0] * best[1] < best[0] * unit):
             best = (cover[0], unit, p, hits)
+            if least is not None and best[0] * least[1] == least[0] * best[1]:
+                break
     total, unit, p, hits = best
     after = Fraction(total, unit)
     moves = [(tuple(Fraction(c, den * s) for c in y),
@@ -313,7 +328,9 @@ def _average_point(face: Face, points, m: Scalar, candidates: int,
     ratio = float(after) / float(before) if float(before) > 0 else (
         0.0 if float(after) == 0 else float("inf")
     )
-    return tuple(Fraction(c, den) for c in p), ratio, before, after, balls, moves
+    balls = [(own[i], r) for i, r in chosen]
+    return (tuple(Fraction(c, den) for c in p), ratio, before, after,
+            (den, p, balls), moves)
 
 
 _WEYL = (26861, 15823, 7559, 20011, 11213, 30011, 17389)
@@ -410,7 +427,7 @@ def skeleton_descend(
         steps = []
         for face in sorted(by_face, key=lambda f: f.coords):
             idxs = by_face[face]
-            p, ratio, _, _, balls, moves = _average_point(
+            p, ratio, _, _, frame, moves = _average_point(
                 face, [current[i] for i in idxs], m, candidates, None, floor)
             limit = RATIO_CEILING_BASE * 2.0**k
             if ratio > limit:
@@ -418,12 +435,12 @@ def skeleton_descend(
                     "projection cost ratio above its ceiling",
                     {"face_dim": k, "ratio": ratio, "ceiling": limit},
                 )
-            cone_cost = _swept_cone_cost(p, balls, m, exponent)
-            trace_content += as_fraction(cone_cost)
+            cost = _swept_cone_cost(frame, m)
+            trace_content += as_fraction(cost)
             for i, (new, moved) in zip(idxs, moves):
                 displacement[i] += moved
                 current[i] = new
-            steps.append(FaceStep(face, p, ratio, cone_cost, len(idxs)))
+            steps.append(FaceStep(face, p, ratio, cost, len(idxs)))
         levels.append((k, tuple(steps)))
 
     final = tuple(current)
@@ -456,25 +473,22 @@ def skeleton_descend(
     )
 
 
-def _swept_cone_cost(p, balls, m, exponent):
+def _swept_cone_cost(frame, m):
     """m-cost certificate for the cone swept between the points and their
-    projections, via the explicit cone covering from the chosen point of
-    the points' own greedy cover `balls`.
+    projections: `cone_cost` of the improved cone covering from the chosen
+    point p over the points' own greedy cover, with `frame` = (den, p,
+    balls) as `_average_point` returns it and R the cover's largest reach
+    d(centre, p) + radius.
 
     Zero-radius cover balls correspond to bare points whose sweep is a
     segment, of zero m-cost for m > 1; only positive radii get coned.
     """
-    from .cone import cone_covering
-
-    balls = [b for b in balls if b.radius > 0]
-    if not balls:
+    den, p, balls = frame
+    inputs = [(r, max(abs(x - c) for x, c in zip(centre, p))) for centre, r in balls if r > 0]
+    if not inputs:
         return Fraction(0)
-    reach = max(as_fraction(linf(b.center, p)) + as_fraction(b.radius) for b in balls)
-    if reach == 0:
-        return Fraction(0)
-    cover = Covering(tuple(balls), frozenset(range(len(balls))), exponent)
-    cert = cone_covering(cover, p, reach, m, "improved")
-    return cert.cost
+    reach = max(d + r for r, d in inputs)
+    return cone_cost(inputs, den, Fraction(reach, den), m, "improved")[1]
 
 
 def grid_R_for_content(hc: Scalar, m: Scalar, n: int, delta: Scalar = 0) -> Scalar:

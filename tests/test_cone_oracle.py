@@ -204,3 +204,46 @@ def test_an_over_cap_count_raises_the_same_error(monkeypatch):
 def test_power_sum_matches_the_term_by_term_sum(top, drop, count, k):
     assert cone._power_sum(top, drop, count, k) == sum(
         (top - j * drop) ** k for j in range(count))
+
+
+# ---------------------------------------------------------------------------
+# the shared integer core against its Fraction adapter
+
+def numbers(fn, *args):
+    """(input_cost, cost, bound, counts) with their types, or the error."""
+    try:
+        got = fn(*args)
+    except (InputError, VerificationError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "report", None))
+    return ("ok", got, tuple(type(x) for x in got))
+
+
+def certificate_numbers(*case):
+    cert = cone_covering(*case)
+    return cert.input_cost, cert.cost, cert.bound, cert.per_input_counts
+
+
+def core_numbers(cover, apex, R, m, variant):
+    """`cone.cone_cost` on the cover's radii and apex distances as
+    numerators over one denominator."""
+    apex = tuple(map(as_fraction, apex))
+    balls = [(as_fraction(b.radius), tuple(map(as_fraction, b.center))) for b in cover.balls]
+    den = math.lcm(as_fraction(R).denominator,
+                   *(x.denominator for r, c in balls for x in (r, *c, *apex)))
+    inputs = [(int(r * den), int(as_fraction(linf(c, apex)) * den)) for r, c in balls]
+    return cone.cone_cost(inputs, den, R, m, variant)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(cones())
+@example((Covering((Ball((Fraction(2), Fraction(0)), Fraction(1)),), frozenset(), 1),
+          (Fraction(0), Fraction(0)), Fraction(1), 2, "standard"))  # outside
+@example((Covering((Ball((Fraction(0), Fraction(0)), Fraction(0)),), frozenset(), 1),
+          (Fraction(0), Fraction(0)), Fraction(1), 2, "improved"))  # zero radius
+def test_cone_cost_matches_cone_covering(case):
+    """The same numbers and errors at every m of MS and both variants."""
+    cover, apex, R, _, _ = case
+    for m in MS:
+        for variant in ("standard", "improved"):
+            args = (cover, apex, R, m, variant)
+            assert numbers(core_numbers, *args) == numbers(certificate_numbers, *args)

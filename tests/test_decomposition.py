@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcfill.content import exact_content
@@ -47,6 +47,7 @@ from hcfill.space import (
     Covering,
     ElementBits,
     VoxelSpace,
+    ball_cell_ranges,
     ball_members,
     grid_ball,
     linf,
@@ -439,6 +440,82 @@ def test_vitali_uncoverable_rejected():
     cands = [(s.cell_center((0, 0)), Fraction(1, 8))]
     with pytest.raises(InputError):
         vitali_select(cands, ElementBits(s, s.sorted_cells()))
+
+
+def oracle_vitali_select(candidates, bits: ElementBits):
+    """Greedy disjoint selection by decreasing radius; verifies exactly that
+    the selected balls are pairwise disjoint and their tripled concentric
+    balls cover every cell listed in the voxel `bits`: the union of their
+    box masks is `bits.full`."""
+    order = sorted(
+        range(len(candidates)),
+        key=lambda i: (-as_fraction(candidates[i][1]), candidates[i][0]),
+    )
+    selected: list[int] = []
+    for i in order:
+        p_i, r_i = candidates[i]
+        ok = True
+        for j in selected:
+            p_j, r_j = candidates[j]
+            if as_fraction(linf(p_i, p_j)) <= as_fraction(r_i) + as_fraction(r_j):
+                ok = False
+                break
+        if ok:
+            selected.append(i)
+    covered = 0
+    for j in selected:
+        p, r = candidates[j]
+        covered |= bits.box(ball_cell_ranges(Ball(p, 3 * as_fraction(r)), bits.space))
+    if covered != bits.full:
+        raise InputError("candidate balls do not cover the target even tripled")
+    return selected
+
+
+@st.composite
+def vitali_cases(draw):
+    """Listed cells of a small voxel box (occupied or not) and candidate
+    balls with mixed-denominator centres and radii, some at cell centres,
+    some repeated, some just touching; the tripled balls may or may not
+    cover the list."""
+    n = draw(st.integers(1, 3))
+    delta = draw(st.sampled_from((Fraction(1), Fraction(1, 4), Fraction(2, 3))))
+    side = draw(st.integers(1, 5))
+    cells = sorted(itertools.product(range(side), repeat=n))
+    occupied = draw(st.sets(st.sampled_from(cells), min_size=1))
+    space = VoxelSpace(n, delta, frozenset(occupied))
+    listed = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    coord = st.builds(Fraction, st.integers(-2, 2 * side), st.sampled_from((1, 2, 3, 7)))
+    centre = st.one_of(st.tuples(*[coord] * n), st.sampled_from(cells).map(space.cell_center))
+    radius = st.builds(Fraction, st.integers(1, 6), st.sampled_from((2, 3, 4, 5)))
+    cands = draw(st.lists(st.tuples(centre, radius), max_size=8))
+    if cands and draw(st.booleans()):
+        cands.append(cands[draw(st.integers(0, len(cands) - 1))])
+    return cands, ElementBits(space, listed)
+
+
+def _vitali_outcome(fn, cands, bits):
+    try:
+        return ("ok", fn(cands, bits))
+    except InputError as exc:
+        return ("InputError", str(exc))
+
+
+_ROW = VoxelSpace(1, Fraction(1), frozenset({(0,), (1,), (2,)}))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(vitali_cases())
+@example(([((Fraction(3, 2),), Fraction(1, 3))], ElementBits(_ROW, [(0,), (1,), (2,)])))
+@example(([((Fraction(1, 2),), Fraction(1, 3))], ElementBits(_ROW, [(0,), (1,)])))
+@example(([((Fraction(1, 2),), Fraction(1)), ((Fraction(5, 2), Fraction(0)), Fraction(1, 3))],
+          ElementBits(_ROW, [(0,)])))
+@example(([((Fraction(1, 2), Fraction(0)), Fraction(1))], ElementBits(_ROW, [(0,)])))
+def test_vitali_select_matches_the_fraction_oracle(case):
+    # the examples: tripled balls whose spheres pass through the outer cell
+    # centres, centres of two dimensions, and centres of the wrong dimension
+    cands, bits = case
+    assert _vitali_outcome(vitali_select, cands, bits) == \
+        _vitali_outcome(oracle_vitali_select, cands, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hcfill import pushout
 from hcfill.errors import InputError, PushoutPreconditionError
 from hcfill.pushout import (
     CubicalGrid,
@@ -87,6 +88,30 @@ def test_average_point_single_interior_point():
                                             floor=Fraction(1, 16))
     assert p not in pts
     assert after <= before  # a single point projects to a single point
+
+
+@pytest.mark.parametrize("m,candidates,calls", [
+    (2, 16, 2), (2, 64, 2), (Fraction(5, 2), 16, 18), (Fraction(5, 2), 64, 66),
+])
+def test_average_point_stops_at_the_floor_price(monkeypatch, m, candidates, calls):
+    """A single point projects to a single point, whose cover is one ball
+    at the floor: every option costs the floor's price.  At an integer
+    exponent the scan stops at the first option, so the face makes two
+    greedy covers, its own and that option's; at m = 5/2 the price is a
+    float power and every admissible option is priced."""
+    greedy = pushout._greedy_cover
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return greedy(*args)
+
+    monkeypatch.setattr(pushout, "_greedy_cover", counted)
+    f = _face_of((Fraction(3, 4), Fraction(1, 2)))
+    pts = [(Fraction(3, 4), Fraction(1, 3))]
+    _, _, before, after = average_point(f, pts, m, candidates, floor=Fraction(1, 256))
+    assert len(seen) == calls
+    assert before == after
 
 
 def test_average_point_ratio_distribution():

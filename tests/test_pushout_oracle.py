@@ -329,7 +329,10 @@ def test_radial_project_matches_fraction_oracle(data):
 
 @settings(deadline=None, derandomize=True, max_examples=120)
 @given(face_point_sets(), st.sampled_from((2, 3, Fraction(3, 2), Fraction(5, 2))),
-       st.integers(0, 6), st.sampled_from((None, Fraction(1))), st.sampled_from(FLOORS))
+       st.integers(0, 20), st.sampled_from((None, Fraction(1))), st.sampled_from(FLOORS))
+@example((Face(CubicalGrid(2, Fraction(1)), (("free", 0), ("fixed", 0))),
+          [(Fraction(1, 16), Fraction(0)), (Fraction(1, 32), Fraction(0))]),
+         2, 20, None, Fraction(1, 256))  # both points project onto (0, 0) from every option
 def test_average_point_matches_fraction_oracle(face_pts, m, candidates, c0, floor):
     face, pts = face_pts
     got = outcome(average_point, face, pts, m, candidates, c0=c0, floor=floor)
