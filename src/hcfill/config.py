@@ -1,12 +1,11 @@
 """Run configuration: the solver node budget, the pushout candidate count
-and the improvement step cap, in one round-trippable record.  The CLI reads
-it from --config or the HCFILL_CONFIG environment variable."""
+and the improvement step cap, in one record.  The CLI reads it from
+--config or the HCFILL_CONFIG environment variable."""
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .content import DEFAULT_NODE_BUDGET
 from .errors import InputError
@@ -32,9 +31,6 @@ class RunConfig:
             if v <= 0:
                 raise InputError(f"config knob {f.name} must be positive")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         if not isinstance(d, dict):
@@ -54,8 +50,3 @@ class RunConfig:
             return cls.from_dict(load_json(path))
         except FileNotFoundError:
             raise InputError(f"config file not found: {path}")
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")

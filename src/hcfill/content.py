@@ -24,13 +24,17 @@ the floor does not decide, which prunes exactly the nodes the bound alone
 would.  Net-model answers of `exact_content` are brackets: the optimum over
 net-centered balls, deflated by eps_net on the lower side.
 
-Candidate masks are bits of `space.ElementBits` over the sorted target.
-Fixed-family and voxel point-centered balls take theirs from
-`ElementBits.ball`; a net centre sorts its distance row once, a radius's
-members are a prefix of it, and a ball is built only for a new mask.  Grid
-blocks on voxel sets are integer rows, mask first: a block's cells are the
-AND of one per-axis slab mask (not of the occupied cells: a grid ball covers
-a target's unoccupied cells too), its centre is in half-cell units, and a
+Every family yields (cost, key, mask) rows, masks being bits of
+`space.ElementBits` over the sorted target, and every kept row becomes one
+`_Candidate` record whose ball is built only when read: the solvers read
+the witness's balls alone.  A fixed-family ball is keyed by its ball key
+and takes its mask from `ElementBits.ball`.  A point centre (a net point or
+a `CentersIn` centre) sorts its distance row once, a radius's members are a
+prefix of it, and its rows are keyed (centre, radius), so no ball is built
+for a centre.  Grid blocks on voxel sets are mask first: a block's cells
+are the AND of one per-axis slab mask (not of the occupied cells: a grid
+ball covers a target's unoccupied cells too), its key is its centre in
+half-cell units and then its side k, which orders like the ball key, and a
 block of side k > 1 whose cost k^m times the unit cost reaches its cell
 count is dominated by its unit balls and dropped (a whole size when a full
 block would be, so at m >= n only unit balls are enumerated).  On an axis
@@ -41,10 +45,10 @@ same-size block at the nearer end of that range holds, at the same cost, so
 dropping it is column dominance in set cover (Beasley 1987, "An algorithm
 for set covering problem") and moves no optimum and no lower bound.  Sizes
 run up to the first whose block at the least anchor holds the whole target.
-Grid rows leave the generator in (cost, ball key) order, other families are
-sorted, and one candidate per distinct mask is kept, so a grid mask's ball
-is the least in key order among the blocks anchored in those ranges.  A
-mask that an earlier kept mask holds is dominated (costs ascend), and the
+Grid rows leave the generator in (cost, key) order, other rows are sorted
+stably on it, and one candidate per distinct mask is kept, so a grid mask's
+ball is the least in key order among the blocks anchored in those ranges.
+A mask that an earlier kept mask holds is dominated (costs ascend), and the
 dominance pass drops it, up to 2,000 masks, found among the kept masks
 holding its lowest or highest element.  At Fraction costs the pass runs
 only in a search that leaves its root, which then branches on the
@@ -54,15 +58,11 @@ integer price is never below its dominator's, which comes first in
 (cost, key) order, so it wins no greedy pick, and it never reaches an
 element first in the ratio bound's stable sort.  Float and mixed costs keep
 the pass before the greedy, where a rounded price tie could let a dominated
-ball win the key tie-break.  Kept grid rows stay integer rows through the
-greedy and the search; a ball is built only when read, which the solvers do
-for the witness alone, on one Fraction per distinct coordinate and radius.
-The greedy prices balls with the search's `_RatioBound`, so at integer m it
-compares integers, ties broken by a grid row's integer key (centre
-half-units, then side k), which orders like the ball key, and by the ball
-key itself in the other families.  It is lazy (Minoux's accelerated
-greedy): stale prices only grow as coverage grows, so a popped ball whose
-price is still current is the one a full rescan picks.
+ball win the key tie-break.  The greedy prices balls with the search's
+`_RatioBound`, so at integer m it compares integers, ties broken by the
+key.  It is lazy (Minoux's accelerated greedy): stale prices only grow as
+coverage grows, so a popped ball whose price is still current is the one a
+full rescan picks.
 """
 
 from __future__ import annotations
@@ -134,17 +134,12 @@ class ContentResult:
         }
 
 
-@dataclass(frozen=True)
 class _Candidate:
-    ball: Ball
-    mask: int
-    cost: Scalar
-
-
-class _GridCandidate:
-    """A kept grid block: its cost, its integer `_voxel_grid_candidates`
-    key and its mask.  Its ball is built when first read, on the Fractions
-    that `_grid_balls` shares among the blocks of one call."""
+    """A candidate: its cost, its key, its mask and the maker that builds
+    its ball from the key when the ball is first read.  A grid block's key
+    is its integer `_voxel_grid_candidates` key and its maker `_grid_balls`;
+    other balls are keyed by `Ball.key()` and built by `_key_ball`; a
+    `TildeContent` Q ball is keyed by its index."""
 
     __slots__ = ("cost", "key", "mask", "_make", "_ball")
 
@@ -156,6 +151,10 @@ class _GridCandidate:
         if self._ball is None:
             self._ball = self._make(self.key)
         return self._ball
+
+
+def _key_ball(key) -> Ball:
+    return Ball(*key)
 
 
 def _grid_balls(delta):
@@ -265,96 +264,96 @@ def _dominance_limit(k: int, m) -> int:
 
 
 def _point_candidates(space: Space, target, m, centers, cap):
-    """Balls centered at the given points with radii from the distance set to
-    target elements (the covering optimum over real radii is attained there).
-    On nets each centre's distance row is sorted once: a radius's members
-    are the prefix of the row within radius + TOL."""
+    """(cost, ball key, mask) rows of the balls centered at the given points
+    with radii from the distance set to target elements (the covering
+    optimum over real radii is attained there), one per new mask at each
+    centre.  A radius's members are a prefix of the centre's sorted
+    distance row: within radius + TOL on nets, and on voxels the occupied
+    cells within it on exact distances, as `ball_cell_ranges` reads them."""
     bits = ElementBits(space, sorted(target))
     voxel = isinstance(space, VoxelSpace)
     exact = is_integral(m)  # else power(r, m) == power(as_fraction(r), m)
-    out = []
+    if voxel:
+        cells = [(space.cell_center(c), 1 << i) for i, c in enumerate(bits.elements)]
+    rows = []
     for center in centers:
         if voxel:
-            dists = sorted({linf(space.cell_center(c), center) for c in bits.elements})
+            at = tuple(map(as_fraction, center))
+            row = sorted((linf(c, at), bit) for c, bit in cells)
+            dists = sorted({linf(c, center) for c, _ in cells})
         else:
             row = bits.net_row(net_center(center, space))
             dists = sorted({d for d, _ in row})
             dists = [d for d in dists if d > 0.0] or dists[:1]
-            mask, j = 0, 0
-        seen = set()
+        mask, j, seen = 0, 0, set()
         for r in dists:
             if cap is not None and as_fraction(r) > cap:
                 break
-            if voxel:
-                ball = Ball(center, r)
-                mask = bits.ball(ball)
-            else:
-                limit = float(r) + TOL
-                while j < len(row) and row[j][0] <= limit:
-                    mask |= row[j][1]
-                    j += 1
-            if mask and mask not in seen:
-                seen.add(mask)
-                out.append(_Candidate(ball if voxel else Ball(center, float(r)), mask,
-                                      power(as_fraction(r) if exact else r, m)))
-    return out, bits.index
+            limit = as_fraction(r) if voxel else float(r) + TOL
+            while j < len(row) and row[j][0] <= limit:
+                mask |= row[j][1]
+                j += 1
+            held = mask & bits.occupied if voxel else mask
+            if held and held not in seen:
+                seen.add(held)
+                rows.append((power(as_fraction(r) if exact else r, m),
+                             (center, r if voxel else float(r)), held))
+    return rows, bits.index
 
 
 def _fixed_candidates(space: Space, target, m, balls, cap):
+    """(cost, ball key, mask) rows of the family's balls that meet the
+    target."""
     bits = ElementBits(space, sorted(target))
-    out = []
+    rows = []
     for ball in balls:
         if cap is not None and as_fraction(ball.radius) > cap:
             continue
         if mask := bits.ball(ball):
-            out.append(_Candidate(ball, mask, power(ball.radius, m)))
-    return out, bits.index
+            rows.append((power(ball.radius, m), ball.key(), mask))
+    return rows, bits.index
 
 
 def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
-    """The family's balls that meet the target, one per distinct mask (the
-    least in (cost, ball key) order), in that order, and the target's bit
-    index.  Grid blocks on voxel sets are those anchored inside the
-    target's bounding box (`_voxel_grid_candidates`): a block sticking out
-    of it holds a subset of what a same-size block inside holds, so a
-    mask's ball is the least key among the blocks anchored inside, and is
-    built when first read (`_GridCandidate`).
+    """The family's balls that meet the target as `_Candidate` records, one
+    per distinct mask (the least in (cost, key) order), in that order, and
+    the target's bit index.  Every family yields (cost, key, mask) rows:
+    grid rows come presorted, the others are sorted stably on (cost, key),
+    and a record's ball is built only when read.  Grid blocks on voxel sets
+    are those anchored inside the target's bounding box
+    (`_voxel_grid_candidates`): a block sticking out of it holds a subset
+    of what a same-size block inside holds, so a mask's ball is the least
+    key among the blocks anchored inside.
 
     When every cost is a Fraction that is the whole list: the dominance
     pass runs only in a search that leaves its root (`_branch_and_bound`),
     since no answer depends on it (`exact_content`).  Float and mixed costs
-    keep it here, up to 2,000 distinct masks: a ball whose mask an earlier
-    ball's holds is dropped (costs ascend, so that ball is at most as
-    dear), since a rounded price tie could let it win the greedy's key
+    keep it here, up to 2,000 distinct masks: a row whose mask an earlier
+    row's holds is dropped (costs ascend, so that row is at most as dear),
+    since a rounded price tie could let it win the greedy's key
     tie-break."""
     core, cap = _flatten_family(family)
-    if isinstance(core, AllGridBalls) and isinstance(space, VoxelSpace):
+    grid = isinstance(core, AllGridBalls) and isinstance(space, VoxelSpace)
+    if grid:
         rows, index = _voxel_grid_candidates(space, target, m, core.stride, cap)
-        masks = [row[2] for row in rows]
-        costs = [row[0] for row in rows]
+    elif isinstance(core, AllGridBalls):
+        rows, index = _point_candidates(space, target, m, _net_centers(space), cap)
+    elif isinstance(core, CentersIn):
+        rows, index = _point_candidates(space, target, m, core.points, cap)
+    elif isinstance(core, FixedFamily):
+        rows, index = _fixed_candidates(space, target, m, core.balls, cap)
     else:
-        if isinstance(core, AllGridBalls):
-            cands, index = _point_candidates(space, target, m, _net_centers(space), cap)
-        elif isinstance(core, CentersIn):
-            cands, index = _point_candidates(space, target, m, core.points, cap)
-        elif isinstance(core, FixedFamily):
-            cands, index = _fixed_candidates(space, target, m, core.balls, cap)
-        else:
-            raise InputError(f"unsupported ball family {core!r}")
-        cands.sort(key=_cost_key)
-        rows, masks = None, [c.mask for c in cands]
-        costs = [c.cost for c in cands]
-
-    if not all(isinstance(c, Fraction) for c in costs) and len(set(masks)) <= 2000:
+        raise InputError(f"unsupported ball family {core!r}")
+    if not grid:
+        rows.sort(key=itemgetter(0, 1))  # stable on (cost, key)
+    masks = [row[2] for row in rows]
+    if not all(isinstance(row[0], Fraction) for row in rows) and len(set(masks)) <= 2000:
         keep, _ = _undominated(masks, len(index))
     else:  # the first of each mask
         seen = set()
         keep = [i for i, mask in enumerate(masks) if not (mask in seen or seen.add(mask))]
-    if rows is None:
-        return [cands[i] for i in keep], index
-    make = _grid_balls(space.delta)
-    return [_GridCandidate(cost, key, mask, make)
-            for cost, key, mask in map(rows.__getitem__, keep)], index
+    make = _grid_balls(space.delta) if grid else _key_ball
+    return [_Candidate(*rows[i], make) for i in keep], index
 
 
 def _undominated(masks, n_elems):
@@ -376,20 +375,6 @@ def _undominated(masks, n_elems):
                 holders[e].append(i)
             kept.append(i)
     return kept, holders
-
-
-def _cost_key(cand):
-    """The (cost, ball key) order of candidate lists."""
-    return cand.cost, cand.ball.key()
-
-
-def _tie_keys(cands):
-    """Keys that order the candidates like their ball keys: the grid
-    blocks' integer keys when every candidate is a grid block, else the ball
-    keys themselves, (centre, radius) tuples compared part by part."""
-    if all(type(c) is _GridCandidate for c in cands):
-        return [c.key for c in cands]
-    return [c.ball.key() for c in cands]
 
 
 def _net_centers(space: NetSpace):
@@ -446,9 +431,6 @@ class _RatioBound:
             for mask in masks:
                 self._order += bit_indices(mask & ~seen)
                 seen |= mask
-
-    def units(self, x: Scalar):
-        return x if self.scale is None else int(x * self.scale)
 
     def scalar(self, x) -> Scalar:
         return x if self.scale is None else Fraction(x, self.scale)
@@ -515,9 +497,11 @@ class _RatioBound:
 
     def restricted(self, keep):
         """This bound over the balls at indices `keep` only, in the same
-        units, at Fraction costs: `costs` still takes every index."""
+        units, its `costs` and its balls indexed alike by position in
+        `keep`."""
         sub = copy.copy(self)
         sub._balls = [self._balls[i] for i in keep]
+        sub.costs = [self.costs[i] for i in keep]
         return sub
 
     def duals(self, groups):
@@ -586,16 +570,14 @@ def _float_floor(x: float, coef, base: Fraction, e: Fraction) -> float:
 
 def _greedy_cover(cands, full, ratio: _RatioBound):
     """Indices of the balls picked by repeatedly taking the ball of least cost
-    per newly covered element, ties to the least ball key.  Prices are
-    `ratio.price`, integers when the costs are Fractions; ties compare
-    `_tie_keys`.
+    per newly covered element, ties to the least key (a grid block's
+    integer key orders like its ball key).  Prices are `ratio.price`,
+    integers when the costs are Fractions.
     Lazy (Minoux): a heap holds each ball's last known price, which can only
     grow as coverage grows, so a popped ball whose price is still current is
     the eager greedy's pick."""
     price = ratio.price
-    keys = _tie_keys(cands)
-    heap = [(price(i, cand.mask.bit_count()), key, i)
-            for i, (cand, key) in enumerate(zip(cands, keys))]
+    heap = [(price(i, cand.mask.bit_count()), cand.key, i) for i, cand in enumerate(cands)]
     heapq.heapify(heap)
     covered = 0
     chosen = []
@@ -646,7 +628,7 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
     `_RatioBound._assign` reaches its elements through that ball first:
     every price, node and frontier is the one the pruned list gives.
     """
-    step = ratio.costs
+    step = ratio.costs  # over every candidate: read before `restricted` re-indexes it
     nodes = 0
     frontier = covers_elem = None
     memo = {}

@@ -129,17 +129,6 @@ class Constants:
             raise InputError("scale constant failed its sanity bound")
         return cls(mq, filling, ball_scale, radius, decay)
 
-    def bounds_report(self) -> dict:
-        """Comparisons against the coarse closed forms; the radius-constant
-        one fails for small m and is reported, never asserted."""
-        mf = float(self.m)
-        return {
-            "ball_scale_lt_100m_pow_m": self.ball_scale < (100 * mf) ** mf,
-            "radius_constant": self.radius_constant,
-            "radius_coarse_form": (1500 * mf) ** mf,
-            "radius_lt_coarse_form": self.radius_constant < (1500 * mf) ** mf,
-        }
-
 
 # ---------------------------------------------------------------------------
 # content relative to a fixed covering
@@ -152,12 +141,14 @@ class TildeContent:
     the Q balls that meet the goal mask (bits of `cells`), without an
     incumbent, so its witness is the first cheapest cover in depth-first
     order; that order depends on every such ball, so no dominance pass
-    prunes them.  Each exponent is priced once (`_pricing`): the Q balls in
-    (cost, index) order and one `_RatioBound` over their whole masks, so a
-    solve only ANDs the masks with the goal.  A ball that misses the goal is
-    never branched on and prices nothing, the balls that meet it keep their
-    order, and the bound's larger size lcm only refines its units, so every
-    answer is the one a bound over the meeting balls alone gives.
+    prunes them.  Each exponent is priced once (`_pricing`): the Q balls as
+    `_Candidate` records keyed by index, in (cost, index) order, and one
+    `_RatioBound` over their whole masks, so a solve only ANDs the masks
+    with the goal and restricts the bound to the balls that meet it.  A
+    ball that misses the goal is never branched on and prices nothing, the
+    balls that meet it keep their order, and the bound's larger size lcm
+    only refines its units, so every answer is the one a bound over the
+    meeting balls alone gives.
     `solve_mask` is the one entry, cached per (goal mask, exponent); `solve`
     takes a cell set.  `frame(p)` is a point's integer distance frame;
     `farthest` gives the distance key of the cell farthest from a point,
@@ -178,11 +169,11 @@ class TildeContent:
         self._radial = self._frame = self._far = (None, None)
 
     def _pricing(self, exponent: Fraction):
-        """(rows, ratio, den, weights) at an exponent, built once: `weights`
+        """(cands, ratio, den, weights) at an exponent, built once: `weights`
         holds each Q ball's cost, at its exact value, as an integer
-        numerator over the common denominator `den`; `rows` holds (index,
-        ball, mask, cost) of the balls in (cost, index) order, and `ratio`
-        is a `_RatioBound` over their whole masks in that order."""
+        numerator over the common denominator `den`; `cands` holds the Q
+        balls' records in (cost, index) order, and `ratio` is a
+        `_RatioBound` over their whole masks in that order."""
         hit = self._pricings.get(exponent)
         if hit is None:
             costs = [power(b.radius, exponent) for b in self.q_balls]
@@ -190,9 +181,9 @@ class TildeContent:
             den = common_den(exact)
             weights = numerators(exact, den)
             order = sorted(range(len(costs)), key=weights.__getitem__)  # ties by index
-            rows = [(i, self.q_balls[i], self.masks[i], costs[i]) for i in order]
-            ratio = _RatioBound([_Candidate(ball, mask, cost) for _, ball, mask, cost in rows])
-            hit = self._pricings[exponent] = rows, ratio, den, weights
+            cands = [_Candidate(costs[i], i, self.masks[i], self.q_balls.__getitem__)
+                     for i in order]
+            hit = self._pricings[exponent] = cands, _RatioBound(cands), den, weights
         return hit
 
     def subset_mask(self, subset) -> int:
@@ -254,18 +245,13 @@ class TildeContent:
             return result
         if goal & ~self._union:
             raise InputError("fixed covering cannot cover the requested subset")
-        rows, ratio, _, _ = self._pricing(exponent)
-        usable, cands = [], []
-        for pos, (_, ball, mask, cost) in enumerate(rows):
-            if mask & goal:
-                usable.append(pos)
-                cands.append(_Candidate(ball, mask & goal, cost))
-        # the search steps by `costs[ci]` of its candidates, so the view's
-        # costs follow `usable` as its balls do
-        view = ratio.restricted(usable)
-        view.costs = [ratio.costs[pos] for pos in usable]
-        units, sel, _, _ = _branch_and_bound(cands, view, goal, math.inf, math.inf, ())
-        result = (ratio.scalar(units), tuple(rows[usable[k]][0] for k in sel))
+        cands, ratio, _, _ = self._pricing(exponent)
+        usable = [pos for pos, cand in enumerate(cands) if cand.mask & goal]
+        meeting = [_Candidate(c.cost, c.key, c.mask & goal, self.q_balls.__getitem__)
+                   for c in map(cands.__getitem__, usable)]
+        units, sel, _, _ = _branch_and_bound(meeting, ratio.restricted(usable), goal,
+                                             math.inf, math.inf, ())
+        result = (ratio.scalar(units), tuple(meeting[k].key for k in sel))
         self._value_cache[key] = result
         return result
 

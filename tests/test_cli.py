@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -403,10 +404,14 @@ def test_determinism_byte_identical(capsys, cube_path, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def save_config(cfg, path):
+    path.write_text(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")
+
+
 def test_config_roundtrip_and_env(tmp_path, monkeypatch, capsys, cube_path):
     cfg = RunConfig(node_budget=12345, step_cap=7)
     path = tmp_path / "cfg.json"
-    cfg.save(str(path))
+    save_config(cfg, path)
     assert RunConfig.load(str(path)) == cfg
 
     monkeypatch.setenv("HCFILL_CONFIG", str(path))
@@ -419,20 +424,20 @@ def test_config_roundtrip_and_env(tmp_path, monkeypatch, capsys, cube_path):
         RunConfig.from_dict({"unknown_knob": 1})
     # knobs that nothing read were removed, so a config naming one is rejected
     with pytest.raises(InputError):
-        RunConfig.from_dict({**cfg.to_dict(), "eps_rel": 1e-3})
+        RunConfig.from_dict({**dataclasses.asdict(cfg), "eps_rel": 1e-3})
     # the coarea slack and the pushout thresholds are constants now
     for knob, value in (("tolerance", 1e-9), ("c0_base", 0.25), ("ratio_ceiling_base", 10.0)):
         with pytest.raises(InputError, match=f"unknown config keys: \\['{knob}'\\]"):
-            RunConfig.from_dict({**cfg.to_dict(), knob: value})
+            RunConfig.from_dict({**dataclasses.asdict(cfg), knob: value})
     with pytest.raises(InputError):
         RunConfig(node_budget=0)
     # width_budget selected nothing: every positive value gave the same report
     with pytest.raises(InputError, match="width_budget"):
-        RunConfig.from_dict({**cfg.to_dict(), "width_budget": 2000})
+        RunConfig.from_dict({**dataclasses.asdict(cfg), "width_budget": 2000})
     # seed only drove the cone coverage sampler, which an exact check replaced
-    assert len(cfg.to_dict()) == 3
+    assert len(dataclasses.asdict(cfg)) == 3
     with pytest.raises(InputError, match=r"unknown config keys: \['seed'\]"):
-        RunConfig.from_dict({**cfg.to_dict(), "seed": 0})
+        RunConfig.from_dict({**dataclasses.asdict(cfg), "seed": 0})
 
 
 @pytest.mark.parametrize("knob, value, message", [
@@ -659,7 +664,7 @@ def test_width_uses_config_node_budget(capsys, tmp_path, monkeypatch):
     space = tmp_path / "cube.json"
     save_space(make_cube(2, 2, Fraction(1, 8)), str(space))
     cfg = tmp_path / "cfg.json"
-    RunConfig(node_budget=4321).save(str(cfg))
+    save_config(RunConfig(node_budget=4321), cfg)
     code, _, _ = run_cli(capsys, "--config", str(cfg), "width", "--space",
                          str(space), "--m", "2", "--budget", "5")
     assert code == 0
@@ -689,7 +694,7 @@ def test_width_and_lw_suites_use_config_node_budget(capsys, tmp_path, monkeypatc
     space = fixtures / "cube.json"
     save_space(make_cube(2, 2, Fraction(1, 8)), str(space))
     cfg = tmp_path / "cfg.json"
-    RunConfig(node_budget=4321).save(str(cfg))
+    save_config(RunConfig(node_budget=4321), cfg)
     where = ("--dir", str(fixtures)) if argv[0] == "corpus" else ("--space", str(space))
     code, _, _ = run_cli(capsys, "--config", str(cfg), argv[0], *where, *argv[1:])
     assert code == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hcfill import content
 from hcfill.content import (
     exact_content,
     generate_candidates,
@@ -349,3 +350,30 @@ def test_exact_content_family_reports_pinned(make, m, digest):
 ])
 def test_greedy_content_reports_pinned(make, m, digest):
     assert _digest(greedy_content(make(), None, m)) == digest
+
+
+def _net8():
+    rng = random.Random(8)
+    points = {}
+    while len(points) < 8:
+        points[(float(rng.randrange(40)), float(rng.randrange(40)))] = None
+    return NetSpace("l2", tuple(points)), AllGridBalls()
+
+
+@pytest.mark.parametrize("make", [_net8, _blob_centers, _mixed_fixed])
+def test_exact_content_builds_only_the_witness_balls(make, monkeypatch):
+    """Candidates stay (cost, key, mask) records until a ball is read: on a
+    net, a centres-in family and a fixed family, `exact_content` builds one
+    ball per witness ball and none for the candidates it drops or leaves
+    unpicked."""
+    space, family = make()
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(ball := Ball(*args, **kwargs))
+        return ball
+
+    monkeypatch.setattr(content, "Ball", counting)
+    res = exact_content(space, None, 2, family)
+    assert len(built) == len(res.witness.balls) > 1
+    assert set(built) == set(res.witness.balls)

@@ -116,12 +116,18 @@ def oracle_grid_candidates(space, target, m, stride, cap):
     return out, index
 
 
+def records(rows, make=lambda key: Ball(*key)):
+    """(cost, key, mask) rows as `_Candidate` records whose balls `make`
+    builds from their keys: by default `Ball(*key)`, for rows keyed by
+    `Ball.key()`."""
+    return [_Candidate(cost, key, mask, make) for cost, key, mask in rows]
+
+
 def grid_candidates(space, rows):
     """`_voxel_grid_candidates` rows as candidates, each centre and radius
     back from half-cell units."""
     half = space.delta / 2
-    return [_Candidate(Ball(tuple(half * x for x in key[:-1]), half * key[-1]), mask, cost)
-            for cost, key, mask in rows]
+    return records(rows, lambda key: Ball(tuple(half * x for x in key[:-1]), half * key[-1]))
 
 
 def eager_greedy(cands, full):
@@ -441,8 +447,8 @@ def candidate_sets(draw):
         for mask in masks:
             seen |= mask
         masks += [1 << e for e in range(n) if not seen >> e & 1]
-    cands = [_Candidate(Ball((Fraction(i),), Fraction(1)), mask, draw(costs))
-             for i, mask in enumerate(masks)]
+    cands = records([(draw(costs), ((Fraction(i),), Fraction(1)), mask)
+                     for i, mask in enumerate(masks)])
     return cands, n
 
 
@@ -544,6 +550,7 @@ def assert_post_processing_matches(space, target, m, family, raw):
     assert triples([ordered[i] for i in kept]) == triples(quadratic_undominated(ordered))
     assert holders == [[i for i in kept if ordered[i].mask >> e & 1] for e in range(len(index))]
     assert_greedy_matches(got, len(index))
+    return got
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -568,9 +575,9 @@ def test_candidates_above_the_dominance_limit_match_the_sort_and_dedupe():
     cells = frozenset(space.cells)
     side = 18 * space.delta
     want, index = oracle_grid_candidates(space, cells, 1, 1, None)
-    want = oracle_post_process([_Candidate(Ball(*key), mask, cost) for key, mask, cost in want
-                                if all(0 <= x - key[1] and x + key[1] <= side
-                                       for x in key[0])])
+    want = oracle_post_process(records([(cost, key, mask) for key, mask, cost in want
+                                        if all(0 <= x - key[1] and x + key[1] <= side
+                                               for x in key[0])]))
     got, got_index = generate_candidates(space, cells, 1, AllGridBalls())
     assert got_index == index and len(got) == len(want) > 2000
     assert triples(got) == triples(want)
@@ -589,9 +596,24 @@ def test_dominance_pass_matches_quadratic_on_centers_in(instance, data):
     family = CentersIn(centers)
     if cap is not None:
         family = intersect_families(family, RadiusCapped(cap))
-    raw, _ = _point_candidates(space, target, m, centers, cap)
+    rows, _ = _point_candidates(space, target, m, centers, cap)
+    raw = records(rows)
     assert triples(raw) == oracle_point_candidates(space, target, m, centers, cap)
-    assert_post_processing_matches(space, target, m, family, raw)
+    got = assert_post_processing_matches(space, target, m, family, raw)
+    assert all(c.key == c.ball.key() for c in got)
+
+
+def test_centers_in_at_float_centres_matches_ball_scans():
+    """Float centres at multiples of 1/22, whose distances to the cell
+    centres round, some of them down: a radius's members are still the
+    cells within it on exact distances, as `ElementBits.ball` finds them."""
+    space = make_cube(2, 4)
+    target = frozenset(space.cells)
+    centers = tuple((i / 22, j / 22) for i in range(12) for j in range(0, 12, 3))
+    for m in (1, Fraction(3, 2)):
+        rows, _ = _point_candidates(space, target, m, centers, None)
+        assert triples(records(rows)) == \
+            oracle_point_candidates(space, target, m, centers, None)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -605,8 +627,9 @@ def test_dominance_pass_matches_quadratic_on_fixed_families(instance, data):
     radius = st.one_of(radius, radius.map(float))
     balls = tuple(data.draw(st.lists(
         st.builds(Ball, st.tuples(*[coord] * space.n), radius), min_size=1, max_size=16)))
-    raw, _ = _fixed_candidates(space, target, m, balls, None)
-    assert_post_processing_matches(space, target, m, FixedFamily(balls), raw)
+    rows, _ = _fixed_candidates(space, target, m, balls, None)
+    got = assert_post_processing_matches(space, target, m, FixedFamily(balls), records(rows))
+    assert all(c.key == c.ball.key() for c in got)
 
 
 @st.composite
@@ -683,7 +706,8 @@ def net_instances(draw):
 def test_net_distance_rows_match_ball_scans(instance):
     net, target, m, cap = instance
     centers = _net_centers(net)
-    raw, index = _point_candidates(net, target, m, centers, cap)
+    rows, index = _point_candidates(net, target, m, centers, cap)
+    raw = records(rows)
     assert triples(raw) == oracle_point_candidates(net, target, m, centers, cap)
     bits = ElementBits(net, sorted(target))
     assert all(bits.ball(c.ball) == c.mask for c in raw)

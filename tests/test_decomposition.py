@@ -77,13 +77,12 @@ def test_constants_formulas():
 def test_constants_sanity_bounds():
     for m in (Fraction(3, 2), 2, Fraction(5, 2), 3, 5):
         c = Constants.for_exponent(m)
-        rep = c.bounds_report()
-        assert rep["ball_scale_lt_100m_pow_m"]
+        assert c.ball_scale < (100 * float(m)) ** float(m)
         assert c.filling_constant > 0 and c.radius_constant > 0
         assert 0 < c.decay < 1
-    # the coarse closed form for the radius constant fails at small m and is
-    # recorded rather than asserted
-    assert not Constants.for_exponent(2).bounds_report()["radius_lt_coarse_form"]
+    # the coarse closed form (1500 m)^m for the radius constant fails at
+    # small m, so it is no sanity bound
+    assert not Constants.for_exponent(2).radius_constant < (1500 * 2) ** 2
 
 
 def test_constants_need_m_above_one():
