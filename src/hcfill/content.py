@@ -21,7 +21,12 @@ parent's U, each ball meets fewer of its elements, and so every price only
 grows: the parent's prices summed over the child's U are a floor under the
 child's bound.  The search prunes on that floor first and sorts only where
 the floor does not decide, which prunes exactly the nodes the bound alone
-would.  Net-model answers of `exact_content` are brackets: the optimum over
+would.  A node that was priced branches cheapest first: its children, the
+balls holding its branch element, come in that same sort's order (least
+ratio against U first, ties in candidate order), so no ball is priced
+twice.  A node reached before there is an incumbent, as in a `TildeContent`
+search before its first cover, is not priced and keeps candidate order.
+Net-model answers of `exact_content` are brackets: the optimum over
 net-centered balls, deflated by eps_net on the lower side.
 
 Every family yields (cost, key, mask) rows, masks being bits of
@@ -399,7 +404,8 @@ class _RatioBound:
     (ratio, c & U) pairs by increasing ratio, ties in candidate order, each
     element takes the ratio of the first pair that reaches it.
 
-    `priced(U)` keeps those (ratio, elements) groups with their sum, and
+    `ranked(U)` is that sort, which the search also takes its child order
+    from; `priced(U)` keeps the (ratio, elements) groups with their sum, and
     `floor(U', groups, total)` sums the same prices over a subset U' of U.
     The search hands a node's groups to its children: their exact bounds
     can only be higher, so the floor prunes no node that the bound would
@@ -431,6 +437,7 @@ class _RatioBound:
             for mask in masks:
                 self._order += bit_indices(mask & ~seen)
                 seen |= mask
+            self._width = seen.bit_length()
 
     def scalar(self, x) -> Scalar:
         return x if self.scale is None else Fraction(x, self.scale)
@@ -443,27 +450,33 @@ class _RatioBound:
             return weight / count
         return weight * self._per_size[count]
 
-    def _assign(self, uncovered):
-        """(ratio, elements) groups covering each element of U once, with
-        its price, its least ratio over the balls that contain it."""
+    def ranked(self, uncovered):
+        """(ratio, i, c & U) for every ball c that meets U, i its index in
+        this bound, by increasing ratio against U, ties in index order: the
+        one sort behind U's prices and the search's child order."""
         if self.scale is None:
-            pairs = [(cost / inter.bit_count(), inter)
-                     for cost, mask in self._balls if (inter := mask & uncovered)]
+            pairs = [(cost / inter.bit_count(), i, inter)
+                     for i, (cost, mask) in enumerate(self._balls) if (inter := mask & uncovered)]
         else:
             per_size = self._per_size
-            pairs = [(w * per_size[inter.bit_count()], inter)
-                     for w, mask in self._balls if (inter := mask & uncovered)]
+            pairs = [(w * per_size[inter.bit_count()], i, inter)
+                     for i, (w, mask) in enumerate(self._balls) if (inter := mask & uncovered)]
         pairs.sort(key=_first)
-        for ratio, inter in pairs:
+        return pairs
+
+    def priced(self, uncovered, ranked=None):
+        """U's price groups and the bound on U, their sum in search units:
+        (ratio, elements) groups covering each element of U once, each
+        element going to the first ball of `ranked(U)` (the caller's, when
+        it has it) that holds it, at its least ratio over the balls that
+        contain it."""
+        groups = []
+        for ratio, _, inter in self.ranked(uncovered) if ranked is None else ranked:
             if new := inter & uncovered:
-                yield ratio, new
+                groups.append((ratio, new))
                 uncovered ^= new
                 if not uncovered:
-                    return
-
-    def priced(self, uncovered):
-        """U's price groups and the bound on U, their sum in search units."""
-        groups = list(self._assign(uncovered))
+                    break
         return groups, self._sum(groups)
 
     def floor(self, uncovered, groups, total):
@@ -482,18 +495,23 @@ class _RatioBound:
                                for ratio, new in groups if (out := new & gone))
         if self._mixed:
             return -math.inf
-        return self._sum((ratio, new & uncovered) for ratio, new in groups)
+        return self._sum(groups, uncovered)
 
-    def _sum(self, groups):
-        """The sum of the prices of (ratio, elements) groups, on floats in
-        `_order`."""
+    def _sum(self, groups, within=-1):
+        """The sum of the prices of (ratio, elements) groups over the
+        elements in `within`, on floats in `_order`: each element's price
+        sits at its place in a list of int zeros, and a zero adds exactly
+        to a float or a Fraction."""
         if self.scale is not None:
             return sum(ratio * new.bit_count() for ratio, new in groups)
-        least = {}
+        least = [0] * self._width
         for ratio, new in groups:
-            for e in bit_indices(new):
-                least[e] = ratio
-        return sum(least[e] for e in self._order if e in least)
+            new &= within
+            while new:
+                low = new & -new
+                least[low.bit_length() - 1] = ratio
+                new ^= low
+        return sum(map(least.__getitem__, self._order))
 
     def restricted(self, keep):
         """This bound over the balls at indices `keep` only, in the same
@@ -603,13 +621,21 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
     """Depth-first search for the cheapest cover of `goal` by the candidates.
 
     Branches on the uncovered element with the fewest candidates (lowest bit
-    on ties), children in candidate order, prunes with the ratio bound and
-    memoized covered-set dominance, and replaces the incumbent (`best_cost` in
-    the bound's units, `best_sel` candidate indices) only on a strictly lower
-    cost.  After `budget` nodes the incumbent is final and the remaining
-    entries only lower the frontier.  Returns (cost, indices, nodes,
-    frontier), the frontier None when the search closed within the budget.
-    `root` is `ratio.priced(goal)` when the caller has it.
+    on ties), prunes with the ratio bound and memoized covered-set
+    dominance, and replaces the incumbent (`best_cost` in the bound's units,
+    `best_sel` candidate indices) only on a strictly lower cost.  After
+    `budget` nodes the incumbent is final and the remaining entries only
+    lower the frontier.  Returns (cost, indices, nodes, frontier), the
+    frontier None when the search closed within the budget.  `root` is
+    (`ratio.ranked(goal)`, `ratio.priced(goal, ranked)`) when the caller has
+    them.
+
+    A node that was priced takes its children cheapest first: the balls
+    holding the branch element in the order of `ratio.ranked(U)`, the sort
+    its price came from, which is least ratio against U first, ties in
+    candidate order.  A node priced nothing (no incumbent yet) takes them in
+    candidate order.  The sort is the node's own and is dropped once its
+    children are pushed.
 
     Each entry carries its parent's `ratio.priced` prices (None at the root
     and below a node that priced nothing, as before the first incumbent).
@@ -625,12 +651,14 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
     units of the whole list's `ratio`.  A dropped ball's mask is held by an
     earlier, no dearer kept ball's, so against every uncovered set its
     integer ratio is at least that ball's, and the stable sort of
-    `_RatioBound._assign` reaches its elements through that ball first:
-    every price, node and frontier is the one the pruned list gives.
+    `_RatioBound.ranked` reaches its elements through that ball first.  The
+    root is ranked over the whole list, before the pass, so it branches on
+    the kept balls in that sort's order, which is the pruned list's: every
+    price, child order, node and frontier is the one the pruned list gives.
     """
     step = ratio.costs  # over every candidate: read before `restricted` re-indexes it
     nodes = 0
-    frontier = covers_elem = None
+    frontier = covers_elem = kept = None
     memo = {}
     stack = [(0, ratio.zero, (), None)]
     while stack:
@@ -654,26 +682,42 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
         if seen is not None and seen <= cost:
             continue
         memo[covered] = cost
-        prices = None
+        prices = ranked = None
         # without an incumbent (best_cost inf) no bound can prune
         if best_cost != math.inf:
             if inherited is not None and \
                     cost + ratio.floor(uncovered, *inherited) >= best_cost:
                 continue
-            prices = root if nodes == 1 and root is not None else ratio.priced(uncovered)
+            if nodes == 1 and root is not None:
+                ranked, prices = root
+            else:
+                ranked = ratio.ranked(uncovered)
+                prices = ratio.priced(uncovered, ranked)
             if cost + prices[1] >= best_cost:
                 continue
         if covers_elem is None:  # most solves close at the root
             if prune and len(cands) <= 2000:
-                keep, covers_elem = _undominated([c.mask for c in cands], goal.bit_length())
-                ratio = ratio.restricted(keep)
+                kept, covers_elem = _undominated([c.mask for c in cands], goal.bit_length())
+                ratio = ratio.restricted(kept)
             else:
                 covers_elem = [[] for _ in range(goal.bit_length())]
                 for ci, cand in enumerate(cands):
                     for e in bit_indices(cand.mask):
                         covers_elem[e].append(ci)
             fans = _fan_masks(covers_elem)
-        for ci in reversed(covers_elem[_branch_element(uncovered, fans)]):
+        e = _branch_element(uncovered, fans)
+        children = covers_elem[e]
+        if ranked is not None:  # cheapest first against U, ties in candidate order
+            bit = 1 << e
+            order = [i for _, i, inter in ranked if inter & bit]
+            if kept is None:
+                children = order
+            elif nodes > 1:
+                children = [kept[i] for i in order]
+            else:  # the root was ranked over the whole list, before the dominance pass
+                held = set(children)
+                children = [i for i in order if i in held]
+        for ci in reversed(children):
             stack.append((covered | cands[ci].mask, cost + step[ci], sel + (ci,), prices))
     return best_cost, best_sel, nodes, frontier
 
@@ -733,13 +777,14 @@ def exact_content(
     full = (1 << len(index)) - 1
 
     chosen = _greedy_cover(cands, full, ratio)  # raises when the family cannot cover
-    root = ratio.priced(full)
+    ranked = ratio.ranked(full)
+    root = ratio.priced(full, ranked)
     duals, root_dual = ratio.duals(root[0])
     # float and mixed-cost lists come pruned from `generate_candidates`
     best_cost, best_sel, nodes, frontier = _branch_and_bound(
         cands, ratio, full, node_budget,
         sum(ratio.costs[i] for i in chosen), tuple(chosen),
-        root=root, prune=ratio.scale is not None,
+        root=(ranked, root), prune=ratio.scale is not None,
     )
     best_cost = ratio.scalar(best_cost)
 

@@ -139,16 +139,17 @@ class TildeContent:
     `cells`, their `ElementBits` as `bits`, and the Q balls' member masks,
     built once.  A solve runs the content solver's `_branch_and_bound` over
     the Q balls that meet the goal mask (bits of `cells`), without an
-    incumbent, so its witness is the first cheapest cover in depth-first
-    order; that order depends on every such ball, so no dominance pass
-    prunes them.  Each exponent is priced once (`_pricing`): the Q balls as
-    `_Candidate` records keyed by index, in (cost, index) order, and one
-    `_RatioBound` over their whole masks, so a solve only ANDs the masks
-    with the goal and restricts the bound to the balls that meet it.  A
-    ball that misses the goal is never branched on and prices nothing, the
-    balls that meet it keep their order, and the bound's larger size lcm
-    only refines its units, so every answer is the one a bound over the
-    meeting balls alone gives.
+    incumbent, so its witness is the first cheapest cover in the search's
+    order: candidate order down to its first cover, cheapest first at every
+    node priced after it.  That order depends on every such ball, so no
+    dominance pass prunes them.  Each exponent is priced once (`_pricing`):
+    the Q balls as `_Candidate` records keyed by index, in (cost, index)
+    order, and one `_RatioBound` over their whole masks, so a solve only
+    ANDs the masks with the goal and restricts the bound to the balls that
+    meet it.  A ball that misses the goal is never branched on and prices
+    nothing, the balls that meet it keep their order, and the bound's
+    larger size lcm only scales its units, which moves no price order, so
+    every answer is the one a bound over the meeting balls alone gives.
     `solve_mask` is the one entry, cached per (goal mask, exponent); `solve`
     takes a cell set.  `frame(p)` is a point's integer distance frame;
     `farthest` gives the distance key of the cell farthest from a point,

@@ -1,11 +1,13 @@
 """Property tests: grid and net candidate generation, the dominance pass,
 the greedy cover and the branch and bound's ratio bound against direct
-oracles, the inherited price floor against the exact bound, the branch and
-bound against its loop without that floor, its branch pick against the
+oracles, its float price sum against the dict sum it replaced, the
+inherited price floor against the exact bound, the branch and bound
+against its loop without that floor, its branch pick against the
 per-element minimum, the solvers' reports against the pipeline that prunes
-dominated balls before it, and the greedy lower bound on
-nets, the exact_content bracket and the volume lower bound on small voxel
-targets against an exhaustive optimum."""
+dominated balls before it, and the greedy lower bound on nets, the
+exact_content bracket (with its cheapest-first child order at every node
+budget) and the volume lower bound on small voxel targets against an
+exhaustive optimum."""
 
 import itertools
 import math
@@ -281,6 +283,96 @@ def test_exact_content_brackets_the_brute_force_optimum(stride, capped, instance
             assert not res.optimal or math.isclose(res.value_upper, optimum, rel_tol=1e-9)
 
 
+class _ReadLog(list):
+    """A candidate list that logs every index read from it: inside the
+    search, `cands[ci]` is read only to push child ci."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return super().__getitem__(i)
+
+
+def _logged_children(space, target, m, family, budget):
+    """`exact_content`'s result and, per node it branched at, (U, the
+    branch element, its children in the order they are popped)."""
+    log = []
+    search, pick = content._branch_and_bound, content._branch_element
+
+    def logged_search(cands, *args, **kwargs):
+        return search(_ReadLog(cands, log), *args, **kwargs)
+
+    def logged_pick(uncovered, fans):
+        e = pick(uncovered, fans)
+        log.append((uncovered, e))
+        return e
+
+    with mock.patch.object(content, "_branch_and_bound", logged_search), \
+            mock.patch.object(content, "_branch_element", logged_pick):
+        res = exact_content(space, target, m, family, budget)
+    nodes = []
+    for item in log:
+        if isinstance(item, tuple):
+            nodes.append((*item, []))
+        else:
+            nodes[-1][2].insert(0, item)  # pushed in reverse
+    return res, nodes
+
+
+@st.composite
+def branching_instances(draw):
+    """Voxel sets of 6 to 10 cells, the whole set the target, where
+    searches leave the root most often: 2-D in a box of side 4 to 8 at
+    m = 1, 3-D in a box of side 3 or 4 at m = 1 or 2; stride and cap as in
+    `voxel_instances`."""
+    n = draw(st.sampled_from([2, 2, 3]))
+    box = draw(st.integers(4, 8) if n == 2 else st.integers(3, 4))
+    coords = list(itertools.product(range(box), repeat=n))
+    cells = frozenset(draw(st.sets(st.sampled_from(coords), min_size=6, max_size=10)))
+    delta = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1)]))
+    m = draw(st.integers(1, n - 1))
+    stride = draw(st.sampled_from([1, 2]))
+    cap = draw(st.one_of(
+        st.none(), st.integers(1, 2 * box).map(lambda j: delta * Fraction(j, 2))))
+    return VoxelSpace(n, delta, cells), cells, m, stride, cap
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(branching_instances(), st.data())
+def test_cheapest_first_brackets_the_brute_force_optimum_at_every_budget(instance, data):
+    """At every node budget from 1 to the nodes the search needs to close
+    (a sample of them past 40): the bracket holds the optimum and is closed
+    only at it, and every node takes its children, the kept balls holding
+    its branch element, by ratio against its uncovered set, equal ratios in
+    candidate order."""
+    space, target, m, stride, cap = instance
+    family = AllGridBalls(stride)
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    optimum = brute_force_optimum(space, target, m, stride, cap)
+    if optimum == math.inf:
+        return
+    cands, index = generate_candidates(space, target, m, family)
+    ratio = _RatioBound(cands)
+    _, holders = _undominated([c.mask for c in cands], len(index))
+    need = exact_content(space, target, m, family).certificate["nodes"]
+    budgets = set(range(1, min(need, 40) + 1))
+    budgets |= {need, *(data.draw(st.integers(1, need)) for _ in range(3))}
+    for budget in sorted(budgets):
+        res, nodes = _logged_children(space, target, m, family, budget)
+        assert res.value_upper >= optimum
+        assert not res.optimal or res.value_upper == optimum
+        assert res.value_lower <= optimum
+        assert res.optimal == (budget >= need)
+        for uncovered, e, children in nodes:
+            def price(ci):
+                return ratio.price(ci, (cands[ci].mask & uncovered).bit_count())
+            assert children == sorted(holders[e], key=price)  # stable: ties in candidate order
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(voxel_instances(max_target=10),
        st.sampled_from([1, 2, 3, 4, Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), 0.5]))
@@ -479,6 +571,46 @@ def test_ratio_bound_matches_the_per_member_scans(instance, data):
     assert duals == want
     assert [type(d) for d in duals] == [type(d) for d in want]
     assert root == sum(want) and type(root) is type(sum(want))
+
+
+def _dict_sum(self, groups):
+    """`_RatioBound._sum`'s float body before the per-element list,
+    verbatim."""
+    least = {}
+    for ratio, new in groups:
+        for e in bit_indices(new):
+            least[e] = ratio
+    return sum(least[e] for e in self._order if e in least)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.data())
+def test_float_sum_matches_the_dict_sum_bit_for_bit(n, data):
+    """Random disjoint groups over the union of random float-cost balls,
+    whose `_order` is not element order, priced with floats (or Fractions
+    among them, as with mixed costs): the same value and type, to the bit,
+    over the whole groups and over a random subset of their elements."""
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=12))
+    ratio = _RatioBound(records([(data.draw(FLOAT_COSTS), ((Fraction(i),), Fraction(1)), mask)
+                                 for i, mask in enumerate(masks)]))
+    prices = data.draw(st.sampled_from([FLOAT_COSTS, st.one_of(FLOAT_COSTS, FRACTION_COSTS)]))
+    union = 0
+    for mask in masks:
+        union |= mask
+    left = data.draw(st.integers(0, union)) & union
+    groups = []
+    while left:
+        new = data.draw(st.integers(1, left)) & left or left & -left
+        groups.append((data.draw(prices), new))
+        left ^= new
+    within = data.draw(st.integers(0, (1 << n) - 1))
+    for got, want in ((ratio._sum(groups), _dict_sum(ratio, groups)),
+                      (ratio._sum(groups, within),
+                       _dict_sum(ratio, [(r, new & within) for r, new in groups]))):
+        assert type(got) is type(want)
+        assert got == want
+        if isinstance(want, float):
+            assert got.hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -804,9 +936,9 @@ def _bound_without_floor(ratio, uncovered):
     """`_RatioBound.bound` before prices were inherited: the sum of U's
     prices, floats in `_order`."""
     if ratio.scale is not None:
-        return sum(r * new.bit_count() for r, new in ratio._assign(uncovered))
+        return sum(r * new.bit_count() for r, new in ratio.priced(uncovered)[0])
     least = {}
-    for r, new in ratio._assign(uncovered):
+    for r, new in ratio.priced(uncovered)[0]:
         for e in bit_indices(new):
             least[e] = r
     return sum(least[e] for e in ratio._order if e in least)
@@ -814,7 +946,9 @@ def _bound_without_floor(ratio, uncovered):
 
 def _search_without_floor(cands, ratio, goal, budget, best_cost, best_sel):
     """`_branch_and_bound` before prices were inherited, verbatim but for
-    the exact bound, which is `_bound_without_floor`."""
+    the exact bound, which is `_bound_without_floor`, and the child order:
+    at a node the bound ran at, the children by `ratio.price` against the
+    node's uncovered set, ties in candidate order (a stable sort)."""
     step = ratio.costs
     nodes = 0
     frontier = covers_elem = None
@@ -850,7 +984,12 @@ def _search_without_floor(cands, ratio, goal, budget, best_cost, best_sel):
                     covers_elem[e].append(ci)
             fan = [len(c) for c in covers_elem]
         pick = min(bit_indices(goal ^ covered), key=fan.__getitem__)
-        for ci in reversed(covers_elem[pick]):
+        children = covers_elem[pick]
+        if best_cost != math.inf:
+            uncovered = goal ^ covered
+            children = sorted(children, key=lambda ci: ratio.price(
+                ci, (cands[ci].mask & uncovered).bit_count()))
+        for ci in reversed(children):
             stack.append((covered | cands[ci].mask, cost + step[ci], sel + (ci,)))
     return best_cost, best_sel, nodes, frontier
 
