@@ -31,8 +31,10 @@ net-centered balls, deflated by eps_net on the lower side.
 
 Every family yields (cost, key, mask) rows, masks being bits of
 `space.ElementBits` over the sorted target, and every kept row becomes one
-`_Candidate` record whose ball is built only when read: the solvers read
-the witness's balls alone.  A fixed-family ball is keyed by its ball key
+`_Candidate` record whose ball is built only when read.  The solvers
+return the chosen records in a `ContentResult`: no ball is built unless its
+`witness` is read, and a report formats its witness from the candidate
+keys, the cost from their radii.  A fixed-family ball is keyed by its ball key
 and takes its mask from `ElementBits.ball`.  A point centre (a net point or
 a `CentersIn` centre) sorts its distance row once, a radius's members are a
 prefix of it, and its rows are keyed (centre, radius), so no ball is built
@@ -75,7 +77,7 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
@@ -95,8 +97,11 @@ from .space import (
     RadiusCapped,
     Space,
     VoxelSpace,
+    ball_dict,
     ball_members,  # noqa: F401 -- unused; perfbench/test_perfbench.py asserts the binding
     bit_indices,
+    cover_cost,
+    covering_dict,
     family_label,
     linf,
     net_center,
@@ -107,14 +112,22 @@ DEFAULT_NODE_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class ContentResult:
+    """A content bracket and its witness.  `chosen` holds the witness's
+    `_Candidate` records in selection order; `witness`, the `Covering` of
+    `target` by their balls, is built on its first read and then kept.
+    `to_dict` formats the witness from the records' keys and builds no
+    ball."""
+
     m: Scalar
     family: str
     value_lower: Scalar
     value_upper: Scalar
     optimal: bool
-    witness: Covering
+    chosen: tuple
+    target: frozenset
     certificate: dict
     exact_arithmetic: bool
+    _witness: Covering | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if float(self.value_lower) > float(self.value_upper) + 1e-12:
@@ -126,7 +139,19 @@ class ContentResult:
     def value(self) -> Scalar:
         return self.value_upper
 
+    @property
+    def witness(self) -> Covering:
+        if self._witness is None:
+            balls = tuple(c.ball for c in self.chosen)
+            object.__setattr__(self, "_witness", Covering(balls, self.target, self.m))
+        return self._witness
+
     def to_dict(self) -> dict:
+        """The report; its witness section is `self.witness.to_dict()`,
+        written from the chosen keys: the balls sorted by key (a grid key
+        orders like its ball key), the cost by `cover_cost` over the
+        radii."""
+        make = self.chosen[0].make  # one maker per candidate list
         return {
             "m": fmt_scalar(self.m),
             "family": self.family,
@@ -134,49 +159,93 @@ class ContentResult:
             "value_upper": fmt_scalar(self.value_upper),
             "optimal": self.optimal,
             "exact_arithmetic": self.exact_arithmetic,
-            "witness": self.witness.to_dict(),
+            "witness": covering_dict(self.m, cover_cost(_radii(self.chosen), self.m),
+                                     make.dicts([c.key for c in self.chosen]), self.target),
             "certificate": self.certificate,
         }
 
 
 class _Candidate:
     """A candidate: its cost, its key, its mask and the maker that builds
-    its ball from the key when the ball is first read.  A grid block's key
-    is its integer `_voxel_grid_candidates` key and its maker `_grid_balls`;
-    other balls are keyed by `Ball.key()` and built by `_key_ball`; a
-    `TildeContent` Q ball is keyed by its index."""
+    its ball from the key when the ball is first read, so that no ball is
+    built unless a result's `witness` is read.  A grid block's key is its
+    integer `_voxel_grid_candidates` key and its maker a `_GridBalls`;
+    other balls are keyed by `Ball.key()` and made by `_key_balls`.  Both
+    makers also give a key's radius and format sorted keys as a report's
+    balls.  A `TildeContent` Q ball is keyed by its index, its maker a
+    plain function."""
 
-    __slots__ = ("cost", "key", "mask", "_make", "_ball")
+    __slots__ = ("cost", "key", "mask", "make", "_ball")
 
     def __init__(self, cost, key, mask, make):
-        self.cost, self.key, self.mask, self._make, self._ball = cost, key, mask, make, None
+        self.cost, self.key, self.mask, self.make, self._ball = cost, key, mask, make, None
 
     @property
     def ball(self) -> Ball:
         if self._ball is None:
-            self._ball = self._make(self.key)
+            self._ball = self.make(self.key)
         return self._ball
 
 
-def _key_ball(key) -> Ball:
-    return Ball(*key)
+def _radii(cands) -> list:
+    """The radii of the candidates' balls, in order, read from their keys."""
+    return [c.make.radius(c.key) for c in cands]
 
 
-def _grid_balls(delta):
-    """The ball of a grid key (centre half-units..., k): centre and radius
-    are delta/2 times its parts, one Fraction per distinct part."""
-    parts = {}
+class _KeyBalls:
+    """The maker of balls keyed by `Ball.key()`, (centre, radius)."""
 
-    def part(x):
-        value = parts.get(x)
+    def __call__(self, key) -> Ball:
+        return Ball(*key)
+
+    @staticmethod
+    def radius(key) -> Scalar:
+        return key[1]
+
+    @staticmethod
+    def dicts(keys) -> list:
+        """The report forms of the keys' balls in ball order, each distinct
+        scalar object formatted once."""
+        fmt = scalar_formatter()
+        return [ball_dict(*key, fmt) for key in sorted(keys)]
+
+
+_key_balls = _KeyBalls()
+
+
+class _GridBalls:
+    """The maker of grid balls from keys (centre half-units..., k): centre
+    and radius are delta/2 times the key's parts, one Fraction per distinct
+    part, formatted once per distinct part."""
+
+    def __init__(self, delta):
+        self.delta = delta
+        self._parts = {}
+
+    def part(self, x) -> Fraction:
+        value = self._parts.get(x)
         if value is None:
-            value = parts[x] = delta * Fraction(x, 2)
+            value = self._parts[x] = self.delta * Fraction(x, 2)
         return value
 
-    def make(key):
-        return Ball(tuple(map(part, key[:-1])), part(key[-1]))
+    def __call__(self, key) -> Ball:
+        return Ball(tuple(map(self.part, key[:-1])), self.part(key[-1]))
 
-    return make
+    def radius(self, key) -> Fraction:
+        return self.part(key[-1])
+
+    def dicts(self, keys) -> list:
+        """The report forms of the keys' balls in ball order: integer keys
+        sort like ball keys."""
+        texts = {}
+
+        def fmt(x):
+            text = texts.get(x)
+            if text is None:
+                text = texts[x] = fmt_scalar(self.part(x))
+            return text
+
+        return [ball_dict(key[:-1], key[-1], fmt) for key in sorted(keys)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +306,10 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
         cost = power(radius, m)
         presorted = presorted and (last_cost is None or last_cost < cost)
         last_cost = cost
+        if k == 1:  # one block per listed cell, in key order as the cells are sorted
+            rows += [(cost, (*[2 * x + 1 for x in cell], 1), 1 << idx)
+                     for idx, cell in enumerate(bits.elements)]
+            continue
         # (key, mask) of the non-empty blocks, one axis at a time; the last
         # axis's part of the key ends in k
         blocks = [((), bits.full)]
@@ -357,7 +430,7 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
     else:  # the first of each mask
         seen = set()
         keep = [i for i, mask in enumerate(masks) if not (mask in seen or seen.add(mask))]
-    make = _grid_balls(space.delta) if grid else _key_ball
+    make = _GridBalls(space.delta) if grid else _key_balls
     return [_Candidate(*rows[i], make) for i in keep], index
 
 
@@ -750,10 +823,10 @@ def greedy_content(
     lower value is 0 on every model."""
     target = _resolve_target(space, target)
     cands, index, ratio = _priced_candidates(space, target, m, family)
-    chosen = _greedy_cover(cands, (1 << len(index)) - 1, ratio)
-    witness = Covering(tuple(cands[i].ball for i in chosen), frozenset(target), m)
+    chosen = tuple(cands[i] for i in _greedy_cover(cands, (1 << len(index)) - 1, ratio))
+    cost = cover_cost(_radii(chosen), m)
     return ContentResult(
-        m, family_label(family), _zero(witness.cost), witness.cost, False, witness,
+        m, family_label(family), _zero(cost), cost, False, chosen, target,
         {"kind": "greedy"}, _exact_mode(space, m),
     )
 
@@ -788,7 +861,7 @@ def exact_content(
     )
     best_cost = ratio.scalar(best_cost)
 
-    witness = Covering(tuple(cands[i].ball for i in best_sel), frozenset(target), m)
+    chosen = tuple(cands[i] for i in best_sel)
     if frontier is not None:
         lowers = [root_dual]
         core, _ = _flatten_family(family)
@@ -804,7 +877,7 @@ def exact_content(
 
     if isinstance(space, NetSpace):
         optimal = False
-        lower = _net_deflated_cost(space, witness)
+        lower = _net_deflated_cost(space, _radii(chosen), m)
 
     cert = {
         "kind": "branch-and-bound" if optimal else "bracket",
@@ -813,7 +886,7 @@ def exact_content(
         "duals": list(map(scalar_formatter(), duals)),
     }
     return ContentResult(
-        m, family_label(family), lower, best_cost, optimal, witness, cert,
+        m, family_label(family), lower, best_cost, optimal, chosen, target, cert,
         _exact_mode(space, m),
     )
 
@@ -830,6 +903,10 @@ def _priced_candidates(space: Space, target, m: Scalar, family: BallFamily):
 
 
 def _resolve_target(space: Space, target):
+    """The target as a frozenset: the whole space when None.  A net target
+    must name point indices.  A voxel target may hold cells the space does
+    not occupy, which grid balls cover too: `improvement_step` solves over
+    fill cells outside the space (`decomposition._lattice_cells`)."""
     if target is None:
         space.require_nonempty()
         if isinstance(space, VoxelSpace):
@@ -838,6 +915,12 @@ def _resolve_target(space: Space, target):
     target = frozenset(target)
     if not target:
         raise InputError("target must be non-empty")
+    if isinstance(space, NetSpace):
+        points = len(space.points)
+        strays = [t for t in target if not (isinstance(t, int) and 0 <= t < points)]
+        if strays:
+            raise InputError(f"net target names indices that are not points of the "
+                             f"{points}-point net: {sorted(strays, key=repr)}")
     return target
 
 
@@ -849,9 +932,10 @@ def _zero(like) -> Scalar:
     return 0.0 if isinstance(like, float) else Fraction(0)
 
 
-def _net_deflated_cost(space: NetSpace, witness: Covering) -> float:
-    """Same cover with radii deflated by eps_net, clamped at zero."""
+def _net_deflated_cost(space: NetSpace, radii, m: Scalar) -> float:
+    """The cost of a cover's radii, in its order, each deflated by eps_net
+    and clamped at zero."""
     total = 0.0
-    for ball in witness.balls:
-        total += max(0.0, float(ball.radius) - space.eps_net) ** float(witness.m)
+    for r in radii:
+        total += max(0.0, float(r) - space.eps_net) ** float(m)
     return total

@@ -203,10 +203,7 @@ class Ball:
         return (self.center, self.radius)
 
     def to_dict(self, fmt=fmt_scalar) -> dict:
-        return {
-            "center": [fmt(c) for c in self.center],
-            "radius": fmt(self.radius),
-        }
+        return ball_dict(self.center, self.radius, fmt)
 
     @staticmethod
     def from_dict(d: dict) -> "Ball":
@@ -216,6 +213,11 @@ class Ball:
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             raise InputError(f"a ball needs a numeric center and radius: {d!r}") from None
         return Ball(center, radius)
+
+
+def ball_dict(center, radius, fmt=fmt_scalar) -> dict:
+    """The report form of a ball, each scalar passed through `fmt`."""
+    return {"center": [fmt(c) for c in center], "radius": fmt(radius)}
 
 
 def grid_ball(space: VoxelSpace, anchor: Cell, k: int) -> Ball:
@@ -286,19 +288,19 @@ class ElementBits:
         n = space.n
         if any(len(c) != n for c in self.elements):
             raise InputError(f"element list holds a cell without {n} coordinates")
-        self.occupied = sum(1 << idx for idx, c in enumerate(self.elements)
-                            if c in space.cells)
-        self.lo = [min((c[i] for c in self.elements), default=0) for i in range(n)]
-        self.hi = [max((c[i] for c in self.elements), default=-1) for i in range(n)]
-        self.below = []
-        for i in range(n):
-            rows = [0] * (self.hi[i] - self.lo[i] + 1)
-            for idx, c in enumerate(self.elements):
-                rows[c[i] - self.lo[i]] |= 1 << idx
+        bits = [1 << idx for idx in range(len(self.elements))]
+        self.occupied = sum(bit for bit, c in zip(bits, self.elements) if c in space.cells)
+        self.lo, self.hi, self.below = [0] * n, [-1] * n, [[0]] * n
+        for i, column in enumerate(zip(*self.elements)):  # one coordinate axis at a time
+            lo = self.lo[i] = min(column)
+            self.hi[i] = max(column)
+            rows = [0] * (self.hi[i] - lo + 1)
+            for bit, x in zip(bits, column):
+                rows[x - lo] |= bit
             prefix = [0]
             for row in rows:
                 prefix.append(prefix[-1] | row)
-            self.below.append(prefix)
+            self.below[i] = prefix
 
     def ball(self, ball: Ball) -> int:
         """The listed elements inside the closed ball."""
@@ -503,25 +505,7 @@ class Covering:
     cost: Scalar = field(default=None)  # recomputed in __post_init__
 
     def __post_init__(self):
-        """The cost is sum(power(r, m)) over the balls.  When it is exact
-        (every radius rational, m integral) each distinct radius object is
-        raised once and times its count, which is the same Fraction; else
-        the balls are summed one by one, left to right, as floats round."""
-        groups = {}  # id of a radius object -> [radius, count]
-        for b in self.balls:
-            group = groups.get(id(b.radius))
-            if group is None:
-                groups[id(b.radius)] = [b.radius, 1]
-            else:
-                group[1] += 1
-        if is_integral(self.m) and all(isinstance(r, (Fraction, int)) for r, _ in groups.values()):
-            total = 0
-            for r, count in groups.values():
-                value = power(r, self.m)
-                total += value if count == 1 else value * count
-        else:
-            total = sum(power(b.radius, self.m) for b in self.balls)
-        object.__setattr__(self, "cost", total)
+        object.__setattr__(self, "cost", cover_cost([b.radius for b in self.balls], self.m))
 
     def validate(self, space: Space) -> None:
         """Exact coverage check: every target element inside some ball."""
@@ -537,12 +521,40 @@ class Covering:
         """The balls in sorted order, each distinct scalar object formatted
         once."""
         fmt = scalar_formatter()
-        return {
-            "m": fmt_scalar(self.m),
-            "cost": fmt_scalar(self.cost),
-            "balls": [b.to_dict(fmt) for b in sorted(self.balls)],
-            "target": sorted(list(t) if isinstance(t, tuple) else t for t in self.target),
-        }
+        return covering_dict(self.m, self.cost, [b.to_dict(fmt) for b in sorted(self.balls)],
+                             self.target)
+
+
+def cover_cost(radii, m: Scalar) -> Scalar:
+    """sum(power(r, m)) over a list of a cover's radii, in its order.  When
+    it is exact (every radius rational, m integral) each distinct radius
+    object is raised once and times its count, which is the same Fraction;
+    else the radii are summed one by one, left to right, as floats round."""
+    groups = {}  # id of a radius object -> [radius, count]
+    for r in radii:
+        group = groups.get(id(r))
+        if group is None:
+            groups[id(r)] = [r, 1]
+        else:
+            group[1] += 1
+    if is_integral(m) and all(isinstance(r, (Fraction, int)) for r, _ in groups.values()):
+        total = 0
+        for r, count in groups.values():
+            value = power(r, m)
+            total += value if count == 1 else value * count
+        return total
+    return sum(power(r, m) for r in radii)
+
+
+def covering_dict(m: Scalar, cost: Scalar, balls: list, target) -> dict:
+    """The report form of a covering from its balls' report forms, already
+    in ball order."""
+    return {
+        "m": fmt_scalar(m),
+        "cost": fmt_scalar(cost),
+        "balls": balls,
+        "target": sorted(list(t) if isinstance(t, tuple) else t for t in target),
+    }
 
 
 # ---------------------------------------------------------------------------

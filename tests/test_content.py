@@ -237,6 +237,20 @@ def test_no_candidate_raises_uncoverable(solver):
             solver(s, None, 1, family)
 
 
+@pytest.mark.parametrize("solver", [exact_content, greedy_content])
+@pytest.mark.parametrize("target, named", [({0, 5}, "[5]"), ({-1}, "[-1]"), ({0.5, 2}, "[0.5]")])
+def test_net_target_naming_a_non_point_is_an_input_error(solver, target, named):
+    """Not the family's failure to cover: the indices that name no point of
+    the net are reported.  A voxel target may still hold unoccupied cells."""
+    net = NetSpace("l2", ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(InputError, match="not points") as exc:
+        solver(net, target, 1)
+    assert not isinstance(exc.value, UncoverableError)
+    assert str(exc.value).endswith(named)
+    square = make_cube(2, 2)
+    assert solver(square, {(0, 0), (5, 5)}, 1).witness.target == {(0, 0), (5, 5)}
+
+
 def test_radius_cap_limits_candidates():
     s = make_cube(2, 4, Fraction(1, 4))
     capped = intersect_families(AllGridBalls(), RadiusCapped(Fraction(1, 8)))
@@ -360,12 +374,17 @@ def _net8():
     return NetSpace("l2", tuple(points)), AllGridBalls()
 
 
-@pytest.mark.parametrize("make", [_net8, _blob_centers, _mixed_fixed])
+def _grid_blob():
+    return random_blob(5, 3, 60, 6), AllGridBalls()
+
+
+@pytest.mark.parametrize("make", [_net8, _blob_centers, _mixed_fixed, _grid_blob])
 def test_exact_content_builds_only_the_witness_balls(make, monkeypatch):
     """Candidates stay (cost, key, mask) records until a ball is read: on a
-    net, a centres-in family and a fixed family, `exact_content` builds one
-    ball per witness ball and none for the candidates it drops or leaves
-    unpicked."""
+    net, a centres-in family, a fixed family and all grid balls, neither
+    solver nor its report builds a ball, the first `witness` read builds
+    one per witness ball, and a second read builds none.  The grid maker
+    builds through `content.Ball` too."""
     space, family = make()
     built = []
 
@@ -374,6 +393,13 @@ def test_exact_content_builds_only_the_witness_balls(make, monkeypatch):
         return ball
 
     monkeypatch.setattr(content, "Ball", counting)
-    res = exact_content(space, None, 2, family)
-    assert len(built) == len(res.witness.balls) > 1
-    assert set(built) == set(res.witness.balls)
+    for solver in (exact_content, greedy_content):
+        built.clear()
+        res = solver(space, None, 2, family)
+        res.to_dict()
+        assert built == []
+        balls = res.witness.balls
+        assert len(built) == len(balls) > 1
+        assert set(built) == set(balls)
+        assert res.witness is res.witness
+        assert len(built) == len(balls)

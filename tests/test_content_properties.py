@@ -7,9 +7,11 @@ per-element minimum, the solvers' reports against the pipeline that prunes
 dominated balls before it, and the greedy lower bound on nets, the
 exact_content bracket (with its cheapest-first child order at every node
 budget) and the volume lower bound on small voxel targets against an
-exhaustive optimum."""
+exhaustive optimum, and every report's witness section, written from
+candidate keys, against the report of its built witness."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -39,7 +41,7 @@ from hcfill.content import (
     volume_lower_bound,
 )
 from hcfill.errors import UncoverableError
-from hcfill.exact import is_integral, power
+from hcfill.exact import fmt_scalar, is_integral, power
 from hcfill.shapes import make_cube, make_dumbbell, make_strip_with_bulbs
 from hcfill.space import (
     AllGridBalls,
@@ -1124,3 +1126,77 @@ def test_the_dominance_pass_runs_only_where_the_search_branches():
         assert calls == []
         assert exact_content(dumbbell, None, 1, AllGridBalls(), 20).certificate["nodes"] > 1
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# reports written from candidate keys against the built witness's report
+
+REPORT_MS = [1, 2, 3, Fraction(3, 2)]
+
+
+def assert_report_matches_the_witness(res, space):
+    """`to_dict` (read before the witness is built) equals itself with the
+    witness section replaced by the built witness's report, to the byte."""
+    got = res.to_dict()
+    want = {**got, "witness": res.witness.to_dict()}
+    assert got == want
+    assert json.dumps(got, sort_keys=True, default=fmt_scalar) == \
+        json.dumps(want, sort_keys=True, default=fmt_scalar)
+    if isinstance(space, NetSpace) and res.certificate["kind"] != "greedy":
+        deflated = 0.0
+        for ball in res.witness.balls:
+            deflated += max(0.0, float(ball.radius) - space.eps_net) ** float(res.m)
+        assert res.value_lower == deflated
+
+
+def assert_reports_match_the_witnesses(space, target, m, family):
+    try:
+        greedy = greedy_content(space, target, m, family)
+    except UncoverableError:
+        return
+    assert_report_matches_the_witness(greedy, space)
+    assert greedy.value_upper == greedy.witness.cost
+    assert type(greedy.value_upper) is type(greedy.witness.cost)
+    for budget in (1, 5, DEFAULT_NODE_BUDGET):
+        assert_report_matches_the_witness(exact_content(space, target, m, family, budget), space)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(voxel_instances(max_target=10), st.sampled_from(REPORT_MS),
+       st.sampled_from(["grid", "centers-in", "fixed", "fixed-float"]), st.data())
+def test_reports_match_their_witnesses_on_voxels(instance, m, kind, data):
+    """All grid balls at stride 1 and 2 with and without a cap, centres in
+    a set, and fixed families with Fraction or float radii."""
+    space, target, _, stride, cap = instance
+    if kind == "grid":
+        family = AllGridBalls(stride)
+    elif kind == "centers-in":
+        quarter = space.delta / 4
+        coord = st.integers(-8, 40).map(lambda j: quarter * j)
+        family = CentersIn(tuple(data.draw(st.lists(st.tuples(*[coord] * space.n),
+                                                    min_size=1, max_size=8))))
+    else:
+        half = space.delta / 2
+        coord = st.integers(-4, 20).map(lambda j: half * j)
+        radius = st.integers(1, 8).map(lambda j: half * j)
+        if kind == "fixed-float":
+            radius = radius.map(float)
+        family = FixedFamily(tuple(data.draw(st.lists(
+            st.builds(Ball, st.tuples(*[coord] * space.n), radius), min_size=1, max_size=16))))
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    assert_reports_match_the_witnesses(space, target, m, family)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(net_instances(), st.sampled_from(REPORT_MS), st.sampled_from([0.0, 0.25]))
+def test_reports_match_their_witnesses_on_nets(instance, m, eps_net):
+    """l_inf, l2, l1 and matrix nets: float radii, whose costs at
+    non-integer m are summed in selection order, and net lower values
+    deflated from the witness's radii."""
+    net, target, _, cap = instance
+    net = NetSpace(net.metric, net.points, eps_net, net.matrix)
+    family = AllGridBalls()
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    assert_reports_match_the_witnesses(net, target, m, family)
