@@ -39,6 +39,7 @@ from .space import (
     _field,
     _integer,
     _numbers,
+    cover_cost,
     intersect_families,
     load_json,
     load_space,
@@ -176,7 +177,7 @@ def _cmd_coarea(args, cfg: RunConfig) -> int:
     integral = coarea_integral(profile, m)
     r_best, slice_cost = best_slice(profile, m)
     r1, r2 = profile.range
-    budget = 2 * float(descriptor.lip) * float(cover.cost)
+    budget = 2 * float(descriptor.lip) * float(cover_cost([b.radius for b in cover.balls], m))
     mean_bound = float(integral) / float(r2 - r1)
     report = {
         "command": "coarea",

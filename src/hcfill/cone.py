@@ -124,10 +124,8 @@ def cone_covering(
     den = common_den(itertools.chain(apex, radii, *centers), Rf.denominator)
     apex_num = numerators(apex, den)
 
-    def inputs():  # lazily: each ball's radius, then dimension, then (in cone_cost) reach
+    def inputs():  # lazily: each ball's dimension, then (in cone_cost) radius and reach
         for center, r in zip(centers, numerators(radii, den)):
-            if r <= 0:
-                raise InputError("cone covering needs positive input radii")
             if len(center) != len(apex):
                 raise InputError("dimension mismatch")
             yield r, max(abs(x - a) for x, a in zip(numerators(center, den), apex_num))

@@ -22,8 +22,10 @@ The machinery, at exponent m > 1, over a voxel set Y:
 One `TildeContent` per decomposition is its cell context: pruning Q, radial
 orders, annulus slices, ball-member masks and relative solves all run on its
 cells, and each selected ball carries its cells to the checks and the step.
-Every upper-bound inequality is an `InequalityCheck.le`, and each carrier of
-`improvement_sequence` is one point moved by the step maps.
+Distances from a point to cell centres are the keys of its
+`space.PointKeys`.  Every upper-bound inequality is an `InequalityCheck.le`,
+and each carrier of `improvement_sequence` is one point moved by the step
+maps.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .space import (
     Ball,
     Covering,
     ElementBits,
+    PointKeys,
     VoxelSpace,
     ball_cell_ranges,
     ball_members,
@@ -151,11 +154,10 @@ class TildeContent:
     larger size lcm only scales its units, which moves no price order, so
     every answer is the one a bound over the meeting balls alone gives.
     `solve_mask` is the one entry, cached per (goal mask, exponent); `solve`
-    takes a cell set.  `frame(p)` is a point's integer distance frame;
-    `farthest` gives the distance key of the cell farthest from a point,
-    from the bounding box alone; `radial` orders the cells by distance from
-    the point, and the radius searches build it only when a cell nearer than
-    the farthest can matter (at the paper's A(m), on none of the acceptance
+    takes a cell set.  One cache keeps the last point's `frame`, its
+    `PointKeys`, and its `radial` order of the cells, built on first read;
+    the radius searches build that order only when a cell nearer than the
+    farthest can matter (at the paper's A(m), on none of the acceptance
     tests' fill fixtures).  `prune_redundant` drops Q balls on `masks`."""
 
     def __init__(self, space: VoxelSpace, cells, q_balls):
@@ -167,7 +169,7 @@ class TildeContent:
         self._union = functools.reduce(operator.or_, self.masks, 0)
         self._pricings: dict[Fraction, tuple] = {}
         self._value_cache: dict[tuple, Scalar] = {}
-        self._radial = self._frame = self._far = (None, None)
+        self._point = None, None, None  # (p, its frame, its radial order)
 
     def _pricing(self, exponent: Fraction):
         """(cands, ratio, den, weights) at an exponent, built once: `weights`
@@ -193,37 +195,24 @@ class TildeContent:
             mask |= 1 << self.bits.index[c]
         return mask
 
-    def frame(self, p):
-        """(unit, L, at): `_lattice_point` at p, kept for the last point.
-        Distances from p are integer keys times `unit`, and half a cell is L
-        keys."""
-        if self._frame[0] != p:
-            self._frame = p, _lattice_point(self.space, p)
-        return self._frame[1]
+    def frame(self, p) -> PointKeys:
+        """p's `PointKeys`, kept for the last point (asked for twice in a
+        row per centre)."""
+        if self._point[0] != p:
+            self._point = p, PointKeys(self.space, p), None
+        return self._point[1]
 
     def radial(self, p):
-        """(unit, keys, dists, prefix) at point p: `_linf_units` over the
-        cells, their distance keys in order, and the masks of their first i
-        cells, kept for the last point (asked twice in a row per centre)."""
-        if self._radial[0] != p:
-            unit, keys = _linf_units(self.space, p, self.cells)
+        """(keys, dists, prefix) at point p: the cells' `PointKeys.keys`,
+        their keys in order and the masks of their first i cells."""
+        frame = self.frame(p)
+        if self._point[2] is None:
+            keys = frame.keys(self.cells)
             prefix = [0]
             for _, c in keys:
                 prefix.append(prefix[-1] | 1 << self.bits.index[c])
-            self._radial = p, (unit, keys, [k for k, _ in keys], prefix)
-        return self._radial[1]
-
-    def farthest(self, p):
-        """(unit, k) at point p: `radial`'s unit and last key, the distance
-        key of the farthest cell, read off the bounding box without ordering
-        the cells (on each axis the farthest coordinate is lo or hi); kept
-        for the last point, like `radial`."""
-        if self._far[0] != p:
-            unit, lcm, at = self.frame(p)
-            k = max(max(abs((2 * lo + 1) * lcm - a), abs((2 * hi + 1) * lcm - a))
-                    for lo, hi, a in zip(self.bits.lo, self.bits.hi, at))
-            self._far = p, (unit, k)
-        return self._far[1]
+            self._point = p, frame, (keys, [k for k, _ in keys], prefix)
+        return self._point[2]
 
     def value(self, subset, exponent: Scalar) -> Scalar:
         cost, _ = self.solve(subset, exponent)
@@ -318,7 +307,8 @@ def density_profile(tilde: TildeContent, p, m: Scalar) -> DensityProfile:
     """Full piecewise density table at a point, over the context's cells."""
     mq = as_fraction(m)
     p = tuple(as_fraction(x) for x in p)
-    unit, _, dists, prefix = tilde.radial(p)
+    unit = tilde.frame(p).unit
+    _, dists, prefix = tilde.radial(p)
     ends = _distinct_ends(dists)
     return DensityProfile(
         p, mq, tuple(dists[end - 1] * unit for end in ends),
@@ -326,43 +316,11 @@ def density_profile(tilde: TildeContent, p, m: Scalar) -> DensityProfile:
     )
 
 
-def _lattice_point(space: VoxelSpace, p):
-    """(unit, L, at): p in the units of `_linf_units`, whose cell centres
-    on axis i lie at (2 c_i + 1) * L units and p at at[i].  In half-cell
-    units p_i is 2 dd P_i / N for delta = dn/dd, p = P/D over the common
-    denominator D and N = dn D; L, the lcm of those ratios' reduced
-    denominators, is N over the gcd g of N and every 2 dd P_i."""
-    dn, dd = space.delta.numerator, space.delta.denominator
-    den = common_den(p)
-    doubled = [2 * dd * x for x in numerators(p, den)]
-    g = math.gcd(dn * den, *doubled)
-    lcm = dn * den // g
-    return Fraction(dn, 2 * dd * lcm), lcm, [x // g for x in doubled]
-
-
-def _linf_units(space: VoxelSpace, p, cells):
-    """(unit, [(k, cell)] sorted): the l_inf distance from p to each cell
-    center is k * unit, k an integer.  Cell centers lie on the half-cell
-    lattice, so the unit is delta/2 divided by the lcm L of the denominators
-    of p's coordinates in half-cell units; delta/2 is L units."""
-    unit, lcm, at = _lattice_point(space, p)
-    keys = sorted(
-        (max(abs((2 * ci + 1) * lcm - a) for ci, a in zip(c, at)), c) for c in cells
-    )
-    return unit, keys
-
-
 def _distinct_ends(dists):
     """Each i after which the sorted distances change (or end): the cells
     within dists[i - 1] are the first i."""
     return [i for i in range(1, len(dists) + 1)
             if i == len(dists) or dists[i] != dists[i - 1]]
-
-
-def _key_floor(x, unit: Fraction) -> int:
-    """floor(x / unit) for a positive float x, on integers."""
-    a, b = x.as_integer_ratio()
-    return a * unit.denominator // (b * unit.numerator)
 
 
 def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
@@ -377,12 +335,14 @@ def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
     last segment starting at or below that ceiling, widened by
     `_CEILING_MARGIN` so that a float root off by an ulp never skips a
     segment the full scan would accept.  The top segment is all the cells
-    and ends at `farthest(p)`, so the radial order is built only once it is
-    rejected.  Both radii are compared in p's distance keys by an integer
-    floor of the float.  Returns (r(p), content at r(p)).
+    and ends at the key `PointKeys.farthest` reads off the bounding box, so
+    the radial order is built only once it is rejected.  Both radii are
+    compared in p's distance keys by an integer floor of the float.
+    Returns (r(p), content at r(p)).
     """
     mq = as_fraction(m)
-    unit, key = tilde.farthest(p)  # the last key of the scanned segment
+    frame = tilde.frame(p)
+    key = frame.farthest(tilde.bits.lo, tilde.bits.hi)  # the last key of the scanned segment
     goal = tilde.bits.full
     dists = prefix = None
     while goal:
@@ -390,15 +350,15 @@ def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
         below = key - 1  # the next segment ends at or below this key
         if float(h) > 0:
             top = ball_scale * root(h, mq)
-            reach = _key_floor(top, unit)  # d <= top for d = k * unit iff k <= reach
+            reach = frame.floor(top)
             if reach >= key:
                 if dists is not None:
                     goal = prefix[bisect_right(dists, reach)]
                 eta, _ = tilde.solve_mask(goal, mq)
                 return as_fraction(top), eta
-            below = min(below, _key_floor(top * _CEILING_MARGIN, unit))
+            below = min(below, frame.floor(top * _CEILING_MARGIN))
         if dists is None:
-            _, _, dists, prefix = tilde.radial(p)
+            _, dists, prefix = tilde.radial(p)
         end = bisect_right(dists, below)
         goal, key = prefix[end], dists[end - 1]
     raise InputError("density never reaches the threshold at this point")
@@ -416,20 +376,21 @@ def annulus_radius(tilde: TildeContent, p, r_crit, m: Scalar):
     `coarea.slice_sweep` picks the level from these levels over 2e and the
     balls' costs at m - 1 over their common denominator, and the slice
     cells are the annulus cells whose key lies within L units of it.  When
-    r1 lies more than half a cell beyond `farthest(p)` the annulus is empty
-    and the answer is (r1, 0, no cells), with no radial order built."""
+    r1 lies more than half a cell beyond the farthest cell's key the annulus
+    is empty and the answer is (r1, 0, no cells), with no radial order
+    built."""
     mq = as_fraction(m)
     r = as_fraction(r_crit)
-    unit, far = tilde.farthest(p)
-    _, half, _ = tilde.frame(p)  # L, half a cell in units
-    un, ud = unit.numerator, unit.denominator
+    frame = tilde.frame(p)
+    half = frame.half
+    un, ud = frame.unit.numerator, frame.unit.denominator
     grow, mn = mq.numerator + mq.denominator, mq.numerator  # 1 + 1/m = grow / mn
     e = mn * mn * r.denominator * un
     r1, r2 = grow * mn * r.numerator * ud, grow * grow * r.numerator * ud
     first_key = -(-r1 // e) - half
-    if first_key > far:
+    if first_key > frame.farthest(tilde.bits.lo, tilde.bits.hi):
         return Fraction(grow * r.numerator, mn * r.denominator), Fraction(0), frozenset()
-    _, keys, dists, prefix = tilde.radial(p)
+    keys, dists, prefix = tilde.radial(p)
     lo = bisect_left(dists, first_key)
     hi = bisect_right(dists, r2 // e + half)
     goal = prefix[hi] ^ prefix[lo]
@@ -458,14 +419,11 @@ def vitali_select(candidates, bits: ElementBits):
     the selected balls are pairwise disjoint and their tripled concentric
     balls cover every cell listed in the voxel `bits`: the union of their
     box masks is `bits.full`.  Centres and radii are numerators over one
-    denominator (floats convert exactly), so disjointness and the tripled
-    balls' cell ranges are integer tests."""
-    space = bits.space
+    denominator (floats convert exactly), so disjointness is an integer
+    test."""
     n = len(candidates[0][0]) if candidates else 0
     if any(len(p) != n for p, _ in candidates):
         raise InputError("dimension mismatch")
-    if candidates and n != space.n:
-        raise InputError("ball dimension does not match the space")
     radii = [as_fraction(r) for _, r in candidates]
     coords = [as_fraction(x) for p, _ in candidates for x in p]
     den = common_den(itertools.chain(radii, coords))
@@ -478,16 +436,10 @@ def vitali_select(candidates, bits: ElementBits):
         p_i, r_i = ps[i], rs[i]
         if all(max(abs(a - b) for a, b in zip(p_i, ps[j])) > r_i + rs[j] for j in selected):
             selected.append(i)
-    # `ball_cell_ranges` of the tripled ball on these numerators: per axis
-    # the cells c with |delta (c + 1/2) - x| <= 3r, delta = dn / dd, are
-    # (2 dd x - dn den -+ 6 dd r) / (2 dn den) rounded inwards
-    dn, dd = space.delta.numerator, space.delta.denominator
-    unit = 2 * dn * den
     covered = 0
     for j in selected:
-        reach = 6 * dd * rs[j]
-        mids = [2 * dd * x - dn * den for x in ps[j]]
-        covered |= bits.box([(-((reach - mid) // unit), (mid + reach) // unit) for mid in mids])
+        tripled = Ball(candidates[j][0], 3 * radii[j])
+        covered |= bits.box(ball_cell_ranges(tripled, bits.space))
     if covered != bits.full:
         raise InputError("candidate balls do not cover the target even tripled")
     return selected
@@ -661,8 +613,8 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
     solves (no pipeline memo).  Each ball's slice (r_bar, majorant, cells)
     is derived again through `coarea.slice_profile` and `best_slice` on the
     annulus at its stored critical radius (`slices_match`).  Its distances
-    are `linf` on Fraction points, not the integer keys of `_linf_units`
-    that `decompose` uses, so that it stays an independent check of them."""
+    are `linf` on Fraction points, not the integer `PointKeys` that
+    `decompose` uses, so that it stays an independent check of them."""
     y = frozenset(target)
     if not y <= space.cells:
         raise InputError(f"target has {len(y - space.cells)} cells outside the space")
@@ -783,8 +735,8 @@ def _decomposition_checks(tilde, mq, eps, constants, hc, tilde_total,
     for idx, b in enumerate(balls):
         if not b.slice_cells:
             continue
-        unit, _, dists, prefix = tilde.radial(b.center)
-        reach = ((1 + 1 / mq) ** 2 * b.critical_radius + half) // unit
+        reach = tilde.frame(b.center).floor((1 + 1 / mq) ** 2 * b.critical_radius + half)
+        _, dists, prefix = tilde.radial(b.center)
         big = float(tilde.solve_mask(prefix[bisect_right(dists, reach)], mq)[0])
         bound = (2 * mf**2 / ((mf + 1) * float(b.critical_radius))) * big
         lhs = float(b.slice_content)
@@ -856,26 +808,26 @@ def improvement_step(
         new_cells |= fill_cells
 
         # nearest landing point, ties to the least point: the fill cells'
-        # centers and the ball's center, at distances in the units of
-        # `_linf_units` from the ball's center (a cell side is 2L of them);
-        # the ball's displacement is the largest key moved, times the unit
-        unit, to_center = _linf_units(space, b.center, b.cells)
-        side = int(space.delta / unit)
+        # centers and the ball's center, at distances in the keys of the
+        # ball's center (a cell side is 2L of them); the ball's displacement
+        # is the largest key moved, times the unit
+        frame = PointKeys(space, b.center)
+        side = 2 * frame.half
         fills = [(c, space.cell_center(c)) for c in sorted(fill_cells)]
         moved = 0
-        for k, c in sorted(to_center, key=lambda kc: kc[1]):
+        for c in sorted(b.cells):
             if c in fill_cells:
                 theta[c] = space.cell_center(c)
                 continue
             best = min(
-                [(k, b.center)] + [
+                [(frame.key(c), b.center)] + [
                     (side * max(abs(x - y) for x, y in zip(c, f)), point)
                     for f, point in fills
                 ]
             )
             theta[c] = best[1]
             moved = max(moved, best[0])
-        max_disp = max(max_disp, float(moved * unit))  # float() is monotone
+        max_disp = max(max_disp, float(moved * frame.unit))  # float() is monotone
 
         # cone certificate: the swept (m+1)-cost inside this ball
         interior_res = _content(space, b.cells, mq, node_budget=node_budget)

@@ -8,7 +8,9 @@ Two space models:
   and l_inf distances work on the integer numerators and denominators of
   the Fraction coordinates and build one normalised Fraction per returned
   value.  Grid balls (axis cubes with grid-aligned corners, radius
-  k*delta/2) are the canonical covering objects.
+  k*delta/2) are the canonical covering objects.  `PointKeys` is the one
+  integer frame for l_inf distances from a rational point to cell centres,
+  which lie on the half-cell lattice.
 * NetSpace -- a finite point list with an explicit metric (l_inf, l2, l1 or a
   validated distance matrix) and a declared net scale `eps_net`.  Net answers
   elsewhere are always brackets; comparisons use the float tolerance.
@@ -25,15 +27,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 from .errors import InputError
 from .exact import (
     TOL,
     Scalar,
     as_fraction,
+    common_den,
     fmt_scalar,
     is_integral,
+    numerators,
     parse_scalar,
     power,
     scalar_formatter,
@@ -265,6 +269,45 @@ def ball_cell_ranges(ball: Ball, space: VoxelSpace) -> list[tuple[int, int]]:
         reach = 2 * dd * rn * xd
         ranges.append((-((reach - mid) // den), (mid + reach) // den))
     return ranges
+
+
+class PointKeys:
+    """Integer l_inf distances from a rational point p to the voxel cell
+    centres, which lie on the half-cell lattice: the distance to the centre
+    of cell c is `key(c) * unit`.  Half a cell is `half` (L) keys, the
+    centre of c lies at (2 c_i + 1) L keys on axis i and p at `at[i]`.  For
+    delta = dn/dd and p = P/D over the common denominator D, p_i is
+    2 dd P_i / (dn D) half cells, and L, the lcm of those ratios' reduced
+    denominators, is dn D over the gcd g of dn D and every 2 dd P_i."""
+
+    def __init__(self, space: VoxelSpace, p):
+        dn, dd = space.delta.numerator, space.delta.denominator
+        den = common_den(p)
+        doubled = [2 * dd * x for x in numerators(p, den)]
+        g = gcd(dn * den, *doubled)
+        self.half = dn * den // g
+        self.unit = Fraction(dn, 2 * dd * self.half)
+        self.at = [x // g for x in doubled]
+
+    def key(self, cell: Cell) -> int:
+        return max(abs((2 * c + 1) * self.half - a) for c, a in zip(cell, self.at))
+
+    def keys(self, cells) -> list[tuple[int, Cell]]:
+        """(key, cell) of every cell, nearest first, ties by cell."""
+        return sorted((self.key(c), c) for c in cells)
+
+    def farthest(self, lo, hi) -> int:
+        """The largest key over the box of cells with lo[i] <= c_i <= hi[i]:
+        on each axis the farthest coordinate is lo[i] or hi[i]."""
+        L = self.half
+        return max(max(abs((2 * a + 1) * L - x), abs((2 * b + 1) * L - x))
+                   for a, b, x in zip(lo, hi, self.at))
+
+    def floor(self, x) -> int:
+        """floor(x / unit) for a Fraction, int or float x, on integers: a
+        distance d = k * unit is at most x iff k <= floor(x)."""
+        a, b = x.as_integer_ratio()
+        return a * self.unit.denominator // (b * self.unit.numerator)
 
 
 class ElementBits:
@@ -502,7 +545,7 @@ class Covering:
     balls: tuple[Ball, ...]
     target: frozenset
     m: Scalar
-    cost: Scalar = field(default=None)  # recomputed in __post_init__
+    cost: Scalar = field(init=False)  # `cover_cost` of the radii at m
 
     def __post_init__(self):
         object.__setattr__(self, "cost", cover_cost([b.radius for b in self.balls], self.m))

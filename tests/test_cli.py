@@ -357,6 +357,20 @@ def test_coarea_subcommand(capsys, tmp_path):
     assert _report_digest(doc) == "073f2cf3a32844a3"
 
 
+@pytest.mark.parametrize("cover_doc", [{}, {"m": 2}, {"m": 1}])
+def test_coarea_bound_is_priced_at_the_command_m(capsys, tmp_path, cover_doc):
+    # one ball of radius 4 over the 8x8 square of side-1 cells: the bound is
+    # 2 lip 4^m at --m 2, 32, whatever m the cover file holds (1 when none)
+    path = tmp_path / "cube.json"
+    save_space(make_cube(2, 8, Fraction(1)), str(path))
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({**cover_doc, "balls": [{"center": [4, 4], "radius": 4}]}))
+    code, out, _ = run_cli(capsys, "coarea", "--space", str(path), "--f", "dist:0,0",
+                           "--cover", str(cover), "--m", "2")
+    doc = json.loads(out)
+    assert (code, doc["integral"], doc["integral_bound"]) == (0, 32, 32.0)
+
+
 def test_corpus_suite(capsys, tmp_path):
     fixtures = tmp_path / "fx"
     fixtures.mkdir()

@@ -46,6 +46,7 @@ from hcfill.space import (
     Ball,
     Covering,
     ElementBits,
+    PointKeys,
     VoxelSpace,
     ball_cell_ranges,
     ball_members,
@@ -201,7 +202,8 @@ def _oracle_level_set(tilde, p, r_crit, m, level):
     mq = as_fraction(m)
     r1 = (1 + 1 / mq) * as_fraction(r_crit)
     r2 = (1 + 1 / mq) ** 2 * as_fraction(r_crit)
-    unit, keys, _, _ = tilde.radial(p)
+    unit = tilde.frame(p).unit
+    keys, _, _ = tilde.radial(p)
     half = tilde.space.delta / 2 // unit
     annulus = [(k, c) for k, c in keys
                if math.ceil(r1 / unit - half) <= k <= math.floor(r2 / unit + half)]
@@ -261,35 +263,17 @@ def test_radius_searches_match_fraction_oracle(seed, n, m, scale, shift, r_crit)
             assert got[2] == level_set and list(got[2]) == list(level_set)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 10**6),
-    n=st.sampled_from((1, 2, 3)),
-    cell=st.tuples(st.integers(-4, 12), st.integers(-4, 12), st.integers(-4, 12)),
-    off=st.tuples(st.fractions(-3, 3, max_denominator=12),
-                  st.fractions(-3, 3, max_denominator=12),
-                  st.fractions(-3, 3, max_denominator=12)),
-)
-def test_farthest_key_is_the_radial_orders_last(seed, n, cell, off):
-    s = random_blob(seed, n, 5 * n, 6, Fraction(1, 4))
-    tilde = TildeContent(s, s.cells, ())
-    lattice = s.cell_center(cell[:n])
-    for p in (lattice, tuple(x + d for x, d in zip(lattice, off))):
-        unit, far = tilde.farthest(p)
-        got_unit, _, dists, _ = tilde.radial(p)
-        assert (unit, far) == (got_unit, dists[-1])
-        assert far * unit == max(linf(s.cell_center(c), p) for c in s.cells)
-
-
-def _counting_linf_units(monkeypatch):
+def _counting_radial_sorts(monkeypatch):
+    """Patch `PointKeys.keys`, the sort of the cells by distance key behind
+    every radial order, with one that records the frame of each call."""
     calls = []
-    real = decomposition._linf_units
+    real = PointKeys.keys
 
-    def counting(space, p, cells):
-        calls.append(p)
-        return real(space, p, cells)
+    def counting(frame, cells):
+        calls.append(frame)
+        return real(frame, cells)
 
-    monkeypatch.setattr(decomposition, "_linf_units", counting)
+    monkeypatch.setattr(PointKeys, "keys", counting)
     return calls
 
 
@@ -304,7 +288,7 @@ def test_paper_constant_decompositions_build_no_radial_order(monkeypatch):
         make_cube(3, 3, Fraction(1, 4)),
         make_cube(4, 2, Fraction(1, 2)),
     ]
-    calls = _counting_linf_units(monkeypatch)
+    calls = _counting_radial_sorts(monkeypatch)
     for s in fixtures:
         d = decompose(s, None, 2)
         assert d.balls and all(not b.slice_cells for b in d.balls)
@@ -315,8 +299,8 @@ def test_paper_constant_decompositions_build_no_radial_order(monkeypatch):
 
 def _members_at(tilde, p, r):
     """The context's cells within distance r of p, from its radial order."""
-    unit, _, dists, prefix = tilde.radial(p)
-    return tilde.bits.members(prefix[bisect_right(dists, r // unit)])
+    _, dists, prefix = tilde.radial(p)
+    return tilde.bits.members(prefix[bisect_right(dists, r // tilde.frame(p).unit)])
 
 
 def test_critical_radius_single_ball_formula():
@@ -342,7 +326,8 @@ def test_critical_radius_skips_ends_above_the_ceiling():
     solved = full = 0
     for ball in q:
         p = ball.center
-        unit, _, dists, prefix = tilde.radial(p)
+        unit = tilde.frame(p).unit
+        _, dists, prefix = tilde.radial(p)
         end_of = {mask: end for end, mask in enumerate(prefix)}
         ends = []
         solve_mask = tilde.solve_mask

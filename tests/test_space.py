@@ -16,6 +16,7 @@ from hcfill.space import (
     Covering,
     ElementBits,
     NetSpace,
+    PointKeys,
     VoxelSpace,
     ball_cell_ranges,
     ball_members,
@@ -189,6 +190,12 @@ def test_covering_validate_rejects_cells_of_another_dimension():
     cover = Covering((grid_ball(s, (0, 0), 2),), frozenset(s.cells | {(0,)}), 1)
     with pytest.raises(InputError, match="without 2 coordinates"):
         cover.validate(s)
+
+
+def test_covering_cost_is_not_an_init_parameter():
+    s = make_cube(2, 2, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        Covering((grid_ball(s, (0, 0), 2),), frozenset(s.cells), 2, cost=99)
 
 
 def _covering_cases():
@@ -390,6 +397,32 @@ def test_linf_matches_the_plain_expression(points):
 def test_linf_on_fraction_points_is_a_fraction(points):
     got = linf(*points)
     assert got == _linf_oracle(*points) and type(got) is Fraction
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_point_keys_match_fraction_distances(n, data):
+    """At points on the half-cell lattice and off it, over negative cells
+    and at delta = p/q: each cell's key times the unit is the l_inf
+    distance from p to its centre, `keys` sorts by (key, cell), `farthest`
+    over the cells' bounding box is the largest key, L keys make half a cell
+    and `floor(x)` is x // unit for Fraction, int and float x."""
+    delta = data.draw(st.sampled_from(DELTAS))
+    cells = data.draw(st.sets(st.tuples(*[st.integers(-6, 6)] * n), min_size=1, max_size=12))
+    space = VoxelSpace(n, delta, frozenset(cells))
+    halves = data.draw(st.tuples(*[st.integers(-14, 14)] * n))
+    lattice = tuple(k * delta / 2 for k in halves)
+    off = data.draw(st.tuples(*[_fractions] * n))
+    p = data.draw(st.sampled_from((lattice, tuple(x + d for x, d in zip(lattice, off)))))
+    frame = PointKeys(space, p)
+    keys = frame.keys(cells)
+    assert keys == sorted(keys) and sorted(c for _, c in keys) == sorted(cells)
+    assert all(k * frame.unit == linf(space.cell_center(c), p) for k, c in keys)
+    lo, hi = zip(*space.bbox())
+    assert frame.farthest(lo, hi) == keys[-1][0]
+    assert frame.half * frame.unit == delta / 2
+    x = data.draw(_scalars)
+    assert frame.floor(x) == as_fraction(x) // frame.unit
 
 
 def test_linf_of_empty_points_raises_as_before():
