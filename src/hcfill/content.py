@@ -93,6 +93,7 @@ from .space import (
     ElementBits,
     FamilyIntersection,
     FixedFamily,
+    GridBalls,
     NetSpace,
     RadiusCapped,
     Space,
@@ -169,7 +170,7 @@ class _Candidate:
     """A candidate: its cost, its key, its mask and the maker that builds
     its ball from the key when the ball is first read, so that no ball is
     built unless a result's `witness` is read.  A grid block's key is its
-    integer `_voxel_grid_candidates` key and its maker a `_GridBalls`;
+    integer `_voxel_grid_candidates` key and its maker a `space.GridBalls`;
     other balls are keyed by `Ball.key()` and made by `_key_balls`.  Both
     makers also give a key's radius and format sorted keys as a report's
     balls.  A `TildeContent` Q ball is keyed by its index, its maker a
@@ -211,41 +212,6 @@ class _KeyBalls:
 
 
 _key_balls = _KeyBalls()
-
-
-class _GridBalls:
-    """The maker of grid balls from keys (centre half-units..., k): centre
-    and radius are delta/2 times the key's parts, one Fraction per distinct
-    part, formatted once per distinct part."""
-
-    def __init__(self, delta):
-        self.delta = delta
-        self._parts = {}
-
-    def part(self, x) -> Fraction:
-        value = self._parts.get(x)
-        if value is None:
-            value = self._parts[x] = self.delta * Fraction(x, 2)
-        return value
-
-    def __call__(self, key) -> Ball:
-        return Ball(tuple(map(self.part, key[:-1])), self.part(key[-1]))
-
-    def radius(self, key) -> Fraction:
-        return self.part(key[-1])
-
-    def dicts(self, keys) -> list:
-        """The report forms of the keys' balls in ball order: integer keys
-        sort like ball keys."""
-        texts = {}
-
-        def fmt(x):
-            text = texts.get(x)
-            if text is None:
-                text = texts[x] = fmt_scalar(self.part(x))
-            return text
-
-        return [ball_dict(key[:-1], key[-1], fmt) for key in sorted(keys)]
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +396,7 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
     else:  # the first of each mask
         seen = set()
         keep = [i for i, mask in enumerate(masks) if not (mask in seen or seen.add(mask))]
-    make = _GridBalls(space.delta) if grid else _key_balls
+    make = GridBalls(space.delta) if grid else _key_balls
     return [_Candidate(*rows[i], make) for i in keep], index
 
 

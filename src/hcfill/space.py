@@ -10,7 +10,8 @@ Two space models:
   value.  Grid balls (axis cubes with grid-aligned corners, radius
   k*delta/2) are the canonical covering objects.  `PointKeys` is the one
   integer frame for l_inf distances from a rational point to cell centres,
-  which lie on the half-cell lattice.
+  which lie on the half-cell lattice; `GridBalls` makes, bounds and
+  formats balls from integer keys on that lattice.
 * NetSpace -- a finite point list with an explicit metric (l_inf, l2, l1 or a
   validated distance matrix) and a declared net scale `eps_net`.  Net answers
   elsewhere are always brackets; comparisons use the float tolerance.
@@ -308,6 +309,49 @@ class PointKeys:
         distance d = k * unit is at most x iff k <= floor(x)."""
         a, b = x.as_integer_ratio()
         return a * self.unit.denominator // (b * self.unit.numerator)
+
+
+class GridBalls:
+    """The maker of balls from half-cell keys (h_1..h_n, k): centre
+    delta/2 * h and radius delta/2 * k, one Fraction per distinct part,
+    formatted once per distinct part.  `grid_ball(space, a, k)` has the key
+    (2 a_1 + k, ..., 2 a_n + k, k), and integer keys sort like ball keys."""
+
+    def __init__(self, delta: Fraction):
+        self._num, self._den = delta.numerator, 2 * delta.denominator
+        self._parts = {}
+
+    def part(self, x) -> Fraction:
+        value = self._parts.get(x)
+        if value is None:
+            value = self._parts[x] = Fraction(self._num * x, self._den)
+        return value
+
+    def __call__(self, key) -> Ball:
+        return Ball(tuple(map(self.part, key[:-1])), self.part(key[-1]))
+
+    def radius(self, key) -> Fraction:
+        return self.part(key[-1])
+
+    @staticmethod
+    def ranges(key) -> list[tuple[int, int]]:
+        """Per axis, the cells whose centres the key's ball holds:
+        |2 c + 1 - h| <= k, i.e. (h - k) // 2 <= c <= (h + k - 1) // 2,
+        which is `ball_cell_ranges` of the ball for either parity of h - k."""
+        k = key[-1]
+        return [((h - k) // 2, (h + k - 1) // 2) for h in key[:-1]]
+
+    def dicts(self, keys) -> list:
+        """The report forms of the keys' balls in ball order."""
+        texts = {}
+
+        def fmt(x):
+            text = texts.get(x)
+            if text is None:
+                text = texts[x] = fmt_scalar(self.part(x))
+            return text
+
+        return [ball_dict(key[:-1], key[-1], fmt) for key in sorted(keys)]
 
 
 class ElementBits:

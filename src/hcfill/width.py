@@ -13,33 +13,47 @@ holds a ball, and that ball alone has diameter at least delta.
 `width_bound` reports that tiling.  A model in which adjacent cells meet
 (closed cubes) would make the bound a search again.
 
-`nerve` reads each element's owners off the set bits of the balls' member
-masks (`space.ElementBits.ball`) and keeps the simplices that are no face
-of another (integer subset test).  `fiber_bound` puts every vertex
-ball's centre and radius over one denominator (`exact.common_den`), so each
-ball's axis box (centre -+ radius per axis) is integer numerators, a
-simplex's union diameter an integer max - min, and one `Fraction` is built
-at the end.
+`width_bound` works on half-cell integer keys (h_1..h_n, k), the ball of
+centre delta/2 * h and radius delta/2 * k that `space.GridBalls` makes, as
+content's grid candidates are keyed.  The one-cell tiling is one key
+(2 c_1 + 1, ..., 2 c_n + 1, 1) per sorted cell, and the `budget=0` cover is
+the one key (lo_i + hi_i + 1, ..., max(hi_i - lo_i + 1)) of the ball around
+the bounding box.  A key's members are the AND of `ElementBits.box` over
+its `GridBalls.ranges` with the occupied cells, the nerve comes from those
+masks, and a simplex's union diameter is max(h + k) - min(h - k) per axis,
+in half cells.  No `Ball` is built until a result's `covering` or `nerve`
+is read.
+
+`nerve` and `fiber_bound` do the same on any covering of `Ball`s, and are
+the independent re-check of a `width_bound` result.  `nerve` reads each
+element's owners off the set bits of the balls' member masks
+(`space.ElementBits.ball`) and keeps the simplices that are no face of
+another (integer subset test), in the mask core `width_bound` runs too.
+`fiber_bound` puts every vertex ball's centre and radius over one
+denominator (`exact.common_den`), so each ball's axis box (centre -+ radius
+per axis) is integer numerators, a simplex's union diameter an integer
+max - min, and one `Fraction` is built at the end.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .content import DEFAULT_NODE_BUDGET, exact_content
 from .errors import InputError, UncoverableError
-from .exact import Scalar, as_fraction, common_den, fmt_scalar, numerators, root
+from .exact import Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators, root
 from .space import (
     Ball,
     Covering,
     ElementBits,
+    GridBalls,
     Space,
     VoxelSpace,
     ball_members,  # noqa: F401 -- unused; perfbench/test_perfbench.py asserts the binding
-    grid_ball,
-    space_radius,
+    cover_cost,
+    covering_dict,
 )
 
 
@@ -54,12 +68,16 @@ class NerveComplex:
         return self.multiplicity - 1
 
     def to_dict(self) -> dict:
-        return {
-            "vertices": len(self.vertex_balls),
-            "dimension": self.dimension,
-            "multiplicity": self.multiplicity,
-            "maximal_simplices": [list(s) for s in self.simplices],
-        }
+        return _nerve_dict(len(self.vertex_balls), self.simplices, self.multiplicity)
+
+
+def _nerve_dict(vertices: int, simplices, multiplicity: int) -> dict:
+    return {
+        "vertices": vertices,
+        "dimension": multiplicity - 1,
+        "multiplicity": multiplicity,
+        "maximal_simplices": [list(s) for s in simplices],
+    }
 
 
 def nerve(cover: Covering, space: Space) -> NerveComplex:
@@ -79,10 +97,18 @@ def nerve(cover: Covering, space: Space) -> NerveComplex:
             outside += 1
         else:
             wanted |= 1 << bit
+    simplices, multiplicity = _mask_nerve(map(bits.ball, cover.balls), wanted, outside)
+    return NerveComplex(tuple(cover.balls), simplices, multiplicity)
+
+
+def _mask_nerve(masks, wanted: int, outside: int):
+    """(maximal simplices, multiplicity) of the cover whose i-th ball holds
+    the element bits masks[i], over the wanted bits; `outside` counts the
+    wanted elements no mask can hold, and they and every wanted bit no
+    mask holds raise `UncoverableError`."""
     covered = 0
     owners: dict[int, list[int]] = {}  # element bit -> indices of its balls
-    for i, ball in enumerate(cover.balls):
-        mask = bits.ball(ball)
+    for i, mask in enumerate(masks):
         covered |= mask
         mask &= wanted
         while mask:
@@ -103,8 +129,19 @@ def nerve(cover: Covering, space: Space) -> NerveComplex:
             maximal.append(s)
             union |= s
     multiplicity = max(map(len, owners.values()), default=0)
-    return NerveComplex(tuple(cover.balls), tuple(sorted(simplices[s] for s in maximal)),
-                        multiplicity)
+    return tuple(sorted(simplices[s] for s in maximal)), multiplicity
+
+
+def _widest(axes, simplices) -> int:
+    """The largest max(hi) - min(lo) over simplices and axes, each axis a
+    (lo, hi) pair of per-vertex lists."""
+    worst = 0
+    for simplex in simplices:
+        for lo, hi in axes:
+            d = max(map(hi.__getitem__, simplex)) - min(map(lo.__getitem__, simplex))
+            if d > worst:
+                worst = d
+    return worst
 
 
 def fiber_bound(nerve_complex: NerveComplex) -> Fraction:
@@ -121,34 +158,60 @@ def fiber_bound(nerve_complex: NerveComplex) -> Fraction:
     for col in columns:
         cs = numerators(col, den)
         axes.append(([c - r for c, r in zip(cs, rs)], [c + r for c, r in zip(cs, rs)]))
-    worst = 0
-    for simplex in nerve_complex.simplices:
-        for lo, hi in axes:
-            d = max(map(hi.__getitem__, simplex)) - min(map(lo.__getitem__, simplex))
-            if d > worst:
-                worst = d
-    return Fraction(worst, den)
+    return Fraction(_widest(axes, nerve_complex.simplices), den)
 
 
 @dataclass(frozen=True)
 class WidthResult:
+    """A width bound and its cover.  `keys` are the cover's half-cell keys
+    in sorted order and `make` the `GridBalls` that builds their balls;
+    `simplices` and `multiplicity` are the nerve's, by key index.  The
+    `covering` of `target` by the keys' balls and the `nerve` over them are
+    built on first read and then kept.  `to_dict` writes both from the keys
+    and builds no ball."""
+
     m: Scalar
     bound: Fraction
-    covering: Covering
-    nerve: NerveComplex
+    keys: tuple[tuple[int, ...], ...]
+    make: GridBalls = field(compare=False)  # equal keys make equal balls
+    target: frozenset
+    simplices: tuple[tuple[int, ...], ...]
+    multiplicity: int
     c_measured: float
     content: Scalar
     trivial: bool  # True for the zero-budget report, one ball of the diameter
+    _covering: Covering | None = field(default=None, init=False, repr=False, compare=False)
+    _nerve: NerveComplex | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def covering(self) -> Covering:
+        if self._covering is None:
+            balls = tuple(map(self.make, self.keys))
+            object.__setattr__(self, "_covering", Covering(balls, self.target, 1))
+        return self._covering
+
+    @property
+    def nerve(self) -> NerveComplex:
+        if self._nerve is None:
+            complex_ = NerveComplex(self.covering.balls, self.simplices, self.multiplicity)
+            object.__setattr__(self, "_nerve", complex_)
+        return self._nerve
 
     def to_dict(self) -> dict:
+        """The report; its covering and nerve sections are
+        `self.covering.to_dict()` and `self.nerve.to_dict()`, written from
+        the keys: the cost by `cover_cost` over the maker's shared radius
+        objects."""
+        make, keys = self.make, self.keys
+        cost = cover_cost([make.radius(key) for key in keys], 1)
         return {
             "m": fmt_scalar(self.m),
             "bound": fmt_scalar(self.bound),
             "c_measured": self.c_measured,
             "content": fmt_scalar(self.content),
             "trivial": self.trivial,
-            "nerve": self.nerve.to_dict(),
-            "covering": self.covering.to_dict(),
+            "nerve": _nerve_dict(len(keys), self.simplices, self.multiplicity),
+            "covering": covering_dict(1, cost, make.dicts(keys), self.target),
         }
 
 
@@ -163,30 +226,36 @@ def width_bound(
     has dimension 0 <= m-1, and fiber bound delta, which no covering by
     balls of radius at least delta/2 beats (see the module docstring).
 
-    `budget` only separates 0 from positive: at 0 the report is the trivial
-    bound (flagged), one ball around the bounding box, whose fiber bound is
-    the diameter.  `seed` selects nothing; both stay for callers that pass
-    them.  `c_measured` is the bound over the m-th root of the content upper
-    bound.
+    `budget` (an int >= 0) only separates 0 from positive: at 0 the report
+    is the trivial bound (flagged), one ball around the bounding box, whose
+    fiber bound is the diameter.  `seed` selects nothing; both stay for
+    callers that pass them.  `c_measured` is the bound over the m-th root
+    of the content upper bound.
     """
     if not isinstance(space, VoxelSpace):
         raise InputError("width_bound needs the voxel model")
-    if int(m) != m or m < 1:
-        raise InputError("width index needs integer m >= 1")
-    if budget < 0:
-        raise InputError("width budget must be >= 0")
+    if isinstance(m, bool) or not isinstance(m, (int, Fraction, float)) \
+            or not is_integral(m) or m < 1:
+        raise InputError(f"width index needs integer m >= 1, got {m!r}")
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise InputError(f"width budget must be an int >= 0, got {budget!r}")
     space.require_nonempty()
     content = exact_content(space, None, m, node_budget=node_budget)
     trivial = budget == 0
+    cells = space.sorted_cells()
     if trivial:
-        center = tuple(space.delta * Fraction(lo + hi + 1, 2) for lo, hi in space.bbox())
-        balls = (Ball(center, space_radius(space)),)
+        box = space.bbox()
+        keys = ((*(lo + hi + 1 for lo, hi in box), max(hi - lo + 1 for lo, hi in box)),)
     else:
-        balls = tuple(grid_ball(space, cell, 1) for cell in space.sorted_cells())
-    cover = Covering(balls, frozenset(space.cells), 1)
-    nv = nerve(cover, space)
-    value = fiber_bound(nv)
+        keys = tuple((*(2 * c + 1 for c in cell), 1) for cell in cells)
+    make = GridBalls(space.delta)
+    bits = ElementBits(space, cells)
+    masks = [bits.box(make.ranges(key)) & bits.occupied for key in keys]
+    simplices, multiplicity = _mask_nerve(masks, bits.full, 0)
+    axes = [([key[i] - key[-1] for key in keys], [key[i] + key[-1] for key in keys])
+            for i in range(space.n)]
+    value = make.part(_widest(axes, simplices))
     c_measured = float(value) / root(content.value_upper, m) \
         if float(content.value_upper) > 0 else 0.0
-    return WidthResult(m, value, cover, nv, c_measured, content.value_upper, trivial)
-
+    return WidthResult(m, value, keys, make, space.cells, simplices, multiplicity,
+                       c_measured, content.value_upper, trivial)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hcfill import content
+from hcfill import content, space as space_module
 from hcfill.content import (
     exact_content,
     generate_candidates,
@@ -383,8 +383,8 @@ def test_exact_content_builds_only_the_witness_balls(make, monkeypatch):
     """Candidates stay (cost, key, mask) records until a ball is read: on a
     net, a centres-in family, a fixed family and all grid balls, neither
     solver nor its report builds a ball, the first `witness` read builds
-    one per witness ball, and a second read builds none.  The grid maker
-    builds through `content.Ball` too."""
+    one per witness ball, and a second read builds none.  The grid maker,
+    `space.GridBalls`, builds through `space.Ball`."""
     space, family = make()
     built = []
 
@@ -393,6 +393,7 @@ def test_exact_content_builds_only_the_witness_balls(make, monkeypatch):
         return ball
 
     monkeypatch.setattr(content, "Ball", counting)
+    monkeypatch.setattr(space_module, "Ball", counting)
     for solver in (exact_content, greedy_content):
         built.clear()
         res = solver(space, None, 2, family)

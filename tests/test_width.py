@@ -12,6 +12,7 @@ import hcfill.width
 from hcfill.errors import InputError, UncoverableError
 from hcfill.exact import as_fraction, fmt_scalar
 from hcfill.shapes import (
+    make_box,
     make_cube,
     make_dumbbell,
     make_ring,
@@ -23,11 +24,14 @@ from hcfill.shapes import (
 from hcfill.space import (
     Ball,
     Covering,
+    GridBalls,
     NetSpace,
     VoxelSpace,
+    ball_cell_ranges,
     ball_members,
     grid_ball,
     space_diameter,
+    space_radius,
 )
 from hcfill.width import (
     NerveComplex,
@@ -171,6 +175,8 @@ PINNED_REPORTS = [
     (random_blob, (5, 2, 24, 6), 2, 160, 7, "f6d2bbb761274e8e"),
     (random_blob, (9, 3, 40, 5), 2, 120, 1, "b6b395b4ffbdba48"),
     (negative_thirds_blob, (), 2, 150, 4, "4bf14fb82b449121"),
+    (negative_thirds_blob, (), 2, 0, 0, "c59bb631e2d78d73"),
+    (make_box, (2, (3, 5)), 1, 0, 0, "47eb7cb6347aa38e"),
 ]
 
 
@@ -184,6 +190,86 @@ def test_width_reports_pinned(make, args, m, budget, seed, digest):
 def test_negative_budget_is_input_error():
     with pytest.raises(InputError, match="budget"):
         width_bound(make_cube(2, 2, Fraction(1, 4)), 1, budget=-3)
+
+
+@pytest.mark.parametrize("m", [True, False, "2", None, Fraction(3, 2), 2.5])
+def test_width_index_must_be_an_integer_not_a_bool(m):
+    with pytest.raises(InputError, match="width index"):
+        width_bound(make_cube(2, 2, Fraction(1, 4)), m)
+
+
+@pytest.mark.parametrize("budget", ["5", True, False, 0.5, 1.0, None])
+def test_width_budget_must_be_an_int_not_a_bool(budget):
+    with pytest.raises(InputError, match="budget"):
+        width_bound(make_cube(2, 2, Fraction(1, 4)), 1, budget=budget)
+
+
+def test_width_bound_builds_balls_only_when_read(monkeypatch):
+    """The cover stays half-cell keys: neither `width_bound` nor its report
+    builds a `Ball`, the first `covering` read builds one per key, and a
+    second read and the nerve's vertex balls build none."""
+    space = negative_thirds_blob()
+    built = []
+    real = Ball.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Ball, "__post_init__", counting)
+    for budget in (0, 5):
+        built.clear()
+        w = width_bound(space, 2, budget=budget)
+        w.to_dict()
+        assert built == []
+        balls = w.covering.balls
+        assert len(built) == len(balls) == len(w.keys) == (1 if budget == 0 else len(space.cells))
+        assert w.covering is w.covering
+        assert w.nerve.vertex_balls is balls
+        assert len(built) == len(balls)
+
+
+@st.composite
+def voxel_sets(draw):
+    """Voxel sets at negative and positive coordinates, delta 1/3, 1/8 or
+    1, in boxes of odd or even extent per axis, and half-cell keys around
+    them."""
+    n = draw(st.integers(1, 3))
+    extents = draw(st.tuples(*[st.integers(1, {1: 7, 2: 5, 3: 3}[n])] * n))
+    shift = draw(st.tuples(*[st.integers(-6, 2)] * n))
+    coords = sorted(tuple(x + o for x, o in zip(c, shift))
+                    for c in itertools.product(*map(range, extents)))
+    cells = draw(st.sets(st.sampled_from(coords), min_size=1))
+    delta = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 8), Fraction(1)]))
+    keys = draw(st.lists(st.tuples(*[st.integers(-16, 12)] * n, st.integers(1, 9)), max_size=4))
+    return VoxelSpace(n, delta, frozenset(cells)), keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(voxel_sets(), st.integers(1, 3), st.sampled_from([0, 0, 1, 60, 2000]))
+def test_width_report_matches_the_ball_oracles(case, m, budget):
+    """Each report equals, to the JSON byte, the one rebuilt from its
+    covering's balls by `nerve` and `fiber_bound`; the cover is the bounding
+    box's ball at budget 0 and the one-cell tiling else, and every key's
+    cell ranges are `ball_cell_ranges` of its ball."""
+    space, keys = case
+    w = width_bound(space, m, budget, node_budget=20)
+    got = json.dumps(w.to_dict(), sort_keys=True, default=fmt_scalar)
+    cover = w.covering
+    nv = nerve(cover, space)
+    assert fiber_bound(nv) == w.bound
+    want = {"m": fmt_scalar(m), "bound": fmt_scalar(fiber_bound(nv)),
+            "c_measured": w.c_measured, "content": fmt_scalar(w.content),
+            "trivial": budget == 0, "nerve": nv.to_dict(), "covering": cover.to_dict()}
+    assert got == json.dumps(want, sort_keys=True, default=fmt_scalar)
+    if budget == 0:
+        center = tuple(space.delta * Fraction(lo + hi + 1, 2) for lo, hi in space.bbox())
+        assert cover.balls == (Ball(center, space_radius(space)),)
+    else:
+        assert cover.balls == tuple(grid_ball(space, c, 1) for c in space.sorted_cells())
+    make = GridBalls(space.delta)
+    for key in (*w.keys, *keys):
+        assert GridBalls.ranges(key) == ball_cell_ranges(make(key), space)
 
 
 # ---------------------------------------------------------------------------
