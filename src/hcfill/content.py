@@ -31,12 +31,12 @@ net-centered balls, deflated by eps_net on the lower side.
 
 Every family yields (cost, key, mask) rows, masks being bits of
 `space.ElementBits` over the sorted target, and every kept row becomes one
-`_Candidate` record whose ball is built only when read.  The solvers
-return the chosen records in a `ContentResult`: no ball is built unless its
-`witness` is read, and a report formats its witness from the candidate
-keys, the cost from their radii.  A fixed-family ball is keyed by its ball key
-and takes its mask from `ElementBits.ball`.  A point centre (a net point or
-a `CentersIn` centre) sorts its distance row once, a radius's members are a
+`_Candidate` record of its cost, key, mask and the maker of its ball.  A
+result's `witness` is the chosen keys as a keyed `space.Covering`, whose
+cost and report come from the keys: no ball is built unless its `balls`
+are read.  A fixed-family ball is keyed by its ball key and takes its mask
+from `ElementBits.ball`.  A point centre (a net point or a `CentersIn`
+centre) sorts its distance row once, a radius's members are a
 prefix of it, and its rows are keyed (centre, radius), so no ball is built
 for a centre.  Grid blocks on voxel sets are mask first: a block's cells
 are the AND of one per-axis slab mask (not of the occupied cells: a grid
@@ -77,7 +77,7 @@ from __future__ import annotations
 import copy
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -86,7 +86,6 @@ from .exact import (TOL, Scalar, as_fraction, common_den, fmt_scalar, is_integra
                     power, scalar_formatter)
 from .space import (
     AllGridBalls,
-    Ball,
     BallFamily,
     CentersIn,
     Covering,
@@ -98,12 +97,10 @@ from .space import (
     RadiusCapped,
     Space,
     VoxelSpace,
-    ball_dict,
     ball_members,  # noqa: F401 -- unused; perfbench/test_perfbench.py asserts the binding
     bit_indices,
-    cover_cost,
-    covering_dict,
     family_label,
+    key_balls,
     linf,
     net_center,
 )
@@ -113,22 +110,18 @@ DEFAULT_NODE_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class ContentResult:
-    """A content bracket and its witness.  `chosen` holds the witness's
-    `_Candidate` records in selection order; `witness`, the `Covering` of
-    `target` by their balls, is built on its first read and then kept.
-    `to_dict` formats the witness from the records' keys and builds no
-    ball."""
+    """A content bracket and its witness, the chosen candidates' keys in
+    selection order as a keyed `Covering` of the target, which builds its
+    balls only when they are read."""
 
     m: Scalar
     family: str
     value_lower: Scalar
     value_upper: Scalar
     optimal: bool
-    chosen: tuple
-    target: frozenset
+    witness: Covering
     certificate: dict
     exact_arithmetic: bool
-    _witness: Covering | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if float(self.value_lower) > float(self.value_upper) + 1e-12:
@@ -140,19 +133,7 @@ class ContentResult:
     def value(self) -> Scalar:
         return self.value_upper
 
-    @property
-    def witness(self) -> Covering:
-        if self._witness is None:
-            balls = tuple(c.ball for c in self.chosen)
-            object.__setattr__(self, "_witness", Covering(balls, self.target, self.m))
-        return self._witness
-
     def to_dict(self) -> dict:
-        """The report; its witness section is `self.witness.to_dict()`,
-        written from the chosen keys: the balls sorted by key (a grid key
-        orders like its ball key), the cost by `cover_cost` over the
-        radii."""
-        make = self.chosen[0].make  # one maker per candidate list
         return {
             "m": fmt_scalar(self.m),
             "family": self.family,
@@ -160,58 +141,23 @@ class ContentResult:
             "value_upper": fmt_scalar(self.value_upper),
             "optimal": self.optimal,
             "exact_arithmetic": self.exact_arithmetic,
-            "witness": covering_dict(self.m, cover_cost(_radii(self.chosen), self.m),
-                                     make.dicts([c.key for c in self.chosen]), self.target),
+            "witness": self.witness.to_dict(),
             "certificate": self.certificate,
         }
 
 
 class _Candidate:
-    """A candidate: its cost, its key, its mask and the maker that builds
-    its ball from the key when the ball is first read, so that no ball is
-    built unless a result's `witness` is read.  A grid block's key is its
-    integer `_voxel_grid_candidates` key and its maker a `space.GridBalls`;
-    other balls are keyed by `Ball.key()` and made by `_key_balls`.  Both
-    makers also give a key's radius and format sorted keys as a report's
-    balls.  A `TildeContent` Q ball is keyed by its index, its maker a
-    plain function."""
+    """A candidate: its cost, its key, its mask and the maker of its ball
+    from the key.  A grid block's key is its integer
+    `_voxel_grid_candidates` key and its maker a `space.GridBalls`; other
+    balls are keyed by `Ball.key()` and made by `space.key_balls`.  A
+    `TildeContent` Q ball is keyed by its index, its maker a plain
+    function."""
 
-    __slots__ = ("cost", "key", "mask", "make", "_ball")
+    __slots__ = ("cost", "key", "mask", "make")
 
     def __init__(self, cost, key, mask, make):
-        self.cost, self.key, self.mask, self.make, self._ball = cost, key, mask, make, None
-
-    @property
-    def ball(self) -> Ball:
-        if self._ball is None:
-            self._ball = self.make(self.key)
-        return self._ball
-
-
-def _radii(cands) -> list:
-    """The radii of the candidates' balls, in order, read from their keys."""
-    return [c.make.radius(c.key) for c in cands]
-
-
-class _KeyBalls:
-    """The maker of balls keyed by `Ball.key()`, (centre, radius)."""
-
-    def __call__(self, key) -> Ball:
-        return Ball(*key)
-
-    @staticmethod
-    def radius(key) -> Scalar:
-        return key[1]
-
-    @staticmethod
-    def dicts(keys) -> list:
-        """The report forms of the keys' balls in ball order, each distinct
-        scalar object formatted once."""
-        fmt = scalar_formatter()
-        return [ball_dict(*key, fmt) for key in sorted(keys)]
-
-
-_key_balls = _KeyBalls()
+        self.cost, self.key, self.mask, self.make = cost, key, mask, make
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +342,7 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
     else:  # the first of each mask
         seen = set()
         keep = [i for i, mask in enumerate(masks) if not (mask in seen or seen.add(mask))]
-    make = GridBalls(space.delta) if grid else _key_balls
+    make = GridBalls(space.delta) if grid else key_balls
     return [_Candidate(*rows[i], make) for i in keep], index
 
 
@@ -787,12 +733,14 @@ def greedy_content(
     """Iterative best-ratio covering; an upper bound by construction.  The
     greedy cost says nothing about the optimum from below, so the reported
     lower value is 0 on every model."""
+    _check_exponent(m)
     target = _resolve_target(space, target)
     cands, index, ratio = _priced_candidates(space, target, m, family)
-    chosen = tuple(cands[i] for i in _greedy_cover(cands, (1 << len(index)) - 1, ratio))
-    cost = cover_cost(_radii(chosen), m)
+    picks = _greedy_cover(cands, (1 << len(index)) - 1, ratio)
+    witness = Covering.keyed(cands[0].make, [cands[i].key for i in picks], target, m)
+    cost = witness.cost
     return ContentResult(
-        m, family_label(family), _zero(cost), cost, False, chosen, target,
+        m, family_label(family), _zero(cost), cost, False, witness,
         {"kind": "greedy"}, _exact_mode(space, m),
     )
 
@@ -809,6 +757,7 @@ def exact_content(
     Starts `_branch_and_bound` from the greedy cover and returns a certified
     bracket instead of failing when the node budget, an int >= 1, runs out.
     """
+    _check_exponent(m)
     if isinstance(node_budget, bool) or not isinstance(node_budget, int) or node_budget < 1:
         raise InputError(f"node_budget must be an int >= 1, got {node_budget!r}")
     target = _resolve_target(space, target)
@@ -827,7 +776,7 @@ def exact_content(
     )
     best_cost = ratio.scalar(best_cost)
 
-    chosen = tuple(cands[i] for i in best_sel)
+    witness = Covering.keyed(cands[0].make, [cands[i].key for i in best_sel], target, m)
     if frontier is not None:
         lowers = [root_dual]
         core, _ = _flatten_family(family)
@@ -843,7 +792,7 @@ def exact_content(
 
     if isinstance(space, NetSpace):
         optimal = False
-        lower = _net_deflated_cost(space, _radii(chosen), m)
+        lower = _net_deflated_cost(space, witness, m)
 
     cert = {
         "kind": "branch-and-bound" if optimal else "bracket",
@@ -852,7 +801,7 @@ def exact_content(
         "duals": list(map(scalar_formatter(), duals)),
     }
     return ContentResult(
-        m, family_label(family), lower, best_cost, optimal, chosen, target, cert,
+        m, family_label(family), lower, best_cost, optimal, witness, cert,
         _exact_mode(space, m),
     )
 
@@ -866,6 +815,14 @@ def _priced_candidates(space: Space, target, m: Scalar, family: BallFamily):
     if not cands:
         raise UncoverableError("family cannot cover the target")
     return cands, index, _RatioBound(cands)
+
+
+def _check_exponent(m) -> None:
+    """Refuse a bool, a non-number, NaN, an infinity and m < 0, where a
+    larger ball can cost less and the grid's size cut-off no longer holds."""
+    if isinstance(m, bool) or not isinstance(m, (int, Fraction, float)) \
+            or isinstance(m, float) and not math.isfinite(m) or m < 0:
+        raise InputError(f"content exponent needs a finite m >= 0, got {m!r}")
 
 
 def _resolve_target(space: Space, target):
@@ -898,10 +855,10 @@ def _zero(like) -> Scalar:
     return 0.0 if isinstance(like, float) else Fraction(0)
 
 
-def _net_deflated_cost(space: NetSpace, radii, m: Scalar) -> float:
+def _net_deflated_cost(space: NetSpace, cover: Covering, m: Scalar) -> float:
     """The cost of a cover's radii, in its order, each deflated by eps_net
     and clamped at zero."""
     total = 0.0
-    for r in radii:
-        total += max(0.0, float(r) - space.eps_net) ** float(m)
+    for key in cover.keys:
+        total += max(0.0, float(cover.make.radius(key)) - space.eps_net) ** float(m)
     return total

@@ -21,6 +21,10 @@ over an ordered element list for every solver; `ball_members`, a scan of the
 whole space, with a set.  Both use `ball_cell_ranges` and `net_dist`.
 `ElementBits.net_row` sorts one net centre's distances, so that the
 members of every ball around it are a prefix.
+
+`Covering` is the one covering type, and the only code that knows a
+covering's report layout: ball keys and their maker (`key_balls` or
+`GridBalls`), with the cost and the report read off the keys.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, gcd
 
 from .errors import InputError
@@ -207,8 +212,8 @@ class Ball:
     def key(self):
         return (self.center, self.radius)
 
-    def to_dict(self, fmt=fmt_scalar) -> dict:
-        return ball_dict(self.center, self.radius, fmt)
+    def to_dict(self) -> dict:
+        return ball_dict(self.center, self.radius)
 
     @staticmethod
     def from_dict(d: dict) -> "Ball":
@@ -315,11 +320,18 @@ class GridBalls:
     """The maker of balls from half-cell keys (h_1..h_n, k): centre
     delta/2 * h and radius delta/2 * k, one Fraction per distinct part,
     formatted once per distinct part.  `grid_ball(space, a, k)` has the key
-    (2 a_1 + k, ..., 2 a_n + k, k), and integer keys sort like ball keys."""
+    (2 a_1 + k, ..., 2 a_n + k, k), and integer keys sort like ball keys.
+    Makers of one delta are equal: they make equal balls of equal keys."""
 
     def __init__(self, delta: Fraction):
         self._num, self._den = delta.numerator, 2 * delta.denominator
         self._parts = {}
+
+    def __eq__(self, other):
+        return isinstance(other, GridBalls) and (self._num, self._den) == (other._num, other._den)
+
+    def __hash__(self):
+        return hash((self._num, self._den))
 
     def part(self, x) -> Fraction:
         value = self._parts.get(x)
@@ -352,6 +364,27 @@ class GridBalls:
             return text
 
         return [ball_dict(key[:-1], key[-1], fmt) for key in sorted(keys)]
+
+
+class _KeyBalls:
+    """The maker of balls keyed by `Ball.key()`, (centre, radius)."""
+
+    def __call__(self, key) -> Ball:
+        return Ball(*key)
+
+    @staticmethod
+    def radius(key) -> Scalar:
+        return key[1]
+
+    @staticmethod
+    def dicts(keys) -> list:
+        """The report forms of the keys' balls in ball order, each distinct
+        scalar object formatted once."""
+        fmt = scalar_formatter()
+        return [ball_dict(*key, fmt) for key in sorted(keys)]
+
+
+key_balls = _KeyBalls()
 
 
 class ElementBits:
@@ -584,32 +617,62 @@ def family_label(family: BallFamily) -> str:
 # ---------------------------------------------------------------------------
 # coverings
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Covering:
-    balls: tuple[Ball, ...]
+    """A covering of `target` at exponent m: its balls' keys, in the cover's
+    order, and their maker, `key_balls` for `Ball.key()` keys or a
+    `GridBalls`.  `cost` and `to_dict` read the keys; `balls` are built on
+    first read.  `Covering(balls, target, m)` keys the balls and keeps
+    them; `Covering.keyed(make, keys, target, m)` builds no ball.  Equality
+    compares makers, keys, targets and m."""
+
+    make: object = field(repr=False)
+    keys: tuple
     target: frozenset
     m: Scalar
-    cost: Scalar = field(init=False)  # `cover_cost` of the radii at m
 
-    def __post_init__(self):
-        object.__setattr__(self, "cost", cover_cost([b.radius for b in self.balls], self.m))
+    def __init__(self, balls, target, m):
+        balls = tuple(balls)
+        self.__dict__.update(make=key_balls, keys=tuple(b.key() for b in balls),
+                             target=target, m=m, balls=balls)
+
+    @classmethod
+    def keyed(cls, make, keys, target, m) -> Covering:
+        cover = cls.__new__(cls)
+        cover.__dict__.update(make=make, keys=tuple(keys), target=target, m=m)
+        return cover
+
+    @cached_property
+    def balls(self) -> tuple[Ball, ...]:
+        return tuple(map(self.make, self.keys))
+
+    @cached_property
+    def cost(self) -> Scalar:
+        return cover_cost([self.make.radius(key) for key in self.keys], self.m)
 
     def validate(self, space: Space) -> None:
-        """Exact coverage check: every target element inside some ball."""
+        """Exact coverage check: every target element inside some ball.  A
+        voxel ball covers the target cells whose centres it holds, occupied
+        or not, as the solvers cover them (`ElementBits.ball` keeps only the
+        occupied ones); a net ball its points within the radius."""
         bits = ElementBits(space, self.target)
+        voxel = isinstance(space, VoxelSpace)
         covered = 0
         for b in self.balls:
-            covered |= bits.ball(b)
+            covered |= bits.box(ball_cell_ranges(b, space)) if voxel else bits.ball(b)
         missing = (bits.full & ~covered).bit_count()
         if missing:
             raise InputError(f"covering misses {missing} target elements")
 
     def to_dict(self) -> dict:
-        """The balls in sorted order, each distinct scalar object formatted
-        once."""
-        fmt = scalar_formatter()
-        return covering_dict(self.m, self.cost, [b.to_dict(fmt) for b in sorted(self.balls)],
-                             self.target)
+        """The report: the balls in sorted order (a key orders like its
+        ball), each distinct scalar formatted once, and the sorted target."""
+        return {
+            "m": fmt_scalar(self.m),
+            "cost": fmt_scalar(self.cost),
+            "balls": self.make.dicts(self.keys),
+            "target": sorted(list(t) if isinstance(t, tuple) else t for t in self.target),
+        }
 
 
 def cover_cost(radii, m: Scalar) -> Scalar:
@@ -631,17 +694,6 @@ def cover_cost(radii, m: Scalar) -> Scalar:
             total += value if count == 1 else value * count
         return total
     return sum(power(r, m) for r in radii)
-
-
-def covering_dict(m: Scalar, cost: Scalar, balls: list, target) -> dict:
-    """The report form of a covering from its balls' report forms, already
-    in ball order."""
-    return {
-        "m": fmt_scalar(m),
-        "cost": fmt_scalar(cost),
-        "balls": balls,
-        "target": sorted(list(t) if isinstance(t, tuple) else t for t in target),
-    }
 
 
 # ---------------------------------------------------------------------------

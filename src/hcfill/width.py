@@ -21,8 +21,10 @@ the one key (lo_i + hi_i + 1, ..., max(hi_i - lo_i + 1)) of the ball around
 the bounding box.  A key's members are the AND of `ElementBits.box` over
 its `GridBalls.ranges` with the occupied cells, the nerve comes from those
 masks, and a simplex's union diameter is max(h + k) - min(h - k) per axis,
-in half cells.  No `Ball` is built until a result's `covering` or `nerve`
-is read.
+in half cells.  The result's `covering` is those keys as a keyed
+`space.Covering`, so its cost and its report come from the keys, and no
+`Ball` is built until the covering's `balls` or the result's `nerve` is
+read.
 
 `nerve` and `fiber_bound` do the same on any covering of `Ball`s, and are
 the independent re-check of a `width_bound` result.  `nerve` reads each
@@ -38,8 +40,9 @@ max - min, and one `Fraction` is built at the end.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .content import DEFAULT_NODE_BUDGET, exact_content
 from .errors import InputError, UncoverableError
@@ -52,8 +55,6 @@ from .space import (
     Space,
     VoxelSpace,
     ball_members,  # noqa: F401 -- unused; perfbench/test_perfbench.py asserts the binding
-    cover_cost,
-    covering_dict,
 )
 
 
@@ -163,55 +164,36 @@ def fiber_bound(nerve_complex: NerveComplex) -> Fraction:
 
 @dataclass(frozen=True)
 class WidthResult:
-    """A width bound and its cover.  `keys` are the cover's half-cell keys
-    in sorted order and `make` the `GridBalls` that builds their balls;
-    `simplices` and `multiplicity` are the nerve's, by key index.  The
-    `covering` of `target` by the keys' balls and the `nerve` over them are
-    built on first read and then kept.  `to_dict` writes both from the keys
-    and builds no ball."""
+    """A width bound and its cover.  `covering` is the keyed `Covering` of
+    the space by half-cell keys in sorted order; `simplices` and
+    `multiplicity` are the nerve's, by key index.  The `nerve` over the
+    covering's balls is built on first read and then kept; `to_dict` builds
+    no ball."""
 
     m: Scalar
     bound: Fraction
-    keys: tuple[tuple[int, ...], ...]
-    make: GridBalls = field(compare=False)  # equal keys make equal balls
-    target: frozenset
+    covering: Covering
     simplices: tuple[tuple[int, ...], ...]
     multiplicity: int
     c_measured: float
     content: Scalar
     trivial: bool  # True for the zero-budget report, one ball of the diameter
-    _covering: Covering | None = field(default=None, init=False, repr=False, compare=False)
-    _nerve: NerveComplex | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def covering(self) -> Covering:
-        if self._covering is None:
-            balls = tuple(map(self.make, self.keys))
-            object.__setattr__(self, "_covering", Covering(balls, self.target, 1))
-        return self._covering
-
-    @property
+    @cached_property
     def nerve(self) -> NerveComplex:
-        if self._nerve is None:
-            complex_ = NerveComplex(self.covering.balls, self.simplices, self.multiplicity)
-            object.__setattr__(self, "_nerve", complex_)
-        return self._nerve
+        return NerveComplex(self.covering.balls, self.simplices, self.multiplicity)
 
     def to_dict(self) -> dict:
-        """The report; its covering and nerve sections are
-        `self.covering.to_dict()` and `self.nerve.to_dict()`, written from
-        the keys: the cost by `cover_cost` over the maker's shared radius
-        objects."""
-        make, keys = self.make, self.keys
-        cost = cover_cost([make.radius(key) for key in keys], 1)
+        """The report; its nerve section is `self.nerve.to_dict()`, written
+        from the simplices."""
         return {
             "m": fmt_scalar(self.m),
             "bound": fmt_scalar(self.bound),
             "c_measured": self.c_measured,
             "content": fmt_scalar(self.content),
             "trivial": self.trivial,
-            "nerve": _nerve_dict(len(keys), self.simplices, self.multiplicity),
-            "covering": covering_dict(1, cost, make.dicts(keys), self.target),
+            "nerve": _nerve_dict(len(self.covering.keys), self.simplices, self.multiplicity),
+            "covering": self.covering.to_dict(),
         }
 
 
@@ -257,5 +239,5 @@ def width_bound(
     value = make.part(_widest(axes, simplices))
     c_measured = float(value) / root(content.value_upper, m) \
         if float(content.value_upper) > 0 else 0.0
-    return WidthResult(m, value, keys, make, space.cells, simplices, multiplicity,
-                       c_measured, content.value_upper, trivial)
+    return WidthResult(m, value, Covering.keyed(make, keys, space.cells, 1), simplices,
+                       multiplicity, c_measured, content.value_upper, trivial)

@@ -318,6 +318,8 @@ def test_width_budget_zero_and_negative(capsys, tmp_path, command, extra):
     (("decompose", "--space", "SPACE", "--m", "2", "--eps", "tiny"), "--eps: not a number"),
     (("cube-eq", "--n", "2", "--delta", "1/0"), "--delta: not a number"),
     (("cube-eq", "--n", "2", "--delta", "0"), "delta must be positive"),
+    (("content", "--space", "SPACE", "--m=-1", "--exact"), "needs a finite m >= 0"),
+    (("content", "--space", "SPACE", "--m=-1/2"), "needs a finite m >= 0"),
 ])
 def test_malformed_numeric_options_are_input_errors(capsys, tmp_path, argv, message):
     path = tmp_path / "cube.json"

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from hcfill import content, space as space_module
 from hcfill.content import (
     exact_content,
     generate_candidates,
@@ -170,6 +169,23 @@ def test_budget_exhaustion_returns_bracket():
 def test_exact_content_refuses_a_bad_node_budget(budget):
     with pytest.raises(InputError, match="node_budget"):
         exact_content(make_cube(1, 2), None, 1, node_budget=budget)
+
+
+@pytest.mark.parametrize("solver", [exact_content, greedy_content])
+@pytest.mark.parametrize("m", [-1, Fraction(-1, 2), -0.5, True, False, "2", None,
+                               float("nan"), float("inf"), float("-inf")])
+def test_content_refuses_an_exponent_that_is_not_a_finite_m_at_least_0(solver, m):
+    """At m < 0 a larger ball can cost less, so the grid's size cut-off
+    would certify a false optimum: on the 2x2 square, 8 where one ball of
+    radius 1 costs 1."""
+    with pytest.raises(InputError, match="finite m >= 0"):
+        solver(make_cube(2, 2), None, m)
+
+
+@pytest.mark.parametrize("m", [0, Fraction(0), 0.0])
+def test_content_at_m_0_counts_balls(m):
+    res = exact_content(make_cube(2, 2), None, m)
+    assert res.optimal and res.value == 1 and len(res.witness.balls) == 1
 
 
 def test_subadditivity_and_monotonicity(small_blobs):
@@ -380,27 +396,29 @@ def _grid_blob():
 
 @pytest.mark.parametrize("make", [_net8, _blob_centers, _mixed_fixed, _grid_blob])
 def test_exact_content_builds_only_the_witness_balls(make, monkeypatch):
-    """Candidates stay (cost, key, mask) records until a ball is read: on a
-    net, a centres-in family, a fixed family and all grid balls, neither
-    solver nor its report builds a ball, the first `witness` read builds
-    one per witness ball, and a second read builds none.  The grid maker,
-    `space.GridBalls`, builds through `space.Ball`."""
+    """Candidates stay (cost, key, mask) records and the witness a keyed
+    covering: on a net, a centres-in family, a fixed family and all grid
+    balls, neither solver nor its report nor the witness's cost or report
+    builds a ball until the witness's `balls` are read, which builds one
+    per witness ball, and a second read builds none.  Every `Ball` built
+    anywhere is counted."""
     space, family = make()
     built = []
+    real = Ball.__post_init__
 
-    def counting(*args, **kwargs):
-        built.append(ball := Ball(*args, **kwargs))
-        return ball
+    def counting(self):
+        built.append(self)
+        real(self)
 
-    monkeypatch.setattr(content, "Ball", counting)
-    monkeypatch.setattr(space_module, "Ball", counting)
+    monkeypatch.setattr(Ball, "__post_init__", counting)
     for solver in (exact_content, greedy_content):
         built.clear()
         res = solver(space, None, 2, family)
         res.to_dict()
+        assert res.witness.to_dict()["cost"] == fmt_scalar(res.witness.cost)
         assert built == []
         balls = res.witness.balls
-        assert len(built) == len(balls) > 1
+        assert len(built) == len(balls) == len(res.witness.keys) > 1
         assert set(built) == set(balls)
-        assert res.witness is res.witness
+        assert res.witness.balls is balls
         assert len(built) == len(balls)

@@ -47,6 +47,7 @@ from hcfill.space import (
     AllGridBalls,
     Ball,
     CentersIn,
+    Covering,
     ElementBits,
     FixedFamily,
     NetSpace,
@@ -139,7 +140,7 @@ def eager_greedy(cands, full):
     Returns the picked candidate indices."""
     covered, picks = 0, []
     while covered != full:
-        ratios = [((c.cost / (c.mask & ~covered).bit_count(), c.ball.key()), i)
+        ratios = [((c.cost / (c.mask & ~covered).bit_count(), c.make(c.key).key()), i)
                   for i, c in enumerate(cands) if c.mask & ~covered]
         if not ratios:
             raise UncoverableError("family cannot cover the target")
@@ -151,7 +152,7 @@ def eager_greedy(cands, full):
 
 def greedy_keys(cover, cands, n_elems):
     try:
-        return [cands[i].ball.key() for i in cover(cands, (1 << n_elems) - 1)]
+        return [cands[i].make(cands[i].key).key() for i in cover(cands, (1 << n_elems) - 1)]
     except UncoverableError:
         return None
 
@@ -205,8 +206,9 @@ def test_grid_candidates_and_greedy_match_oracles(instance):
     cands, index = generate_candidates(space, target, m, family)
     for cand in cands:
         *center, k = cand.key
-        assert cand.ball == grid_ball(space, tuple((x - k) // 2 for x in center), k)
-    assert sorted(cands, key=lambda c: c.key) == sorted(cands, key=lambda c: c.ball.key())
+        assert cand.make(cand.key) == grid_ball(space, tuple((x - k) // 2 for x in center), k)
+    assert sorted(cands, key=lambda c: c.key) == \
+        sorted(cands, key=lambda c: c.make(c.key).key())
     assert_greedy_matches(cands, len(index))
     assert_greedy_matches(got, len(index))
 
@@ -410,14 +412,14 @@ def test_only_unit_balls_at_m_at_least_n(instance, m):
     space, target, _, _, _ = instance
     cands, index = generate_candidates(space, target, m, AllGridBalls())
     assert len(cands) == len(target)
-    assert all(c.ball.radius == space.delta / 2 for c in cands)
+    assert all(c.make(c.key).radius == space.delta / 2 for c in cands)
 
 
 def test_strip_with_bulbs_keeps_only_unit_balls():
     space = make_strip_with_bulbs()
     cands, _ = generate_candidates(space, frozenset(space.cells), 2, AllGridBalls())
     assert len(cands) == len(space.cells) == 128
-    assert all(c.ball.radius == space.delta / 2 for c in cands)
+    assert all(c.make(c.key).radius == space.delta / 2 for c in cands)
 
 
 @st.composite
@@ -634,9 +636,10 @@ def oracle_post_process(raw):
     best = {}
     for cand in raw:
         cur = best.get(cand.mask)
-        if cur is None or (cand.cost, cand.ball.key()) < (cur.cost, cur.ball.key()):
+        if cur is None or (cand.cost, cand.make(cand.key).key()) < \
+                (cur.cost, cur.make(cur.key).key()):
             best[cand.mask] = cand
-    cands = sorted(best.values(), key=lambda c: (c.cost, c.ball.key()))
+    cands = sorted(best.values(), key=lambda c: (c.cost, c.make(c.key).key()))
     if len(cands) > 2000 or all(isinstance(c.cost, Fraction) for c in cands):
         return cands
     return quadratic_undominated(cands)
@@ -668,7 +671,7 @@ def oracle_point_candidates(space, target, m, centers, cap):
 
 
 def triples(cands):
-    return [(c.ball.key(), c.mask, c.cost) for c in cands]
+    return [(c.make(c.key).key(), c.mask, c.cost) for c in cands]
 
 
 def assert_post_processing_matches(space, target, m, family, raw):
@@ -676,7 +679,7 @@ def assert_post_processing_matches(space, target, m, family, raw):
     want = oracle_post_process(raw)
     assert triples(got) == triples(want)
     assert [type(c.cost) for c in got] == [type(c.cost) for c in want]
-    ordered = sorted(raw, key=lambda c: (c.cost, c.ball.key()))
+    ordered = sorted(raw, key=lambda c: (c.cost, c.make(c.key).key()))
     kept, holders = _undominated([c.mask for c in ordered], len(index))
     assert triples([ordered[i] for i in kept]) == triples(quadratic_undominated(ordered))
     assert holders == [[i for i in kept if ordered[i].mask >> e & 1] for e in range(len(index))]
@@ -712,8 +715,12 @@ def test_candidates_above_the_dominance_limit_match_the_sort_and_dedupe():
     got, got_index = generate_candidates(space, cells, 1, AllGridBalls())
     assert got_index == index and len(got) == len(want) > 2000
     assert triples(got) == triples(want)
-    assert [(type(c.cost), *map(type, c.ball.center), type(c.ball.radius)) for c in got] == \
-        [(type(c.cost), *map(type, c.ball.center), type(c.ball.radius)) for c in want]
+
+    def types(c):
+        ball = c.make(c.key)
+        return (type(c.cost), *map(type, ball.center), type(ball.radius))
+
+    assert list(map(types, got)) == list(map(types, want))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -731,7 +738,7 @@ def test_dominance_pass_matches_quadratic_on_centers_in(instance, data):
     raw = records(rows)
     assert triples(raw) == oracle_point_candidates(space, target, m, centers, cap)
     got = assert_post_processing_matches(space, target, m, family, raw)
-    assert all(c.key == c.ball.key() for c in got)
+    assert all(c.key == c.make(c.key).key() for c in got)
 
 
 def test_centers_in_at_float_centres_matches_ball_scans():
@@ -760,7 +767,7 @@ def test_dominance_pass_matches_quadratic_on_fixed_families(instance, data):
         st.builds(Ball, st.tuples(*[coord] * space.n), radius), min_size=1, max_size=16)))
     rows, _ = _fixed_candidates(space, target, m, balls, None)
     got = assert_post_processing_matches(space, target, m, FixedFamily(balls), records(rows))
-    assert all(c.key == c.ball.key() for c in got)
+    assert all(c.key == c.make(c.key).key() for c in got)
 
 
 @st.composite
@@ -806,7 +813,7 @@ def test_greedy_ties_on_a_fixed_family_go_to_the_least_ball_key():
     balls = tuple(grid_ball(space, cell, 1) for cell in sorted(space.cells, reverse=True))
     cands, index = generate_candidates(space, frozenset(space.cells), 2, FixedFamily(balls))
     picks = lazy_greedy(cands, (1 << len(index)) - 1)
-    assert [cands[i].ball for i in picks] == sorted(balls, key=Ball.key)
+    assert [cands[i].make(cands[i].key) for i in picks] == sorted(balls, key=Ball.key)
 
 
 def matrix_net(points):
@@ -841,7 +848,7 @@ def test_net_distance_rows_match_ball_scans(instance):
     raw = records(rows)
     assert triples(raw) == oracle_point_candidates(net, target, m, centers, cap)
     bits = ElementBits(net, sorted(target))
-    assert all(bits.ball(c.ball) == c.mask for c in raw)
+    assert all(bits.ball(c.make(c.key)) == c.mask for c in raw)
     family = AllGridBalls()
     if cap is not None:
         family = intersect_families(family, RadiusCapped(cap))
@@ -1129,16 +1136,19 @@ def test_the_dominance_pass_runs_only_where_the_search_branches():
 
 
 # ---------------------------------------------------------------------------
-# reports written from candidate keys against the built witness's report
+# reports written from candidate keys against the report of the witness's
+# built balls
 
 REPORT_MS = [1, 2, 3, Fraction(3, 2)]
 
 
 def assert_report_matches_the_witness(res, space):
-    """`to_dict` (read before the witness is built) equals itself with the
-    witness section replaced by the built witness's report, to the byte."""
+    """`to_dict` (read before the witness's balls are built) equals itself
+    with the witness section replaced by the report of a covering by those
+    balls, the `Ball`-list path, to the byte."""
     got = res.to_dict()
-    want = {**got, "witness": res.witness.to_dict()}
+    cover = res.witness
+    want = {**got, "witness": Covering(cover.balls, cover.target, cover.m).to_dict()}
     assert got == want
     assert json.dumps(got, sort_keys=True, default=fmt_scalar) == \
         json.dumps(want, sort_keys=True, default=fmt_scalar)

@@ -15,6 +15,7 @@ from hcfill.space import (
     Ball,
     Covering,
     ElementBits,
+    GridBalls,
     NetSpace,
     PointKeys,
     VoxelSpace,
@@ -33,6 +34,7 @@ from hcfill.space import (
     space_radius,
     space_to_dict,
 )
+from hcfill.content import exact_content
 from hcfill.width import width_bound
 
 
@@ -192,6 +194,37 @@ def test_covering_validate_rejects_cells_of_another_dimension():
         cover.validate(s)
 
 
+def test_covering_validate_covers_unoccupied_target_cells_by_their_centres():
+    """Three unit balls cover the cells 0, 1 and 2 of a space that occupies
+    only 0 and 1, as the solvers cover a target's unoccupied cells; a target
+    cell no ball's centre range holds is still missed."""
+    space = VoxelSpace(2, Fraction(1), frozenset({(0, 0), (1, 0)}))
+    target = frozenset({(0, 0), (1, 0), (2, 0)})
+    res = exact_content(space, target, 1)
+    assert len(res.witness.balls) == 3
+    res.witness.validate(space)
+    res.witness.validate(VoxelSpace(2, Fraction(1), frozenset()))
+    short = Covering(res.witness.balls[:2], target, 1)
+    with pytest.raises(InputError, match="misses 1 target"):
+        short.validate(space)
+
+
+def test_keyed_covering_matches_the_ball_list_covering():
+    """A keyed covering builds its balls only when read, and its cost,
+    report and balls are those of the covering by its balls."""
+    space = make_box(2, (3, 2), Fraction(1, 3))
+    make = GridBalls(space.delta)
+    keys = [(5, 3, 1), (2, 2, 2), (5, 1, 1), (5, 3, 1)]
+    keyed = Covering.keyed(make, keys, frozenset(space.cells), Fraction(3, 2))
+    assert "balls" not in keyed.__dict__
+    plain = Covering(tuple(map(make, keys)), keyed.target, keyed.m)
+    assert (keyed.cost, keyed.to_dict()) == (plain.cost, plain.to_dict())
+    assert keyed.balls == plain.balls
+    assert keyed == Covering.keyed(GridBalls(space.delta), keys, plain.target, plain.m)
+    assert keyed != Covering.keyed(GridBalls(space.delta / 2), keys, plain.target, plain.m)
+    keyed.validate(space)
+
+
 def test_covering_cost_is_not_an_init_parameter():
     s = make_cube(2, 2, Fraction(1, 2))
     with pytest.raises(TypeError):
@@ -280,6 +313,11 @@ def test_element_bits_ball_matches_ball_members(case):
         assert {elements[i] for i in bit_indices(bits.ball(ball))} == inside
         assert bits.members(bits.ball(ball)) == inside
         covered |= inside
+    if isinstance(space, VoxelSpace):
+        # a covering holds the listed cells whose centres its balls hold,
+        # occupied or not, as the solvers cover them
+        covered = {e for e in elements for ball in balls
+                   if distance(e, ball.center, space) <= ball.radius}
     cover = Covering(tuple(balls), frozenset(elements), 1)
     missing = len(set(elements) - covered)
     if missing:

@@ -206,8 +206,9 @@ def test_width_budget_must_be_an_int_not_a_bool(budget):
 
 def test_width_bound_builds_balls_only_when_read(monkeypatch):
     """The cover stays half-cell keys: neither `width_bound` nor its report
-    builds a `Ball`, the first `covering` read builds one per key, and a
-    second read and the nerve's vertex balls build none."""
+    nor its covering's cost or report builds a `Ball`, the first read of
+    the covering's `balls` builds one per key, and a second read and the
+    nerve's vertex balls build none."""
     space = negative_thirds_blob()
     built = []
     real = Ball.__post_init__
@@ -221,11 +222,15 @@ def test_width_bound_builds_balls_only_when_read(monkeypatch):
         built.clear()
         w = width_bound(space, 2, budget=budget)
         w.to_dict()
+        w.covering.to_dict()
+        assert w.covering.cost == sum(w.covering.make.radius(key) for key in w.covering.keys)
         assert built == []
         balls = w.covering.balls
-        assert len(built) == len(balls) == len(w.keys) == (1 if budget == 0 else len(space.cells))
-        assert w.covering is w.covering
+        assert len(built) == len(balls) == len(w.covering.keys) == \
+            (1 if budget == 0 else len(space.cells))
+        assert w.covering.balls is balls
         assert w.nerve.vertex_balls is balls
+        assert w.nerve is w.nerve
         assert len(built) == len(balls)
 
 
@@ -249,9 +254,10 @@ def voxel_sets(draw):
 @given(voxel_sets(), st.integers(1, 3), st.sampled_from([0, 0, 1, 60, 2000]))
 def test_width_report_matches_the_ball_oracles(case, m, budget):
     """Each report equals, to the JSON byte, the one rebuilt from its
-    covering's balls by `nerve` and `fiber_bound`; the cover is the bounding
-    box's ball at budget 0 and the one-cell tiling else, and every key's
-    cell ranges are `ball_cell_ranges` of its ball."""
+    covering's balls by `nerve`, `fiber_bound` and a covering by those
+    balls, the `Ball`-list path; the cover is the bounding box's ball at
+    budget 0 and the one-cell tiling else, and every key's cell ranges are
+    `ball_cell_ranges` of its ball."""
     space, keys = case
     w = width_bound(space, m, budget, node_budget=20)
     got = json.dumps(w.to_dict(), sort_keys=True, default=fmt_scalar)
@@ -260,7 +266,8 @@ def test_width_report_matches_the_ball_oracles(case, m, budget):
     assert fiber_bound(nv) == w.bound
     want = {"m": fmt_scalar(m), "bound": fmt_scalar(fiber_bound(nv)),
             "c_measured": w.c_measured, "content": fmt_scalar(w.content),
-            "trivial": budget == 0, "nerve": nv.to_dict(), "covering": cover.to_dict()}
+            "trivial": budget == 0, "nerve": nv.to_dict(),
+            "covering": Covering(cover.balls, cover.target, cover.m).to_dict()}
     assert got == json.dumps(want, sort_keys=True, default=fmt_scalar)
     if budget == 0:
         center = tuple(space.delta * Fraction(lo + hi + 1, 2) for lo, hi in space.bbox())
@@ -268,7 +275,7 @@ def test_width_report_matches_the_ball_oracles(case, m, budget):
     else:
         assert cover.balls == tuple(grid_ball(space, c, 1) for c in space.sorted_cells())
     make = GridBalls(space.delta)
-    for key in (*w.keys, *keys):
+    for key in (*cover.keys, *keys):
         assert GridBalls.ranges(key) == ball_cell_ranges(make(key), space)
 
 
