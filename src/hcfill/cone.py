@@ -15,9 +15,9 @@ denominator, the same Fraction as summing the balls' costs.  Radii,
 centres, apex and R share one denominator too (`exact.common_den` and
 `exact.numerators`), so containment, ball counts and per-input caps are
 integer tests; `cone_cost` does all of that on integer inputs, and
-`cone_covering` is its adapter from Fractions.  The balls themselves, with
-per-ball provenance, are built on first access; `cone_coverage_check`
-proves exactly that they cover the cone.
+`cone_covering` is its adapter from Fractions.  The certificate keeps that
+integer frame and builds its balls, with per-ball provenance, from it on
+first access; `cone_coverage_check` proves exactly that they cover the cone.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ from .space import Ball, Covering, VoxelSpace, linf
 @dataclass(frozen=True)
 class ConeCertificate:
     """A certified cone covering.  `cost`, `bound` and `per_input_counts`
-    come from each input's radius progression; `balls` is built from the
-    input balls on first access, and `provenance` gives (input index,
-    step j) per output ball."""
+    come from each input's radius progression; `frame` holds its numerators
+    over den, (den, apex, input centres, input radii).  `balls` is built
+    from it on first access, and `provenance` gives (input index, step j)
+    per output ball."""
 
     apex: tuple
     ambient_radius: Scalar
@@ -48,32 +49,25 @@ class ConeCertificate:
     cost: Scalar
     bound: Scalar
     per_input_counts: tuple[int, ...]
-    input_balls: tuple[Ball, ...] = field(repr=False)
+    frame: tuple = field(repr=False)
 
     @cached_property
     def balls(self) -> tuple[Ball, ...]:
-        mf = as_fraction(self.m)
+        """Ball j of input (c, r), d from the apex a (0 read as 1), m = p/q:
+        centre (c p d + (a - c) j r q) / (p d den), radius ((p + q) r d -
+        drop_j) / (p d den), drop_j = (j - 1) q r^2 from j = 2 in the
+        improved variant, else 0: the progression `_progression_cost` sums."""
+        den, apex, centres, radii = self.frame
+        p, q = as_fraction(self.m).as_integer_ratio()
         balls: list[Ball] = []
-        for src, n_balls in zip(self.input_balls, self.per_input_counts):
-            r = as_fraction(src.radius)
-            q = tuple(as_fraction(x) for x in src.center)
-            d = as_fraction(linf(q, self.apex))
-            step = r / mf
-            direction = None if d == 0 else tuple((a - b) / d for a, b in zip(self.apex, q))
+        for c, r, n_balls in zip(centres, radii, self.per_input_counts):
+            d = max(abs(x - a) for x, a in zip(c, apex)) or 1
+            scale, top = p * d * den, (p + q) * r * d
             for j in range(n_balls):
-                u = step * j
-                center = q if direction is None else tuple(
-                    qc + dc * u for qc, dc in zip(q, direction)
-                )
-                if self.variant == "standard":
-                    radius = (1 + 1 / mf) * r
-                else:
-                    # section of the cone in this ball's slab has parameter at
-                    # most t_j = 1 - max(0, j-1)*step/d; radius t_j*r + step
-                    # covers it
-                    t_j = 1 if j <= 1 else 1 - (j - 1) * step / d
-                    radius = t_j * r + step
-                balls.append(Ball(center, radius))
+                drop = (j - 1) * q * r * r if j > 1 and self.variant == "improved" else 0
+                centre = tuple(Fraction(x * p * d + (a - x) * j * r * q, scale)
+                               for x, a in zip(c, apex))
+                balls.append(Ball(centre, Fraction(top - drop, scale)))
         return tuple(balls)
 
     @property
@@ -116,23 +110,24 @@ def cone_covering(
         raise InputError("cone covering needs m >= 1")
     apex = tuple(as_fraction(x) for x in apex)
     Rf = as_fraction(R)
-    balls = input_cover.balls
-    radii = [as_fraction(b.radius) for b in balls]
-    centers = [tuple(as_fraction(x) for x in b.center) for b in balls]
+    radii = [as_fraction(b.radius) for b in input_cover.balls]
+    centers = [tuple(as_fraction(x) for x in b.center) for b in input_cover.balls]
 
     # Radii, centres, apex and R as integer numerators over one denominator.
     den = common_den(itertools.chain(apex, radii, *centers), Rf.denominator)
     apex_num = numerators(apex, den)
+    radii_num, centre_nums = numerators(radii, den), [numerators(c, den) for c in centers]
 
     def inputs():  # lazily: each ball's dimension, then (in cone_cost) radius and reach
-        for center, r in zip(centers, numerators(radii, den)):
+        for center, r in zip(centre_nums, radii_num):
             if len(center) != len(apex):
                 raise InputError("dimension mismatch")
-            yield r, max(abs(x - a) for x, a in zip(numerators(center, den), apex_num))
+            yield r, max(abs(x - a) for x, a in zip(center, apex_num))
 
     input_cost, cost, bound, counts = cone_cost(inputs(), den, R, m, variant)
     return ConeCertificate(
-        apex, Rf, m, variant, input_cost, cost, bound, counts, tuple(balls),
+        apex, Rf, m, variant, input_cost, cost, bound, counts,
+        (den, apex_num, tuple(centre_nums), radii_num),
     )
 
 

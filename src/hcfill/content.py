@@ -35,11 +35,11 @@ Every family yields (cost, key, mask) rows, masks being bits of
 result's `witness` is the chosen keys as a keyed `space.Covering`, whose
 cost and report come from the keys: no ball is built unless its `balls`
 are read.  A fixed-family ball is keyed by its ball key and takes its mask
-from `ElementBits.ball`.  A point centre (a net point or a `CentersIn`
-centre) sorts its distance row once, a radius's members are a
+from `ball_cell_ranges` on voxels.  A point centre (a net point or a
+`CentersIn` centre) sorts its distance row once, a radius's members are a
 prefix of it, and its rows are keyed (centre, radius), so no ball is built
 for a centre.  Grid blocks on voxel sets are mask first: a block's cells
-are the AND of one per-axis slab mask (not of the occupied cells: a grid
+are the AND of one per-axis slab mask (not of the occupied cells: any voxel
 ball covers a target's unoccupied cells too), its key is its centre in
 half-cell units and then its side k, which orders like the ball key, and a
 block of side k > 1 whose cost k^m times the unit cost reaches its cell
@@ -97,6 +97,7 @@ from .space import (
     RadiusCapped,
     Space,
     VoxelSpace,
+    ball_cell_ranges,
     ball_members,  # noqa: F401 -- unused; perfbench/test_perfbench.py asserts the binding
     bit_indices,
     family_label,
@@ -258,8 +259,8 @@ def _point_candidates(space: Space, target, m, centers, cap):
     with radii from the distance set to target elements (the covering
     optimum over real radii is attained there), one per new mask at each
     centre.  A radius's members are a prefix of the centre's sorted
-    distance row: within radius + TOL on nets, and on voxels the occupied
-    cells within it on exact distances, as `ball_cell_ranges` reads them."""
+    distance row: within radius + TOL on nets, and on voxels the target
+    cells (occupied or not) within it on exact distances."""
     bits = ElementBits(space, sorted(target))
     voxel = isinstance(space, VoxelSpace)
     exact = is_integral(m)  # else power(r, m) == power(as_fraction(r), m)
@@ -283,23 +284,23 @@ def _point_candidates(space: Space, target, m, centers, cap):
             while j < len(row) and row[j][0] <= limit:
                 mask |= row[j][1]
                 j += 1
-            held = mask & bits.occupied if voxel else mask
-            if held and held not in seen:
-                seen.add(held)
+            if mask and mask not in seen:
+                seen.add(mask)
                 rows.append((power(as_fraction(r) if exact else r, m),
-                             (center, r if voxel else float(r)), held))
+                             (center, r if voxel else float(r)), mask))
     return rows, bits.index
 
 
 def _fixed_candidates(space: Space, target, m, balls, cap):
     """(cost, ball key, mask) rows of the family's balls that meet the
-    target."""
+    target, on voxels its cells whose centres they hold, occupied or not."""
     bits = ElementBits(space, sorted(target))
+    voxel = isinstance(space, VoxelSpace)
     rows = []
     for ball in balls:
         if cap is not None and as_fraction(ball.radius) > cap:
             continue
-        if mask := bits.ball(ball):
+        if mask := bits.box(ball_cell_ranges(ball, space)) if voxel else bits.ball(ball):
             rows.append((power(ball.radius, m), ball.key(), mask))
     return rows, bits.index
 

@@ -436,10 +436,11 @@ def vitali_select(candidates, bits: ElementBits):
         p_i, r_i = ps[i], rs[i]
         if all(max(abs(a - b) for a, b in zip(p_i, ps[j])) > r_i + rs[j] for j in selected):
             selected.append(i)
+    if selected and n != bits.space.n:
+        raise InputError("ball dimension does not match the space")
     covered = 0
     for j in selected:
-        tripled = Ball(candidates[j][0], 3 * radii[j])
-        covered |= bits.box(ball_cell_ranges(tripled, bits.space))
+        covered |= bits.box(PointKeys(bits.space, candidates[j][0]).ranges(3 * radii[j]))
     if covered != bits.full:
         raise InputError("candidate balls do not cover the target even tripled")
     return selected
@@ -574,7 +575,7 @@ def decompose(
     for i in selected_idx:
         p, r_crit, eta, r_bar, slice_cost, slice_cells = entries[i]
         r_bar = as_fraction(r_bar)
-        mask = tilde.bits.ball(Ball(p, r_bar))
+        mask = tilde.bits.box(tilde.frame(p).ranges(r_bar)) & tilde.bits.occupied
         balls.append(
             DecompositionBall(
                 center=p,

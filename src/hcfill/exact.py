@@ -12,7 +12,7 @@ integers: numerators over the lcm of the values' denominators.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Union
 
 Scalar = Union[Fraction, float, int]
@@ -66,11 +66,13 @@ def root(x: Scalar, m: Scalar) -> float:
 
 
 def parse_scalar(text: Scalar) -> Fraction:
-    """Parse "p/q" strings, ints, floats and decimal strings to an exact
-    Fraction.  Used by every JSON loader."""
+    """Parse "p/q" strings, ints, finite floats and decimal strings to an
+    exact Fraction, else raise ValueError.  Used by every JSON loader."""
     if isinstance(text, (Fraction, int)):
         return Fraction(text)
     if isinstance(text, float):
+        if not isfinite(text):
+            raise ValueError(f"not a finite number: {text!r}")
         return Fraction(text)
     s = str(text).strip()
     return Fraction(s)

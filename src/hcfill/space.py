@@ -10,8 +10,9 @@ Two space models:
   value.  Grid balls (axis cubes with grid-aligned corners, radius
   k*delta/2) are the canonical covering objects.  `PointKeys` is the one
   integer frame for l_inf distances from a rational point to cell centres,
-  which lie on the half-cell lattice; `GridBalls` makes, bounds and
-  formats balls from integer keys on that lattice.
+  which lie on the half-cell lattice, and for the cells within a radius of
+  it (`ball_cell_ranges`); `GridBalls` makes, bounds and formats balls from
+  integer keys on that lattice.
 * NetSpace -- a finite point list with an explicit metric (l_inf, l2, l1 or a
   validated distance matrix) and a declared net scale `eps_net`.  Net answers
   elsewhere are always brackets; comparisons use the float tolerance.
@@ -33,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, isfinite
 
 from .errors import InputError
 from .exact import (
@@ -256,25 +257,10 @@ def min_enclosing_ball_linf(points) -> Ball:
 
 def ball_cell_ranges(ball: Ball, space: VoxelSpace) -> list[tuple[int, int]]:
     """Per axis, the integer coordinates of the cells whose centers lie in
-    the closed ball: |delta*(c+1/2) - center_i| <= r, i.e.
-    ceil((2(center_i - r) - delta) / (2 delta)) <= c
-    <= floor((2(center_i + r) - delta) / (2 delta)), both by integer floor
-    division of numerators over the common denominator 2 dn xd rd, where
-    delta = dn/dd, center_i = xn/xd and r = rn/rd (floats convert exactly)."""
+    the closed ball: its centre's `PointKeys.ranges` at its radius."""
     if len(ball.center) != space.n:
         raise InputError("ball dimension does not match the space")
-    r = as_fraction(ball.radius)
-    rn, rd = r.numerator, r.denominator
-    dn, dd = space.delta.numerator, space.delta.denominator
-    ranges = []
-    for x in ball.center:
-        x = as_fraction(x)
-        xd = x.denominator
-        den = 2 * dn * xd * rd
-        mid = 2 * dd * x.numerator * rd - dn * xd * rd
-        reach = 2 * dd * rn * xd
-        ranges.append((-((reach - mid) // den), (mid + reach) // den))
-    return ranges
+    return PointKeys(space, ball.center).ranges(ball.radius)
 
 
 class PointKeys:
@@ -284,10 +270,12 @@ class PointKeys:
     centre of c lies at (2 c_i + 1) L keys on axis i and p at `at[i]`.  For
     delta = dn/dd and p = P/D over the common denominator D, p_i is
     2 dd P_i / (dn D) half cells, and L, the lcm of those ratios' reduced
-    denominators, is dn D over the gcd g of dn D and every 2 dd P_i."""
+    denominators, is dn D over the gcd g of dn D and every 2 dd P_i.
+    Float coordinates convert exactly."""
 
     def __init__(self, space: VoxelSpace, p):
         dn, dd = space.delta.numerator, space.delta.denominator
+        p = [as_fraction(x) for x in p]
         den = common_den(p)
         doubled = [2 * dd * x for x in numerators(p, den)]
         g = gcd(dn * den, *doubled)
@@ -308,6 +296,12 @@ class PointKeys:
         L = self.half
         return max(max(abs((2 * a + 1) * L - x), abs((2 * b + 1) * L - x))
                    for a, b, x in zip(lo, hi, self.at))
+
+    def ranges(self, r) -> list[tuple[int, int]]:
+        """Per axis, the cells whose centres lie within r of p: with K =
+        floor(r), -((K + L - at_i) // 2L) .. (at_i + K - L) // 2L."""
+        K, L = self.floor(r), self.half
+        return [(-((K + L - a) // (2 * L)), (a + K - L) // (2 * L)) for a in self.at]
 
     def floor(self, x) -> int:
         """floor(x / unit) for a Fraction, int or float x, on integers: a
@@ -475,11 +469,8 @@ def ball_members(ball: Ball, space: Space) -> frozenset:
     """Cells (voxel) or point indices (net) within the closed ball."""
     if isinstance(space, VoxelSpace):
         ranges = ball_cell_ranges(ball, space)
-        out = []
-        for c in space.cells:
-            if all(ranges[i][0] <= c[i] <= ranges[i][1] for i in range(space.n)):
-                out.append(c)
-        return frozenset(out)
+        return frozenset(c for c in space.cells
+                         if all(a <= x <= b for x, (a, b) in zip(c, ranges)))
     center = net_center(ball.center, space)
     limit = float(ball.radius) + TOL
     return frozenset(i for i in range(len(space.points))
@@ -729,8 +720,15 @@ def _integer(x) -> int:
     return value
 
 
+def _finite(x) -> float:
+    """float(x), a ValueError when that is infinite or NaN."""
+    if not isfinite(value := float(x)):
+        raise ValueError(f"not a finite number: {x!r}")
+    return value
+
+
 def _numbers(row, convert, where: str) -> tuple:
-    """The row's entries through `convert` (_integer, float or
+    """The row's entries through `convert` (_integer, _finite or
     parse_scalar), an InputError naming `where` when the row is a string or
     one entry is not a number."""
     try:
@@ -782,10 +780,10 @@ def space_from_dict(d: dict) -> Space:
         return NetSpace(
             d.get("metric", "linf"),
             _field(d, "points", lambda points: tuple(
-                _numbers(p, float, "net point") for p in points)),
-            _field(d, "eps_net", float, 0.0),
+                _numbers(p, _finite, "net point") for p in points)),
+            _field(d, "eps_net", _finite, 0.0),
             _field(d, "matrix", lambda rows: tuple(
-                _numbers(r, float, "distance matrix row") for r in rows), None),
+                _numbers(r, _finite, "distance matrix row") for r in rows), None),
         )
     raise InputError(f"unknown space variant {variant!r}")
 
@@ -796,7 +794,7 @@ def load_space(path: str) -> Space:
     if str(path).endswith(".csv"):
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
-        points = tuple(_numbers(row, float, f"{path}: net point") for row in rows)
+        points = tuple(_numbers(row, _finite, f"{path}: net point") for row in rows)
         return NetSpace("linf", points)
     return space_from_dict(load_json(path))
 
@@ -818,7 +816,7 @@ def load_matrix_net(path: str, eps_net: float = 0.0) -> NetSpace:
 
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
-    matrix = tuple(_numbers(row, float, f"{path}: distance matrix row") for row in rows)
+    matrix = tuple(_numbers(row, _finite, f"{path}: distance matrix row") for row in rows)
     points = tuple((float(i),) for i in range(len(matrix)))
     return NetSpace("matrix", points, eps_net, matrix)
 

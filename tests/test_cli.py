@@ -635,6 +635,38 @@ def test_missing_or_non_numeric_fields_are_an_input_error(capsys, tmp_path, doc,
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+_CONTENT = ("content", "--space", "{}", "--m", "1")
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("cover.json", '{"balls": [{"center": ["1/2", "0"], "radius": Infinity}]}',
+     ("cone", "--cover", "{}", "--apex", "0,0", "--R", "1", "--m", "2"),
+     "a ball needs a numeric center and radius"),
+    ("points.json", '[[Infinity, 0], ["1/2", "1/3"]]',
+     ("pushout", "--points", "{}", "--grid-R", "1", "--m", "2", "--n", "2"),
+     "point: not a row of numbers"),
+    ("delta.json", '{"variant": "voxel", "n": 1, "delta": Infinity, "cells": [[0]]}',
+     _CONTENT, "field 'delta': not a valid value"),
+    ("inf.csv", "0,0\ninf,0\n", _CONTENT, "net point: not a row of numbers"),
+    ("nan.csv", "0,0\nnan,0\n", _CONTENT, "net point: not a row of numbers"),
+    ("eps.json", '{"variant": "net", "points": [[0, 0]], "eps_net": Infinity}',
+     _CONTENT, "field 'eps_net': not a valid value"),
+    ("matrix.json", '{"variant": "net", "metric": "matrix", "points": [[0], [1]], '
+                    '"matrix": [[0, NaN], [NaN, 0]]}',
+     _CONTENT, "distance matrix row: not a row of numbers"),
+])
+def test_non_finite_numbers_in_input_documents_are_input_errors(
+        capsys, tmp_path, name, text, argv, message):
+    """JSON `Infinity` and `NaN` and CSV `inf` and `nan` are refused where
+    they are read, with exit 1, neither escaping as `OverflowError` nor
+    reaching a solver."""
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *(arg.format(path) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_matrix_net_loader(tmp_path):
     from hcfill.space import load_matrix_net
 
@@ -645,6 +677,9 @@ def test_matrix_net_loader(tmp_path):
     assert net.dist(0, 2) == 2
     path.write_text("0,1\n1,x\n")
     with pytest.raises(InputError, match=r"distance matrix row: not a row of numbers: \['1', 'x'\]"):
+        load_matrix_net(str(path))
+    path.write_text("0,inf\ninf,0\n")
+    with pytest.raises(InputError, match=r"distance matrix row: not a row of numbers: \['0', 'inf'\]"):
         load_matrix_net(str(path))
 
 

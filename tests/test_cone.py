@@ -309,3 +309,29 @@ def test_sections_held_only_by_two_balls_together_are_reported():
     assert cone_coverage_check(cut, cover)["uncovered"] == [
         {"input": 0, "from": Fraction(5, 9), "to": Fraction(4, 7)}]
     assert _sampled_misses(cut, cover, 10_000, seed=0) == 0
+
+
+@pytest.mark.parametrize("variant", ["standard", "improved"])
+def test_cone_covering_builds_balls_only_when_read(monkeypatch, variant):
+    """Neither `cone_covering` nor reading its cost, bound, per-input counts
+    and provenance builds a `Ball`; the report builds one per output ball,
+    and a second read builds none."""
+    cover = Covering((Ball((Fraction(1), Fraction(0)), Fraction(1, 8)),
+                      Ball((0.25, -0.5), Fraction(1, 4)),
+                      Ball((Fraction(0), Fraction(0)), Fraction(1, 3))), frozenset(), 1)
+    built = []
+    real = Ball.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Ball, "__post_init__", counting)
+    cert = cone_covering(cover, (0, 0), Fraction(9, 8), 2, variant)
+    assert cert.cost <= cert.bound
+    assert len(cert.provenance) == sum(cert.per_input_counts) > len(cover.balls)
+    assert built == []
+    report = cert.to_dict()
+    assert len(built) == len(report["balls"]) == sum(cert.per_input_counts)
+    assert cert.balls is cert.balls
+    assert len(built) == sum(cert.per_input_counts)

@@ -1,19 +1,21 @@
 """`hcfill.cone.cone_covering`, which works on integer numerators over one
 denominator, against the Fraction implementation it replaced, kept below
-verbatim as the oracle: the same certificate fields, value and type, and
-the same error for a zero radius, a ball outside the ambient ball and an
-over-cap count; and its closed-form progression sums against the
-term-by-term sums."""
+verbatim as the oracle: the same certificate fields, value and type, the
+same balls, and the same error for a zero radius, a ball outside the
+ambient ball and an over-cap count; and its closed-form progression sums
+against the term-by-term sums."""
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import ceil
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcfill import cone
-from hcfill.cone import ConeCertificate, cone_covering
+from hcfill.cone import cone_covering
 from hcfill.errors import InputError, VerificationError
 from hcfill.exact import TOL, Scalar, as_fraction, fmt_scalar, is_integral, power
 from hcfill.space import Ball, Covering, linf
@@ -22,13 +24,55 @@ from hcfill.space import Ball, Covering, linf
 # ---------------------------------------------------------------------------
 # oracle: the Fraction implementation
 
+@dataclass(frozen=True)
+class OracleCertificate:
+    """The certificate as it kept its input balls, with the Fraction
+    construction of its balls that the integer frame replaced."""
+
+    apex: tuple
+    ambient_radius: Scalar
+    m: Scalar
+    variant: str
+    input_cost: Scalar  # sum r_i^(m-1) of the input covering
+    cost: Scalar
+    bound: Scalar
+    per_input_counts: tuple[int, ...]
+    input_balls: tuple[Ball, ...] = field(repr=False)
+
+    @cached_property
+    def balls(self) -> tuple[Ball, ...]:
+        mf = as_fraction(self.m)
+        balls: list[Ball] = []
+        for src, n_balls in zip(self.input_balls, self.per_input_counts):
+            r = as_fraction(src.radius)
+            q = tuple(as_fraction(x) for x in src.center)
+            d = as_fraction(linf(q, self.apex))
+            step = r / mf
+            direction = None if d == 0 else tuple((a - b) / d for a, b in zip(self.apex, q))
+            for j in range(n_balls):
+                u = step * j
+                center = q if direction is None else tuple(
+                    qc + dc * u for qc, dc in zip(q, direction)
+                )
+                if self.variant == "standard":
+                    radius = (1 + 1 / mf) * r
+                else:
+                    # section of the cone in this ball's slab has parameter at
+                    # most t_j = 1 - max(0, j-1)*step/d; radius t_j*r + step
+                    # covers it
+                    t_j = 1 if j <= 1 else 1 - (j - 1) * step / d
+                    radius = t_j * r + step
+                balls.append(Ball(center, radius))
+        return tuple(balls)
+
+
 def oracle_cone_covering(
     input_cover: Covering,
     apex,
     R: Scalar,
     m: Scalar,
     variant: str = "standard",
-) -> ConeCertificate:
+) -> OracleCertificate:
     """Cover the cone over the input covering's region from `apex`.
 
     The input covering carries dimension m-1 costs; the output covers the
@@ -83,9 +127,9 @@ def oracle_cone_covering(
                 "cone covering emitted more balls than its per-input cap",
                 {"input": i, "count": counts[i]},
             )
-    return ConeCertificate(
+    return OracleCertificate(
         apex, Rf, m, variant, input_cost, cost, bound, counts,
-        tuple(input_cover.balls),
+        input_balls=tuple(input_cover.balls),
     )
 
 
@@ -168,6 +212,33 @@ def cones(draw):
           (Fraction(0), Fraction(0)), Fraction(3, 4), Fraction(5, 2), "improved"))
 def test_cone_covering_matches_the_fraction_oracle(case):
     assert outcome(cone_covering, *case) == outcome(oracle_cone_covering, *case)
+
+
+def _balls(cert):
+    """The certificate's balls with the types of their parts."""
+    return [(b, tuple(map(type, b.center)), type(b.radius)) for b in cert.balls]
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(cones())
+@example((Covering((Ball((Fraction(1, 3), Fraction(-2)), Fraction(1, 4)),
+                    Ball((0.75, -1.5), Fraction(3, 7))), frozenset(), 1),
+          (Fraction(1, 3), Fraction(-2)), Fraction(3), 2, "improved"))  # d = 0, a float centre
+@example((Covering((Ball((0.5, 0.25), Fraction(1, 16)),), frozenset(), 1),
+          (Fraction(0), Fraction(0)), Fraction(3, 4), 3, "improved"))  # a long progression
+def test_cone_balls_match_the_fraction_oracle(case):
+    """Every ball, in provenance order, at every m of MS and both
+    variants: the frame's integers give the balls the Fraction
+    construction gave from the input balls, Fractions both."""
+    cover, apex, R, _, _ = case
+    for m in MS:
+        for variant in ("standard", "improved"):
+            args = (cover, apex, R, m, variant)
+            try:
+                want = oracle_cone_covering(*args)
+            except (InputError, VerificationError):
+                continue
+            assert _balls(cone_covering(*args)) == _balls(want)
 
 
 def test_an_over_cap_count_raises_the_same_error(monkeypatch):

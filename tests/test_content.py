@@ -242,6 +242,23 @@ def test_fixed_family_uncoverable():
 
 
 @pytest.mark.parametrize("solver", [exact_content, greedy_content])
+@pytest.mark.parametrize("family, value", [
+    (FixedFamily((Ball((Fraction(3, 2), Fraction(1, 2)), Fraction(3, 2)),)), Fraction(3, 2)),
+    (CentersIn(((Fraction(3, 2), Fraction(1, 2)),)), Fraction(1)),
+])
+def test_fixed_and_centres_in_balls_cover_unoccupied_target_cells(solver, family, value):
+    """Like grid balls, a family's voxel ball covers the target cells whose
+    centres it holds, occupied or not: the target's cell (2, 0) is not
+    occupied, and the witness validates."""
+    space = VoxelSpace(2, 1, frozenset({(0, 0), (1, 0)}))
+    target = {(0, 0), (1, 0), (2, 0)}
+    res = solver(space, target, 1, family)
+    assert res.value_upper == value
+    res.witness.validate(space)
+    assert exact_content(space, target, 1).value == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("solver", [exact_content, greedy_content])
 def test_no_candidate_raises_uncoverable(solver):
     # no ball of the family meets the target, so there is nothing to price
     s = make_cube(2, 3, Fraction(1, 4))

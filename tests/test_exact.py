@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcfill.exact import common_den, numerators
+from hcfill.exact import common_den, numerators, parse_scalar
 
 rationals = st.one_of(
     st.integers(-50, 50),
@@ -27,3 +28,12 @@ def test_numerators_over_the_common_den_are_the_values(values, dens, extra):
         assert all(type(n) is int for n in nums)
         assert [Fraction(n, d) for n in nums] == [Fraction(x) for x in values]
 
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_parse_scalar_refuses_non_finite_floats(x):
+    """A ValueError, as for malformed text, which every loader reports as
+    an input error; `Fraction(inf)` would raise OverflowError."""
+    with pytest.raises(ValueError, match="not a finite number"):
+        parse_scalar(x)
+    assert parse_scalar(1e308) == Fraction(1e308)

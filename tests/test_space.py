@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcfill.errors import InputError
@@ -381,6 +381,41 @@ def test_ball_cell_ranges_match_the_fraction_expression(case):
         for value, g, w in zip(((x - r) / delta - Fraction(1, 2),
                                 (x + r) / delta - Fraction(1, 2)), bounds, was):
             assert g == w or abs(value - round(value)) < 1e-9
+
+
+def _ranges_numerator_oracle(ball, space):
+    """`ball_cell_ranges` as it was before it read `PointKeys`: per axis
+    ceil((2(x - r) - delta) / (2 delta)) .. floor((2(x + r) - delta) /
+    (2 delta)) by floor division of numerators over 2 dn xd rd."""
+    r = as_fraction(ball.radius)
+    rn, rd = r.numerator, r.denominator
+    dn, dd = space.delta.numerator, space.delta.denominator
+    ranges = []
+    for x in ball.center:
+        x = as_fraction(x)
+        xd = x.denominator
+        den = 2 * dn * xd * rd
+        mid = 2 * dd * x.numerator * rd - dn * xd * rd
+        reach = 2 * dd * rn * xd
+        ranges.append((-((reach - mid) // den), (mid + reach) // den))
+    return ranges
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.sampled_from(DELTAS), st.tuples(*[_scalars] * n),
+    st.one_of(st.just(0), st.fractions(0, 4, max_denominator=24), st.floats(0, 4)))))
+@example((Fraction(1, 3), (0.5, Fraction(-7, 6)), Fraction(1, 3)))  # centre and sphere on the lattice
+@example((Fraction(1, 3), (Fraction(-5, 7),), Fraction(2, 5)))  # off the lattice
+def test_ball_cell_ranges_match_the_numerator_formula(case):
+    """`PointKeys.ranges` on the centre's frame against the numerator
+    formula it replaced: float, int and off-lattice centres, negative
+    coordinates, r = 0 and float radii."""
+    delta, center, radius = case
+    space = VoxelSpace(len(center), delta, frozenset())
+    ball = Ball(center, radius)
+    assert ball_cell_ranges(ball, space) == _ranges_numerator_oracle(ball, space)
+    assert PointKeys(space, center).ranges(radius) == _ranges_numerator_oracle(ball, space)
 
 
 def test_a_float_centre_is_measured_exactly():
