@@ -152,8 +152,8 @@ class _Candidate:
     from the key.  A grid block's key is its integer
     `_voxel_grid_candidates` key and its maker a `space.GridBalls`; other
     balls are keyed by `Ball.key()` and made by `space.key_balls`.  A
-    `TildeContent` Q ball is keyed by its index, its maker a plain
-    function."""
+    `TildeContent` Q ball is keyed by its index among the context's
+    `GridBalls` keys and has no maker: the context reads its own keys."""
 
     __slots__ = ("cost", "key", "mask", "make")
 
@@ -830,7 +830,7 @@ def _resolve_target(space: Space, target):
     """The target as a frozenset: the whole space when None.  A net target
     must name point indices.  A voxel target may hold cells the space does
     not occupy, which grid balls cover too: `improvement_step` solves over
-    fill cells outside the space (`decomposition._lattice_cells`)."""
+    fill cells outside the space (the cells of its slice fills' keys)."""
     if target is None:
         space.require_nonempty()
         if isinstance(space, VoxelSpace):

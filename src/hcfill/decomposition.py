@@ -22,6 +22,8 @@ The machinery, at exponent m > 1, over a voxel set Y:
 One `TildeContent` per decomposition is its cell context: pruning Q, radial
 orders, annulus slices, ball-member masks and relative solves all run on its
 cells, and each selected ball carries its cells to the checks and the step.
+Q and the witnesses a step reads stay `space.GridBalls` half-cell keys, so
+`decompose` builds no `Ball` and a step only its cones' input balls.
 Distances from a point to cell centres are the keys of its
 `space.PointKeys`.  Every upper-bound inequality is an `InequalityCheck.le`,
 and each carrier of `improvement_sequence` is one point moved by the step
@@ -50,9 +52,9 @@ from .space import (
     Ball,
     Covering,
     ElementBits,
+    GridBalls,
     PointKeys,
     VoxelSpace,
-    ball_cell_ranges,
     ball_members,
     linf,
 )
@@ -139,33 +141,39 @@ class Constants:
 class TildeContent:
     """Exact set-cover content where only subfamilies of the fixed covering
     Q are admissible, and the one cell context of the pipeline: its sorted
-    `cells`, their `ElementBits` as `bits`, and the Q balls' member masks,
-    built once.  A solve runs the content solver's `_branch_and_bound` over
-    the Q balls that meet the goal mask (bits of `cells`), without an
-    incumbent, so its witness is the first cheapest cover in the search's
-    order: candidate order down to its first cover, cheapest first at every
-    node priced after it.  That order depends on every such ball, so no
-    dominance pass prunes them.  Each exponent is priced once (`_pricing`):
-    the Q balls as `_Candidate` records keyed by index, in (cost, index)
-    order, and one `_RatioBound` over their whole masks, so a solve only
-    ANDs the masks with the goal and restricts the bound to the balls that
-    meet it.  A ball that misses the goal is never branched on and prices
-    nothing, the balls that meet it keep their order, and the bound's
-    larger size lcm only scales its units, which moves no price order, so
-    every answer is the one a bound over the meeting balls alone gives.
+    `cells`, their `ElementBits` as `bits`, Q as `GridBalls` `keys` (one of
+    length n + 1 each, else an `InputError`) and their member masks
+    `bits.box(GridBalls.ranges(key)) & bits.occupied`, built once; costs
+    are `make.radius(key)` powers, and `q_balls` is built on first read.
+    A solve runs the content solver's `_branch_and_bound` over the Q balls
+    that meet the goal mask (bits of `cells`), without an incumbent, so its
+    witness is the first cheapest cover in the search's order: candidate
+    order down to its first cover, cheapest first at every node priced
+    after it.  That order depends on every such ball, so no dominance pass
+    prunes them.  Each exponent is priced once (`_pricing`): the Q balls as
+    `_Candidate` records keyed by index, in (cost, index) order, and one
+    `_RatioBound` over their whole masks, so a solve only ANDs the masks
+    with the goal and restricts the bound to the balls that meet it.  A ball
+    that misses the goal is never branched on and prices nothing, the balls
+    that meet it keep their order, and the bound's larger size lcm only
+    scales its units, which moves no price order, so every answer is the
+    one a bound over the meeting balls alone gives.
     `solve_mask` is the one entry, cached per (goal mask, exponent); `solve`
     takes a cell set.  One cache keeps the last point's `frame`, its
-    `PointKeys`, and its `radial` order of the cells, built on first read;
-    the radius searches build that order only when a cell nearer than the
-    farthest can matter (at the paper's A(m), on none of the acceptance
-    tests' fill fixtures).  `prune_redundant` drops Q balls on `masks`."""
+    `PointKeys`, and its `radial` order of the cells, built on first read
+    and only when a cell nearer than the farthest can matter (at the
+    paper's A(m), on none of the acceptance tests' fill fixtures)."""
 
-    def __init__(self, space: VoxelSpace, cells, q_balls):
+    def __init__(self, space: VoxelSpace, cells, keys):
         self.space = space
         self.cells = tuple(sorted(cells))
-        self.q_balls = tuple(q_balls)
+        self.keys = tuple(keys)
+        if any(len(key) != space.n + 1 for key in self.keys):
+            raise InputError("ball dimension does not match the space")
+        self.make = GridBalls(space.delta)
         self.bits = ElementBits(space, self.cells)
-        self.masks = [self.bits.ball(b) for b in self.q_balls]
+        self.masks = [self.bits.box(GridBalls.ranges(key)) & self.bits.occupied
+                      for key in self.keys]
         self._union = functools.reduce(operator.or_, self.masks, 0)
         self._pricings: dict[Fraction, tuple] = {}
         self._value_cache: dict[tuple, Scalar] = {}
@@ -179,13 +187,12 @@ class TildeContent:
         `_RatioBound` over their whole masks in that order."""
         hit = self._pricings.get(exponent)
         if hit is None:
-            costs = [power(b.radius, exponent) for b in self.q_balls]
+            costs = [power(self.make.radius(key), exponent) for key in self.keys]
             exact = [as_fraction(c) for c in costs]
             den = common_den(exact)
             weights = numerators(exact, den)
             order = sorted(range(len(costs)), key=weights.__getitem__)  # ties by index
-            cands = [_Candidate(costs[i], i, self.masks[i], self.q_balls.__getitem__)
-                     for i in order]
+            cands = [_Candidate(costs[i], i, self.masks[i], None) for i in order]
             hit = self._pricings[exponent] = cands, _RatioBound(cands), den, weights
         return hit
 
@@ -237,7 +244,7 @@ class TildeContent:
             raise InputError("fixed covering cannot cover the requested subset")
         cands, ratio, _, _ = self._pricing(exponent)
         usable = [pos for pos, cand in enumerate(cands) if cand.mask & goal]
-        meeting = [_Candidate(c.cost, c.key, c.mask & goal, self.q_balls.__getitem__)
+        meeting = [_Candidate(c.cost, c.key, c.mask & goal, None)
                    for c in map(cands.__getitem__, usable)]
         units, sel, _, _ = _branch_and_bound(meeting, ratio.restricted(usable), goal,
                                              math.inf, math.inf, ())
@@ -245,18 +252,21 @@ class TildeContent:
         self._value_cache[key] = result
         return result
 
-    def witness(self, subset, exponent: Scalar) -> list[Ball]:
+    def witness(self, subset, exponent: Scalar) -> Covering:
         _, sel = self.solve(subset, exponent)
-        return [self.q_balls[i] for i in sel]
+        return Covering.keyed(self.make, [self.keys[i] for i in sel], frozenset(subset), exponent)
+
+    @functools.cached_property
+    def q_balls(self) -> tuple[Ball, ...]:
+        return tuple(map(self.make, self.keys))
 
 
 def prune_redundant(tilde: TildeContent) -> TildeContent:
-    """Drop every Q ball whose member mask lies in the union of the others',
-    largest radius first, until each survivor has a private cell: the same
-    context when none goes, else a context over the survivors."""
-    balls = tilde.q_balls
-    active = sorted(range(len(balls)),
-                    key=lambda i: (-as_fraction(balls[i].radius), balls[i].center))
+    """Drop every Q ball whose mask lies in the union of the others', in key
+    order (-k, h), i.e. (-radius, centre), until each survivor has a private
+    cell: the same context when none goes, else one over the kept keys."""
+    keys = tilde.keys
+    active = sorted(range(len(keys)), key=lambda i: (-keys[i][-1], keys[i][:-1]))
     changed = True
     while changed:
         changed = False
@@ -269,9 +279,9 @@ def prune_redundant(tilde: TildeContent) -> TildeContent:
                 active.remove(i)
                 changed = True
                 break
-    if len(active) == len(balls):
+    if len(active) == len(keys):
         return tilde
-    return TildeContent(tilde.space, tilde.cells, [balls[i] for i in sorted(active)])
+    return TildeContent(tilde.space, tilde.cells, [keys[i] for i in sorted(active)])
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +413,7 @@ def annulus_radius(tilde: TildeContent, p, r_crit, m: Scalar):
         first = bisect_left(ends, True, key=lambda j: prefix[j] & mask != 0)
         last = bisect_left(ends, True, key=lambda j: prefix[j] & mask == mask)
         a, b = max(0, dists[lo + first] - half), dists[lo + last] + half
-        radius = tilde.q_balls[i].radius
+        radius = tilde.make.radius(tilde.keys[i])
         if (b - a) * un * radius.denominator > 2 * radius.numerator * ud:
             raise InputError("a Q ball pins the distance to an interval wider than 2r")
         spans.append((2 * e * a, 2 * e * b, weights[i]))
@@ -506,7 +516,7 @@ class Decomposition:
     constants: Constants
     base_content: Scalar  # grid content of Y
     tilde_total: Scalar  # content of Y relative to Q
-    q_balls: tuple[Ball, ...]
+    q: Covering  # the pruned Q, keyed on half-cells
     balls: tuple[DecompositionBall, ...]
     alpha: float
     checks: tuple[InequalityCheck, ...]
@@ -521,7 +531,7 @@ class Decomposition:
             "alpha": self.alpha,
             "base_content": fmt_scalar(self.base_content),
             "tilde_total": fmt_scalar(self.tilde_total),
-            "q_balls": [b.to_dict() for b in self.q_balls],
+            "q_balls": self.q.make.dicts(self.q.keys),
             "balls": [b.to_dict() for b in self.balls],
             "checks": [c.to_dict() for c in self.checks],
         }
@@ -557,14 +567,13 @@ def decompose(
     if eps is None:
         eps = 1e-3 * float(hc)
 
-    tilde = prune_redundant(TildeContent(space, y, sorted(base.witness.balls)))
-    q_balls = tilde.q_balls
+    tilde = prune_redundant(TildeContent(space, y, sorted(base.witness.keys)))
     tilde_total = tilde.value(y, mq)
 
     # per-center critical and slice radii
     entries = []
-    for ball in q_balls:
-        p = ball.center
+    for key in tilde.keys:
+        p = tuple(map(tilde.make.part, key[:-1]))
         r_crit, eta = critical_radius(tilde, p, mq, A)
         entries.append((p, r_crit, eta) + annulus_radius(tilde, p, r_crit, mq))
 
@@ -574,7 +583,6 @@ def decompose(
     balls = []
     for i in selected_idx:
         p, r_crit, eta, r_bar, slice_cost, slice_cells = entries[i]
-        r_bar = as_fraction(r_bar)
         mask = tilde.bits.box(tilde.frame(p).ranges(r_bar)) & tilde.bits.occupied
         balls.append(
             DecompositionBall(
@@ -595,8 +603,8 @@ def decompose(
     checks = _decomposition_checks(tilde, mq, eps, constants, hc, tilde_total,
                                    balls, alpha, node_budget, _content)
     decomp = Decomposition(
-        mq, eps, constants, hc, tilde_total, q_balls, tuple(balls), alpha,
-        tuple(checks),
+        mq, eps, constants, hc, tilde_total, Covering.keyed(tilde.make, tilde.keys, y, mq),
+        tuple(balls), alpha, tuple(checks),
     )
     if not decomp.ok():
         raise DecompositionViolation(
@@ -607,20 +615,21 @@ def decompose(
 
 def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
                          node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
-    """Independent re-check of an emitted decomposition: rebuilds the
-    relative-content context from the stored covering, recomputes every
-    per-ball quantity and both sides of every inequality from raw data, and
-    re-verifies disjointness and the tripled cover exactly, with its own
-    solves (no pipeline memo).  Each ball's slice (r_bar, majorant, cells)
-    is derived again through `coarea.slice_profile` and `best_slice` on the
-    annulus at its stored critical radius (`slices_match`).  Its distances
-    are `linf` on Fraction points, not the integer `PointKeys` that
-    `decompose` uses, so that it stays an independent check of them."""
-    y = frozenset(target)
+    """Independent re-check of a decomposition of the target (None: all
+    cells): rebuilds the relative-content context from the stored Q keys,
+    recomputes every per-ball quantity and both sides of every inequality
+    from raw data, and re-verifies disjointness and the tripled cover
+    exactly, with its own solves (no pipeline memo).  Each ball's slice
+    (r_bar, majorant, cells) is derived again through `coarea.slice_profile`
+    and `best_slice` on the annulus at its stored critical radius
+    (`slices_match`).  Its distances are `linf` on Fraction points, not the
+    integer `PointKeys` that `decompose` uses, so that it stays an
+    independent check of them."""
+    y = _voxel_target(space, target, "verify_decomposition")
     if not y <= space.cells:
         raise InputError(f"target has {len(y - space.cells)} cells outside the space")
     mq = decomp.m
-    tilde = TildeContent(space, y, decomp.q_balls)
+    tilde = TildeContent(space, y, decomp.q.keys)
     tilde_total = tilde.value(y, mq)
     report = {"tilde_total_matches": tilde_total == decomp.tilde_total}
 
@@ -645,8 +654,8 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
         r1 = (1 + 1 / mq) * b.critical_radius
         r2 = (1 + 1 / mq) ** 2 * b.critical_radius
         annulus = frozenset(c for c, d in dist.items() if d + half >= r1 and d - half <= r2)
-        cover = Covering(tuple(tilde.witness(annulus, mq)), annulus, mq)
-        profile = slice_profile(space, annulus, DistanceToPoint(b.center), cover, (r1, r2))
+        profile = slice_profile(space, annulus, DistanceToPoint(b.center),
+                                tilde.witness(annulus, mq), (r1, r2))
         r_bar, slice_cost = best_slice(profile, mq)
         slices_match &= (r_bar, slice_cost, profile.level_set(r_bar)) == (
             b.radius, b.slice_cost_majorant, b.slice_cells)
@@ -798,14 +807,13 @@ def improvement_step(
     max_disp = 0.0
     cone_certs = []
     for b in decomp.balls:
-        fill_balls: list[Ball] = []
-        fill_cells: set = set()
+        fill_keys, fill_cells = (), set()
         if b.slice_cells:
-            slice_res = _content(space, b.slice_cells, mq - 1,
-                                 node_budget=node_budget)
-            fill_balls = list(slice_res.witness.balls)
-            for fb in fill_balls:
-                fill_cells |= _lattice_cells(fb, space)
+            slice_res = _content(space, b.slice_cells, mq - 1, node_budget=node_budget)
+            fill_keys = slice_res.witness.keys
+            for key in fill_keys:  # every lattice cell the ball holds, occupied or not
+                fill_cells.update(itertools.product(
+                    *(range(lo, hi + 1) for lo, hi in GridBalls.ranges(key))))
         new_cells |= fill_cells
 
         # nearest landing point, ties to the least point: the fill cells'
@@ -831,14 +839,10 @@ def improvement_step(
         max_disp = max(max_disp, float(moved * frame.unit))  # float() is monotone
 
         # cone certificate: the swept (m+1)-cost inside this ball
-        interior_res = _content(space, b.cells, mq, node_budget=node_budget)
-        z_balls = tuple(fill_balls) + interior_res.witness.balls
-        reach = max(
-            as_fraction(linf(zb.center, b.center)) + as_fraction(zb.radius)
-            for zb in z_balls
-        )
-        reach = max(reach, as_fraction(b.radius))
-        cover = Covering(z_balls, b.cells | frozenset(b.slice_cells), mq)
+        interior = _content(space, b.cells, mq, node_budget=node_budget).witness
+        cover = Covering.keyed(interior.make, fill_keys + interior.keys,
+                               b.cells | frozenset(b.slice_cells), mq)
+        reach = max([b.radius, *(linf(zb.center, b.center) + zb.radius for zb in cover.balls)])
         cone_certs.append(cone_covering(cover, b.center, reach, mq + 1, "improved"))
 
     new_cells = frozenset(new_cells)
@@ -864,12 +868,6 @@ def improvement_step(
             {"checks": [c.to_dict() for c in checks]},
         )
     return step
-
-
-def _lattice_cells(ball: Ball, space: VoxelSpace) -> set:
-    """All ambient lattice cells within the ball (not just occupied ones)."""
-    return set(itertools.product(*(range(a, b + 1)
-                                   for a, b in ball_cell_ranges(ball, space))))
 
 
 # ---------------------------------------------------------------------------

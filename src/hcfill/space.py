@@ -18,8 +18,9 @@ Two space models:
   elsewhere are always brackets; comparisons use the float tolerance.
 
 Which elements a ball contains: `ElementBits.ball` answers with a bitmask
-over an ordered element list for every solver; `ball_members`, a scan of the
-whole space, with a set.  Both use `ball_cell_ranges` and `net_dist`.
+over an ordered element list; `ball_members`, a scan of the whole space,
+with a set.  Both use `ball_cell_ranges` and `net_dist`; a grid ball held as
+its key (solver blocks, width covers, decomposition Q) uses `GridBalls.ranges`.
 `ElementBits.net_row` sorts one net centre's distances, so that the
 members of every ball around it are a prefix.
 

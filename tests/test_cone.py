@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcfill.cone import blend_point, cone_coverage_check, cone_covering, cone_map_image
+from hcfill.decomposition import decompose, improvement_step
 from hcfill.errors import InputError, VerificationError
 from hcfill.exact import TOL, power
-from hcfill.shapes import make_cube, make_line
-from hcfill.space import Ball, Covering, linf
+from hcfill.shapes import make_cube, make_line, make_ring
+from hcfill.space import Ball, Covering, ElementBits, linf
 
 
 def test_half_radius_example():
@@ -335,3 +336,30 @@ def test_cone_covering_builds_balls_only_when_read(monkeypatch, variant):
     assert len(built) == len(report["balls"]) == sum(cert.per_input_counts)
     assert cert.balls is cert.balls
     assert len(built) == sum(cert.per_input_counts)
+
+
+def test_decompose_builds_no_ball_and_a_step_only_its_cone_inputs(monkeypatch):
+    """`decompose` works on its Q's half-cell keys: neither it nor its report
+    builds a `Ball` or asks `ElementBits.ball` for a mask.  An improvement
+    step builds the balls of its cone inputs, once each, and no mask."""
+    built, masks = [], []
+    real_init, real_mask = Ball.__post_init__, ElementBits.ball
+
+    def counting(self):
+        built.append(self)
+        real_init(self)
+
+    def counting_mask(bits, ball):
+        masks.append(ball)
+        return real_mask(bits, ball)
+
+    monkeypatch.setattr(Ball, "__post_init__", counting)
+    monkeypatch.setattr(ElementBits, "ball", counting_mask)
+    s = make_ring(16)
+    d = decompose(s, None, 2)
+    assert len(d.to_dict()["q_balls"]) == 60
+    assert built == [] and masks == []
+    step = improvement_step(s, None, 2)
+    inputs = sum(len(cert.per_input_counts) for cert in step.cone_certificates)
+    assert len(built) == inputs == 60
+    assert masks == []

@@ -46,6 +46,8 @@ from hcfill.space import (
     Ball,
     Covering,
     ElementBits,
+    GridBalls,
+    NetSpace,
     PointKeys,
     VoxelSpace,
     ball_cell_ranges,
@@ -96,7 +98,7 @@ def test_constants_need_m_above_one():
 
 def _context(space, m):
     base = exact_content(space, None, m)
-    tilde = prune_redundant(TildeContent(space, space.cells, sorted(base.witness.balls)))
+    tilde = prune_redundant(TildeContent(space, space.cells, sorted(base.witness.keys)))
     return base, tilde.q_balls, tilde
 
 
@@ -180,8 +182,7 @@ def _oracle_annulus_radius(space, p, r_crit, target, tilde, m):
             "annulus_cells": frozenset(),
             "annulus_value": Fraction(0),
         }
-    witness = tilde.witness(annulus, mq)
-    cover = Covering(tuple(witness), annulus, mq)
+    cover = tilde.witness(annulus, mq)
     profile = slice_profile(space, annulus, DistanceToPoint(p), cover, (r1, r2))
     r_bar, slice_cost = best_slice(profile, mq)
     return {
@@ -631,6 +632,11 @@ def oracle_tilde_solve(space, cells, q_balls, subset, exponent):
     return best_cost, best_sel
 
 
+def _grid_key(anchor, k):
+    """The `GridBalls` key of `grid_ball(space, anchor, k)`."""
+    return tuple(2 * a + k for a in anchor) + (k,)
+
+
 EXACT_EXPONENTS = [Fraction(1), Fraction(2), Fraction(3), Fraction(5, 2)]
 FLOAT_EXPONENTS = [Fraction(3, 2), Fraction(1, 2)]
 TILDE_BOX = {1: 10, 2: 4, 3: 3}
@@ -639,8 +645,8 @@ TILDE_BOX = {1: 10, 2: 4, 3: 3}
 @st.composite
 def tilde_instances(draw):
     """A voxel blob of at most 10 cells, a target that may hold unoccupied
-    cells, overlapping grid balls (all unit balls added, pruned, or
-    neither), a subset of the target and an exponent."""
+    cells, the keys of overlapping grid balls (all unit balls added,
+    pruned, or neither), a subset of the target and an exponent."""
     n = draw(st.integers(1, 3))
     box = TILDE_BOX[n]
     coords = list(itertools.product(range(box), repeat=n))
@@ -649,28 +655,29 @@ def tilde_instances(draw):
     target = cells | draw(st.sets(st.sampled_from(coords), max_size=1))
     anchor = st.tuples(*[st.integers(-2, box - 1)] * n)
     specs = draw(st.lists(st.tuples(anchor, st.integers(1, 3)), min_size=1, max_size=8))
-    balls = [grid_ball(space, a, k) for a, k in specs]
+    keys = [_grid_key(a, k) for a, k in specs]
     kind = draw(st.sampled_from(["overlapping", "with_units", "pruned"]))
     if kind != "overlapping":
-        balls += [grid_ball(space, c, 1) for c in sorted(cells)]
+        keys += [_grid_key(c, 1) for c in sorted(cells)]
     if kind == "pruned":
-        balls = list(prune_redundant(TildeContent(space, target, sorted(balls))).q_balls)
+        keys = list(prune_redundant(TildeContent(space, target, sorted(keys))).keys)
     subset = draw(st.sets(st.sampled_from(sorted(target))))
     exponent = draw(st.sampled_from(EXACT_EXPONENTS + FLOAT_EXPONENTS))
-    return space, target, balls, subset, exponent
+    return space, target, keys, subset, exponent
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(tilde_instances())
 def test_tilde_solve_matches_standalone_search(instance):
-    space, target, balls, subset, exponent = instance
+    space, target, keys, subset, exponent = instance
+    make = GridBalls(space.delta)
     try:
-        want = oracle_tilde_solve(space, target, balls, subset, exponent)
+        want = oracle_tilde_solve(space, target, list(map(make, keys)), subset, exponent)
     except InputError:
         with pytest.raises(InputError):
-            TildeContent(space, target, balls).solve(subset, exponent)
+            TildeContent(space, target, keys).solve(subset, exponent)
         return
-    got = TildeContent(space, target, balls).solve(subset, exponent)
+    got = TildeContent(space, target, keys).solve(subset, exponent)
     if exponent in EXACT_EXPONENTS:
         assert got == want
         assert type(got[0]) is type(want[0])
@@ -691,13 +698,13 @@ def _solve_or_refusal(tilde, subset, exponent):
 def test_one_context_across_exponents_matches_fresh_contexts(instance, data, m):
     # each exponent is priced once per context: solving at m, then m - 1,
     # then m again on one context answers as a fresh context does each time
-    space, target, balls, _, _ = instance
-    shared = TildeContent(space, target, balls)
+    space, target, keys, _, _ = instance
+    shared = TildeContent(space, target, keys)
     subsets = st.sets(st.sampled_from(sorted(target)))
     for exponent in (m, m - 1, m, m - 1):
         subset = data.draw(subsets)
         got = _solve_or_refusal(shared, subset, exponent)
-        want = _solve_or_refusal(TildeContent(space, target, balls), subset, exponent)
+        want = _solve_or_refusal(TildeContent(space, target, keys), subset, exponent)
         assert got == want
         assert type(got[0]) is type(want[0])
 
@@ -705,21 +712,25 @@ def test_one_context_across_exponents_matches_fresh_contexts(instance, data, m):
 def test_tilde_solve_empty_and_uncoverable_subsets():
     s = make_line(6, Fraction(1, 8))
     cells = sorted(s.cells)
-    tilde = TildeContent(s, s.cells, [grid_ball(s, cells[0], 2)])
+    tilde = TildeContent(s, s.cells, [_grid_key(cells[0], 2)])
     assert tilde.solve(frozenset(), 2) == (Fraction(0), ())
     assert tilde.solve(frozenset(), Fraction(3, 2)) == (0.0, ())
     assert tilde.solve(frozenset(cells[:2]), 2) == (Fraction(1, 64), (0,))
     with pytest.raises(InputError):
         tilde.solve(frozenset(cells[:3]), 2)
+    # a key without one centre coordinate per axis and a side
+    for key in (_grid_key(cells[0], 2)[1:], _grid_key(cells[0] + (0,), 2)):
+        with pytest.raises(InputError, match="dimension"):
+            TildeContent(s, s.cells, [_grid_key(cells[1], 1), key])
 
 
 def test_prune_redundant_drops_contained_ball():
     s = make_cube(2, 4, Fraction(1, 4))
-    big = grid_ball(s, (0, 0), 4)
-    small = grid_ball(s, (1, 1), 1)
+    big = _grid_key((0, 0), 4)
+    small = _grid_key((1, 1), 1)
     tilde = TildeContent(s, s.cells, sorted((big, small)))
     kept = prune_redundant(tilde)
-    assert kept.q_balls == (big,)
+    assert kept.keys == (big,) and kept.q_balls == (grid_ball(s, (0, 0), 4),)
     assert kept.cells == tilde.cells and kept.masks == [tilde.bits.full]
     assert prune_redundant(kept) is kept
 
@@ -749,8 +760,8 @@ def _oracle_prune_redundant(space, balls, target):
 @st.composite
 def _prune_families(draw):
     """A voxel blob of at most 10 cells, a target that may hold unoccupied
-    cells, and overlapping grid balls with nested balls, value-equal
-    duplicates (distinct objects) and unit balls on the cells mixed in."""
+    cells, and the keys of overlapping grid balls with nested balls,
+    value-equal duplicates and unit balls on the cells mixed in."""
     n = draw(st.integers(1, 3))
     box = TILDE_BOX[n]
     coords = list(itertools.product(range(box), repeat=n))
@@ -759,27 +770,28 @@ def _prune_families(draw):
     target = cells | draw(st.sets(st.sampled_from(coords), max_size=1))
     anchor = st.tuples(*[st.integers(-2, box - 1)] * n)
     specs = draw(st.lists(st.tuples(anchor, st.integers(1, 4)), min_size=1, max_size=8))
-    balls = [grid_ball(space, a, k) for a, k in specs]
+    keys = [_grid_key(a, k) for a, k in specs]
     for a, k in draw(st.lists(st.sampled_from(specs), max_size=3)):
         if k > 1:  # a ball nested in one of the family's
-            balls.append(grid_ball(space, tuple(x + 1 for x in a), k - 1))
-    dups = draw(st.lists(st.sampled_from(balls), max_size=3))
-    balls += [Ball(b.center, b.radius) for b in dups]
+            keys.append(_grid_key(tuple(x + 1 for x in a), k - 1))
+    keys += draw(st.lists(st.sampled_from(keys), max_size=3))
     if draw(st.booleans()):
-        balls += [grid_ball(space, c, 1) for c in sorted(cells)]
-    return space, target, balls
+        keys += [_grid_key(c, 1) for c in sorted(cells)]
+    return space, target, keys
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_prune_families())
 def test_prune_redundant_matches_the_ball_keyed_oracle(family):
-    space, target, balls = family
-    want = _oracle_prune_redundant(space, balls, frozenset(target))
-    tilde = TildeContent(space, target, sorted(balls))
+    space, target, keys = family
+    # the oracle's balls are distinct objects, value-equal duplicates too
+    want = _oracle_prune_redundant(space, list(map(GridBalls(space.delta), keys)),
+                                   frozenset(target))
+    tilde = TildeContent(space, target, sorted(keys))
     got = prune_redundant(tilde)
     assert got.q_balls == want
     assert got.cells == tilde.cells
-    if len(want) == len(balls):
+    if len(want) == len(keys):
         assert got is tilde
     else:
         assert got is not tilde
@@ -1085,6 +1097,26 @@ def test_targets_outside_the_space_are_refused():
         verify_decomposition(s, outside, d)
 
 
+def test_verification_takes_none_for_every_cell():
+    from hcfill.decomposition import verify_decomposition
+
+    s = make_line(60, Fraction(1, 8))
+    d = decompose(s, None, 2, eps=1e-3, constants=small_scale(2))
+    report = verify_decomposition(s, None, d)
+    assert report["ok"] and report == verify_decomposition(s, s.cells, d)
+
+
+def test_verification_refuses_a_net():
+    from hcfill.decomposition import verify_decomposition
+
+    d = decompose(make_line(10), None, 2)
+    net = NetSpace("linf", ((0.0, 0.0), (1.0, 0.0)))
+    with pytest.raises(InputError, match="verify_decomposition needs the voxel model"):
+        verify_decomposition(net, None, d)
+    with pytest.raises(InputError, match="voxel model"):
+        verify_decomposition(net, {0, 1}, d)
+
+
 def test_fill_totals_recompute():
     s = make_line(40, Fraction(1, 8))
     cert = fill(s, None, 2, eps=1e-2, max_steps=1, constants=small_scale(2))
@@ -1124,7 +1156,8 @@ def test_verification_solves_without_the_pipeline_memo(monkeypatch):
 
 # Reports of decompose and fill, pinned as the first 16 hex digits of the
 # sha256 of their sorted-key JSON: several steps, balls and occupied slices,
-# float exponents at m = 3/2, and a decomposition over 30 Q balls.
+# float exponents at m = 3/2, a decomposition over 30 Q balls, and one at
+# delta 1/3 over 9 Q balls of two radii.
 PINNED_REPORTS = [
     (lambda: fill(make_line(60), None, 2, constants=small_scale(2, 3.0)),
      "e80d3f141408825f"),
@@ -1137,13 +1170,21 @@ PINNED_REPORTS = [
     (lambda: decompose(random_blob(4, 2, 30, 9, Fraction(1, 8)), None, Fraction(5, 2),
                        constants=small_scale(Fraction(5, 2), 4.0)),
      "478613555ffa668f"),
+    (lambda: decompose(random_blob(5, 3, 40, 6, Fraction(1, 3)), None, 2),
+     "607443f6d867bf8f"),
 ]
 
 
 @pytest.mark.parametrize("run, digest", PINNED_REPORTS)
 def test_decomposition_reports_pinned(run, digest):
-    text = json.dumps(run().to_dict(), sort_keys=True, default=fmt_scalar)
+    result = run()
+    text = json.dumps(result.to_dict(), sort_keys=True, default=fmt_scalar)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    # each report lists its Q as the balls of its keys do
+    decomps = [result] if isinstance(result, decomposition.Decomposition) else [
+        step.decomposition for step in result.sequence.steps]
+    for decomp in decomps:
+        assert decomp.to_dict()["q_balls"] == [b.to_dict() for b in decomp.q.balls]
 
 
 @pytest.mark.parametrize("run, digest", PINNED_REPORTS)
