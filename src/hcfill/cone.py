@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import InputError, VerificationError
 from .exact import TOL, Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators, power
@@ -160,7 +160,7 @@ def cone_cost(inputs, den: int, R: Scalar, m: Scalar, variant: str):
     else:
         input_cost = sum((r / den) ** float(exponent) for r, _, _ in runs)
     cost = _progression_cost(runs, p, q, den, variant == "improved")
-    factor = power(1 + 1 / mf, mf)
+    factor = _cone_factor(mf)
     lead = mf if variant == "standard" else 2
     bound = lead * factor * Rf * input_cost if not isinstance(factor, float) else \
         float(lead) * factor * float(Rf) * float(input_cost)
@@ -181,6 +181,13 @@ def cone_cost(inputs, den: int, R: Scalar, m: Scalar, variant: str):
                 {"input": i, "count": n_balls},
             )
     return input_cost, cost, bound, counts
+
+
+@lru_cache(maxsize=16)
+def _cone_factor(m: Fraction) -> Scalar:
+    """(1 + 1/m)^m, the factor of the cone covering's bound: exact at
+    integer m, else a float."""
+    return power(1 + 1 / m, m)
 
 
 def _ceil_div(a: int, b: int) -> int:

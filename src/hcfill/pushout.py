@@ -7,7 +7,23 @@ All face geometry is exact rational arithmetic: a face of the grid Q(R) is a
 per-coordinate list of either a fixed grid value or a free unit interval.
 Projections, point covers, the average-point search and the swept cones'
 costs (`cone.cone_cost`) work on integer numerators over one denominator
-(`exact.common_den`, `exact.numerators`).
+(`exact.common_den`, `exact.numerators`).  `skeleton_descend` converts each
+point once to an integer frame (numerators, den) and carries it across
+faces and levels: carrier faces come from integer floor division by R, and
+a face's centre, free bounds, sample options and containment test are
+integers over the face's denominator.  Fractions are built only for the
+report: the chosen points, the costs, the displacement and the final points.
+The sorted order of a face's sample options depends only on its free-axis
+count and the candidate count, so it is computed once (`_option_order`) and
+each face builds its options in that order, one at a time, up to the first
+it can stop at.
+
+Inputs are refused with InputError before any face work: a grid whose n is
+not an int >= 1 or whose R is not a finite positive number; an m, floor or
+coordinate that is not a finite int, Fraction or float (bools and strings
+included); a candidate count that is not an int >= 0; points of the wrong
+dimension; and, in `point_cover`, points of mixed dimensions or a negative
+exponent.
 """
 
 from __future__ import annotations
@@ -15,19 +31,56 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm, prod
+from functools import lru_cache
+from math import ceil, gcd, isfinite, lcm, prod
 
 from .cone import cone_cost
 from .content import DEFAULT_NODE_BUDGET, exact_content
 from .errors import InputError, PushoutPreconditionError, VerificationError
-from .exact import (Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators, power,
-                    root)
+from .exact import (Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators,
+                    power, root)
 from .space import Ball, VoxelSpace
 
 DEFAULT_CANDIDATES = 64
 # skeleton_descend's ceiling on a k-face's projection cost ratio is
 # RATIO_CEILING_BASE * 2^k
 RATIO_CEILING_BASE = 10.0
+
+
+def _number(x, what: str) -> Fraction:
+    """x as an exact Fraction: an int, a Fraction or a finite float; a bool,
+    any other type, NaN and an infinity are input errors."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, float)) \
+            or isinstance(x, float) and not isfinite(x):
+        raise InputError(f"{what} must be a finite number, got {x!r}")
+    return as_fraction(x)
+
+
+def _point(p) -> tuple:
+    return tuple(_number(c, "point coordinate") for c in p)
+
+
+def _frame(point) -> tuple:
+    """A rational point as its integer frame (numerators, den), den the lcm
+    of its coordinates' denominators."""
+    den = lcm(*(c.denominator for c in point))
+    return numerators(point, den), den
+
+
+def _rescale(frame, den: int) -> tuple:
+    """A frame's numerators over `den`, a multiple of its denominator."""
+    nums, d = frame
+    scale = den // d
+    return tuple(c * scale for c in nums)
+
+
+def _check_inputs(m, candidates, floor) -> tuple:
+    """(m, floor) as Fractions, once m, the candidate count and the floor
+    pass their checks."""
+    mf = _number(m, "m")
+    if isinstance(candidates, bool) or not isinstance(candidates, int) or candidates < 0:
+        raise InputError(f"candidate count must be a non-negative int, got {candidates!r}")
+    return mf, _number(floor, "floor")
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +92,9 @@ class CubicalGrid:
     R: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "R", as_fraction(self.R))
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+            raise InputError(f"grid dimension must be an int >= 1, got {self.n!r}")
+        object.__setattr__(self, "R", _number(self.R, "grid cell size"))
         if self.R <= 0:
             raise InputError("grid cell size must be positive")
 
@@ -53,6 +108,18 @@ class CubicalGrid:
             else:
                 coords.append(("free", q.numerator // q.denominator))
         return Face(self, tuple(coords))
+
+
+def _carrier(frame, R: Fraction) -> tuple:
+    """`carrier_face`'s coords for a point given as an integer frame: x / R
+    by integer floor division per coordinate, fixed where it is exact."""
+    nums, den = frame
+    unit = den * R.numerator
+    coords = []
+    for c in nums:
+        a, rest = divmod(c * R.denominator, unit)
+        coords.append(("free" if rest else "fixed", a))
+    return tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -150,15 +217,29 @@ def point_cover(points, exponent: Scalar, floor: Scalar = 0):
     radii drawn from the pairwise-distance set floored at `floor`.
 
     Returns (cost, balls).  With floor 0 and separated points the cost is 0:
-    a bare finite point set has vanishing content.
+    a bare finite point set has vanishing content.  Points of mixed
+    dimensions and a negative exponent are input errors.
     """
-    pts = sorted(tuple(as_fraction(c) for c in p) for p in points)
-    floor = as_fraction(floor)
-    den = common_den(itertools.chain(*pts), floor.denominator)
+    e = _number(exponent, "cover exponent")
+    if e < 0:
+        raise InputError(f"cover exponent must be >= 0, got {exponent!r}")
+    pts = sorted(_point(p) for p in points)
+    if len({len(p) for p in pts}) > 1:
+        raise InputError("points need one common dimension")
+    cost, den, chosen = _frame_cover([_frame(p) for p in pts], e, _number(floor, "floor"))
+    return cost, [Ball(pts[i], Fraction(r, den)) for i, r in chosen]
+
+
+def _frame_cover(frames, exponent: Fraction, floor: Fraction):
+    """`point_cover` on integer frames, without its balls: (cost, den,
+    chosen), with (index into the sorted points, radius numerator) per
+    chosen ball over den, the lcm of the frames' and the floor's
+    denominators."""
+    den = lcm(floor.denominator, *(d for _, d in frames))
     price, unit = _pricer(exponent)(den)
-    total, chosen = _greedy_cover([numerators(p, den) for p in pts],
-                                  numerators((floor,), den)[0], price)
-    return Fraction(total, unit), [Ball(pts[i], Fraction(r, den)) for i, r in chosen]
+    total, chosen = _greedy_cover(sorted(_rescale(f, den) for f in frames),
+                                  floor.numerator * (den // floor.denominator), price)
+    return Fraction(total, unit), den, chosen
 
 
 def _greedy_cover(pts: list, floor: int, price, limit=None):
@@ -238,65 +319,77 @@ def average_point(
     c0(k) * R^(m-1) (k = face dimension); raises PushoutPreconditionError
     otherwise.  Returns (p, ratio, before_cost, after_cost).
     """
-    return _average_point(face, points, m, candidates, c0, floor)[:4]
-
-
-def _average_point(face: Face, points, m: Scalar, candidates: int,
-                   c0: Scalar | None, floor: Scalar):
-    """`average_point`'s (p, ratio, before, after), then what the descent
-    reuses: the common denominator of the face's integer frame, p and the
-    balls of the points' own greedy cover as (centre, radius) numerators
-    over it, and per point in input order its radial projection from p and
-    the l_inf length of that move."""
-    pts = [tuple(as_fraction(c) for c in p) for p in points]
+    mf, floor = _check_inputs(m, candidates, floor)
+    frames = []
+    for x in points:
+        x = _point(x)
+        if len(x) != len(face.coords):
+            raise InputError("points need n coordinates")
+        frames.append(_frame(x))
     k = face.dim
     if k == 0:
         raise InputError("cannot project inside a vertex")
-    if as_fraction(m) < 1:
+    if mf < 1:
         raise InputError("average point needs m >= 1")
-    if candidates < 0:
-        raise InputError("candidate count must be non-negative")
-    exponent = as_fraction(m) - 1
+    c0 = Fraction(1, 4) ** k if c0 is None else _number(c0, "c0")
+    exponent = mf - 1
+    den, p, ratio, before, after, _, _ = _average_point(
+        face, frames, exponent, candidates, _cap(c0, face.grid.R, exponent), floor)
+    return tuple(Fraction(c, den) for c in p), ratio, Fraction(*before), Fraction(*after)
+
+
+def _cap(c0: Fraction, R: Fraction, exponent: Fraction) -> tuple:
+    """The precondition's cap c0 * R^exponent, and float(cap) + 1e-12, the
+    float that a face's own cover cost must not exceed."""
+    scale = power(R, exponent)
+    cap = float(c0) * scale if isinstance(scale, float) else c0 * scale
+    return cap, float(cap) + 1e-12
+
+
+def _average_point(face: Face, frames: list, exponent: Fraction, candidates: int,
+                   cap: tuple, floor: Fraction):
+    """`average_point` on checked inputs: the points as integer frames, the
+    cover exponent m - 1 and the precondition's `_cap`.  Returns (den, p,
+    ratio, before, after, balls, moves): p and the balls of the points' own
+    greedy cover as (centre, radius) numerators over den, the face's integer
+    frame; before and after as (total, unit), each cost total / unit; and
+    per point in input order its radial projection from p and the l_inf
+    length of that move, as frames."""
+    k = face.dim
     R = face.grid.R
-    # Options, points and floor as numerators over one denominator, the
-    # face's integer frame; every option is strictly interior (the samples
-    # sit in [1/10, 9/10) of each free axis), so only options equal to an
-    # input point are inadmissible.
-    floor = as_fraction(floor)
+    # Options, points, floor, centre and bounds as numerators over one
+    # denominator, the face's integer frame; every option is strictly
+    # interior (the samples sit in [1/10, 9/10) of each free axis), so only
+    # options equal to an input point are inadmissible.
     weyl_den = R.denominator * 10 * _WEYL_DEN
-    den = common_den(itertools.chain(*pts), floor.denominator, weyl_den)
-    floor_num, step = numerators((floor, R / (10 * _WEYL_DEN)), den)
-    xs = [numerators(x, den) for x in pts]
+    den = lcm(floor.denominator, weyl_den, *(d for _, d in frames))
+    floor_num = floor.numerator * (den // floor.denominator)
+    step = R.numerator * (den // weyl_den)  # R / (10 * _WEYL_DEN)
+    xs = [_rescale(f, den) for f in frames]
     costs = _pricer(exponent)
     price, unit = costs(den)
     own = sorted(xs)
     total, chosen = _greedy_cover(own, floor_num, price)
-    before = Fraction(total, unit)
-    c0 = as_fraction(c0) if c0 is not None else Fraction(1, 4) ** k
-    cap = c0 * power(R, exponent) if not isinstance(power(R, exponent), float) \
-        else float(c0) * power(R, exponent)
-    if float(before) > float(cap) + 1e-12:
+    own_cost = (total, unit)
+    before = float(total / unit)
+    if before > cap[1]:
         raise PushoutPreconditionError(
             "face content too large for a safe pushout",
-            {"face_dim": k, "content": fmt_scalar(before), "cap": fmt_scalar(cap)},
+            {"face_dim": k, "content": fmt_scalar(Fraction(*own_cost)),
+             "cap": fmt_scalar(cap[0])},
         )
 
     free = _free_bounds(face, den)
-    centre = numerators(face.center(), den)
-    options = [centre]
-    # deterministic low-discrepancy interior sample (Weyl sequence per axis):
-    # lo + R * (1/10 + 8/10 * frac / _WEYL_DEN)
-    for j in range(1, candidates + 1):
-        coord = list(centre)
-        for ai, (axis, lo, _) in enumerate(free):
-            frac_part = (j * _WEYL[ai % len(_WEYL)]) % _WEYL_DEN
-            coord[axis] = lo + step * (_WEYL_DEN + 8 * frac_part)
-        options.append(tuple(coord))
+    side = R.numerator * (den // R.denominator)  # R
+    bounds = [(side * a, side * (a + 1) if kind == "free" else side * a)
+              for kind, a in face.coords]
     taken = set(xs)
-    options = sorted(p for p in options if p not in taken)
-    if not options:
+    options = (p for p in _options([lo for lo, _ in bounds], free, step, candidates)
+               if p not in taken)
+    first = next(options, None)
+    if first is None:
         raise InputError("no admissible projection point found")
-    if not all(face.contains(x) for x in pts):
+    if not all(lo <= c <= hi for x in xs for (lo, hi), c in zip(bounds, x)):
         raise InputError("point to project must lie in the face")
 
     # The least (cost, option) wins, so the options go in increasing order
@@ -309,7 +402,7 @@ def _average_point(face: Face, points, m: Scalar, candidates: int,
     least = (floor_num ** int(exponent), den ** int(exponent)) \
         if is_integral(exponent) and xs else None
     best = None  # (total, unit, option, projections)
-    for p in options:
+    for p in itertools.chain((first,), options):
         hits = [_project(free, p, x) for x in xs]
         scale = lcm(*(s for _, s in hits))
         projected = sorted(tuple(c * (scale // s) for c in y) for y, s in hits)
@@ -320,17 +413,45 @@ def _average_point(face: Face, points, m: Scalar, candidates: int,
             best = (cover[0], unit, p, hits)
             if least is not None and best[0] * least[1] == least[0] * best[1]:
                 break
-    total, unit, p, hits = best
-    after = Fraction(total, unit)
-    moves = [(tuple(Fraction(c, den * s) for c in y),
-              Fraction(max(abs(c - xc * s) for c, xc in zip(y, x)), den * s))
+    after_total, after_unit, p, hits = best
+    after = float(after_total / after_unit)
+    ratio = after / before if before > 0 else (0.0 if after == 0 else float("inf"))
+    moves = [(_reduced(y, den * s), (max(abs(c - xc * s) for c, xc in zip(y, x)), den * s))
              for (y, s), x in zip(hits, xs)]
-    ratio = float(after) / float(before) if float(before) > 0 else (
-        0.0 if float(after) == 0 else float("inf")
-    )
     balls = [(own[i], r) for i, r in chosen]
-    return (tuple(Fraction(c, den) for c in p), ratio, before, after,
-            (den, p, balls), moves)
+    return den, p, ratio, own_cost, (after_total, after_unit), balls, moves
+
+
+def _reduced(nums: tuple, den: int) -> tuple:
+    """The frame (nums, den) in lowest terms."""
+    g = gcd(den, *nums)
+    return (tuple(c // g for c in nums), den // g) if g > 1 else (nums, den)
+
+
+def _options(base: list, free: list, step: int, candidates: int):
+    """A face's sample options in increasing order, built one at a time:
+    `base` with each free axis (axis, lo, hi) set to lo + step * (_WEYL_DEN
+    + 8 f), over the `_option_order` vectors f."""
+    for fs in _option_order(len(free), candidates):
+        coord = list(base)
+        for (axis, lo, _), f in zip(free, fs):
+            coord[axis] = lo + step * (_WEYL_DEN + 8 * f)
+        yield tuple(coord)
+
+
+@lru_cache(maxsize=64)
+def _option_order(axes: int, candidates: int) -> tuple:
+    """The Weyl fractions f of a face's sample options, one per free axis,
+    in the options' increasing order.  An option's free coordinate is
+    lo + R * (1/10 + 8/10 * f / _WEYL_DEN): the centre has f = _WEYL_DEN / 2
+    on every axis, and sample j = 1 .. candidates has f = j * _WEYL[axis]
+    mod _WEYL_DEN (a deterministic low-discrepancy Weyl sequence per axis).
+    The options of a face share their fixed coordinates and their free ones
+    rise with f, so they sort as these vectors do: the order depends only on
+    the free-axis count and the candidate count."""
+    samples = [tuple(j * _WEYL[ai % len(_WEYL)] % _WEYL_DEN for ai in range(axes))
+               for j in range(1, candidates + 1)]
+    return tuple(sorted([(_WEYL_DEN // 2,) * axes, *samples]))
 
 
 _WEYL = (26861, 15823, 7559, 20011, 11213, 30011, 17389)
@@ -402,50 +523,58 @@ def skeleton_descend(
     each face projection is covered explicitly and its m-cost accumulated.
     On a k-dimensional face the projection point is `average_point`'s at its
     default c0(k) = 4^-k, and a projection cost ratio above
-    RATIO_CEILING_BASE * 2^k = 10 * 2^k raises VerificationError.
+    RATIO_CEILING_BASE * 2^k = 10 * 2^k raises VerificationError.  Points
+    stay integer frames from their conversion to their final Fractions; the
+    final checks take carrier faces again, from those Fractions.
     """
-    m_ceil = ceil(float(m))
-    target_dim = m_ceil - 2
+    mf, floor = _check_inputs(m, candidates, floor)
+    target_dim = ceil(mf) - 2
     if target_dim < 0:
         raise InputError("descent target skeleton has negative dimension")
-    current = [tuple(as_fraction(c) for c in p) for p in points]
-    if any(len(p) != grid.n for p in current):
+    initial = tuple(_point(p) for p in points)
+    if any(len(p) != grid.n for p in initial):
         raise InputError("points need n coordinates")
-    displacement = [Fraction(0)] * len(current)
-    initial = tuple(current)
+    start = [_frame(p) for p in initial]
+    current = list(start)
+    displacement = [(0, 1)] * len(current)  # per point, as a frame
     levels = []
     trace_content = Fraction(0)
-    exponent = as_fraction(m) - 1
-    before_total, _ = point_cover(current, exponent, floor)
+    exponent = mf - 1
+    before_total = _frame_cover(current, exponent, floor)[0]
 
-    for k in range(grid.n, m_ceil - 2, -1):
+    for k in range(grid.n, target_dim, -1):
         by_face: dict = {}
-        for idx, pt in enumerate(current):
-            face = grid.carrier_face(pt)
-            if face.dim == k:
-                by_face.setdefault(face, []).append(idx)
+        for idx, frame in enumerate(current):
+            coords = _carrier(frame, grid.R)
+            if sum(kind == "free" for kind, _ in coords) == k:
+                by_face.setdefault(coords, []).append(idx)
+        cap = _cap(Fraction(1, 4) ** k, grid.R, exponent)
+        limit = RATIO_CEILING_BASE * 2.0**k
         steps = []
-        for face in sorted(by_face, key=lambda f: f.coords):
-            idxs = by_face[face]
-            p, ratio, _, _, frame, moves = _average_point(
-                face, [current[i] for i in idxs], m, candidates, None, floor)
-            limit = RATIO_CEILING_BASE * 2.0**k
+        for coords in sorted(by_face):
+            idxs = by_face[coords]
+            face = Face(grid, coords)
+            den, p, ratio, _, _, balls, moves = _average_point(
+                face, [current[i] for i in idxs], exponent, candidates, cap, floor)
             if ratio > limit:
                 raise VerificationError(
                     "projection cost ratio above its ceiling",
                     {"face_dim": k, "ratio": ratio, "ceiling": limit},
                 )
-            cost = _swept_cone_cost(frame, m)
+            cost = _swept_cone_cost(den, p, balls, mf)
             trace_content += as_fraction(cost)
-            for i, (new, moved) in zip(idxs, moves):
-                displacement[i] += moved
+            for i, (new, (moved, d)) in zip(idxs, moves):
+                total, total_den = displacement[i]
+                displacement[i] = (total * d + moved * total_den, total_den * d)
                 current[i] = new
-            steps.append(FaceStep(face, p, ratio, cost, len(idxs)))
+            steps.append(FaceStep(face, tuple(Fraction(c, den) for c in p), ratio, cost,
+                                  len(idxs)))
         levels.append((k, tuple(steps)))
 
-    final = tuple(current)
-    max_disp = max(displacement) if displacement else Fraction(0)
-    level_count = grid.n - (m_ceil - 1) + 1
+    final = tuple(x if now is was else tuple(Fraction(c, now[1]) for c in now[0])
+                  for x, now, was in zip(initial, current, start))
+    max_disp = max((Fraction(*d) for d in displacement), default=Fraction(0))
+    level_count = grid.n - target_dim
     checks = {
         "final_in_skeleton": all(
             grid.carrier_face(pt).dim <= target_dim for pt in final
@@ -473,17 +602,16 @@ def skeleton_descend(
     )
 
 
-def _swept_cone_cost(frame, m):
+def _swept_cone_cost(den: int, p: tuple, balls: list, m: Fraction):
     """m-cost certificate for the cone swept between the points and their
     projections: `cone_cost` of the improved cone covering from the chosen
-    point p over the points' own greedy cover, with `frame` = (den, p,
-    balls) as `_average_point` returns it and R the cover's largest reach
+    point p over the points' own greedy cover, with den, p and the balls as
+    `_average_point` returns them and R the cover's largest reach
     d(centre, p) + radius.
 
     Zero-radius cover balls correspond to bare points whose sweep is a
     segment, of zero m-cost for m > 1; only positive radii get coned.
     """
-    den, p, balls = frame
     inputs = [(r, max(abs(x - c) for x, c in zip(centre, p))) for centre, r in balls if r > 0]
     if not inputs:
         return Fraction(0)

@@ -231,6 +231,18 @@ def test_pushout_rejects_wrong_point_dimension(capsys, tmp_path, points):
     assert "points need n coordinates" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_pushout_rejects_a_grid_dimension_below_one(capsys, tmp_path, n):
+    """An empty point set on a grid of dimension 0 or -1 is an input
+    error, not a descent run with a negative displacement bound."""
+    pts = tmp_path / "pts.json"
+    pts.write_text("[]")
+    code, out, err = run_cli(capsys, "pushout", "--points", str(pts), "--grid-R",
+                             "1", "--m", "2", "--n", n)
+    assert (code, out) == (1, "")
+    assert "grid dimension must be an int >= 1" in err
+
+
 @pytest.mark.parametrize("points", [[["a", 0]], {"x": 1}, [5], ["12"], [["1/0", 0]]])
 def test_pushout_rejects_malformed_points(capsys, tmp_path, points):
     pts = tmp_path / "pts.json"

@@ -300,3 +300,79 @@ def _prod(vals):
     for v in vals:
         out *= v
     return out
+
+
+@pytest.mark.parametrize("n,R", [
+    (True, 1), (2.5, 1), ("2", 1), (0, 1), (-1, 1),
+    (2, float("inf")), (2, float("nan")), (2, "1"), (2, True),
+])
+def test_grid_refuses_bad_dimension_and_cell_size(n, R):
+    with pytest.raises(InputError, match="grid (dimension|cell size)"):
+        CubicalGrid(n, R)
+
+
+_FACE = CubicalGrid(2, Fraction(1)).carrier_face((Fraction(3, 4), Fraction(1, 2)))
+_PTS = [(Fraction(1, 3), Fraction(1, 3))]
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"m": float("nan")}, "m must be a finite number"),
+    ({"m": float("inf")}, "m must be a finite number"),
+    ({"m": "2"}, "m must be a finite number"),
+    ({"m": True}, "m must be a finite number"),
+    ({"candidates": 2.5}, "candidate count"),
+    ({"candidates": True}, "candidate count"),
+    ({"floor": float("nan")}, "floor must be a finite number"),
+    ({"floor": float("-inf")}, "floor must be a finite number"),
+    ({"points": [(float("inf"), Fraction(1, 3))]}, "point coordinate"),
+    ({"points": [(Fraction(1, 3), float("nan"))]}, "point coordinate"),
+    ({"points": [(Fraction(1, 3),)]}, "points need n coordinates"),
+])
+def test_descent_and_average_point_refuse_bad_inputs(kwargs, match):
+    """Each bad input is an InputError before any face work, in both the
+    descent and the per-face search."""
+    args = {"points": _PTS, "m": 2, "candidates": 4, "floor": Fraction(1, 256), **kwargs}
+    with pytest.raises(InputError, match=match):
+        average_point(_FACE, args["points"], args["m"], args["candidates"],
+                      floor=args["floor"])
+    if kwargs.get("points") == [(Fraction(1, 3),)]:
+        return  # the descent's dimension check is test_descend_rejects_wrong_point_dimension
+    with pytest.raises(InputError, match=match):
+        skeleton_descend(args["points"], UNIT, args["m"], args["candidates"],
+                         floor=args["floor"])
+
+
+@pytest.mark.parametrize("points,exponent,match", [
+    ([(Fraction(1, 3), Fraction(1, 5)), (Fraction(0),)], 1, "one common dimension"),
+    ([(Fraction(0),), (Fraction(1, 2), Fraction(1, 2))], 2, "one common dimension"),
+    ([(Fraction(1, 3), Fraction(1, 5))], -1, "exponent must be >= 0"),
+    ([(Fraction(1, 3),), (Fraction(1, 2),)], Fraction(-1, 2), "exponent must be >= 0"),
+    ([(Fraction(1, 3),)], float("nan"), "exponent must be a finite number"),
+])
+def test_point_cover_refuses_mixed_dimensions_and_negative_exponents(points, exponent, match):
+    with pytest.raises(InputError, match=match):
+        point_cover(points, exponent, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("axes", [1, 2, 3, 4])
+@pytest.mark.parametrize("candidates", [0, 1, 16, 64])
+def test_cached_option_order_is_the_eager_sort(axes, candidates):
+    """The options built lazily in the cached order are the face's centre
+    and Weyl samples, built as Fractions and sorted."""
+    grid = CubicalGrid(axes + 1, Fraction(2, 3))
+    face = pushout.Face(grid, (("free", -1), ("fixed", 2), *(("free", a) for a in range(axes - 1))))
+    eager = [face.center()]
+    free_axes = [i for i, (kind, _) in enumerate(face.coords) if kind == "free"]
+    bounds = face.bounds()
+    for j in range(1, candidates + 1):
+        coord = list(face.center())
+        for ai, axis in enumerate(free_axes):
+            lo, hi = bounds[axis]
+            f = (j * pushout._WEYL[ai % len(pushout._WEYL)]) % pushout._WEYL_DEN
+            coord[axis] = lo + (hi - lo) * (Fraction(1, 10) + Fraction(8, 10) * Fraction(f, pushout._WEYL_DEN))
+        eager.append(tuple(coord))
+    den = grid.R.denominator * 10 * pushout._WEYL_DEN
+    step = grid.R.numerator * (den // (10 * pushout._WEYL_DEN * grid.R.denominator))
+    base = [grid.R.numerator * (den // grid.R.denominator) * a for _, a in face.coords]
+    lazy = pushout._options(base, pushout._free_bounds(face, den), step, candidates)
+    assert [tuple(Fraction(c, den) for c in p) for p in lazy] == sorted(eager)

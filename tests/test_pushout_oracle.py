@@ -229,8 +229,8 @@ def oracle_skeleton_descend(points, grid, m, candidates=DEFAULT_CANDIDATES, floo
     )
 
 
-def oracle_swept_cone_cost(p, pts, m, exponent, floor):
-    _, balls = point_cover(pts, exponent, floor)
+def oracle_swept_cone_cost(p, pts, m, exponent, floor, cover=point_cover):
+    _, balls = cover(pts, exponent, floor)
     balls = [b for b in balls if b.radius > 0]
     if not balls:
         return Fraction(0)
@@ -240,6 +240,70 @@ def oracle_swept_cone_cost(p, pts, m, exponent, floor):
     cover = Covering(tuple(balls), frozenset(range(len(balls))), exponent)
     cert = cone_covering(cover, p, reach, m, "improved")
     return cert.cost
+
+
+def fraction_skeleton_descend(points, grid, m, candidates=DEFAULT_CANDIDATES, floor=0):
+    """The descent in Fractions throughout: carrier faces from
+    `grid.carrier_face`, and per face `oracle_average_point`,
+    `oracle_radial_project` per point and the swept cone over
+    `oracle_point_cover`'s balls."""
+    m_ceil = ceil(float(m))
+    target_dim = m_ceil - 2
+    current = [tuple(as_fraction(c) for c in p) for p in points]
+    initial = tuple(current)
+    displacement = [Fraction(0)] * len(current)
+    levels = []
+    trace_content = Fraction(0)
+    exponent = as_fraction(m) - 1
+    before_total, _ = oracle_point_cover(current, exponent, floor)
+    for k in range(grid.n, m_ceil - 2, -1):
+        by_face: dict = {}
+        for idx, pt in enumerate(current):
+            face = grid.carrier_face(pt)
+            if face.dim == k:
+                by_face.setdefault(face, []).append(idx)
+        steps = []
+        for face in sorted(by_face, key=lambda f: f.coords):
+            pts = [current[i] for i in by_face[face]]
+            p, ratio, _, _ = oracle_average_point(face, pts, m, candidates, floor=floor)
+            limit = RATIO_CEILING_BASE * 2.0**k
+            if ratio > limit:
+                raise VerificationError(
+                    "projection cost ratio above its ceiling",
+                    {"face_dim": k, "ratio": ratio, "ceiling": limit},
+                )
+            cone_cost = oracle_swept_cone_cost(p, pts, m, exponent, floor, oracle_point_cover)
+            trace_content += as_fraction(cone_cost)
+            for i in by_face[face]:
+                new = oracle_radial_project(face, p, current[i])
+                displacement[i] += as_fraction(linf(new, current[i]))
+                current[i] = new
+            steps.append(FaceStep(face, p, ratio, cone_cost, len(pts)))
+        levels.append((k, tuple(steps)))
+    final = tuple(current)
+    max_disp = max(displacement) if displacement else Fraction(0)
+    level_count = grid.n - (m_ceil - 1) + 1
+    checks = {
+        "final_in_skeleton": all(grid.carrier_face(pt).dim <= target_dim for pt in final),
+        "boundary_points_fixed": all(
+            initial[i] == final[i] for i in range(len(initial))
+            if grid.carrier_face(initial[i]).dim <= target_dim
+        ),
+        "displacement_bound": fmt_scalar(level_count * grid.R),
+        "displacement_ok": max_disp <= level_count * grid.R,
+        "trace_vs_input": {
+            "trace_content": fmt_scalar(trace_content),
+            "input_content": fmt_scalar(before_total),
+            "measured_const": (
+                float(trace_content) / (float(grid.R) * float(before_total))
+                if float(before_total) > 0 else 0.0
+            ),
+        },
+    }
+    if not checks["final_in_skeleton"] or not checks["displacement_ok"]:
+        raise VerificationError("skeleton descent violated its trace conditions", checks)
+    return DeformationTrace(grid, m, initial, final, tuple(levels), max_disp,
+                            trace_content, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +437,30 @@ def test_skeleton_descend_matches_the_per_face_descent(case):
                           floor=floor)
     assert got == descent_outcome(oracle_skeleton_descend, pts, grid, m,
                                   candidates=candidates, floor=floor)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(descents())
+@example(([(Fraction(1, 8), Fraction(3, 16)), (Fraction(5, 16), Fraction(1, 4)),
+           (Fraction(1, 2), Fraction(5, 8)), (Fraction(3, 4), Fraction(1, 8)),
+           (Fraction(7, 8), Fraction(13, 16)), (Fraction(3, 8), Fraction(15, 16))],
+          CubicalGrid(2, Fraction(1)), 2, 16, Fraction(1, 256)))  # multi-point faces
+def test_skeleton_descend_matches_the_fraction_descent(case):
+    """The descent on integer frames gives the report and the final points
+    of the descent done in Fractions throughout."""
+    pts, grid, m, candidates, floor = case
+
+    def run(descend):
+        try:
+            trace = descend(pts, grid, m, candidates, floor)
+        except (InputError, VerificationError) as exc:
+            return (type(exc).__name__, str(exc), getattr(exc, "report", None))
+        return ("ok", trace.to_dict(), trace.final, trace.max_displacement)
+
+    got = run(skeleton_descend)
+    assert got == run(fraction_skeleton_descend)
+    if got[0] == "ok":
+        assert all(type(c) is Fraction for p in got[2] for c in p)
 
 
 # ---------------------------------------------------------------------------
