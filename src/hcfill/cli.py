@@ -212,7 +212,7 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
 def _cmd_decompose(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
     m = _parse_m(args.m)
-    eps = float(_parse_number(args.eps, "--eps")) if args.eps is not None else None
+    eps = _parse_number(args.eps, "--eps") if args.eps is not None else None
     result = decompose(space, None, m, eps, node_budget=cfg.node_budget)
     _emit({"command": "decompose", "decomposition": result.to_dict()}, args.out)
     return 0
@@ -221,7 +221,7 @@ def _cmd_decompose(args, cfg: RunConfig) -> int:
 def _cmd_fill(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
     m = _parse_m(args.m)
-    eps = float(_parse_number(args.eps, "--eps")) if args.eps is not None else None
+    eps = _parse_number(args.eps, "--eps") if args.eps is not None else None
     cert = fill(
         space, None, m, eps, cfg.step_cap,
         node_budget=cfg.node_budget, pushout_candidates=cfg.pushout_candidates,

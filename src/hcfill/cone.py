@@ -11,25 +11,26 @@ the constant to 2*(1+1/m)^m.  Along one segment the radii form the
 progression a, a, a-b, a-2b, ... with a = (1+1/m) r_i and b = r_i^2/(m d_i)
 (d_i = d(q_i, p)), so the certificate's cost comes from that progression:
 at integer m a closed-form integer sum of m-th powers over one common
-denominator, the same Fraction as summing the balls' costs.  Radii,
-centres, apex and R share one denominator too (`exact.common_den` and
-`exact.numerators`), so containment, ball counts and per-input caps are
-integer tests; `cone_cost` does all of that on integer inputs, and
-`cone_covering` is its adapter from Fractions.  The certificate keeps that
+denominator, the same Fraction as summing the balls' costs, and the bound
+is decided against it by cross-multiplying integers.  Radii, centres, apex
+and R share one denominator too, the lcm of their denominators, so
+containment, ball counts and per-input caps are integer tests; `cone_cost`
+does all of that on integer inputs, and `cone_covering` is its adapter: it
+reads the input balls through their covering maker's `frame`, straight
+off the integers of `GridBalls` half-cell keys.  The certificate keeps that
 integer frame and builds its balls, with per-ball provenance, from it on
 first access; `cone_coverage_check` proves exactly that they cover the cone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import InputError, VerificationError
-from .exact import TOL, Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators, power
+from .exact import TOL, Scalar, as_fraction, fmt_scalar, numerators, power
 from .space import Ball, Covering, VoxelSpace, linf
 
 
@@ -102,7 +103,9 @@ def cone_covering(
     The input covering carries dimension m-1 costs; the output covers the
     cone at dimension m.  Every input ball must satisfy d(q_i, apex) + r_i
     <= R; every input radius must be positive.  Emitted centers lie on the
-    segments from the input centers to the apex.
+    segments from the input centers to the apex.  The input balls enter the
+    integer frame through their maker's `frame`, so a covering keyed on
+    `GridBalls` half-cell integers builds no `Ball` and no Fraction per ball.
     """
     if variant not in ("standard", "improved"):
         raise InputError(f"unknown cone variant {variant!r}")
@@ -110,13 +113,10 @@ def cone_covering(
         raise InputError("cone covering needs m >= 1")
     apex = tuple(as_fraction(x) for x in apex)
     Rf = as_fraction(R)
-    radii = [as_fraction(b.radius) for b in input_cover.balls]
-    centers = [tuple(as_fraction(x) for x in b.center) for b in input_cover.balls]
-
     # Radii, centres, apex and R as integer numerators over one denominator.
-    den = common_den(itertools.chain(apex, radii, *centers), Rf.denominator)
+    den, centre_nums, radii_num = input_cover.make.frame(
+        input_cover.keys, Rf.denominator, *(x.denominator for x in apex))
     apex_num = numerators(apex, den)
-    radii_num, centre_nums = numerators(radii, den), [numerators(c, den) for c in centers]
 
     def inputs():  # lazily: each ball's dimension, then (in cone_cost) radius and reach
         for center, r in zip(centre_nums, radii_num):
@@ -127,7 +127,7 @@ def cone_covering(
     input_cost, cost, bound, counts = cone_cost(inputs(), den, R, m, variant)
     return ConeCertificate(
         apex, Rf, m, variant, input_cost, cost, bound, counts,
-        (den, apex_num, tuple(centre_nums), radii_num),
+        (den, apex_num, centre_nums, radii_num),
     )
 
 
@@ -137,10 +137,14 @@ def cone_cost(inputs, den: int, R: Scalar, m: Scalar, variant: str):
     numerators over `den`, and `den` is a multiple of R's denominator.
     Returns (input_cost, cost, bound, per-input ball counts), with every
     check of `cone_covering` but the apex's dimension: positive radii,
-    d + r <= R, the cost within its bound and the per-input caps."""
+    d + r <= R, the cost within its bound and the per-input caps.  At
+    integer m = p the bound `lead (1+1/m)^m R input_cost` is the integer
+    `lead (p+1)^p R S` over `(p den)^p`, S the inputs' sum of r^(p-1), so
+    `cost > bound` is decided by cross-multiplying integers, and the input
+    cost, the cost and the bound are one Fraction each."""
     mf = as_fraction(m)
     Rf = as_fraction(R)
-    (R_num,) = numerators((Rf,), den)
+    R_num = Rf.numerator * (den // Rf.denominator)
     p, q = mf.numerator, mf.denominator
     runs = []  # per input: (radius, distance to the apex, ball count)
     for i, (r, d) in enumerate(inputs):
@@ -153,22 +157,21 @@ def cone_cost(inputs, den: int, R: Scalar, m: Scalar, variant: str):
         runs.append((r, d, max(1, _ceil_div(p * d, q * r))))  # ceil(m d / r)
     counts = tuple(n for _, _, n in runs)
 
-    exponent = mf - 1
-    if is_integral(mf):
-        input_cost = Fraction(sum(r ** int(exponent) for r, _, _ in runs),
-                              den ** int(exponent)) if runs else 0
-    else:
-        input_cost = sum((r / den) ** float(exponent) for r, _, _ in runs)
     cost = _progression_cost(runs, p, q, den, variant == "improved")
-    factor = _cone_factor(mf)
-    lead = mf if variant == "standard" else 2
-    bound = lead * factor * Rf * input_cost if not isinstance(factor, float) else \
-        float(lead) * factor * float(Rf) * float(input_cost)
-
-    if isinstance(cost, Fraction) and isinstance(bound, Fraction):
-        violated = cost > bound
+    if q == 1:
+        S = sum(r ** (p - 1) for r, _, _ in runs)
+        input_cost = Fraction(S, den ** (p - 1)) if runs else 0
+        # lead m or 2, (1+1/m)^m = (p+1)^p / p^p, R = R_num / den
+        over = (p if variant == "standard" else 2) * (p + 1) ** p * R_num * S
+        under = (p * den) ** p
+        bound = Fraction(over, under)
+        violated = cost.numerator * under > over * cost.denominator
     else:
-        violated = float(cost) > float(bound) + TOL * max(1.0, abs(float(bound)))
+        exponent = (p - q) / q
+        input_cost = sum((r / den) ** exponent for r, _, _ in runs)
+        bound = (float(mf) if variant == "standard" else 2.0) * _cone_factor(mf) \
+            * float(Rf) * float(input_cost)
+        violated = float(cost) > bound + TOL * max(1.0, abs(bound))
     if violated:
         raise VerificationError(
             "cone covering exceeded its certified bound",
@@ -184,9 +187,9 @@ def cone_cost(inputs, den: int, R: Scalar, m: Scalar, variant: str):
 
 
 @lru_cache(maxsize=16)
-def _cone_factor(m: Fraction) -> Scalar:
-    """(1 + 1/m)^m, the factor of the cone covering's bound: exact at
-    integer m, else a float."""
+def _cone_factor(m: Fraction) -> float:
+    """(1 + 1/m)^m, the factor of the cone covering's bound at non-integer
+    m, a float."""
     return power(1 + 1 / m, m)
 
 
@@ -223,18 +226,24 @@ def _progression_cost(runs, p: int, q: int, den: int, improved: bool) -> Scalar:
 
 
 def _power_sum(top: int, drop: int, count: int, k: int) -> int:
-    """sum of (top - j drop)^k over j = 0 .. count-1, in O(k^2) integer
-    steps: the binomial expansion of each term over the power sums
-    S_i = sum of j^i, which follow from count^(i+1) = sum over t <= i of
-    C(i+1, t) S_t."""
+    """sum of (top - j drop)^k over j = 0 .. count-1: the binomial expansion
+    of each term over the power sums `_index_sums(count, k)`."""
     if not drop:
         return count * top ** k
+    return sum(math.comb(k, i) * top ** (k - i) * (-drop) ** i * s
+               for i, s in enumerate(_index_sums(count, k)))
+
+
+@lru_cache(maxsize=256)
+def _index_sums(count: int, k: int) -> tuple:
+    """S_i = sum of j^i over j = 0 .. count-1 for i = 0 .. k, in O(k^2)
+    integer steps from count^(i+1) = sum over t <= i of C(i+1, t) S_t, once
+    per (count, k)."""
     sums = []
     for i in range(k + 1):
         rest = sum(math.comb(i + 1, t) * s for t, s in enumerate(sums))
         sums.append((count ** (i + 1) - rest) // (i + 1))
-    return sum(math.comb(k, i) * top ** (k - i) * (-drop) ** i * s
-               for i, s in enumerate(sums))
+    return tuple(sums)
 
 
 def cone_coverage_check(cert: ConeCertificate, input_cover: Covering) -> dict:

@@ -21,13 +21,20 @@ The machinery, at exponent m > 1, over a voxel set Y:
 
 One `TildeContent` per decomposition is its cell context: pruning Q, radial
 orders, annulus slices, ball-member masks and relative solves all run on its
-cells, and each selected ball carries its cells to the checks and the step.
-Q and the witnesses a step reads stay `space.GridBalls` half-cell keys, so
-`decompose` builds no `Ball` and a step only its cones' input balls.
+cells, and each selected ball carries its cells and its Q key to the checks
+and the step.  Every point the pipeline moves or measures lies on the
+half-cell lattice and is carried as the integers h of delta/2 * h: a Q
+centre is its key's h and cell c's centre is 2c + 1.  Q and the witnesses a
+step reads stay `space.GridBalls` half-cell keys, and the cones read them
+into their integer frames, so `fill` builds no `Ball`; Fractions are built
+only for reported fields and for `theta` and `carriers` when read.
 Distances from a point to cell centres are the keys of its
-`space.PointKeys`.  Every upper-bound inequality is an `InequalityCheck.le`,
-and each carrier of `improvement_sequence` is one point moved by the step
-maps.
+`space.PointKeys`, read off h for a Q centre.  Every upper-bound inequality
+is an `InequalityCheck.le`, and each carrier of `improvement_sequence` is
+one point moved by the step maps.  The pipeline's entry points refuse, with
+`InputError` and before any solve, an m that is not a finite number above
+1, an eps that is not a number >= 0 and finite as a float, and a step or
+pushout candidate count that is not an int >= 0.
 """
 
 from __future__ import annotations
@@ -38,15 +45,16 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coarea import DistanceToPoint, best_slice, slice_profile, slice_sweep
 from .content import DEFAULT_NODE_BUDGET, _branch_and_bound, _Candidate, _RatioBound, exact_content
 from .cone import ConeCertificate, cone_covering
 from .errors import DecompositionViolation, InputError, VerificationError
-from .exact import (TOL, Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators,
-                    power, root)
+from .exact import (TOL, InequalityCheck, Scalar, as_fraction, common_den, finite_number,
+                    fmt_scalar, is_integral, nonneg_float, nonneg_int, numerators, power,
+                    root)
 from .pushout import DEFAULT_CANDIDATES, CubicalGrid, grid_R_for_content, skeleton_descend
 from .space import (
     Ball,
@@ -57,9 +65,11 @@ from .space import (
     VoxelSpace,
     ball_members,
     linf,
+    vitali_select,
 )
 
 _TWELVE = 12
+_ZERO = Fraction(0)
 # relative widening of `critical_radius`'s content ceiling, far above the
 # last-ulp error of a float root
 _CEILING_MARGIN = 1 + 1e-9
@@ -70,6 +80,15 @@ def _voxel_target(space, target, caller: str) -> frozenset:
     if not isinstance(space, VoxelSpace):
         raise InputError(f"{caller} needs the voxel model")
     return frozenset(target) if target is not None else frozenset(space.cells)
+
+
+def _pipeline_args(m, eps, what: str) -> tuple:
+    """(m as a Fraction, eps as the float the checks add, None kept), once
+    m is a finite number above 1 and eps a number >= 0, finite as a float."""
+    mq = finite_number(m, "m")
+    if mq <= 1:
+        raise InputError(f"{what} needs m > 1")
+    return mq, eps if eps is None else nonneg_float(eps, "eps")
 
 
 # The `exact_content` memo of one top-level pipeline call.  `decompose`,
@@ -122,7 +141,7 @@ class Constants:
 
     @classmethod
     def for_exponent(cls, m: Scalar) -> "Constants":
-        mq = as_fraction(m)
+        mq = finite_number(m, "m")
         mf = float(mq)
         if mf <= 1:
             raise InputError("constants need m > 1 (the 4^(1/(m-1)) term)")
@@ -187,12 +206,14 @@ class TildeContent:
         `_RatioBound` over their whole masks in that order."""
         hit = self._pricings.get(exponent)
         if hit is None:
-            costs = [power(self.make.radius(key), exponent) for key in self.keys]
+            sides = sorted({key[-1] for key in self.keys})  # each distinct radius priced once
+            costs = [power(self.make.part(k), exponent) for k in sides]
             exact = [as_fraction(c) for c in costs]
             den = common_den(exact)
-            weights = numerators(exact, den)
-            order = sorted(range(len(costs)), key=weights.__getitem__)  # ties by index
-            cands = [_Candidate(costs[i], i, self.masks[i], None) for i in order]
+            price = dict(zip(sides, zip(costs, numerators(exact, den))))
+            weights = [price[key[-1]][1] for key in self.keys]
+            order = sorted(range(len(weights)), key=weights.__getitem__)  # ties by index
+            cands = [_Candidate(price[self.keys[i][-1]][0], i, self.masks[i], None) for i in order]
             hit = self._pricings[exponent] = cands, _RatioBound(cands), den, weights
         return hit
 
@@ -201,6 +222,13 @@ class TildeContent:
         for c in subset:
             mask |= 1 << self.bits.index[c]
         return mask
+
+    def center(self, key) -> tuple:
+        """The centre of a half-cell key as a point, made the kept point with
+        the `PointKeys.lattice` of its integers."""
+        p = tuple(map(self.make.part, key[:-1]))
+        self._point = p, PointKeys.lattice(self.make.part(1), key[:-1]), None
+        return p
 
     def frame(self, p) -> PointKeys:
         """p's `PointKeys`, kept for the last point (asked for twice in a
@@ -232,7 +260,7 @@ class TildeContent:
     def solve_mask(self, goal: int, exponent: Scalar):
         """`solve` for the cells whose bits are set in `goal`."""
         exponent = as_fraction(exponent)
-        key = (goal, exponent)
+        key = goal, exponent.numerator, exponent.denominator
         hit = self._value_cache.get(key)
         if hit is not None:
             return hit
@@ -264,24 +292,23 @@ class TildeContent:
 def prune_redundant(tilde: TildeContent) -> TildeContent:
     """Drop every Q ball whose mask lies in the union of the others', in key
     order (-k, h), i.e. (-radius, centre), until each survivor has a private
-    cell: the same context when none goes, else one over the kept keys."""
-    keys = tilde.keys
-    active = sorted(range(len(keys)), key=lambda i: (-keys[i][-1], keys[i][:-1]))
-    changed = True
-    while changed:
-        changed = False
-        for i in active:
-            rest = 0
-            for j in active:
-                if j != i:
-                    rest |= tilde.masks[j]
-            if tilde.masks[i] & ~rest == 0:
-                active.remove(i)
-                changed = True
-                break
-    if len(active) == len(keys):
+    cell: the same context when none goes, else one over the kept keys.
+    A ball with a private cell keeps it when others go, so one pass in that
+    order decides each ball against the kept ones before it and all after
+    it (suffix unions), as dropping the first redundant ball and starting
+    over would."""
+    keys, masks = tilde.keys, tilde.masks
+    order = sorted(range(len(keys)), key=lambda i: (-keys[i][-1], keys[i][:-1]))
+    after = list(itertools.accumulate([masks[i] for i in reversed(order)], operator.or_,
+                                      initial=0))
+    kept, before = [], 0
+    for t, i in enumerate(order):
+        if masks[i] & ~(before | after[len(order) - 1 - t]):
+            kept.append(i)
+            before |= masks[i]
+    if len(kept) == len(keys):
         return tilde
-    return TildeContent(tilde.space, tilde.cells, [keys[i] for i in sorted(active)])
+    return TildeContent(tilde.space, tilde.cells, [keys[i] for i in sorted(kept)])
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +374,12 @@ def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
     segment the full scan would accept.  The top segment is all the cells
     and ends at the key `PointKeys.farthest` reads off the bounding box, so
     the radial order is built only once it is rejected.  Both radii are
-    compared in p's distance keys by an integer floor of the float.
+    compared in p's distance keys by an integer floor of the float, and
+    each content value's radius is computed once (`_ceiling`).
     Returns (r(p), content at r(p)).
     """
     mq = as_fraction(m)
+    mf = float(mq)
     frame = tilde.frame(p)
     key = frame.farthest(tilde.bits.lo, tilde.bits.hi)  # the last key of the scanned segment
     goal = tilde.bits.full
@@ -359,13 +388,13 @@ def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
         h, _ = tilde.solve_mask(goal, mq)
         below = key - 1  # the next segment ends at or below this key
         if float(h) > 0:
-            top = ball_scale * root(h, mq)
+            top, exact = _ceiling(float(h), mf, ball_scale)
             reach = frame.floor(top)
             if reach >= key:
                 if dists is not None:
                     goal = prefix[bisect_right(dists, reach)]
                 eta, _ = tilde.solve_mask(goal, mq)
-                return as_fraction(top), eta
+                return exact, eta
             below = min(below, frame.floor(top * _CEILING_MARGIN))
         if dists is None:
             _, dists, prefix = tilde.radial(p)
@@ -388,7 +417,7 @@ def annulus_radius(tilde: TildeContent, p, r_crit, m: Scalar):
     cells are the annulus cells whose key lies within L units of it.  When
     r1 lies more than half a cell beyond the farthest cell's key the annulus
     is empty and the answer is (r1, 0, no cells), with no radial order
-    built."""
+    built and r1 made once per value."""
     mq = as_fraction(m)
     r = as_fraction(r_crit)
     frame = tilde.frame(p)
@@ -399,7 +428,7 @@ def annulus_radius(tilde: TildeContent, p, r_crit, m: Scalar):
     r1, r2 = grow * mn * r.numerator * ud, grow * grow * r.numerator * ud
     first_key = -(-r1 // e) - half
     if first_key > frame.farthest(tilde.bits.lo, tilde.bits.hi):
-        return Fraction(grow * r.numerator, mn * r.denominator), Fraction(0), frozenset()
+        return _cached_fraction(grow * r.numerator, mn * r.denominator), _ZERO, frozenset()
     keys, dists, prefix = tilde.radial(p)
     lo = bisect_left(dists, first_key)
     hi = bisect_right(dists, r2 // e + half)
@@ -424,64 +453,19 @@ def annulus_radius(tilde: TildeContent, p, r_crit, m: Scalar):
             frozenset(c for _, c in keys[k_lo:k_hi]))
 
 
-def vitali_select(candidates, bits: ElementBits):
-    """Greedy disjoint selection by decreasing radius; verifies exactly that
-    the selected balls are pairwise disjoint and their tripled concentric
-    balls cover every cell listed in the voxel `bits`: the union of their
-    box masks is `bits.full`.  Centres and radii are numerators over one
-    denominator (floats convert exactly), so disjointness is an integer
-    test."""
-    n = len(candidates[0][0]) if candidates else 0
-    if any(len(p) != n for p, _ in candidates):
-        raise InputError("dimension mismatch")
-    radii = [as_fraction(r) for _, r in candidates]
-    coords = [as_fraction(x) for p, _ in candidates for x in p]
-    den = common_den(itertools.chain(radii, coords))
-    rs = numerators(radii, den)
-    flat = numerators(coords, den)
-    ps = [flat[k * n:(k + 1) * n] for k in range(len(candidates))]
-    order = sorted(range(len(candidates)), key=lambda i: (-rs[i], ps[i]))
-    selected: list[int] = []
-    for i in order:
-        p_i, r_i = ps[i], rs[i]
-        if all(max(abs(a - b) for a, b in zip(p_i, ps[j])) > r_i + rs[j] for j in selected):
-            selected.append(i)
-    if selected and n != bits.space.n:
-        raise InputError("ball dimension does not match the space")
-    covered = 0
-    for j in selected:
-        covered |= bits.box(PointKeys(bits.space, candidates[j][0]).ranges(3 * radii[j]))
-    if covered != bits.full:
-        raise InputError("candidate balls do not cover the target even tripled")
-    return selected
+@functools.lru_cache(maxsize=256)
+def _ceiling(h: float, m: float, ball_scale: float) -> tuple:
+    """(A h^(1/m), the same as a Fraction): the largest radius at which
+    content h still reaches the density 1/A^m, once per content value."""
+    top = ball_scale * root(h, m)
+    return top, as_fraction(top)
+
+
+_cached_fraction = functools.lru_cache(maxsize=64)(Fraction)
 
 
 # ---------------------------------------------------------------------------
 # the decomposition
-
-@dataclass(frozen=True)
-class InequalityCheck:
-    name: str
-    lhs: float
-    rhs: float
-    ok: bool
-    note: str = ""
-    advisory: bool = False  # recorded for the report, never a failure
-
-    @classmethod
-    def le(cls, name: str, lhs: float, rhs: float, slack: float = 0.0,
-           note: str = "", advisory: bool = False) -> "InequalityCheck":
-        """The upper-bound check lhs <= rhs, passed within `slack`."""
-        return cls(name, lhs, rhs, lhs <= rhs + slack, note, advisory)
-
-    def to_dict(self) -> dict:
-        d = {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
-        if self.note:
-            d["note"] = self.note
-        if self.advisory:
-            d["advisory"] = True
-        return d
-
 
 @dataclass(frozen=True)
 class DecompositionBall:
@@ -495,6 +479,7 @@ class DecompositionBall:
     slice_content: Scalar  # tilde (m-1)-content of the slice
     ball_content: Scalar  # tilde m-content of B(p, r_bar) cap Y
     cells: frozenset  # Y cap B(p, r_bar), not reported
+    key: tuple | None = None  # p's Q key (h, k), p = delta/2 * h, not reported
 
     def to_dict(self) -> dict:
         return {
@@ -550,15 +535,15 @@ def decompose(
 
     Raises DecompositionViolation (with the full report) if any certified
     inequality fails; that is a falsification event, not a recoverable state.
+    An m that is not a finite number above 1, or an eps that is not None or
+    a number >= 0 and finite as a float, is an `InputError` before any solve.
     """
     y = _voxel_target(space, target, "decompose")
     if not y:
         raise InputError("target must be non-empty")
     if not y <= space.cells:
         raise InputError(f"target has {len(y - space.cells)} cells outside the space")
-    mq = as_fraction(m)
-    if mq <= 1:
-        raise InputError("decomposition needs m > 1")
+    mq, eps = _pipeline_args(m, eps, "decomposition")
     constants = constants or Constants.for_exponent(mq)
     A = constants.ball_scale
 
@@ -570,20 +555,20 @@ def decompose(
     tilde = prune_redundant(TildeContent(space, y, sorted(base.witness.keys)))
     tilde_total = tilde.value(y, mq)
 
-    # per-center critical and slice radii
+    # per-center critical and slice radii, in each centre's lattice keys
     entries = []
     for key in tilde.keys:
-        p = tuple(map(tilde.make.part, key[:-1]))
+        p = tilde.center(key)
         r_crit, eta = critical_radius(tilde, p, mq, A)
-        entries.append((p, r_crit, eta) + annulus_radius(tilde, p, r_crit, mq))
+        entries.append((key, p, r_crit, eta) + annulus_radius(tilde, p, r_crit, mq))
 
-    selected_idx = vitali_select([(p, r_bar) for p, _, _, r_bar, *_ in entries], tilde.bits)
+    selected_idx = vitali_select([(p, r_bar) for _, p, _, _, r_bar, *_ in entries], tilde.bits)
 
     mf = float(mq)
     balls = []
     for i in selected_idx:
-        p, r_crit, eta, r_bar, slice_cost, slice_cells = entries[i]
-        mask = tilde.bits.box(tilde.frame(p).ranges(r_bar)) & tilde.bits.occupied
+        key, p, r_crit, eta, r_bar, slice_cost, slice_cells = entries[i]
+        mask = tilde.bits.box(tilde.frame(tilde.center(key)).ranges(r_bar)) & tilde.bits.occupied
         balls.append(
             DecompositionBall(
                 center=p,
@@ -596,6 +581,7 @@ def decompose(
                 slice_content=tilde.value(slice_cells, mq - 1),
                 ball_content=tilde.solve_mask(mask, mq)[0],
                 cells=tilde.bits.members(mask),
+                key=key,
             )
         )
 
@@ -672,6 +658,7 @@ def verify_decomposition(space: VoxelSpace, target, decomp: Decomposition,
                 slice_content=tilde.value(b.slice_cells, mq - 1),
                 ball_content=tilde.value(members, mq),
                 cells=members,
+                key=b.key,
             )
         )
     report["slices_match"] = slices_match
@@ -768,7 +755,7 @@ def _decomposition_checks(tilde, mq, eps, constants, hc, tilde_total,
 class ImprovementStep:
     decomposition: Decomposition
     new_cells: frozenset
-    theta: dict  # removed cell -> landing point (tuple of Fractions)
+    landing: dict  # removed cell -> h of its landing point delta/2 * h
     content_before: Scalar
     content_after: Scalar
     max_displacement: float
@@ -778,6 +765,12 @@ class ImprovementStep:
 
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
+
+    @functools.cached_property
+    def theta(self) -> dict:
+        """Removed cell -> landing point, a tuple of Fractions."""
+        part = self.decomposition.q.make.part
+        return {c: tuple(map(part, h)) for c, h in self.landing.items()}
 
 
 @_solve_memo
@@ -791,9 +784,15 @@ def improvement_step(
 ) -> ImprovementStep:
     """One content-reduction step: decompose, replace each selected ball's
     interior by the grid-cover footprint of its boundary slice, and certify
-    the content decay and the displacement bound."""
+    the content decay and the displacement bound.  Every point it moves or
+    measures lies on the half-cell lattice and is carried as the integers
+    h of delta/2 * h: a Q centre is its key's h, cell c's centre 2c + 1, so
+    landings, displacements and the cones' reach are integer l_inf
+    distances in half cells, and the cones read their inputs' keys.  m
+    must be a finite number above 1 and eps None or a number >= 0 that is
+    finite as a float, else an `InputError`."""
     y = _voxel_target(space, target, "improvement_step")
-    mq = as_fraction(m)
+    mq, eps = _pipeline_args(m, eps, "decomposition")
     decomp = decompose(space, y, mq, eps, constants, node_budget)
     eps = decomp.eps
     constants = decomp.constants
@@ -803,10 +802,11 @@ def improvement_step(
     # removals first, fills after: a fill footprint may poke into a
     # neighbouring ball and must still survive into the new set
     new_cells = set(y.difference(*(b.cells for b in decomp.balls)))
-    theta: dict = {}
-    max_disp = 0.0
+    landing: dict = {}
+    moved = 0  # the largest landing distance, in half cells
     cone_certs = []
     for b in decomp.balls:
+        h = b.key[:-1]
         fill_keys, fill_cells = (), set()
         if b.slice_cells:
             slice_res = _content(space, b.slice_cells, mq - 1, node_budget=node_budget)
@@ -817,33 +817,27 @@ def improvement_step(
         new_cells |= fill_cells
 
         # nearest landing point, ties to the least point: the fill cells'
-        # centers and the ball's center, at distances in the keys of the
-        # ball's center (a cell side is 2L of them); the ball's displacement
-        # is the largest key moved, times the unit
-        frame = PointKeys(space, b.center)
-        side = 2 * frame.half
-        fills = [(c, space.cell_center(c)) for c in sorted(fill_cells)]
-        moved = 0
+        # centres and the ball's centre h (2 half cells per cell side)
+        fills = [(f, tuple(2 * x + 1 for x in f)) for f in sorted(fill_cells)]
         for c in sorted(b.cells):
+            at = tuple(2 * x + 1 for x in c)
             if c in fill_cells:
-                theta[c] = space.cell_center(c)
+                landing[c] = at
                 continue
-            best = min(
-                [(frame.key(c), b.center)] + [
-                    (side * max(abs(x - y) for x, y in zip(c, f)), point)
-                    for f, point in fills
-                ]
-            )
-            theta[c] = best[1]
-            moved = max(moved, best[0])
-        max_disp = max(max_disp, float(moved * frame.unit))  # float() is monotone
+            dist, landing[c] = min([(max(abs(x - z) for x, z in zip(at, h)), h)] + [
+                (2 * max(abs(x - z) for x, z in zip(c, f)), g) for f, g in fills])
+            moved = max(moved, dist)
 
-        # cone certificate: the swept (m+1)-cost inside this ball
+        # cone certificate: the swept (m+1)-cost inside this ball, reaching
+        # over the farthest input ball (zip stops before a key's k)
         interior = _content(space, b.cells, mq, node_budget=node_budget).witness
-        cover = Covering.keyed(interior.make, fill_keys + interior.keys,
-                               b.cells | frozenset(b.slice_cells), mq)
-        reach = max([b.radius, *(linf(zb.center, b.center) + zb.radius for zb in cover.balls)])
-        cone_certs.append(cone_covering(cover, b.center, reach, mq + 1, "improved"))
+        keys = fill_keys + interior.keys
+        reach = max((max(abs(x - z) for x, z in zip(key, h)) + key[-1] for key in keys),
+                    default=0)
+        cover = Covering.keyed(interior.make, keys, b.cells | frozenset(b.slice_cells), mq)
+        cone_certs.append(cone_covering(cover, b.center, max(b.radius, interior.make.part(reach)),
+                                        mq + 1, "improved"))
+    max_disp = moved * space.delta.numerator / (2 * space.delta.denominator)
 
     new_cells = frozenset(new_cells)
     if new_cells:
@@ -859,7 +853,7 @@ def improvement_step(
                            3 * constants.ball_scale * hcf ** (1 / mf) + eps, 1e-12),
     ]
     step = ImprovementStep(
-        decomp, new_cells, theta, hc, after, max_disp, tuple(cone_certs),
+        decomp, new_cells, landing, hc, after, max_disp, tuple(cone_certs),
         tuple(checks), eps,
     )
     if not step.ok():
@@ -881,12 +875,18 @@ class SequenceReport:
     steps: tuple[ImprovementStep, ...]
     contents: tuple  # content after 0..K steps
     final_cells: frozenset
-    carriers: dict  # original cell -> final landing point
+    landing: dict  # original cell -> h of its final point delta/2 * h
     max_total_displacement: float
     checks: tuple[InequalityCheck, ...]
+    make: GridBalls = field(repr=False)
 
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
+
+    @functools.cached_property
+    def carriers(self) -> dict:
+        """Original cell -> final landing point, a tuple of Fractions."""
+        return {c: tuple(map(self.make.part, h)) for c, h in self.landing.items()}
 
 
 @_solve_memo
@@ -902,9 +902,14 @@ def improvement_sequence(
     """Iterate improvement steps with the shrinking slack schedule
     eps_k = eps / (3 m 10^m A 2^k), tracking every original cell through the
     step maps, and certify geometric decay plus cumulative displacement.  The
-    sequence stops early once the content falls below 1e-4 of its start."""
+    sequence stops early once the content falls below 1e-4 of its start.
+    Each carrier is the half-cell vector h of its point delta/2 * h, so the
+    displacement is an integer l_inf distance in half cells.  m must be a
+    finite number above 1, eps None or a number >= 0 that is finite as a
+    float and max_steps an int >= 0, else an `InputError`."""
     y = _voxel_target(space, target, "improvement_sequence")
-    mq = as_fraction(m)
+    mq, eps = _pipeline_args(m, eps, "decomposition")
+    nonneg_int(max_steps, "max_steps")
     mf = float(mq)
     constants = constants or Constants.for_exponent(mq)
     hc0 = _content(space, y, mq, node_budget=node_budget).value_upper
@@ -912,8 +917,8 @@ def improvement_sequence(
         eps = 1e-3 * float(hc0)
     stop_content = 1e-4 * float(hc0)
 
-    start = {c: space.cell_center(c) for c in y}
-    carriers = dict(start)
+    start = {c: tuple(2 * x + 1 for x in c) for c in y}
+    landing = dict(start)
     steps = []
     contents = [hc0]
     current = y
@@ -924,15 +929,19 @@ def improvement_sequence(
         step = improvement_step(space, current, mq, eps_k, constants, node_budget)
         steps.append(step)
         contents.append(step.content_after)
-        # a carrier at the centre of a cell the step removed lands where
-        # the step sends that cell; every other carrier stays put
-        for orig, pos in carriers.items():
-            cell = space.containing_cell(pos)
-            if cell in step.theta and space.cell_center(cell) == pos:
-                carriers[orig] = step.theta[cell]
+        # a carrier at the centre of a cell, every h_i odd and the cell
+        # (h - 1) // 2, lands where the step sends that cell if it removed
+        # it; every other carrier stays put
+        for orig, h in landing.items():
+            if all(x & 1 for x in h):
+                to = step.landing.get(tuple(x >> 1 for x in h))
+                if to is not None:
+                    landing[orig] = to
         current = step.new_cells
 
-    max_disp = max((float(linf(start[c], pos)) for c, pos in carriers.items()), default=0.0)
+    moved = max((max(abs(x - z) for x, z in zip(start[c], h)) for c, h in landing.items()),
+                default=0)
+    max_disp = moved * space.delta.numerator / (2 * space.delta.denominator)
     hcf = float(hc0)
     checks = [
         InequalityCheck.le(f"geometric_decay_{k}", float(contents[k]),
@@ -946,7 +955,7 @@ def improvement_sequence(
     ))
     report = SequenceReport(
         mq, eps, hc0, tuple(steps), tuple(contents), frozenset(current),
-        carriers, max_disp, tuple(checks),
+        landing, max_disp, tuple(checks), GridBalls(space.delta),
     )
     if not report.ok():
         raise VerificationError(
@@ -1017,17 +1026,21 @@ def fill(
     """Run the improvement sequence, account every swept cone's (m+1)-cost,
     finish the residue with a skeleton descent, and verify the two final
     bounds: total (m+1)-cost against the filling constant at m+1, and the
-    landing distance against the radius constant at m."""
+    landing distance against the radius constant at m.  m must be a finite
+    number above 1, eps None or a number >= 0 that is finite as a float,
+    and max_steps and pushout_candidates ints >= 0 (max_steps 0 fills by
+    the pushout alone), else an `InputError` before any solve."""
     y = _voxel_target(space, target, "fill")
-    mq = as_fraction(m)
-    if mq <= 1:
-        raise InputError("filling needs m > 1")
+    mq, eps = _pipeline_args(m, eps, "filling")
+    nonneg_int(max_steps, "max_steps")
+    nonneg_int(pushout_candidates, "pushout_candidates")
     constants = constants or Constants.for_exponent(mq)
     seq = improvement_sequence(space, y, mq, eps, max_steps, constants, node_budget)
     hc = seq.initial_content
     hcf = float(hc)
     mf = float(mq)
     eps_used = seq.eps
+    next_constants = Constants.for_exponent(mq + 1)
 
     trace_total = 0.0
     step_checks = []
@@ -1037,7 +1050,7 @@ def fill(
         alpha = step.decomposition.alpha
         content_k = float(seq.contents[k - 1])
         proven = ((mf / (mf + 1)) ** (mf + 1)
-                  * Constants.for_exponent(mq + 1).filling_constant
+                  * next_constants.filling_constant
                   * alpha ** (mf + 1) * content_k ** ((mf + 1) / mf) + step.eps)
         step_checks.append(InequalityCheck.le(
             f"step_cone_cost_{k}", step_cost, proven, TOL,
@@ -1052,9 +1065,7 @@ def fill(
         ))
         # per-ball coning comparison in the e*m*r_j form; the certificate's
         # input cost is exactly the slice-fill cost plus the interior content
-        for j, (b, cert) in enumerate(
-            zip(step.decomposition.balls, step.cone_certificates)
-        ):
+        for j, cert in enumerate(step.cone_certificates):  # one per ball
             em_bound = math.e * mf * float(cert.ambient_radius) * float(cert.input_cost)
             step_checks.append(InequalityCheck.le(
                 f"step_{k}_ball_{j}_coning", float(cert.cost), em_bound, TOL,
@@ -1073,14 +1084,13 @@ def fill(
         grid = CubicalGrid(space.n, R)
         points = [space.cell_center(c) for c in sorted(residual)]
         pushout_trace = skeleton_descend(
-            points, grid, mq + 1, candidates=pushout_candidates,
+            points, grid, next_constants.m, candidates=pushout_candidates,
             floor=space.delta / 2,
         )
         trace_total += float(pushout_trace.trace_content)
         pushout_disp = float(pushout_trace.max_displacement)
 
     filling_radius = seq.max_total_displacement + pushout_disp
-    next_constants = Constants.for_exponent(mq + 1)
     final_checks = [
         InequalityCheck.le(
             "total_trace_cost", trace_total,

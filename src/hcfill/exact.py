@@ -7,13 +7,19 @@ with the tolerance `TOL`.
 
 `common_den` and `numerators` are the one place where rationals become
 integers: numerators over the lcm of the values' denominators.
+`finite_number`, `nonneg_float` and `nonneg_int` refuse, with `InputError`,
+an argument that is not a finite number, a float >= 0 or an int >= 0.
+`InequalityCheck` is the verdict record of one certified inequality.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
 from typing import Union
+
+from .errors import InputError
 
 Scalar = Union[Fraction, float, int]
 
@@ -65,6 +71,34 @@ def root(x: Scalar, m: Scalar) -> float:
     return xf ** (1.0 / float(m))
 
 
+def finite_number(x, what: str) -> Fraction:
+    """x as an exact Fraction: an int, a Fraction or a finite float; a bool,
+    any other type, NaN and an infinity are input errors."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, float)) \
+            or isinstance(x, float) and not isfinite(x):
+        raise InputError(f"{what} must be a finite number, got {x!r}")
+    return as_fraction(x)
+
+
+def nonneg_float(x, what: str) -> float:
+    """x as a float when it is a `finite_number` >= 0 whose float is finite
+    (a Fraction or int can overflow it), else an input error."""
+    try:
+        value = float(finite_number(x, what))
+    except OverflowError:
+        raise InputError(f"{what} is beyond the float range") from None
+    if value < 0:
+        raise InputError(f"{what} must be >= 0, got {value!r}")
+    return value
+
+
+def nonneg_int(x, what: str) -> int:
+    """x when it is an int >= 0 and not a bool, else an input error."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise InputError(f"{what} must be a non-negative int, got {x!r}")
+    return x
+
+
 def parse_scalar(text: Scalar) -> Fraction:
     """Parse "p/q" strings, ints, finite floats and decimal strings to an
     exact Fraction, else raise ValueError.  Used by every JSON loader."""
@@ -103,3 +137,30 @@ def scalar_formatter():
         return hit[1]
 
     return fmt
+
+
+@dataclass(frozen=True)
+class InequalityCheck:
+    """One certified inequality of a report: its two sides, the verdict and
+    a note; an advisory check is reported but never fails its report."""
+
+    name: str
+    lhs: float
+    rhs: float
+    ok: bool
+    note: str = ""
+    advisory: bool = False  # recorded for the report, never a failure
+
+    @classmethod
+    def le(cls, name: str, lhs: float, rhs: float, slack: float = 0.0,
+           note: str = "", advisory: bool = False) -> "InequalityCheck":
+        """The upper-bound check lhs <= rhs, passed within `slack`."""
+        return cls(name, lhs, rhs, lhs <= rhs + slack, note, advisory)
+
+    def to_dict(self) -> dict:
+        d = {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok}
+        if self.note:
+            d["note"] = self.note
+        if self.advisory:
+            d["advisory"] = True
+        return d

@@ -32,13 +32,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, isfinite, lcm, prod
+from math import ceil, gcd, lcm, prod
 
 from .cone import cone_cost
 from .content import DEFAULT_NODE_BUDGET, exact_content
 from .errors import InputError, PushoutPreconditionError, VerificationError
-from .exact import (Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators,
-                    power, root)
+from .exact import (Scalar, as_fraction, common_den, finite_number, fmt_scalar, is_integral,
+                    nonneg_int, numerators, power, root)
 from .space import Ball, VoxelSpace
 
 DEFAULT_CANDIDATES = 64
@@ -47,17 +47,8 @@ DEFAULT_CANDIDATES = 64
 RATIO_CEILING_BASE = 10.0
 
 
-def _number(x, what: str) -> Fraction:
-    """x as an exact Fraction: an int, a Fraction or a finite float; a bool,
-    any other type, NaN and an infinity are input errors."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction, float)) \
-            or isinstance(x, float) and not isfinite(x):
-        raise InputError(f"{what} must be a finite number, got {x!r}")
-    return as_fraction(x)
-
-
 def _point(p) -> tuple:
-    return tuple(_number(c, "point coordinate") for c in p)
+    return tuple(finite_number(c, "point coordinate") for c in p)
 
 
 def _frame(point) -> tuple:
@@ -77,10 +68,9 @@ def _rescale(frame, den: int) -> tuple:
 def _check_inputs(m, candidates, floor) -> tuple:
     """(m, floor) as Fractions, once m, the candidate count and the floor
     pass their checks."""
-    mf = _number(m, "m")
-    if isinstance(candidates, bool) or not isinstance(candidates, int) or candidates < 0:
-        raise InputError(f"candidate count must be a non-negative int, got {candidates!r}")
-    return mf, _number(floor, "floor")
+    mf = finite_number(m, "m")
+    nonneg_int(candidates, "candidate count")
+    return mf, finite_number(floor, "floor")
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +84,7 @@ class CubicalGrid:
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise InputError(f"grid dimension must be an int >= 1, got {self.n!r}")
-        object.__setattr__(self, "R", _number(self.R, "grid cell size"))
+        object.__setattr__(self, "R", finite_number(self.R, "grid cell size"))
         if self.R <= 0:
             raise InputError("grid cell size must be positive")
 
@@ -220,13 +210,13 @@ def point_cover(points, exponent: Scalar, floor: Scalar = 0):
     a bare finite point set has vanishing content.  Points of mixed
     dimensions and a negative exponent are input errors.
     """
-    e = _number(exponent, "cover exponent")
+    e = finite_number(exponent, "cover exponent")
     if e < 0:
         raise InputError(f"cover exponent must be >= 0, got {exponent!r}")
     pts = sorted(_point(p) for p in points)
     if len({len(p) for p in pts}) > 1:
         raise InputError("points need one common dimension")
-    cost, den, chosen = _frame_cover([_frame(p) for p in pts], e, _number(floor, "floor"))
+    cost, den, chosen = _frame_cover([_frame(p) for p in pts], e, finite_number(floor, "floor"))
     return cost, [Ball(pts[i], Fraction(r, den)) for i, r in chosen]
 
 
@@ -331,7 +321,7 @@ def average_point(
         raise InputError("cannot project inside a vertex")
     if mf < 1:
         raise InputError("average point needs m >= 1")
-    c0 = Fraction(1, 4) ** k if c0 is None else _number(c0, "c0")
+    c0 = Fraction(1, 4) ** k if c0 is None else finite_number(c0, "c0")
     exponent = mf - 1
     den, p, ratio, before, after, _, _ = _average_point(
         face, frames, exponent, candidates, _cap(c0, face.grid.R, exponent), floor)

@@ -11,8 +11,9 @@ Two space models:
   k*delta/2) are the canonical covering objects.  `PointKeys` is the one
   integer frame for l_inf distances from a rational point to cell centres,
   which lie on the half-cell lattice, and for the cells within a radius of
-  it (`ball_cell_ranges`); `GridBalls` makes, bounds and formats balls from
-  integer keys on that lattice.
+  it (`ball_cell_ranges`); `PointKeys.lattice` reads it off a lattice
+  point's half-cell integers.  `GridBalls` makes, bounds and formats balls
+  from integer keys on that lattice.
 * NetSpace -- a finite point list with an explicit metric (l_inf, l2, l1 or a
   validated distance matrix) and a declared net scale `eps_net`.  Net answers
   elsewhere are always brackets; comparisons use the float tolerance.
@@ -22,11 +23,14 @@ over an ordered element list; `ball_members`, a scan of the whole space,
 with a set.  Both use `ball_cell_ranges` and `net_dist`; a grid ball held as
 its key (solver blocks, width covers, decomposition Q) uses `GridBalls.ranges`.
 `ElementBits.net_row` sorts one net centre's distances, so that the
-members of every ball around it are a prefix.
+members of every ball around it are a prefix.  `vitali_select` picks
+disjoint balls, largest first, whose tripled balls cover an element list.
 
 `Covering` is the one covering type, and the only code that knows a
 covering's report layout: ball keys and their maker (`key_balls` or
-`GridBalls`), with the cost and the report read off the keys.
+`GridBalls`), with the cost and the report read off the keys.  A maker's
+`frame` gives its keys' balls as integer numerators over one denominator,
+read straight off `GridBalls` keys.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, isfinite
+from math import ceil, floor, gcd, isfinite, lcm
 
 from .errors import InputError
 from .exact import (
@@ -284,6 +288,16 @@ class PointKeys:
         self.unit = Fraction(dn, 2 * dd * self.half)
         self.at = [x // g for x in doubled]
 
+    @classmethod
+    def lattice(cls, unit: Fraction, h) -> PointKeys:
+        """The keys of the point delta/2 * h on the half-cell lattice, with
+        `unit` delta/2: one key is half a cell (L = 1) and the point lies at
+        h, as `PointKeys(space, p)` finds for that point, read off the
+        integers."""
+        keys = cls.__new__(cls)
+        keys.half, keys.unit, keys.at = 1, unit, list(h)
+        return keys
+
     def key(self, cell: Cell) -> int:
         return max(abs((2 * c + 1) * self.half - a) for c, a in zip(cell, self.at))
 
@@ -340,6 +354,19 @@ class GridBalls:
     def radius(self, key) -> Fraction:
         return self.part(key[-1])
 
+    def frame(self, keys, *dens) -> tuple:
+        """(den, centres, radii): the keys' balls as integer numerators over
+        den, the lcm of `dens` and of the balls' parts' denominators, read
+        off the keys.  A part is dn x / D, delta/2 = dn/D, and with G the
+        gcd of every key integer the parts' denominators have the lcm
+        D / g, g = gcd(D, dn G), so part x is x dn (den g / D) / g."""
+        g = gcd(self._den, self._num * gcd(*(x for key in keys for x in key)))
+        base = self._den // g
+        den = lcm(base, *dens)
+        scale = self._num * (den // base)
+        return (den, tuple(tuple(scale * h // g for h in key[:-1]) for key in keys),
+                tuple(scale * key[-1] // g for key in keys))
+
     @staticmethod
     def ranges(key) -> list[tuple[int, int]]:
         """Per axis, the cells whose centres the key's ball holds:
@@ -370,6 +397,16 @@ class _KeyBalls:
     @staticmethod
     def radius(key) -> Scalar:
         return key[1]
+
+    @staticmethod
+    def frame(keys, *dens) -> tuple:
+        """(den, centres, radii): the balls as integer numerators over den,
+        the lcm of `dens` and of their radii's and coordinates' denominators
+        (floats convert exactly)."""
+        radii = [as_fraction(r) for _, r in keys]
+        centres = [tuple(map(as_fraction, c)) for c, _ in keys]
+        den = common_den(itertools.chain(radii, *centres), *dens)
+        return den, tuple(numerators(c, den) for c in centres), numerators(radii, den)
 
     @staticmethod
     def dicts(keys) -> list:
@@ -464,6 +501,38 @@ def bit_indices(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def vitali_select(candidates, bits: ElementBits):
+    """Greedy disjoint selection by decreasing radius; verifies exactly that
+    the selected balls are pairwise disjoint and their tripled concentric
+    balls cover every cell listed in the voxel `bits`: the union of their
+    box masks is `bits.full`.  Centres and radii are numerators over one
+    denominator (floats convert exactly), so disjointness is an integer
+    test."""
+    n = len(candidates[0][0]) if candidates else 0
+    if any(len(p) != n for p, _ in candidates):
+        raise InputError("dimension mismatch")
+    radii = [as_fraction(r) for _, r in candidates]
+    coords = [as_fraction(x) for p, _ in candidates for x in p]
+    den = common_den(itertools.chain(radii, coords))
+    rs = numerators(radii, den)
+    flat = numerators(coords, den)
+    ps = [flat[k * n:(k + 1) * n] for k in range(len(candidates))]
+    order = sorted(range(len(candidates)), key=lambda i: (-rs[i], ps[i]))
+    selected: list[int] = []
+    for i in order:
+        p_i, r_i = ps[i], rs[i]
+        if all(max(abs(a - b) for a, b in zip(p_i, ps[j])) > r_i + rs[j] for j in selected):
+            selected.append(i)
+    if selected and n != bits.space.n:
+        raise InputError("ball dimension does not match the space")
+    covered = 0
+    for j in selected:
+        covered |= bits.box(PointKeys(bits.space, candidates[j][0]).ranges(3 * radii[j]))
+    if covered != bits.full:
+        raise InputError("candidate balls do not cover the target even tripled")
+    return selected
 
 
 def ball_members(ball: Ball, space: Space) -> frozenset:

@@ -97,6 +97,21 @@ def test_decompose_and_fill(capsys, tmp_path):
     assert len(rows) >= 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("fill", "--eps", "-1"),
+    ("fill", "--eps", "1e400"),
+    ("decompose", "--eps", "-1"),
+    ("decompose", "--eps", "1e400"),
+])
+def test_a_bad_eps_is_an_input_error(capsys, cube_path, argv):
+    """A negative eps, or one too large for a float, exits 1 with a plain
+    error, not 2 with a false counterexample or an `OverflowError`."""
+    code, out, err = run_cli(capsys, argv[0], "--space", cube_path, "--m", "2", *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err in ("error: eps must be >= 0, got -1.0\n", "error: eps is beyond the float range\n")
+
+
 def test_cone_subcommand(capsys, tmp_path):
     cover = tmp_path / "cover.json"
     cover.write_text(json.dumps({

@@ -8,10 +8,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hcfill.content import exact_content
+from hcfill.cone import cone_covering
+from hcfill.content import DEFAULT_NODE_BUDGET, exact_content
 from hcfill import decomposition
 from hcfill.decomposition import (
     _CEILING_MARGIN,
@@ -91,6 +92,14 @@ def test_constants_sanity_bounds():
 def test_constants_need_m_above_one():
     with pytest.raises(InputError):
         Constants.for_exponent(1)
+
+
+@pytest.mark.parametrize("m", [float("nan"), float("inf"), "3", None])
+def test_constants_refuse_an_exponent_that_is_not_a_finite_number(m):
+    """"3" used to be taken as 3, NaN to raise ValueError and an infinity
+    OverflowError."""
+    with pytest.raises(InputError, match="m must be a finite number"):
+        Constants.for_exponent(m)
 
 
 # ---------------------------------------------------------------------------
@@ -938,6 +947,139 @@ def test_sequence_carriers_match_two_state_oracle(space, m, A, steps):
     final_pos, max_disp = _oracle_carriers(space, frozenset(space.cells), seq.steps)
     assert seq.carriers == final_pos
     assert seq.max_total_displacement == max_disp
+
+
+# The step maps as they were computed before every point became the
+# half-cell integers h of delta/2 * h, kept as an oracle: Fraction centres,
+# `linf` distances, and each cone built from its input balls.
+
+def _oracle_step_maps(space, step, mq):
+    """(theta, max displacement, cone reaches, cone certificates) of a step,
+    from its decomposition and fresh solves of its slices and interiors."""
+    theta, disp, reaches, certs = {}, 0.0, [], []
+    make = GridBalls(space.delta)
+    for b in step.decomposition.balls:
+        fill_keys, fill_cells = (), set()
+        if b.slice_cells:
+            fill_keys = exact_content(space, b.slice_cells, mq - 1,
+                                      node_budget=DEFAULT_NODE_BUDGET).witness.keys
+            for key in fill_keys:
+                fill_cells.update(itertools.product(
+                    *(range(lo, hi + 1) for lo, hi in GridBalls.ranges(key))))
+        fills = [space.cell_center(f) for f in sorted(fill_cells)]
+        moved = Fraction(0)
+        for c in sorted(b.cells):
+            x = space.cell_center(c)
+            if c in fill_cells:
+                theta[c] = x
+                continue
+            d, theta[c] = min([(linf(x, b.center), b.center)]
+                              + [(linf(x, f), f) for f in fills])
+            moved = max(moved, d)
+        disp = max(disp, float(moved))
+        interior = exact_content(space, b.cells, mq, node_budget=DEFAULT_NODE_BUDGET).witness
+        balls = [make(key) for key in fill_keys + interior.keys]
+        reach = max([b.radius] + [linf(z.center, b.center) + z.radius for z in balls])
+        reaches.append(reach)
+        certs.append(cone_covering(Covering(balls, frozenset(), mq), b.center, reach,
+                                   mq + 1, "improved"))
+    return theta, disp, reaches, tuple(certs)
+
+
+@st.composite
+def _thin_blobs(draw):
+    """A 1-D random blob, or a 2-D strip one or two cells wide with random
+    holes: long shapes, whose small-scale balls leave non-empty slices."""
+    if draw(st.booleans()):
+        return random_blob(draw(st.integers(0, 10**6)), 1, draw(st.integers(12, 30)), 60)
+    length, width = draw(st.integers(20, 40)), draw(st.integers(1, 2))
+    holes = draw(st.sets(st.tuples(st.integers(0, length - 1), st.integers(0, width - 1)),
+                         max_size=length * width // 3))
+    cells = {(x, y) for x in range(length) for y in range(width)} - holes
+    return VoxelSpace(2, Fraction(1, 8), frozenset(cells))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_thin_blobs(), st.sampled_from([2, Fraction(5, 2)]), st.sampled_from([2.6, 3.0]))
+def test_integer_step_maps_match_the_fraction_oracle(space, m, A):
+    """theta, the displacements, the cones' reach, every cone certificate
+    (fields, integer frame and balls) and the carriers, computed on half-cell
+    integers, equal the Fraction computation with the cones' balls built."""
+    seq = improvement_sequence(space, None, m, max_steps=2, constants=small_scale(m, A))
+    assume(any(b.slice_cells for step in seq.steps for b in step.decomposition.balls))
+    for step in seq.steps:
+        theta, disp, reaches, certs = _oracle_step_maps(space, step, Fraction(m))
+        assert step.theta == theta
+        assert step.max_displacement == disp
+        assert [c.ambient_radius for c in step.cone_certificates] == reaches
+        assert step.cone_certificates == certs
+        for got, want in zip(step.cone_certificates, certs):
+            assert (type(got.cost), type(got.bound)) == (type(want.cost), type(want.bound))
+            assert got.balls == want.balls
+    final_pos, max_disp = _oracle_carriers(space, frozenset(space.cells), seq.steps)
+    assert seq.carriers == final_pos
+    assert seq.max_total_displacement == max_disp
+
+
+# ---------------------------------------------------------------------------
+# pipeline arguments: refused with InputError before any solve
+
+_PIPELINE = {"decompose": decompose, "improvement_step": improvement_step,
+             "improvement_sequence": improvement_sequence, "fill": fill}
+
+
+def _refused_before_any_solve(monkeypatch, call, match):
+    solves = []
+    monkeypatch.setattr(decomposition, "exact_content", lambda *args, **kw: solves.append(args))
+    with pytest.raises(InputError, match=match):
+        call()
+    assert solves == []
+
+
+@pytest.mark.parametrize("name", list(_PIPELINE))
+@pytest.mark.parametrize("eps", [-1, -1e-300, float("nan"), float("inf"), float("-inf"),
+                                 10**400, Fraction(10**400, 3), "0.1", True])
+def test_pipeline_refuses_a_bad_eps(monkeypatch, name, eps):
+    """A negative, NaN or infinite eps, or one beyond the float range, used
+    to fail a check falsely, pass every check, or raise OverflowError."""
+    space = make_cube(2, 4, Fraction(1, 8))
+    _refused_before_any_solve(monkeypatch, lambda: _PIPELINE[name](space, None, 2, eps),
+                              "eps (must be|is beyond)")
+
+
+@pytest.mark.parametrize("name", list(_PIPELINE))
+@pytest.mark.parametrize("m", [float("nan"), float("inf"), "3", True, None, 1, Fraction(1, 2)])
+def test_pipeline_refuses_a_bad_exponent(monkeypatch, name, m):
+    space = make_cube(2, 4, Fraction(1, 8))
+    _refused_before_any_solve(monkeypatch, lambda: _PIPELINE[name](space, None, m),
+                              "m must be a finite number|needs m > 1")
+
+
+@pytest.mark.parametrize("name", ["improvement_sequence", "fill"])
+@pytest.mark.parametrize("max_steps", [-1, True, 2.5, "2", None])
+def test_pipeline_refuses_a_bad_step_count(monkeypatch, name, max_steps):
+    space = make_cube(2, 4, Fraction(1, 8))
+    _refused_before_any_solve(
+        monkeypatch, lambda: _PIPELINE[name](space, None, 2, None, max_steps),
+        "max_steps must be a non-negative int")
+
+
+@pytest.mark.parametrize("candidates", [-1, True, 2.5, None])
+def test_fill_refuses_a_bad_pushout_candidate_count(monkeypatch, candidates):
+    """-1 used to pass whenever no residue reached the pushout."""
+    space = make_cube(2, 4, Fraction(1, 8))
+    _refused_before_any_solve(
+        monkeypatch, lambda: fill(space, None, 2, pushout_candidates=candidates),
+        "pushout_candidates must be a non-negative int")
+
+
+def test_pipeline_takes_eps_as_its_float_and_no_steps_as_a_pushout_fill():
+    space = make_cube(2, 4, Fraction(1, 8))
+    assert decompose(space, None, 2, Fraction(1, 1000)).eps == 0.001
+    assert decompose(space, None, 2, 0).eps == 0.0
+    cert = fill(space, None, 2, None, 0)
+    assert cert.sequence.steps == () and cert.pushout_trace is not None
+    assert cert.ok()
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from hcfill.space import (
     bit_indices,
     distance,
     grid_ball,
+    key_balls,
     linf,
     load_space,
     min_enclosing_ball_linf,
@@ -479,7 +480,8 @@ def test_point_keys_match_fraction_distances(n, data):
     and at delta = p/q: each cell's key times the unit is the l_inf
     distance from p to its centre, `keys` sorts by (key, cell), `farthest`
     over the cells' bounding box is the largest key, L keys make half a cell
-    and `floor(x)` is x // unit for Fraction, int and float x."""
+    and `floor(x)` is x // unit for Fraction, int and float x.  At a lattice
+    point delta/2 * h, `PointKeys.lattice` reads the same frame off h."""
     delta = data.draw(st.sampled_from(DELTAS))
     cells = data.draw(st.sets(st.tuples(*[st.integers(-6, 6)] * n), min_size=1, max_size=12))
     space = VoxelSpace(n, delta, frozenset(cells))
@@ -496,6 +498,23 @@ def test_point_keys_match_fraction_distances(n, data):
     assert frame.half * frame.unit == delta / 2
     x = data.draw(_scalars)
     assert frame.floor(x) == as_fraction(x) // frame.unit
+    if p == lattice:
+        read = PointKeys.lattice(delta / 2, halves)
+        assert (read.half, read.unit, read.at) == (frame.half, frame.unit, frame.at)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DELTAS),
+       st.integers(1, 3).flatmap(lambda n: st.lists(
+           st.tuples(*[st.integers(-20, 20)] * n, st.integers(1, 9)), max_size=5)),
+       st.lists(st.integers(1, 30), max_size=3))
+def test_grid_frame_matches_the_frame_of_its_balls(delta, keys, dens):
+    """`GridBalls.frame` reads the keys' integers into the frame that
+    `key_balls.frame` builds from the balls they make: the same denominator,
+    the lcm of `dens` and the parts' reduced denominators, and the same
+    centre and radius numerators."""
+    make = GridBalls(delta)
+    assert make.frame(keys, *dens) == key_balls.frame([make(k).key() for k in keys], *dens)
 
 
 def test_linf_of_empty_points_raises_as_before():
