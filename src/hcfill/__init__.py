@@ -12,7 +12,7 @@ from .content import (
     greedy_content,
     volume_lower_bound,
 )
-from .cone import ConeCertificate, cone_covering, cone_coverage_check, cone_map_image
+from .cone import ConeCertificate, cone_covering, cone_coverage_check
 from .coarea import (
     DistanceToPoint,
     DistanceToSet,
@@ -28,7 +28,6 @@ from .decomposition import (
     FillingCertificate,
     TildeContent,
     decompose,
-    density_profile,
     fill,
     improvement_sequence,
     improvement_step,
@@ -49,7 +48,6 @@ from .pushout import (
     cube_equality_check,
     grid_R_for_content,
     loomis_whitney_check,
-    radial_project,
     skeleton_descend,
 )
 from .space import (
@@ -62,13 +60,10 @@ from .space import (
     RadiusCapped,
     VoxelSpace,
     ball_members,
-    distance,
     grid_ball,
     intersect_families,
     load_matrix_net,
     load_space,
-    min_enclosing_ball_linf,
-    neighborhood,
     save_space,
     space_diameter,
     space_radius,

@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 
 from .errors import InputError, VerificationError
 from .exact import TOL, Scalar, as_fraction, fmt_scalar, numerators, power
-from .space import Ball, Covering, VoxelSpace, linf
+from .space import Ball, Covering
 
 
 @dataclass(frozen=True)
@@ -293,41 +293,3 @@ def _held_sections(apex, src: Ball, ball: Ball):
                 return None
     return (lo, hi) if lo <= hi else None
 
-
-def cone_map_image(
-    space: VoxelSpace,
-    target_cells,
-    apex,
-    r: Scalar,
-) -> VoxelSpace:
-    """Image of the blend map x -> phi(d(x, Y))*x + (1-phi)*apex, voxelized.
-
-    phi falls linearly from 1 at distance 0 to 0 at distance r, so points at
-    distance >= r from Y map exactly to the apex.  The image point set is
-    rounded to containing cells (a conservative enlargement).
-    """
-    if not isinstance(space, VoxelSpace):
-        raise InputError("cone maps need the voxel model")
-    if r <= 0:
-        raise InputError("r must be positive")
-    apex = tuple(as_fraction(x) for x in apex)
-    rf = as_fraction(r)
-    target = [space.cell_center(c) for c in sorted(target_cells)]
-    if not target:
-        raise InputError("target set must be non-empty")
-    cells = set()
-    for cell in space.sorted_cells():
-        x = space.cell_center(cell)
-        d = min(as_fraction(linf(x, t)) for t in target)
-        image = blend_point(x, apex, d, rf)
-        cells.add(space.containing_cell(image))
-    return VoxelSpace(space.n, space.delta, frozenset(cells))
-
-
-def blend_point(x, apex, dist_to_target: Scalar, r: Scalar):
-    """The blend map x -> phi*x + (1-phi)*apex of `cone_map_image` at one
-    point, phi = max(0, 1 - dist_to_target / r)."""
-    xf = tuple(as_fraction(c) for c in x)
-    af = tuple(as_fraction(c) for c in apex)
-    phi = max(Fraction(0), 1 - as_fraction(dist_to_target) / as_fraction(r))
-    return tuple(phi * a + (1 - phi) * b for a, b in zip(xf, af))

@@ -82,8 +82,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import InputError, UncoverableError
-from .exact import (TOL, Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators,
-                    power, scalar_formatter)
+from .exact import (TOL, Scalar, as_fraction, common_den, finite_number, fmt_scalar, is_integral,
+                    numerators, power, scalar_formatter)
 from .space import (
     AllGridBalls,
     BallFamily,
@@ -537,6 +537,7 @@ def volume_lower_bound(space: VoxelSpace, target=None, m: Scalar = 1) -> Scalar:
     least (delta/2)^m per cell.  Where the bound is irrational it is a
     float rounded down (`_float_floor`).
     """
+    _check_exponent(m)
     if not isinstance(space, VoxelSpace):
         raise InputError("volume bound needs the voxel model")
     cells = set(target) if target is not None else set(space.cells)
@@ -819,11 +820,14 @@ def _priced_candidates(space: Space, target, m: Scalar, family: BallFamily):
 
 
 def _check_exponent(m) -> None:
-    """Refuse a bool, a non-number, NaN, an infinity and m < 0, where a
-    larger ball can cost less and the grid's size cut-off no longer holds."""
-    if isinstance(m, bool) or not isinstance(m, (int, Fraction, float)) \
-            or isinstance(m, float) and not math.isfinite(m) or m < 0:
-        raise InputError(f"content exponent needs a finite m >= 0, got {m!r}")
+    """Refuse what `finite_number` refuses, and m < 0, where a larger ball
+    can cost less and the grid's size cut-off no longer holds."""
+    try:
+        if finite_number(m, "m") >= 0:
+            return
+    except InputError:
+        pass
+    raise InputError(f"content exponent needs a finite m >= 0, got {m!r}")
 
 
 def _resolve_target(space: Space, target):

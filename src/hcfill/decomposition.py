@@ -312,53 +312,7 @@ def prune_redundant(tilde: TildeContent) -> TildeContent:
 
 
 # ---------------------------------------------------------------------------
-# density profiles and radii
-
-@dataclass(frozen=True)
-class DensityProfile:
-    """Piecewise description of r -> tildeHC(B(p,r) cap Y)/r^m: the relative
-    content is constant between consecutive occupied distances, so lambda
-    decays like r^-m on each segment and jumps up at each breakpoint."""
-
-    point: tuple
-    m: Fraction
-    breakpoints: tuple  # sorted distances from p to the cells of Y
-    segment_values: tuple  # tilde content of B(p, breakpoints[i]) cap Y
-
-    def density(self, r: Scalar) -> float:
-        rf = as_fraction(r)
-        if rf <= 0:
-            raise InputError("density is defined for r > 0")
-        value = None
-        for d, v in zip(self.breakpoints, self.segment_values):
-            if d <= rf:
-                value = v
-            else:
-                break
-        if value is None:
-            return 0.0
-        return float(value) / float(rf) ** float(self.m)
-
-
-def density_profile(tilde: TildeContent, p, m: Scalar) -> DensityProfile:
-    """Full piecewise density table at a point, over the context's cells."""
-    mq = as_fraction(m)
-    p = tuple(as_fraction(x) for x in p)
-    unit = tilde.frame(p).unit
-    _, dists, prefix = tilde.radial(p)
-    ends = _distinct_ends(dists)
-    return DensityProfile(
-        p, mq, tuple(dists[end - 1] * unit for end in ends),
-        tuple(tilde.solve_mask(prefix[end], mq)[0] for end in ends),
-    )
-
-
-def _distinct_ends(dists):
-    """Each i after which the sorted distances change (or end): the cells
-    within dists[i - 1] are the first i."""
-    return [i for i in range(1, len(dists) + 1)
-            if i == len(dists) or dists[i] != dists[i - 1]]
-
+# radii
 
 def critical_radius(tilde: TildeContent, p, m: Scalar, ball_scale: float):
     """Largest radius where the density still reaches 1/A^m.

@@ -7,7 +7,7 @@ All face geometry is exact rational arithmetic: a face of the grid Q(R) is a
 per-coordinate list of either a fixed grid value or a free unit interval.
 Projections, point covers, the average-point search and the swept cones'
 costs (`cone.cone_cost`) work on integer numerators over one denominator
-(`exact.common_den`, `exact.numerators`).  `skeleton_descend` converts each
+(`_frame`, `exact.numerators`).  `skeleton_descend` converts each
 point once to an integer frame (numerators, den) and carries it across
 faces and levels: carrier faces come from integer floor division by R, and
 a face's centre, free bounds, sample options and containment test are
@@ -37,7 +37,7 @@ from math import ceil, gcd, lcm, prod
 from .cone import cone_cost
 from .content import DEFAULT_NODE_BUDGET, exact_content
 from .errors import InputError, PushoutPreconditionError, VerificationError
-from .exact import (Scalar, as_fraction, common_den, finite_number, fmt_scalar, is_integral,
+from .exact import (Scalar, as_fraction, finite_number, fmt_scalar, is_integral,
                     nonneg_int, numerators, power, root)
 from .space import Ball, VoxelSpace
 
@@ -76,14 +76,18 @@ def _check_inputs(m, candidates, floor) -> tuple:
 # ---------------------------------------------------------------------------
 # grid and faces
 
+def _check_dimension(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError(f"grid dimension must be an int >= 1, got {n!r}")
+
+
 @dataclass(frozen=True)
 class CubicalGrid:
     n: int
     R: Fraction
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise InputError(f"grid dimension must be an int >= 1, got {self.n!r}")
+        _check_dimension(self.n)
         object.__setattr__(self, "R", finite_number(self.R, "grid cell size"))
         if self.R <= 0:
             raise InputError("grid cell size must be positive")
@@ -150,23 +154,6 @@ class Face:
             elif not lo < x < hi:
                 return False
         return True
-
-
-def radial_project(face: Face, p, x):
-    """Boundary point of the face on the ray p -> x; exact rational."""
-    p = tuple(as_fraction(c) for c in p)
-    x = tuple(as_fraction(c) for c in x)
-    if not face.strictly_interior(p):
-        raise InputError("projection point must be strictly interior to the face")
-    if not face.contains(x):
-        raise InputError("point to project must lie in the face")
-    if x == p:
-        raise InputError("radial projection undefined at the projection point")
-    den = common_den((*p, *x), face.grid.R.denominator)
-    y, scale = _project(_free_bounds(face, den), numerators(p, den), numerators(x, den))
-    if not scale:
-        raise InputError("radial projection undefined at the projection point")
-    return tuple(Fraction(c, den * scale) for c in y)
 
 
 def _free_bounds(face: Face, den: int) -> list:
@@ -610,10 +597,15 @@ def _swept_cone_cost(den: int, p: tuple, balls: list, m: Fraction):
 
 
 def grid_R_for_content(hc: Scalar, m: Scalar, n: int, delta: Scalar = 0) -> Scalar:
-    """Grid size R = c2(n) * hc^(1/(m-1)) + delta, with c2(n) = 4n."""
-    if float(hc) < 0:
+    """Grid size R = c2(n) * hc^(1/(m-1)) + delta, with c2(n) = 4n, for a
+    finite content hc >= 0, a finite m > 1 and an int n >= 1."""
+    _check_dimension(n)
+    if finite_number(m, "m") <= 1:
+        raise InputError(f"grid size needs m > 1, got {m!r}")
+    content = finite_number(hc, "content")
+    if content < 0:
         raise InputError("content must be non-negative")
-    if float(hc) == 0:
+    if content == 0:
         return as_fraction(delta)
     return float(4 * n) * root(hc, as_fraction(m) - 1) + float(delta)
 

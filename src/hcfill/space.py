@@ -18,6 +18,9 @@ Two space models:
   validated distance matrix) and a declared net scale `eps_net`.  Net answers
   elsewhere are always brackets; comparisons use the float tolerance.
 
+A `Ball` refuses, with `InputError`, a negative radius and a NaN or
+infinite radius or centre coordinate.
+
 Which elements a ball contains: `ElementBits.ball` answers with a bitmask
 over an ordered element list; `ball_members`, a scan of the whole space,
 with a set.  Both use `ball_cell_ranges` and `net_dist`; a grid ball held as
@@ -39,7 +42,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, isfinite, lcm
+from math import gcd, inf, isfinite, lcm
 
 from .errors import InputError
 from .exact import (
@@ -97,11 +100,6 @@ class VoxelSpace:
     def cell_center(self, cell: Cell) -> Point:
         dn, dd = self.delta.numerator, 2 * self.delta.denominator
         return tuple(Fraction(dn * (2 * coord + 1), dd) for coord in cell)
-
-    def containing_cell(self, point) -> Cell:
-        """The cell whose box [delta c, delta (c + 1)) holds the point on
-        every axis: floor(x / delta) per coordinate."""
-        return tuple(floor(as_fraction(x) / self.delta) for x in point)
 
     def sorted_cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self.cells))
@@ -181,28 +179,6 @@ def linf(a, b) -> Scalar:
     return max(abs(x - y) for x, y in zip(a, b))
 
 
-def distance(p, q, space: Space) -> Scalar:
-    """Metric distance between two points of the model.
-
-    For voxel spaces, arguments may be cells (integer tuples) or coordinate
-    points; cells are measured at their centers.  For nets, arguments are
-    point indices.
-    """
-    if isinstance(space, VoxelSpace):
-        pp = space.cell_center(p) if _is_cell(p) else p
-        qq = space.cell_center(q) if _is_cell(q) else q
-        return linf(pp, qq)
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise InputError("net distances are between point indices")
-    if not (0 <= p < len(space.points) and 0 <= q < len(space.points)):
-        raise InputError(f"unknown point id {p if p >= len(space.points) else q}")
-    return space.dist(p, q)
-
-
-def _is_cell(x) -> bool:
-    return isinstance(x, tuple) and all(isinstance(c, int) for c in x)
-
-
 # ---------------------------------------------------------------------------
 # balls
 
@@ -212,8 +188,10 @@ class Ball:
     radius: Scalar
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise InputError("ball radius must be non-negative")
+        # chained comparisons, which NaN fails
+        if not (0 <= self.radius < inf and all(-inf < c < inf for c in self.center)):
+            raise InputError(f"a ball needs a finite centre and a finite radius >= 0, "
+                             f"got {self.center!r}, {self.radius!r}")
 
     def key(self):
         return (self.center, self.radius)
@@ -244,20 +222,6 @@ def grid_ball(space: VoxelSpace, anchor: Cell, k: int) -> Ball:
     dn, dd = space.delta.numerator, 2 * space.delta.denominator
     center = tuple(Fraction(dn * (2 * a + k), dd) for a in anchor)
     return Ball(center, Fraction(dn * k, dd))
-
-
-def min_enclosing_ball_linf(points) -> Ball:
-    """Chebyshev ball of a point set: bounding-box midpoint, radius half the
-    largest side."""
-    points = list(points)
-    if not points:
-        raise InputError("cannot enclose an empty point set")
-    n = len(points[0])
-    lo = [min(as_fraction(p[i]) for p in points) for i in range(n)]
-    hi = [max(as_fraction(p[i]) for p in points) for i in range(n)]
-    center = tuple((a + b) / 2 for a, b in zip(lo, hi))
-    radius = max((b - a) / 2 for a, b in zip(lo, hi))
-    return Ball(center, radius)
 
 
 def ball_cell_ranges(ball: Ball, space: VoxelSpace) -> list[tuple[int, int]]:
@@ -565,27 +529,6 @@ def net_dist(center, idx: int, space: NetSpace) -> float:
     if space.metric == "l1":
         return sum(abs(x - y) for x, y in zip(center, point))
     return sum((x - y) ** 2 for x, y in zip(center, point)) ** 0.5
-
-
-def neighborhood(space: Space, rho: Scalar) -> VoxelSpace:
-    """All cells within l_inf distance rho of an occupied cell.
-
-    The cell-count expansion uses ceil(rho/delta) so that composing two
-    neighborhoods can only enlarge the single combined one.
-    """
-    if not isinstance(space, VoxelSpace):
-        raise InputError("neighborhoods are only defined in the voxel model")
-    if rho < 0:
-        raise InputError("rho must be >= 0")
-    k = ceil(as_fraction(rho) / space.delta)
-    if k == 0 or not space.cells:
-        return space
-    offsets = list(itertools.product(range(-k, k + 1), repeat=space.n))
-    grown = set()
-    for c in space.cells:
-        for off in offsets:
-            grown.add(tuple(a + b for a, b in zip(c, off)))
-    return VoxelSpace(space.n, space.delta, frozenset(grown))
 
 
 def space_radius(space: VoxelSpace) -> Fraction:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcfill.cone import blend_point, cone_coverage_check, cone_covering, cone_map_image
+from hcfill.cone import cone_coverage_check, cone_covering
 from hcfill.decomposition import decompose, improvement_step
 from hcfill.errors import InputError, VerificationError
 from hcfill.exact import TOL, power
-from hcfill.shapes import make_cube, make_line, make_ring
-from hcfill.space import Ball, Covering, ElementBits, linf
+from hcfill.shapes import make_line, make_ring
+from hcfill.space import Ball, Covering, ElementBits, VoxelSpace, linf
 
 
 def test_half_radius_example():
@@ -86,33 +87,17 @@ def test_rejects_zero_radius():
         cone_covering(cover, (0, 0), 1, 2)
 
 
-def test_blend_map_fixed_points_and_apex():
-    # phi(0) = 1: points of the target stay; distance >= r collapses to apex
-    x = (Fraction(1, 2), Fraction(1, 2))
-    apex = (Fraction(0), Fraction(0))
-    assert blend_point(x, apex, 0, Fraction(1, 4)) == x
-    assert blend_point(x, apex, Fraction(1, 2), Fraction(1, 4)) == apex
-    mid = blend_point(x, apex, Fraction(1, 8), Fraction(1, 4))
-    assert mid == (Fraction(1, 4), Fraction(1, 4))  # phi = 1/2 blend
-
-
-def test_cone_map_image_collapses_far_cells():
-    s = make_line(8, Fraction(1, 4))
-    target = [(0, 0)]
-    image = cone_map_image(s, target, s.cell_center((0, 0)), Fraction(1, 2))
-    # cells at distance >= 1/2 from the target all land on the target cell
-    assert (0, 0) in image.cells
-    assert len(image.cells) < len(s.cells)
-    far_total = sum(
-        1 for c in s.cells if float(linf(s.cell_center(c), s.cell_center((0, 0)))) >= 0.5
-    )
-    assert far_total > 0
-
-
-def test_cone_map_identity_on_target():
-    s = make_cube(2, 3, Fraction(1, 4))
-    image = cone_map_image(s, list(s.cells), s.cell_center((1, 1)), Fraction(1, 4))
-    assert image.cells == s.cells  # every cell is its own target: phi = 1
+def _blend_image(space, target_cells, apex, r):
+    """The cells that hold the images of the cell centres under the blend
+    map x -> phi x + (1 - phi) apex, phi = max(0, 1 - d(x, target) / r)."""
+    target = [space.cell_center(c) for c in target_cells]
+    cells = set()
+    for cell in space.cells:
+        x = space.cell_center(cell)
+        phi = max(Fraction(0), 1 - min(linf(x, t) for t in target) / r)
+        image = (phi * a + (1 - phi) * b for a, b in zip(x, apex))
+        cells.add(tuple(math.floor(c / space.delta) for c in image))
+    return VoxelSpace(space.n, space.delta, frozenset(cells))
 
 
 def test_image_inside_certificate_balls():
@@ -120,7 +105,7 @@ def test_image_inside_certificate_balls():
     target = [(0, 0), (1, 0)]
     apex = s.cell_center((0, 0))
     r = Fraction(1, 2)
-    image = cone_map_image(s, target, apex, r)
+    image = _blend_image(s, target, apex, r)
     grown = [(0, 0), (1, 0), (2, 0)]  # cells within r of the target
     cover_balls = tuple(Ball(s.cell_center(c), s.delta) for c in grown)
     cover = Covering(cover_balls, frozenset(grown), 1)

@@ -171,13 +171,15 @@ def test_exact_content_refuses_a_bad_node_budget(budget):
         exact_content(make_cube(1, 2), None, 1, node_budget=budget)
 
 
-@pytest.mark.parametrize("solver", [exact_content, greedy_content])
+@pytest.mark.parametrize("solver", [exact_content, greedy_content, volume_lower_bound])
 @pytest.mark.parametrize("m", [-1, Fraction(-1, 2), -0.5, True, False, "2", None,
                                float("nan"), float("inf"), float("-inf")])
 def test_content_refuses_an_exponent_that_is_not_a_finite_m_at_least_0(solver, m):
     """At m < 0 a larger ball can cost less, so the grid's size cut-off
     would certify a false optimum: on the 2x2 square, 8 where one ball of
-    radius 1 costs 1."""
+    radius 1 costs 1.  `volume_lower_bound` gave 4.0 at m = -1 on the 4x4
+    square, a "lower bound" on a content the solvers refuse to define, and
+    raised ValueError at NaN."""
     with pytest.raises(InputError, match="finite m >= 0"):
         solver(make_cube(2, 2), None, m)
 

@@ -19,11 +19,9 @@ from hcfill.decomposition import (
     Constants,
     InequalityCheck,
     TildeContent,
-    _distinct_ends,
     annulus_radius,
     critical_radius,
     decompose,
-    density_profile,
     fill,
     improvement_sequence,
     improvement_step,
@@ -105,6 +103,34 @@ def test_constants_refuse_an_exponent_that_is_not_a_finite_number(m):
 # ---------------------------------------------------------------------------
 # density profiles and radii
 
+# `density_profile` and `_distinct_ends` as they stood in the library, kept
+# as helpers: the piecewise density r -> tildeHC(B(p, r) cap Y) / r^m at a
+# point, whose content is constant between consecutive occupied distances.
+
+def _distinct_ends(dists):
+    """Each i after which the sorted distances change (or end): the cells
+    within dists[i - 1] are the first i."""
+    return [i for i in range(1, len(dists) + 1)
+            if i == len(dists) or dists[i] != dists[i - 1]]
+
+
+def _density_profile(tilde, p, m):
+    """(breakpoints, density): the distinct distances from p to the cells,
+    sorted, and r -> the content of the cells within r over r^m, 0 below
+    the first breakpoint."""
+    p = tuple(as_fraction(x) for x in p)
+    unit = tilde.frame(p).unit
+    _, dists, prefix = tilde.radial(p)
+    ends = _distinct_ends(dists)
+    breakpoints = [dists[end - 1] * unit for end in ends]
+    values = [tilde.solve_mask(prefix[end], as_fraction(m))[0] for end in ends]
+
+    def density(r):
+        i = bisect_right(breakpoints, as_fraction(r))
+        return float(values[i - 1]) / float(r) ** float(m) if i else 0.0
+    return breakpoints, density
+
+
 def _context(space, m):
     base = exact_content(space, None, m)
     tilde = prune_redundant(TildeContent(space, space.cells, sorted(base.witness.keys)))
@@ -117,12 +143,12 @@ def test_density_profile_single_ball_cover():
     # one ball of radius 1/2 covers everything
     assert len(q) == 1
     p = q[0].center
-    profile = density_profile(tilde, p, 1)
+    breakpoints, density = _density_profile(tilde, p, 1)
     rho = float(q[0].radius)
-    tail = profile.breakpoints[-1]
+    tail = breakpoints[-1]
     # on the tail the density is rho / r
     r = float(tail) * 2
-    assert profile.density(r) == pytest.approx(rho / r)
+    assert density(r) == pytest.approx(rho / r)
 
 
 def test_density_at_own_radius_is_one():
@@ -139,9 +165,9 @@ def test_density_at_own_radius_is_one():
 def test_density_decreases_between_breakpoints():
     s = random_blob(8, 2, 8, 5)
     base, q, tilde = _context(s, 1)
-    profile = density_profile(tilde, q[0].center, 2)
-    lo = float(profile.breakpoints[-1])
-    assert profile.density(lo * 1.5) > profile.density(lo * 2.0)
+    breakpoints, density = _density_profile(tilde, q[0].center, 2)
+    lo = float(breakpoints[-1])
+    assert density(lo * 1.5) > density(lo * 2.0)
 
 
 # The Fraction-geometry radius searches as they stood before the integer
@@ -909,7 +935,7 @@ def _oracle_carriers(space, y, steps):
             cell = value
             if cell in step.theta:
                 landing = step.theta[cell]
-                landed_cell = space.containing_cell(landing)
+                landed_cell = tuple(math.floor(x / space.delta) for x in landing)
                 if landed_cell in step.new_cells and \
                         space.cell_center(landed_cell) == landing:
                     carriers[orig] = ("cell", landed_cell)
@@ -1136,10 +1162,10 @@ def test_density_explodes_at_small_radius():
     base, q, tilde = _context(s, 2)
     cell = s.sorted_cells()[0]
     p = s.cell_center(cell)
-    profile = density_profile(tilde, p, 2)
-    assert profile.breakpoints[0] == 0  # p is an occupied center
+    breakpoints, density = _density_profile(tilde, p, 2)
+    assert breakpoints[0] == 0  # p is an occupied center
     small, smaller = 1e-3, 1e-4
-    assert profile.density(smaller) > profile.density(small) > 0
+    assert density(smaller) > density(small) > 0
 
 
 def test_independent_reverification():

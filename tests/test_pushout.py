@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from hcfill import pushout
 from hcfill.errors import InputError, PushoutPreconditionError
+from hcfill.exact import numerators
 from hcfill.pushout import (
     CubicalGrid,
     average_point,
@@ -13,7 +15,6 @@ from hcfill.pushout import (
     grid_R_for_content,
     loomis_whitney_check,
     point_cover,
-    radial_project,
     skeleton_descend,
 )
 from hcfill.shapes import make_box, make_cube, make_l_hexomino
@@ -26,20 +27,29 @@ def _face_of(point, grid=UNIT):
     return grid.carrier_face(point)
 
 
+def _radial_project(face, p, x):
+    """The boundary point of the face on the ray p -> x, from `_project` on
+    the face's `_free_bounds` frame."""
+    den = lcm(face.grid.R.denominator, *(c.denominator for c in (*p, *x)))
+    y, scale = pushout._project(pushout._free_bounds(face, den), numerators(p, den),
+                                numerators(x, den))
+    return tuple(Fraction(c, den * scale) for c in y)
+
+
 def test_radial_projection_examples():
     f = _face_of((Fraction(3, 4), Fraction(1, 2)))
     p = (Fraction(1, 2), Fraction(1, 2))
-    assert radial_project(f, p, (Fraction(3, 4), Fraction(1, 2))) == (1, Fraction(1, 2))
-    assert radial_project(f, p, (Fraction(5, 8), Fraction(3, 4))) == (Fraction(3, 4), 1)
+    assert _radial_project(f, p, (Fraction(3, 4), Fraction(1, 2))) == (1, Fraction(1, 2))
+    assert _radial_project(f, p, (Fraction(5, 8), Fraction(3, 4))) == (Fraction(3, 4), 1)
 
 
 def test_radial_projection_identity_on_boundary():
     f = _face_of((Fraction(3, 4), Fraction(1, 2)))
     p = (Fraction(1, 2), Fraction(1, 2))
     x = (Fraction(1), Fraction(1, 3))
-    assert radial_project(f, p, x) == x
+    assert _radial_project(f, p, x) == x
     # idempotence
-    assert radial_project(f, p, radial_project(f, p, x)) == x
+    assert _radial_project(f, p, _radial_project(f, p, x)) == x
 
 
 def test_radial_projection_symmetry():
@@ -51,18 +61,9 @@ def test_radial_projection_symmetry():
         x = (Fraction(rng.randrange(1, 16), 16), Fraction(rng.randrange(1, 16), 16))
         if x == p:
             continue
-        direct = radial_project(f, p, x)
-        swapped = radial_project(f, p, (x[1], x[0]))
+        direct = _radial_project(f, p, x)
+        swapped = _radial_project(f, p, (x[1], x[0]))
         assert (direct[1], direct[0]) == swapped
-
-
-def test_radial_projection_errors():
-    f = _face_of((Fraction(3, 4), Fraction(1, 2)))
-    p = (Fraction(1, 2), Fraction(1, 2))
-    with pytest.raises(InputError):
-        radial_project(f, p, p)
-    with pytest.raises(InputError):
-        radial_project(f, (Fraction(0), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 2)))
 
 
 def test_point_cover_zero_floor_is_free():
@@ -232,6 +233,18 @@ def test_grid_R_examples():
     assert grid_R_for_content(0, 2, 3, delta=Fraction(1, 8)) == Fraction(1, 8)
     assert grid_R_for_content(1, 2, 1) == pytest.approx(4.0)
     assert grid_R_for_content(0.25, 3, 2) == pytest.approx(8 * 0.5)
+
+
+@pytest.mark.parametrize("hc, m, n", [
+    (float("nan"), 2, 2), (float("inf"), 2, 2), (1, 1, 2), (1, 0, 2), (1, float("nan"), 2),
+    (1, 2, -1), (1, 2, 0), (1, 2, True),
+])
+def test_grid_R_refuses_a_content_exponent_or_dimension_out_of_range(hc, m, n):
+    """A NaN or infinite content came back as the grid size, m = 0 gave 8.0
+    and n = -1 a grid size of -4.0; m = 1 raised ZeroDivisionError and
+    m = NaN ValueError."""
+    with pytest.raises(InputError):
+        grid_R_for_content(hc, m, n)
 
 
 def test_lw_single_voxel():

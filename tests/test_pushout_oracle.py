@@ -1,8 +1,8 @@
 """The integer projection and greedy-cover kernels of `hcfill.pushout`
 against the Fraction implementations they replaced, kept below verbatim as
 the oracle; `skeleton_descend` against the descent built face by face from
-the public `average_point`, `radial_project` and `point_cover`; and pinned
-digests of skeleton descents."""
+the public `average_point` and `point_cover` and from `oracle_radial_project`;
+and pinned digests of skeleton descents."""
 
 import hashlib
 import json
@@ -13,23 +13,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from math import ceil
+from math import ceil, lcm
 
 from hcfill.cone import cone_covering
 from hcfill.errors import InputError, PushoutPreconditionError, VerificationError
-from hcfill.exact import Scalar, as_fraction, fmt_scalar, power
+from hcfill.exact import Scalar, as_fraction, fmt_scalar, numerators, power
 from hcfill.pushout import (
     DEFAULT_CANDIDATES,
     RATIO_CEILING_BASE,
     _WEYL,
     _WEYL_DEN,
+    _free_bounds,
+    _project,
     CubicalGrid,
     DeformationTrace,
     Face,
     FaceStep,
     average_point,
     point_cover,
-    radial_project,
     skeleton_descend,
 )
 from hcfill.space import Ball, Covering, linf
@@ -158,7 +159,7 @@ def oracle_average_point(
 def oracle_skeleton_descend(points, grid, m, candidates=DEFAULT_CANDIDATES, floor=0):
     """The descent with its cover and projections recomputed per face by
     the public functions: `average_point`, then `point_cover` again for
-    the swept cone and `radial_project` per point."""
+    the swept cone, and `oracle_radial_project` per point."""
     m_ceil = ceil(float(m))
     target_dim = m_ceil - 2
     if target_dim < 0:
@@ -193,7 +194,7 @@ def oracle_skeleton_descend(points, grid, m, candidates=DEFAULT_CANDIDATES, floo
             cone_cost = oracle_swept_cone_cost(p, pts, m, exponent, floor)
             trace_content += as_fraction(cone_cost)
             for i in idxs:
-                new = radial_project(face, p, current[i])
+                new = oracle_radial_project(face, p, current[i])
                 displacement[i] += as_fraction(linf(new, current[i]))
                 current[i] = new
             steps.append(FaceStep(face, p, ratio, cone_cost, len(idxs)))
@@ -379,16 +380,19 @@ def test_point_cover_matches_fraction_oracle(pts, exponent, floor):
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(st.data())
 def test_radial_project_matches_fraction_oracle(data):
+    """`_project` on a face's `_free_bounds` frame, from a strictly interior
+    p to a point x of the face: scale 0 exactly where the oracle finds the
+    projection undefined (x = p)."""
     face = data.draw(faces())
     p = data.draw(face_points(face, strict=True))
     x = data.draw(st.one_of(st.just(p), face_points(face)))
-    if data.draw(st.booleans()):  # possibly outside the face
-        axis = data.draw(st.integers(0, face.grid.n - 1))
-        x = x[:axis] + (x[axis] + face.grid.R / 3,) + x[axis + 1:]
-    got = outcome(radial_project, face, p, x)
-    assert got == outcome(oracle_radial_project, face, p, x)
-    if got[0] == "ok":
-        assert all(type(c) is Fraction for c in got[1])
+    den = lcm(face.grid.R.denominator, *(c.denominator for c in (*p, *x)))
+    y, scale = _project(_free_bounds(face, den), numerators(p, den), numerators(x, den))
+    want = outcome(oracle_radial_project, face, p, x)
+    if scale:
+        assert want == ("ok", tuple(Fraction(c, den * scale) for c in y))
+    else:
+        assert want[0] == "InputError"
 
 
 @settings(deadline=None, derandomize=True, max_examples=120)

@@ -1,9 +1,11 @@
 """Static checks on the package sources, with the standard library's `ast`
-only: every import a module binds is used in that module (or its line says
-`# noqa: F401`), and every private module-level function or class is named
-somewhere else in the package."""
+and `re` only: every import a module binds is used in that module (or its
+line says `# noqa: F401`), every private module-level function or class is
+named somewhere else in the package, and so is every public one that is
+not exempt."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,31 @@ def test_every_private_definition_is_named_elsewhere():
             and node.name not in named]
     assert dead == []
 
+
+# Public definitions that only the package's users read, so that no line of
+# the package names them.
+PUBLIC_EXEMPT = {
+    "shapes.py": "the fixture makers, which tests, examples and benchmarks build",
+    "save_space": "writes the space documents that `load_space` reads",
+    "load_matrix_net": "README's loader for CSV distance matrices",
+}
+
+
+def test_every_public_definition_is_named_elsewhere():
+    """A public function or class at module level that no line of the
+    package names, outside its own definition and `__init__.py`, is read
+    only by tests: dead library code."""
+    lines = {path.name: path.read_text().splitlines()
+             for path in MODULES if path.name != "__init__.py"}
+    dead = []
+    for module in lines.keys() - PUBLIC_EXEMPT.keys():
+        for node in _parse(SRC / module)[1].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_") or node.name in PUBLIC_EXEMPT:
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(line) for name, text in lines.items()
+                       for i, line in enumerate(text, 1)
+                       if not (name == module and node.lineno <= i <= node.end_lineno)):
+                dead.append(f"{module}: {node.name}")
+    assert dead == []

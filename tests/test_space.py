@@ -22,13 +22,10 @@ from hcfill.space import (
     ball_cell_ranges,
     ball_members,
     bit_indices,
-    distance,
     grid_ball,
     key_balls,
     linf,
     load_space,
-    min_enclosing_ball_linf,
-    neighborhood,
     save_space,
     space_diameter,
     space_from_dict,
@@ -37,26 +34,6 @@ from hcfill.space import (
 )
 from hcfill.content import exact_content
 from hcfill.width import width_bound
-
-
-def test_distance_linf_and_l2():
-    net = NetSpace("linf", ((0.0, 0.0), (3.0, 4.0)))
-    assert distance(0, 1, net) == 4
-    net2 = NetSpace("l2", ((0.0, 0.0), (3.0, 4.0)))
-    assert distance(0, 1, net2) == 5
-    assert distance(0, 0, net2) == 0
-
-
-def test_distance_voxel_cells():
-    s = make_cube(2, 4, Fraction(1, 4))
-    assert distance((0, 0), (3, 0), s) == Fraction(3, 4)
-    assert distance((1, 1), (1, 1), s) == 0
-
-
-def test_distance_errors():
-    net = NetSpace("linf", ((0.0, 0.0),))
-    with pytest.raises(InputError):
-        distance(0, 5, net)
 
 
 @pytest.mark.parametrize("metric", ["linf", "l1", "l2"])
@@ -70,15 +47,18 @@ def test_net_points_need_one_coordinate_count(metric):
         space_from_dict({"variant": "net", "metric": metric, "points": points})
 
 
-def test_min_enclosing_ball():
-    b = min_enclosing_ball_linf([(0, 0), (1, 0)])
-    assert b.center == (Fraction(1, 2), Fraction(0)) and b.radius == Fraction(1, 2)
-    b = min_enclosing_ball_linf([(0, 0), (2, 1)])
-    assert b.center == (Fraction(1), Fraction(1, 2)) and b.radius == 1
-    b = min_enclosing_ball_linf([(5, 7)])
-    assert b.center == (5, 7) and b.radius == 0
-    with pytest.raises(InputError):
-        min_enclosing_ball_linf([])
+@pytest.mark.parametrize("center, radius", [
+    ((Fraction(1, 2), Fraction(1, 2)), float("nan")),
+    ((Fraction(1, 2), Fraction(1, 2)), float("inf")),
+    ((Fraction(1, 2), float("nan")), Fraction(1, 4)),
+    ((float("-inf"), Fraction(1, 2)), Fraction(1, 4)),
+    ((Fraction(1, 2), Fraction(1, 2)), Fraction(-1, 4)),
+])
+def test_ball_refuses_a_non_finite_centre_or_radius(center, radius):
+    """A NaN radius used to be accepted; the solvers, `Covering.validate`
+    and `ball_members` then raised ValueError on it (OverflowError at inf)."""
+    with pytest.raises(InputError, match="a finite centre and a finite radius >= 0"):
+        Ball(center, radius)
 
 
 def test_ball_members_grid():
@@ -101,39 +81,6 @@ def test_membership_matches_distance():
         for cell in s.cells:
             inside = linf(s.cell_center(cell), center) <= radius
             assert (cell in members) == inside
-
-
-def test_neighborhood_examples():
-    single = VoxelSpace(2, Fraction(1, 8), frozenset({(0, 0)}))
-    grown = neighborhood(single, Fraction(1, 8))
-    assert len(grown.cells) == 9  # 3^2 block
-    assert neighborhood(single, 0).cells == single.cells
-
-    strip = VoxelSpace(2, Fraction(1, 8), frozenset({(0, 0), (0, 1)}))
-    grown = neighborhood(strip, Fraction(1, 8))
-    # oracle: every cell at Chebyshev distance <= 1 from the strip
-    expected = {
-        (i, j)
-        for i in range(-2, 3)
-        for j in range(-2, 4)
-        if min(max(abs(i - a), abs(j - b)) for a, b in strip.cells) <= 1
-    }
-    assert grown.cells == frozenset(expected)
-    assert len(grown.cells) == 12
-
-
-def test_neighborhood_composition_only_enlarges():
-    s = make_box(2, (2, 1), Fraction(1, 4))
-    for a, b in [(Fraction(1, 8), Fraction(1, 8)), (Fraction(3, 16), Fraction(3, 16))]:
-        twice = neighborhood(neighborhood(s, a), b)
-        once = neighborhood(s, a + b)
-        assert once.cells <= twice.cells
-
-
-def test_neighborhood_net_rejected():
-    net = NetSpace("linf", ((0.0, 0.0),))
-    with pytest.raises(InputError):
-        neighborhood(net, 0.5)
 
 
 def test_metric_matrix_validation():
@@ -318,7 +265,7 @@ def test_element_bits_ball_matches_ball_members(case):
         # a covering holds the listed cells whose centres its balls hold,
         # occupied or not, as the solvers cover them
         covered = {e for e in elements for ball in balls
-                   if distance(e, ball.center, space) <= ball.radius}
+                   if linf(space.cell_center(e), ball.center) <= ball.radius}
     cover = Covering(tuple(balls), frozenset(elements), 1)
     missing = len(set(elements) - covered)
     if missing:
