@@ -84,7 +84,7 @@ FunctionDescriptor = DistanceToPoint | DistanceToSet | ExplicitValues
 class SliceProfile:
     descriptor: FunctionDescriptor
     cover: Covering
-    intervals: tuple  # per covering ball: (a_i, b_i) over covered elements
+    intervals: tuple  # per covering ball: (a_i, b_i) over covered elements, None if none
     range: tuple  # (R1, R2)
     cell_intervals: dict
 
@@ -102,7 +102,8 @@ class SliceProfile:
     def to_dict(self) -> dict:
         return {
             "range": [fmt_scalar(x) for x in self.range],
-            "intervals": [[fmt_scalar(a), fmt_scalar(b)] for a, b in self.intervals],
+            "intervals": [None if interval is None else [fmt_scalar(x) for x in interval]
+                          for interval in self.intervals],
         }
 
 
@@ -113,7 +114,9 @@ def slice_profile(
     cover: Covering,
     rng: tuple | None = None,
 ) -> SliceProfile:
-    """Per-ball min/max of the function over covered elements.
+    """Per-ball min/max of the function over covered elements: the domain
+    cells whose centres a ball holds, occupied or not.  A ball that holds
+    none gets the interval None, which reports as JSON null.
 
     Raises if a ball's interval exceeds the 2*Lip*r_i width that the slicing
     argument rests on (cannot happen for grid-ball covers).

@@ -35,7 +35,7 @@ Every family yields (cost, key, mask) rows, masks being bits of
 result's `witness` is the chosen keys as a keyed `space.Covering`, whose
 cost and report come from the keys: no ball is built unless its `balls`
 are read.  A fixed-family ball is keyed by its ball key and takes its mask
-from `ball_cell_ranges` on voxels.  A point centre (a net point or a
+from `ElementBits.ball`.  A point centre (a net point or a
 `CentersIn` centre) sorts its distance row once, a radius's members are a
 prefix of it, and its rows are keyed (centre, radius), so no ball is built
 for a centre.  Grid blocks on voxel sets are mask first: a block's cells
@@ -97,7 +97,6 @@ from .space import (
     RadiusCapped,
     Space,
     VoxelSpace,
-    ball_cell_ranges,
     ball_members,  # noqa: F401 -- unused; perfbench/test_perfbench.py asserts the binding
     bit_indices,
     family_label,
@@ -295,12 +294,11 @@ def _fixed_candidates(space: Space, target, m, balls, cap):
     """(cost, ball key, mask) rows of the family's balls that meet the
     target, on voxels its cells whose centres they hold, occupied or not."""
     bits = ElementBits(space, sorted(target))
-    voxel = isinstance(space, VoxelSpace)
     rows = []
     for ball in balls:
         if cap is not None and as_fraction(ball.radius) > cap:
             continue
-        if mask := bits.box(ball_cell_ranges(ball, space)) if voxel else bits.ball(ball):
+        if mask := bits.ball(ball):
             rows.append((power(ball.radius, m), ball.key(), mask))
     return rows, bits.index
 

@@ -162,8 +162,9 @@ class TildeContent:
     Q are admissible, and the one cell context of the pipeline: its sorted
     `cells`, their `ElementBits` as `bits`, Q as `GridBalls` `keys` (one of
     length n + 1 each, else an `InputError`) and their member masks
-    `bits.box(GridBalls.ranges(key)) & bits.occupied`, built once; costs
-    are `make.radius(key)` powers, and `q_balls` is built on first read.
+    `bits.box(GridBalls.ranges(key))`, the listed cells whose centres a Q
+    ball holds, occupied or not, built once; costs are `make.radius(key)`
+    powers, and `q_balls` is built on first read.
     A solve runs the content solver's `_branch_and_bound` over the Q balls
     that meet the goal mask (bits of `cells`), without an incumbent, so its
     witness is the first cheapest cover in the search's order: candidate
@@ -191,8 +192,7 @@ class TildeContent:
             raise InputError("ball dimension does not match the space")
         self.make = GridBalls(space.delta)
         self.bits = ElementBits(space, self.cells)
-        self.masks = [self.bits.box(GridBalls.ranges(key)) & self.bits.occupied
-                      for key in self.keys]
+        self.masks = [self.bits.box(GridBalls.ranges(key)) for key in self.keys]
         self._union = functools.reduce(operator.or_, self.masks, 0)
         self._pricings: dict[Fraction, tuple] = {}
         self._value_cache: dict[tuple, Scalar] = {}
@@ -522,7 +522,7 @@ def decompose(
     balls = []
     for i in selected_idx:
         key, p, r_crit, eta, r_bar, slice_cost, slice_cells = entries[i]
-        mask = tilde.bits.box(tilde.frame(tilde.center(key)).ranges(r_bar)) & tilde.bits.occupied
+        mask = tilde.bits.box(tilde.frame(tilde.center(key)).ranges(r_bar))
         balls.append(
             DecompositionBall(
                 center=p,

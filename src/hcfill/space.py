@@ -11,7 +11,7 @@ Two space models:
   k*delta/2) are the canonical covering objects.  `PointKeys` is the one
   integer frame for l_inf distances from a rational point to cell centres,
   which lie on the half-cell lattice, and for the cells within a radius of
-  it (`ball_cell_ranges`); `PointKeys.lattice` reads it off a lattice
+  it (`PointKeys.ranges`); `PointKeys.lattice` reads it off a lattice
   point's half-cell integers.  `GridBalls` makes, bounds and formats balls
   from integer keys on that lattice.
 * NetSpace -- a finite point list with an explicit metric (l_inf, l2, l1 or a
@@ -21,10 +21,14 @@ Two space models:
 A `Ball` refuses, with `InputError`, a negative radius and a NaN or
 infinite radius or centre coordinate.
 
-Which elements a ball contains: `ElementBits.ball` answers with a bitmask
-over an ordered element list; `ball_members`, a scan of the whole space,
-with a set.  Both use `ball_cell_ranges` and `net_dist`; a grid ball held as
-its key (solver blocks, width covers, decomposition Q) uses `GridBalls.ranges`.
+Which elements a ball contains: a voxel ball holds the listed cells whose
+centres it holds, occupied or not; a net ball the listed points within its
+radius.  The bits of an ordered element list answer, one route per kind of
+ball: `ElementBits.ball` for a `Ball`, `bits.box(GridBalls.ranges(key))`
+for a grid ball held as its key (solver blocks, width covers,
+decomposition Q) and `bits.box(PointKeys(space, p).ranges(r))` for a point
+and a radius.  `ball_members` is `ElementBits.ball` over every element of
+the space, as a set.
 `ElementBits.net_row` sorts one net centre's distances, so that the
 members of every ball around it are a prefix.  `vitali_select` picks
 disjoint balls, largest first, whose tripled balls cover an element list.
@@ -224,14 +228,6 @@ def grid_ball(space: VoxelSpace, anchor: Cell, k: int) -> Ball:
     return Ball(center, Fraction(dn * k, dd))
 
 
-def ball_cell_ranges(ball: Ball, space: VoxelSpace) -> list[tuple[int, int]]:
-    """Per axis, the integer coordinates of the cells whose centers lie in
-    the closed ball: its centre's `PointKeys.ranges` at its radius."""
-    if len(ball.center) != space.n:
-        raise InputError("ball dimension does not match the space")
-    return PointKeys(space, ball.center).ranges(ball.radius)
-
-
 class PointKeys:
     """Integer l_inf distances from a rational point p to the voxel cell
     centres, which lie on the half-cell lattice: the distance to the centre
@@ -335,7 +331,8 @@ class GridBalls:
     def ranges(key) -> list[tuple[int, int]]:
         """Per axis, the cells whose centres the key's ball holds:
         |2 c + 1 - h| <= k, i.e. (h - k) // 2 <= c <= (h + k - 1) // 2,
-        which is `ball_cell_ranges` of the ball for either parity of h - k."""
+        which is the centre's `PointKeys.ranges` at the radius for either
+        parity of h - k."""
         k = key[-1]
         return [((h - k) // 2, (h + k - 1) // 2) for h in key[:-1]]
 
@@ -385,12 +382,12 @@ key_balls = _KeyBalls()
 
 class ElementBits:
     """Bit positions for an ordered list of a space's elements (voxel cells,
-    occupied or not, or net point indices); `ball` gives the bits of
-    `ball_members(ball, space)` among them.  On voxels, per-axis prefix
-    masks: below[i][v] holds the cells whose coordinate i is less than
-    lo[i] + v, so the cells of an axis box are the AND over axes of one slab
-    below[i][b + 1] ^ below[i][a] each; `occupied` holds the listed cells of
-    `space.cells`.  On nets `ball` scans the listed indices of net points."""
+    occupied or not, or net point indices); `ball` gives the bits of the
+    listed elements a ball holds.  On voxels, per-axis prefix masks:
+    below[i][v] holds the cells whose coordinate i is less than lo[i] + v,
+    so the cells of an axis box are the AND over axes of one slab
+    below[i][b + 1] ^ below[i][a] each.  On nets `ball` scans the listed
+    indices of net points."""
 
     def __init__(self, space: Space, elements):
         self.space = space
@@ -405,7 +402,6 @@ class ElementBits:
         if any(len(c) != n for c in self.elements):
             raise InputError(f"element list holds a cell without {n} coordinates")
         bits = [1 << idx for idx in range(len(self.elements))]
-        self.occupied = sum(bit for bit, c in zip(bits, self.elements) if c in space.cells)
         self.lo, self.hi, self.below = [0] * n, [-1] * n, [[0]] * n
         for i, column in enumerate(zip(*self.elements)):  # one coordinate axis at a time
             lo = self.lo[i] = min(column)
@@ -419,10 +415,13 @@ class ElementBits:
             self.below[i] = prefix
 
     def ball(self, ball: Ball) -> int:
-        """The listed elements inside the closed ball."""
+        """The listed elements inside the closed ball: on voxels the cells
+        whose centres it holds, occupied or not."""
         space = self.space
         if isinstance(space, VoxelSpace):
-            return self.box(ball_cell_ranges(ball, space)) & self.occupied
+            if len(ball.center) != space.n:
+                raise InputError("ball dimension does not match the space")
+            return self.box(PointKeys(space, ball.center).ranges(ball.radius))
         center = net_center(ball.center, space)
         limit = float(ball.radius) + TOL
         mask = 0
@@ -500,15 +499,11 @@ def vitali_select(candidates, bits: ElementBits):
 
 
 def ball_members(ball: Ball, space: Space) -> frozenset:
-    """Cells (voxel) or point indices (net) within the closed ball."""
-    if isinstance(space, VoxelSpace):
-        ranges = ball_cell_ranges(ball, space)
-        return frozenset(c for c in space.cells
-                         if all(a <= x <= b for x, (a, b) in zip(c, ranges)))
-    center = net_center(ball.center, space)
-    limit = float(ball.radius) + TOL
-    return frozenset(i for i in range(len(space.points))
-                     if net_dist(center, i, space) <= limit)
+    """Cells (voxel) or point indices (net) within the closed ball:
+    `ElementBits.ball` over every element of the space."""
+    bits = ElementBits(space, space.cells if isinstance(space, VoxelSpace)
+                       else range(len(space.points)))
+    return bits.members(bits.ball(ball))
 
 
 def net_center(center, space: NetSpace):
@@ -655,15 +650,14 @@ class Covering:
         return cover_cost([self.make.radius(key) for key in self.keys], self.m)
 
     def validate(self, space: Space) -> None:
-        """Exact coverage check: every target element inside some ball.  A
-        voxel ball covers the target cells whose centres it holds, occupied
-        or not, as the solvers cover them (`ElementBits.ball` keeps only the
-        occupied ones); a net ball its points within the radius."""
+        """Exact coverage check: every target element inside some ball, by
+        `ElementBits.ball`.  A voxel ball covers the target cells whose
+        centres it holds, occupied or not, as the solvers cover them; a net
+        ball its points within the radius."""
         bits = ElementBits(space, self.target)
-        voxel = isinstance(space, VoxelSpace)
         covered = 0
         for b in self.balls:
-            covered |= bits.box(ball_cell_ranges(b, space)) if voxel else bits.ball(b)
+            covered |= bits.ball(b)
         missing = (bits.full & ~covered).bit_count()
         if missing:
             raise InputError(f"covering misses {missing} target elements")

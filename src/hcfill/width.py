@@ -18,13 +18,12 @@ centre delta/2 * h and radius delta/2 * k that `space.GridBalls` makes, as
 content's grid candidates are keyed.  The one-cell tiling is one key
 (2 c_1 + 1, ..., 2 c_n + 1, 1) per sorted cell, and the `budget=0` cover is
 the one key (lo_i + hi_i + 1, ..., max(hi_i - lo_i + 1)) of the ball around
-the bounding box.  A key's members are the AND of `ElementBits.box` over
-its `GridBalls.ranges` with the occupied cells, the nerve comes from those
-masks, and a simplex's union diameter is max(h + k) - min(h - k) per axis,
-in half cells.  The result's `covering` is those keys as a keyed
-`space.Covering`, so its cost and its report come from the keys, and no
-`Ball` is built until the covering's `balls` or the result's `nerve` is
-read.
+the bounding box.  A key's members are `ElementBits.box` over its
+`GridBalls.ranges`, the nerve comes from those masks, and a simplex's union
+diameter is max(h + k) - min(h - k) per axis, in half cells.  The result's
+`covering` is those keys as a keyed `space.Covering`, so its cost and its
+report come from the keys, and no `Ball` is built until the covering's
+`balls` or the result's `nerve` is read.
 
 `nerve` and `fiber_bound` do the same on any covering of `Ball`s, and are
 the independent re-check of a `width_bound` result.  `nerve` reads each
@@ -232,7 +231,7 @@ def width_bound(
         keys = tuple((*(2 * c + 1 for c in cell), 1) for cell in cells)
     make = GridBalls(space.delta)
     bits = ElementBits(space, cells)
-    masks = [bits.box(make.ranges(key)) & bits.occupied for key in keys]
+    masks = [bits.box(make.ranges(key)) for key in keys]
     simplices, multiplicity = _mask_nerve(masks, bits.full, 0)
     axes = [([key[i] - key[-1] for key in keys], [key[i] + key[-1] for key in keys])
             for i in range(space.n)]

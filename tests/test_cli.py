@@ -400,6 +400,29 @@ def test_coarea_bound_is_priced_at_the_command_m(capsys, tmp_path, cover_doc):
     assert (code, doc["integral"], doc["integral_bound"]) == (0, 32, 32.0)
 
 
+def test_coarea_reports_a_ball_holding_no_domain_cell_as_null(capsys, tmp_path):
+    # the 8x8 square's 64 cells plus the unoccupied (8, 0): the ball at
+    # (17/16, 1/16) holds that cell, and the one at (3, 3) holds none.  The
+    # command raised TypeError on the second ball's missing interval.
+    path = tmp_path / "cube2.json"
+    save_space(make_cube(2, 8), str(path))
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({
+        "m": 2,
+        "balls": [{"center": ["1/2", "1/2"], "radius": "1/2"},
+                  {"center": ["17/16", "1/16"], "radius": "1/16"},
+                  {"center": [3, 3], "radius": "1/16"}],
+        "target": [[i, j] for i in range(8) for j in range(8)] + [[8, 0]],
+    }))
+    code, out, _ = run_cli(capsys, "coarea", "--space", str(path), "--f", "dist:0,0",
+                           "--cover", str(cover), "--m", "2")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["profile"]["intervals"] == [[0, 1], [1, "9/8"], None]
+    assert (doc["integral"], doc["best_R"], doc["slice_cost"], doc["slice_cells"]) == (
+        "65/128", "17/16", "1/16", 1)
+
+
 def test_corpus_suite(capsys, tmp_path):
     fixtures = tmp_path / "fx"
     fixtures.mkdir()

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hcfill.content import exact_content, greedy_content
 from hcfill.errors import InputError
 from hcfill.exact import as_fraction, common_den, numerators, power
 from hcfill.shapes import make_cube, make_line, random_blob
-from hcfill.space import Ball, Covering, grid_ball
+from hcfill.space import Ball, Covering, VoxelSpace, grid_ball
 
 
 def _cover_of(space, m=1):
@@ -66,6 +67,38 @@ def test_profile_scan_oracle_8x8():
         lo = max(Fraction(0), min(dists) - half)
         hi = max(dists) + half
         assert interval == (lo, hi)
+
+
+def test_a_ball_on_an_unoccupied_domain_cell_pins_its_interval():
+    """A cover that validates on a domain cell the space does not occupy:
+    its ball holds that cell, so its interval is the cell's.  The ball once
+    got no interval while `level_set` still returned the cell, and the
+    slice majorant there read 0."""
+    space = VoxelSpace(1, Fraction(1), frozenset({(0,), (1,)}))
+    domain = space.cells | {(5,)}
+    far = Ball((Fraction(11, 2),), Fraction(1, 2))
+    cover = Covering((Ball((Fraction(1),), Fraction(1)), far), domain, 2)
+    cover.validate(space)
+    f = DistanceToPoint((Fraction(0),))
+    profile = slice_profile(space, domain, f, cover)
+    assert profile.intervals == ((0, 2), (5, 6))
+    assert profile.level_set(5) == {(5,)}
+    at_five = slice_profile(space, domain, f, cover, (Fraction(5), Fraction(6)))
+    assert best_slice(at_five, 2) == (5, Fraction(1, 2))
+
+
+def test_a_ball_holding_no_domain_cell_reports_a_null_interval():
+    """The extra ball at (3, 3) of radius 1/16 holds no cell centre of the
+    8x8 square: its interval is None, `coarea_integral` and `best_slice`
+    skip it, and the report writes it as JSON null (it raised TypeError)."""
+    s = make_cube(2, 8)
+    big = Ball((Fraction(1, 2), Fraction(1, 2)), Fraction(1, 2))
+    cover = Covering((big, Ball((Fraction(3), Fraction(3)), Fraction(1, 16))), s.cells, 2)
+    profile = slice_profile(s, s.cells, DistanceToPoint((Fraction(0), Fraction(0))), cover)
+    assert profile.intervals == ((0, 1), None)
+    assert json.loads(json.dumps(profile.to_dict()))["intervals"] == [[0, 1], None]
+    assert coarea_integral(profile, 2) == Fraction(1, 2)
+    assert best_slice(profile, 2) == (0, Fraction(1, 2))
 
 
 def test_integral_bounded_by_cover_cost_batch():

@@ -45,15 +45,16 @@ from hcfill.space import (
     Ball,
     Covering,
     ElementBits,
+    FixedFamily,
     GridBalls,
     NetSpace,
     PointKeys,
     VoxelSpace,
-    ball_cell_ranges,
     ball_members,
     grid_ball,
     linf,
 )
+from oracles import members_oracle
 
 
 def small_scale(m, A=3.0):
@@ -485,7 +486,7 @@ def oracle_vitali_select(candidates, bits: ElementBits):
     covered = 0
     for j in selected:
         p, r = candidates[j]
-        covered |= bits.box(ball_cell_ranges(Ball(p, 3 * as_fraction(r)), bits.space))
+        covered |= bits.ball(Ball(p, 3 * as_fraction(r)))
     if covered != bits.full:
         raise InputError("candidate balls do not cover the target even tripled")
     return selected
@@ -598,7 +599,8 @@ def test_decompose_mixed_exponents(small_blobs):
 
 # ---------------------------------------------------------------------------
 # content relative to a fixed covering, against the standalone search it
-# replaced: member masks from ball_members, no lower bound, Fraction or float
+# replaced: member masks from the membership oracle (the listed cells whose
+# centres a ball holds, occupied or not), no lower bound, Fraction or float
 # costs
 
 def oracle_tilde_solve(space, cells, q_balls, subset, exponent):
@@ -606,10 +608,8 @@ def oracle_tilde_solve(space, cells, q_balls, subset, exponent):
     masks = []
     for ball in q_balls:
         mask = 0
-        for c in ball_members(ball, space):
-            i = index.get(c)
-            if i is not None:
-                mask |= 1 << i
+        for c in members_oracle(ball, space, cells):
+            mask |= 1 << index[c]
         masks.append(mask)
     exponent = as_fraction(exponent)
     goal = 0
@@ -742,6 +742,21 @@ def test_one_context_across_exponents_matches_fresh_contexts(instance, data, m):
         want = _solve_or_refusal(TildeContent(space, target, keys), subset, exponent)
         assert got == want
         assert type(got[0]) is type(want[0])
+
+
+@pytest.mark.parametrize("exponent", [2, Fraction(5, 2)], ids=str)
+def test_tilde_solve_covers_unoccupied_target_cells_as_exact_content_does(exponent):
+    """Q balls hold the listed cells whose centres they hold, occupied or
+    not: on the line of 6 cells with the unoccupied (7, 0) in the target,
+    the relative content is the fixed-family content of Q.  Only occupied
+    cells used to count, and the solve raised 'cannot cover'."""
+    s = make_line(6, Fraction(1, 8))
+    target = s.cells | {(7, 0)}
+    keys = [_grid_key((0, 0), 2), _grid_key((1, 0), 3), _grid_key((4, 0), 2),
+            _grid_key((4, 0), 4), _grid_key((7, 0), 1)]
+    tilde = TildeContent(s, target, keys)
+    want = exact_content(s, target, exponent, FixedFamily(tilde.q_balls)).value
+    assert tilde.solve(target, exponent)[0] == want
 
 
 def test_tilde_solve_empty_and_uncoverable_subsets():

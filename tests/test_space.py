@@ -19,7 +19,6 @@ from hcfill.space import (
     NetSpace,
     PointKeys,
     VoxelSpace,
-    ball_cell_ranges,
     ball_members,
     bit_indices,
     grid_ball,
@@ -34,6 +33,7 @@ from hcfill.space import (
 )
 from hcfill.content import exact_content
 from hcfill.width import width_bound
+from oracles import members_oracle
 
 
 @pytest.mark.parametrize("metric", ["linf", "l1", "l2"])
@@ -253,19 +253,19 @@ def element_lists(draw):
 @settings(max_examples=150, deadline=None)
 @given(element_lists())
 def test_element_bits_ball_matches_ball_members(case):
+    """`ElementBits.ball`, `ball_members` and `Covering.validate` against
+    the membership oracle: a voxel ball holds the listed cells whose
+    centres it holds, occupied or not, as the solvers cover them."""
     space, elements, balls = case
     bits = ElementBits(space, elements)
+    everything = space.cells if isinstance(space, VoxelSpace) else range(len(space.points))
     covered = set()
     for ball in balls:
-        inside = ball_members(ball, space) & set(elements)
+        inside = members_oracle(ball, space, elements)
         assert {elements[i] for i in bit_indices(bits.ball(ball))} == inside
         assert bits.members(bits.ball(ball)) == inside
+        assert ball_members(ball, space) == members_oracle(ball, space, everything)
         covered |= inside
-    if isinstance(space, VoxelSpace):
-        # a covering holds the listed cells whose centres its balls hold,
-        # occupied or not, as the solvers cover them
-        covered = {e for e in elements for ball in balls
-                   if linf(space.cell_center(e), ball.center) <= ball.radius}
     cover = Covering(tuple(balls), frozenset(elements), 1)
     missing = len(set(elements) - covered)
     if missing:
@@ -314,7 +314,8 @@ _scalars = st.one_of(_fractions, st.integers(-6, 6), _floats)
     st.sampled_from(DELTAS), st.tuples(*[_scalars] * n),
     st.one_of(st.just(0), st.fractions(0, 4, max_denominator=24), st.floats(0, 4)))))
 def test_ball_cell_ranges_match_the_fraction_expression(case):
-    """Fraction, int and float centres, negative coordinates, r = 0 and radii
+    """The cells a ball holds, `PointKeys(space, centre).ranges(radius)`:
+    Fraction, int and float centres, negative coordinates, r = 0 and radii
     off the delta/2 lattice.  The oracle is the expression evaluated
     exactly.  On a float centre it was evaluated in floats, which can only
     differ where the exact bound is within rounding of an integer."""
@@ -322,7 +323,7 @@ def test_ball_cell_ranges_match_the_fraction_expression(case):
     space = VoxelSpace(len(center), delta, frozenset())
     ball = Ball(center, radius)
     exact = Ball(tuple(Fraction(x) for x in center), radius)
-    got = ball_cell_ranges(ball, space)
+    got = PointKeys(space, center).ranges(radius)
     assert got == _ranges_oracle(exact, space)
     r = Fraction(radius)
     for x, bounds, was in zip(exact.center, got, _ranges_oracle(ball, space)):
@@ -332,7 +333,7 @@ def test_ball_cell_ranges_match_the_fraction_expression(case):
 
 
 def _ranges_numerator_oracle(ball, space):
-    """`ball_cell_ranges` as it was before it read `PointKeys`: per axis
+    """The cells a ball holds as they were found before `PointKeys`: per axis
     ceil((2(x - r) - delta) / (2 delta)) .. floor((2(x + r) - delta) /
     (2 delta)) by floor division of numerators over 2 dn xd rd."""
     r = as_fraction(ball.radius)
@@ -362,7 +363,6 @@ def test_ball_cell_ranges_match_the_numerator_formula(case):
     delta, center, radius = case
     space = VoxelSpace(len(center), delta, frozenset())
     ball = Ball(center, radius)
-    assert ball_cell_ranges(ball, space) == _ranges_numerator_oracle(ball, space)
     assert PointKeys(space, center).ranges(radius) == _ranges_numerator_oracle(ball, space)
 
 
@@ -372,7 +372,7 @@ def test_a_float_centre_is_measured_exactly():
     bound at 1.1e-16 and round it up to 1."""
     space = VoxelSpace(1, Fraction(1, 3), frozenset({(0,), (1,)}))
     ball = Ball((0.5,), Fraction(1, 3))
-    assert ball_cell_ranges(ball, space) == [(0, 2)]
+    assert PointKeys(space, ball.center).ranges(ball.radius) == [(0, 2)]
     assert ball_members(ball, space) == frozenset({(0,), (1,)})
 
 

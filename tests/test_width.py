@@ -26,8 +26,8 @@ from hcfill.space import (
     Covering,
     GridBalls,
     NetSpace,
+    PointKeys,
     VoxelSpace,
-    ball_cell_ranges,
     ball_members,
     grid_ball,
     space_diameter,
@@ -257,7 +257,7 @@ def test_width_report_matches_the_ball_oracles(case, m, budget):
     covering's balls by `nerve`, `fiber_bound` and a covering by those
     balls, the `Ball`-list path; the cover is the bounding box's ball at
     budget 0 and the one-cell tiling else, and every key's cell ranges are
-    `ball_cell_ranges` of its ball."""
+    its ball centre's `PointKeys.ranges` at its radius."""
     space, keys = case
     w = width_bound(space, m, budget, node_budget=20)
     got = json.dumps(w.to_dict(), sort_keys=True, default=fmt_scalar)
@@ -276,7 +276,8 @@ def test_width_report_matches_the_ball_oracles(case, m, budget):
         assert cover.balls == tuple(grid_ball(space, c, 1) for c in space.sorted_cells())
     make = GridBalls(space.delta)
     for key in (*cover.keys, *keys):
-        assert GridBalls.ranges(key) == ball_cell_ranges(make(key), space)
+        ball = make(key)
+        assert GridBalls.ranges(key) == PointKeys(space, ball.center).ranges(ball.radius)
 
 
 # ---------------------------------------------------------------------------
