@@ -81,13 +81,6 @@ def _parse_m(text: str) -> Fraction:
     return _parse_number(text, "--m")
 
 
-def _parse_width_m(text: str) -> Fraction | int:
-    """`--m` of the width subcommand: an integral value as `int`, so that
-    `2.0` reports as `2`; the library refuses the rest."""
-    m = _parse_m(text)
-    return int(m) if m.denominator == 1 else m
-
-
 def _parse_point(text: str, option: str):
     return tuple(_parse_number(x, option) for x in text.split(","))
 
@@ -275,7 +268,7 @@ def _cmd_cube_eq(args, cfg: RunConfig) -> int:
 def _cmd_width(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
     budget = {} if args.budget is None else {"budget": args.budget}
-    result = width_bound(space, _parse_width_m(args.m), node_budget=cfg.node_budget, **budget)
+    result = width_bound(space, _parse_m(args.m), node_budget=cfg.node_budget, **budget)
     _emit({"command": "width", "result": result.to_dict()}, args.out)
     return 0
 

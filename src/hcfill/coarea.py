@@ -88,10 +88,6 @@ class SliceProfile:
     range: tuple  # (R1, R2)
     cell_intervals: dict
 
-    @property
-    def lip(self) -> Scalar:
-        return self.descriptor.lip
-
     def level_set(self, level) -> frozenset:
         """Elements whose value interval contains the level (conservative:
         never misses a continuum crossing)."""

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import InputError, VerificationError
-from .exact import TOL, Scalar, as_fraction, fmt_scalar, numerators, power
+from .exact import TOL, Scalar, as_fraction, finite_number, fmt_scalar, numerators, power
 from .space import Ball, Covering
 
 
@@ -106,13 +106,15 @@ def cone_covering(
     segments from the input centers to the apex.  The input balls enter the
     integer frame through their maker's `frame`, so a covering keyed on
     `GridBalls` half-cell integers builds no `Ball` and no Fraction per ball.
+    An m, R or apex coordinate that is not a finite number, or m < 1, is an
+    `InputError`.
     """
     if variant not in ("standard", "improved"):
         raise InputError(f"unknown cone variant {variant!r}")
-    if float(m) < 1.0:
+    if finite_number(m, "cone exponent") < 1:
         raise InputError("cone covering needs m >= 1")
-    apex = tuple(as_fraction(x) for x in apex)
-    Rf = as_fraction(R)
+    apex = tuple(finite_number(x, "apex coordinate") for x in apex)
+    Rf = finite_number(R, "cone radius R")
     # Radii, centres, apex and R as integer numerators over one denominator.
     den, centre_nums, radii_num = input_cover.make.frame(
         input_cover.keys, Rf.denominator, *(x.denominator for x in apex))

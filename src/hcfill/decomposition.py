@@ -27,14 +27,16 @@ half-cell lattice and is carried as the integers h of delta/2 * h: a Q
 centre is its key's h and cell c's centre is 2c + 1.  Q and the witnesses a
 step reads stay `space.GridBalls` half-cell keys, and the cones read them
 into their integer frames, so `fill` builds no `Ball`; Fractions are built
-only for reported fields and for `theta` and `carriers` when read.
-Distances from a point to cell centres are the keys of its
-`space.PointKeys`, read off h for a Q centre.  Every upper-bound inequality
-is an `InequalityCheck.le`, and each carrier of `improvement_sequence` is
-one point moved by the step maps.  The pipeline's entry points refuse, with
-`InputError` and before any solve, an m that is not a finite number above
-1, an eps that is not a number >= 0 and finite as a float, and a step or
-pushout candidate count that is not an int >= 0.
+only for reported fields.  The step map of an `ImprovementStep` and the
+carriers of a `SequenceReport` are their `landing` dicts, cell -> the h of
+its landing point.  Distances from a point to cell centres are the keys of
+its `space.PointKeys`, read off h for a Q centre.  Every upper-bound
+inequality is an `InequalityCheck.le`, and each carrier of
+`improvement_sequence` is one point moved by the step maps.  The
+pipeline's entry points refuse, with `InputError` and before any solve, an
+m that is not a finite number above 1, an eps that is not a number >= 0
+and finite as a float, and a step or pushout candidate count that is not
+an int >= 0.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coarea import DistanceToPoint, best_slice, slice_profile, slice_sweep
@@ -720,12 +722,6 @@ class ImprovementStep:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    @functools.cached_property
-    def theta(self) -> dict:
-        """Removed cell -> landing point, a tuple of Fractions."""
-        part = self.decomposition.q.make.part
-        return {c: tuple(map(part, h)) for c, h in self.landing.items()}
-
 
 @_solve_memo
 def improvement_step(
@@ -832,15 +828,9 @@ class SequenceReport:
     landing: dict  # original cell -> h of its final point delta/2 * h
     max_total_displacement: float
     checks: tuple[InequalityCheck, ...]
-    make: GridBalls = field(repr=False)
 
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    @functools.cached_property
-    def carriers(self) -> dict:
-        """Original cell -> final landing point, a tuple of Fractions."""
-        return {c: tuple(map(self.make.part, h)) for c, h in self.landing.items()}
 
 
 @_solve_memo
@@ -909,7 +899,7 @@ def improvement_sequence(
     ))
     report = SequenceReport(
         mq, eps, hc0, tuple(steps), tuple(contents), frozenset(current),
-        landing, max_disp, tuple(checks), GridBalls(space.delta),
+        landing, max_disp, tuple(checks),
     )
     if not report.ok():
         raise VerificationError(

@@ -4,7 +4,9 @@ accounting; plus the voxel isoperimetric checkers (projection counts and the
 coordinate-cube equality case).
 
 All face geometry is exact rational arithmetic: a face of the grid Q(R) is a
-per-coordinate list of either a fixed grid value or a free unit interval.
+per-coordinate list of either a fixed grid value or a free unit interval,
+and a `Face` holds only that list, its grid and its dimension; its centre,
+bounds and containment are read on integer frames (`_free_bounds`).
 Projections, point covers, the average-point search and the swept cones'
 costs (`cone.cone_cost`) work on integer numerators over one denominator
 (`_frame`, `exact.numerators`).  `skeleton_descend` converts each
@@ -124,36 +126,6 @@ class Face:
     @property
     def dim(self) -> int:
         return sum(1 for kind, _ in self.coords if kind == "free")
-
-    def center(self):
-        R = self.grid.R
-        return tuple(
-            R * a if kind == "fixed" else R * a + R / 2
-            for kind, a in self.coords
-        )
-
-    def bounds(self):
-        R = self.grid.R
-        return tuple(
-            (R * a, R * a) if kind == "fixed" else (R * a, R * (a + 1))
-            for kind, a in self.coords
-        )
-
-    def contains(self, point) -> bool:
-        for (lo, hi), x in zip(self.bounds(), point):
-            if not lo <= as_fraction(x) <= hi:
-                return False
-        return True
-
-    def strictly_interior(self, point) -> bool:
-        for (kind, a), (lo, hi), x in zip(self.coords, self.bounds(), point):
-            x = as_fraction(x)
-            if kind == "fixed":
-                if x != lo:
-                    return False
-            elif not lo < x < hi:
-                return False
-        return True
 
 
 def _free_bounds(face: Face, den: int) -> list:
@@ -598,15 +570,18 @@ def _swept_cone_cost(den: int, p: tuple, balls: list, m: Fraction):
 
 def grid_R_for_content(hc: Scalar, m: Scalar, n: int, delta: Scalar = 0) -> Scalar:
     """Grid size R = c2(n) * hc^(1/(m-1)) + delta, with c2(n) = 4n, for a
-    finite content hc >= 0, a finite m > 1 and an int n >= 1."""
+    finite content hc >= 0, a finite m > 1, an int n >= 1 and a finite
+    delta >= 0."""
     _check_dimension(n)
     if finite_number(m, "m") <= 1:
         raise InputError(f"grid size needs m > 1, got {m!r}")
     content = finite_number(hc, "content")
     if content < 0:
         raise InputError("content must be non-negative")
+    if (delta := finite_number(delta, "delta")) < 0:
+        raise InputError("delta must be non-negative")
     if content == 0:
-        return as_fraction(delta)
+        return delta
     return float(4 * n) * root(hc, as_fraction(m) - 1) + float(delta)
 
 

@@ -54,6 +54,7 @@ from .exact import (
     Scalar,
     as_fraction,
     common_den,
+    finite_number,
     fmt_scalar,
     is_integral,
     numerators,
@@ -76,19 +77,15 @@ class VoxelSpace:
     cells: frozenset[Cell]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("ambient dimension must be >= 1")
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+            raise InputError(f"ambient dimension must be an int >= 1, got {self.n!r}")
+        # the lattice geometry reads delta's numerator and denominator
+        object.__setattr__(self, "delta", finite_number(self.delta, "delta"))
         if self.delta <= 0:
             raise InputError("delta must be positive")
-        # the lattice geometry reads delta's numerator and denominator
-        object.__setattr__(self, "delta", as_fraction(self.delta))
         for c in self.cells:
             if len(c) != self.n:
                 raise InputError(f"cell {c} does not have {self.n} coordinates")
-
-    @property
-    def variant(self) -> str:
-        return "voxel"
 
     def require_nonempty(self):
         if not self.cells:
@@ -119,23 +116,16 @@ class NetSpace:
     def __post_init__(self):
         if self.metric not in ("linf", "l2", "l1", "matrix"):
             raise InputError(f"unknown metric {self.metric!r}")
-        if self.eps_net < 0:
+        if finite_number(self.eps_net, "eps_net") < 0:
             raise InputError("eps_net must be >= 0")
         if self.metric == "matrix":
             validate_metric_matrix(self.matrix, len(self.points))
         elif len({len(p) for p in self.points}) > 1:
             raise InputError("net points must all have the same number of coordinates")
 
-    @property
-    def variant(self) -> str:
-        return "net"
-
     def require_nonempty(self):
         if not self.points:
             raise InputError("operation requires a non-empty net")
-
-    def dist(self, i: int, j: int) -> float:
-        return net_dist(i if self.metric == "matrix" else self.points[i], j, self)
 
 
 Space = VoxelSpace | NetSpace
@@ -470,18 +460,13 @@ def vitali_select(candidates, bits: ElementBits):
     """Greedy disjoint selection by decreasing radius; verifies exactly that
     the selected balls are pairwise disjoint and their tripled concentric
     balls cover every cell listed in the voxel `bits`: the union of their
-    box masks is `bits.full`.  Centres and radii are numerators over one
-    denominator (floats convert exactly), so disjointness is an integer
-    test."""
+    box masks is `bits.full`.  The candidates are ball keys (centre,
+    radius), framed by `key_balls.frame` as numerators over one denominator
+    (floats convert exactly), so disjointness is an integer test."""
     n = len(candidates[0][0]) if candidates else 0
     if any(len(p) != n for p, _ in candidates):
         raise InputError("dimension mismatch")
-    radii = [as_fraction(r) for _, r in candidates]
-    coords = [as_fraction(x) for p, _ in candidates for x in p]
-    den = common_den(itertools.chain(radii, coords))
-    rs = numerators(radii, den)
-    flat = numerators(coords, den)
-    ps = [flat[k * n:(k + 1) * n] for k in range(len(candidates))]
+    _, ps, rs = key_balls.frame(candidates)
     order = sorted(range(len(candidates)), key=lambda i: (-rs[i], ps[i]))
     selected: list[int] = []
     for i in order:
@@ -492,7 +477,8 @@ def vitali_select(candidates, bits: ElementBits):
         raise InputError("ball dimension does not match the space")
     covered = 0
     for j in selected:
-        covered |= bits.box(PointKeys(bits.space, candidates[j][0]).ranges(3 * radii[j]))
+        p, r = candidates[j]
+        covered |= bits.box(PointKeys(bits.space, p).ranges(3 * as_fraction(r)))
     if covered != bits.full:
         raise InputError("candidate balls do not cover the target even tripled")
     return selected
@@ -578,7 +564,7 @@ class RadiusCapped:
     kind = "radius-capped"
 
     def __post_init__(self):
-        if self.limit <= 0:
+        if finite_number(self.limit, "radius cap") <= 0:
             raise InputError("radius cap must be positive")
 
 
@@ -728,8 +714,8 @@ def _integer(x) -> int:
 
 
 def _finite(x) -> float:
-    """float(x), a ValueError when that is infinite or NaN."""
-    if not isfinite(value := float(x)):
+    """float(x), a ValueError when x is a bool or that is infinite or NaN."""
+    if isinstance(x, bool) or not isfinite(value := float(x)):
         raise ValueError(f"not a finite number: {x!r}")
     return value
 

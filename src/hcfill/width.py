@@ -31,21 +31,21 @@ element's owners off the set bits of the balls' member masks
 (`space.ElementBits.ball`) and keeps the simplices that are no face of
 another (integer subset test), in the mask core `width_bound` runs too.
 `fiber_bound` puts every vertex ball's centre and radius over one
-denominator (`exact.common_den`), so each ball's axis box (centre -+ radius
-per axis) is integer numerators, a simplex's union diameter an integer
-max - min, and one `Fraction` is built at the end.
+denominator (`space.key_balls.frame` of the balls' keys), so each ball's
+axis box (centre -+ radius per axis) is integer numerators, a simplex's
+union diameter an integer max - min, and one `Fraction` is built at the
+end.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .content import DEFAULT_NODE_BUDGET, exact_content
 from .errors import InputError, UncoverableError
-from .exact import Scalar, as_fraction, common_den, fmt_scalar, is_integral, numerators, root
+from .exact import Scalar, fmt_scalar, is_integral, root
 from .space import (
     Ball,
     Covering,
@@ -54,6 +54,7 @@ from .space import (
     Space,
     VoxelSpace,
     ball_members,  # noqa: F401 -- unused; perfbench/test_perfbench.py asserts the binding
+    key_balls,
 )
 
 
@@ -149,14 +150,9 @@ def fiber_bound(nerve_complex: NerveComplex) -> Fraction:
     the union of one simplex's balls, whose l_inf diameter is the largest
     per-axis span max(hi) - min(lo), taken on the balls' integer boxes over
     the lcm of every centre coordinate's and radius' denominator."""
-    balls = nerve_complex.vertex_balls
-    radii = [as_fraction(b.radius) for b in balls]
-    columns = [[as_fraction(x) for x in col] for col in zip(*(b.center for b in balls))]
-    den = common_den(itertools.chain(radii, *columns))
-    rs = numerators(radii, den)
+    den, centres, rs = key_balls.frame([b.key() for b in nerve_complex.vertex_balls])
     axes = []  # per axis: (lo, hi) of every ball, by ball index
-    for col in columns:
-        cs = numerators(col, den)
+    for cs in zip(*centres):
         axes.append(([c - r for c, r in zip(cs, rs)], [c + r for c, r in zip(cs, rs)]))
     return Fraction(_widest(axes, nerve_complex.simplices), den)
 

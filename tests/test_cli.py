@@ -10,6 +10,7 @@ from hcfill.config import RunConfig
 from hcfill.errors import InputError
 from hcfill.shapes import make_cube, make_dumbbell, make_ring
 from hcfill.space import VoxelSpace, save_space
+from oracles import net_point_dist
 
 
 @pytest.fixture()
@@ -704,12 +705,17 @@ _CONTENT = ("content", "--space", "{}", "--m", "1")
     ("matrix.json", '{"variant": "net", "metric": "matrix", "points": [[0], [1]], '
                     '"matrix": [[0, NaN], [NaN, 0]]}',
      _CONTENT, "distance matrix row: not a row of numbers"),
+    ("bool.json", '{"variant": "net", "points": [[true, 0], [0, 0], [3, 1]], "eps_net": false}',
+     _CONTENT, "net point: not a row of numbers"),
+    ("bool_eps.json", '{"variant": "net", "points": [[0, 0], [3, 1]], "eps_net": false}',
+     _CONTENT, "field 'eps_net': not a valid value"),
 ])
 def test_non_finite_numbers_in_input_documents_are_input_errors(
         capsys, tmp_path, name, text, argv, message):
     """JSON `Infinity` and `NaN` and CSV `inf` and `nan` are refused where
     they are read, with exit 1, neither escaping as `OverflowError` nor
-    reaching a solver."""
+    reaching a solver.  So are JSON booleans in a net, which loaded as 1.0
+    and 0.0."""
     path = tmp_path / name
     path.write_text(text)
     code, out, err = run_cli(capsys, *(arg.format(path) for arg in argv))
@@ -724,7 +730,7 @@ def test_matrix_net_loader(tmp_path):
     path.write_text("0,1,2\n1,0,1.5\n2,1.5,0\n")
     net = load_matrix_net(str(path), eps_net=0.1)
     assert net.metric == "matrix"
-    assert net.dist(0, 2) == 2
+    assert net_point_dist(net, 0, 2) == 2
     path.write_text("0,1\n1,x\n")
     with pytest.raises(InputError, match=r"distance matrix row: not a row of numbers: \['1', 'x'\]"):
         load_matrix_net(str(path))

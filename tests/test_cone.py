@@ -80,6 +80,25 @@ def test_rejects_ball_outside_ambient():
         cone_covering(cover, (0, 0), 1, 2)
 
 
+@pytest.mark.parametrize("apex, R, m", [
+    ((0, 0), 1, "2"),
+    ((0, 0), 1, True),
+    ((0, 0), 1, Fraction(1, 2)),
+    ((0, 0), 1, math.inf),
+    ((0, 0), 1, math.nan),
+    ((0, 0), math.inf, 2),
+    ((0, 0), math.nan, 2),
+    ((0, math.inf), 1, 2),
+    ((math.nan, 0), 1, 2),
+])
+def test_cone_covering_refuses_a_non_finite_or_small_m_r_or_apex(apex, R, m):
+    """m = "2" and m = True were accepted, and an infinite or NaN m, R or
+    apex coordinate raised OverflowError or ValueError."""
+    cover = Covering((Ball((Fraction(1, 2), Fraction(0)), Fraction(1, 4)),), frozenset(), 1)
+    with pytest.raises(InputError):
+        cone_covering(cover, apex, R, m)
+
+
 def test_rejects_zero_radius():
     cover = Covering((Ball((Fraction(0), Fraction(0)), Fraction(0)),),
                      frozenset(), 1)

@@ -60,6 +60,7 @@ from hcfill.space import (
     net_center,
     net_dist,
 )
+from oracles import net_point_dist
 
 MS = [1, 2, 3, Fraction(2), Fraction(3, 2), Fraction(1, 2), 0.5, 1.5, 2.0]
 BOX = {1: 9, 2: 6, 3: 4}
@@ -447,7 +448,7 @@ def net_optimum(net, m):
     k = len(net.points)
     balls = {}
     for c in range(k):
-        d = [net.dist(c, e) for e in range(k)]
+        d = [net_point_dist(net, c, e) for e in range(k)]
         for r in sorted({x for x in d if x > 0}) or [0.0]:
             mask = sum(1 << e for e in range(k) if d[e] <= r + 1e-9)
             balls[mask] = min(balls.get(mask, math.inf), r ** float(m))

@@ -54,7 +54,7 @@ from hcfill.space import (
     grid_ball,
     linf,
 )
-from oracles import members_oracle
+from oracles import landing_points, members_oracle
 
 
 def small_scale(m, A=3.0):
@@ -875,7 +875,7 @@ def test_step_displacement_matches_the_float_distance_scan(space):
     # float l_inf distance from a removed cell's centre to where it lands
     st = improvement_step(space, None, 2, constants=small_scale(2, 3.0))
     want = 0.0
-    for c, landing in st.theta.items():
+    for c, landing in landing_points(space, st.landing).items():
         want = max(want, float(linf(space.cell_center(c), landing)))
     assert want > 0
     assert _same(st.max_displacement, want)
@@ -891,7 +891,7 @@ def test_step_with_real_slices():
         assert float(cert.cost) <= float(cert.bound) + 1e-9
     # each landing is no farther than the apex of its ball, so it stays
     # within twice the ball radius of some selected center
-    for cell, landing in st.theta.items():
+    for cell, landing in landing_points(s, st.landing).items():
         assert any(
             linf(landing, b.center) <= 2 * b.radius
             for b in st.decomposition.balls
@@ -943,13 +943,14 @@ def test_sequence_on_multiball_path():
 def _oracle_carriers(space, y, steps):
     carriers = {c: ("cell", c) for c in y}
     for step in steps:
+        theta = landing_points(space, step.landing)
         for orig, state in list(carriers.items()):
             kind, value = state
             if kind != "cell":
                 continue
             cell = value
-            if cell in step.theta:
-                landing = step.theta[cell]
+            if cell in theta:
+                landing = theta[cell]
                 landed_cell = tuple(math.floor(x / space.delta) for x in landing)
                 if landed_cell in step.new_cells and \
                         space.cell_center(landed_cell) == landing:
@@ -986,7 +987,7 @@ def test_sequence_carriers_match_two_state_oracle(space, m, A, steps):
     seq = improvement_sequence(space, None, m, constants=small_scale(m, A))
     assert len(seq.steps) == steps
     final_pos, max_disp = _oracle_carriers(space, frozenset(space.cells), seq.steps)
-    assert seq.carriers == final_pos
+    assert landing_points(space, seq.landing) == final_pos
     assert seq.max_total_displacement == max_disp
 
 
@@ -1050,7 +1051,7 @@ def test_integer_step_maps_match_the_fraction_oracle(space, m, A):
     assume(any(b.slice_cells for step in seq.steps for b in step.decomposition.balls))
     for step in seq.steps:
         theta, disp, reaches, certs = _oracle_step_maps(space, step, Fraction(m))
-        assert step.theta == theta
+        assert landing_points(space, step.landing) == theta
         assert step.max_displacement == disp
         assert [c.ambient_radius for c in step.cone_certificates] == reaches
         assert step.cone_certificates == certs
@@ -1058,7 +1059,7 @@ def test_integer_step_maps_match_the_fraction_oracle(space, m, A):
             assert (type(got.cost), type(got.bound)) == (type(want.cost), type(want.bound))
             assert got.balls == want.balls
     final_pos, max_disp = _oracle_carriers(space, frozenset(space.cells), seq.steps)
-    assert seq.carriers == final_pos
+    assert landing_points(space, seq.landing) == final_pos
     assert seq.max_total_displacement == max_disp
 
 

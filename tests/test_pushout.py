@@ -18,6 +18,7 @@ from hcfill.pushout import (
     skeleton_descend,
 )
 from hcfill.shapes import make_box, make_cube, make_l_hexomino
+from oracles import face_bounds, face_center
 
 
 UNIT = CubicalGrid(2, Fraction(1))
@@ -184,7 +185,7 @@ def test_descend_per_level_moves_stay_in_face():
     tr = skeleton_descend(pts, g, 2, candidates=4)
     for k, steps in tr.levels:
         for step in steps:
-            for coord, (lo, hi) in zip(step.chosen_point, step.face.bounds()):
+            for coord, (lo, hi) in zip(step.chosen_point, face_bounds(step.face)):
                 assert lo <= coord <= hi
 
 
@@ -222,7 +223,7 @@ def test_average_point_input_checks():
 def test_average_point_error_precedence():
     # an outside point is reported only once some option is admissible
     f = _face_of((Fraction(3, 4), Fraction(1, 2)))
-    pts = [f.center(), (Fraction(2), Fraction(1, 2))]
+    pts = [face_center(f), (Fraction(2), Fraction(1, 2))]
     with pytest.raises(InputError, match="no admissible projection point"):
         average_point(f, pts, 2, candidates=0, c0=Fraction(10**6))
     with pytest.raises(InputError, match="must lie in the face"):
@@ -374,11 +375,11 @@ def test_cached_option_order_is_the_eager_sort(axes, candidates):
     and Weyl samples, built as Fractions and sorted."""
     grid = CubicalGrid(axes + 1, Fraction(2, 3))
     face = pushout.Face(grid, (("free", -1), ("fixed", 2), *(("free", a) for a in range(axes - 1))))
-    eager = [face.center()]
+    eager = [face_center(face)]
     free_axes = [i for i, (kind, _) in enumerate(face.coords) if kind == "free"]
-    bounds = face.bounds()
+    bounds = face_bounds(face)
     for j in range(1, candidates + 1):
-        coord = list(face.center())
+        coord = list(face_center(face))
         for ai, axis in enumerate(free_axes):
             lo, hi = bounds[axis]
             f = (j * pushout._WEYL[ai % len(pushout._WEYL)]) % pushout._WEYL_DEN

@@ -34,6 +34,7 @@ from hcfill.pushout import (
     skeleton_descend,
 )
 from hcfill.space import Ball, Covering, linf
+from oracles import face_bounds, face_center, face_contains, face_strictly_interior
 
 
 # ---------------------------------------------------------------------------
@@ -43,14 +44,14 @@ def oracle_radial_project(face: Face, p, x):
     """Boundary point of the face on the ray p -> x; exact rational."""
     p = tuple(as_fraction(c) for c in p)
     x = tuple(as_fraction(c) for c in x)
-    if not face.strictly_interior(p):
+    if not face_strictly_interior(face, p):
         raise InputError("projection point must be strictly interior to the face")
-    if not face.contains(x):
+    if not face_contains(face, x):
         raise InputError("point to project must lie in the face")
     if x == p:
         raise InputError("radial projection undefined at the projection point")
     t_hit = None
-    for (kind, _), (lo, hi), pc, xc in zip(face.coords, face.bounds(), p, x):
+    for (kind, _), (lo, hi), pc, xc in zip(face.coords, face_bounds(face), p, x):
         if kind == "fixed" or xc == pc:
             continue
         t = (hi - pc) / (xc - pc) if xc > pc else (lo - pc) / (xc - pc)
@@ -125,12 +126,12 @@ def oracle_average_point(
         )
 
     taken = set(pts)
-    options = [face.center()]
+    options = [face_center(face)]
     free_axes = [i for i, (kind, _) in enumerate(face.coords) if kind == "free"]
-    bounds = face.bounds()
+    bounds = face_bounds(face)
     # deterministic low-discrepancy interior sample (Weyl sequence per axis)
     for j in range(1, candidates + 1):
-        coord = list(face.center())
+        coord = list(face_center(face))
         for ai, axis in enumerate(free_axes):
             lo, hi = bounds[axis]
             frac_part = (j * _WEYL[ai % len(_WEYL)]) % _WEYL_DEN
@@ -140,7 +141,7 @@ def oracle_average_point(
 
     best = None
     for p in options:
-        if p in taken or not face.strictly_interior(p):
+        if p in taken or not face_strictly_interior(face, p):
             continue
         projected = [oracle_radial_project(face, p, x) for x in pts]
         after, _ = oracle_point_cover(projected, exponent, floor)
@@ -336,7 +337,7 @@ def faces(draw):
 def face_points(draw, face, strict=False):
     """A point of the face (strictly interior if `strict`), mixed denominators."""
     coords = []
-    for (kind, _), (lo, hi) in zip(face.coords, face.bounds()):
+    for (kind, _), (lo, hi) in zip(face.coords, face_bounds(face)):
         if kind == "fixed":
             coords.append(lo)
             continue

@@ -2,15 +2,21 @@
 only: every import a module binds is used in that module (or its
 line says `# noqa: F401`), every private module-level function or class is
 named somewhere else in the package, and so is every public one that is
-not exempt."""
+not exempt, and every public method or property of a library class is
+named in the package or in `perfbench/`."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hcfill"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hcfill"
 MODULES = sorted(SRC.glob("*.py"))
+# the benchmark's harness, whose reads keep a library member alive; its
+# tests do not
+PERFBENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                   if not p.name.startswith("test_"))
 
 
 def _parse(path):
@@ -94,4 +100,19 @@ def test_every_public_definition_is_named_elsewhere():
             and not node.name.startswith("_")
             and module not in PUBLIC_EXEMPT and node.name not in PUBLIC_EXEMPT
             and not any(node.name in names for j, names in enumerate(reads) if j != i)]
+    assert dead == []
+
+
+def test_every_public_member_is_named_somewhere():
+    """A public method or property of a class at module level whose name no
+    name or attribute of the package or of perfbench/ reads is read only by
+    tests: dead library code.  Names are matched without their class, so a
+    member that shares its name with one that is read passes."""
+    named = set()
+    for path in MODULES + PERFBENCH:
+        named.update(_references(_parse(path)[1]))
+    dead = [f"{path.name}: {cls.name}.{node.name}"
+            for path in MODULES for cls in _parse(path)[1].body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and node.name not in named]
     assert dead == []

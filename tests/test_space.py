@@ -18,6 +18,7 @@ from hcfill.space import (
     GridBalls,
     NetSpace,
     PointKeys,
+    RadiusCapped,
     VoxelSpace,
     ball_members,
     bit_indices,
@@ -32,8 +33,9 @@ from hcfill.space import (
     space_to_dict,
 )
 from hcfill.content import exact_content
+from hcfill.pushout import grid_R_for_content
 from hcfill.width import width_bound
-from oracles import members_oracle
+from oracles import members_oracle, net_point_dist
 
 
 @pytest.mark.parametrize("metric", ["linf", "l1", "l2"])
@@ -45,6 +47,44 @@ def test_net_points_need_one_coordinate_count(metric):
         NetSpace(metric, points)
     with pytest.raises(InputError, match=message):
         space_from_dict({"variant": "net", "metric": metric, "points": points})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"variant": "net", "points": [[True, 0], [0, 0], [3, 1]], "eps_net": False},
+     "net point: not a row of numbers"),
+    ({"variant": "net", "points": [[0, 0], [3, 1]], "eps_net": False},
+     "field 'eps_net': not a valid value"),
+    ({"variant": "net", "metric": "matrix", "points": [[0], [1]],
+      "matrix": [[0, True], [True, 0]]}, "distance matrix row: not a row of numbers"),
+])
+def test_net_documents_refuse_booleans(doc, message):
+    """A JSON `true` or `false` in a net document loaded as 1.0 or 0.0."""
+    with pytest.raises(InputError, match=message):
+        space_from_dict(doc)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NetSpace("linf", ((0.0, 0.0),), float("nan")),
+    lambda: NetSpace("linf", ((0.0, 0.0),), float("inf")),
+    lambda: RadiusCapped(float("nan")),
+    lambda: RadiusCapped(float("inf")),
+    lambda: VoxelSpace(2, float("nan"), frozenset({(0, 0)})),
+    lambda: VoxelSpace(2, float("inf"), frozenset({(0, 0)})),
+    lambda: VoxelSpace(2.5, Fraction(1, 2), frozenset()),
+    lambda: VoxelSpace(True, Fraction(1, 2), frozenset()),
+    lambda: grid_R_for_content(1, 3, 2, delta=float("nan")),
+    lambda: grid_R_for_content(1, 3, 2, delta=float("inf")),
+    lambda: grid_R_for_content(1, 3, 2, delta=-1),
+], ids=["eps_net-nan", "eps_net-inf", "cap-nan", "cap-inf", "delta-nan", "delta-inf",
+        "n-2.5", "n-True", "grid-delta-nan", "grid-delta-inf", "grid-delta-negative"])
+def test_spaces_families_and_grid_sizes_refuse_non_finite_numbers(build):
+    """NaN and infinite net scales and radius caps were accepted, and the
+    content solver then raised ValueError or OverflowError on the cap; a
+    NaN or infinite delta raised them at once, n = 2.5 was accepted, and
+    the grid size came back NaN, infinite or 7.0 for a delta of NaN, inf
+    or -1."""
+    with pytest.raises(InputError):
+        build()
 
 
 @pytest.mark.parametrize("center, radius", [
@@ -116,7 +156,7 @@ def test_load_net_csv(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("0,0\n1,2\n")
     net = load_space(str(path))
-    assert net.variant == "net" and len(net.points) == 2
+    assert isinstance(net, NetSpace) and len(net.points) == 2
 
 
 def test_radius_and_diameter():
@@ -244,7 +284,7 @@ def element_lists(draw):
                 st.tuples(*[st.fractions(-1, 4, max_denominator=8)] * 2),
             )
         elements = draw(st.lists(st.integers(0, count + 1), unique=True))
-        dists = sorted({space.dist(i, j) for i in range(count) for j in range(count)})
+        dists = sorted({net_point_dist(space, i, j) for i in range(count) for j in range(count)})
         radius = st.one_of(st.sampled_from(dists), st.floats(0, 4))
     balls = draw(st.lists(st.builds(Ball, center, radius), min_size=1, max_size=4))
     return space, elements, balls

@@ -39,6 +39,7 @@ from hcfill.width import (
     nerve,
     width_bound,
 )
+from oracles import net_point_dist
 
 
 def test_nerve_disjoint_balls():
@@ -435,7 +436,7 @@ def net_covers(draw):
     else:
         space = NetSpace(metric, points)
     centers = st.integers(0, count - 1).map(lambda i: space.points[i])
-    radius = st.sampled_from(sorted({space.dist(i, j) for i in range(count)
+    radius = st.sampled_from(sorted({net_point_dist(space, i, j) for i in range(count)
                                      for j in range(count)}))
     ball = st.builds(Ball, centers, radius)
     covers = []
