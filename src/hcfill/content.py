@@ -6,10 +6,12 @@ set-cover instance by branch and bound with an LP-dual-feasible ratio bound;
 `greedy_content` gives the usual ratio-greedy upper bound, with lower value
 0.  The search itself is `_branch_and_bound`, over candidate masks and
 costs with a `_RatioBound`.  It has two callers: `exact_content` starts it
-from the greedy cover under a node budget, and
-`decomposition.TildeContent.solve` runs it over the balls of a fixed
-covering with neither an incumbent nor a budget.  At integer m every ball
-cost is a Fraction (fixed families with float radii aside) and the search
+from the greedy cover under a node budget, and `_relative_cover`, the solve
+of `decomposition.TildeContent`, runs it over the balls of a fixed covering
+with neither an incumbent nor a budget, from the node of its forced balls
+(those holding a goal cell no other ball holds), and only when they leave
+a cell uncovered.  At integer m every ball cost is a Fraction (fixed
+families with float radii aside) and the search
 runs on integers: costs scaled by the lcm D of their denominators and by
 L = lcm(1..s) for the largest ball size s, so every ratio cost/|ball & U|
 is an integer.  Float costs, at non-integer m, stay floats.  The bound at a
@@ -602,7 +604,7 @@ def _greedy_cover(cands, full, ratio: _RatioBound):
 
 
 def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
-                      best_cost, best_sel, root=None, prune=False):
+                      best_cost, best_sel, root=None, prune=False, start=None):
     """Depth-first search for the cheapest cover of `goal` by the candidates.
 
     Branches on the uncovered element with the fewest candidates (lowest bit
@@ -613,7 +615,8 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
     lower the frontier.  Returns (cost, indices, nodes, frontier), the
     frontier None when the search closed within the budget.  `root` is
     (`ratio.ranked(goal)`, `ratio.priced(goal, ranked)`) when the caller has
-    them.
+    them.  `start` is the (covered, cost, indices) node the search starts
+    from, the empty cover when None.
 
     A node that was priced takes its children cheapest first: the balls
     holding the branch element in the order of `ratio.ranked(U)`, the sort
@@ -645,7 +648,7 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
     nodes = 0
     frontier = covers_elem = kept = None
     memo = {}
-    stack = [(0, ratio.zero, (), None)]
+    stack = [(*start, None)] if start else [(0, ratio.zero, (), None)]
     while stack:
         covered, cost, sel, inherited = stack.pop()
         nodes += 1
@@ -722,6 +725,45 @@ def _branch_element(uncovered, fans):
     for mask in fans:
         if here := uncovered & mask:
             return (here & -here).bit_length() - 1
+
+
+def _relative_cover(cands, ratio: _RatioBound, goal: int):
+    """(cost in `ratio`'s units, keys) of the first cheapest cover of `goal`
+    that `_branch_and_bound` finds over the candidates meeting it, their
+    masks ANDed with the goal, with neither an incumbent nor a budget.
+    `ratio` prices all of `cands`, in their order.
+
+    The forced balls come first: those holding a goal cell that no other
+    meeting ball holds (a row with one column forces that column, Beasley
+    1987), found by one pass that ORs the cells met once and twice.  They
+    are taken in the order of their lowest such cell, their costs summed
+    from `ratio.zero` in that order.  That is the node the search reaches
+    before anything else: no node is priced before the first cover, the
+    branch element is the lowest cell with the fewest holders, and a cell
+    with one holder has one child.  When the forced balls cover the goal
+    they are the answer, and no search runs; else the search starts from
+    their node, where its decisions and float sums are the full search's."""
+    usable, inters = [], []
+    once = twice = 0
+    for pos, cand in enumerate(cands):
+        if inter := cand.mask & goal:
+            usable.append(pos)
+            inters.append(inter)
+            twice |= once & inter
+            once |= inter
+    forced = sorted((own & -own, k) for k, inter in enumerate(inters)
+                    if (own := inter & ~twice))
+    covered, cost = 0, ratio.zero
+    for _, k in forced:
+        covered |= inters[k]
+        cost += ratio.costs[usable[k]]
+    sel = tuple(k for _, k in forced)
+    if covered != goal:
+        meeting = [_Candidate(cands[pos].cost, cands[pos].key, inter, None)
+                   for pos, inter in zip(usable, inters)]
+        cost, sel, _, _ = _branch_and_bound(meeting, ratio.restricted(usable), goal, math.inf,
+                                            math.inf, (), start=(covered, cost, sel))
+    return cost, tuple(cands[usable[k]].key for k in sel)
 
 
 def greedy_content(

@@ -51,7 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coarea import DistanceToPoint, best_slice, slice_profile, slice_sweep
-from .content import DEFAULT_NODE_BUDGET, _branch_and_bound, _Candidate, _RatioBound, exact_content
+from .content import (DEFAULT_NODE_BUDGET, _Candidate, _RatioBound, _relative_cover,
+                      exact_content)
 from .cone import ConeCertificate, cone_covering
 from .errors import DecompositionViolation, InputError, VerificationError
 from .exact import (TOL, InequalityCheck, Scalar, as_fraction, common_den, finite_number,
@@ -167,19 +168,24 @@ class TildeContent:
     `bits.box(GridBalls.ranges(key))`, the listed cells whose centres a Q
     ball holds, occupied or not, built once; costs are `make.radius(key)`
     powers, and `q_balls` is built on first read.
-    A solve runs the content solver's `_branch_and_bound` over the Q balls
-    that meet the goal mask (bits of `cells`), without an incumbent, so its
-    witness is the first cheapest cover in the search's order: candidate
-    order down to its first cover, cheapest first at every node priced
-    after it.  That order depends on every such ball, so no dominance pass
-    prunes them.  Each exponent is priced once (`_pricing`): the Q balls as
-    `_Candidate` records keyed by index, in (cost, index) order, and one
-    `_RatioBound` over their whole masks, so a solve only ANDs the masks
-    with the goal and restricts the bound to the balls that meet it.  A ball
-    that misses the goal is never branched on and prices nothing, the balls
-    that meet it keep their order, and the bound's larger size lcm only
-    scales its units, which moves no price order, so every answer is the
-    one a bound over the meeting balls alone gives.
+    A solve (`content._relative_cover`) covers the goal mask (bits of
+    `cells`) by the Q balls that meet it.  It takes the forced balls first,
+    those holding a goal cell that no other meeting ball holds, in the order
+    of their lowest such cell; when they cover the goal they are the answer,
+    and else the content solver's `_branch_and_bound` searches the cells
+    they leave, from their node, without an incumbent.  Its witness is the
+    first cheapest cover in the full search's order (candidate order down
+    to its first cover, cheapest first at every node priced after it),
+    which begins with the forced balls in that order.  That order depends on
+    every meeting ball, so no dominance pass prunes them.  Each exponent is
+    priced once (`_pricing`): the Q balls as `_Candidate` records keyed by
+    index, in (cost, index) order, and one `_RatioBound` over their whole
+    masks, so a solve only ANDs the masks with the goal, and a search
+    restricts the bound to the balls that meet it.  A ball that misses the
+    goal is never branched on and prices nothing, the balls that meet it
+    keep their order, and the bound's larger size lcm only scales its units,
+    which moves no price order, so every answer is the one a bound over the
+    meeting balls alone gives.
     `solve_mask` is the one entry, cached per (goal mask, exponent); `solve`
     takes a cell set.  One cache keeps the last point's `frame`, its
     `PointKeys`, and its `radial` order of the cells, built on first read
@@ -273,12 +279,8 @@ class TildeContent:
         if goal & ~self._union:
             raise InputError("fixed covering cannot cover the requested subset")
         cands, ratio, _, _ = self._pricing(exponent)
-        usable = [pos for pos, cand in enumerate(cands) if cand.mask & goal]
-        meeting = [_Candidate(c.cost, c.key, c.mask & goal, None)
-                   for c in map(cands.__getitem__, usable)]
-        units, sel, _, _ = _branch_and_bound(meeting, ratio.restricted(usable), goal,
-                                             math.inf, math.inf, ())
-        result = (ratio.scalar(units), tuple(meeting[k].key for k in sel))
+        units, sel = _relative_cover(cands, ratio, goal)
+        result = (ratio.scalar(units), sel)
         self._value_cache[key] = result
         return result
 

@@ -101,7 +101,10 @@ def nonneg_int(x, what: str) -> int:
 
 def parse_scalar(text: Scalar) -> Fraction:
     """Parse "p/q" strings, ints, finite floats and decimal strings to an
-    exact Fraction, else raise ValueError.  Used by every JSON loader."""
+    exact Fraction, else raise ValueError (a bool too, which is not read as
+    1 or 0).  Used by every JSON loader."""
+    if isinstance(text, bool):
+        raise ValueError(f"not a number: {text!r}")
     if isinstance(text, (Fraction, int)):
         return Fraction(text)
     if isinstance(text, float):

@@ -709,13 +709,20 @@ _CONTENT = ("content", "--space", "{}", "--m", "1")
      _CONTENT, "net point: not a row of numbers"),
     ("bool_eps.json", '{"variant": "net", "points": [[0, 0], [3, 1]], "eps_net": false}',
      _CONTENT, "field 'eps_net': not a valid value"),
+    ("bool_delta.json", '{"variant": "voxel", "n": 1, "delta": true, "cells": [[0]]}',
+     ("content", "--space", "{}", "--exact", "--m", "1"),
+     "field 'delta': not a valid value: True"),
+    ("bool_center.json", '{"balls": [{"center": [true, "0"], "radius": "1/4"}]}',
+     ("cone", "--cover", "{}", "--apex", "0,0", "--R", "1", "--m", "2"),
+     "a ball needs a numeric center and radius"),
 ])
 def test_non_finite_numbers_in_input_documents_are_input_errors(
         capsys, tmp_path, name, text, argv, message):
     """JSON `Infinity` and `NaN` and CSV `inf` and `nan` are refused where
     they are read, with exit 1, neither escaping as `OverflowError` nor
     reaching a solver.  So are JSON booleans in a net, which loaded as 1.0
-    and 0.0."""
+    and 0.0, and as a voxel delta or a cover ball's centre, which loaded as
+    1 and 0."""
     path = tmp_path / name
     path.write_text(text)
     code, out, err = run_cli(capsys, *(arg.format(path) for arg in argv))

@@ -12,8 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hcfill.cone import cone_covering
-from hcfill.content import DEFAULT_NODE_BUDGET, exact_content
-from hcfill import decomposition
+from hcfill.content import DEFAULT_NODE_BUDGET, _branch_and_bound, _Candidate, exact_content
+from hcfill import content, decomposition
 from hcfill.decomposition import (
     _CEILING_MARGIN,
     Constants,
@@ -744,6 +744,53 @@ def test_one_context_across_exponents_matches_fresh_contexts(instance, data, m):
         assert type(got[0]) is type(want[0])
 
 
+def _unreduced_solve(tilde, goal, exponent):
+    """A relative solve without the forced-ball reduction: the search over
+    every Q ball meeting the goal, from the empty root."""
+    cands, ratio, _, _ = tilde._pricing(as_fraction(exponent))
+    usable = [pos for pos, cand in enumerate(cands) if cand.mask & goal]
+    meeting = [_Candidate(c.cost, c.key, c.mask & goal, None)
+               for c in map(cands.__getitem__, usable)]
+    units, sel, _, _ = _branch_and_bound(meeting, ratio.restricted(usable), goal,
+                                         math.inf, math.inf, ())
+    return ratio.scalar(units), tuple(meeting[k].key for k in sel)
+
+
+def _bits(value):
+    """A value with its type, a float by its bits."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+_LINE10 = VoxelSpace(1, Fraction(1, 8), frozenset((i,) for i in range(10)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(instance=tilde_instances(), shadowed=st.booleans())
+# three forced balls of sides 3, 5 and 2 along a line: at m = 3/2 their
+# costs summed in that order differ in the last bit from the sorted and the
+# reversed sums
+@example(instance=(_LINE10, _LINE10.cells, [_grid_key((0,), 3), _grid_key((3,), 5),
+                                            _grid_key((8,), 2)], _LINE10.cells, None),
+         shadowed=False)
+def test_forced_balls_answer_as_the_unreduced_search(instance, shadowed):
+    """Taking the forced Q balls first, and searching only the cells they
+    leave, gives the same value, float bits, type and key order as the
+    search over every meeting ball at every exponent.  `shadowed` adds a
+    copy of one ball, so that the cells only it held are forced no more and
+    the search runs on from a partial forced cover."""
+    space, target, keys, subset, _ = instance
+    if shadowed:
+        keys = keys + keys[:1]
+    tilde = TildeContent(space, target, keys)
+    goal = tilde.subset_mask(subset)
+    if not goal or goal & ~tilde._union:
+        return
+    for exponent in EXACT_EXPONENTS + FLOAT_EXPONENTS:
+        cost, sel = tilde.solve_mask(goal, exponent)
+        want_cost, want_sel = _unreduced_solve(tilde, goal, exponent)
+        assert (_bits(cost), sel) == (_bits(want_cost), want_sel)
+
+
 @pytest.mark.parametrize("exponent", [2, Fraction(5, 2)], ids=str)
 def test_tilde_solve_covers_unoccupied_target_cells_as_exact_content_does(exponent):
     """Q balls hold the listed cells whose centres they hold, occupied or
@@ -1369,6 +1416,37 @@ def test_decomposition_reports_pinned(run, digest):
         step.decomposition for step in result.sequence.steps]
     for decomp in decomps:
         assert decomp.to_dict()["q_balls"] == [b.to_dict() for b in decomp.q.balls]
+
+
+@pytest.mark.parametrize("run, digest", [
+    PINNED_REPORTS[0],
+    (lambda: fill(make_ring(16), None, 2, constants=small_scale(2, 3.0)), "5d43fda00d67581a"),
+], ids=["line60", "ring16"])
+def test_a3_fills_answer_every_relative_solve_from_its_forced_balls(monkeypatch, run, digest):
+    """In these multi-ball fills every Q ball meeting a relative solve's
+    goal holds a goal cell that no other meeting ball holds, so the forced
+    balls cover the goal and no search runs (297 and 241 searches ran
+    before the reduction), with the same report."""
+    solving, searches = [], Counter()
+    real_solve, real_search = TildeContent.solve_mask, content._branch_and_bound
+
+    def solve_mask(tilde, goal, exponent):
+        solving.append(goal)
+        try:
+            return real_solve(tilde, goal, exponent)
+        finally:
+            solving.pop()
+
+    def search(*args, **kwargs):
+        searches["relative" if solving else "exact_content"] += 1
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(TildeContent, "solve_mask", solve_mask)
+    monkeypatch.setattr(content, "_branch_and_bound", search)
+    text = json.dumps(run().to_dict(), sort_keys=True, default=fmt_scalar)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    # the wrapped entry is the one the solvers call: exact_content's searches count
+    assert searches["relative"] == 0 and searches["exact_content"] > 0
 
 
 @pytest.mark.parametrize("run, digest", PINNED_REPORTS)
