@@ -64,3 +64,18 @@ def landing_points(space, landing) -> dict:
     """Cell -> its landing point delta/2 * h, a tuple of Fractions."""
     part = GridBalls(space.delta).part
     return {c: tuple(map(part, h)) for c, h in landing.items()}
+
+
+def ratio_sum(ratio, groups, within=-1):
+    """`_RatioBound._sum` as it summed float prices before a priced node
+    kept its prices as an ordered list: the prices of the (ratio, elements)
+    groups over the elements in `within`, each at its element's place in a
+    list of int zeros, summed in the bound's `_order`."""
+    least = [0] * (max(ratio._order, default=-1) + 1)
+    for price, new in groups:
+        new &= within
+        while new:
+            low = new & -new
+            least[low.bit_length() - 1] = price
+            new ^= low
+    return sum(map(least.__getitem__, ratio._order))

@@ -381,6 +381,36 @@ def test_strip_with_bulbs_search_report_pinned():
     assert _digest(res) == "405d8e3c6a33aa56"
 
 
+def _seeded_net(seed, metric, count, side):
+    """`count` distinct points of the integer square [0, side]^2 as floats,
+    drawn from a `random.Random(seed)` as the benchmark's nets are."""
+    rng = random.Random(seed)
+    points = {}
+    while len(points) < count:
+        points[(float(rng.randrange(side + 1)), float(rng.randrange(side + 1)))] = None
+    return NetSpace(metric, tuple(points))
+
+
+@pytest.mark.parametrize("seed, metric, count, side, m, digest", [
+    (0, "l2", 25, 16, Fraction(3, 2),
+     "fb93ea9f382b5057d8e116b67fea5be98c9e5d3c2fb4b47f936d81f0e0dc8a1f"),
+    (1, "l2", 25, 16, Fraction(3, 2),
+     "c491856590e200055f85f54d4b05bc404f070c282d2a19118e333004f47a9c80"),
+    (2, "l2", 25, 16, Fraction(3, 2),
+     "72e5c6abb5fd9fe414a5a24f21aee0fdb7a1287ccd71b88ff8ff91bbc0e3bf99"),
+    (3, "l2", 25, 16, Fraction(3, 2),
+     "7a307ea9acdffb9a160f847bf688fecc72f404db23225b0b7f9564f83ec3edd8"),
+    (4, "l1", 20, 12, 1, "71c1e655937dbd99318096d62b6770734cdf0dc32c491d4f30a70b9044a3fe07"),
+    (5, "linf", 20, 12, 1, "27548eac33be57e6fcab8926e2350a597900489caf10d921a88fcaebd1d87c4e"),
+])
+def test_seeded_net_reports_pinned(seed, metric, count, side, m, digest):
+    """Whole sha256 of net searches at a 1,500-node budget: float costs on
+    the l2 nets, which run out of budget, and Fraction costs at m = 1."""
+    res = exact_content(_seeded_net(seed, metric, count, side), None, m, node_budget=1500)
+    text = json.dumps(res.to_dict(), sort_keys=True, default=fmt_scalar)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("make, m, digest", [
     (_blob_centers, 1, "c75459932e84bd08"),
     (_mixed_fixed, 1, "fc94b371aef83e2d"),
