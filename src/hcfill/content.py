@@ -46,14 +46,16 @@ ball covers a target's unoccupied cells too), its key is its centre in
 half-cell units and then its side k, which orders like the ball key, and a
 block of side k > 1 whose cost k^m times the unit cost reaches its cell
 count is dominated by its unit balls and dropped (a whole size when a full
-block would be, so at m >= n only unit balls are enumerated).  On an axis
-where the target spans [lo, hi], blocks of side k are anchored only from the
-largest multiple of the stride <= lo to the least >= max(lo, hi - k + 1):
-a block anchored further out holds a subset of the target cells that the
-same-size block at the nearer end of that range holds, at the same cost, so
-dropping it is column dominance in set cover (Beasley 1987, "An algorithm
-for set covering problem") and moves no optimum and no lower bound.  Sizes
-run up to the first whose block at the least anchor holds the whole target.
+block would be, so at m >= n only unit balls are enumerated; a slab or a
+partial AND at that count already drops every block built from it).  On an
+axis where the target spans [lo, hi], blocks of side k are anchored only
+from the largest multiple of the stride <= lo to the least >= max(lo,
+hi - k + 1): a block anchored further out holds a subset of the target
+cells that the same-size block at the nearer end of that range holds, at
+the same cost, so dropping it is column dominance in set cover (Beasley
+1987, "An algorithm for set covering problem") and moves no optimum and no
+lower bound.  Sizes run up to the first whose block at the least anchor
+holds the whole target.
 Grid rows leave the generator in (cost, key) order, other rows are sorted
 stably on it, and one candidate per distinct mask is kept, so a grid mask's
 ball is the least in key order among the blocks anchored in those ranges.
@@ -224,8 +226,10 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
             rows += [(cost, (*[2 * x + 1 for x in cell], 1), 1 << idx)
                      for idx, cell in enumerate(bits.elements)]
             continue
-        # (key, mask) of the non-empty blocks, one axis at a time; the last
-        # axis's part of the key ends in k
+        # (key, mask) of the blocks above the limit, one axis at a time; the
+        # last axis's part of the key ends in k.  A block's cells are a
+        # subset of each slab's and of each partial product's, so a slab or
+        # a partial product at or below the limit has no block above it.
         blocks = [((), bits.full)]
         for i in range(space.n):
             last = max(lo[i], hi[i] - k + 1)
@@ -233,10 +237,10 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
             tail = (k,) if i == space.n - 1 else ()
             slabs = [((2 * a + k, *tail), slab)
                      for a in range(first[i], last + 1, stride)
-                     if (slab := bits.slab(i, a, a + k - 1))]
+                     if (slab := bits.slab(i, a, a + k - 1)).bit_count() > limit]
             blocks = [(key + part, both) for key, mask in blocks
-                      for part, slab in slabs if (both := mask & slab)]
-        rows += [(cost, key, mask) for key, mask in blocks if mask.bit_count() > limit]
+                      for part, slab in slabs if (both := mask & slab).bit_count() > limit]
+        rows += [(cost, key, mask) for key, mask in blocks]
     if not presorted:
         rows.sort()  # no two rows tie on (cost, key)
     return rows, bits.index

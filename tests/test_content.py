@@ -154,6 +154,31 @@ def test_bracket_soundness_small_instances(small_blobs):
         assert res.value_lower <= best <= res.value_upper
 
 
+def _self_similar(base, digits, levels):
+    """The level-`levels` cells of the self-similar set with base-`base`
+    digits from `digits` on the unit square: a cell's coordinates are
+    sum d_j * base^j over one digit d_j per level."""
+    cells = frozenset(
+        tuple(sum(d[i] * base ** j for j, d in enumerate(ds)) for i in range(2))
+        for ds in itertools.product(digits, repeat=levels))
+    return VoxelSpace(2, Fraction(1, base ** levels), cells)
+
+
+@pytest.mark.parametrize("base, digits, levels", [
+    (4, ((0, 0), (0, 3), (3, 0), (3, 3)), 4),  # four corners, 256 cells
+    (3, ((0, 0), (2, 0), (1, 2)), 5),  # three maps, 243 cells
+])
+def test_sparse_self_similar_sets_close_at_the_root(base, digits, levels):
+    """Sparse cell sets spread over their whole square, where most blocks
+    hold at most their dominance limit: the one ball round the square, of
+    radius 1/2, is the m = 1 optimum, and the root's bracket closes."""
+    space = _self_similar(base, digits, levels)
+    assert len(space.cells) == len(digits) ** levels
+    res = exact_content(space, None, 1, node_budget=1)
+    assert (res.value_lower, res.value_upper) == (Fraction(1, 2), Fraction(1, 2))
+    assert res.optimal and res.certificate["nodes"] == 1
+
+
 def test_budget_exhaustion_returns_bracket():
     from hcfill.shapes import make_l_hexomino
 
