@@ -21,9 +21,12 @@ against the uncovered set U: each element takes the ratio of the first ball
 that reaches it, which is its minimum.  A child uncovers a subset of its
 parent's U, each ball meets fewer of its elements, and so every price only
 grows: the parent's prices summed over the child's U are a floor under the
-child's bound.  The search prunes on that floor first and sorts only where
-the floor does not decide, which prunes exactly the nodes the bound alone
-would.  A node that was priced branches cheapest first: its children, the
+child's bound.  At float costs a priced node keeps its prices as one
+(price, bit) list in the order its float sum runs, and a child's floor sums
+the entries its U keeps, left to right: the float the parent's sum with a
+zero for each dropped element gives.  The search prunes on that floor first
+and sorts only where the floor does not decide, which prunes exactly the
+nodes the bound alone would.  A node that was priced branches cheapest first: its children, the
 balls holding its branch element, come in that same sort's order (least
 ratio against U first, ties in candidate order), so no ball is priced
 twice.  A node reached before there is an incumbent, as in a `TildeContent`
@@ -40,7 +43,9 @@ are read.  A fixed-family ball is keyed by its ball key and takes its mask
 from `ElementBits.ball`.  A point centre (a net point or a
 `CentersIn` centre) sorts its distance row once, a radius's members are a
 prefix of it, and its rows are keyed (centre, radius), so no ball is built
-for a centre.  Grid blocks on voxel sets are mask first: a block's cells
+for a centre.  A coordinate net's rows measure each unordered pair of
+points once (`ElementBits.net_rows`), and each distinct radius is priced
+once per call.  Grid blocks on voxel sets are mask first: a block's cells
 are the AND of one per-axis slab mask (not of the occupied cells: any voxel
 ball covers a target's unoccupied cells too), its key is its centre in
 half-cell units and then its side k, which orders like the ball key, and a
@@ -83,6 +88,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from operator import itemgetter
 
 from .errors import InputError, UncoverableError
@@ -110,6 +116,7 @@ from .space import (
 )
 
 DEFAULT_NODE_BUDGET = 10**6
+_UNPRICED = object()  # a radius not in `_point_candidates`'s memo yet
 
 
 @dataclass(frozen=True)
@@ -264,35 +271,46 @@ def _point_candidates(space: Space, target, m, centers, cap):
     with radii from the distance set to target elements (the covering
     optimum over real radii is attained there), one per new mask at each
     centre.  A radius's members are a prefix of the centre's sorted
-    distance row: within radius + TOL on nets, and on voxels the target
-    cells (occupied or not) within it on exact distances."""
+    distance row (`ElementBits.net_rows` on nets), which one pass walks:
+    within radius + TOL on nets, where the radii are the row's distinct
+    distances, and on voxels the target cells (occupied or not) within it
+    on exact distances.  Each distinct radius is priced and tested against
+    the cap once per call, in a memo keyed by a float radius or by the
+    numerator and denominator of a rational one."""
     bits = ElementBits(space, sorted(target))
     voxel = isinstance(space, VoxelSpace)
     exact = is_integral(m)  # else power(r, m) == power(as_fraction(r), m)
     if voxel:
         cells = [(space.cell_center(c), 1 << i) for i, c in enumerate(bits.elements)]
-    rows = []
-    for center in centers:
-        if voxel:
+        dist_rows = []
+        for center in centers:
             at = tuple(map(as_fraction, center))
-            row = sorted((linf(c, at), bit) for c, bit in cells)
-            dists = sorted({linf(c, center) for c, _ in cells})
-        else:
-            row = bits.net_row(net_center(center, space))
-            dists = sorted({d for d, _ in row})
-            dists = [d for d in dists if d > 0.0] or dists[:1]
-        mask, j, seen = 0, 0, set()
+            dist_rows.append((sorted((linf(c, at), bit) for c, bit in cells),
+                              sorted({linf(c, center) for c, _ in cells})))
+    else:
+        dist_rows = []
+        for row in bits.net_rows([net_center(c, space) for c in centers]):
+            dists = [d for d, _ in groupby(row, _first)]
+            dist_rows.append((row, [d for d in dists if d > 0.0] or dists[:1]))
+    prices = {}
+    rows = []
+    for center, (row, dists) in zip(centers, dist_rows):
+        mask = last = j = 0
         for r in dists:
-            if cap is not None and as_fraction(r) > cap:
+            key = r if type(r) is float else (r.numerator, r.denominator)
+            cost = prices.get(key, _UNPRICED)
+            if cost is _UNPRICED:
+                cost = prices[key] = None if cap is not None and as_fraction(r) > cap \
+                    else power(as_fraction(r) if exact else r, m)
+            if cost is None:  # above the cap, as every later radius is
                 break
             limit = as_fraction(r) if voxel else float(r) + TOL
             while j < len(row) and row[j][0] <= limit:
                 mask |= row[j][1]
                 j += 1
-            if mask and mask not in seen:
-                seen.add(mask)
-                rows.append((power(as_fraction(r) if exact else r, m),
-                             (center, r if voxel else float(r)), mask))
+            if mask != last:  # masks only grow along a row
+                last = mask
+                rows.append((cost, (center, r if voxel else float(r)), mask))
     return rows, bits.index
 
 
@@ -354,20 +372,29 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
 def _undominated(masks, n_elems):
     """The indices of the masks, in order, that no earlier kept mask holds
     (of a repeated mask, its first), and per element the kept indices whose
-    masks hold it, in order.  A mask is tested against the shorter list of
-    its lowest and highest element's, and a dominated mask's elements are
-    not walked."""
+    masks hold it, in order.  A mask met before is dropped at once (held by
+    its first or by what held that); another is tested against the kept
+    masks holding the rarer of its lowest and highest element, and a
+    dominated mask's elements are not walked."""
     holders = [[] for _ in range(n_elems)]
-    kept = []
+    held = [[] for _ in range(n_elems)]  # the masks at `holders`' indices
+    kept, seen = [], set()
     for i, mask in enumerate(masks):
-        low, high = holders[(mask & -mask).bit_length() - 1], holders[mask.bit_length() - 1]
-        for j in low if len(low) < len(high) else high:
-            held = masks[j]
-            if held | mask == held:
+        if mask in seen:
+            continue
+        seen.add(mask)
+        low, high = held[(mask & -mask).bit_length() - 1], held[mask.bit_length() - 1]
+        for other in low if len(low) < len(high) else high:
+            if other | mask == other:
                 break
         else:
-            for e in bit_indices(mask):
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                e = bit.bit_length() - 1
                 holders[e].append(i)
+                held[e].append(mask)
+                rest ^= bit
             kept.append(i)
     return kept, holders
 
@@ -397,9 +424,10 @@ class _RatioBound:
     `ranked(U)` is that sort, which the search also takes its child order
     from; `priced(U)` keeps the (ratio, elements) groups with their sum, and
     `floor(U', groups, total)` sums the same prices over a subset U' of U.
-    The search hands a node's groups to its children: their exact bounds
-    can only be higher, so the floor prunes no node that the bound would
-    keep.
+    At float costs the groups are one (price, bit) pair per element, in the
+    order the float sums run in.  The search hands a node's groups to its
+    children: their exact bounds can only be higher, so the floor prunes no
+    node that the bound would keep.
     """
 
     def __init__(self, cands):
@@ -428,6 +456,7 @@ class _RatioBound:
                 self._order += bit_indices(mask & ~seen)
                 seen |= mask
             self._width = seen.bit_length()
+            self._places = [(e, 1 << e) for e in self._order]
 
     def scalar(self, x) -> Scalar:
         return x if self.scale is None else Fraction(x, self.scale)
@@ -459,7 +488,7 @@ class _RatioBound:
         (ratio, elements) groups covering each element of U once, each
         element going to the first ball of `ranked(U)` (the caller's, when
         it has it) that holds it, at its least ratio over the balls that
-        contain it."""
+        contain it.  At float costs the groups are `_in_order`."""
         groups = []
         for ratio, _, inter in self.ranked(uncovered) if ranked is None else ranked:
             if new := inter & uncovered:
@@ -467,6 +496,9 @@ class _RatioBound:
                 uncovered ^= new
                 if not uncovered:
                     break
+        if self.scale is not None:
+            return groups, sum(ratio * new.bit_count() for ratio, new in groups)
+        groups = self._in_order(groups)
         return groups, self._sum(groups)
 
     def floor(self, uncovered, groups, total):
@@ -478,7 +510,9 @@ class _RatioBound:
         is monotone.  `total` less the removed prices could round above it.
         A sum that mixes Fraction and float prices rounds at some steps and
         not at others, so it orders like neither sum: with mixed costs the
-        floor is -inf, and the exact bound runs at every node."""
+        floor is -inf, and the exact bound runs at every node.  At float
+        costs `groups` is the parent's `_in_order` list, and the floor is
+        its `_sum` over U'."""
         if self.scale is not None:
             gone = ~uncovered
             return total - sum(ratio * out.bit_count()
@@ -487,21 +521,25 @@ class _RatioBound:
             return -math.inf
         return self._sum(groups, uncovered)
 
-    def _sum(self, groups, within=-1):
-        """The sum of the prices of (ratio, elements) groups over the
-        elements in `within`, on floats in `_order`: each element's price
-        sits at its place in a list of int zeros, and a zero adds exactly
-        to a float or a Fraction."""
-        if self.scale is not None:
-            return sum(ratio * new.bit_count() for ratio, new in groups)
-        least = [0] * self._width
+    def _in_order(self, groups):
+        """Float (ratio, elements) groups as one (price, bit) pair per
+        element, in `_order`: the order in which their prices are summed."""
+        least = [None] * self._width
         for ratio, new in groups:
-            new &= within
             while new:
                 low = new & -new
                 least[low.bit_length() - 1] = ratio
                 new ^= low
-        return sum(map(least.__getitem__, self._order))
+        return [(price, bit) for e, bit in self._places if (price := least[e]) is not None]
+
+    def _sum(self, ordered, within=-1):
+        """The sum of the prices of an `_in_order` list over the elements in
+        `within`, by `sum` from int 0 in that order.  It is the sum, of the
+        same type and to the bit, of every element's price in `_order` with
+        an int 0 for each element left out: a zero term adds exactly to a
+        float or a Fraction, and leaves a compensated float sum (Python
+        3.12 on) as it found it."""
+        return sum([price for price, bit in ordered if bit & within])
 
     def restricted(self, keep):
         """This bound over the balls at indices `keep` only, in the same
@@ -649,6 +687,7 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
     price, child order, node and frontier is the one the pruned list gives.
     """
     step = ratio.costs  # over every candidate: read before `restricted` re-indexes it
+    masks = [c.mask for c in cands]
     nodes = 0
     frontier = covers_elem = kept = None
     memo = {}
@@ -689,13 +728,15 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
                 continue
         if covers_elem is None:  # most solves close at the root
             if prune and len(cands) <= 2000:
-                kept, covers_elem = _undominated([c.mask for c in cands], goal.bit_length())
+                kept, covers_elem = _undominated(masks, goal.bit_length())
                 ratio = ratio.restricted(kept)
             else:
                 covers_elem = [[] for _ in range(goal.bit_length())]
-                for ci, cand in enumerate(cands):
-                    for e in bit_indices(cand.mask):
-                        covers_elem[e].append(ci)
+                for ci, mask in enumerate(masks):
+                    while mask:
+                        low = mask & -mask
+                        covers_elem[low.bit_length() - 1].append(ci)
+                        mask ^= low
             fans = _fan_masks(covers_elem)
         e = _branch_element(uncovered, fans)
         children = covers_elem[e]
@@ -709,8 +750,8 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
             else:  # the root was ranked over the whole list, before the dominance pass
                 held = set(children)
                 children = [i for i in order if i in held]
-        for ci in reversed(children):
-            stack.append((covered | cands[ci].mask, cost + step[ci], sel + (ci,), prices))
+        stack += [(covered | masks[ci], cost + step[ci], sel + (ci,), prices)
+                  for ci in reversed(children)]
     return best_cost, best_sel, nodes, frontier
 
 

@@ -29,7 +29,7 @@ for a grid ball held as its key (solver blocks, width covers,
 decomposition Q) and `bits.box(PointKeys(space, p).ranges(r))` for a point
 and a radius.  `ball_members` is `ElementBits.ball` over every element of
 the space, as a set.
-`ElementBits.net_row` sorts one net centre's distances, so that the
+`ElementBits.net_rows` sorts each net centre's distances, so that the
 members of every ball around it are a prefix.  `vitali_select` picks
 disjoint balls, largest first, whose tripled balls cover an element list.
 
@@ -424,11 +424,38 @@ class ElementBits:
         """The listed elements whose bits are set in the mask."""
         return frozenset(self.elements[i] for i in bit_indices(mask))
 
-    def net_row(self, center) -> list[tuple[float, int]]:
-        """(distance, bit) of every listed net point from a `net_center`
-        result, nearest first: the members of the ball of radius r there
-        are the prefix of the row within r + TOL."""
-        return sorted((net_dist(center, e, self.space), bit) for e, bit in self._net)
+    def net_rows(self, centers) -> list[list[tuple[float, int]]]:
+        """Per `net_center` result, (distance, bit) of every listed net
+        point from it, nearest first: the members of the ball of radius r
+        there are the prefix of the row within r + TOL.  Distances are
+        `net_dist`'s.  On a coordinate net the metric's float expression
+        gives one value in either order of its arguments, so a centre at a
+        listed point's coordinates, as every net point's own centre is,
+        meets a point at the distance already measured from that point's
+        own centre: each unordered pair of points is measured once.  A
+        matrix net reads its table, which is symmetric only within TOL."""
+        space = self.space
+        if space.metric == "matrix":
+            return [sorted((space.matrix[c][e], bit) for e, bit in self._net) for c in centers]
+        measure = _NET_METRICS[space.metric]
+        points = [tuple(map(float, p)) for p in space.points]
+        own = {p: i for i, p in enumerate(points)}
+        listed = [points[e] for e, _ in self._net]
+        bits = [bit for _, bit in self._net]
+        place = {e: q for q, (e, _) in enumerate(self._net)}
+        measured = [None] * len(points)  # a point's own row of distances, in list order
+        rows = []
+        for center in centers:
+            i = own.get(center)
+            if i is None:
+                dists = [measure(center, p) for p in listed]
+            elif (dists := measured[i]) is None:
+                q = place.get(i)
+                dists = measured[i] = [
+                    measure(center, p) if q is None or (done := measured[e]) is None else done[q]
+                    for (e, _), p in zip(self._net, listed)]
+            rows.append(sorted(zip(dists, bits)))
+        return rows
 
     def slab(self, i: int, a: int, b: int) -> int:
         """The cells with a <= coordinate i <= b."""
@@ -504,12 +531,20 @@ def net_dist(center, idx: int, space: NetSpace) -> float:
     """Distance from a `net_center` result to net point idx."""
     if space.metric == "matrix":
         return space.matrix[center][idx]
-    point = space.points[idx]
-    if space.metric == "linf":
-        return linf(center, point)
-    if space.metric == "l1":
-        return sum(abs(x - y) for x, y in zip(center, point))
-    return sum((x - y) ** 2 for x, y in zip(center, point)) ** 0.5
+    return _NET_METRICS[space.metric](center, space.points[idx])
+
+
+def _l1(a, b) -> float:
+    return sum(abs(x - y) for x, y in zip(a, b))
+
+
+def _l2(a, b) -> float:
+    return sum((x - y) ** 2 for x, y in zip(a, b)) ** 0.5
+
+
+# float x - y equals x - float(y) for an int or Fraction y, so these give
+# one value on float centres whether a point's coordinates are floated first
+_NET_METRICS = {"linf": linf, "l1": _l1, "l2": _l2}
 
 
 def space_radius(space: VoxelSpace) -> Fraction:

@@ -60,7 +60,7 @@ from hcfill.space import (
     net_center,
     net_dist,
 )
-from oracles import net_point_dist
+from oracles import net_point_dist, ratio_sum
 
 MS = [1, 2, 3, Fraction(2), Fraction(3, 2), Fraction(1, 2), 0.5, 1.5, 2.0]
 BOX = {1: 9, 2: 6, 3: 4}
@@ -289,8 +289,9 @@ def test_exact_content_brackets_the_brute_force_optimum(stride, capped, instance
 
 
 class _ReadLog(list):
-    """A candidate list that logs every index read from it: inside the
-    search, `cands[ci]` is read only to push child ci."""
+    """A list that logs every index read from it: inside the search, the
+    cost list `ratio.costs` is read only to push child ci, at `step[ci]`,
+    and by the dominance pass's `restricted`, before the first branch."""
 
     def __init__(self, items, log):
         super().__init__(items)
@@ -307,8 +308,9 @@ def _logged_children(space, target, m, family, budget):
     log = []
     search, pick = content._branch_and_bound, content._branch_element
 
-    def logged_search(cands, *args, **kwargs):
-        return search(_ReadLog(cands, log), *args, **kwargs)
+    def logged_search(cands, ratio, *args, **kwargs):
+        ratio.costs = _ReadLog(ratio.costs, log)
+        return search(cands, ratio, *args, **kwargs)
 
     def logged_pick(uncovered, fans):
         e = pick(uncovered, fans)
@@ -322,7 +324,7 @@ def _logged_children(space, target, m, family, budget):
     for item in log:
         if isinstance(item, tuple):
             nodes.append((*item, []))
-        else:
+        elif nodes:  # not a read of `restricted`
             nodes[-1][2].insert(0, item)  # pushed in reverse
     return res, nodes
 
@@ -590,12 +592,14 @@ def _dict_sum(self, groups):
 def test_float_sum_matches_the_dict_sum_bit_for_bit(n, data):
     """Random disjoint groups over the union of random float-cost balls,
     whose `_order` is not element order, priced with floats (or Fractions
-    among them, as with mixed costs): the same value and type, to the bit,
-    over the whole groups and over a random subset of their elements."""
+    among them, as with mixed costs), put `_in_order`: their `_sum`, the
+    bound `priced` reports, and over a random subset of their elements
+    their `_sum` and float `floor` are the same value and type, to the
+    bit, as the sum over a list of int zeros and the dict sum."""
     masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=12))
+    prices = data.draw(st.sampled_from([FLOAT_COSTS, st.one_of(FLOAT_COSTS, FRACTION_COSTS)]))
     ratio = _RatioBound(records([(data.draw(FLOAT_COSTS), ((Fraction(i),), Fraction(1)), mask)
                                  for i, mask in enumerate(masks)]))
-    prices = data.draw(st.sampled_from([FLOAT_COSTS, st.one_of(FLOAT_COSTS, FRACTION_COSTS)]))
     union = 0
     for mask in masks:
         union |= mask
@@ -606,13 +610,19 @@ def test_float_sum_matches_the_dict_sum_bit_for_bit(n, data):
         groups.append((data.draw(prices), new))
         left ^= new
     within = data.draw(st.integers(0, (1 << n) - 1))
-    for got, want in ((ratio._sum(groups), _dict_sum(ratio, groups)),
-                      (ratio._sum(groups, within),
-                       _dict_sum(ratio, [(r, new & within) for r, new in groups]))):
-        assert type(got) is type(want)
-        assert got == want
+    ordered = ratio._in_order(groups)
+    assert sorted(bit for _, bit in ordered) == sorted(1 << e for e in bit_indices(
+        sum(new for _, new in groups)))
+    whole = _dict_sum(ratio, groups)
+    part = _dict_sum(ratio, [(r, new & within) for r, new in groups])
+    got = [(ratio._sum(ordered), whole), (ratio._sum(ordered, within), part),
+           (ratio_sum(ratio, groups), whole), (ratio_sum(ratio, groups, within), part),
+           (ratio.floor(within, ordered, ratio._sum(ordered)), part)]
+    for value, want in got:
+        assert type(value) is type(want)
+        assert value == want
         if isinstance(want, float):
-            assert got.hex() == want.hex()
+            assert value.hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------
