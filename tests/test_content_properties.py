@@ -470,6 +470,29 @@ def test_greedy_lower_bound_on_nets_is_sound():
             assert res.value_upper >= optimum - 1e-9
 
 
+@st.composite
+def brute_force_nets(draw):
+    """An l_inf, l1 or l2 net of 1 to 7 points, or the matrix net of its
+    l1 distances, and m in {1, 3/2, 2}."""
+    net, _ = draw(small_nets())
+    if draw(st.integers(0, 3)) == 0:
+        net = matrix_net(net.points)
+    return net, draw(st.sampled_from([1, Fraction(3, 2), 2]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(brute_force_nets())
+def test_exact_content_on_nets_matches_the_brute_force_optimum(net_m):
+    """With no node budget to run out, the upper value is the cheapest
+    cover by the same net-centred balls, and the witness covers the net.
+    The lower value is not checked here: on nets it is the witness's
+    deflated cost, not a bound on this optimum."""
+    net, m = net_m
+    res = exact_content(net, None, m)
+    assert math.isclose(float(res.value_upper), net_optimum(net, m), rel_tol=1e-9)
+    res.witness.validate(net)
+
+
 # ---------------------------------------------------------------------------
 # the sort-and-assign ratio bound against the per-member scans it replaced
 

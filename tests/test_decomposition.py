@@ -678,10 +678,12 @@ TILDE_BOX = {1: 10, 2: 4, 3: 3}
 
 
 @st.composite
-def tilde_instances(draw):
+def tilde_instances(draw, coverable=False):
     """A voxel blob of at most 10 cells, a target that may hold unoccupied
     cells, the keys of overlapping grid balls (all unit balls added,
-    pruned, or neither), a subset of the target and an exponent."""
+    pruned, or neither), a subset of the target and an exponent.  With
+    `coverable` the subset is a non-empty set of the target cells that the
+    balls hold, when they hold any."""
     n = draw(st.integers(1, 3))
     box = TILDE_BOX[n]
     coords = list(itertools.product(range(box), repeat=n))
@@ -696,7 +698,11 @@ def tilde_instances(draw):
         keys += [_grid_key(c, 1) for c in sorted(cells)]
     if kind == "pruned":
         keys = list(prune_redundant(TildeContent(space, target, sorted(keys))).keys)
-    subset = draw(st.sets(st.sampled_from(sorted(target))))
+    held = sorted(target)
+    if coverable:
+        tilde = TildeContent(space, target, keys)
+        held = sorted(tilde.bits.members(tilde._union)) or held
+    subset = draw(st.sets(st.sampled_from(held), min_size=int(coverable)))
     exponent = draw(st.sampled_from(EXACT_EXPONENTS + FLOAT_EXPONENTS))
     return space, target, keys, subset, exponent
 
@@ -765,7 +771,7 @@ _LINE10 = VoxelSpace(1, Fraction(1, 8), frozenset((i,) for i in range(10)))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(instance=tilde_instances(), shadowed=st.booleans())
+@given(instance=tilde_instances(coverable=True), shadowed=st.booleans())
 # three forced balls of sides 3, 5 and 2 along a line: at m = 3/2 their
 # costs summed in that order differ in the last bit from the sorted and the
 # reversed sums
