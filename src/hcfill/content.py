@@ -359,12 +359,11 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
         raise InputError(f"unsupported ball family {core!r}")
     if not grid:
         rows.sort(key=itemgetter(0, 1))  # stable on (cost, key)
-    masks = [row[2] for row in rows]
-    if not all(isinstance(row[0], Fraction) for row in rows) and len(set(masks)) <= 2000:
-        keep, _ = _undominated(masks, len(index))
-    else:  # the first of each mask
-        seen = set()
-        keep = [i for i, mask in enumerate(masks) if not (mask in seen or seen.add(mask))]
+    seen = set()  # the first of each mask
+    keep = [i for i, row in enumerate(rows) if not (row[2] in seen or seen.add(row[2]))]
+    if not all(isinstance(row[0], Fraction) for row in rows) and len(keep) <= 2000:
+        kept, _ = _undominated([rows[i][2] for i in keep], len(index))
+        keep = [keep[k] for k in kept]
     make = GridBalls(space.delta) if grid else key_balls
     return [_Candidate(*rows[i], make) for i in keep], index
 
@@ -372,28 +371,22 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
 def _undominated(masks, n_elems):
     """The indices of the masks, in order, that no earlier kept mask holds
     (of a repeated mask, its first), and per element the kept indices whose
-    masks hold it, in order.  A mask met before is dropped at once (held by
-    its first or by what held that); another is tested against the kept
-    masks holding the rarer of its lowest and highest element, and a
-    dominated mask's elements are not walked."""
+    masks hold it, in order.  A mask is tested against the shorter list of
+    its lowest and highest element's, and a dominated mask's elements are
+    not walked."""
     holders = [[] for _ in range(n_elems)]
-    held = [[] for _ in range(n_elems)]  # the masks at `holders`' indices
-    kept, seen = [], set()
+    kept = []
     for i, mask in enumerate(masks):
-        if mask in seen:
-            continue
-        seen.add(mask)
-        low, high = held[(mask & -mask).bit_length() - 1], held[mask.bit_length() - 1]
-        for other in low if len(low) < len(high) else high:
-            if other | mask == other:
+        low, high = holders[(mask & -mask).bit_length() - 1], holders[mask.bit_length() - 1]
+        for j in low if len(low) < len(high) else high:
+            held = masks[j]
+            if held | mask == held:
                 break
         else:
             rest = mask
             while rest:
                 bit = rest & -rest
-                e = bit.bit_length() - 1
-                holders[e].append(i)
-                held[e].append(mask)
+                holders[bit.bit_length() - 1].append(i)
                 rest ^= bit
             kept.append(i)
     return kept, holders
