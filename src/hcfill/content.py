@@ -26,11 +26,12 @@ child's bound.  At float costs a priced node keeps its prices as one
 the entries its U keeps, left to right: the float the parent's sum with a
 zero for each dropped element gives.  The search prunes on that floor first
 and sorts only where the floor does not decide, which prunes exactly the
-nodes the bound alone would.  A node that was priced branches cheapest first: its children, the
-balls holding its branch element, come in that same sort's order (least
-ratio against U first, ties in candidate order), so no ball is priced
-twice.  A node reached before there is an incumbent, as in a `TildeContent`
-search before its first cover, is not priced and keeps candidate order.
+nodes the bound alone would.  A node that was priced branches cheapest
+first: its children, the balls holding its branch element, come in that
+same sort's order (least ratio against U first, ties in candidate order),
+so no ball is priced twice.  A node reached before there is an incumbent,
+as in a `TildeContent` search before its first cover, is not priced and
+keeps candidate order.
 Net-model answers of `exact_content` are brackets: the optimum over
 net-centered balls, deflated by eps_net on the lower side.
 
