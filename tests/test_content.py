@@ -343,20 +343,22 @@ def test_centers_in_rejects_empty():
 # family mixing Fraction and float radii.  greedy_content: the 8^3 cube at
 # m = 1 (1,296 candidates), an l1 net, and a 300-cell 2-D blob at m = 1
 # (2,524 candidates, past the dominance pass).
-def _net25():
-    rng = random.Random(5)
+def _seeded_net(seed, metric, count, side):
+    """`count` distinct points of the integer square [0, side]^2 as floats,
+    drawn from a `random.Random(seed)` as the benchmark's nets are."""
+    rng = random.Random(seed)
     points = {}
-    while len(points) < 25:
-        points[(float(rng.randrange(17)), float(rng.randrange(17)))] = None
-    return NetSpace("l2", tuple(points))
+    while len(points) < count:
+        points[(float(rng.randrange(side + 1)), float(rng.randrange(side + 1)))] = None
+    return NetSpace(metric, tuple(points))
+
+
+def _net25():
+    return _seeded_net(5, "l2", 25, 16)
 
 
 def _net_l1():
-    rng = random.Random(13)
-    points = {}
-    while len(points) < 22:
-        points[(float(rng.randrange(12)), float(rng.randrange(12)))] = None
-    return NetSpace("l1", tuple(points))
+    return _seeded_net(13, "l1", 22, 11)
 
 
 def _blob_centers():
@@ -404,16 +406,6 @@ def test_strip_with_bulbs_search_report_pinned():
         (Fraction(67708831, 62162100), 2)
     assert res.certificate["nodes"] == 1277
     assert _digest(res) == "405d8e3c6a33aa56"
-
-
-def _seeded_net(seed, metric, count, side):
-    """`count` distinct points of the integer square [0, side]^2 as floats,
-    drawn from a `random.Random(seed)` as the benchmark's nets are."""
-    rng = random.Random(seed)
-    points = {}
-    while len(points) < count:
-        points[(float(rng.randrange(side + 1)), float(rng.randrange(side + 1)))] = None
-    return NetSpace(metric, tuple(points))
 
 
 @pytest.mark.parametrize("seed, metric, count, side, m, digest", [
