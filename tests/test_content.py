@@ -384,6 +384,8 @@ PINNED_REPORTS = [
     (lambda: make_dumbbell(6, 8), Fraction(3, 2), 100, "9dbfa3b7e445d82a"),
     (_net25, Fraction(3, 2), 1500, "309f86785ab4f083"),
     (lambda: make_cube(3, 8), 3, None, "4e9e11b08733cf10"),
+    # 4,633 candidates, above the dominance pass's cap: a search over the whole list
+    (lambda: random_blob(1, 2, 400, 30), 1, 20, "dfc0a5f118d8cadc"),
 ]
 
 
