@@ -67,15 +67,16 @@ stably on it, and one candidate per distinct mask is kept, so a grid mask's
 ball is the least in key order among the blocks anchored in those ranges.
 A mask that an earlier kept mask holds is dominated (costs ascend), and the
 dominance pass drops it, up to 2,000 masks, found among the kept masks
-holding its lowest or highest element.  At Fraction costs the pass runs
-only in a search that leaves its root, which then branches on the
-per-element lists of kept balls it builds; the greedy, the root duals and
-the root node take the whole list.  No answer moves: a dominated ball's
-integer price is never below its dominator's, which comes first in
-(cost, key) order, so it wins no greedy pick, and it never reaches an
-element first in the ratio bound's stable sort.  Float and mixed costs keep
-the pass before the greedy, where a rounded price tie could let a dominated
-ball win the key tie-break.  The greedy prices balls with the search's
+holding its lowest or highest element.  It has one site per cost type.
+Float and mixed costs run it in `generate_candidates`, before the greedy,
+where a rounded price tie could let a dominated ball win the key
+tie-break.  At Fraction costs `exact_content` runs it only when the search
+leaves its root, after the greedy, the root duals and the root ranking,
+which take the whole list; the search gets the kept list.  No answer
+moves: a dominated ball's integer price is never below its dominator's,
+which comes first in (cost, key) order, so it wins no greedy pick, and it
+never reaches an element first in the ratio bound's stable sort.  The
+greedy prices balls with the search's
 `_RatioBound`, so at integer m it compares integers, ties broken by the
 key.  It is lazy (Minoux's accelerated greedy): stale prices only grow as
 coverage grows, so a popped ball whose price is still current is the one a
@@ -92,7 +93,7 @@ from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
-from .errors import InputError, UncoverableError
+from .errors import InputError, UncoverableError, VerificationError
 from .exact import (TOL, Scalar, as_fraction, common_den, finite_number, fmt_scalar, is_integral,
                     numerators, power, scalar_formatter)
 from .space import (
@@ -117,6 +118,7 @@ from .space import (
 )
 
 DEFAULT_NODE_BUDGET = 10**6
+_DOMINANCE_CAP = 2000  # the most distinct masks the dominance pass compares
 _UNPRICED = object()  # a radius not in `_point_candidates`'s memo yet
 
 
@@ -136,10 +138,17 @@ class ContentResult:
     exact_arithmetic: bool
 
     def __post_init__(self):
+        """A bracket that is inverted, or marked optimal with ends that
+        differ, is a solver fault, not bad input."""
         if float(self.value_lower) > float(self.value_upper) + 1e-12:
-            raise InputError("content bracket is inverted")
-        if self.optimal and self.value_lower != self.value_upper:
-            raise InputError("optimal result must have a degenerate bracket")
+            fault = "content bracket is inverted"
+        elif self.optimal and self.value_lower != self.value_upper:
+            fault = "optimal result must have a degenerate bracket"
+        else:
+            return
+        raise VerificationError(fault, {"value_lower": fmt_scalar(self.value_lower),
+                                        "value_upper": fmt_scalar(self.value_upper),
+                                        "optimal": self.optimal})
 
     @property
     def value(self) -> Scalar:
@@ -339,13 +348,12 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
     of what a same-size block inside holds, so a mask's ball is the least
     key among the blocks anchored inside.
 
-    When every cost is a Fraction that is the whole list: the dominance
-    pass runs only in a search that leaves its root (`_branch_and_bound`),
-    since no answer depends on it (`exact_content`).  Float and mixed costs
-    keep it here, up to 2,000 distinct masks: a row whose mask an earlier
-    row's holds is dropped (costs ascend, so that row is at most as dear),
-    since a rounded price tie could let it win the greedy's key
-    tie-break."""
+    Float and mixed costs run the dominance pass here, up to 2,000
+    distinct masks: a row whose mask an earlier row's holds is dropped
+    (costs ascend, so that row is at most as dear), since a rounded price
+    tie could let it win the greedy's key tie-break.  When every cost is a
+    Fraction this is the whole list, and `exact_content` runs the pass only
+    for a search that leaves its root, since no answer depends on it."""
     core, cap = _flatten_family(family)
     grid = isinstance(core, AllGridBalls) and isinstance(space, VoxelSpace)
     if grid:
@@ -362,8 +370,8 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
         rows.sort(key=itemgetter(0, 1))  # stable on (cost, key)
     seen = set()  # the first of each mask
     keep = [i for i, row in enumerate(rows) if not (row[2] in seen or seen.add(row[2]))]
-    if not all(isinstance(row[0], Fraction) for row in rows) and len(keep) <= 2000:
-        kept, _ = _undominated([rows[i][2] for i in keep], len(index))
+    if not all(isinstance(row[0], Fraction) for row in rows) and len(keep) <= _DOMINANCE_CAP:
+        kept = _undominated([rows[i][2] for i in keep], len(index))
         keep = [keep[k] for k in kept]
     make = GridBalls(space.delta) if grid else key_balls
     return [_Candidate(*rows[i], make) for i in keep], index
@@ -371,10 +379,9 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
 
 def _undominated(masks, n_elems):
     """The indices of the masks, in order, that no earlier kept mask holds
-    (of a repeated mask, its first), and per element the kept indices whose
-    masks hold it, in order.  A mask is tested against the shorter list of
-    its lowest and highest element's, and a dominated mask's elements are
-    not walked."""
+    (of a repeated mask, its first).  A mask is tested against the kept
+    masks holding its lowest or its highest element, whichever are fewer,
+    and a dominated mask's elements are not walked."""
     holders = [[] for _ in range(n_elems)]
     kept = []
     for i, mask in enumerate(masks):
@@ -390,7 +397,7 @@ def _undominated(masks, n_elems):
                 holders[bit.bit_length() - 1].append(i)
                 rest ^= bit
             kept.append(i)
-    return kept, holders
+    return kept
 
 
 def _net_centers(space: NetSpace):
@@ -640,7 +647,7 @@ def _greedy_cover(cands, full, ratio: _RatioBound):
 
 
 def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
-                      best_cost, best_sel, root=None, prune=False, start=None):
+                      best_cost, best_sel, root=None, start=None):
     """Depth-first search for the cheapest cover of `goal` by the candidates.
 
     Branches on the uncovered element with the fewest candidates (lowest bit
@@ -652,7 +659,9 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
     frontier None when the search closed within the budget.  `root` is
     (`ratio.ranked(goal)`, `ratio.priced(goal, ranked)`) when the caller has
     them.  `start` is the (covered, cost, indices) node the search starts
-    from, the empty cover when None.
+    from, the empty cover when None.  The search runs over the list it is
+    given, which at Fraction costs `exact_content` may have pruned of
+    dominated balls.
 
     A node that was priced takes its children cheapest first: the balls
     holding the branch element in the order of `ratio.ranked(U)`, the sort
@@ -668,22 +677,11 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
     the frontier, is one the exact bound would have dropped too: the bound
     runs only where the floor does not decide, and every decision, node
     count and frontier is the one the exact bound alone gives.
-
-    With `prune` (Fraction costs, distinct masks in (cost, key) order) the
-    first node to branch runs the dominance pass, up to 2,000 candidates:
-    the search branches only on kept balls and prices only them, in the
-    units of the whole list's `ratio`.  A dropped ball's mask is held by an
-    earlier, no dearer kept ball's, so against every uncovered set its
-    integer ratio is at least that ball's, and the stable sort of
-    `_RatioBound.ranked` reaches its elements through that ball first.  The
-    root is ranked over the whole list, before the pass, so it branches on
-    the kept balls in that sort's order, which is the pruned list's: every
-    price, child order, node and frontier is the one the pruned list gives.
     """
-    step = ratio.costs  # over every candidate: read before `restricted` re-indexes it
+    costs = ratio.costs
     masks = [c.mask for c in cands]
     nodes = 0
-    frontier = covers_elem = kept = None
+    frontier = covers_elem = None
     memo = {}
     stack = [(*start, None)] if start else [(0, ratio.zero, (), None)]
     while stack:
@@ -721,30 +719,20 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
             if cost + prices[1] >= best_cost:
                 continue
         if covers_elem is None:  # most solves close at the root
-            if prune and len(cands) <= 2000:
-                kept, covers_elem = _undominated(masks, goal.bit_length())
-                ratio = ratio.restricted(kept)
-            else:
-                covers_elem = [[] for _ in range(goal.bit_length())]
-                for ci, mask in enumerate(masks):
-                    while mask:
-                        low = mask & -mask
-                        covers_elem[low.bit_length() - 1].append(ci)
-                        mask ^= low
+            covers_elem = [[] for _ in range(goal.bit_length())]
+            for ci, mask in enumerate(masks):
+                while mask:
+                    low = mask & -mask
+                    covers_elem[low.bit_length() - 1].append(ci)
+                    mask ^= low
             fans = _fan_masks(covers_elem)
         e = _branch_element(uncovered, fans)
-        children = covers_elem[e]
-        if ranked is not None:  # cheapest first against U, ties in candidate order
+        if ranked is None:
+            children = covers_elem[e]
+        else:  # cheapest first against U, ties in candidate order
             bit = 1 << e
-            order = [i for _, i, inter in ranked if inter & bit]
-            if kept is None:
-                children = order
-            elif nodes > 1:
-                children = [kept[i] for i in order]
-            else:  # the root was ranked over the whole list, before the dominance pass
-                held = set(children)
-                children = [i for i in order if i in held]
-        stack += [(covered | masks[ci], cost + step[ci], sel + (ci,), prices)
+            children = [i for _, i, inter in ranked if inter & bit]
+        stack += [(covered | masks[ci], cost + costs[ci], sel + (ci,), prices)
                   for ci in reversed(children)]
     return best_cost, best_sel, nodes, frontier
 
@@ -846,15 +834,20 @@ def exact_content(
     full = (1 << len(index)) - 1
 
     chosen = _greedy_cover(cands, full, ratio)  # raises when the family cannot cover
+    incumbent = sum(ratio.costs[i] for i in chosen)
     ranked = ratio.ranked(full)
     root = ratio.priced(full, ranked)
     duals, root_dual = ratio.duals(root[0])
-    # float and mixed-cost lists come pruned from `generate_candidates`
+    if ratio.scale is not None and root[1] < incumbent and len(cands) <= _DOMINANCE_CAP:
+        # the search leaves its root: drop the dominated balls (float and
+        # mixed-cost lists come pruned from `generate_candidates`)
+        kept = _undominated([c.mask for c in cands], len(index))
+        at = {i: k for k, i in enumerate(kept)}
+        cands, ratio = [cands[i] for i in kept], ratio.restricted(kept)
+        ranked = [(r, at[i], inter) for r, i, inter in ranked if i in at]
+        chosen = [at[i] for i in chosen]
     best_cost, best_sel, nodes, frontier = _branch_and_bound(
-        cands, ratio, full, node_budget,
-        sum(ratio.costs[i] for i in chosen), tuple(chosen),
-        root=(ranked, root), prune=ratio.scale is not None,
-    )
+        cands, ratio, full, node_budget, incumbent, tuple(chosen), root=(ranked, root))
     best_cost = ratio.scalar(best_cost)
 
     witness = Covering.keyed(cands[0].make, [cands[i].key for i in best_sel], target, m)

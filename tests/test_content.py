@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -12,7 +13,7 @@ from hcfill.content import (
     greedy_content,
     volume_lower_bound,
 )
-from hcfill.errors import InputError, UncoverableError
+from hcfill.errors import InputError, UncoverableError, VerificationError
 from hcfill.exact import fmt_scalar
 from hcfill.shapes import (
     make_box,
@@ -398,6 +399,19 @@ def _digest(report):
 def test_exact_content_reports_pinned(make, m, budget, digest):
     kwargs = {} if budget is None else {"node_budget": budget}
     assert _digest(exact_content(make(), None, m, **kwargs)) == digest
+
+
+@pytest.mark.parametrize("lower, upper, optimal, fault", [
+    (Fraction(3), Fraction(2), False, "content bracket is inverted"),
+    (Fraction(1), Fraction(2), True, "optimal result must have a degenerate bracket"),
+])
+def test_a_faulty_bracket_is_a_verification_failure(lower, upper, optimal, fault):
+    """Solver faults, not input: the CLI exits 2 on them, with both ends."""
+    res = exact_content(make_cube(2, 2), None, 1)
+    with pytest.raises(VerificationError, match=fault) as err:
+        dataclasses.replace(res, value_lower=lower, value_upper=upper, optimal=optimal)
+    assert err.value.report == {"value_lower": fmt_scalar(lower), "value_upper": fmt_scalar(upper),
+                                "optimal": optimal}
 
 
 def test_strip_with_bulbs_search_report_pinned():

@@ -290,8 +290,7 @@ def test_exact_content_brackets_the_brute_force_optimum(stride, capped, instance
 
 class _ReadLog(list):
     """A list that logs every index read from it: inside the search, the
-    cost list `ratio.costs` is read only to push child ci, at `step[ci]`,
-    and by the dominance pass's `restricted`, before the first branch."""
+    cost list `ratio.costs` is read only to push child ci, at `costs[ci]`."""
 
     def __init__(self, items, log):
         super().__init__(items)
@@ -303,12 +302,14 @@ class _ReadLog(list):
 
 
 def _logged_children(space, target, m, family, budget):
-    """`exact_content`'s result and, per node it branched at, (U, the
-    branch element, its children in the order they are popped)."""
-    log = []
+    """`exact_content`'s result, the candidates and the `_RatioBound` its
+    search received, and, per node it branched at, (U, the branch element,
+    its children in the order they are popped), indexed in that list."""
+    log, received = [], []
     search, pick = content._branch_and_bound, content._branch_element
 
     def logged_search(cands, ratio, *args, **kwargs):
+        received[:] = cands, ratio
         ratio.costs = _ReadLog(ratio.costs, log)
         return search(cands, ratio, *args, **kwargs)
 
@@ -324,9 +325,9 @@ def _logged_children(space, target, m, family, budget):
     for item in log:
         if isinstance(item, tuple):
             nodes.append((*item, []))
-        elif nodes:  # not a read of `restricted`
+        else:
             nodes[-1][2].insert(0, item)  # pushed in reverse
-    return res, nodes
+    return res, *received, nodes
 
 
 @st.composite
@@ -352,8 +353,9 @@ def branching_instances(draw):
 def test_cheapest_first_brackets_the_brute_force_optimum_at_every_budget(instance):
     """At every node budget from 1 to the nodes the search needs to close:
     the bracket holds the optimum and is closed only at it, and every node
-    takes its children, the kept balls holding its branch element, by
-    ratio against its uncovered set, equal ratios in candidate order."""
+    takes its children, the balls holding its branch element, by ratio
+    against its uncovered set, equal ratios in candidate order.  A search
+    that branches receives the list without its dominated balls."""
     space, target, m, stride, cap = instance
     family = AllGridBalls(stride)
     if cap is not None:
@@ -362,19 +364,21 @@ def test_cheapest_first_brackets_the_brute_force_optimum_at_every_budget(instanc
     if optimum == math.inf:
         return
     cands, index = generate_candidates(space, target, m, family)
-    ratio = _RatioBound(cands)
-    _, holders = _undominated([c.mask for c in cands], len(index))
+    kept = [cands[i].mask for i in _undominated([c.mask for c in cands], len(index))]
     need = exact_content(space, target, m, family).certificate["nodes"]
     for budget in range(1, need + 1):
-        res, nodes = _logged_children(space, target, m, family, budget)
+        res, searched, ratio, nodes = _logged_children(space, target, m, family, budget)
         assert res.value_upper >= optimum
         assert not res.optimal or res.value_upper == optimum
         assert res.value_lower <= optimum
         assert res.optimal == (budget >= need)
+        if nodes:
+            assert [c.mask for c in searched] == kept
         for uncovered, e, children in nodes:
             def price(ci):
-                return ratio.price(ci, (cands[ci].mask & uncovered).bit_count())
-            assert children == sorted(holders[e], key=price)  # stable: ties in candidate order
+                return ratio.price(ci, (searched[ci].mask & uncovered).bit_count())
+            holders = [ci for ci, c in enumerate(searched) if c.mask >> e & 1]
+            assert children == sorted(holders, key=price)  # stable: ties in candidate order
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -714,9 +718,8 @@ def assert_post_processing_matches(space, target, m, family, raw):
     assert triples(got) == triples(want)
     assert [type(c.cost) for c in got] == [type(c.cost) for c in want]
     ordered = sorted(raw, key=lambda c: (c.cost, c.make(c.key).key()))
-    kept, holders = _undominated([c.mask for c in ordered], len(index))
+    kept = _undominated([c.mask for c in ordered], len(index))
     assert triples([ordered[i] for i in kept]) == triples(quadratic_undominated(ordered))
-    assert holders == [[i for i in kept if ordered[i].mask >> e & 1] for e in range(len(index))]
     assert_greedy_matches(got, len(index))
     return got
 
@@ -1092,7 +1095,7 @@ def _pruned_first(space, target, m, family):
     candidates, the list that every solve used to start from."""
     cands, index = _UNPRUNED(space, target, m, family)
     if len(cands) <= 2000:
-        keep, _ = _undominated([c.mask for c in cands], len(index))
+        keep = _undominated([c.mask for c in cands], len(index))
         cands = [cands[i] for i in keep]
     return cands, index
 

@@ -682,8 +682,9 @@ def tilde_instances(draw, coverable=False):
     """A voxel blob of at most 10 cells, a target that may hold unoccupied
     cells, the keys of overlapping grid balls (all unit balls added,
     pruned, or neither), a subset of the target and an exponent.  With
-    `coverable` the subset is a non-empty set of the target cells that the
-    balls hold, when they hold any."""
+    `coverable` the balls hold a target cell (the first of overlapping balls
+    alone is anchored on one), and the subset is a non-empty set of the
+    target cells they hold."""
     n = draw(st.integers(1, 3))
     box = TILDE_BOX[n]
     coords = list(itertools.product(range(box), repeat=n))
@@ -692,8 +693,10 @@ def tilde_instances(draw, coverable=False):
     target = cells | draw(st.sets(st.sampled_from(coords), max_size=1))
     anchor = st.tuples(*[st.integers(-2, box - 1)] * n)
     specs = draw(st.lists(st.tuples(anchor, st.integers(1, 3)), min_size=1, max_size=8))
-    keys = [_grid_key(a, k) for a, k in specs]
     kind = draw(st.sampled_from(["overlapping", "with_units", "pruned"]))
+    if coverable and kind == "overlapping":  # the first ball holds a target cell
+        specs[0] = (draw(st.sampled_from(sorted(target))), specs[0][1])
+    keys = [_grid_key(a, k) for a, k in specs]
     if kind != "overlapping":
         keys += [_grid_key(c, 1) for c in sorted(cells)]
     if kind == "pruned":
@@ -701,7 +704,7 @@ def tilde_instances(draw, coverable=False):
     held = sorted(target)
     if coverable:
         tilde = TildeContent(space, target, keys)
-        held = sorted(tilde.bits.members(tilde._union)) or held
+        held = sorted(tilde.bits.members(tilde._union))
     subset = draw(st.sets(st.sampled_from(held), min_size=int(coverable)))
     exponent = draw(st.sampled_from(EXACT_EXPONENTS + FLOAT_EXPONENTS))
     return space, target, keys, subset, exponent
