@@ -103,17 +103,14 @@ def _load_points(path: str) -> list:
     return [_numbers(p, parse_scalar, f"{path}: point") for p in doc]
 
 
-def _family(args, space) -> object:
-    fam = {
-        "all-grid": AllGridBalls(),
-        "fixed": None,
-        "centers-in": None,
-    }.get(args.family, AllGridBalls())
-    if args.family in ("fixed", "centers-in") and not args.family_file:
+def _family(args) -> object:
+    if args.family == "all-grid":
+        fam = AllGridBalls()
+    elif not args.family_file:
         raise InputError(f"--family {args.family} requires --family-file")
-    if args.family == "fixed":
+    elif args.family == "fixed":
         fam = FixedFamily(_load_cover(args.family_file).balls)
-    elif args.family == "centers-in":
+    else:
         fam = CentersIn(tuple(_load_points(args.family_file)))
     if args.radius_cap is not None:
         fam = intersect_families(fam, RadiusCapped(_parse_number(args.radius_cap, "--radius-cap")))
@@ -125,7 +122,7 @@ def _family(args, space) -> object:
 
 def _cmd_content(args, cfg: RunConfig) -> int:
     space = load_space(args.space)
-    family = _family(args, space)
+    family = _family(args)
     m = _parse_m(args.m)
     solver = exact_content if args.exact else greedy_content
     kwargs = {"node_budget": cfg.node_budget} if args.exact else {}

@@ -40,6 +40,10 @@ class DistanceToSet:
     cells: frozenset
     lip = Fraction(1)  # a distance function is 1-Lipschitz
 
+    def __post_init__(self):
+        if not self.cells:
+            raise InputError("the distance to an empty set is undefined: dist-set needs a cell")
+
     def cell_interval(self, space: VoxelSpace, cell):
         c = space.cell_center(cell)
         d = min(as_fraction(linf(c, space.cell_center(t))) for t in self.cells)
@@ -140,6 +144,8 @@ def slice_profile(
             )
         intervals.append((a, b))
     if rng is None:
+        if not cell_ints:
+            raise InputError("an empty domain has no value range: give the range")
         lo = min(v[0] for v in cell_ints.values())
         hi = max(v[1] for v in cell_ints.values())
         rng = (lo, hi)

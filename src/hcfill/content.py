@@ -4,15 +4,15 @@ The m-dimensional content of a target is the minimum of sum(r_i^m) over
 coverings by balls from the family.  `exact_content` solves the weighted
 set-cover instance by branch and bound with an LP-dual-feasible ratio bound;
 `greedy_content` gives the usual ratio-greedy upper bound, with lower value
-0.  The search itself is `_branch_and_bound`, over candidate masks and
-costs with a `_RatioBound`.  It has two callers: `exact_content` starts it
-from the greedy cover under a node budget, and `_relative_cover`, the solve
-of `decomposition.TildeContent`, runs it over the balls of a fixed covering
-with neither an incumbent nor a budget, from the node of its forced balls
-(those holding a goal cell no other ball holds), and only when they leave
-a cell uncovered.  At integer m every ball cost is a Fraction (fixed
-families with float radii aside) and the search
-runs on integers: costs scaled by the lcm D of their denominators and by
+0.  The search itself is `_branch_and_bound`, over bare masks priced by a
+`_RatioBound` of their costs.  It has two callers: `exact_content` starts
+it from the greedy cover under a node budget, and `_relative_cover`, the
+solve of `decomposition.TildeContent`, runs it over the balls of a fixed
+covering with neither an incumbent nor a budget, from the node of its
+forced balls (those holding a goal cell no other ball holds), and only
+when they leave a cell uncovered.  At integer m every ball cost is a
+Fraction (fixed families with float radii aside) and the search runs on
+integers: costs scaled by the lcm D of their denominators and by
 L = lcm(1..s) for the largest ball size s, so every ratio cost/|ball & U|
 is an integer.  Float costs, at non-integer m, stay floats.  The bound at a
 node sums per-element prices (the dual prices of Beasley 1990, "A Lagrangian
@@ -37,14 +37,15 @@ net-centered balls, deflated by eps_net on the lower side.
 
 Every family yields (cost, key, mask) rows, masks being bits of
 `space.ElementBits` over the sorted target, and every kept row becomes one
-`_Candidate` record of its cost, key, mask and the maker of its ball.  A
-result's `witness` is the chosen keys as a keyed `space.Covering`, whose
-cost and report come from the keys: no ball is built unless its `balls`
-are read.  A fixed-family ball is keyed by its ball key and takes its mask
-from `ElementBits.ball`.  A point centre (a net point or a
-`CentersIn` centre) sorts its distance row once, a radius's members are a
-prefix of it, and its rows are keyed (centre, radius), so no ball is built
-for a centre.  A coordinate net's rows measure each unordered pair of
+`_Candidate` record of its cost, key, mask and the maker of its ball: the
+greedy's tie-break and the witness read them, the bound and the search
+take only the costs and masks.  A result's `witness` is the chosen keys as
+a keyed `space.Covering`, whose cost and report come from the keys: no
+ball is built unless its `balls` are read.  A fixed-family ball is keyed
+by its ball key and takes its mask from `ElementBits.ball`.  A point
+centre (a net point or a `CentersIn` centre) sorts its distance row once,
+a radius's members are a prefix of it, and its rows are keyed (centre,
+radius), so no ball is built for a centre.  A coordinate net's rows measure each unordered pair of
 points once (`ElementBits.net_rows`), and each distinct radius is priced
 once per call.  Grid blocks on voxel sets are mask first: a block's cells
 are the AND of one per-axis slab mask (not of the occupied cells: any voxel
@@ -72,8 +73,9 @@ Float and mixed costs run it in `generate_candidates`, before the greedy,
 where a rounded price tie could let a dominated ball win the key
 tie-break.  At Fraction costs `exact_content` runs it only when the search
 leaves its root, after the greedy, the root duals and the root ranking,
-which take the whole list; the search gets the kept list.  No answer
-moves: a dominated ball's integer price is never below its dominator's,
+which take the whole list; the search gets the kept masks and the
+holder lists the pass built (`_holders`), so their bits are walked once.
+No answer moves: a dominated ball's integer price is never below its dominator's,
 which comes first in (cost, key) order, so it wins no greedy pick, and it
 never reaches an element first in the ratio bound's stable sort.  The
 greedy prices balls with the search's
@@ -168,12 +170,10 @@ class ContentResult:
 
 
 class _Candidate:
-    """A candidate: its cost, its key, its mask and the maker of its ball
-    from the key.  A grid block's key is its integer
-    `_voxel_grid_candidates` key and its maker a `space.GridBalls`; other
-    balls are keyed by `Ball.key()` and made by `space.key_balls`.  A
-    `TildeContent` Q ball is keyed by its index among the context's
-    `GridBalls` keys and has no maker: the context reads its own keys."""
+    """A candidate from generation to the witness: its cost, its key, its
+    mask and the maker of its ball from the key.  A grid block's key is its
+    integer `_voxel_grid_candidates` key and its maker a `space.GridBalls`;
+    other balls are keyed by `Ball.key()` and made by `space.key_balls`."""
 
     __slots__ = ("cost", "key", "mask", "make")
 
@@ -371,33 +371,37 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
     seen = set()  # the first of each mask
     keep = [i for i, row in enumerate(rows) if not (row[2] in seen or seen.add(row[2]))]
     if not all(isinstance(row[0], Fraction) for row in rows) and len(keep) <= _DOMINANCE_CAP:
-        kept = _undominated([rows[i][2] for i in keep], len(index))
+        kept, _ = _holders([rows[i][2] for i in keep], len(index), prune=True)
         keep = [keep[k] for k in kept]
     make = GridBalls(space.delta) if grid else key_balls
     return [_Candidate(*rows[i], make) for i in keep], index
 
 
-def _undominated(masks, n_elems):
-    """The indices of the masks, in order, that no earlier kept mask holds
-    (of a repeated mask, its first).  A mask is tested against the kept
-    masks holding its lowest or its highest element, whichever are fewer,
-    and a dominated mask's elements are not walked."""
+def _holders(masks, n_elems, prune=False):
+    """(kept, holders): the indices of the kept masks, in order, and for
+    each element the positions in `kept` of the kept masks holding it, in
+    order.  Without `prune` every mask is kept.  With it, a mask that an
+    earlier kept mask holds is dropped (of a repeated mask, its second and
+    later copies): it is tested against the kept masks holding its lowest
+    or its highest element, whichever are fewer, and a dropped mask's
+    elements are not walked."""
     holders = [[] for _ in range(n_elems)]
-    kept = []
+    kept, own = [], []
     for i, mask in enumerate(masks):
         low, high = holders[(mask & -mask).bit_length() - 1], holders[mask.bit_length() - 1]
-        for j in low if len(low) < len(high) else high:
-            held = masks[j]
+        for j in (low if len(low) < len(high) else high) if prune else ():
+            held = own[j]
             if held | mask == held:
                 break
         else:
-            rest = mask
+            pos, rest = len(kept), mask
             while rest:
                 bit = rest & -rest
-                holders[bit.bit_length() - 1].append(i)
+                holders[bit.bit_length() - 1].append(pos)
                 rest ^= bit
             kept.append(i)
-    return kept
+            own.append(mask)
+    return kept, holders
 
 
 def _net_centers(space: NetSpace):
@@ -431,9 +435,7 @@ class _RatioBound:
     node that the bound would keep.
     """
 
-    def __init__(self, cands):
-        costs = [c.cost for c in cands]
-        masks = [c.mask for c in cands]
+    def __init__(self, costs, masks):
         if all(isinstance(c, Fraction) for c in costs):
             denom = common_den(costs)
             size = max(mask.bit_count() for mask in masks)
@@ -646,28 +648,28 @@ def _greedy_cover(cands, full, ratio: _RatioBound):
     return chosen
 
 
-def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
-                      best_cost, best_sel, root=None, start=None):
-    """Depth-first search for the cheapest cover of `goal` by the candidates.
+def _branch_and_bound(masks, ratio: _RatioBound, goal: int, budget,
+                      best_cost, best_sel, root=None, start=None, holders=None):
+    """Depth-first search for the cheapest cover of `goal` by the masks,
+    which `ratio` prices in their order.
 
-    Branches on the uncovered element with the fewest candidates (lowest bit
+    Branches on the uncovered element with the fewest holders (lowest bit
     on ties), prunes with the ratio bound and memoized covered-set
     dominance, and replaces the incumbent (`best_cost` in the bound's units,
-    `best_sel` candidate indices) only on a strictly lower cost.  After
-    `budget` nodes the incumbent is final and the remaining entries only
-    lower the frontier.  Returns (cost, indices, nodes, frontier), the
-    frontier None when the search closed within the budget.  `root` is
-    (`ratio.ranked(goal)`, `ratio.priced(goal, ranked)`) when the caller has
-    them.  `start` is the (covered, cost, indices) node the search starts
-    from, the empty cover when None.  The search runs over the list it is
-    given, which at Fraction costs `exact_content` may have pruned of
-    dominated balls.
+    `best_sel` mask indices) only on a strictly lower cost.  After `budget`
+    nodes the incumbent is final and the remaining entries only lower the
+    frontier.  Returns (cost, indices, nodes, frontier), the frontier None
+    when the search closed within the budget.  `root` is
+    (`ratio.ranked(goal)`, `ratio.priced(goal, ranked)`), `start` the
+    (covered, cost, indices) node to start from (else the empty cover) and
+    `holders` the masks' `_holders` lists (else built at the first node
+    that branches), each when the caller has it.
 
-    A node that was priced takes its children cheapest first: the balls
+    A node that was priced takes its children cheapest first: the masks
     holding the branch element in the order of `ratio.ranked(U)`, the sort
     its price came from, which is least ratio against U first, ties in
-    candidate order.  A node priced nothing (no incumbent yet) takes them in
-    candidate order.  The sort is the node's own and is dropped once its
+    mask order.  A node priced nothing (no incumbent yet) takes them in
+    mask order.  The sort is the node's own and is dropped once its
     children are pushed.
 
     Each entry carries its parent's `ratio.priced` prices (None at the root
@@ -679,9 +681,8 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
     count and frontier is the one the exact bound alone gives.
     """
     costs = ratio.costs
-    masks = [c.mask for c in cands]
     nodes = 0
-    frontier = covers_elem = None
+    frontier = fans = None
     memo = {}
     stack = [(*start, None)] if start else [(0, ratio.zero, (), None)]
     while stack:
@@ -718,18 +719,14 @@ def _branch_and_bound(cands, ratio: _RatioBound, goal: int, budget,
                 prices = ratio.priced(uncovered, ranked)
             if cost + prices[1] >= best_cost:
                 continue
-        if covers_elem is None:  # most solves close at the root
-            covers_elem = [[] for _ in range(goal.bit_length())]
-            for ci, mask in enumerate(masks):
-                while mask:
-                    low = mask & -mask
-                    covers_elem[low.bit_length() - 1].append(ci)
-                    mask ^= low
-            fans = _fan_masks(covers_elem)
+        if fans is None:  # most solves close at the root
+            if holders is None:
+                holders = _holders(masks, goal.bit_length())[1]
+            fans = _fan_masks(holders)
         e = _branch_element(uncovered, fans)
         if ranked is None:
-            children = covers_elem[e]
-        else:  # cheapest first against U, ties in candidate order
+            children = holders[e]
+        else:  # cheapest first against U, ties in mask order
             bit = 1 << e
             children = [i for _, i, inter in ranked if inter & bit]
         stack += [(covered | masks[ci], cost + costs[ci], sel + (ci,), prices)
@@ -754,11 +751,11 @@ def _branch_element(uncovered, fans):
             return (here & -here).bit_length() - 1
 
 
-def _relative_cover(cands, ratio: _RatioBound, goal: int):
-    """(cost in `ratio`'s units, keys) of the first cheapest cover of `goal`
-    that `_branch_and_bound` finds over the candidates meeting it, their
-    masks ANDed with the goal, with neither an incumbent nor a budget.
-    `ratio` prices all of `cands`, in their order.
+def _relative_cover(masks, ratio: _RatioBound, goal: int):
+    """(cost in `ratio`'s units, mask indices) of the first cheapest cover
+    of `goal` that `_branch_and_bound` finds over the masks meeting it,
+    ANDed with the goal, with neither an incumbent nor a budget.  `ratio`
+    prices all of `masks`, in their order.
 
     The forced balls come first: those holding a goal cell that no other
     meeting ball holds (a row with one column forces that column, Beasley
@@ -772,8 +769,8 @@ def _relative_cover(cands, ratio: _RatioBound, goal: int):
     their node, where its decisions and float sums are the full search's."""
     usable, inters = [], []
     once = twice = 0
-    for pos, cand in enumerate(cands):
-        if inter := cand.mask & goal:
+    for pos, mask in enumerate(masks):
+        if inter := mask & goal:
             usable.append(pos)
             inters.append(inter)
             twice |= once & inter
@@ -786,11 +783,9 @@ def _relative_cover(cands, ratio: _RatioBound, goal: int):
         cost += ratio.costs[usable[k]]
     sel = tuple(k for _, k in forced)
     if covered != goal:
-        meeting = [_Candidate(cands[pos].cost, cands[pos].key, inter, None)
-                   for pos, inter in zip(usable, inters)]
-        cost, sel, _, _ = _branch_and_bound(meeting, ratio.restricted(usable), goal, math.inf,
+        cost, sel, _, _ = _branch_and_bound(inters, ratio.restricted(usable), goal, math.inf,
                                             math.inf, (), start=(covered, cost, sel))
-    return cost, tuple(cands[usable[k]].key for k in sel)
+    return cost, tuple(usable[k] for k in sel)
 
 
 def greedy_content(
@@ -838,16 +833,19 @@ def exact_content(
     ranked = ratio.ranked(full)
     root = ratio.priced(full, ranked)
     duals, root_dual = ratio.duals(root[0])
+    masks, holders = [c.mask for c in cands], None
     if ratio.scale is not None and root[1] < incumbent and len(cands) <= _DOMINANCE_CAP:
-        # the search leaves its root: drop the dominated balls (float and
-        # mixed-cost lists come pruned from `generate_candidates`)
-        kept = _undominated([c.mask for c in cands], len(index))
+        # the search leaves its root: drop the dominated balls, keeping the
+        # holder lists (float and mixed costs come pruned from generation)
+        kept, holders = _holders(masks, len(index), prune=True)
         at = {i: k for k, i in enumerate(kept)}
         cands, ratio = [cands[i] for i in kept], ratio.restricted(kept)
+        masks = [masks[i] for i in kept]
         ranked = [(r, at[i], inter) for r, i, inter in ranked if i in at]
         chosen = [at[i] for i in chosen]
     best_cost, best_sel, nodes, frontier = _branch_and_bound(
-        cands, ratio, full, node_budget, incumbent, tuple(chosen), root=(ranked, root))
+        masks, ratio, full, node_budget, incumbent, tuple(chosen), root=(ranked, root),
+        holders=holders)
     best_cost = ratio.scalar(best_cost)
 
     witness = Covering.keyed(cands[0].make, [cands[i].key for i in best_sel], target, m)
@@ -888,7 +886,7 @@ def _priced_candidates(space: Space, target, m: Scalar, family: BallFamily):
     cands, index = generate_candidates(space, target, m, family)
     if not cands:
         raise UncoverableError("family cannot cover the target")
-    return cands, index, _RatioBound(cands)
+    return cands, index, _RatioBound([c.cost for c in cands], [c.mask for c in cands])
 
 
 def _check_exponent(m) -> None:

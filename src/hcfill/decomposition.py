@@ -51,8 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coarea import DistanceToPoint, best_slice, slice_profile, slice_sweep
-from .content import (DEFAULT_NODE_BUDGET, _Candidate, _RatioBound, _relative_cover,
-                      exact_content)
+from .content import DEFAULT_NODE_BUDGET, _RatioBound, _relative_cover, exact_content
 from .cone import ConeCertificate, cone_covering
 from .errors import DecompositionViolation, InputError, VerificationError
 from .exact import (TOL, InequalityCheck, Scalar, as_fraction, common_den, finite_number,
@@ -178,14 +177,14 @@ class TildeContent:
     to its first cover, cheapest first at every node priced after it),
     which begins with the forced balls in that order.  That order depends on
     every meeting ball, so no dominance pass prunes them.  Each exponent is
-    priced once (`_pricing`): the Q balls as `_Candidate` records keyed by
-    index, in (cost, index) order, and one `_RatioBound` over their whole
-    masks, so a solve only ANDs the masks with the goal, and a search
-    restricts the bound to the balls that meet it.  A ball that misses the
-    goal is never branched on and prices nothing, the balls that meet it
-    keep their order, and the bound's larger size lcm only scales its units,
-    which moves no price order, so every answer is the one a bound over the
-    meeting balls alone gives.
+    priced once (`_pricing`): the Q ball indices in (cost, index) order,
+    their masks in that order and one `_RatioBound` over them, so a solve
+    only ANDs the masks with the goal, and a search restricts the bound to
+    the balls that meet it.  A ball that misses the goal is never branched
+    on and prices nothing, the balls that meet it keep their order, and the
+    bound's larger size lcm only scales its units, which moves no price
+    order, so every answer is the one a bound over the meeting balls alone
+    gives.
     `solve_mask` is the one entry, cached per (goal mask, exponent); `solve`
     takes a cell set.  One cache keeps the last point's `frame`, its
     `PointKeys`, and its `radial` order of the cells, built on first read
@@ -207,11 +206,11 @@ class TildeContent:
         self._point = None, None, None  # (p, its frame, its radial order)
 
     def _pricing(self, exponent: Fraction):
-        """(cands, ratio, den, weights) at an exponent, built once: `weights`
-        holds each Q ball's cost, at its exact value, as an integer
-        numerator over the common denominator `den`; `cands` holds the Q
-        balls' records in (cost, index) order, and `ratio` is a
-        `_RatioBound` over their whole masks in that order."""
+        """(order, masks, ratio, den, weights) at an exponent, built once:
+        `weights` holds each Q ball's cost, at its exact value, as an
+        integer numerator over the common denominator `den`; `order` holds
+        the Q ball indices in (cost, index) order, `masks` their whole
+        masks in that order, and `ratio` is a `_RatioBound` over them."""
         hit = self._pricings.get(exponent)
         if hit is None:
             sides = sorted({key[-1] for key in self.keys})  # each distinct radius priced once
@@ -221,8 +220,9 @@ class TildeContent:
             price = dict(zip(sides, zip(costs, numerators(exact, den))))
             weights = [price[key[-1]][1] for key in self.keys]
             order = sorted(range(len(weights)), key=weights.__getitem__)  # ties by index
-            cands = [_Candidate(price[self.keys[i][-1]][0], i, self.masks[i], None) for i in order]
-            hit = self._pricings[exponent] = cands, _RatioBound(cands), den, weights
+            masks = [self.masks[i] for i in order]
+            ratio = _RatioBound([price[self.keys[i][-1]][0] for i in order], masks)
+            hit = self._pricings[exponent] = order, masks, ratio, den, weights
         return hit
 
     def subset_mask(self, subset) -> int:
@@ -278,9 +278,9 @@ class TildeContent:
             return result
         if goal & ~self._union:
             raise InputError("fixed covering cannot cover the requested subset")
-        cands, ratio, _, _ = self._pricing(exponent)
-        units, sel = _relative_cover(cands, ratio, goal)
-        result = (ratio.scalar(units), sel)
+        order, masks, ratio, _, _ = self._pricing(exponent)
+        units, sel = _relative_cover(masks, ratio, goal)
+        result = (ratio.scalar(units), tuple(order[pos] for pos in sel))
         self._value_cache[key] = result
         return result
 
@@ -392,7 +392,7 @@ def annulus_radius(tilde: TildeContent, p, r_crit, m: Scalar):
     hi = bisect_right(dists, r2 // e + half)
     goal = prefix[hi] ^ prefix[lo]
     _, sel = tilde.solve_mask(goal, mq)
-    _, _, wden, weights = tilde._pricing(mq - 1)
+    *_, wden, weights = tilde._pricing(mq - 1)
     ends = range(lo + 1, hi + 1)  # prefix[j] holds the cells at radial positions < j
     spans = []
     for i in sel:

@@ -673,9 +673,12 @@ def loomis_whitney_check(space: VoxelSpace, *,
 def cube_equality_check(n: int, delta: Fraction = Fraction(1, 8)) -> dict:
     """Exact contents of a coordinate cube of int(1/delta) cells a side and
     its boundary shell; verifies boundary^(n/(n-1)) equals the cube content
-    (cross-powers, exact)."""
+    (cross-powers, exact).  n must be at least 2, where the exponent
+    n/(n-1) exists."""
     from .shapes import make_cube, make_shell
 
+    if n < 2:
+        raise InputError(f"cube equality needs dimension n >= 2, got {n}")
     delta = as_fraction(delta)
     if delta <= 0:
         raise InputError("delta must be positive")

@@ -191,6 +191,7 @@ def test_malformed_cover_files_are_input_errors(capsys, tmp_path, cube_path, tex
     ("values", {"lip": 1}, "values document lacks the 'values' field"),
     ("values", {"values": [[[0, 0], 1]]}, "values document lacks the 'lip' field"),
     ("values", [[[0, 0], 1]], "a values document is an object with 'values' and 'lip'"),
+    ("dist-set", [], "the distance to an empty set is undefined: dist-set needs a cell"),
 ])
 def test_malformed_coarea_functions_are_input_errors(capsys, tmp_path, cube_path,
                                                      kind, doc, message):
@@ -202,6 +203,22 @@ def test_malformed_coarea_functions_are_input_errors(capsys, tmp_path, cube_path
                              "--f", f"{kind}:{function}", "--m", "1")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
+def test_coarea_on_an_empty_domain_needs_a_range(capsys, tmp_path):
+    """A space without cells under a cover without a target has no value
+    range to slice unless `--range` gives one."""
+    path = tmp_path / "empty.json"
+    save_space(VoxelSpace(2, Fraction(1, 4), frozenset()), str(path))
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"m": 1, "balls": [{"center": [0, 0], "radius": 1}]}))
+    argv = ("coarea", "--space", str(path), "--cover", str(cover), "--f", "dist:0,0",
+            "--m", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: an empty domain has no value range: give the range\n"
+    code, out, _ = run_cli(capsys, *argv, "--range", "0:1")
+    assert code == 0 and json.loads(out)["slice_cells"] == 0
 
 
 def test_pushout_subcommand(capsys, tmp_path):
@@ -348,6 +365,7 @@ def test_width_budget_zero_and_negative(capsys, tmp_path, command, extra):
     (("cube-eq", "--n", "2", "--delta", "0"), "delta must be positive"),
     (("content", "--space", "SPACE", "--m=-1", "--exact"), "needs a finite m >= 0"),
     (("content", "--space", "SPACE", "--m=-1/2"), "needs a finite m >= 0"),
+    (("cube-eq", "--n", "1"), "cube equality needs dimension n >= 2, got 1"),
 ])
 def test_malformed_numeric_options_are_input_errors(capsys, tmp_path, argv, message):
     path = tmp_path / "cube.json"

@@ -349,6 +349,21 @@ def test_degenerate_range_rejected():
         best_slice(profile, 2)
 
 
+def test_empty_domain_needs_a_range_and_empty_set_is_refused():
+    """An empty domain has no value range to take, and the distance to an
+    empty set is undefined: both are input errors, not bare `min` errors.
+    Given a range, the empty domain's profile meets no ball."""
+    s = make_line(3, Fraction(1, 4))
+    cover = _cover_of(s)
+    with pytest.raises(InputError, match="empty domain"):
+        slice_profile(s, frozenset(), DistanceToPoint((Fraction(0), Fraction(0))), cover)
+    profile = slice_profile(s, frozenset(), DistanceToPoint((Fraction(0), Fraction(0))), cover,
+                            rng=(Fraction(0), Fraction(1)))
+    assert set(profile.intervals) == {None} and profile.range == (Fraction(0), Fraction(1))
+    with pytest.raises(InputError, match="empty set"):
+        DistanceToSet(frozenset())
+
+
 def test_function_undefined_raises():
     s = make_line(3, Fraction(1, 4))
     cover = _cover_of(s)

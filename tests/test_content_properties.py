@@ -30,10 +30,10 @@ from hcfill.content import (
     _fan_masks,
     _fixed_candidates,
     _greedy_cover,
+    _holders,
     _net_centers,
     _point_candidates,
     _RatioBound,
-    _undominated,
     _voxel_grid_candidates,
     exact_content,
     generate_candidates,
@@ -158,8 +158,18 @@ def greedy_keys(cover, cands, n_elems):
         return None
 
 
+def bound_of(cands):
+    """The `_RatioBound` of the candidates' costs and masks."""
+    return _RatioBound([c.cost for c in cands], [c.mask for c in cands])
+
+
+def undominated(masks, n_elems):
+    """The indices the dominance pass keeps."""
+    return _holders(masks, n_elems, prune=True)[0]
+
+
 def lazy_greedy(cands, full):
-    return _greedy_cover(cands, full, _RatioBound(cands))
+    return _greedy_cover(cands, full, bound_of(cands))
 
 
 def assert_greedy_matches(cands, n_elems):
@@ -302,16 +312,17 @@ class _ReadLog(list):
 
 
 def _logged_children(space, target, m, family, budget):
-    """`exact_content`'s result, the candidates and the `_RatioBound` its
-    search received, and, per node it branched at, (U, the branch element,
-    its children in the order they are popped), indexed in that list."""
+    """`exact_content`'s result, the masks, the `_RatioBound` and the
+    holder lists its search received, and, per node it branched at, (U,
+    the branch element, its children in the order they are popped),
+    indexed in that list."""
     log, received = [], []
     search, pick = content._branch_and_bound, content._branch_element
 
-    def logged_search(cands, ratio, *args, **kwargs):
-        received[:] = cands, ratio
+    def logged_search(masks, ratio, *args, **kwargs):
+        received[:] = masks, ratio, kwargs.get("holders")
         ratio.costs = _ReadLog(ratio.costs, log)
-        return search(cands, ratio, *args, **kwargs)
+        return search(masks, ratio, *args, **kwargs)
 
     def logged_pick(uncovered, fans):
         e = pick(uncovered, fans)
@@ -364,21 +375,23 @@ def test_cheapest_first_brackets_the_brute_force_optimum_at_every_budget(instanc
     if optimum == math.inf:
         return
     cands, index = generate_candidates(space, target, m, family)
-    kept = [cands[i].mask for i in _undominated([c.mask for c in cands], len(index))]
+    kept = [cands[i].mask for i in undominated([c.mask for c in cands], len(index))]
     need = exact_content(space, target, m, family).certificate["nodes"]
     for budget in range(1, need + 1):
-        res, searched, ratio, nodes = _logged_children(space, target, m, family, budget)
+        res, searched, ratio, holders, nodes = _logged_children(space, target, m, family,
+                                                                budget)
         assert res.value_upper >= optimum
         assert not res.optimal or res.value_upper == optimum
         assert res.value_lower <= optimum
         assert res.optimal == (budget >= need)
         if nodes:
-            assert [c.mask for c in searched] == kept
+            assert searched == kept
+            assert holders == [[k for k, mask in enumerate(kept) if mask >> e & 1]
+                               for e in range(len(index))]
         for uncovered, e, children in nodes:
             def price(ci):
-                return ratio.price(ci, (searched[ci].mask & uncovered).bit_count())
-            holders = [ci for ci, c in enumerate(searched) if c.mask >> e & 1]
-            assert children == sorted(holders, key=price)  # stable: ties in candidate order
+                return ratio.price(ci, (searched[ci] & uncovered).bit_count())
+            assert children == sorted(holders[e], key=price)  # stable: ties in candidate order
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -580,7 +593,7 @@ def candidate_sets(draw):
 def test_ratio_bound_matches_the_per_member_scans(instance, data):
     cands, n = instance
     full = (1 << n) - 1
-    ratio = _RatioBound(cands)
+    ratio = bound_of(cands)
     exact = all(isinstance(c.cost, Fraction) for c in cands)
     assert (ratio.scale is not None) == exact
     assert [ratio.scalar(c) for c in ratio.costs] == [c.cost for c in cands]
@@ -625,8 +638,7 @@ def test_float_sum_matches_the_dict_sum_bit_for_bit(n, data):
     bit, as the sum over a list of int zeros and the dict sum."""
     masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=12))
     prices = data.draw(st.sampled_from([FLOAT_COSTS, st.one_of(FLOAT_COSTS, FRACTION_COSTS)]))
-    ratio = _RatioBound(records([(data.draw(FLOAT_COSTS), ((Fraction(i),), Fraction(1)), mask)
-                                 for i, mask in enumerate(masks)]))
+    ratio = _RatioBound([data.draw(FLOAT_COSTS) for _ in masks], masks)
     union = 0
     for mask in masks:
         union |= mask
@@ -718,10 +730,44 @@ def assert_post_processing_matches(space, target, m, family, raw):
     assert triples(got) == triples(want)
     assert [type(c.cost) for c in got] == [type(c.cost) for c in want]
     ordered = sorted(raw, key=lambda c: (c.cost, c.make(c.key).key()))
-    kept = _undominated([c.mask for c in ordered], len(index))
+    kept = undominated([c.mask for c in ordered], len(index))
     assert triples([ordered[i] for i in kept]) == triples(quadratic_undominated(ordered))
     assert_greedy_matches(got, len(index))
     return got
+
+
+@st.composite
+def mask_lists(draw):
+    """Masks over 1 to 12 elements, each after the first a fresh mask, a
+    repeat of an earlier one, or an earlier one ANDed or ORed with a fresh
+    mask (nested in it or holding it)."""
+    n = draw(st.integers(1, 12))
+    fresh = st.integers(1, (1 << n) - 1)
+    masks = [draw(fresh)]
+    for _ in range(draw(st.integers(0, 20))):
+        earlier, other = draw(st.sampled_from(masks)), draw(fresh)
+        kind = draw(st.sampled_from(["fresh", "repeat", "inside", "around"]))
+        mask = {"fresh": other, "repeat": earlier, "inside": earlier & other,
+                "around": earlier | other}[kind]
+        masks.append(mask or earlier)
+    return masks, n
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(mask_lists(), st.booleans())
+def test_holder_lists_match_a_walk_over_the_kept_masks(instance, prune):
+    """Each element's list holds the positions, in order, of the kept masks
+    holding it.  With the dominance test the kept masks are those that no
+    earlier kept mask holds, by the quadratic scan; without it, all."""
+    masks, n = instance
+    kept, holders = _holders(masks, n, prune)
+    own = [masks[i] for i in kept]
+    assert holders == [[k for k, mask in enumerate(own) if mask >> e & 1] for e in range(n)]
+    want = []
+    for i, mask in enumerate(masks):
+        if not (prune and any(masks[j] | mask == masks[j] for j in want)):
+            want.append(i)
+    assert kept == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -906,7 +952,7 @@ def _floor_cases(full, data):
 
 
 def assert_floor_sound(cands, n_elems, data):
-    ratio = _RatioBound(cands)
+    ratio = bound_of(cands)
     mixed = ratio.scale is None and not all(isinstance(c.cost, float) for c in cands)
     for inner, outer in _floor_cases((1 << n_elems) - 1, data):
         floor = ratio.floor(inner, *ratio.priced(outer))
@@ -984,7 +1030,7 @@ def _bound_without_floor(ratio, uncovered):
     return _dict_sum(ratio, groups)
 
 
-def _search_without_floor(cands, ratio, goal, budget, best_cost, best_sel):
+def _search_without_floor(masks, ratio, goal, budget, best_cost, best_sel):
     """`_branch_and_bound` before prices were inherited, verbatim but for
     the exact bound, which is `_bound_without_floor`, and the child order:
     at a node the bound ran at, the children by `ratio.price` against the
@@ -1019,8 +1065,8 @@ def _search_without_floor(cands, ratio, goal, budget, best_cost, best_sel):
             continue
         if covers_elem is None:  # most solves close at the root
             covers_elem = [[] for _ in range(goal.bit_length())]
-            for ci, cand in enumerate(cands):
-                for e in bit_indices(cand.mask):
+            for ci, mask in enumerate(masks):
+                for e in bit_indices(mask):
                     covers_elem[e].append(ci)
             fan = [len(c) for c in covers_elem]
         pick = min(bit_indices(goal ^ covered), key=fan.__getitem__)
@@ -1028,9 +1074,9 @@ def _search_without_floor(cands, ratio, goal, budget, best_cost, best_sel):
         if best_cost != math.inf:
             uncovered = goal ^ covered
             children = sorted(children, key=lambda ci: ratio.price(
-                ci, (cands[ci].mask & uncovered).bit_count()))
+                ci, (masks[ci] & uncovered).bit_count()))
         for ci in reversed(children):
-            stack.append((covered | cands[ci].mask, cost + step[ci], sel + (ci,)))
+            stack.append((covered | masks[ci], cost + step[ci], sel + (ci,)))
     return best_cost, best_sel, nodes, frontier
 
 
@@ -1040,14 +1086,15 @@ def _typed(result):
 
 
 def assert_search_matches(cands, n_elems):
-    ratio = _RatioBound(cands)
+    ratio = bound_of(cands)
+    masks = [c.mask for c in cands]
     full = (1 << n_elems) - 1
     chosen = _greedy_cover(cands, full, ratio)
     incumbent = sum(ratio.costs[i] for i in chosen), tuple(chosen)
     for budget in (1, 3, 40, DEFAULT_NODE_BUDGET):
-        args = cands, ratio, full, budget, *incumbent
+        args = masks, ratio, full, budget, *incumbent
         assert _typed(_branch_and_bound(*args)) == _typed(_search_without_floor(*args))
-    args = cands, ratio, full, math.inf, math.inf, ()
+    args = masks, ratio, full, math.inf, math.inf, ()
     assert _typed(_branch_and_bound(*args)) == _typed(_search_without_floor(*args))
 
 
@@ -1095,7 +1142,7 @@ def _pruned_first(space, target, m, family):
     candidates, the list that every solve used to start from."""
     cands, index = _UNPRUNED(space, target, m, family)
     if len(cands) <= 2000:
-        keep = _undominated([c.mask for c in cands], len(index))
+        keep = undominated([c.mask for c in cands], len(index))
         cands = [cands[i] for i in keep]
     return cands, index
 
@@ -1156,20 +1203,21 @@ def test_reports_match_pruning_first_on_nets(instance, m):
 
 def test_the_dominance_pass_runs_only_where_the_search_branches():
     """Not in the greedy, not in a solve that closes at its root (the 8^3
-    cube at m = 1), and once in a search that branches."""
+    cube at m = 1), and once in a search that branches, whose holder lists
+    the search takes from the pass instead of building its own."""
     calls = []
 
-    def counted(masks, n_elems):
-        calls.append(len(masks))
-        return _undominated(masks, n_elems)
+    def counted(masks, n_elems, prune=False):
+        calls.append(prune)
+        return _holders(masks, n_elems, prune)
 
     cube, dumbbell = make_cube(3, 8), make_dumbbell(6, 8)
-    with mock.patch.object(content, "_undominated", counted):
+    with mock.patch.object(content, "_holders", counted):
         greedy_content(cube, None, 1)
         assert exact_content(cube, None, 1).certificate["nodes"] == 1
         assert calls == []
         assert exact_content(dumbbell, None, 1, AllGridBalls(), 20).certificate["nodes"] > 1
-        assert len(calls) == 1
+        assert calls == [True]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hcfill.cone import cone_covering
-from hcfill.content import DEFAULT_NODE_BUDGET, _branch_and_bound, _Candidate, exact_content
+from hcfill.content import DEFAULT_NODE_BUDGET, _branch_and_bound, exact_content
 from hcfill import content, decomposition
 from hcfill.decomposition import (
     _CEILING_MARGIN,
@@ -756,13 +756,11 @@ def test_one_context_across_exponents_matches_fresh_contexts(instance, data, m):
 def _unreduced_solve(tilde, goal, exponent):
     """A relative solve without the forced-ball reduction: the search over
     every Q ball meeting the goal, from the empty root."""
-    cands, ratio, _, _ = tilde._pricing(as_fraction(exponent))
-    usable = [pos for pos, cand in enumerate(cands) if cand.mask & goal]
-    meeting = [_Candidate(c.cost, c.key, c.mask & goal, None)
-               for c in map(cands.__getitem__, usable)]
-    units, sel, _, _ = _branch_and_bound(meeting, ratio.restricted(usable), goal,
-                                         math.inf, math.inf, ())
-    return ratio.scalar(units), tuple(meeting[k].key for k in sel)
+    order, masks, ratio, _, _ = tilde._pricing(as_fraction(exponent))
+    usable = [pos for pos, mask in enumerate(masks) if mask & goal]
+    units, sel, _, _ = _branch_and_bound([masks[pos] & goal for pos in usable],
+                                         ratio.restricted(usable), goal, math.inf, math.inf, ())
+    return ratio.scalar(units), tuple(order[usable[k]] for k in sel)
 
 
 def _bits(value):
@@ -1295,9 +1293,9 @@ def test_step_builds_one_context_and_no_slice_profile(monkeypatch):
         profiles.append(args[1])
         return real_profile(*args, **kwargs)
 
-    def counting_ratio(cands):
-        pricings[tuple(c.cost for c in cands)] += 1
-        return real_ratio(cands)
+    def counting_ratio(costs, masks):
+        pricings[tuple(costs)] += 1
+        return real_ratio(costs, masks)
 
     monkeypatch.setattr(decomposition, "ElementBits", counting_bits)
     monkeypatch.setattr(coarea, "SliceProfile", counting_profile)

@@ -2,8 +2,9 @@
 only: every import a module binds is used in that module (or its
 line says `# noqa: F401`), every private module-level function or class is
 named somewhere else in the package, and so is every public one that is
-not exempt, and every public method or property of a library class is
-named in the package or in `perfbench/`."""
+not exempt, every public method or property of a library class is
+named in the package or in `perfbench/`, and the private names one module
+imports from another are the pinned ones."""
 
 import ast
 from pathlib import Path
@@ -116,3 +117,31 @@ def test_every_public_member_is_named_somewhere():
             for node in cls.body if isinstance(node, ast.FunctionDef)
             and not node.name.startswith("_") and node.name not in named]
     assert dead == []
+
+
+# The private names a module imports from another module of the package,
+# by (importing file, imported module): each is a reach into the other
+# module's internals, so a new one is an edit to this table.
+PRIVATE_IMPORTS = {
+    ("cli.py", "space"): {"_cells", "_field", "_integer", "_numbers"},
+    ("decomposition.py", "content"): {"_RatioBound", "_relative_cover"},
+}
+
+
+def test_private_imports_between_modules_are_pinned():
+    found = {}
+    for path in MODULES:
+        for node in ast.walk(_parse(path)[1]):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if node.level == 1:
+                module = node.module
+            elif node.level == 0 and node.module.startswith("hcfill."):
+                module = node.module.removeprefix("hcfill.")
+            else:
+                continue
+            private = {alias.name for alias in node.names
+                       if alias.name.startswith("_") and not alias.name.startswith("__")}
+            if private:
+                found.setdefault((path.name, module), set()).update(private)
+    assert found == PRIVATE_IMPORTS
