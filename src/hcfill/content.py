@@ -36,18 +36,19 @@ Net-model answers of `exact_content` are brackets: the optimum over
 net-centered balls, deflated by eps_net on the lower side.
 
 Every family yields (cost, key, mask) rows, masks being bits of
-`space.ElementBits` over the sorted target, and every kept row becomes one
-`_Candidate` record of its cost, key, mask and the maker of its ball: the
-greedy's tie-break and the witness read them, the bound and the search
-take only the costs and masks.  A result's `witness` is the chosen keys as
-a keyed `space.Covering`, whose cost and report come from the keys: no
-ball is built unless its `balls` are read.  A fixed-family ball is keyed
-by its ball key and takes its mask from `ElementBits.ball`.  A point
-centre (a net point or a `CentersIn` centre) sorts its distance row once,
-a radius's members are a prefix of it, and its rows are keyed (centre,
-radius), so no ball is built for a centre.  A coordinate net's rows measure each unordered pair of
-points once (`ElementBits.net_rows`), and each distinct radius is priced
-once per call.  Grid blocks on voxel sets are mask first: a block's cells
+`space.ElementBits` over the sorted target, and the kept rows stay rows
+from generation to the witness, beside the one maker of the family's balls
+from their keys: the greedy's tie-break and the witness read the keys, the
+bound and the search only the costs and masks.  A result's `witness` is
+the chosen keys as a keyed `space.Covering`, whose cost and report come
+from the keys: no ball is built unless its `balls` are read.  A
+fixed-family ball is keyed by its ball key and takes its mask from
+`ElementBits.ball`.  A point centre (a net point or a `CentersIn` centre)
+sorts its distance row once, a radius's members are a prefix of it, and
+its rows are keyed (centre, radius), so no ball is built for a centre.  A
+coordinate net's rows measure each unordered pair of points once
+(`ElementBits.net_rows`), and each distinct radius is priced once per
+call.  Grid blocks on voxel sets are mask first: a block's cells
 are the AND of one per-axis slab mask (not of the occupied cells: any voxel
 ball covers a target's unoccupied cells too), its key is its centre in
 half-cell units and then its side k, which orders like the ball key, and a
@@ -167,18 +168,6 @@ class ContentResult:
             "witness": self.witness.to_dict(),
             "certificate": self.certificate,
         }
-
-
-class _Candidate:
-    """A candidate from generation to the witness: its cost, its key, its
-    mask and the maker of its ball from the key.  A grid block's key is its
-    integer `_voxel_grid_candidates` key and its maker a `space.GridBalls`;
-    other balls are keyed by `Ball.key()` and made by `space.key_balls`."""
-
-    __slots__ = ("cost", "key", "mask", "make")
-
-    def __init__(self, cost, key, mask, make):
-        self.cost, self.key, self.mask, self.make = cost, key, mask, make
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +327,16 @@ def _fixed_candidates(space: Space, target, m, balls, cap):
 
 
 def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
-    """The family's balls that meet the target as `_Candidate` records, one
-    per distinct mask (the least in (cost, key) order), in that order, and
-    the target's bit index.  Every family yields (cost, key, mask) rows:
-    grid rows come presorted, the others are sorted stably on (cost, key),
-    and a record's ball is built only when read.  Grid blocks on voxel sets
-    are those anchored inside the target's bounding box
-    (`_voxel_grid_candidates`): a block sticking out of it holds a subset
-    of what a same-size block inside holds, so a mask's ball is the least
-    key among the blocks anchored inside.
+    """(rows, index, make): the family's balls that meet the target as
+    (cost, key, mask) rows, one per distinct mask (the least in (cost, key)
+    order), in that order; the target's bit index; and the maker of the
+    rows' balls from their keys, a `space.GridBalls` for grid blocks on
+    voxel sets and `space.key_balls` for rows keyed by `Ball.key()`.  Grid
+    rows come presorted, the others are sorted stably on (cost, key), and
+    no ball is built.  Grid blocks on voxel sets are those anchored inside
+    the target's bounding box (`_voxel_grid_candidates`): a block sticking
+    out of it holds a subset of what a same-size block inside holds, so a
+    mask's ball is the least key among the blocks anchored inside.
 
     Float and mixed costs run the dominance pass here, up to 2,000
     distinct masks: a row whose mask an earlier row's holds is dropped
@@ -368,13 +358,12 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
         raise InputError(f"unsupported ball family {core!r}")
     if not grid:
         rows.sort(key=itemgetter(0, 1))  # stable on (cost, key)
+    exact = all(isinstance(row[0], Fraction) for row in rows)
     seen = set()  # the first of each mask
-    keep = [i for i, row in enumerate(rows) if not (row[2] in seen or seen.add(row[2]))]
-    if not all(isinstance(row[0], Fraction) for row in rows) and len(keep) <= _DOMINANCE_CAP:
-        kept, _ = _holders([rows[i][2] for i in keep], len(index), prune=True)
-        keep = [keep[k] for k in kept]
-    make = GridBalls(space.delta) if grid else key_balls
-    return [_Candidate(*rows[i], make) for i in keep], index
+    rows = [row for row in rows if not (row[2] in seen or seen.add(row[2]))]
+    if not exact and len(rows) <= _DOMINANCE_CAP:
+        rows = [rows[i] for i in _holders([row[2] for row in rows], len(index), prune=True)[0]]
+    return rows, index, GridBalls(space.delta) if grid else key_balls
 
 
 def _holders(masks, n_elems, prune=False):
@@ -618,16 +607,16 @@ def _float_floor(x: float, coef, base: Fraction, e: Fraction) -> float:
 # ---------------------------------------------------------------------------
 # solvers
 
-def _greedy_cover(cands, full, ratio: _RatioBound):
-    """Indices of the balls picked by repeatedly taking the ball of least cost
-    per newly covered element, ties to the least key (a grid block's
-    integer key orders like its ball key).  Prices are `ratio.price`,
-    integers when the costs are Fractions.
+def _greedy_cover(rows, full, ratio: _RatioBound):
+    """Indices of the (cost, key, mask) rows picked by repeatedly taking the
+    ball of least cost per newly covered element, ties to the least key (a
+    grid block's integer key orders like its ball key).  Prices are
+    `ratio.price`, integers when the costs are Fractions.
     Lazy (Minoux): a heap holds each ball's last known price, which can only
     grow as coverage grows, so a popped ball whose price is still current is
     the eager greedy's pick."""
     price = ratio.price
-    heap = [(price(i, cand.mask.bit_count()), cand.key, i) for i, cand in enumerate(cands)]
+    heap = [(price(i, mask.bit_count()), key, i) for i, (_, key, mask) in enumerate(rows)]
     heapq.heapify(heap)
     covered = 0
     chosen = []
@@ -635,7 +624,7 @@ def _greedy_cover(cands, full, ratio: _RatioBound):
         if not heap:
             raise UncoverableError("family cannot cover the target")
         current, key, i = heapq.heappop(heap)
-        mask = cands[i].mask
+        mask = rows[i][2]
         new = mask & ~covered
         if not new:
             continue
@@ -799,9 +788,9 @@ def greedy_content(
     lower value is 0 on every model."""
     _check_exponent(m)
     target = _resolve_target(space, target)
-    cands, index, ratio = _priced_candidates(space, target, m, family)
-    picks = _greedy_cover(cands, (1 << len(index)) - 1, ratio)
-    witness = Covering.keyed(cands[0].make, [cands[i].key for i in picks], target, m)
+    rows, index, make, ratio = _priced_candidates(space, target, m, family)
+    picks = _greedy_cover(rows, (1 << len(index)) - 1, ratio)
+    witness = Covering.keyed(make, [rows[i][1] for i in picks], target, m)
     cost = witness.cost
     return ContentResult(
         m, family_label(family), _zero(cost), cost, False, witness,
@@ -825,21 +814,21 @@ def exact_content(
     if isinstance(node_budget, bool) or not isinstance(node_budget, int) or node_budget < 1:
         raise InputError(f"node_budget must be an int >= 1, got {node_budget!r}")
     target = _resolve_target(space, target)
-    cands, index, ratio = _priced_candidates(space, target, m, family)
+    rows, index, make, ratio = _priced_candidates(space, target, m, family)
     full = (1 << len(index)) - 1
 
-    chosen = _greedy_cover(cands, full, ratio)  # raises when the family cannot cover
+    chosen = _greedy_cover(rows, full, ratio)  # raises when the family cannot cover
     incumbent = sum(ratio.costs[i] for i in chosen)
     ranked = ratio.ranked(full)
     root = ratio.priced(full, ranked)
     duals, root_dual = ratio.duals(root[0])
-    masks, holders = [c.mask for c in cands], None
-    if ratio.scale is not None and root[1] < incumbent and len(cands) <= _DOMINANCE_CAP:
+    masks, holders = [row[2] for row in rows], None
+    if ratio.scale is not None and root[1] < incumbent and len(rows) <= _DOMINANCE_CAP:
         # the search leaves its root: drop the dominated balls, keeping the
         # holder lists (float and mixed costs come pruned from generation)
         kept, holders = _holders(masks, len(index), prune=True)
         at = {i: k for k, i in enumerate(kept)}
-        cands, ratio = [cands[i] for i in kept], ratio.restricted(kept)
+        rows, ratio = [rows[i] for i in kept], ratio.restricted(kept)
         masks = [masks[i] for i in kept]
         ranked = [(r, at[i], inter) for r, i, inter in ranked if i in at]
         chosen = [at[i] for i in chosen]
@@ -848,7 +837,7 @@ def exact_content(
         holders=holders)
     best_cost = ratio.scalar(best_cost)
 
-    witness = Covering.keyed(cands[0].make, [cands[i].key for i in best_sel], target, m)
+    witness = Covering.keyed(make, [rows[i][1] for i in best_sel], target, m)
     if frontier is not None:
         lowers = [root_dual]
         core, _ = _flatten_family(family)
@@ -882,11 +871,11 @@ def exact_content(
 # helpers
 
 def _priced_candidates(space: Space, target, m: Scalar, family: BallFamily):
-    """`generate_candidates` and the `_RatioBound` that prices them."""
-    cands, index = generate_candidates(space, target, m, family)
-    if not cands:
+    """`generate_candidates` and the `_RatioBound` that prices its rows."""
+    rows, index, make = generate_candidates(space, target, m, family)
+    if not rows:
         raise UncoverableError("family cannot cover the target")
-    return cands, index, _RatioBound([c.cost for c in cands], [c.mask for c in cands])
+    return rows, index, make, _RatioBound([row[0] for row in rows], [row[2] for row in rows])
 
 
 def _check_exponent(m) -> None:

@@ -133,6 +133,10 @@ class Constants:
     ball_scale         -- A(m) = [100 m 4^(1/(m-1)) (100m)^m]^((m-1)/m)
     radius_constant    -- 10 m 12^m A(m), the filling-radius constant
     decay              -- 1 - 1/(2*12^m), per-step content ratio
+
+    An m whose constants are not finite floats is refused: the radius
+    constant overflows above about m = 62.65, and 4^(1/(m-1)) below about
+    m = 1.002.
     """
 
     m: Fraction
@@ -147,9 +151,14 @@ class Constants:
         mf = float(mq)
         if mf <= 1:
             raise InputError("constants need m > 1 (the 4^(1/(m-1)) term)")
-        filling = (100 * mf) ** mf
-        ball_scale = (100 * mf * 4 ** (1 / (mf - 1)) * filling) ** ((mf - 1) / mf)
-        radius = 10 * mf * _TWELVE**mf * ball_scale
+        try:
+            filling = (100 * mf) ** mf
+            ball_scale = (100 * mf * 4 ** (1 / (mf - 1)) * filling) ** ((mf - 1) / mf)
+            radius = 10 * mf * _TWELVE**mf * ball_scale
+        except OverflowError:
+            filling = ball_scale = radius = math.inf
+        if not all(map(math.isfinite, (filling, ball_scale, radius))):
+            raise InputError(f"the constants at m = {fmt_scalar(mq)} overflow a float")
         decay = 1 - 1 / (2 * _TWELVE**mf)
         if not ball_scale < filling:
             raise InputError("scale constant failed its sanity bound")

@@ -468,8 +468,10 @@ def skeleton_descend(
 
     Level k handles points whose carrier face has dimension exactly k, for k
     from n down to ceil(m)-1; each level's moves stay within one face, so a
-    point travels at most (n - ceil(m) + 2) * R in total.  The swept cone of
-    each face projection is covered explicitly and its m-cost accumulated.
+    point travels at most (n - ceil(m) + 2) * R in total.  When ceil(m) - 2
+    >= n no level runs: every point is already in the skeleton, and stays.
+    The swept cone of each face projection is covered explicitly and its
+    m-cost accumulated.
     On a k-dimensional face the projection point is `average_point`'s at its
     default c0(k) = 4^-k, and a projection cost ratio above
     RATIO_CEILING_BASE * 2^k = 10 * 2^k raises VerificationError.  Points
@@ -523,7 +525,7 @@ def skeleton_descend(
     final = tuple(x if now is was else tuple(Fraction(c, now[1]) for c in now[0])
                   for x, now, was in zip(initial, current, start))
     max_disp = max((Fraction(*d) for d in displacement), default=Fraction(0))
-    level_count = grid.n - target_dim
+    level_count = max(0, grid.n - target_dim)
     checks = {
         "final_in_skeleton": all(
             grid.carrier_face(pt).dim <= target_dim for pt in final
@@ -674,7 +676,7 @@ def cube_equality_check(n: int, delta: Fraction = Fraction(1, 8)) -> dict:
     """Exact contents of a coordinate cube of int(1/delta) cells a side and
     its boundary shell; verifies boundary^(n/(n-1)) equals the cube content
     (cross-powers, exact).  n must be at least 2, where the exponent
-    n/(n-1) exists."""
+    n/(n-1) exists, and 0 < delta <= 1, so that the cube has a cell."""
     from .shapes import make_cube, make_shell
 
     if n < 2:
@@ -682,6 +684,8 @@ def cube_equality_check(n: int, delta: Fraction = Fraction(1, 8)) -> dict:
     delta = as_fraction(delta)
     if delta <= 0:
         raise InputError("delta must be positive")
+    if delta > 1:  # int(1/delta) would be 0 cells a side
+        raise InputError(f"cube equality needs delta <= 1, got delta = {fmt_scalar(delta)}")
     side_cells = int(1 / delta)
     cube = make_cube(n, side_cells, delta)
     hc_n = exact_content(cube, None, n)

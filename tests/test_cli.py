@@ -366,6 +366,10 @@ def test_width_budget_zero_and_negative(capsys, tmp_path, command, extra):
     (("content", "--space", "SPACE", "--m=-1", "--exact"), "needs a finite m >= 0"),
     (("content", "--space", "SPACE", "--m=-1/2"), "needs a finite m >= 0"),
     (("cube-eq", "--n", "1"), "cube equality needs dimension n >= 2, got 1"),
+    (("cube-eq", "--n", "2", "--delta", "3"), "cube equality needs delta <= 1, got delta = 3"),
+    (("fill", "--space", "SPACE", "--m", "78"), "the constants at m = 78 overflow a float"),
+    (("fill", "--space", "SPACE", "--m", "80"), "the constants at m = 80 overflow a float"),
+    (("decompose", "--space", "SPACE", "--m", "80"), "the constants at m = 80 overflow a float"),
 ])
 def test_malformed_numeric_options_are_input_errors(capsys, tmp_path, argv, message):
     path = tmp_path / "cube.json"

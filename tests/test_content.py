@@ -40,7 +40,7 @@ from hcfill.space import (
 def brute_force_optimum(space, target, m, family=AllGridBalls()):
     """Independent oracle: exhaustive DFS over the candidate set with only
     incumbent pruning."""
-    cands, index = generate_candidates(space, frozenset(target), m, family)
+    rows, index, _ = generate_candidates(space, frozenset(target), m, family)
     full = (1 << len(index)) - 1
     best = [None]
 
@@ -52,11 +52,11 @@ def brute_force_optimum(space, target, m, family=AllGridBalls()):
             return
         low = (full ^ covered) & -(full ^ covered)
         e = low.bit_length() - 1
-        for c in cands:
-            if c.mask >> e & 1:
-                rec(covered | c.mask, cost + c.cost)
+        for ball_cost, _, mask in rows:
+            if mask >> e & 1:
+                rec(covered | mask, cost + ball_cost)
 
-    rec(0, Fraction(0) if not isinstance(cands[0].cost, float) else 0.0)
+    rec(0, Fraction(0) if not isinstance(rows[0][0], float) else 0.0)
     return best[0]
 
 
@@ -123,32 +123,32 @@ def test_volume_lower_bound_values():
 def test_lower_certificate_is_dual_feasible():
     s = random_blob(3, 2, 8, 4)
     res = exact_content(s, None, 1)
-    cands, index = generate_candidates(s, frozenset(s.cells), 1, AllGridBalls())
+    rows, index, _ = generate_candidates(s, frozenset(s.cells), 1, AllGridBalls())
     duals = [Fraction(d) for d in res.certificate["duals"]]
     assert sum(duals) <= res.value
-    for cand in cands:
-        total = sum(duals[i] for i in range(len(index)) if cand.mask >> i & 1)
-        assert total <= cand.cost
+    for cost, _, mask in rows:
+        total = sum(duals[i] for i in range(len(index)) if mask >> i & 1)
+        assert total <= cost
 
 
 def test_bracket_soundness_small_instances(small_blobs):
     # exhaustive optimum over <= 12 candidates must sit inside every bracket
     for s in small_blobs[:5]:
         target = random_subset(s, seed=hash(s.cells) % 997, keep=0.6)
-        cands, index = generate_candidates(s, target, 1, AllGridBalls())
-        if len(cands) > 12:
+        rows, index, _ = generate_candidates(s, target, 1, AllGridBalls())
+        if len(rows) > 12:
             continue
         full = (1 << len(index)) - 1
         best = None
         for picks in itertools.chain.from_iterable(
-            itertools.combinations(range(len(cands)), k)
-            for k in range(1, len(cands) + 1)
+            itertools.combinations(range(len(rows)), k)
+            for k in range(1, len(rows) + 1)
         ):
             mask = 0
             cost = Fraction(0)
             for i in picks:
-                mask |= cands[i].mask
-                cost += cands[i].cost
+                mask |= rows[i][2]
+                cost += rows[i][0]
             if mask == full and (best is None or cost < best):
                 best = cost
         res = exact_content(s, target, 1)

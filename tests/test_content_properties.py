@@ -15,6 +15,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -26,7 +27,6 @@ from hcfill.content import (
     DEFAULT_NODE_BUDGET,
     _branch_and_bound,
     _branch_element,
-    _Candidate,
     _fan_masks,
     _fixed_candidates,
     _greedy_cover,
@@ -122,45 +122,43 @@ def oracle_grid_candidates(space, target, m, stride, cap):
     return out, index
 
 
-def records(rows, make=lambda key: Ball(*key)):
-    """(cost, key, mask) rows as `_Candidate` records whose balls `make`
-    builds from their keys: by default `Ball(*key)`, for rows keyed by
-    `Ball.key()`."""
-    return [_Candidate(cost, key, mask, make) for cost, key, mask in rows]
+def ball_of(key):
+    """The ball of a (cost, key, mask) row keyed by `Ball.key()`."""
+    return Ball(*key)
 
 
-def grid_candidates(space, rows):
-    """`_voxel_grid_candidates` rows as candidates, each centre and radius
+def grid_maker(space):
+    """The ball of a `_voxel_grid_candidates` row, its centre and radius
     back from half-cell units."""
     half = space.delta / 2
-    return records(rows, lambda key: Ball(tuple(half * x for x in key[:-1]), half * key[-1]))
+    return lambda key: Ball(tuple(half * x for x in key[:-1]), half * key[-1])
 
 
-def eager_greedy(cands, full):
-    """Rescan every candidate each round; least (cost/new, ball key) wins.
-    Returns the picked candidate indices."""
+def eager_greedy(rows, make, full):
+    """Rescan every row each round; least (cost/new, ball key) wins, the
+    ball made from the row's key by `make`.  Returns the picked indices."""
     covered, picks = 0, []
     while covered != full:
-        ratios = [((c.cost / (c.mask & ~covered).bit_count(), c.make(c.key).key()), i)
-                  for i, c in enumerate(cands) if c.mask & ~covered]
+        ratios = [((cost / (mask & ~covered).bit_count(), make(key).key()), i)
+                  for i, (cost, key, mask) in enumerate(rows) if mask & ~covered]
         if not ratios:
             raise UncoverableError("family cannot cover the target")
         _, i = min(ratios)
         picks.append(i)
-        covered |= cands[i].mask
+        covered |= rows[i][2]
     return picks
 
 
-def greedy_keys(cover, cands, n_elems):
+def greedy_keys(cover, rows, make, n_elems):
     try:
-        return [cands[i].make(cands[i].key).key() for i in cover(cands, (1 << n_elems) - 1)]
+        return [make(rows[i][1]).key() for i in cover(rows, make, (1 << n_elems) - 1)]
     except UncoverableError:
         return None
 
 
-def bound_of(cands):
-    """The `_RatioBound` of the candidates' costs and masks."""
-    return _RatioBound([c.cost for c in cands], [c.mask for c in cands])
+def bound_of(rows):
+    """The `_RatioBound` of the rows' costs and masks."""
+    return _RatioBound([cost for cost, _, _ in rows], [mask for _, _, mask in rows])
 
 
 def undominated(masks, n_elems):
@@ -168,14 +166,14 @@ def undominated(masks, n_elems):
     return _holders(masks, n_elems, prune=True)[0]
 
 
-def lazy_greedy(cands, full):
-    return _greedy_cover(cands, full, bound_of(cands))
+def lazy_greedy(rows, make, full):
+    return _greedy_cover(rows, full, bound_of(rows))
 
 
-def assert_greedy_matches(cands, n_elems):
-    if cands:
-        assert greedy_keys(lazy_greedy, cands, n_elems) == \
-            greedy_keys(eager_greedy, cands, n_elems)
+def assert_greedy_matches(rows, make, n_elems):
+    if rows:
+        assert greedy_keys(lazy_greedy, rows, make, n_elems) == \
+            greedy_keys(eager_greedy, rows, make, n_elems)
 
 
 def assert_rows_cover_the_oracle(got, want):
@@ -205,23 +203,22 @@ def test_grid_candidates_and_greedy_match_oracles(instance):
     two: the integer keys the greedy breaks ties on order like the ball
     keys, and each kept block's ball is its `grid_ball`."""
     space, target, m, stride, cap = instance
-    rows, index = _voxel_grid_candidates(space, target, m, stride, cap)
-    got = grid_candidates(space, rows)
+    raw, index = _voxel_grid_candidates(space, target, m, stride, cap)
+    raw_make = grid_maker(space)
     want, want_index = oracle_grid_candidates(space, target, m, stride, cap)
     assert index == want_index
-    assert_rows_cover_the_oracle(triples(got), want)
+    assert_rows_cover_the_oracle(triples(raw, raw_make), want)
 
     family = AllGridBalls(stride)
     if cap is not None:
         family = intersect_families(family, RadiusCapped(cap))
-    cands, index = generate_candidates(space, target, m, family)
-    for cand in cands:
-        *center, k = cand.key
-        assert cand.make(cand.key) == grid_ball(space, tuple((x - k) // 2 for x in center), k)
-    assert sorted(cands, key=lambda c: c.key) == \
-        sorted(cands, key=lambda c: c.make(c.key).key())
-    assert_greedy_matches(cands, len(index))
-    assert_greedy_matches(got, len(index))
+    rows, index, make = generate_candidates(space, target, m, family)
+    for _, key, _ in rows:
+        *center, k = key
+        assert make(key) == grid_ball(space, tuple((x - k) // 2 for x in center), k)
+    assert sorted(rows, key=itemgetter(1)) == sorted(rows, key=lambda row: make(row[1]).key())
+    assert_greedy_matches(rows, make, len(index))
+    assert_greedy_matches(raw, raw_make, len(index))
 
 
 def cheapest_cover(cost_of, n_elems):
@@ -374,8 +371,9 @@ def test_cheapest_first_brackets_the_brute_force_optimum_at_every_budget(instanc
     optimum = brute_force_optimum(space, target, m, stride, cap)
     if optimum == math.inf:
         return
-    cands, index = generate_candidates(space, target, m, family)
-    kept = [cands[i].mask for i in undominated([c.mask for c in cands], len(index))]
+    rows, index, _ = generate_candidates(space, target, m, family)
+    masks = [mask for _, _, mask in rows]
+    kept = [masks[i] for i in undominated(masks, len(index))]
     need = exact_content(space, target, m, family).certificate["nodes"]
     for budget in range(1, need + 1):
         res, searched, ratio, holders, nodes = _logged_children(space, target, m, family,
@@ -430,16 +428,16 @@ def test_volume_lower_bound_at_a_float_m_of_huge_denominator(instance, m):
 @given(voxel_instances(), st.sampled_from([3, Fraction(7, 2), 4.0]))
 def test_only_unit_balls_at_m_at_least_n(instance, m):
     space, target, _, _, _ = instance
-    cands, index = generate_candidates(space, target, m, AllGridBalls())
-    assert len(cands) == len(target)
-    assert all(c.make(c.key).radius == space.delta / 2 for c in cands)
+    rows, index, make = generate_candidates(space, target, m, AllGridBalls())
+    assert len(rows) == len(target)
+    assert all(make(key).radius == space.delta / 2 for _, key, _ in rows)
 
 
 def test_strip_with_bulbs_keeps_only_unit_balls():
     space = make_strip_with_bulbs()
-    cands, _ = generate_candidates(space, frozenset(space.cells), 2, AllGridBalls())
-    assert len(cands) == len(space.cells) == 128
-    assert all(c.make(c.key).radius == space.delta / 2 for c in cands)
+    rows, _, make = generate_candidates(space, frozenset(space.cells), 2, AllGridBalls())
+    assert len(rows) == len(space.cells) == 128
+    assert all(make(key).radius == space.delta / 2 for _, key, _ in rows)
 
 
 @st.composite
@@ -457,8 +455,8 @@ def small_nets(draw):
 @given(small_nets())
 def test_greedy_matches_eager_on_float_costs(net_m):
     net, m = net_m
-    cands, index = generate_candidates(net, range(len(net.points)), m, AllGridBalls())
-    assert_greedy_matches(cands, len(index))
+    rows, index, make = generate_candidates(net, range(len(net.points)), m, AllGridBalls())
+    assert_greedy_matches(rows, make, len(index))
 
 
 def net_optimum(net, m):
@@ -513,14 +511,13 @@ def test_exact_content_on_nets_matches_the_brute_force_optimum(net_m):
 # ---------------------------------------------------------------------------
 # the sort-and-assign ratio bound against the per-member scans it replaced
 
-def _ratio_duals(cands, n_elems):
+def _ratio_duals(rows, n_elems):
     """LP-dual-feasible element prices y_e = min over balls containing e of
     cost/|members|: for every ball, sum over its members of y is <= its cost,
     so sum(y) lower-bounds every cover from the family."""
     duals = [None] * n_elems
-    for cand in cands:
-        ratio = cand.cost / cand.mask.bit_count()
-        mask = cand.mask
+    for cost, _, mask in rows:
+        ratio = cost / mask.bit_count()
         while mask:
             low = mask & -mask
             e = low.bit_length() - 1
@@ -530,16 +527,16 @@ def _ratio_duals(cands, n_elems):
     return duals
 
 
-def _dual_bound(cands, uncovered):
+def _dual_bound(rows, uncovered):
     """Ratio bound recomputed against the current uncovered set."""
     if not uncovered:
         return 0
     best = {}
-    for cand in cands:
-        inter = cand.mask & uncovered
+    for cost, _, mask in rows:
+        inter = mask & uncovered
         if not inter:
             continue
-        ratio = cand.cost / inter.bit_count()
+        ratio = cost / inter.bit_count()
         mask = inter
         while mask:
             low = mask & -mask
@@ -583,27 +580,26 @@ def candidate_sets(draw):
         for mask in masks:
             seen |= mask
         masks += [1 << e for e in range(n) if not seen >> e & 1]
-    cands = records([(draw(costs), ((Fraction(i),), Fraction(1)), mask)
-                     for i, mask in enumerate(masks)])
-    return cands, n
+    rows = [(draw(costs), ((Fraction(i),), Fraction(1)), mask) for i, mask in enumerate(masks)]
+    return rows, n
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(candidate_sets(), st.data())
 def test_ratio_bound_matches_the_per_member_scans(instance, data):
-    cands, n = instance
+    rows, n = instance
     full = (1 << n) - 1
-    ratio = bound_of(cands)
-    exact = all(isinstance(c.cost, Fraction) for c in cands)
+    ratio = bound_of(rows)
+    exact = all(isinstance(cost, Fraction) for cost, _, _ in rows)
     assert (ratio.scale is not None) == exact
-    assert [ratio.scalar(c) for c in ratio.costs] == [c.cost for c in cands]
-    for i, cand in enumerate(cands):
-        count = cand.mask.bit_count()
-        assert ratio.scalar(ratio.price(i, count)) == cand.cost / count
+    assert [ratio.scalar(c) for c in ratio.costs] == [cost for cost, _, _ in rows]
+    for i, (cost, _, mask) in enumerate(rows):
+        count = mask.bit_count()
+        assert ratio.scalar(ratio.price(i, count)) == cost / count
 
     for uncovered in (0, full, *(1 << e for e in range(n)),
                       data.draw(st.integers(0, full))):
-        got, want = ratio.priced(uncovered)[1], _dual_bound(cands, uncovered)
+        got, want = ratio.priced(uncovered)[1], _dual_bound(rows, uncovered)
         if exact:
             assert isinstance(got, int)
             assert ratio.scalar(got) == want
@@ -611,7 +607,7 @@ def test_ratio_bound_matches_the_per_member_scans(instance, data):
             assert got == want and type(got) is type(want)
 
     duals, root = ratio.duals(ratio.priced(full)[0])
-    want = _ratio_duals(cands, n)
+    want = _ratio_duals(rows, n)
     assert duals == want
     assert [type(d) for d in duals] == [type(d) for d in want]
     assert root == sum(want) and type(root) is type(sum(want))
@@ -669,30 +665,33 @@ def test_float_sum_matches_the_dict_sum_bit_for_bit(n, data):
 # family against the sort, dedupe, quadratic dominance pass and per-ball
 # scans they replaced
 
-def quadratic_undominated(cands):
-    """Keep a candidate unless a kept one holds its mask at no higher cost."""
+def quadratic_undominated(rows):
+    """Keep a row unless a kept one holds its mask at no higher cost."""
     kept = []
-    for cand in cands:
-        if not any(other.mask | cand.mask == other.mask and other.cost <= cand.cost
-                   for other in kept):
-            kept.append(cand)
+    for row in rows:
+        cost, _, mask = row
+        if not any(other | mask == other and other_cost <= cost
+                   for other_cost, _, other in kept):
+            kept.append(row)
     return kept
 
 
-def oracle_post_process(raw):
-    """The least (cost, key) candidate per mask, sorted by (cost, key), then,
-    unless every cost is a Fraction, the quadratic dominance pass when at
-    most 2,000 remain."""
+def oracle_post_process(raw, make):
+    """The least (cost, ball key) row per mask, its ball made from its key by
+    `make`, sorted by (cost, ball key), then, unless every cost is a
+    Fraction, the quadratic dominance pass when at most 2,000 remain."""
+    def order(row):
+        return row[0], make(row[1]).key()
+
     best = {}
-    for cand in raw:
-        cur = best.get(cand.mask)
-        if cur is None or (cand.cost, cand.make(cand.key).key()) < \
-                (cur.cost, cur.make(cur.key).key()):
-            best[cand.mask] = cand
-    cands = sorted(best.values(), key=lambda c: (c.cost, c.make(c.key).key()))
-    if len(cands) > 2000 or all(isinstance(c.cost, Fraction) for c in cands):
-        return cands
-    return quadratic_undominated(cands)
+    for row in raw:
+        cur = best.get(row[2])
+        if cur is None or order(row) < order(cur):
+            best[row[2]] = row
+    rows = sorted(best.values(), key=order)
+    if len(rows) > 2000 or all(isinstance(cost, Fraction) for cost, _, _ in rows):
+        return rows
+    return quadratic_undominated(rows)
 
 
 def oracle_point_candidates(space, target, m, centers, cap):
@@ -720,20 +719,26 @@ def oracle_point_candidates(space, target, m, centers, cap):
     return out
 
 
-def triples(cands):
-    return [(c.make(c.key).key(), c.mask, c.cost) for c in cands]
+def triples(rows, make):
+    return [(make(key).key(), mask, cost) for cost, key, mask in rows]
 
 
-def assert_post_processing_matches(space, target, m, family, raw):
-    got, index = generate_candidates(space, target, m, family)
-    want = oracle_post_process(raw)
-    assert triples(got) == triples(want)
-    assert [type(c.cost) for c in got] == [type(c.cost) for c in want]
-    ordered = sorted(raw, key=lambda c: (c.cost, c.make(c.key).key()))
-    kept = undominated([c.mask for c in ordered], len(index))
-    assert triples([ordered[i] for i in kept]) == triples(quadratic_undominated(ordered))
-    assert_greedy_matches(got, len(index))
-    return got
+def assert_post_processing_matches(space, target, m, family, raw, make):
+    """`generate_candidates` against `oracle_post_process` of the raw rows,
+    whose balls `make` builds; every returned row's mask is its ball's bits,
+    the ball made by the returned maker.  Returns the rows and maker."""
+    got, index, got_make = generate_candidates(space, target, m, family)
+    want = oracle_post_process(raw, make)
+    assert triples(got, got_make) == triples(want, make)
+    assert [type(row[0]) for row in got] == [type(row[0]) for row in want]
+    ordered = sorted(raw, key=lambda row: (row[0], make(row[1]).key()))
+    kept = undominated([mask for _, _, mask in ordered], len(index))
+    assert triples([ordered[i] for i in kept], make) == \
+        triples(quadratic_undominated(ordered), make)
+    bits = ElementBits(space, sorted(target))
+    assert all(bits.ball(got_make(key)) == mask for _, key, mask in got)
+    assert_greedy_matches(got, got_make, len(index))
+    return got, got_make
 
 
 @st.composite
@@ -779,8 +784,8 @@ def test_dominance_pass_matches_quadratic_on_grid_balls(instance, at_zero):
     family = AllGridBalls(stride)
     if cap is not None:
         family = intersect_families(family, RadiusCapped(cap))
-    rows, _ = _voxel_grid_candidates(space, target, m, stride, cap)
-    assert_post_processing_matches(space, target, m, family, grid_candidates(space, rows))
+    raw, _ = _voxel_grid_candidates(space, target, m, stride, cap)
+    assert_post_processing_matches(space, target, m, family, raw, grid_maker(space))
 
 
 def test_candidates_above_the_dominance_limit_match_the_sort_and_dedupe():
@@ -792,18 +797,18 @@ def test_candidates_above_the_dominance_limit_match_the_sort_and_dedupe():
     cells = frozenset(space.cells)
     side = 18 * space.delta
     want, index = oracle_grid_candidates(space, cells, 1, 1, None)
-    want = oracle_post_process(records([(cost, key, mask) for key, mask, cost in want
-                                        if all(0 <= x - key[1] and x + key[1] <= side
-                                               for x in key[0])]))
-    got, got_index = generate_candidates(space, cells, 1, AllGridBalls())
+    want = oracle_post_process([(cost, key, mask) for key, mask, cost in want
+                                if all(0 <= x - key[1] and x + key[1] <= side
+                                       for x in key[0])], ball_of)
+    got, got_index, make = generate_candidates(space, cells, 1, AllGridBalls())
     assert got_index == index and len(got) == len(want) > 2000
-    assert triples(got) == triples(want)
+    assert triples(got, make) == triples(want, ball_of)
 
-    def types(c):
-        ball = c.make(c.key)
-        return (type(c.cost), *map(type, ball.center), type(ball.radius))
+    def types(row, make):
+        ball = make(row[1])
+        return (type(row[0]), *map(type, ball.center), type(ball.radius))
 
-    assert list(map(types, got)) == list(map(types, want))
+    assert [types(row, make) for row in got] == [types(row, ball_of) for row in want]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -817,11 +822,10 @@ def test_dominance_pass_matches_quadratic_on_centers_in(instance, data):
     family = CentersIn(centers)
     if cap is not None:
         family = intersect_families(family, RadiusCapped(cap))
-    rows, _ = _point_candidates(space, target, m, centers, cap)
-    raw = records(rows)
-    assert triples(raw) == oracle_point_candidates(space, target, m, centers, cap)
-    got = assert_post_processing_matches(space, target, m, family, raw)
-    assert all(c.key == c.make(c.key).key() for c in got)
+    raw, _ = _point_candidates(space, target, m, centers, cap)
+    assert triples(raw, ball_of) == oracle_point_candidates(space, target, m, centers, cap)
+    got, make = assert_post_processing_matches(space, target, m, family, raw, ball_of)
+    assert all(key == make(key).key() for _, key, _ in got)
 
 
 def test_centers_in_at_float_centres_matches_ball_scans():
@@ -833,7 +837,7 @@ def test_centers_in_at_float_centres_matches_ball_scans():
     centers = tuple((i / 22, j / 22) for i in range(12) for j in range(0, 12, 3))
     for m in (1, Fraction(3, 2)):
         rows, _ = _point_candidates(space, target, m, centers, None)
-        assert triples(records(rows)) == \
+        assert triples(rows, ball_of) == \
             oracle_point_candidates(space, target, m, centers, None)
 
 
@@ -848,9 +852,10 @@ def test_dominance_pass_matches_quadratic_on_fixed_families(instance, data):
     radius = st.one_of(radius, radius.map(float))
     balls = tuple(data.draw(st.lists(
         st.builds(Ball, st.tuples(*[coord] * space.n), radius), min_size=1, max_size=16)))
-    rows, _ = _fixed_candidates(space, target, m, balls, None)
-    got = assert_post_processing_matches(space, target, m, FixedFamily(balls), records(rows))
-    assert all(c.key == c.make(c.key).key() for c in got)
+    raw, _ = _fixed_candidates(space, target, m, balls, None)
+    got, make = assert_post_processing_matches(space, target, m, FixedFamily(balls), raw,
+                                               ball_of)
+    assert all(key == make(key).key() for _, key, _ in got)
 
 
 @st.composite
@@ -885,8 +890,8 @@ def test_greedy_takes_the_least_ball_key_among_tied_prices(case):
     by comparing ball keys; the lazy greedy picks what the eager rescan
     picks."""
     space, target, m, family = case
-    cands, index = generate_candidates(space, target, m, family)
-    assert_greedy_matches(cands, len(index))
+    rows, index, make = generate_candidates(space, target, m, family)
+    assert_greedy_matches(rows, make, len(index))
 
 
 def test_greedy_ties_on_a_fixed_family_go_to_the_least_ball_key():
@@ -894,9 +899,9 @@ def test_greedy_ties_on_a_fixed_family_go_to_the_least_ball_key():
     order."""
     space = make_cube(2, 2, Fraction(1))
     balls = tuple(grid_ball(space, cell, 1) for cell in sorted(space.cells, reverse=True))
-    cands, index = generate_candidates(space, frozenset(space.cells), 2, FixedFamily(balls))
-    picks = lazy_greedy(cands, (1 << len(index)) - 1)
-    assert [cands[i].make(cands[i].key) for i in picks] == sorted(balls, key=Ball.key)
+    rows, index, make = generate_candidates(space, frozenset(space.cells), 2, FixedFamily(balls))
+    picks = lazy_greedy(rows, make, (1 << len(index)) - 1)
+    assert [make(rows[i][1]) for i in picks] == sorted(balls, key=Ball.key)
 
 
 def matrix_net(points):
@@ -927,16 +932,15 @@ def net_instances(draw):
 def test_net_distance_rows_match_ball_scans(instance):
     net, target, m, cap = instance
     centers = _net_centers(net)
-    rows, index = _point_candidates(net, target, m, centers, cap)
-    raw = records(rows)
-    assert triples(raw) == oracle_point_candidates(net, target, m, centers, cap)
+    raw, index = _point_candidates(net, target, m, centers, cap)
+    assert triples(raw, ball_of) == oracle_point_candidates(net, target, m, centers, cap)
     bits = ElementBits(net, sorted(target))
-    assert all(bits.ball(c.make(c.key)) == c.mask for c in raw)
+    assert all(bits.ball(ball_of(key)) == mask for _, key, mask in raw)
     family = AllGridBalls()
     if cap is not None:
         family = intersect_families(family, RadiusCapped(cap))
     if raw:
-        assert_post_processing_matches(net, target, m, family, raw)
+        assert_post_processing_matches(net, target, m, family, raw, ball_of)
 
 
 # ---------------------------------------------------------------------------
@@ -951,9 +955,9 @@ def _floor_cases(full, data):
         yield outer & data.draw(st.integers(0, full)), outer
 
 
-def assert_floor_sound(cands, n_elems, data):
-    ratio = bound_of(cands)
-    mixed = ratio.scale is None and not all(isinstance(c.cost, float) for c in cands)
+def assert_floor_sound(rows, n_elems, data):
+    ratio = bound_of(rows)
+    mixed = ratio.scale is None and not all(isinstance(cost, float) for cost, _, _ in rows)
     for inner, outer in _floor_cases((1 << n_elems) - 1, data):
         floor = ratio.floor(inner, *ratio.priced(outer))
         _, bound = ratio.priced(inner)
@@ -970,8 +974,8 @@ def assert_floor_sound(cands, n_elems, data):
 @given(candidate_sets(), st.data())
 def test_inherited_floor_is_at_most_the_bound(instance, data):
     """Fraction, float and mixed costs on random masks."""
-    cands, n = instance
-    assert_floor_sound(cands, n, data)
+    rows, n = instance
+    assert_floor_sound(rows, n, data)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -981,16 +985,16 @@ def test_inherited_floor_on_grid_and_centers_in_candidates(instance, data):
     family = AllGridBalls(stride)
     if cap is not None:
         family = intersect_families(family, RadiusCapped(cap))
-    cands, index = generate_candidates(space, target, m, family)
-    if cands:
-        assert_floor_sound(cands, len(index), data)
+    rows, index, _ = generate_candidates(space, target, m, family)
+    if rows:
+        assert_floor_sound(rows, len(index), data)
     quarter = space.delta / 4
     coord = st.integers(-8, 40).map(lambda j: quarter * j)
     centers = tuple(data.draw(st.lists(st.tuples(*[coord] * space.n),
                                        min_size=1, max_size=8)))
-    cands, index = generate_candidates(space, target, m, CentersIn(centers))
-    if cands:
-        assert_floor_sound(cands, len(index), data)
+    rows, index, _ = generate_candidates(space, target, m, CentersIn(centers))
+    if rows:
+        assert_floor_sound(rows, len(index), data)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1004,9 +1008,9 @@ def test_inherited_floor_on_fixed_families(instance, data):
     radius = st.one_of(radius, radius.map(float))
     balls = tuple(data.draw(st.lists(
         st.builds(Ball, st.tuples(*[coord] * space.n), radius), min_size=1, max_size=16)))
-    cands, index = generate_candidates(space, target, m, FixedFamily(balls))
-    if cands:
-        assert_floor_sound(cands, len(index), data)
+    rows, index, _ = generate_candidates(space, target, m, FixedFamily(balls))
+    if rows:
+        assert_floor_sound(rows, len(index), data)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1016,9 +1020,9 @@ def test_inherited_floor_on_net_candidates(instance, data):
     family = AllGridBalls()
     if cap is not None:
         family = intersect_families(family, RadiusCapped(cap))
-    cands, index = generate_candidates(net, target, m, family)
-    if cands:
-        assert_floor_sound(cands, len(index), data)
+    rows, index, _ = generate_candidates(net, target, m, family)
+    if rows:
+        assert_floor_sound(rows, len(index), data)
 
 
 def _bound_without_floor(ratio, uncovered):
@@ -1085,11 +1089,11 @@ def _typed(result):
     return (cost, type(cost)), sel, nodes, (frontier, type(frontier))
 
 
-def assert_search_matches(cands, n_elems):
-    ratio = bound_of(cands)
-    masks = [c.mask for c in cands]
+def assert_search_matches(rows, n_elems):
+    ratio = bound_of(rows)
+    masks = [mask for _, _, mask in rows]
     full = (1 << n_elems) - 1
-    chosen = _greedy_cover(cands, full, ratio)
+    chosen = _greedy_cover(rows, full, ratio)
     incumbent = sum(ratio.costs[i] for i in chosen), tuple(chosen)
     for budget in (1, 3, 40, DEFAULT_NODE_BUDGET):
         args = masks, ratio, full, budget, *incumbent
@@ -1101,8 +1105,8 @@ def assert_search_matches(cands, n_elems):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(candidate_sets())
 def test_search_matches_the_loop_without_the_floor(instance):
-    cands, n = instance
-    assert_search_matches(cands, n)
+    rows, n = instance
+    assert_search_matches(rows, n)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1112,9 +1116,9 @@ def test_search_matches_the_loop_without_the_floor_on_grid_balls(instance):
     family = AllGridBalls(stride)
     if cap is not None:
         family = intersect_families(family, RadiusCapped(cap))
-    cands, index = generate_candidates(space, target, m, family)
-    if cands:
-        assert_search_matches(cands, len(index))
+    rows, index, _ = generate_candidates(space, target, m, family)
+    if rows:
+        assert_search_matches(rows, len(index))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1139,12 +1143,11 @@ _UNPRUNED = content.generate_candidates
 
 def _pruned_first(space, target, m, family):
     """`generate_candidates` followed by the dominance pass up to 2,000
-    candidates, the list that every solve used to start from."""
-    cands, index = _UNPRUNED(space, target, m, family)
-    if len(cands) <= 2000:
-        keep = undominated([c.mask for c in cands], len(index))
-        cands = [cands[i] for i in keep]
-    return cands, index
+    rows, the list that every solve used to start from."""
+    rows, index, make = _UNPRUNED(space, target, m, family)
+    if len(rows) <= 2000:
+        rows = [rows[i] for i in undominated([mask for _, _, mask in rows], len(index))]
+    return rows, index, make
 
 
 def _reports(space, target, m, family):

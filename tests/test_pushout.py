@@ -149,6 +149,22 @@ def test_descend_noop_when_already_low():
     assert tr.trace_content == 0
 
 
+@pytest.mark.parametrize("m", [4, Fraction(9, 2), 5])
+def test_descend_above_the_ambient_dimension_leaves_points_unmoved(m):
+    """At ceil(m) - 2 >= n every point already lies in the target skeleton:
+    no level runs, nothing moves, and every check holds at a displacement
+    bound of 0."""
+    pts = [(Fraction(1, 3), Fraction(1, 3)), (Fraction(3, 5), Fraction(1, 2))]
+    tr = skeleton_descend(pts, UNIT, m, candidates=4)
+    assert tr.final == tr.initial
+    assert tr.levels == ()
+    assert tr.max_displacement == 0
+    assert tr.trace_content == 0
+    assert tr.checks["displacement_bound"] == 0
+    assert all(tr.checks[name] for name in
+               ("final_in_skeleton", "boundary_points_fixed", "displacement_ok"))
+
+
 def test_descend_moves_into_skeleton():
     g = CubicalGrid(2, Fraction(1))
     pts = [
