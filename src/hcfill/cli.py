@@ -218,10 +218,7 @@ def _cmd_fill(args, cfg: RunConfig) -> int:
     )
     report = {"command": "fill", "certificate": cert.to_dict()}
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump({"schema": SCHEMA, **report}, fh, sort_keys=True,
-                      indent=2, default=fmt_scalar)
-            fh.write("\n")
+        _emit(report, args.report)
     if args.emit_plot:
         _write_csv(args.emit_plot, ("step", "content", "displacement"),
                    cert.step_rows)

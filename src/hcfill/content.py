@@ -142,8 +142,13 @@ class ContentResult:
 
     def __post_init__(self):
         """A bracket that is inverted, or marked optimal with ends that
-        differ, is a solver fault, not bad input."""
-        if float(self.value_lower) > float(self.value_upper) + 1e-12:
+        differ, is a solver fault, not bad input.  Ends above the float
+        range are compared exactly."""
+        try:
+            inverted = float(self.value_lower) > float(self.value_upper) + 1e-12
+        except OverflowError:
+            inverted = self.value_lower > self.value_upper
+        if inverted:
             fault = "content bracket is inverted"
         elif self.optimal and self.value_lower != self.value_upper:
             fault = "optimal result must have a degenerate bracket"

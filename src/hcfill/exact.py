@@ -14,9 +14,10 @@ an argument that is not a finite number, a float >= 0 or an int >= 0.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm
+from math import exp, isfinite, lcm, log
 from typing import Union
 
 from .errors import InputError
@@ -64,8 +65,17 @@ def power(base: Scalar, m: Scalar) -> Scalar:
 
 
 def root(x: Scalar, m: Scalar) -> float:
-    """x**(1/m); always float (roots of rationals are rarely rational)."""
-    xf = float(x)
+    """x**(1/m); always float (roots of rationals are rarely rational).  A
+    rational x outside the float range (its float overflows, or is 0.0 while
+    x is not) takes the root from the logs of its numerator and
+    denominator."""
+    try:
+        xf = float(x)
+    except OverflowError:
+        xf = None
+    if xf is None or xf == 0.0 and x != 0:
+        x = as_fraction(x)
+        return exp((log(x.numerator) - log(x.denominator)) / float(m))
     if xf == 0.0:
         return 0.0
     return xf ** (1.0 / float(m))
@@ -117,13 +127,21 @@ def parse_scalar(text: Scalar) -> Fraction:
 
 def fmt_scalar(x: Scalar) -> Union[str, float, int]:
     """JSON-friendly form: Fractions as "p/q" strings (ints stay ints),
-    floats as floats."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return x
+    floats as floats.  A rational with more decimal digits than the
+    interpreter writes (`sys.get_int_max_str_digits`) is an input error."""
+    try:
+        if isinstance(x, Fraction):
+            if x.denominator != 1:
+                return f"{x.numerator}/{x.denominator}"
+            x = x.numerator
+        if isinstance(x, int):
+            if x.bit_length() > 2126:  # may pass 640 digits, the least limit there is
+                str(x)
+            return x
+    except ValueError:
+        raise InputError(f"a reported number has more than {sys.get_int_max_str_digits()} "
+                         "decimal digits, the interpreter's limit for int-to-string "
+                         "conversion") from None
     return float(x)
 
 

@@ -25,9 +25,8 @@ Which elements a ball contains: a voxel ball holds the listed cells whose
 centres it holds, occupied or not; a net ball the listed points within its
 radius.  The bits of an ordered element list answer, one route per kind of
 ball: `ElementBits.ball` for a `Ball`, `bits.box(GridBalls.ranges(key))`
-for a grid ball held as its key (solver blocks, width covers,
-decomposition Q) and `bits.box(PointKeys(space, p).ranges(r))` for a point
-and a radius.  `ball_members` is `ElementBits.ball` over every element of
+for a grid ball held as its key (solver blocks, decomposition Q) and
+`bits.box(PointKeys(space, p).ranges(r))` for a point and a radius.  `ball_members` is `ElementBits.ball` over every element of
 the space, as a set.
 `ElementBits.net_rows` sorts each net centre's distances, so that the
 members of every ball around it are a prefix.  `vitali_select` picks

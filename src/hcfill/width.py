@@ -18,23 +18,23 @@ centre delta/2 * h and radius delta/2 * k that `space.GridBalls` makes, as
 content's grid candidates are keyed.  The one-cell tiling is one key
 (2 c_1 + 1, ..., 2 c_n + 1, 1) per sorted cell, and the `budget=0` cover is
 the one key (lo_i + hi_i + 1, ..., max(hi_i - lo_i + 1)) of the ball around
-the bounding box.  A key's members are `ElementBits.box` over its
-`GridBalls.ranges`, the nerve comes from those masks, and a simplex's union
-diameter is max(h + k) - min(h - k) per axis, in half cells.  The result's
-`covering` is those keys as a keyed `space.Covering`, so its cost and its
-report come from the keys, and no `Ball` is built until the covering's
-`balls` or the result's `nerve` is read.
+the bounding box.  No two of these keys' balls hold a common cell, so the
+nerve's maximal simplices are the single keys, its multiplicity is 1, and
+the bound is one ball's diameter, 2k half cells; `width_bound` writes them
+down and runs no nerve.  The result's `covering` is those keys as a keyed
+`space.Covering`, so its cost and its report come from the keys, and no
+`Ball` is built until the covering's `balls` or the result's `nerve` is
+read.
 
-`nerve` and `fiber_bound` do the same on any covering of `Ball`s, and are
-the independent re-check of a `width_bound` result.  `nerve` reads each
+`nerve` and `fiber_bound` work on any covering of `Ball`s, and are the
+independent re-check of a `width_bound` result.  `nerve` reads each
 element's owners off the set bits of the balls' member masks
 (`space.ElementBits.ball`) and keeps the simplices that are no face of
-another (integer subset test), in the mask core `width_bound` runs too.
-`fiber_bound` puts every vertex ball's centre and radius over one
-denominator (`space.key_balls.frame` of the balls' keys), so each ball's
-axis box (centre -+ radius per axis) is integer numerators, a simplex's
-union diameter an integer max - min, and one `Fraction` is built at the
-end.
+another (integer subset test).  `fiber_bound` puts every vertex ball's
+centre and radius over one denominator (`space.key_balls.frame` of the
+balls' keys), so each ball's axis box (centre -+ radius per axis) is
+integer numerators, a simplex's union diameter an integer max - min, and
+one `Fraction` is built at the end.
 """
 
 from __future__ import annotations
@@ -98,18 +98,9 @@ def nerve(cover: Covering, space: Space) -> NerveComplex:
             outside += 1
         else:
             wanted |= 1 << bit
-    simplices, multiplicity = _mask_nerve(map(bits.ball, cover.balls), wanted, outside)
-    return NerveComplex(tuple(cover.balls), simplices, multiplicity)
-
-
-def _mask_nerve(masks, wanted: int, outside: int):
-    """(maximal simplices, multiplicity) of the cover whose i-th ball holds
-    the element bits masks[i], over the wanted bits; `outside` counts the
-    wanted elements no mask can hold, and they and every wanted bit no
-    mask holds raise `UncoverableError`."""
     covered = 0
     owners: dict[int, list[int]] = {}  # element bit -> indices of its balls
-    for i, mask in enumerate(masks):
+    for i, mask in enumerate(map(bits.ball, cover.balls)):
         covered |= mask
         mask &= wanted
         while mask:
@@ -130,19 +121,8 @@ def _mask_nerve(masks, wanted: int, outside: int):
             maximal.append(s)
             union |= s
     multiplicity = max(map(len, owners.values()), default=0)
-    return tuple(sorted(simplices[s] for s in maximal)), multiplicity
-
-
-def _widest(axes, simplices) -> int:
-    """The largest max(hi) - min(lo) over simplices and axes, each axis a
-    (lo, hi) pair of per-vertex lists."""
-    worst = 0
-    for simplex in simplices:
-        for lo, hi in axes:
-            d = max(map(hi.__getitem__, simplex)) - min(map(lo.__getitem__, simplex))
-            if d > worst:
-                worst = d
-    return worst
+    return NerveComplex(tuple(cover.balls), tuple(sorted(simplices[s] for s in maximal)),
+                        multiplicity)
 
 
 def fiber_bound(nerve_complex: NerveComplex) -> Fraction:
@@ -154,7 +134,13 @@ def fiber_bound(nerve_complex: NerveComplex) -> Fraction:
     axes = []  # per axis: (lo, hi) of every ball, by ball index
     for cs in zip(*centres):
         axes.append(([c - r for c, r in zip(cs, rs)], [c + r for c, r in zip(cs, rs)]))
-    return Fraction(_widest(axes, nerve_complex.simplices), den)
+    worst = 0
+    for simplex in nerve_complex.simplices:
+        for lo, hi in axes:
+            d = max(map(hi.__getitem__, simplex)) - min(map(lo.__getitem__, simplex))
+            if d > worst:
+                worst = d
+    return Fraction(worst, den)
 
 
 @dataclass(frozen=True)
@@ -219,20 +205,15 @@ def width_bound(
     space.require_nonempty()
     content = exact_content(space, None, m, node_budget=node_budget)
     trivial = budget == 0
-    cells = space.sorted_cells()
     if trivial:
         box = space.bbox()
         keys = ((*(lo + hi + 1 for lo, hi in box), max(hi - lo + 1 for lo, hi in box)),)
     else:
-        keys = tuple((*(2 * c + 1 for c in cell), 1) for cell in cells)
+        keys = tuple((*(2 * c + 1 for c in cell), 1) for cell in space.sorted_cells())
     make = GridBalls(space.delta)
-    bits = ElementBits(space, cells)
-    masks = [bits.box(make.ranges(key)) for key in keys]
-    simplices, multiplicity = _mask_nerve(masks, bits.full, 0)
-    axes = [([key[i] - key[-1] for key in keys], [key[i] + key[-1] for key in keys])
-            for i in range(space.n)]
-    value = make.part(_widest(axes, simplices))
+    value = make.part(2 * keys[0][-1])
     c_measured = float(value) / root(content.value_upper, m) \
-        if float(content.value_upper) > 0 else 0.0
-    return WidthResult(m, value, Covering.keyed(make, keys, space.cells, 1), simplices,
-                       multiplicity, c_measured, content.value_upper, trivial)
+        if content.value_upper > 0 else 0.0
+    return WidthResult(m, value, Covering.keyed(make, keys, space.cells, 1),
+                       tuple((i,) for i in range(len(keys))), 1, c_measured,
+                       content.value_upper, trivial)

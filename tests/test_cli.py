@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -390,6 +392,54 @@ def test_integral_width_index_reports_as_an_integer(capsys, tmp_path, extra):
             for m in ("2", "2.0", "4/2")]
     assert outs[0][0] == 0
     assert outs[1] == outs[2] == outs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("content", "--exact"),
+    ("content",),
+    ("width",),
+])
+def test_values_above_the_float_range_are_reported(capsys, tmp_path, argv):
+    """On the 4x4 square of side-8 cells at m = 600 the content, 16 * 4^600,
+    is beyond the float range: the bracket check compares it exactly and
+    `c_measured` takes its root from logs."""
+    path = tmp_path / "square8.json"
+    save_space(make_cube(2, 4, Fraction(8)), str(path))
+    code, out, err = run_cli(capsys, *argv, "--space", str(path), "--m", "600")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    value = 16 * 4 ** 600
+    if argv[0] == "content":
+        assert result["value_upper"] == value
+        assert result["optimal"] is (argv == ("content", "--exact"))
+    else:
+        assert (result["bound"], result["content"]) == (8, value)
+        assert math.isclose(result["c_measured"], 2 / 16 ** (1 / 600), rel_tol=1e-12)
+
+
+def test_a_report_beyond_the_digit_limit_is_an_input_error(capsys, tmp_path):
+    """At m = 4000 on side-1/8 cells the content's denominator has more
+    digits than the interpreter writes: exit 1 with a plain error naming the
+    limit, and the limit stays as it was."""
+    path = tmp_path / "square.json"
+    save_space(make_cube(2, 4), str(path))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "content", "--space", str(path), "--exact", "--m", "4000")
+    assert (code, out) == (1, "")
+    assert err == (f"error: a reported number has more than {limit} decimal digits, "
+                   "the interpreter's limit for int-to-string conversion\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_fill_report_file_is_the_out_document(capsys, tmp_path):
+    path = tmp_path / "ring.json"
+    save_space(make_ring(8, Fraction(1, 8)), str(path))
+    report, out = tmp_path / "report.json", tmp_path / "out.json"
+    code, _, _ = run_cli(capsys, "fill", "--space", str(path), "--m", "2",
+                         "--report", str(report), "--out", str(out))
+    assert code == 0
+    assert report.read_text() == out.read_text()
+    assert "version" in json.loads(report.read_text())
 
 
 def test_coarea_subcommand(capsys, tmp_path):

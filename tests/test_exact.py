@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcfill.exact import common_den, numerators, parse_scalar
+from hcfill.errors import InputError
+from hcfill.exact import common_den, fmt_scalar, numerators, parse_scalar, root
 
 rationals = st.one_of(
     st.integers(-50, 50),
@@ -37,3 +39,37 @@ def test_parse_scalar_refuses_non_finite_floats(x):
     with pytest.raises(ValueError, match="not a finite number"):
         parse_scalar(x)
     assert parse_scalar(1e308) == Fraction(1e308)
+
+
+@pytest.mark.parametrize("x, m", [
+    (Fraction(3, 7), 4),
+    (Fraction(22, 7), 600),
+    (Fraction(5), 3),
+    (Fraction(1, 9), 2),
+])
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_root_beyond_the_float_range_scales_the_float_path(x, m, side):
+    """(x s^m)^(1/m) = x^(1/m) s: a rational whose float overflows past
+    1e308, or underflows to 0.0, takes its root from logs, and matches the
+    float path's root of the scaled-down x times s."""
+    scale = Fraction(10) ** ((400 // m + 1) * (1 if side == "above" else -1))
+    big = x * scale ** m
+    assert big > 1e308 if side == "above" else float(big) == 0.0
+    assert math.isclose(root(big, m), root(x, m) * float(scale), rel_tol=1e-12)
+
+
+def test_root_in_the_float_range_is_the_float_power():
+    for x, m in [(Fraction(3, 7), 4), (16 * Fraction(4) ** 200, 200), (0, 3), (2.5, 2)]:
+        assert root(x, m) == (float(x) ** (1.0 / m) if x else 0.0)
+
+
+def test_fmt_scalar_beyond_the_digit_limit_is_an_input_error():
+    """A rational the interpreter will not write in decimal is refused with
+    a message naming the active limit; one just inside it prints."""
+    limit = sys.get_int_max_str_digits()
+    inside = 10 ** (limit - 1)
+    assert fmt_scalar(Fraction(inside)) == inside
+    assert fmt_scalar(Fraction(1, inside)) == f"1/{inside}"
+    for x in (10 ** limit, Fraction(10 ** limit), Fraction(1, 10 ** limit), Fraction(10 ** limit, 3)):
+        with pytest.raises(InputError, match=f"more than {limit} decimal digits"):
+            fmt_scalar(x)
