@@ -5,10 +5,11 @@ coverings by balls from the family.  `exact_content` solves the weighted
 set-cover instance by branch and bound with an LP-dual-feasible ratio bound;
 `greedy_content` gives the usual ratio-greedy upper bound, with lower value
 0.  The search itself is `_branch_and_bound`, over bare masks priced by a
-`_RatioBound` of their costs.  It has two callers: `exact_content` starts
-it from the greedy cover under a node budget, and `_relative_cover`, the
-solve of `decomposition.TildeContent`, runs it over the balls of a fixed
-covering with neither an incumbent nor a budget, from the node of its
+`_RatioBound` of their costs.  It has two callers: `_search`, the general
+path of `exact_content`, starts it from the greedy cover under a node
+budget, and `_relative_cover`, the solve of `decomposition.TildeContent`,
+runs it over the balls of a fixed covering with neither an incumbent nor a
+budget, from the node of its
 forced balls (those holding a goal cell no other ball holds), and only
 when they leave a cell uncovered.  At integer m every ball cost is a
 Fraction (fixed families with float radii aside) and the search runs on
@@ -35,13 +36,28 @@ keeps candidate order.
 Net-model answers of `exact_content` are brackets: the optimum over
 net-centered balls, deflated by eps_net on the lower side.
 
+When every ball is forced (`_all_forced`: after generation one row per
+target element, every mask a single bit, every cost a Fraction), both
+solvers answer with no `_RatioBound`, greedy or search.  Each element has
+one holder (a row with one column forces that column, Beasley 1987), so
+the only cover is every row: on voxel sets at m >= n every unit ball, since
+each block of side k > 1 is dominated by the unit balls inside it.  That is
+the search's own answer.  A row's greedy price is its cost, so the greedy
+takes the rows in row order, (cost, key) order; the root's ratio bound
+prices each element at its row's cost, which sums to the cover's, so the
+search closes at node 1 on it.  The result is those keys in row order, the
+summed cost as both ends (on nets the deflated lower value, not optimal),
+and the duals each element's row cost in element order.
+
 Every family yields (cost, key, mask) rows, masks being bits of
 `space.ElementBits` over the sorted target, and the kept rows stay rows
 from generation to the witness, beside the one maker of the family's balls
 from their keys: the greedy's tie-break and the witness read the keys, the
 bound and the search only the costs and masks.  A result's `witness` is
-the chosen keys as a keyed `space.Covering`, whose cost and report come
-from the keys: no ball is built unless its `balls` are read.  A
+the chosen keys as a keyed `space.Covering`, whose report comes from the
+keys, with the target in the sorted order of the solver's bit index and,
+for grid blocks at Fraction costs, the solver's exact cost: no ball is
+built unless its `balls` are read, and the report sorts no target.  A
 fixed-family ball is keyed by its ball key and takes its mask from
 `ElementBits.ball`.  A point centre (a net point or a `CentersIn` centre)
 sorts its distance row once, a radius's members are a prefix of it, and
@@ -91,14 +107,15 @@ from __future__ import annotations
 import copy
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 
 from .errors import InputError, UncoverableError, VerificationError
-from .exact import (TOL, Scalar, as_fraction, common_den, finite_number, fmt_scalar, is_integral,
-                    numerators, power, scalar_formatter)
+from .exact import (TOL, Scalar, as_fraction, common_den, finite_number, floor_power, fmt_scalar,
+                    is_integral, numerators, power, scalar_formatter)
 from .space import (
     AllGridBalls,
     BallFamily,
@@ -234,8 +251,8 @@ def _voxel_grid_candidates(space: VoxelSpace, target, m, stride, cap):
         presorted = presorted and (last_cost is None or last_cost < cost)
         last_cost = cost
         if k == 1:  # one block per listed cell, in key order as the cells are sorted
-            rows += [(cost, (*[2 * x + 1 for x in cell], 1), 1 << idx)
-                     for idx, cell in enumerate(bits.elements)]
+            axes = [[2 * x + 1 for x in column] for column in zip(*bits.elements)]
+            rows += [(cost, key, 1 << idx) for idx, key in enumerate(zip(*axes, repeat(1)))]
             continue
         # (key, mask) of the blocks above the limit, one axis at a time; the
         # last axis's part of the key ends in k.  A block's cells are a
@@ -363,9 +380,10 @@ def generate_candidates(space: Space, target, m: Scalar, family: BallFamily):
         raise InputError(f"unsupported ball family {core!r}")
     if not grid:
         rows.sort(key=itemgetter(0, 1))  # stable on (cost, key)
-    exact = all(isinstance(row[0], Fraction) for row in rows)
-    seen = set()  # the first of each mask
-    rows = [row for row in rows if not (row[2] in seen or seen.add(row[2]))]
+    exact = set(map(type, map(_first, rows))) <= {Fraction}  # every cost a Fraction
+    if len(set(map(_third, rows))) < len(rows):
+        seen = set()  # the first of each mask
+        rows = [row for row in rows if not (row[2] in seen or seen.add(row[2]))]
     if not exact and len(rows) <= _DOMINANCE_CAP:
         rows = [rows[i] for i in _holders([row[2] for row in rows], len(index), prune=True)[0]]
     return rows, index, GridBalls(space.delta) if grid else key_balls
@@ -562,6 +580,7 @@ class _RatioBound:
 
 
 _first = itemgetter(0)
+_third = itemgetter(2)
 
 
 def volume_lower_bound(space: VoxelSpace, target=None, m: Scalar = 1) -> Scalar:
@@ -574,7 +593,8 @@ def volume_lower_bound(space: VoxelSpace, target=None, m: Scalar = 1) -> Scalar:
     bound on sum r_i^m.  At m > n that step fails; there a grid ball of
     radius k*delta/2 holds at most k^n cells at cost k^m (delta/2)^m, at
     least (delta/2)^m per cell.  Where the bound is irrational it is a
-    float rounded down (`_float_floor`).
+    float rounded down (`_float_floor`), or, where V is beyond the float
+    range, the floor of the bound, exact (`exact.floor_power`).
     """
     _check_exponent(m)
     if not isinstance(space, VoxelSpace):
@@ -590,8 +610,12 @@ def volume_lower_bound(space: VoxelSpace, target=None, m: Scalar = 1) -> Scalar:
     if is_integral(m) and (volume == 1 or as_fraction(m) % space.n == 0):
         return power(volume, int(m) // space.n) / power(Fraction(2), m)
     # V^(m/n) / 2^m = (V / 2^n)^(m/n)
-    return _float_floor(float(volume) ** (float(m) / space.n) / 2.0 ** float(m),
-                        1, volume / 2 ** space.n, as_fraction(m) / space.n)
+    base, e = volume / 2 ** space.n, as_fraction(m) / space.n
+    try:
+        x = float(volume) ** (float(m) / space.n) / 2.0 ** float(m)
+    except OverflowError:  # V is beyond the float range
+        return floor_power(base, e, "the volume lower bound")
+    return _float_floor(x, 1, base, e)
 
 
 def _float_floor(x: float, coef, base: Fraction, e: Fraction) -> float:
@@ -790,12 +814,19 @@ def greedy_content(
 ) -> ContentResult:
     """Iterative best-ratio covering; an upper bound by construction.  The
     greedy cost says nothing about the optimum from below, so the reported
-    lower value is 0 on every model."""
+    lower value is 0 on every model.  When every ball is forced
+    (`_all_forced`) the cover is every row, in row order: the order in
+    which the greedy picks them."""
     _check_exponent(m)
     target = _resolve_target(space, target)
-    rows, index, make, ratio = _priced_candidates(space, target, m, family)
-    picks = _greedy_cover(rows, (1 << len(index)) - 1, ratio)
-    witness = Covering.keyed(make, [rows[i][1] for i in picks], target, m)
+    rows, index, make = _candidates(space, target, m, family)
+    if _all_forced(rows, len(index)):
+        picks, cost = range(len(rows)), _fraction_sum([row[0] for row in rows])
+    else:
+        ratio = _ratio_bound(rows)
+        picks = _greedy_cover(rows, (1 << len(index)) - 1, ratio)
+        cost = ratio.scalar(sum(ratio.costs[i] for i in picks))
+    witness = _witness(make, [rows[i][1] for i in picks], target, m, index, cost)
     cost = witness.cost
     return ContentResult(
         m, family_label(family), _zero(cost), cost, False, witness,
@@ -814,48 +845,28 @@ def exact_content(
 
     Starts `_branch_and_bound` from the greedy cover and returns a certified
     bracket instead of failing when the node budget, an int >= 1, runs out.
+    When every ball is forced (`_all_forced`) the answer is written down
+    without a search: it is the one the search gives, closed at its root.
     """
     _check_exponent(m)
     if isinstance(node_budget, bool) or not isinstance(node_budget, int) or node_budget < 1:
         raise InputError(f"node_budget must be an int >= 1, got {node_budget!r}")
     target = _resolve_target(space, target)
-    rows, index, make, ratio = _priced_candidates(space, target, m, family)
-    full = (1 << len(index)) - 1
-
-    chosen = _greedy_cover(rows, full, ratio)  # raises when the family cannot cover
-    incumbent = sum(ratio.costs[i] for i in chosen)
-    ranked = ratio.ranked(full)
-    root = ratio.priced(full, ranked)
-    duals, root_dual = ratio.duals(root[0])
-    masks, holders = [row[2] for row in rows], None
-    if ratio.scale is not None and root[1] < incumbent and len(rows) <= _DOMINANCE_CAP:
-        # the search leaves its root: drop the dominated balls, keeping the
-        # holder lists (float and mixed costs come pruned from generation)
-        kept, holders = _holders(masks, len(index), prune=True)
-        at = {i: k for k, i in enumerate(kept)}
-        rows, ratio = [rows[i] for i in kept], ratio.restricted(kept)
-        masks = [masks[i] for i in kept]
-        ranked = [(r, at[i], inter) for r, i, inter in ranked if i in at]
-        chosen = [at[i] for i in chosen]
-    best_cost, best_sel, nodes, frontier = _branch_and_bound(
-        masks, ratio, full, node_budget, incumbent, tuple(chosen), root=(ranked, root),
-        holders=holders)
-    best_cost = ratio.scalar(best_cost)
-
-    witness = Covering.keyed(make, [rows[i][1] for i in best_sel], target, m)
-    if frontier is not None:
-        lowers = [root_dual]
-        core, _ = _flatten_family(family)
-        if isinstance(space, VoxelSpace) and isinstance(core, AllGridBalls) \
-                and core.stride == 1:
-            lowers.append(volume_lower_bound(space, target, m))
-        lowers.append(ratio.scalar(frontier))
-        lower = max(lowers)
-        optimal = False
+    rows, index, make = _candidates(space, target, m, family)
+    if _all_forced(rows, len(index)):
+        duals = [None] * len(rows)
+        for cost, _, mask in rows:
+            duals[mask.bit_length() - 1] = cost
+        best_sel, nodes, lower = range(len(rows)), 1, None
+        best_cost = root_dual = _fraction_sum(duals)
     else:
-        lower = best_cost
-        optimal = True
+        rows, best_sel, best_cost, nodes, lower, duals, root_dual = _search(
+            space, target, m, family, node_budget, rows, len(index))
 
+    witness = _witness(make, [rows[i][1] for i in best_sel], target, m, index, best_cost)
+    optimal = lower is None
+    if optimal:
+        lower = best_cost
     if isinstance(space, NetSpace):
         optimal = False
         lower = _net_deflated_cost(space, witness, m)
@@ -872,15 +883,90 @@ def exact_content(
     )
 
 
+def _search(space: Space, target, m: Scalar, family: BallFamily, node_budget, rows,
+            n_elems: int):
+    """`exact_content`'s search: `_branch_and_bound` from the greedy cover.
+    Returns (rows, selection, cost, nodes, lower, duals, root dual): the
+    rows the selection indexes (the kept rows when the dominance pass ran),
+    the lower value None when the search closed, and the root duals in
+    element order."""
+    ratio = _ratio_bound(rows)
+    full = (1 << n_elems) - 1
+    chosen = _greedy_cover(rows, full, ratio)  # raises when the family cannot cover
+    incumbent = sum(ratio.costs[i] for i in chosen)
+    ranked = ratio.ranked(full)
+    root = ratio.priced(full, ranked)
+    duals, root_dual = ratio.duals(root[0])
+    masks, holders = [row[2] for row in rows], None
+    if ratio.scale is not None and root[1] < incumbent and len(rows) <= _DOMINANCE_CAP:
+        # the search leaves its root: drop the dominated balls, keeping the
+        # holder lists (float and mixed costs come pruned from generation)
+        kept, holders = _holders(masks, n_elems, prune=True)
+        at = {i: k for k, i in enumerate(kept)}
+        rows, ratio = [rows[i] for i in kept], ratio.restricted(kept)
+        masks = [masks[i] for i in kept]
+        ranked = [(r, at[i], inter) for r, i, inter in ranked if i in at]
+        chosen = [at[i] for i in chosen]
+    best_cost, best_sel, nodes, frontier = _branch_and_bound(
+        masks, ratio, full, node_budget, incumbent, tuple(chosen), root=(ranked, root),
+        holders=holders)
+    lower = None
+    if frontier is not None:
+        lowers = [root_dual]
+        core, _ = _flatten_family(family)
+        if isinstance(space, VoxelSpace) and isinstance(core, AllGridBalls) \
+                and core.stride == 1:
+            lowers.append(volume_lower_bound(space, target, m))
+        lowers.append(ratio.scalar(frontier))
+        lower = max(lowers)
+    return rows, best_sel, ratio.scalar(best_cost), nodes, lower, duals, root_dual
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
-def _priced_candidates(space: Space, target, m: Scalar, family: BallFamily):
-    """`generate_candidates` and the `_RatioBound` that prices its rows."""
+def _candidates(space: Space, target, m: Scalar, family: BallFamily):
+    """`generate_candidates`, or `UncoverableError` when no ball meets the
+    target."""
     rows, index, make = generate_candidates(space, target, m, family)
     if not rows:
         raise UncoverableError("family cannot cover the target")
-    return rows, index, make, _RatioBound([row[0] for row in rows], [row[2] for row in rows])
+    return rows, index, make
+
+
+def _ratio_bound(rows) -> _RatioBound:
+    return _RatioBound([row[0] for row in rows], [row[2] for row in rows])
+
+
+def _all_forced(rows, n_elems: int) -> bool:
+    """Whether every ball is forced at Fraction costs: one row per target
+    element, each holding that element alone (n rows, one per distinct
+    nonzero mask, whose masks hold n bits in all), and every cost a
+    Fraction.  Every element then has one holder, the only cover is every
+    row, and the greedy picks the rows in row order, (cost, key) order, as
+    each one's price is its own cost.  The root's ratio bound prices each
+    element at its row's cost, which sums to the cover's, so the search
+    closes at its root, node 1, on that cover."""
+    return len(rows) == n_elems and sum(map(int.bit_count, map(_third, rows))) == n_elems \
+        and set(map(type, map(_first, rows))) == {Fraction}
+
+
+def _fraction_sum(costs) -> Fraction:
+    """The exact sum of Fractions: each distinct cost object (one per ball
+    size on a grid) times its count."""
+    counts = Counter(map(id, costs))
+    return sum(cost * counts[id(cost)] for cost in {id(c): c for c in costs}.values())
+
+
+def _witness(make, keys, target, m: Scalar, index: dict, cost: Scalar) -> Covering:
+    """The chosen keys as a keyed `Covering`, its target ordered as the
+    solver's bit index orders it (sorted).  A grid witness takes the
+    solver's cost when it is a Fraction, the cost of its radii.  Other
+    makers price the keys' own radii, which on a net or at a float centre
+    are floats where the solver priced their exact Fractions."""
+    if not (isinstance(make, GridBalls) and isinstance(cost, Fraction)):
+        cost = None
+    return Covering.keyed(make, keys, target, m, cost, index)
 
 
 def _check_exponent(m) -> None:

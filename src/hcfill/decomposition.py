@@ -114,11 +114,13 @@ def _solve_memo(fn):
 
 
 def _content(space, cells: frozenset, m: Fraction, *, node_budget: int):
-    """`exact_content` through the memo of the pipeline call it runs in."""
+    """`exact_content` through the memo of the pipeline call it runs in.  A
+    content beyond the float range, which the checks read, is refused."""
     memo = _SOLVES.get()
     key = (space, cells, m, node_budget)
     if key not in memo:
         memo[key] = exact_content(space, cells, m, node_budget=node_budget)
+        nonneg_float(memo[key].value_upper, "a content the pipeline checks")
     return memo[key]
 
 
@@ -267,8 +269,7 @@ class TildeContent:
         return self._point[2]
 
     def value(self, subset, exponent: Scalar) -> Scalar:
-        cost, _ = self.solve(subset, exponent)
-        return cost
+        return self.solve(subset, exponent)[0]
 
     def solve(self, subset, exponent: Scalar):
         """(cost, ball indices) of the cheapest subfamily covering `subset`."""
@@ -282,9 +283,7 @@ class TildeContent:
         if hit is not None:
             return hit
         if goal == 0:
-            result = (Fraction(0) if is_integral(exponent) else 0.0, ())
-            self._value_cache[key] = result
-            return result
+            return Fraction(0) if is_integral(exponent) else 0.0, ()
         if goal & ~self._union:
             raise InputError("fixed covering cannot cover the requested subset")
         order, masks, ratio, _, _ = self._pricing(exponent)

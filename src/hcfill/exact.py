@@ -14,6 +14,7 @@ an argument that is not a finite number, a float >= 0 or an int >= 0.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,10 +59,14 @@ def numerators(values, den: int) -> tuple[int, ...]:
 
 def power(base: Scalar, m: Scalar) -> Scalar:
     """base**m, exact (Fraction) when the exponent is an integer and the
-    base is rational, float otherwise."""
+    base is rational, float otherwise: there a base or a power beyond the
+    float range is an input error."""
     if isinstance(base, (Fraction, int)) and is_integral(m):
         return Fraction(base) ** int(m)
-    return float(base) ** float(m)
+    try:
+        return float(base) ** float(m)
+    except OverflowError:
+        raise InputError(f"a power at m = {m} is beyond the float range") from None
 
 
 def root(x: Scalar, m: Scalar) -> float:
@@ -79,6 +84,39 @@ def root(x: Scalar, m: Scalar) -> float:
     if xf == 0.0:
         return 0.0
     return xf ** (1.0 / float(m))
+
+
+def root_ratio(a: Scalar, b: Scalar, m: Scalar, what: str) -> float:
+    """a / b^(1/m) as a float, for rationals a >= 0 and b > 0 and an
+    integer m >= 1: float(a) / root(b, m), or root(a^m / b, m) when a is
+    beyond the float range or b's root below it.  A ratio beyond the float
+    range is an input error that names `what`."""
+    try:
+        return float(a) / root(b, m)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    try:
+        return root(as_fraction(a) ** int(m) / as_fraction(b), m)
+    except OverflowError:
+        raise InputError(f"{what} is beyond the float range") from None
+
+
+def floor_power(base: Fraction, e: Fraction, what: str) -> Fraction:
+    """floor(base^e) for a rational base >= 0 and e = p/q >= 0: the integer
+    q-th root of floor(base^p), by Newton steps on integers from above,
+    which is floor(base^e) exactly.  An e whose denominator exceeds 64 is
+    an input error that names `what` as beyond the float range, the only
+    place this is asked for."""
+    p, q = e.numerator, e.denominator
+    if q > 64:
+        raise InputError(f"{what} is beyond the float range at this exponent")
+    a = math.floor(base ** p)
+    if a < 2:
+        return Fraction(a)
+    x = 1 << -(-a.bit_length() // q)  # above a^(1/q)
+    while (y := ((q - 1) * x + a // x ** (q - 1)) // q) < x:
+        x = y
+    return Fraction(x)
 
 
 def finite_number(x, what: str) -> Fraction:

@@ -204,7 +204,7 @@ class Ball:
 
 def ball_dict(center, radius, fmt=fmt_scalar) -> dict:
     """The report form of a ball, each scalar passed through `fmt`."""
-    return {"center": [fmt(c) for c in center], "radius": fmt(radius)}
+    return {"center": list(map(fmt, center)), "radius": fmt(radius)}
 
 
 def grid_ball(space: VoxelSpace, anchor: Cell, k: int) -> Ball:
@@ -326,16 +326,23 @@ class GridBalls:
         return [((h - k) // 2, (h + k - 1) // 2) for h in key[:-1]]
 
     def dicts(self, keys) -> list:
-        """The report forms of the keys' balls in ball order."""
-        texts = {}
-
-        def fmt(x):
-            text = texts.get(x)
-            if text is None:
-                text = texts[x] = fmt_scalar(self.part(x))
-            return text
-
+        """The report forms of the keys' balls in ball order, each distinct
+        part formatted once."""
+        fmt = _Texts(self.part).__getitem__
         return [ball_dict(key[:-1], key[-1], fmt) for key in sorted(keys)]
+
+
+class _Texts(dict):
+    """The report text of each integer part of a `GridBalls`, formatted on
+    its first lookup."""
+
+    def __init__(self, part):
+        super().__init__()
+        self.part = part
+
+    def __missing__(self, x):
+        text = self[x] = fmt_scalar(self.part(x))
+        return text
 
 
 class _KeyBalls:
@@ -372,11 +379,11 @@ key_balls = _KeyBalls()
 class ElementBits:
     """Bit positions for an ordered list of a space's elements (voxel cells,
     occupied or not, or net point indices); `ball` gives the bits of the
-    listed elements a ball holds.  On voxels, per-axis prefix masks:
-    below[i][v] holds the cells whose coordinate i is less than lo[i] + v,
-    so the cells of an axis box are the AND over axes of one slab
-    below[i][b + 1] ^ below[i][a] each.  On nets `ball` scans the listed
-    indices of net points."""
+    listed elements a ball holds.  On voxels, per-axis prefix masks, built
+    when a slab is first asked for: below[i][v] holds the cells whose
+    coordinate i is less than lo[i] + v, so the cells of an axis box are
+    the AND over axes of one slab below[i][b + 1] ^ below[i][a] each.  On
+    nets `ball` scans the listed indices of net points."""
 
     def __init__(self, space: Space, elements):
         self.space = space
@@ -390,18 +397,25 @@ class ElementBits:
         n = space.n
         if any(len(c) != n for c in self.elements):
             raise InputError(f"element list holds a cell without {n} coordinates")
-        bits = [1 << idx for idx in range(len(self.elements))]
-        self.lo, self.hi, self.below = [0] * n, [-1] * n, [[0]] * n
+        self.lo, self.hi = [0] * n, [-1] * n
         for i, column in enumerate(zip(*self.elements)):  # one coordinate axis at a time
-            lo = self.lo[i] = min(column)
-            self.hi[i] = max(column)
+            self.lo[i], self.hi[i] = min(column), max(column)
+
+    @cached_property
+    def below(self) -> list[list[int]]:
+        """The per-axis prefix masks, built on the first `slab`."""
+        below = [[0]] * len(self.lo)
+        bits = [1 << idx for idx in range(len(self.elements))]
+        for i, column in enumerate(zip(*self.elements)):
+            lo = self.lo[i]
             rows = [0] * (self.hi[i] - lo + 1)
             for bit, x in zip(bits, column):
                 rows[x - lo] |= bit
             prefix = [0]
             for row in rows:
                 prefix.append(prefix[-1] | row)
-            self.below[i] = prefix
+            below[i] = prefix
+        return below
 
     def ball(self, ball: Ball) -> int:
         """The listed elements inside the closed ball: on voxels the cells
@@ -642,8 +656,10 @@ class Covering:
     order, and their maker, `key_balls` for `Ball.key()` keys or a
     `GridBalls`.  `cost` and `to_dict` read the keys; `balls` are built on
     first read.  `Covering(balls, target, m)` keys the balls and keeps
-    them; `Covering.keyed(make, keys, target, m)` builds no ball.  Equality
-    compares makers, keys, targets and m."""
+    them; `Covering.keyed(make, keys, target, m)` builds no ball, and takes
+    the keys' cost and the target's elements in sorted order (`order`)
+    from a caller that has them, else computes each when first read.
+    Equality compares makers, keys, targets and m."""
 
     make: object = field(repr=False)
     keys: tuple
@@ -656,9 +672,13 @@ class Covering:
                              target=target, m=m, balls=balls)
 
     @classmethod
-    def keyed(cls, make, keys, target, m) -> Covering:
+    def keyed(cls, make, keys, target, m, cost=None, order=None) -> Covering:
         cover = cls.__new__(cls)
         cover.__dict__.update(make=make, keys=tuple(keys), target=target, m=m)
+        if cost is not None:
+            cover.__dict__["cost"] = cost
+        if order is not None:
+            cover.__dict__["order"] = order
         return cover
 
     @cached_property
@@ -668,6 +688,11 @@ class Covering:
     @cached_property
     def cost(self) -> Scalar:
         return cover_cost([self.make.radius(key) for key in self.keys], self.m)
+
+    @cached_property
+    def order(self):
+        """The target's elements in sorted order (an iterable)."""
+        return sorted(self.target)
 
     def validate(self, space: Space) -> None:
         """Exact coverage check: every target element inside some ball, by
@@ -684,12 +709,16 @@ class Covering:
 
     def to_dict(self) -> dict:
         """The report: the balls in sorted order (a key orders like its
-        ball), each distinct scalar formatted once, and the sorted target."""
+        ball), each distinct scalar formatted once, and the target in
+        `order`, a cell as a list."""
+        target = list(self.order)
+        if target and isinstance(target[0], tuple):  # voxel cells
+            target = list(map(list, target))
         return {
             "m": fmt_scalar(self.m),
             "cost": fmt_scalar(self.cost),
             "balls": self.make.dicts(self.keys),
-            "target": sorted(list(t) if isinstance(t, tuple) else t for t in self.target),
+            "target": target,
         }
 
 

@@ -45,7 +45,7 @@ from functools import cached_property
 
 from .content import DEFAULT_NODE_BUDGET, exact_content
 from .errors import InputError, UncoverableError
-from .exact import Scalar, fmt_scalar, is_integral, root
+from .exact import Scalar, fmt_scalar, is_integral, root_ratio
 from .space import (
     Ball,
     Covering,
@@ -205,15 +205,16 @@ def width_bound(
     space.require_nonempty()
     content = exact_content(space, None, m, node_budget=node_budget)
     trivial = budget == 0
+    cells = space.sorted_cells()
     if trivial:
         box = space.bbox()
         keys = ((*(lo + hi + 1 for lo, hi in box), max(hi - lo + 1 for lo, hi in box)),)
     else:
-        keys = tuple((*(2 * c + 1 for c in cell), 1) for cell in space.sorted_cells())
+        keys = tuple((*(2 * c + 1 for c in cell), 1) for cell in cells)
     make = GridBalls(space.delta)
     value = make.part(2 * keys[0][-1])
-    c_measured = float(value) / root(content.value_upper, m) \
+    c_measured = root_ratio(value, content.value_upper, m, "c_measured") \
         if content.value_upper > 0 else 0.0
-    return WidthResult(m, value, Covering.keyed(make, keys, space.cells, 1),
+    return WidthResult(m, value, Covering.keyed(make, keys, space.cells, 1, order=cells),
                        tuple((i,) for i in range(len(keys))), 1, c_measured,
                        content.value_upper, trivial)

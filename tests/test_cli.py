@@ -417,6 +417,42 @@ def test_values_above_the_float_range_are_reported(capsys, tmp_path, argv):
         assert math.isclose(result["c_measured"], 2 / 16 ** (1 / 600), rel_tol=1e-12)
 
 
+HUGE_DELTA = 10 ** 400  # a cell side beyond the float range
+
+
+@pytest.mark.parametrize("argv", [
+    ("content", "--exact", "--m", "1"),
+    ("width", "--m", "1"),
+    ("fill", "--m", "2"),
+    ("content", "--exact", "--m", "3/2"),
+])
+def test_a_cell_side_beyond_the_float_range_reports_or_is_refused(capsys, tmp_path, argv):
+    """Two cells of side 10^400: content at m = 1 is reported, with the
+    volume lower bound floor(sqrt(2) 10^400 / 2) in exact integers, and so
+    is the width bound, whose `c_measured` is delta / (delta)^(1/1) = 1.
+    `fill` reads contents as floats, and content at m = 3/2 prices balls in
+    floats, so both exit 1 with an error line naming the float range, not
+    an `OverflowError` traceback."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"variant": "voxel", "n": 2, "delta": str(HUGE_DELTA),
+                                "cells": [[0, 0], [0, 1]]}))
+    code, out, err = run_cli(capsys, argv[0], "--space", str(path), *argv[1:])
+    if argv[0] == "content" and argv[-1] == "1":
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["result"]["value_upper"] == HUGE_DELTA and doc["result"]["optimal"]
+        bound = doc["volume_lower_bound"]  # (2 delta^2)^(1/2) / 2 = delta / sqrt(2)
+        assert 2 * bound ** 2 <= HUGE_DELTA ** 2 < 2 * (bound + 1) ** 2
+    elif argv[0] == "width":
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["bound"], result["content"], result["c_measured"]) == \
+            (HUGE_DELTA, HUGE_DELTA, 1.0)
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith("is beyond the float range\n")
+
+
 def test_a_report_beyond_the_digit_limit_is_an_input_error(capsys, tmp_path):
     """At m = 4000 on side-1/8 cells the content's denominator has more
     digits than the interpreter writes: exit 1 with a plain error naming the

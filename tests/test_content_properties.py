@@ -7,8 +7,10 @@ per-element minimum, the solvers' reports against the pipeline that prunes
 dominated balls before it, and the greedy lower bound on nets, the
 exact_content bracket (with its cheapest-first child order at every node
 budget) and the volume lower bound on small voxel targets against an
-exhaustive optimum, and every report's witness section, written from
-candidate keys, against the report of its built witness."""
+exhaustive optimum, the closed form of solves whose balls are all forced
+against the general path's report, byte for byte, and every report's
+witness section, written from candidate keys, against the report of its
+built witness."""
 
 import itertools
 import json
@@ -310,10 +312,11 @@ class _ReadLog(list):
 
 def _logged_children(space, target, m, family, budget):
     """`exact_content`'s result, the masks, the `_RatioBound` and the
-    holder lists its search received, and, per node it branched at, (U,
-    the branch element, its children in the order they are popped),
-    indexed in that list."""
-    log, received = [], []
+    holder lists its search received (each None when no search ran, as
+    when every ball is forced), and, per node it branched at, (U, the
+    branch element, its children in the order they are popped), indexed
+    in that list."""
+    log, received = [], [None] * 3
     search, pick = content._branch_and_bound, content._branch_element
 
     def logged_search(masks, ratio, *args, **kwargs):
@@ -382,6 +385,8 @@ def test_cheapest_first_brackets_the_brute_force_optimum_at_every_budget(instanc
         assert not res.optimal or res.value_upper == optimum
         assert res.value_lower <= optimum
         assert res.optimal == (budget >= need)
+        if searched is None:  # every ball forced: answered in closed form, at node 1
+            assert need == 1 and not nodes
         if nodes:
             assert searched == kept
             assert holders == [[k for k, mask in enumerate(kept) if mask >> e & 1]
@@ -1221,6 +1226,113 @@ def test_the_dominance_pass_runs_only_where_the_search_branches():
         assert calls == []
         assert exact_content(dumbbell, None, 1, AllGridBalls(), 20).certificate["nodes"] > 1
         assert calls == [True]
+
+
+# ---------------------------------------------------------------------------
+# solves whose balls are all forced, answered without a search, against the
+# search
+
+
+@st.composite
+def forced_instances(draw):
+    """(space, target, m, stride, cap) where every ball is forced, or
+    nearly: at stride 1 a voxel set at integer m >= n, or a set on one axis
+    line at 1 <= m < n (a block of side k holds at most k <= k^m of its
+    cells, so it is dominated); at stride 2 mostly cells of even
+    coordinates, no two of which one side-2 block holds, all forced under
+    a cap of delta, which keeps side 2 alone (other cells may share a
+    block: rows that partition the cells, one per block, are all forced
+    but hold two cells).  Caps below delta/2 leave nothing."""
+    n = draw(st.integers(1, 3))
+    box = draw(st.integers(1, BOX[n]))
+    stride = draw(st.sampled_from([1, 2, 2]))
+    even = 1 if stride == 1 or not draw(st.integers(0, 3)) else 2
+    if n > 1 and draw(st.booleans()):
+        axis = draw(st.integers(0, n - 1))
+        rest = draw(st.tuples(*[st.integers(-2, 2).map(lambda x: even * x)] * (n - 1)))
+        coords = [(*rest[:axis], x, *rest[axis:]) for x in range(-3, 3 + 2 * box)]
+        m = draw(st.integers(1, n - 1))
+    else:
+        coords = list(itertools.product(range(-2, box), repeat=n))
+        m = draw(st.sampled_from([n, n + 1, Fraction(n), float(n)]))
+    coords = [c for c in coords if all(x % even == 0 for x in c)]
+    cells = draw(st.sets(st.sampled_from(coords), min_size=1, max_size=10))
+    target = draw(st.sets(st.sampled_from(sorted(cells)), min_size=1))
+    delta = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1)]))
+    cap = draw(st.sampled_from([None, delta, delta / 2, 3 * delta, delta / 4]))
+    return VoxelSpace(n, delta, frozenset(cells)), frozenset(target), m, stride, cap
+
+
+def _report_text(res) -> str:
+    return json.dumps(res.to_dict(), sort_keys=True, default=fmt_scalar)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(forced_instances(), st.sampled_from([exact_content, greedy_content]))
+@example((VoxelSpace(2, Fraction(1, 8), frozenset((0, x) for x in range(6))),
+          frozenset((0, x) for x in range(6)), 1, 1, None), exact_content)
+def test_forced_balls_report_as_the_search_does(instance, solve):
+    """With every ball forced, the report is the one the greedy and the
+    search give, to the byte: the closed form switched off, both solvers
+    run their general path on the same rows.  Each reaches the brute-force
+    optimum, which the search certifies at its root."""
+    space, target, m, stride, cap = instance
+    family = AllGridBalls(stride)
+    if cap is not None:
+        family = intersect_families(family, RadiusCapped(cap))
+    optimum = brute_force_optimum(space, target, m, stride, cap)
+    if optimum == math.inf:
+        with pytest.raises(UncoverableError):
+            solve(space, target, m, family)
+        return
+    rows, index, _ = generate_candidates(space, target, m, family)
+    forced = content._all_forced(rows, len(index))
+    assert forced == (len(rows) == len(index)
+                      and all(mask.bit_count() == 1 for _, _, mask in rows))
+    got = solve(space, target, m, family)
+    with mock.patch.object(content, "_all_forced", return_value=False):
+        want = solve(space, target, m, family)
+    assert _report_text(got) == _report_text(want)
+    assert got.witness == want.witness
+    assert got.witness.cost == want.witness.cost == got.value_upper
+    assert got.value_upper >= optimum
+    if forced:
+        assert got.value_upper == optimum
+        assert [key for _, key, _ in rows] == list(got.witness.keys)
+    if solve is exact_content:
+        assert got.optimal and got.value_upper == optimum
+        assert not forced or got.certificate["nodes"] == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+           st.just(n), st.dictionaries(st.tuples(*[st.integers(-2, 3)] * n),
+                                       st.sets(st.integers(0, 7), min_size=1, max_size=3),
+                                       min_size=1, max_size=8))),
+       st.sampled_from([1, 2, 3]), st.sampled_from([exact_content, greedy_content]))
+def test_forced_fixed_balls_report_as_the_search_does(case, m, solve):
+    """A fixed family of balls centred on the cells with radii below delta,
+    so that each holds its own cell alone, at radii that order the rows
+    unlike the cells: the duals in cell order, the witness in (cost, key)
+    order and the report, to the byte, as the general path gives them, at
+    the optimum, each cell's cheapest ball."""
+    n, radii = case
+    delta = Fraction(1, 4)
+    space = VoxelSpace(n, delta, frozenset(radii))
+    balls = tuple(Ball(space.cell_center(cell), delta * Fraction(j, 8))
+                  for cell, js in radii.items() for j in js)
+    family = FixedFamily(balls)
+    rows, index, _ = generate_candidates(space, space.cells, m, family)
+    assert content._all_forced(rows, len(index))
+    got = solve(space, None, m, family)
+    with mock.patch.object(content, "_all_forced", return_value=False):
+        want = solve(space, None, m, family)
+    assert _report_text(got) == _report_text(want)
+    optimum = sum(power(delta * Fraction(min(js), 8), m) for js in radii.values())
+    assert got.value_upper == optimum
+    if solve is exact_content:
+        assert got.certificate["duals"] == [
+            fmt_scalar(power(delta * Fraction(min(radii[cell]), 8), m)) for cell in sorted(radii)]
 
 
 # ---------------------------------------------------------------------------

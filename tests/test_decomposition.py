@@ -1433,7 +1433,8 @@ def test_a3_fills_answer_every_relative_solve_from_its_forced_balls(monkeypatch,
     """In these multi-ball fills every Q ball meeting a relative solve's
     goal holds a goal cell that no other meeting ball holds, so the forced
     balls cover the goal and no search runs (297 and 241 searches ran
-    before the reduction), with the same report."""
+    before the reduction), with the same report.  Their `exact_content`
+    solves are all forced too, answered without a search."""
     solving, searches = [], Counter()
     real_solve, real_search = TildeContent.solve_mask, content._branch_and_bound
 
@@ -1452,7 +1453,10 @@ def test_a3_fills_answer_every_relative_solve_from_its_forced_balls(monkeypatch,
     monkeypatch.setattr(content, "_branch_and_bound", search)
     text = json.dumps(run().to_dict(), sort_keys=True, default=fmt_scalar)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
-    # the wrapped entry is the one the solvers call: exact_content's searches count
+    assert not searches
+    # the wrapped entry is the one the solvers call: exact_content's searches
+    # count, here on a square at m = 1, whose side-2 blocks are not dominated
+    exact_content(make_cube(2, 4), None, 1)
     assert searches["relative"] == 0 and searches["exact_content"] > 0
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcfill.errors import InputError
-from hcfill.exact import common_den, fmt_scalar, numerators, parse_scalar, root
+from hcfill.exact import (common_den, floor_power, fmt_scalar, numerators, parse_scalar, root,
+                          root_ratio)
 
 rationals = st.one_of(
     st.integers(-50, 50),
@@ -73,3 +74,37 @@ def test_fmt_scalar_beyond_the_digit_limit_is_an_input_error():
     for x in (10 ** limit, Fraction(10 ** limit), Fraction(1, 10 ** limit), Fraction(10 ** limit, 3)):
         with pytest.raises(InputError, match=f"more than {limit} decimal digits"):
             fmt_scalar(x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.builds(Fraction, st.integers(0, 10 ** 40), st.integers(1, 10 ** 6)),
+       st.integers(0, 9), st.integers(1, 8))
+def test_floor_power_is_the_floor(base, p, q):
+    """g = floor(base^(p/q)) exactly: g^q <= base^p < (g + 1)^q."""
+    e = Fraction(p, q)
+    got = floor_power(base, e, "x")
+    assert got.denominator == 1
+    g = got.numerator
+    assert Fraction(g) ** e.denominator <= base ** e.numerator < Fraction(g + 1) ** e.denominator
+
+
+def test_floor_power_refuses_an_exponent_of_large_denominator():
+    with pytest.raises(InputError, match="the bound is beyond the float range"):
+        floor_power(Fraction(10) ** 400, Fraction(0.3), "the bound")
+
+
+@pytest.mark.parametrize("a, b, m, want", [
+    (Fraction(1, 8), Fraction(1, 4), 2, 0.25),
+    (Fraction(10) ** 400, Fraction(10) ** 400, 1, 1.0),
+    (Fraction(10) ** 400, Fraction(10) ** 800, 2, 1.0),
+    (Fraction(1, 10 ** 100), Fraction(1, 10 ** 800), 2, 1e300),
+])
+def test_root_ratio_beyond_the_float_range(a, b, m, want):
+    """a / b^(1/m): the float path inside the range, and the root of
+    a^m / b where a's float overflows or b's root underflows."""
+    assert math.isclose(root_ratio(a, b, m, "c"), want, rel_tol=1e-12)
+
+
+def test_root_ratio_beyond_the_float_range_is_an_input_error():
+    with pytest.raises(InputError, match="^c is beyond the float range$"):
+        root_ratio(Fraction(10) ** 800, Fraction(1), 2, "c")
